@@ -75,7 +75,7 @@ func main() {
 		pace          = flag.Duration("pace", 0, "pause per worker between epoch rounds, stretching the replay so restarts land mid-load")
 		retryDeadline = flag.Duration("retry-deadline", 0, "how long one request retries through 429/5xx/connection-refused before failing the run (default 30s)")
 
-		bench = flag.Bool("bench", false, "after the replay, report per-endpoint service time (ns/observe etc.) from the daemon's /debug/vars latency histograms")
+		bench = flag.Bool("bench", false, "after the replay, report per-endpoint service time (ns/observe etc.) from the latency histograms in the daemon's /v1/stats")
 	)
 	flag.Parse()
 
@@ -170,28 +170,32 @@ func normalizeURL(s string) string {
 	return s
 }
 
-// reportServiceTimes fetches /debug/vars and prints each busy endpoint's
-// latency distribution as a benchmark-style line — the observe row is the
+// fetchStats reads one node's /v1/stats.
+func fetchStats(base string) (predsvc.StatsResponse, error) {
+	var st predsvc.StatsResponse
+	resp, err := http.Get(base + "/v1/stats")
+	if err != nil {
+		return st, err
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		return st, fmt.Errorf("bad /v1/stats response: %w", err)
+	}
+	return st, nil
+}
+
+// reportServiceTimes prints each busy endpoint's latency distribution
+// from /v1/stats as a benchmark-style line — the observe row is the
 // service-side cost of one LSO-wrapped predictor update (ns/observe). The
 // mean is estimated from the histogram's bucket midpoints; the quantiles
 // are bucket upper bounds.
 func reportServiceTimes(base string) {
-	resp, err := http.Get(base + "/debug/vars")
+	st, err := fetchStats(base)
 	if err != nil {
-		log.Printf("predload: could not fetch /debug/vars for -bench: %v", err)
+		log.Printf("predload: could not fetch server stats for -bench: %v", err)
 		return
 	}
-	defer resp.Body.Close()
-	var body struct {
-		Predsvc struct {
-			Metrics predsvc.MetricsSnapshot `json:"metrics"`
-		} `json:"predsvc"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		log.Printf("predload: bad /debug/vars response: %v", err)
-		return
-	}
-	for _, ep := range body.Predsvc.Metrics.Endpoints {
+	for _, ep := range st.Metrics.Endpoints {
 		if ep.Requests == 0 {
 			continue
 		}
@@ -205,15 +209,9 @@ func reportServiceTimes(base string) {
 // chaos run — the acceptance signal that the injected faults were absorbed
 // (panics recovered, load shed, snapshot writes retried) without a crash.
 func reportServerResilience(base string) {
-	resp, err := http.Get(base + "/v1/stats")
+	st, err := fetchStats(base)
 	if err != nil {
 		log.Printf("predload: could not fetch server stats after chaos run: %v", err)
-		return
-	}
-	defer resp.Body.Close()
-	var st predsvc.StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		log.Printf("predload: bad /v1/stats response: %v", err)
 		return
 	}
 	m := st.Metrics

@@ -81,8 +81,6 @@ func main() {
 		chaosHand   = flag.Bool("chaos-handoff", false, "kill the first session handoff mid-transfer: the 6th exported record aborts the stream and the 6th imported record 500s, so only a retried pass can complete")
 		drainDelay  = flag.Duration("drain-delay", 0, "extra time /readyz advertises draining before connections close on shutdown (lets cluster clients re-probe)")
 
-		noFastpath = flag.Bool("no-fastpath", false, "serve the hot endpoints through the reflection-based encoding/json handlers instead of the pooled zero-alloc codec (byte-identical responses; escape hatch and digest cross-check)")
-
 		noObs    = flag.Bool("no-obs", false, "disable the observability endpoints (/metrics, /debug/pprof/, /debug/trace)")
 		obsSpans = flag.Int("obs-spans", obs.DefaultSpanCapacity, "completed request spans retained for /debug/trace")
 	)
@@ -109,7 +107,6 @@ func main() {
 		ReadHeaderTimeout: *readHdrTO,
 		RequestTimeout:    *requestTO,
 		SpillDir:          *spillDir,
-		DisableFastpath:   *noFastpath,
 		DrainDelay:        *drainDelay,
 	}
 	var faultRules []faultinject.Rule

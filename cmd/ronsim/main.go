@@ -6,7 +6,7 @@
 //	ronsim [-out data/d1.json.gz] [-seed 1] [-full] [-second]
 //	       [-scenarios] [-per-scenario N]
 //	       [-workers N] [-progress bar|jsonl|off] [-retries N]
-//	       [-paths N] [-traces N] [-epochs N] [-stream=false]
+//	       [-paths N] [-traces N] [-epochs N]
 //	       [-obs-addr :6060] [-obs-dump dir]
 //
 // By default a scaled-down campaign runs (12 paths × 2 traces × 40 epochs);
@@ -31,10 +31,9 @@
 // at the next epoch boundaries and saves the completed traces as a
 // partial dataset.
 //
-// By default traces stream to disk as they complete (record-per-epoch
-// inside the optionally-gzipped output), so memory use is constant even
-// for 10k-path campaigns; cmd/repro auto-detects the format.
-// -stream=false restores the legacy materialize-then-save behavior.
+// Traces stream to disk as they complete (record-per-epoch inside the
+// optionally-gzipped output), so memory use is constant even for
+// 10k-path campaigns.
 package main
 
 import (
@@ -72,7 +71,6 @@ func main() {
 	epochs := flag.Int("epochs", 0, "override epochs per trace (0 = per-scale default)")
 	obsAddr := flag.String("obs-addr", "", "serve live /metrics + /debug/pprof/ + /debug/trace on this address during the run")
 	obsDump := flag.String("obs-dump", "", "write trace.json/trace.txt/metrics.prom artifacts to this directory after the run")
-	stream := flag.Bool("stream", true, "write traces to disk as they complete (constant memory; record-per-epoch stream format); -stream=false materializes the whole dataset and writes the legacy single-document form")
 	flag.Parse()
 
 	var cfg testbed.RunConfig
@@ -135,36 +133,8 @@ func main() {
 	}
 
 	start := time.Now()
-	var partial bool
-	if *stream {
-		partial = collectStreaming(ctx, cfg, *out, start)
-		dumpObs(telemetry, *obsDump)
-	} else {
-		ds, err := testbed.CollectContext(ctx, cfg)
-		if err != nil {
-			if errors.Is(err, context.Canceled) {
-				partial = true
-				log.Printf("interrupted; keeping %d completed traces", len(ds.Traces))
-			} else {
-				// Trace faults: the campaign carried on without them.
-				log.Printf("completed with failed traces: %v", err)
-			}
-		}
-		log.Printf("collected %d traces / %d epochs in %v", len(ds.Traces), ds.Epochs(), time.Since(start).Round(time.Second))
-		dumpObs(telemetry, *obsDump)
-		if len(ds.Traces) == 0 {
-			log.Print("nothing to save")
-			os.Exit(1)
-		}
-		if partial {
-			ds.Label += "-partial"
-		}
-		if err := traceio.Save(*out, ds); err != nil {
-			log.Printf("save: %v", err)
-			os.Exit(1)
-		}
-		log.Printf("wrote %s", *out)
-	}
+	partial := collectStreaming(ctx, cfg, *out, start)
+	dumpObs(telemetry, *obsDump)
 	if partial {
 		os.Exit(1)
 	}

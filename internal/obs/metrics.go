@@ -125,8 +125,8 @@ func (c *Counter) writeSamples(w io.Writer, _ string) error {
 }
 
 // CounterFunc registers a counter whose value is read from fn at scrape
-// time — the bridge for pre-existing atomic counters (e.g. the predsvc
-// Metrics struct) that should not be double-counted.
+// time — for counts another component already maintains (e.g. the predsvc
+// store's tier statistics) that should not be double-counted.
 func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
 	r.register(name, help, "counter", &funcMetric{name: name, fn: func() float64 { return float64(fn()) }})
 }
@@ -207,16 +207,13 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	if !sort.Float64sAreSorted(bounds) {
 		panic("obs: histogram bounds must be ascending")
 	}
-	m := r.register(name, help, "histogram", &Histogram{
+	// Only *Histogram registers under the "histogram" type, so whatever
+	// register hands back is one.
+	return r.register(name, help, "histogram", &Histogram{
 		bounds: append([]float64(nil), bounds...),
 		counts: make([]atomic.Uint64, len(bounds)+1),
 		name:   name,
-	})
-	h, ok := m.(*Histogram)
-	if !ok {
-		panic(fmt.Sprintf("obs: %q already registered as a func-backed metric", name))
-	}
-	return h
+	}).(*Histogram)
 }
 
 // Observe records one value.
@@ -244,47 +241,104 @@ func (h *Histogram) Count() uint64 {
 	return n
 }
 
+// Snapshot reads the histogram's current state. Buckets are read one by
+// one, not under a lock, so a snapshot taken under load is consistent
+// per bucket rather than across them.
+func (h *Histogram) Snapshot() HistogramSnapshot {
+	s := HistogramSnapshot{
+		Bounds: h.bounds,
+		Counts: make([]uint64, len(h.counts)),
+		Sum:    math.Float64frombits(h.sumBits.Load()),
+	}
+	for i := range h.counts {
+		s.Counts[i] = h.counts[i].Load()
+	}
+	return s
+}
+
 func (h *Histogram) fullName() string { return h.name }
 
 func (h *Histogram) writeSamples(w io.Writer, familyName string) error {
-	var counts []uint64
-	for i := range h.counts {
-		counts = append(counts, h.counts[i].Load())
+	return writeHistogram(w, familyName, h.name, h.Snapshot())
+}
+
+// HistogramSnapshot is a point-in-time view of a histogram: per-bucket
+// (not cumulative) counts against their ascending upper bounds, the last
+// count being the implicit +Inf bucket, and the exact sum of everything
+// observed. It is also the one place quantiles and means are estimated
+// from bucket counts; a snapshot rebuilt from serialized counts (Sum
+// unknown) supports both.
+type HistogramSnapshot struct {
+	Bounds []float64
+	Counts []uint64
+	Sum    float64
+}
+
+// Total returns the number of observations.
+func (s HistogramSnapshot) Total() uint64 {
+	var n uint64
+	for _, c := range s.Counts {
+		n += c
 	}
-	return writeHistogram(w, familyName, h.name, HistogramState{
-		UpperBounds: h.bounds,
-		Counts:      counts,
-		Sum:         math.Float64frombits(h.sumBits.Load()),
-	})
+	return n
 }
 
-// HistogramState is an externally maintained histogram handed to
-// HistogramFunc at scrape time. Counts are per-bucket (not cumulative)
-// and must have len(UpperBounds)+1 entries, the last being the +Inf
-// bucket. Sum may be an estimate (e.g. from bucket midpoints) when the
-// source does not track an exact running sum.
-type HistogramState struct {
-	UpperBounds []float64
-	Counts      []uint64
-	Sum         float64
+// upper returns bucket i's upper bound; the +Inf bucket (and anything
+// past it in a malformed snapshot) reports the highest finite bound, the
+// convention of Prometheus's histogram_quantile.
+func (s HistogramSnapshot) upper(i int) float64 {
+	if i >= len(s.Bounds) {
+		i = len(s.Bounds) - 1
+	}
+	if i < 0 {
+		return 0
+	}
+	return s.Bounds[i]
 }
 
-// HistogramFunc registers a histogram whose state is read from fn at
-// scrape time — the bridge for the prediction service's existing atomic
-// latency histograms.
-func (r *Registry) HistogramFunc(name, help string, fn func() HistogramState) {
-	r.register(name, help, "histogram", &funcHistogram{name: name, fn: fn})
+// Quantile returns the upper bound of the bucket holding the q-th
+// quantile (0 < q ≤ 1), or 0 for an empty histogram.
+func (s HistogramSnapshot) Quantile(q float64) float64 {
+	total := s.Total()
+	if total == 0 {
+		return 0
+	}
+	target := uint64(q * float64(total))
+	if target == 0 {
+		target = 1
+	}
+	var cum uint64
+	for i, c := range s.Counts {
+		cum += c
+		if cum >= target {
+			return s.upper(i)
+		}
+	}
+	return s.upper(len(s.Counts))
 }
 
-type funcHistogram struct {
-	name string
-	fn   func() HistogramState
-}
-
-func (m *funcHistogram) fullName() string { return m.name }
-
-func (m *funcHistogram) writeSamples(w io.Writer, familyName string) error {
-	return writeHistogram(w, familyName, m.name, m.fn())
+// Mean estimates the mean from bucket midpoints, taking observations as
+// non-negative (the first bucket spans [0, Bounds[0]]) and the +Inf
+// bucket at the highest finite bound. It needs only Counts, so it also
+// serves snapshots decoded from JSON; where the exact mean matters use
+// Sum / Total.
+func (s HistogramSnapshot) Mean() float64 {
+	total := s.Total()
+	if total == 0 {
+		return 0
+	}
+	var sum float64
+	for i, c := range s.Counts {
+		if c == 0 {
+			continue
+		}
+		lo := 0.0
+		if i > 0 {
+			lo = s.upper(i - 1)
+		}
+		sum += (lo + s.upper(i)) / 2 * float64(c)
+	}
+	return sum / float64(total)
 }
 
 // WritePrometheus renders every registered metric in the text exposition
@@ -355,13 +409,10 @@ func withLabel(name, key, val string) string {
 // writeHistogram renders the cumulative _bucket series plus _sum/_count.
 // The bucket/sum/count suffixes attach to the family name, with the
 // metric's own labels preserved.
-func writeHistogram(w io.Writer, familyName, name string, st HistogramState) error {
-	if len(st.Counts) != len(st.UpperBounds)+1 {
-		return fmt.Errorf("obs: histogram %s: %d counts for %d bounds", name, len(st.Counts), len(st.UpperBounds))
-	}
+func writeHistogram(w io.Writer, familyName, name string, st HistogramSnapshot) error {
 	_, labels := splitName(name)
 	var cum uint64
-	for i, b := range st.UpperBounds {
+	for i, b := range st.Bounds {
 		cum += st.Counts[i]
 		if _, err := fmt.Fprintf(w, "%s %d\n", withLabel(familyName+"_bucket"+labels, "le", formatValue(b)), cum); err != nil {
 			return err

@@ -121,13 +121,6 @@ type Config struct {
 	// (default 1024; negative disables shedding).
 	MaxInFlight int
 
-	// DisableFastpath pins the hot endpoints (/v1/observe, /v1/measure,
-	// /v1/predict and the batch endpoints) to the reflection-based
-	// encoding/json handlers instead of the zero-alloc wire fastpath
-	// (wire.go). Responses are byte-identical either way; the switch
-	// exists for digest cross-checks and as an escape hatch.
-	DisableFastpath bool
-
 	// DrainDelay is how long Serve keeps the listener accepting after
 	// /readyz flips to 503 on shutdown, giving cluster clients a probe
 	// cycle to stop routing here before connections start closing
@@ -148,8 +141,10 @@ type Config struct {
 	Faults *faultinject.Injector
 
 	// Obs, when non-nil, plugs the server into the observability layer:
-	// the service counters are re-exported through /metrics (see
-	// RegisterObsMetrics for the catalogue), each request records a span,
+	// the service's instruments live in its registry and are exported
+	// through /metrics (see registerMetrics for the catalogue; without
+	// Obs the same counters still feed /v1/stats, they are just not
+	// exported), each request records a span,
 	// and the obs endpoints (/metrics, /debug/pprof/, /debug/trace) are
 	// served from the same listener — routed around the hardening
 	// middleware so load shedding can never shed a scrape.

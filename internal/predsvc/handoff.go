@@ -217,7 +217,6 @@ func (r *Server) handleSessionsImport(w http.ResponseWriter, req *http.Request) 
 			return writeError(w, http.StatusBadRequest, "handoff record %d (%s): state checksum mismatch", seen, rec.Path)
 		}
 		chain.Write(sum[:])
-		seen++
 		var ps PathSnapshot
 		if err := json.Unmarshal(rec.State, &ps); err != nil {
 			return writeError(w, http.StatusBadRequest, "handoff record %d (%s): bad state: %v", seen, rec.Path, err)
@@ -225,6 +224,7 @@ func (r *Server) handleSessionsImport(w http.ResponseWriter, req *http.Request) 
 		if ps.Path != rec.Path {
 			return writeError(w, http.StatusBadRequest, "handoff record %d: path %q carries state for %q", seen, rec.Path, ps.Path)
 		}
+		seen++ // every message above names the record by its zero-based index
 		if existing, ok := r.reg.Peek(rec.Path); ok && existing.Observations() >= rec.Observations {
 			resp.Skipped++
 			r.metrics.handoffSkipped.Add(1)

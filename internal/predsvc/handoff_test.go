@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -235,19 +236,38 @@ func TestImportRejectsCorruptStreams(t *testing.T) {
 			return hex.EncodeToString(h.Sum(nil))
 		}(),
 	})
+	// Second records (index 1, after the good one) that fail each of the
+	// per-record checks: every message must name the same zero-based index.
+	second := func(path string, state []byte, breakSum bool) string {
+		ssum := sha256.Sum256(state)
+		hexSum := hex.EncodeToString(ssum[:])
+		if breakSum {
+			hexSum = "00" + hexSum
+		}
+		r, _ := json.Marshal(HandoffRecord{Path: path, Observations: 9, State: state, Sum: hexSum})
+		return string(rec) + "\n" + string(r) + "\n"
+	}
 	cases := []struct {
 		name string
 		body []byte
+		want string // substring of the error message
 	}{
-		{"no trailer", append(append([]byte{}, rec...), '\n')},
-		{"trailer count mismatch", []byte(string(rec) + "\n" + `{"trailer":true,"count":7,"sum":"00"}` + "\n")},
-		{"trailer chain mismatch", []byte(string(rec) + "\n" + `{"trailer":true,"count":1,"sum":"deadbeef"}` + "\n")},
-		{"record checksum mismatch", []byte(string(bytes.Replace(rec, []byte(`"sum":"`), []byte(`"sum":"00`), 1)) + "\n" + string(goodTrailer) + "\n")},
+		{"no trailer", append(append([]byte{}, rec...), '\n'), "no trailer after 1 records"},
+		{"trailer count mismatch", []byte(string(rec) + "\n" + `{"trailer":true,"count":7,"sum":"00"}` + "\n"), "carried 1 records"},
+		{"trailer chain mismatch", []byte(string(rec) + "\n" + `{"trailer":true,"count":1,"sum":"deadbeef"}` + "\n"), "checksum mismatch"},
+		{"record checksum mismatch", []byte(string(bytes.Replace(rec, []byte(`"sum":"`), []byte(`"sum":"00`), 1)) + "\n" + string(goodTrailer) + "\n"), "handoff record 0 (q)"},
+		{"second record: unparseable", []byte(string(rec) + "\n{not json\n"), "bad handoff record 1:"},
+		{"second record: checksum", []byte(second("q2", state, true)), "handoff record 1 (q2): state checksum"},
+		{"second record: bad state", []byte(second("q2", []byte(`"not a snapshot"`), false)), "handoff record 1 (q2): bad state"},
+		{"second record: path mismatch", []byte(second("q2", state, false)), "handoff record 1: path"},
 	}
 	for _, tc := range cases {
 		resp, data := postJSON(t, dstURL+"/v1/sessions/import", string(tc.body))
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s: status %d (%s), want 400", tc.name, resp.StatusCode, data)
+		}
+		if !strings.Contains(string(data), tc.want) {
+			t.Errorf("%s: error %s, want it to contain %q", tc.name, data, tc.want)
 		}
 	}
 	// The intact stream still lands, proving the fixture itself is valid.

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/obs"
 	"repro/internal/predict"
 	"repro/internal/predsvc/cluster"
 	"repro/internal/sim"
@@ -381,10 +382,12 @@ func Replay(ctx context.Context, cfg LoadConfig, series []PathSeries) (*LoadRepo
 		err         error
 	}
 	outs := make([]workerOut, cfg.Workers)
-	// One lock-free latency histogram shared by every worker; the same
-	// bucket layout the server's service-time histograms use, but timed
-	// around the retrying client, so it measures what callers experience.
-	lat := &histogram{}
+	// One lock-free latency histogram shared by every worker (detached:
+	// it is reported, never exported); the same bucket layout the server's
+	// service-time histograms use, but timed around the retrying client,
+	// so it measures what callers experience.
+	var detached *obs.Registry
+	lat := detached.Histogram("predload_client_latency_seconds", "client-side request latency", latencyBounds)
 	start := time.Now()
 
 	var wg sync.WaitGroup
@@ -494,7 +497,7 @@ func Replay(ctx context.Context, cfg LoadConfig, series []PathSeries) (*LoadRepo
 	if rep.Duration > 0 {
 		rep.QPS = float64(rep.Requests) / rep.Duration.Seconds()
 	}
-	ls := lat.snapshot()
+	ls := latencySnapshot(lat)
 	rep.LatencyP50Usec = ls.P50Usec
 	rep.LatencyP99Usec = ls.P99Usec
 	rep.LatencyMeanUsec = ls.MeanUsec()
@@ -541,7 +544,7 @@ type loadWorker struct {
 	covIn    int               // actuals inside the served [p10,p90] interval
 	covTotal int               // predict responses that carried an interval
 	digests  map[string]string // path → running hex digest chain
-	lat      *histogram        // shared client-side latency histogram
+	lat      *obs.Histogram    // shared client-side latency histogram
 	err      error
 
 	// pending buffers this epoch round's observations per node when
@@ -624,16 +627,16 @@ func (lw *loadWorker) flushObserves(ctx context.Context) {
 	}
 	sort.Strings(nodes)
 	for _, node := range nodes {
-		obs := lw.pending[node]
-		for len(obs) > 0 && lw.err == nil {
-			n := len(obs)
+		batch := lw.pending[node]
+		for len(batch) > 0 && lw.err == nil {
+			n := len(batch)
 			if n > maxBatchItems {
 				n = maxBatchItems
 			}
 			var out ObserveBatchResponse
-			lw.post(ctx, node, "/v1/observe-batch", ObserveBatchRequest{Observations: obs[:n]}, &out)
+			lw.post(ctx, node, "/v1/observe-batch", ObserveBatchRequest{Observations: batch[:n]}, &out)
 			lw.errors += uint64(out.Rejected)
-			obs = obs[n:]
+			batch = batch[n:]
 		}
 	}
 	lw.pending = make(map[string][]ObserveRequest)
@@ -722,7 +725,7 @@ func (lw *loadWorker) do(ctx context.Context, method, base, path string, body []
 		lw.err = err
 		return nil
 	}
-	lw.lat.record(time.Since(reqStart))
+	lw.lat.Observe(time.Since(reqStart).Seconds())
 	lw.requests++
 	if status != http.StatusOK {
 		lw.errors++

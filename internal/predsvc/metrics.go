@@ -1,9 +1,10 @@
 package predsvc
 
 import (
-	"math/bits"
-	"sync/atomic"
+	"math"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // endpoint indexes the served HTTP endpoints for metrics.
@@ -14,7 +15,6 @@ const (
 	epMeasure
 	epPredict
 	epStats
-	epVars
 	epObserveBatch
 	epPredictBatch
 	epSessionsExport
@@ -23,30 +23,90 @@ const (
 	epCount
 )
 
-var endpointNames = [epCount]string{"observe", "measure", "predict", "stats", "debug_vars", "observe_batch", "predict_batch", "sessions_export", "sessions_import", "sessions_drop"}
+var endpointNames = [epCount]string{"observe", "measure", "predict", "stats", "observe_batch", "predict_batch", "sessions_export", "sessions_import", "sessions_drop"}
 
-// histBuckets is the number of exponential latency buckets: bucket i
-// counts requests with latency < 2^i microseconds; the last bucket is a
-// catch-all (~8.4 s and beyond).
-const histBuckets = 24
-
-// histogram is a lock-free exponential latency histogram.
-type histogram struct {
-	counts [histBuckets]atomic.Uint64
-}
-
-func (h *histogram) record(d time.Duration) {
-	us := uint64(d.Microseconds())
-	b := bits.Len64(us) // 0 for <1µs, else floor(log2)+1
-	if b >= histBuckets {
-		b = histBuckets - 1
+// latencyBounds are the request-latency bucket bounds in seconds: 2^i µs
+// for i = 0..22, plus the implicit +Inf bucket (~4.2 s and beyond).
+var latencyBounds = func() []float64 {
+	bounds := make([]float64, 23)
+	for i := range bounds {
+		bounds[i] = float64(uint64(1)<<uint(i)) * 1e-6
 	}
-	h.counts[b].Add(1)
+	return bounds
+}()
+
+// Metrics is the service's instruments: handles into the obs registry the
+// server was opened with (detached but fully working when it was opened
+// without one), incremented directly on the request path. registerMetrics
+// creates them; /metrics and the /v1/stats JSON both read these same
+// values.
+type Metrics struct {
+	requests [epCount]*obs.Counter
+	errors   [epCount]*obs.Counter
+	latency  [epCount]*obs.Histogram
+
+	observations     *obs.Counter
+	predictions      *obs.Counter
+	snapshotsWritten *obs.Counter
+
+	// Resilience counters: handler panics converted to 500s, requests
+	// shed with 429, invalid (NaN/Inf/negative) inputs rejected with 400,
+	// snapshot write failures and backoff retries, and predict responses
+	// whose FB forecast was flagged stale.
+	panicsRecovered  *obs.Counter
+	requestsShed     *obs.Counter
+	rejectedInputs   *obs.Counter
+	snapshotRetries  *obs.Counter
+	snapshotFailures *obs.Counter
+	stalePredictions *obs.Counter
+
+	// Handoff counters: sessions streamed out by /v1/sessions/export,
+	// applied by /v1/sessions/import, skipped by import's last-writer-wins
+	// check (the resident session had at least as many observations — the
+	// idempotent-retry path), and deleted by /v1/sessions/drop.
+	handoffExported *obs.Counter
+	handoffImported *obs.Counter
+	handoffSkipped  *obs.Counter
+	handoffDropped  *obs.Counter
+
+	// Tournament selection counters: how many predict responses each
+	// family won, parallel to familyNames (every session runs the same
+	// zoo).
+	familyNames      []string
+	familySelections []*obs.Counter
 }
 
-// HistogramSnapshot is the JSON form of a latency histogram: per-bucket
-// counts (bucket i = latency < 2^i µs) plus quantile upper bounds.
-type HistogramSnapshot struct {
+// recordSelection ticks the winning family's selection counter.
+func (m *Metrics) recordSelection(name string) {
+	for i, n := range m.familyNames {
+		if n == name {
+			m.familySelections[i].Inc()
+			return
+		}
+	}
+}
+
+// SelectionCounts returns the per-family selection counters.
+func (m *Metrics) SelectionCounts() map[string]uint64 {
+	out := make(map[string]uint64, len(m.familyNames))
+	for i, n := range m.familyNames {
+		out[n] = m.familySelections[i].Value()
+	}
+	return out
+}
+
+func (m *Metrics) record(ep endpoint, status int, d time.Duration) {
+	m.requests[ep].Inc()
+	if status >= 400 {
+		m.errors[ep].Inc()
+	}
+	m.latency[ep].Observe(d.Seconds())
+}
+
+// LatencySnapshot is the JSON form of a latency histogram: per-bucket
+// counts (bucket i = latency ≤ 2^i µs, the last the overflow) plus
+// quantile upper bounds in microseconds.
+type LatencySnapshot struct {
 	Counts  []uint64 `json:"counts"`
 	Total   uint64   `json:"total"`
 	P50Usec uint64   `json:"p50_us"`
@@ -54,153 +114,35 @@ type HistogramSnapshot struct {
 	P99Usec uint64   `json:"p99_us"`
 }
 
-func (h *histogram) snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{Counts: make([]uint64, histBuckets)}
-	for i := range h.counts {
-		s.Counts[i] = h.counts[i].Load()
-		s.Total += s.Counts[i]
-	}
-	s.P50Usec = s.quantile(0.50)
-	s.P95Usec = s.quantile(0.95)
-	s.P99Usec = s.quantile(0.99)
-	return s
-}
+func usec(seconds float64) uint64 { return uint64(math.Round(seconds * 1e6)) }
 
-// quantile returns the upper bound (in µs) of the bucket containing the
-// q-th quantile.
-func (s HistogramSnapshot) quantile(q float64) uint64 {
-	if s.Total == 0 {
-		return 0
+func latencySnapshot(h *obs.Histogram) LatencySnapshot {
+	s := h.Snapshot()
+	return LatencySnapshot{
+		Counts:  s.Counts,
+		Total:   s.Total(),
+		P50Usec: usec(s.Quantile(0.50)),
+		P95Usec: usec(s.Quantile(0.95)),
+		P99Usec: usec(s.Quantile(0.99)),
 	}
-	target := uint64(q * float64(s.Total))
-	if target == 0 {
-		target = 1
-	}
-	var cum uint64
-	for i, c := range s.Counts {
-		cum += c
-		if cum >= target {
-			return uint64(1) << uint(i)
-		}
-	}
-	return uint64(1) << (histBuckets - 1)
 }
 
 // MeanUsec estimates the mean latency in microseconds from the bucket
-// midpoints (bucket 0 covers [0,1) µs; bucket i covers [2^(i-1), 2^i) µs).
-// It is what `predload -bench` reports as ns/observe.
-func (s HistogramSnapshot) MeanUsec() float64 {
-	if s.Total == 0 {
-		return 0
-	}
-	var sum float64
-	for i, c := range s.Counts {
-		if c == 0 {
-			continue
-		}
-		mid := 0.5
-		if i > 0 {
-			mid = (float64(uint64(1)<<uint(i-1)) + float64(uint64(1)<<uint(i))) / 2
-		}
-		sum += mid * float64(c)
-	}
-	return sum / float64(s.Total)
-}
-
-// Metrics holds the service's atomic counters. All fields are safe for
-// concurrent update; Snapshot produces a consistent-enough JSON view
-// (counters are read individually, not under a global lock).
-type Metrics struct {
-	requests [epCount]atomic.Uint64
-	errors   [epCount]atomic.Uint64
-	latency  [epCount]histogram
-
-	observations     atomic.Uint64
-	predictions      atomic.Uint64
-	snapshotsWritten atomic.Uint64
-
-	// Resilience counters: handler panics converted to 500s, requests
-	// shed with 429, invalid (NaN/Inf/negative) inputs rejected with 400,
-	// snapshot write failures and backoff retries, and predict responses
-	// whose FB forecast was flagged stale.
-	panicsRecovered  atomic.Uint64
-	requestsShed     atomic.Uint64
-	rejectedInputs   atomic.Uint64
-	snapshotRetries  atomic.Uint64
-	snapshotFailures atomic.Uint64
-	stalePredictions atomic.Uint64
-
-	// Handoff counters: sessions streamed out by /v1/sessions/export,
-	// applied by /v1/sessions/import, skipped by import's last-writer-wins
-	// check (the resident session had at least as many observations — the
-	// idempotent-retry path), and deleted by /v1/sessions/drop.
-	handoffExported atomic.Uint64
-	handoffImported atomic.Uint64
-	handoffSkipped  atomic.Uint64
-	handoffDropped  atomic.Uint64
-
-	// Tournament selection counters: how many predict responses each
-	// family won. familyNames is installed once at server construction
-	// (every session runs the same zoo); a bare Metrics without names
-	// simply records nothing.
-	familyNames      []string
-	familySelections [maxFamilies]atomic.Uint64
-}
-
-// maxFamilies bounds the tracked tournament entrants (the full zoo is 7:
-// MA, EWMA, HW, switcher, FB, regression, ECM).
-const maxFamilies = 8
-
-// setFamilyNames installs the zoo's family names. Must be called before
-// the server starts handling requests; not safe concurrently with
-// recordSelection.
-func (m *Metrics) setFamilyNames(names []string) {
-	if len(names) > maxFamilies {
-		names = names[:maxFamilies]
-	}
-	m.familyNames = names
-}
-
-// recordSelection ticks the winning family's selection counter.
-func (m *Metrics) recordSelection(name string) {
-	for i, n := range m.familyNames {
-		if n == name {
-			m.familySelections[i].Add(1)
-			return
-		}
-	}
-}
-
-// SelectionCounts returns the per-family selection counters (nil when no
-// family names were installed).
-func (m *Metrics) SelectionCounts() map[string]uint64 {
-	if len(m.familyNames) == 0 {
-		return nil
-	}
-	out := make(map[string]uint64, len(m.familyNames))
-	for i, n := range m.familyNames {
-		out[n] = m.familySelections[i].Load()
-	}
-	return out
-}
-
-func (m *Metrics) record(ep endpoint, status int, d time.Duration) {
-	m.requests[ep].Add(1)
-	if status >= 400 {
-		m.errors[ep].Add(1)
-	}
-	m.latency[ep].record(d)
+// counts (see obs.HistogramSnapshot.Mean). It is what `predload -bench`
+// reports as ns/observe, from the counts /v1/stats serves.
+func (s LatencySnapshot) MeanUsec() float64 {
+	return obs.HistogramSnapshot{Bounds: latencyBounds, Counts: s.Counts}.Mean() * 1e6
 }
 
 // EndpointSnapshot is one endpoint's counters.
 type EndpointSnapshot struct {
-	Name     string            `json:"name"`
-	Requests uint64            `json:"requests"`
-	Errors   uint64            `json:"errors"`
-	Latency  HistogramSnapshot `json:"latency"`
+	Name     string          `json:"name"`
+	Requests uint64          `json:"requests"`
+	Errors   uint64          `json:"errors"`
+	Latency  LatencySnapshot `json:"latency"`
 }
 
-// MetricsSnapshot is the JSON view served by /v1/stats and /debug/vars.
+// MetricsSnapshot is the JSON view served by /v1/stats.
 type MetricsSnapshot struct {
 	Observations     uint64             `json:"observations"`
 	Predictions      uint64             `json:"predictions"`
@@ -219,30 +161,31 @@ type MetricsSnapshot struct {
 	Endpoints        []EndpointSnapshot `json:"endpoints"`
 }
 
-// Snapshot captures the current counter values.
+// Snapshot captures the current counter values (each read individually,
+// not under a global lock).
 func (m *Metrics) Snapshot() MetricsSnapshot {
 	s := MetricsSnapshot{
-		Observations:     m.observations.Load(),
-		Predictions:      m.predictions.Load(),
-		SnapshotsWritten: m.snapshotsWritten.Load(),
-		PanicsRecovered:  m.panicsRecovered.Load(),
-		RequestsShed:     m.requestsShed.Load(),
-		RejectedInputs:   m.rejectedInputs.Load(),
-		SnapshotRetries:  m.snapshotRetries.Load(),
-		SnapshotFailures: m.snapshotFailures.Load(),
-		StalePredictions: m.stalePredictions.Load(),
-		HandoffExported:  m.handoffExported.Load(),
-		HandoffImported:  m.handoffImported.Load(),
-		HandoffSkipped:   m.handoffSkipped.Load(),
-		HandoffDropped:   m.handoffDropped.Load(),
+		Observations:     m.observations.Value(),
+		Predictions:      m.predictions.Value(),
+		SnapshotsWritten: m.snapshotsWritten.Value(),
+		PanicsRecovered:  m.panicsRecovered.Value(),
+		RequestsShed:     m.requestsShed.Value(),
+		RejectedInputs:   m.rejectedInputs.Value(),
+		SnapshotRetries:  m.snapshotRetries.Value(),
+		SnapshotFailures: m.snapshotFailures.Value(),
+		StalePredictions: m.stalePredictions.Value(),
+		HandoffExported:  m.handoffExported.Value(),
+		HandoffImported:  m.handoffImported.Value(),
+		HandoffSkipped:   m.handoffSkipped.Value(),
+		HandoffDropped:   m.handoffDropped.Value(),
 		FamilySelections: m.SelectionCounts(),
 	}
 	for ep := endpoint(0); ep < epCount; ep++ {
 		s.Endpoints = append(s.Endpoints, EndpointSnapshot{
 			Name:     endpointNames[ep],
-			Requests: m.requests[ep].Load(),
-			Errors:   m.errors[ep].Load(),
-			Latency:  m.latency[ep].snapshot(),
+			Requests: m.requests[ep].Value(),
+			Errors:   m.errors[ep].Value(),
+			Latency:  latencySnapshot(m.latency[ep]),
 		})
 	}
 	return s

@@ -10,16 +10,18 @@ import (
 	"repro/internal/predict"
 )
 
-// RegisterObsMetrics re-exports the server's counters through an obs
-// registry in Prometheus form. Everything is bridged with scrape-time
-// callbacks over the existing atomic Metrics struct — the request path
-// keeps its single accounting site and nothing is double-counted.
+// registerMetrics creates the server's instruments in m — the one place
+// service counters live — and registers the scrape-time gauges beside
+// them. families is the zoo's family names (identical on every path). A
+// nil m (a server opened without Config.Obs) yields detached instruments
+// that count all the same, so /v1/stats and the request path never ask
+// whether telemetry is on.
 //
 // The catalogue:
 //
 //	predsvc_requests_total{endpoint=E}            requests served, per endpoint
 //	predsvc_errors_total{endpoint=E}              4xx/5xx responses, per endpoint
-//	predsvc_request_duration_seconds{endpoint=E}  latency histogram (2^i µs buckets)
+//	predsvc_request_duration_seconds{endpoint=E}  latency histogram (2^i µs buckets, exact _sum)
 //	predsvc_observations_total …                  the business + resilience counters
 //	predsvc_paths, predsvc_path_capacity          registry occupancy
 //	predsvc_evictions_total                       hot-tier LRU evictions
@@ -33,41 +35,35 @@ import (
 //	predsvc_lso_shifts, predsvc_lso_outliers      LSO detections summed over live sessions
 //	predsvc_ready, predsvc_draining               lifecycle gauges behind /readyz
 //	predsvc_handoff_*_total                       shard-handoff traffic (export/import/skip/drop)
-//
-// NewServer calls this automatically when Config.Obs is set; it is
-// exported for callers that mount a server behind their own Obs.
-func (r *Server) RegisterObsMetrics(m *obs.Registry) {
+func (r *Server) registerMetrics(m *obs.Registry, families []string) {
+	mt := &Metrics{familyNames: families}
+	r.metrics = mt
 	for ep := endpoint(0); ep < epCount; ep++ {
-		ep := ep
 		label := fmt.Sprintf("{endpoint=%q}", endpointNames[ep])
-		m.CounterFunc("predsvc_requests_total"+label, "requests served",
-			func() uint64 { return r.metrics.requests[ep].Load() })
-		m.CounterFunc("predsvc_errors_total"+label, "requests answered with a 4xx/5xx status",
-			func() uint64 { return r.metrics.errors[ep].Load() })
-		m.HistogramFunc("predsvc_request_duration_seconds"+label, "request latency",
-			func() obs.HistogramState { return latencyState(&r.metrics.latency[ep]) })
+		mt.requests[ep] = m.Counter("predsvc_requests_total"+label, "requests served")
+		mt.errors[ep] = m.Counter("predsvc_errors_total"+label, "requests answered with a 4xx/5xx status")
+		mt.latency[ep] = m.Histogram("predsvc_request_duration_seconds"+label, "request latency", latencyBounds)
 	}
 
-	counters := []struct {
+	for _, c := range []struct {
+		dst        **obs.Counter
 		name, help string
-		v          interface{ Load() uint64 }
 	}{
-		{"predsvc_observations_total", "throughput observations absorbed", &r.metrics.observations},
-		{"predsvc_predictions_total", "predict responses served", &r.metrics.predictions},
-		{"predsvc_snapshots_written_total", "registry snapshots persisted", &r.metrics.snapshotsWritten},
-		{"predsvc_panics_recovered_total", "handler panics converted to 500s", &r.metrics.panicsRecovered},
-		{"predsvc_requests_shed_total", "requests shed with 429 past the in-flight cap", &r.metrics.requestsShed},
-		{"predsvc_rejected_inputs_total", "observations/measurements rejected as invalid", &r.metrics.rejectedInputs},
-		{"predsvc_snapshot_retries_total", "snapshot write backoff retries", &r.metrics.snapshotRetries},
-		{"predsvc_snapshot_failures_total", "failed snapshot write attempts", &r.metrics.snapshotFailures},
-		{"predsvc_stale_predictions_total", "predict responses whose FB forecast was stale", &r.metrics.stalePredictions},
-		{"predsvc_handoff_exported_total", "sessions streamed out by /v1/sessions/export", &r.metrics.handoffExported},
-		{"predsvc_handoff_imported_total", "sessions applied by /v1/sessions/import", &r.metrics.handoffImported},
-		{"predsvc_handoff_skipped_total", "import records skipped by last-writer-wins", &r.metrics.handoffSkipped},
-		{"predsvc_handoff_dropped_total", "sessions deleted by /v1/sessions/drop after handoff", &r.metrics.handoffDropped},
-	}
-	for _, c := range counters {
-		m.CounterFunc(c.name, c.help, c.v.Load)
+		{&mt.observations, "predsvc_observations_total", "throughput observations absorbed"},
+		{&mt.predictions, "predsvc_predictions_total", "predict responses served"},
+		{&mt.snapshotsWritten, "predsvc_snapshots_written_total", "registry snapshots persisted"},
+		{&mt.panicsRecovered, "predsvc_panics_recovered_total", "handler panics converted to 500s"},
+		{&mt.requestsShed, "predsvc_requests_shed_total", "requests shed with 429 past the in-flight cap"},
+		{&mt.rejectedInputs, "predsvc_rejected_inputs_total", "observations/measurements rejected as invalid"},
+		{&mt.snapshotRetries, "predsvc_snapshot_retries_total", "snapshot write backoff retries"},
+		{&mt.snapshotFailures, "predsvc_snapshot_failures_total", "failed snapshot write attempts"},
+		{&mt.stalePredictions, "predsvc_stale_predictions_total", "predict responses whose FB forecast was stale"},
+		{&mt.handoffExported, "predsvc_handoff_exported_total", "sessions streamed out by /v1/sessions/export"},
+		{&mt.handoffImported, "predsvc_handoff_imported_total", "sessions applied by /v1/sessions/import"},
+		{&mt.handoffSkipped, "predsvc_handoff_skipped_total", "import records skipped by last-writer-wins"},
+		{&mt.handoffDropped, "predsvc_handoff_dropped_total", "sessions deleted by /v1/sessions/drop after handoff"},
+	} {
+		*c.dst = m.Counter(c.name, c.help)
 	}
 
 	// Lifecycle: what /readyz answers, as scrapeable gauges — a rolling
@@ -95,10 +91,11 @@ func (r *Server) RegisterObsMetrics(m *obs.Registry) {
 	m.CounterFunc("predsvc_evictions_total", "hot-tier LRU path evictions",
 		r.reg.Evictions)
 
-	// Storage tiers (see internal/predsvc/store): on the in-memory store
-	// cold/spills/faults stay zero; on a spill store they track the disk
-	// tier — occupancy gauges, and counters for sessions serialized out
-	// (spills) and read back (faults).
+	// Storage tiers (see internal/predsvc/store): the store keeps these
+	// counts itself, so they are read at scrape time rather than counted
+	// twice. On the in-memory store cold/spills/faults stay zero; on a
+	// spill store they track the disk tier — occupancy gauges, and
+	// counters for sessions serialized out (spills) and read back (faults).
 	m.GaugeFunc("predsvc_store_hot_paths", "sessions resident in the in-memory hot tier",
 		func() float64 { return float64(r.reg.TierStats().HotPaths) })
 	m.GaugeFunc("predsvc_store_cold_paths", "sessions resident only in the spill log",
@@ -114,23 +111,20 @@ func (r *Server) RegisterObsMetrics(m *obs.Registry) {
 	m.GaugeFunc("predsvc_goroutines", "goroutines in the process",
 		func() float64 { return float64(runtime.NumGoroutine()) })
 
-	// Per-family tournament metrics. The zoo is identical on every path,
-	// so a probe session supplies the family names; the gauges average
-	// each family's rolling RMSRE (paper Eq. 5) and regret over the
-	// paths where its error window has content, and the counters track
-	// how often each family won the online selection.
-	probe := newSession("", r.cfg)
-	for i, f := range probe.families {
-		i, name := i, f.name
+	// Per-family tournament metrics: the gauges average each family's
+	// rolling RMSRE (paper Eq. 5) and regret over the paths where its
+	// error window has content, and the counters track how often each
+	// family won the online selection.
+	mt.familySelections = make([]*obs.Counter, len(families))
+	for i, name := range families {
 		m.GaugeFunc(fmt.Sprintf("predsvc_rmsre{predictor=%q}", name),
 			"mean rolling RMSRE (Eq. 5) across paths",
 			func() float64 { return r.meanRMSRE(i) })
 		m.GaugeFunc(fmt.Sprintf("predsvc_regret{family=%q}", name),
 			"mean rolling regret vs the best-in-hindsight family, across paths",
 			func() float64 { return r.meanRegret(i) })
-		m.CounterFunc(fmt.Sprintf("predsvc_family_selected_total{family=%q}", name),
-			"predict responses this family won",
-			func() uint64 { return r.metrics.familySelections[i].Load() })
+		mt.familySelections[i] = m.Counter(fmt.Sprintf("predsvc_family_selected_total{family=%q}", name),
+			"predict responses this family won")
 	}
 	m.GaugeFunc("predsvc_interval_coverage",
 		"fraction of observations inside the standing [p10,p90] interval, across paths",
@@ -140,23 +134,6 @@ func (r *Server) RegisterObsMetrics(m *obs.Registry) {
 		func() float64 { s, _ := r.lsoTotals(); return float64(s) })
 	m.GaugeFunc("predsvc_lso_outliers", "samples currently labelled outliers, summed over live sessions",
 		func() float64 { _, o := r.lsoTotals(); return float64(o) })
-}
-
-// latencyState converts one endpoint's exponential latency histogram
-// (bucket i = latency < 2^i µs) into Prometheus histogram state. The sum
-// is estimated from bucket midpoints, exactly like HistogramSnapshot's
-// mean.
-func latencyState(h *histogram) obs.HistogramState {
-	snap := h.snapshot()
-	bounds := make([]float64, histBuckets-1)
-	for i := range bounds {
-		bounds[i] = float64(uint64(1)<<uint(i)) * 1e-6
-	}
-	return obs.HistogramState{
-		UpperBounds: bounds,
-		Counts:      snap.Counts,
-		Sum:         snap.MeanUsec() * float64(snap.Total) * 1e-6,
-	}
 }
 
 // meanRMSRE averages family i's rolling RMSRE over every live session

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -52,7 +53,7 @@ func sampleValue(t *testing.T, exposition, name string) float64 {
 // daemon (own TCP listener) under the predload generator, with chaos
 // faults ticking the resilience counters, must serve a /metrics
 // exposition that (a) is valid Prometheus text format, (b) agrees with
-// /debug/vars on every bridged counter, and (c) keeps being served while
+// /v1/stats on the counters both serve, and (c) keeps being served while
 // the API itself is shedding load.
 func TestMetricsEndpointE2E(t *testing.T) {
 	o := obs.New(1024)
@@ -140,22 +141,17 @@ func TestMetricsEndpointE2E(t *testing.T) {
 		t.Fatalf("/metrics exposition invalid: %v\n---\n%s", err, exposition)
 	}
 
-	// Every bridged counter agrees with /debug/vars.
-	codeVars, varsBody := scrape(t, base+"/debug/vars")
-	if codeVars != http.StatusOK {
-		t.Fatalf("/debug/vars status = %d", codeVars)
+	// /v1/stats reads the same instruments. (Fetched after the scrape, so
+	// only the stats endpoint's own counters have moved since.)
+	codeStats, statsBody := scrape(t, base+"/v1/stats")
+	if codeStats != http.StatusOK {
+		t.Fatalf("/v1/stats status = %d", codeStats)
 	}
-	var vars struct {
-		Predsvc struct {
-			Paths     int             `json:"paths"`
-			Evictions uint64          `json:"evictions"`
-			Metrics   MetricsSnapshot `json:"metrics"`
-		} `json:"predsvc"`
-	}
-	if err := json.Unmarshal([]byte(varsBody), &vars); err != nil {
+	var stats StatsResponse
+	if err := json.Unmarshal([]byte(statsBody), &stats); err != nil {
 		t.Fatal(err)
 	}
-	ms := vars.Predsvc.Metrics
+	ms := stats.Metrics
 	for _, tc := range []struct {
 		sample string
 		want   float64
@@ -164,14 +160,14 @@ func TestMetricsEndpointE2E(t *testing.T) {
 		{"predsvc_panics_recovered_total", float64(ms.PanicsRecovered)},
 		{"predsvc_observations_total", float64(ms.Observations)},
 		{"predsvc_predictions_total", float64(ms.Predictions)},
-		{"predsvc_paths", float64(vars.Predsvc.Paths)},
+		{"predsvc_paths", float64(stats.Paths)},
 		// The in-memory store keeps everything hot; the tier gauges must
 		// say exactly that.
-		{"predsvc_store_hot_paths", float64(vars.Predsvc.Paths)},
+		{"predsvc_store_hot_paths", float64(stats.Paths)},
 		{"predsvc_store_cold_paths", 0},
 	} {
 		if got := sampleValue(t, exposition, tc.sample); got != tc.want {
-			t.Errorf("%s = %v, /debug/vars says %v", tc.sample, got, tc.want)
+			t.Errorf("%s = %v, /v1/stats says %v", tc.sample, got, tc.want)
 		}
 	}
 	if shed := sampleValue(t, exposition, "predsvc_requests_shed_total"); shed < 1 {
@@ -235,5 +231,186 @@ func TestServerWithoutObs(t *testing.T) {
 	srv.Handler().ServeHTTP(rec, req)
 	if rec.Code != http.StatusNotFound {
 		t.Errorf("/metrics without obs = %d, want 404", rec.Code)
+	}
+}
+
+// metricsCatalogue is every family /metrics serves, with its type, in
+// exposition order — the contract dashboards and the benchmark harness
+// scrape against. It must not change without those changing too.
+var metricsCatalogue = []string{
+	"# TYPE predsvc_requests_total counter",
+	"# TYPE predsvc_errors_total counter",
+	"# TYPE predsvc_request_duration_seconds histogram",
+	"# TYPE predsvc_observations_total counter",
+	"# TYPE predsvc_predictions_total counter",
+	"# TYPE predsvc_snapshots_written_total counter",
+	"# TYPE predsvc_panics_recovered_total counter",
+	"# TYPE predsvc_requests_shed_total counter",
+	"# TYPE predsvc_rejected_inputs_total counter",
+	"# TYPE predsvc_snapshot_retries_total counter",
+	"# TYPE predsvc_snapshot_failures_total counter",
+	"# TYPE predsvc_stale_predictions_total counter",
+	"# TYPE predsvc_handoff_exported_total counter",
+	"# TYPE predsvc_handoff_imported_total counter",
+	"# TYPE predsvc_handoff_skipped_total counter",
+	"# TYPE predsvc_handoff_dropped_total counter",
+	"# TYPE predsvc_ready gauge",
+	"# TYPE predsvc_draining gauge",
+	"# TYPE predsvc_paths gauge",
+	"# TYPE predsvc_path_capacity gauge",
+	"# TYPE predsvc_evictions_total counter",
+	"# TYPE predsvc_store_hot_paths gauge",
+	"# TYPE predsvc_store_cold_paths gauge",
+	"# TYPE predsvc_store_spills_total counter",
+	"# TYPE predsvc_store_faults_total counter",
+	"# TYPE predsvc_store_errors_total counter",
+	"# TYPE predsvc_uptime_seconds gauge",
+	"# TYPE predsvc_goroutines gauge",
+	"# TYPE predsvc_rmsre gauge",
+	"# TYPE predsvc_regret gauge",
+	"# TYPE predsvc_family_selected_total counter",
+	"# TYPE predsvc_interval_coverage gauge",
+	"# TYPE predsvc_lso_shifts gauge",
+	"# TYPE predsvc_lso_outliers gauge",
+}
+
+// latencyLeLabels is the `le` label of every finite latency bucket.
+var latencyLeLabels = []string{
+	"1e-06", "2e-06", "4e-06", "8e-06", "1.6e-05", "3.2e-05", "6.4e-05",
+	"0.000128", "0.000256", "0.000512", "0.001024", "0.002048", "0.004096",
+	"0.008192", "0.016384", "0.032768", "0.065536", "0.131072", "0.262144",
+	"0.524288", "1.048576", "2.097152", "4.194304",
+}
+
+func scrapeInProcess(t *testing.T, srv *Server, target string) string {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET %s = %d", target, rec.Code)
+	}
+	return rec.Body.String()
+}
+
+// TestMetricsCatalogueGolden pins the exposition catalogue: family names,
+// types, their order, and the latency bucket bounds.
+func TestMetricsCatalogueGolden(t *testing.T) {
+	srv := NewServer(Config{Obs: obs.New(16)})
+	exposition := scrapeInProcess(t, srv, obs.PathMetrics)
+	if err := obs.ValidateExposition([]byte(exposition)); err != nil {
+		t.Fatalf("/metrics exposition invalid: %v", err)
+	}
+	var types []string
+	for _, line := range strings.Split(exposition, "\n") {
+		if strings.HasPrefix(line, "# TYPE ") {
+			types = append(types, line)
+		}
+	}
+	if strings.Join(types, "\n") != strings.Join(metricsCatalogue, "\n") {
+		t.Errorf("catalogue changed:\ngot:\n%s\nwant:\n%s", strings.Join(types, "\n"), strings.Join(metricsCatalogue, "\n"))
+	}
+	for _, name := range endpointNames {
+		for _, le := range append(latencyLeLabels, "+Inf") {
+			sample := `predsvc_request_duration_seconds_bucket{endpoint="` + name + `",le="` + le + `"} 0`
+			if !strings.Contains(exposition, sample+"\n") {
+				t.Errorf("exposition missing %s", sample)
+			}
+		}
+	}
+}
+
+// TestMetricsViewsAgree: after a mixed observe/measure/predict/batch run
+// the three views of one endpoint's traffic — the latency histogram's
+// _count, the request counter, and the /v1/stats JSON — are one number,
+// and the histogram's _sum is real elapsed time: bounded by the request
+// spans that enclose each handler, and exactly the sum of what the
+// handlers recorded.
+func TestMetricsViewsAgree(t *testing.T) {
+	o := obs.New(4096)
+	srv := NewServer(Config{Obs: o})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	series := SyntheticSeries(6, 12, 9)
+	for _, batch := range []bool{false, true} {
+		if _, err := Replay(context.Background(), LoadConfig{BaseURL: ts.URL, Workers: 3, BatchObserve: batch}, series); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, body := range []string{`{"paths":["synth-000","ghost"]}`, `{not json`} {
+		resp, err := http.Post(ts.URL+"/v1/predict-batch", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+
+	var stats StatsResponse
+	if err := json.Unmarshal([]byte(scrapeInProcess(t, srv, "/v1/stats")), &stats); err != nil {
+		t.Fatal(err)
+	}
+	exposition := scrapeInProcess(t, srv, obs.PathMetrics)
+	spans, _ := o.T().Snapshot()
+	for _, name := range []string{"observe", "measure", "predict", "observe_batch", "predict_batch"} {
+		label := `{endpoint="` + name + `"}`
+		requests := sampleValue(t, exposition, "predsvc_requests_total"+label)
+		count := sampleValue(t, exposition, "predsvc_request_duration_seconds_count"+label)
+		sum := sampleValue(t, exposition, "predsvc_request_duration_seconds_sum"+label)
+		var fromStats EndpointSnapshot
+		for _, ep := range stats.Metrics.Endpoints {
+			if ep.Name == name {
+				fromStats = ep
+			}
+		}
+		if requests == 0 {
+			t.Errorf("%s: no requests recorded; the run proves nothing", name)
+		}
+		if count != requests || float64(fromStats.Requests) != requests || float64(fromStats.Latency.Total) != requests {
+			t.Errorf("%s: requests_total %v, duration_count %v, stats requests %d, stats latency total %d — want one number",
+				name, requests, count, fromStats.Requests, fromStats.Latency.Total)
+		}
+		var enclosing float64
+		for _, sp := range spans {
+			if sp.Name == "predsvc."+name {
+				enclosing += (sp.End - sp.Start).Seconds()
+			}
+		}
+		if sum <= 0 || sum > enclosing {
+			t.Errorf("%s: duration_sum %v, want within (0, %v] — the spans enclosing the handlers", name, sum, enclosing)
+		}
+	}
+
+	// Exactness, on an endpoint nothing above touched: _sum is the sum of
+	// the recorded durations, not an estimate from bucket midpoints.
+	var want float64
+	for _, d := range []time.Duration{3 * time.Microsecond, 700 * time.Microsecond, 41 * time.Millisecond, 1234567 * time.Nanosecond} {
+		srv.metrics.record(epSessionsDrop, http.StatusOK, d)
+		want += d.Seconds()
+	}
+	exposition = scrapeInProcess(t, srv, obs.PathMetrics)
+	got := sampleValue(t, exposition, `predsvc_request_duration_seconds_sum{endpoint="sessions_drop"}`)
+	if math.Abs(got-want) > 1e-12 {
+		t.Errorf("sessions_drop duration_sum = %v, want %v (exact)", got, want)
+	}
+}
+
+// TestRequestAccountingAllocFree: the per-request accounting — request,
+// error and latency instruments plus the business counters a handler
+// ticks — allocates nothing, whether the instruments are exported
+// (Config.Obs) or detached.
+func TestRequestAccountingAllocFree(t *testing.T) {
+	for name, cfg := range map[string]Config{"detached": {}, "with obs": {Obs: obs.New(16)}} {
+		srv := NewServer(cfg)
+		family := srv.metrics.familyNames[len(srv.metrics.familyNames)-1]
+		if n := testing.AllocsPerRun(200, func() {
+			srv.metrics.record(epPredict, http.StatusOK, 37*time.Microsecond)
+			srv.metrics.record(epObserve, http.StatusBadRequest, 2*time.Second)
+			srv.metrics.observations.Add(1)
+			srv.metrics.predictions.Add(1)
+			srv.metrics.rejectedInputs.Add(1)
+			srv.metrics.recordSelection(family)
+		}); n != 0 {
+			t.Errorf("%s: request accounting allocates %.1f per run, want 0", name, n)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package predsvc
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -157,8 +158,9 @@ func TestEndToEndChaos(t *testing.T) {
 
 // TestCorruptSnapshotQuarantine: a corrupt snapshot at boot is moved to
 // "<path>.corrupt-<n>" and the daemon starts empty; successive corruptions
-// get successive quarantine names; a healthy legacy (pre-checksum) file
-// still restores.
+// get successive quarantine names; a body whose checksum trailer was
+// stripped (the pre-checksum format, or an edit hiding its tracks) is
+// corruption too.
 func TestCorruptSnapshotQuarantine(t *testing.T) {
 	dir := t.TempDir()
 	snapPath := dir + "/snap.json"
@@ -203,7 +205,8 @@ func TestCorruptSnapshotQuarantine(t *testing.T) {
 		t.Fatalf("second quarantine = %+v, %v; want .corrupt-2", st2, err)
 	}
 
-	// Legacy format: bare JSON without a checksum trailer restores fine.
+	// A well-formed body with no checksum trailer is quarantined, not
+	// restored: nothing vouches for its content.
 	raw, err := json.Marshal(seed.Registry().Snapshot())
 	if err != nil {
 		t.Fatal(err)
@@ -211,9 +214,13 @@ func TestCorruptSnapshotQuarantine(t *testing.T) {
 	if err := os.WriteFile(snapPath, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st3, err := NewServer(Config{}).RestoreSnapshot(snapPath)
-	if err != nil || st3.Quarantined != "" || st3.Paths != 2 {
-		t.Fatalf("legacy restore = %+v, %v; want 2 paths, no quarantine", st3, err)
+	bare := NewServer(Config{})
+	st3, err := bare.RestoreSnapshot(snapPath)
+	if err != nil || st3.Quarantined != snapPath+".corrupt-3" || st3.Paths != 0 || !errors.Is(st3.Reason, ErrCorruptSnapshot) {
+		t.Fatalf("trailer-less restore = %+v, %v; want 0 paths, quarantine to .corrupt-3", st3, err)
+	}
+	if bare.Registry().Len() != 0 {
+		t.Errorf("registry holds %d paths after a trailer-less snapshot", bare.Registry().Len())
 	}
 
 	// Missing file stays a non-event.

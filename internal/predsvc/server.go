@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/predict"
 	"repro/internal/predsvc/store"
 )
 
@@ -40,7 +39,7 @@ const (
 // server without an injector serves such requests normally.
 const ChaosPanicHeader = "X-Chaos-Panic"
 
-// Server wires a Registry and Metrics behind the HTTP JSON API:
+// Server wires a Registry and its Metrics behind the HTTP JSON API:
 //
 //	POST /v1/observe        {"path", "throughput_bps"}            → feed a transfer's achieved throughput
 //	POST /v1/measure        {"path", "rtt_s", "loss_rate", "avail_bw_bps"} → install a-priori measurements
@@ -48,7 +47,6 @@ const ChaosPanicHeader = "X-Chaos-Panic"
 //	POST /v1/observe-batch  {"observations":[...]}                → feed many observations in one request
 //	POST /v1/predict-batch  {"paths":[...]}                       → predictions for many paths in one request
 //	GET  /v1/stats[?path=P][&limit=N]                             → service (or per-path) statistics
-//	GET  /debug/vars                                              → expvar-style metrics dump
 //
 // Handlers are goroutine-safe; /v1/predict responses are byte-identical
 // for a fixed per-path request sequence (see the package comment). The
@@ -90,45 +88,35 @@ func Open(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:     reg.Config(),
-		reg:     reg,
-		metrics: &Metrics{},
-		mux:     http.NewServeMux(),
-		start:   time.Now(),
+		cfg:   reg.Config(),
+		reg:   reg,
+		mux:   http.NewServeMux(),
+		start: time.Now(),
 	}
 	s.tracer = s.cfg.Obs.T()
 	// Every session runs the same zoo, so a probe session supplies the
-	// family names the selection counters are keyed by.
+	// family names the per-family metrics are keyed by.
 	probe := newSession("", s.cfg)
 	names := make([]string, len(probe.families))
 	for i, f := range probe.families {
 		names[i] = f.name
 	}
-	s.metrics.setFamilyNames(names)
-	// The hot endpoints dispatch to the zero-alloc wire fastpath
-	// (wire.go) unless Config.DisableFastpath pins them to this file's
-	// reflection-based oracle handlers. Both produce byte-identical
-	// responses; the cold endpoints below always use the oracle.
-	hObserve, hMeasure, hPredict := s.handleObserve, s.handleMeasure, s.handlePredict
-	hObserveBatch, hPredictBatch := s.handleObserveBatch, s.handlePredictBatch
-	if !s.cfg.DisableFastpath {
-		hObserve, hMeasure, hPredict = s.handleObserveFast, s.handleMeasureFast, s.handlePredictFast
-		hObserveBatch, hPredictBatch = s.handleObserveBatchFast, s.handlePredictBatchFast
-	}
-	s.mux.Handle("POST /v1/observe", s.instrument(epObserve, hObserve))
-	s.mux.Handle("POST /v1/measure", s.instrument(epMeasure, hMeasure))
-	s.mux.Handle("GET /v1/predict", s.instrument(epPredict, hPredict))
+	s.registerMetrics(s.cfg.Obs.M(), names)
+	// The hot endpoints run on the zero-alloc wire codec (wire.go), the
+	// cold ones on encoding/json.
+	s.mux.Handle("POST /v1/observe", s.instrument(epObserve, s.handleObserveFast))
+	s.mux.Handle("POST /v1/measure", s.instrument(epMeasure, s.handleMeasureFast))
+	s.mux.Handle("GET /v1/predict", s.instrument(epPredict, s.handlePredictFast))
 	s.mux.Handle("GET /v1/stats", s.instrument(epStats, s.handleStats))
-	s.mux.Handle("GET /debug/vars", s.instrument(epVars, s.handleVars))
-	s.mux.Handle("POST /v1/observe-batch", s.instrument(epObserveBatch, hObserveBatch))
-	s.mux.Handle("POST /v1/predict-batch", s.instrument(epPredictBatch, hPredictBatch))
+	s.mux.Handle("POST /v1/observe-batch", s.instrument(epObserveBatch, s.handleObserveBatchFast))
+	s.mux.Handle("POST /v1/predict-batch", s.instrument(epPredictBatch, s.handlePredictBatchFast))
 	s.mux.Handle("POST /v1/sessions/export", s.instrument(epSessionsExport, s.handleSessionsExport))
 	s.mux.Handle("POST /v1/sessions/import", s.instrument(epSessionsImport, s.handleSessionsImport))
 	s.mux.Handle("POST /v1/sessions/drop", s.instrument(epSessionsDrop, s.handleSessionsDrop))
 	if s.cfg.MaxInFlight > 0 {
 		s.sem = make(chan struct{}, s.cfg.MaxInFlight)
 	}
-	s.root = s.harden(s.mux)
+	s.root = s.harden()
 	// The health probes bypass the hardening middleware like the obs
 	// endpoints: a load-shedding or draining server must still answer
 	// "are you alive" (yes) and "should I route to you" (no) instantly.
@@ -145,7 +133,6 @@ func Open(cfg Config) (*Server, error) {
 		api.ServeHTTP(w, req)
 	})
 	if s.cfg.Obs != nil {
-		s.RegisterObsMetrics(s.cfg.Obs.M())
 		// The obs endpoints bypass the hardening middleware on purpose:
 		// a scrape or a pprof grab must succeed precisely when the
 		// service is overloaded enough to shed its own API traffic.
@@ -166,7 +153,7 @@ func Open(cfg Config) (*Server, error) {
 // in-flight requests), panic recovery (a panicking handler produces a 500
 // and a panics_recovered tick, not a dead daemon), fault-injection seams,
 // and the per-request context deadline.
-func (r *Server) harden(next http.Handler) http.Handler {
+func (r *Server) harden() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if r.sem != nil {
 			select {
@@ -202,7 +189,7 @@ func (r *Server) harden(next http.Handler) http.Handler {
 			defer cancel()
 			req = req.WithContext(ctx)
 		}
-		next.ServeHTTP(sw, req)
+		r.mux.ServeHTTP(sw, req)
 	})
 }
 
@@ -542,23 +529,6 @@ type ObserveResponse struct {
 	Observations uint64 `json:"observations"`
 }
 
-func (r *Server) handleObserve(w http.ResponseWriter, req *http.Request) int {
-	var body ObserveRequest
-	if err := decodeBody(w, req, &body); err != nil {
-		return writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-	}
-	if body.Path == "" {
-		return writeError(w, http.StatusBadRequest, "missing path")
-	}
-	if !ValidObservation(body.ThroughputBps) {
-		r.metrics.rejectedInputs.Add(1)
-		return writeError(w, http.StatusBadRequest, "throughput_bps must be finite and positive")
-	}
-	n := r.reg.GetOrCreate(body.Path).Observe(body.ThroughputBps)
-	r.metrics.observations.Add(1)
-	return writeJSON(w, http.StatusOK, ObserveResponse{Path: body.Path, Observations: n})
-}
-
 // MeasureRequest installs fresh a-priori measurements for a path.
 type MeasureRequest struct {
 	Path       string  `json:"path"`
@@ -571,47 +541,6 @@ type MeasureRequest struct {
 type MeasureResponse struct {
 	Path        string  `json:"path"`
 	ForecastBps float64 `json:"forecast_bps"`
-}
-
-func (r *Server) handleMeasure(w http.ResponseWriter, req *http.Request) int {
-	var body MeasureRequest
-	if err := decodeBody(w, req, &body); err != nil {
-		return writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-	}
-	if body.Path == "" {
-		return writeError(w, http.StatusBadRequest, "missing path")
-	}
-	in := predict.FBInputs{
-		RTT:      body.RTTSeconds,
-		LossRate: body.LossRate,
-		AvailBw:  body.AvailBwBps,
-	}
-	if !ValidMeasurement(in) {
-		r.metrics.rejectedInputs.Add(1)
-		return writeError(w, http.StatusBadRequest, "measurements must be finite and in range")
-	}
-	f := r.reg.GetOrCreate(body.Path).SetMeasurement(in)
-	return writeJSON(w, http.StatusOK, MeasureResponse{Path: body.Path, ForecastBps: f})
-}
-
-func (r *Server) handlePredict(w http.ResponseWriter, req *http.Request) int {
-	path := req.URL.Query().Get("path")
-	if path == "" {
-		return writeError(w, http.StatusBadRequest, "missing path query parameter")
-	}
-	sess, ok := r.reg.Lookup(path)
-	if !ok {
-		return writeError(w, http.StatusNotFound, "unknown path %q", path)
-	}
-	r.metrics.predictions.Add(1)
-	p := sess.Predict()
-	if p.FB != nil && p.FB.Stale {
-		r.metrics.stalePredictions.Add(1)
-	}
-	if p.Family != "" {
-		r.metrics.recordSelection(p.Family)
-	}
-	return writeJSON(w, http.StatusOK, p)
 }
 
 // DefaultStatsLimit is how many recent paths /v1/stats lists when the
@@ -700,28 +629,6 @@ type ObserveBatchResponse struct {
 	Rejected int `json:"rejected"`
 }
 
-func (r *Server) handleObserveBatch(w http.ResponseWriter, req *http.Request) int {
-	var body ObserveBatchRequest
-	if err := decodeBody(w, req, &body); err != nil {
-		return writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-	}
-	if len(body.Observations) > maxBatchItems {
-		return writeError(w, http.StatusBadRequest, "batch of %d observations exceeds the %d-item cap", len(body.Observations), maxBatchItems)
-	}
-	var resp ObserveBatchResponse
-	for _, ob := range body.Observations {
-		if ob.Path == "" || !ValidObservation(ob.ThroughputBps) {
-			r.metrics.rejectedInputs.Add(1)
-			resp.Rejected++
-			continue
-		}
-		r.reg.GetOrCreate(ob.Path).Observe(ob.ThroughputBps)
-		r.metrics.observations.Add(1)
-		resp.Accepted++
-	}
-	return writeJSON(w, http.StatusOK, resp)
-}
-
 // PredictBatchRequest asks for predictions on many paths in one request.
 type PredictBatchRequest struct {
 	Paths []string `json:"paths"`
@@ -733,52 +640,4 @@ type PredictBatchRequest struct {
 type PredictBatchResponse struct {
 	Predictions []Prediction `json:"predictions"`
 	Missing     []string     `json:"missing,omitempty"`
-}
-
-func (r *Server) handlePredictBatch(w http.ResponseWriter, req *http.Request) int {
-	var body PredictBatchRequest
-	if err := decodeBody(w, req, &body); err != nil {
-		return writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-	}
-	if len(body.Paths) > maxBatchItems {
-		return writeError(w, http.StatusBadRequest, "batch of %d paths exceeds the %d-item cap", len(body.Paths), maxBatchItems)
-	}
-	var resp PredictBatchResponse
-	for _, path := range body.Paths {
-		sess, ok := r.reg.Lookup(path)
-		if !ok {
-			resp.Missing = append(resp.Missing, path)
-			continue
-		}
-		r.metrics.predictions.Add(1)
-		p := sess.Predict()
-		if p.FB != nil && p.FB.Stale {
-			r.metrics.stalePredictions.Add(1)
-		}
-		if p.Family != "" {
-			r.metrics.recordSelection(p.Family)
-		}
-		resp.Predictions = append(resp.Predictions, p)
-	}
-	return writeJSON(w, http.StatusOK, resp)
-}
-
-// handleVars serves an expvar-style JSON dump of the service counters and
-// a few runtime memory statistics, without registering anything in the
-// global expvar namespace (so many servers can coexist in one process).
-func (r *Server) handleVars(w http.ResponseWriter, req *http.Request) int {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return writeJSON(w, http.StatusOK, map[string]any{
-		"predsvc": map[string]any{
-			"paths":     r.reg.Len(),
-			"evictions": r.reg.Evictions(),
-			"metrics":   r.metrics.Snapshot(),
-		},
-		"memstats": map[string]any{
-			"heap_alloc":   ms.HeapAlloc,
-			"heap_objects": ms.HeapObjects,
-			"num_gc":       ms.NumGC,
-		},
-	})
 }

@@ -124,17 +124,10 @@ func TestServerEndpoints(t *testing.T) {
 		t.Errorf("per-path stats unknown: status %d, want 404", resp.StatusCode)
 	}
 
-	// Debug vars is valid JSON with the service section.
-	resp, data = getJSON(t, ts.URL+"/debug/vars")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("debug/vars: status %d", resp.StatusCode)
-	}
-	var vars map[string]json.RawMessage
-	if err := json.Unmarshal(data, &vars); err != nil {
-		t.Fatalf("debug/vars body %s: %v", data, err)
-	}
-	if _, ok := vars["predsvc"]; !ok {
-		t.Errorf("debug/vars missing predsvc section: %s", data)
+	// /debug/vars was folded into /v1/stats and /metrics; it is gone, not
+	// silently empty.
+	if resp, _ = getJSON(t, ts.URL+"/debug/vars"); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/debug/vars: status %d, want 404", resp.StatusCode)
 	}
 }
 

@@ -530,13 +530,6 @@ func (s *Session) snapshot() PathSnapshot {
 		CovIn:        s.covIn,
 		CovTotal:     s.covTotal,
 	}
-	// Legacy (v1) mirror of the paper ensemble's windows, so pre-zoo
-	// consumers and diagnostics keep working unchanged.
-	for _, f := range s.hbFamilies() {
-		ps.HBErrors = append(ps.HBErrors, f.err.chronological())
-	}
-	ps.FBErrors = s.fbFamily().err.chronological()
-	// v2: the full tournament state, per family by name.
 	for _, f := range s.families {
 		fs := FamilySnapshot{Name: f.name, Errors: f.err.chronological()}
 		switch f.kind {
@@ -566,49 +559,37 @@ func (s *Session) snapshot() PathSnapshot {
 // (their infinite tail beyond HistoryLimit observations is dropped),
 // which the snapshot format documents as acceptable for a cache-like
 // registry. Regression and ECM state is replaced verbatim from the
-// snapshot when present (v2); restoring a legacy v1 snapshot leaves
-// them with replay-trained state — the documented approximation for
-// pre-zoo snapshots, whose error windows then fill from live traffic.
+// snapshot.
 func (s *Session) restore(ps PathSnapshot) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// Replay trains every history-driven predictor; conditioning features
 	// are not retained per epoch, so regression/ECM see none during
-	// replay (their v2 state overwrite below makes that moot).
+	// replay (their state overwrite below makes that moot).
 	for _, x := range ps.History {
 		s.observeLocked(x)
 	}
-	if len(ps.Families) > 0 {
-		// v2: reinstall each family's error window and model state.
-		byName := make(map[string]FamilySnapshot, len(ps.Families))
-		for _, fs := range ps.Families {
-			byName[fs.Name] = fs
-		}
-		for _, f := range s.families {
-			fs, ok := byName[f.name]
-			if !ok {
-				continue
-			}
-			f.err = windowFromErrors(fs.Errors, s.cfg.ErrorWindow)
-			switch {
-			case f.kind == famRegression && fs.Regression != nil:
-				s.reg.SetState(*fs.Regression)
-			case f.kind == famECM && fs.ECM != nil:
-				s.ecm.SetState(*fs.ECM)
-			}
-		}
-	} else if len(ps.HBErrors) == len(s.hbFamilies()) {
-		// Legacy v1: the paper ensemble's windows carry accuracy the
-		// replay cannot reconstruct (observations older than the history,
-		// FB scores against bygone measurements).
-		for i, errs := range ps.HBErrors {
-			s.hbFamilies()[i].err = windowFromErrors(errs, s.cfg.ErrorWindow)
-		}
-		s.fbFamily().err = windowFromErrors(ps.FBErrors, s.cfg.ErrorWindow)
+	// Reinstall each family's error window — accuracy the replay cannot
+	// reconstruct (observations older than the history, FB scores against
+	// bygone measurements) — and model state.
+	byName := make(map[string]FamilySnapshot, len(ps.Families))
+	for _, fs := range ps.Families {
+		byName[fs.Name] = fs
 	}
-	// Replace the replay-accumulated coverage counters with the real ones
-	// (zero for v1 snapshots: coverage starts fresh rather than counting
-	// the replay's synthetic intervals).
+	for _, f := range s.families {
+		fs, ok := byName[f.name]
+		if !ok {
+			continue
+		}
+		f.err = windowFromErrors(fs.Errors, s.cfg.ErrorWindow)
+		switch {
+		case f.kind == famRegression && fs.Regression != nil:
+			s.reg.SetState(*fs.Regression)
+		case f.kind == famECM && fs.ECM != nil:
+			s.ecm.SetState(*fs.ECM)
+		}
+	}
+	// Replace the replay-accumulated coverage counters with the real ones.
 	s.covIn, s.covTotal = ps.CovIn, ps.CovTotal
 	if ps.Observations > s.observations {
 		s.observations = ps.Observations

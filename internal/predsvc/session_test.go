@@ -197,10 +197,10 @@ func TestSnapshotFiniteAfterNonPositiveForecast(t *testing.T) {
 	}
 	snap := reg.Snapshot()
 	for _, ps := range snap.Paths {
-		for i, errs := range ps.HBErrors {
-			for _, e := range errs {
+		for _, fs := range ps.Families {
+			for _, e := range fs.Errors {
 				if math.IsInf(e, 0) || math.IsNaN(e) {
-					t.Fatalf("HBErrors[%d] holds non-finite error %v", i, e)
+					t.Fatalf("family %s holds non-finite error %v", fs.Name, e)
 				}
 			}
 		}

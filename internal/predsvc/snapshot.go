@@ -40,12 +40,6 @@ type FamilySnapshot struct {
 // observation count, the latest FB measurements, and the rolling error
 // windows of every predictor (which cannot be rebuilt from history alone —
 // FB errors depend on measurements that are not retained per epoch).
-//
-// Version 2 added Families (the predictor-zoo tournament state) and the
-// interval-coverage counters; HBErrors/FBErrors remain the v1-shaped
-// mirror of the paper ensemble's windows. A v1 snapshot (no Families)
-// restores through the legacy fields; the zoo families then warm up
-// from live traffic.
 type PathSnapshot struct {
 	Path         string            `json:"path"`
 	Observations uint64            `json:"observations"`
@@ -54,9 +48,7 @@ type PathSnapshot struct {
 	// FBAge is how many observations the path had absorbed since the
 	// FBInputs measurements were installed — preserved so staleness
 	// flagging survives a restart.
-	FBAge    uint64      `json:"fb_age,omitempty"`
-	HBErrors [][]float64 `json:"hb_errors,omitempty"`
-	FBErrors []float64   `json:"fb_errors,omitempty"`
+	FBAge uint64 `json:"fb_age,omitempty"`
 
 	Families []FamilySnapshot `json:"families,omitempty"`
 	// CovIn/CovTotal carry the interval-coverage calibration counters.
@@ -78,13 +70,10 @@ type Snapshot struct {
 	Paths   []PathSnapshot `json:"paths"`
 }
 
-// snapshotVersion guards the on-disk format. Version 2 (the predictor
-// zoo) added per-family tournament state; version-1 files remain
-// readable — see PathSnapshot.
-const (
-	snapshotVersion       = 2
-	snapshotVersionLegacy = 1
-)
+// snapshotVersion guards the on-disk format: version 2 carries the
+// per-family tournament state (PathSnapshot.Families). Any other version
+// is rejected.
+const snapshotVersion = 2
 
 // Snapshot captures the replayable state of every session.
 func (r *Registry) Snapshot() *Snapshot {
@@ -99,8 +88,8 @@ func (r *Registry) Snapshot() *Snapshot {
 // one) and returns the number of paths restored. Paths beyond capacity
 // evict exactly as live traffic would.
 func (r *Registry) Restore(snap *Snapshot) (int, error) {
-	if snap.Version != snapshotVersion && snap.Version != snapshotVersionLegacy {
-		return 0, fmt.Errorf("predsvc: snapshot version %d, want %d or %d", snap.Version, snapshotVersionLegacy, snapshotVersion)
+	if snap.Version != snapshotVersion {
+		return 0, fmt.Errorf("predsvc: snapshot version %d, want %d", snap.Version, snapshotVersion)
 	}
 	for _, ps := range snap.Paths {
 		r.GetOrCreate(ps.Path).restore(ps)
@@ -135,26 +124,27 @@ func EncodeSnapshot(snap *Snapshot) ([]byte, error) {
 	return data, nil
 }
 
-// DecodeSnapshot parses EncodeSnapshot output, verifying the checksum
-// trailer when present. Data without a trailer (the pre-checksum format)
-// is accepted if it parses as JSON. Corruption of any kind returns an
-// error wrapping ErrCorruptSnapshot.
+// DecodeSnapshot parses EncodeSnapshot output and verifies its checksum
+// trailer. Corruption of any kind — including a missing trailer, which a
+// truncated file and a hand-edited one look alike in — returns an error
+// wrapping ErrCorruptSnapshot.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
-	body := data
-	if i := bytes.LastIndex(data, []byte(checksumPrefix)); i >= 0 {
-		body = data[:i]
-		want := strings.TrimSpace(string(data[i+len(checksumPrefix):]))
-		sum := sha256.Sum256(body)
-		if want != hex.EncodeToString(sum[:]) {
-			return nil, fmt.Errorf("%w: sha256 mismatch", ErrCorruptSnapshot)
-		}
+	i := bytes.LastIndex(data, []byte(checksumPrefix))
+	if i < 0 {
+		return nil, fmt.Errorf("%w: missing sha256 trailer", ErrCorruptSnapshot)
+	}
+	body := data[:i]
+	want := strings.TrimSpace(string(data[i+len(checksumPrefix):]))
+	sum := sha256.Sum256(body)
+	if want != hex.EncodeToString(sum[:]) {
+		return nil, fmt.Errorf("%w: sha256 mismatch", ErrCorruptSnapshot)
 	}
 	var snap Snapshot
 	if err := json.Unmarshal(body, &snap); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorruptSnapshot, err)
 	}
-	if snap.Version != snapshotVersion && snap.Version != snapshotVersionLegacy {
-		return nil, fmt.Errorf("%w: version %d, want %d or %d", ErrCorruptSnapshot, snap.Version, snapshotVersionLegacy, snapshotVersion)
+	if snap.Version != snapshotVersion {
+		return nil, fmt.Errorf("%w: version %d, want %d", ErrCorruptSnapshot, snap.Version, snapshotVersion)
 	}
 	return &snap, nil
 }

@@ -14,11 +14,10 @@ import (
 // This file is the zero-alloc-in-steady-state wire fastpath for the hot
 // endpoints (/v1/observe, /v1/measure, /v1/predict and both batch
 // endpoints): hand-rolled encoders and decoders from internal/fastjson
-// threaded through a pooled per-request context, with the reflection
-// path in server.go kept as the fallback for cold endpoints and as the
-// correctness oracle (Config.DisableFastpath serves every request
-// through it; the compat tests and predload's digest e2e hold the two
-// byte-identical).
+// threaded through a pooled per-request context. The cold endpoints stay
+// on encoding/json; the encoding/json twins of these handlers live in
+// oracle_test.go as the correctness oracle the compat, digest and bench
+// tests hold this file byte-identical to.
 //
 // Pooling ownership: a handler gets one wireCtx at entry and puts it
 // back at exit; everything request-scoped — the body buffer, the

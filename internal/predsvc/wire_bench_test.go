@@ -176,15 +176,15 @@ func (w *nullResponseWriter) Header() http.Header         { return w.h }
 func (w *nullResponseWriter) Write(b []byte) (int, error) { return len(b), nil }
 func (w *nullResponseWriter) WriteHeader(int)             {}
 
-func benchObserveHandler(b *testing.B, disableFastpath bool) {
-	s, err := Open(Config{DisableFastpath: disableFastpath})
+func benchObserveHandler(b *testing.B, oracle bool) {
+	s, err := Open(Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer s.Close()
-	h := s.handleObserve
-	if !disableFastpath {
-		h = s.handleObserveFast
+	h := s.handleObserveFast
+	if oracle {
+		h = s.handleObserve
 	}
 	body := &reusableBody{}
 	body.r.Reset(benchObserveBody)

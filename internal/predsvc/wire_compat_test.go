@@ -14,7 +14,7 @@ import (
 
 // The wire fastpath's correctness story: every request a client can send
 // is served byte-identically by the fastpath and by the encoding/json
-// oracle (Config.DisableFastpath). The one sanctioned divergence is the
+// oracle (oracle_test.go). The one sanctioned divergence is the
 // message text inside "bad request body: ..." 400s, where the oracle
 // leaks encoding/json's internal wording — status codes still must
 // match, and every 2xx body, every semantic error (missing path, invalid
@@ -29,15 +29,11 @@ type compatPair struct {
 
 func newCompatPair(t *testing.T, cfg Config) *compatPair {
 	t.Helper()
-	fastCfg := cfg
-	fastCfg.DisableFastpath = false
-	oracleCfg := cfg
-	oracleCfg.DisableFastpath = true
-	fast, err := Open(fastCfg)
+	fast, err := Open(cfg)
 	if err != nil {
 		t.Fatalf("open fast server: %v", err)
 	}
-	oracle, err := Open(oracleCfg)
+	oracle, err := openOracle(cfg)
 	if err != nil {
 		t.Fatalf("open oracle server: %v", err)
 	}

@@ -8,16 +8,16 @@ import (
 
 // TestReplayDigestFastpathIdentical is the end-to-end equivalence gate
 // for the wire fastpath: the same replay driven over real HTTP against a
-// fastpath server and a -no-fastpath (reflection-handler) server must
+// fastpath server and an oracle (reflection-handler) server must
 // produce the same predict-response digest — the SHA-256 chain over
 // every 200-OK predict body — plus identical request accounting. Any
 // byte the codec got wrong anywhere in the response surface shows up
 // here as a digest split.
 func TestReplayDigestFastpathIdentical(t *testing.T) {
 	series := SyntheticSeries(12, 40, 3)
-	run := func(disable bool) *LoadReport {
+	run := func(open func(Config) (*Server, error)) *LoadReport {
 		t.Helper()
-		srv, err := Open(Config{DisableFastpath: disable})
+		srv, err := open(Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -30,8 +30,8 @@ func TestReplayDigestFastpathIdentical(t *testing.T) {
 		}
 		return rep
 	}
-	fast := run(false)
-	oracle := run(true)
+	fast := run(Open)
+	oracle := run(openOracle)
 	if fast.Digest != oracle.Digest {
 		t.Errorf("digest split: fastpath %s, oracle %s", fast.Digest, oracle.Digest)
 	}

@@ -2,8 +2,13 @@ package predsvc
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/predict"
@@ -103,73 +108,43 @@ func TestCalibrationEndToEnd(t *testing.T) {
 	t.Logf("calibration: coverage %.3f over %d intervals", rep.IntervalCoverage, rep.IntervalsScored)
 }
 
-// TestLegacyV1SnapshotRestore: a version-1 snapshot (PR-6 era: HBErrors /
-// FBErrors, no Families) must restore cleanly into the zoo registry — the
-// paper ensemble comes back with its windows, the new families warm up
-// empty — and keep serving.
-func TestLegacyV1SnapshotRestore(t *testing.T) {
-	legacy := &Snapshot{
-		Version: 1,
-		Paths: []PathSnapshot{{
-			Path:         "v1-path",
-			Observations: 6,
-			History:      []float64{10e6, 12e6, 11e6, 13e6, 12e6, 12.5e6},
-			FBInputs:     &FBInputsSnapshot{RTTSeconds: 0.05, LossRate: 0.001, AvailBwBps: 20e6},
-			FBAge:        2,
-			HBErrors: [][]float64{
-				{0.2, -0.1, 0.05, 0.1, -0.04},
-				{0.15, -0.12, 0.06, 0.09, -0.03},
-				{0.3, -0.2, 0.1, 0.15, -0.08},
-			},
-			FBErrors: []float64{0.5, 0.4},
-		}},
+// TestLegacyV1SnapshotRejected: a version-1 snapshot (PR-6 era: hb_errors
+// / fb_errors, no families) is no longer restorable. With an intact
+// checksum it must still be refused as ErrCorruptSnapshot by the codec,
+// refused by Registry.Restore, and quarantined at boot — never half
+// restored with empty tournament state.
+func TestLegacyV1SnapshotRejected(t *testing.T) {
+	body := []byte(`{"version":1,"paths":[{"path":"v1-path","observations":6,` +
+		`"history":[10e6,12e6,11e6,13e6,12e6,12.5e6],` +
+		`"fb_inputs":{"rtt_s":0.05,"loss_rate":0.001,"avail_bw_bps":20e6},"fb_age":2,` +
+		`"hb_errors":[[0.2,-0.1],[0.15,-0.12],[0.3,-0.2]],"fb_errors":[0.5,0.4]}]}`)
+	sum := sha256.Sum256(body)
+	data := append(append(body, checksumPrefix...), hex.EncodeToString(sum[:])...)
+	data = append(data, '\n')
+
+	if _, err := DecodeSnapshot(data); !errors.Is(err, ErrCorruptSnapshot) {
+		t.Fatalf("DecodeSnapshot(v1) err = %v, want ErrCorruptSnapshot", err)
+	}
+	for _, v := range []int{1, 99} {
+		if _, err := NewRegistry(Config{Shards: 1, Capacity: 8}).Restore(&Snapshot{Version: v}); err == nil {
+			t.Errorf("Restore accepted snapshot version %d", v)
+		}
 	}
 
-	// Round-trip through the codec: version 1 must still decode.
-	data, err := EncodeSnapshot(legacy)
+	file := filepath.Join(t.TempDir(), "snap.json")
+	if err := os.WriteFile(file, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(Config{Shards: 1, Capacity: 8})
+	st, err := srv.RestoreSnapshot(file)
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := DecodeSnapshot(data)
-	if err != nil {
-		t.Fatalf("DecodeSnapshot rejected a version-1 file: %v", err)
+	if st.Paths != 0 || st.Quarantined == "" || !errors.Is(st.Reason, ErrCorruptSnapshot) {
+		t.Fatalf("RestoreSnapshot(v1) = %+v, want a quarantine", st)
 	}
-
-	reg := NewRegistry(Config{Shards: 1, Capacity: 8})
-	if n, err := reg.Restore(decoded); err != nil || n != 1 {
-		t.Fatalf("Restore(v1) = (%d, %v), want (1, nil)", n, err)
-	}
-	s, ok := reg.Peek("v1-path")
-	if !ok {
-		t.Fatal("v1 path missing after restore")
-	}
-	p := s.Predict()
-	if p.Observations != 6 {
-		t.Errorf("Observations = %d, want 6", p.Observations)
-	}
-	// The paper ensemble's windows came back verbatim.
-	for i, st := range p.HB {
-		if st.ErrorCount != len(legacy.Paths[0].HBErrors[i]) {
-			t.Errorf("%s ErrorCount = %d, want %d (legacy window)", st.Name, st.ErrorCount, len(legacy.Paths[0].HBErrors[i]))
-		}
-	}
-	if p.FB == nil || p.FB.ErrorCount != 2 {
-		t.Fatalf("FB state not restored from legacy FBErrors: %+v", p.FB)
-	}
-	// The zoo is live: new families exist and keep learning from traffic.
-	if len(p.Families) != 7 {
-		t.Fatalf("restored session runs %d families, want the full zoo of 7", len(p.Families))
-	}
-	s.Observe(12e6)
-	s.Observe(12.2e6)
-	p2 := s.Predict()
-	if p2.Family == "" {
-		t.Error("no tournament winner after post-restore traffic")
-	}
-
-	// A never-written version must still be rejected.
-	if _, err := NewRegistry(Config{Shards: 1, Capacity: 8}).Restore(&Snapshot{Version: 99}); err == nil {
-		t.Error("Restore accepted snapshot version 99")
+	if srv.Registry().Len() != 0 {
+		t.Errorf("registry holds %d paths after a rejected v1 snapshot", srv.Registry().Len())
 	}
 }
 

@@ -1,6 +1,8 @@
 package traceio_test
 
 import (
+	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"os"
@@ -15,8 +17,7 @@ import (
 )
 
 // TestStreamRoundTrip proves Writer → Load and Writer → Reader reproduce
-// the dataset exactly, compressed and not, and that Load cannot tell the
-// streaming form from the legacy one.
+// the dataset exactly, compressed and not.
 func TestStreamRoundTrip(t *testing.T) {
 	for _, name := range []string{"ds.json", "ds.json.gz"} {
 		t.Run(name, func(t *testing.T) {
@@ -75,35 +76,9 @@ func TestStreamRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSaveStreamEquivalent proves SaveStream and Save produce
-// Load-identical datasets.
-func TestSaveStreamEquivalent(t *testing.T) {
-	dir := t.TempDir()
-	ds := sampleDataset()
-	legacy := filepath.Join(dir, "legacy.json")
-	stream := filepath.Join(dir, "stream.json")
-	if err := traceio.Save(legacy, ds); err != nil {
-		t.Fatal(err)
-	}
-	if err := traceio.SaveStream(stream, ds); err != nil {
-		t.Fatal(err)
-	}
-	a, err := traceio.Load(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := traceio.Load(stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Error("legacy and stream forms load differently")
-	}
-}
-
 // TestStreamPartial: ClosePartial yields a readable file that Load and
-// Reader both flag with ErrPartial — and LoadOrCollect must re-collect
-// rather than reuse it.
+// Reader both flag with ErrPartial — and LoadOrCollectContext must
+// re-collect rather than reuse it.
 func TestStreamPartial(t *testing.T) {
 	file := filepath.Join(t.TempDir(), "partial.json")
 	ds := sampleDataset()
@@ -141,7 +116,7 @@ func TestStreamPartial(t *testing.T) {
 		t.Errorf("trailer = %+v ok=%v, want partial", trl, ok)
 	}
 
-	// A partial file must not satisfy LoadOrCollect's reuse check.
+	// A partial file must not satisfy LoadOrCollectContext's reuse check.
 	cfg := testbed.RunConfig{
 		Seed:           7,
 		Catalog:        testbed.CatalogConfig{NumPaths: 1, MinCapBps: 3e6, MaxCapBps: 10e6},
@@ -151,7 +126,7 @@ func TestStreamPartial(t *testing.T) {
 		TransferSec:    5,
 		EpochGap:       2,
 	}
-	re, err := traceio.LoadOrCollect(file, cfg)
+	re, err := traceio.LoadOrCollectContext(context.Background(), file, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,15 +183,14 @@ func TestStreamTruncated(t *testing.T) {
 	}
 }
 
-// TestSaveAtomicUnderFault is the regression test for the old Save,
-// which closed and truncated in place: with a fault injected at the
-// write seam, both Save and Writer.Close must fail without disturbing
-// the previously saved dataset, and must leave no temp litter behind.
+// TestSaveAtomicUnderFault: with a fault injected at the write seam,
+// both SaveStream and Writer.Close must fail without disturbing the
+// previously saved dataset, and must leave no temp litter behind.
 func TestSaveAtomicUnderFault(t *testing.T) {
 	dir := t.TempDir()
 	file := filepath.Join(dir, "ds.json")
 	ds := sampleDataset()
-	if err := traceio.Save(file, ds); err != nil {
+	if err := traceio.SaveStream(file, ds); err != nil {
 		t.Fatal(err)
 	}
 
@@ -225,8 +199,8 @@ func TestSaveAtomicUnderFault(t *testing.T) {
 
 	mutated := sampleDataset()
 	mutated.Label = "must-not-land"
-	if err := traceio.Save(file, mutated); !errors.Is(err, faultinject.ErrInjected) {
-		t.Fatalf("Save under fault err = %v, want ErrInjected", err)
+	if err := traceio.SaveStream(file, mutated); !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("SaveStream under fault err = %v, want ErrInjected", err)
 	}
 
 	w, err := traceio.NewWriter(file, mutated.Label)
@@ -262,7 +236,7 @@ func TestSaveAtomicUnderFault(t *testing.T) {
 func TestWriterAbort(t *testing.T) {
 	dir := t.TempDir()
 	file := filepath.Join(dir, "ds.json")
-	if err := traceio.Save(file, sampleDataset()); err != nil {
+	if err := traceio.SaveStream(file, sampleDataset()); err != nil {
 		t.Fatal(err)
 	}
 	w, err := traceio.NewWriter(file, "abandoned")
@@ -286,14 +260,53 @@ func TestWriterAbort(t *testing.T) {
 	}
 }
 
-// TestReaderRejectsLegacy: NewReader is stream-only; pointing it at a
-// legacy file is a clear error, not a silent empty read.
+// TestReaderRejectsLegacy: the single-document form older builds wrote is
+// no longer readable; NewReader and Load must say which format they
+// expect instead of returning an empty dataset.
 func TestReaderRejectsLegacy(t *testing.T) {
 	file := filepath.Join(t.TempDir(), "legacy.json")
-	if err := traceio.Save(file, sampleDataset()); err != nil {
+	doc, err := json.Marshal(sampleDataset())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := traceio.NewReader(file); err == nil {
-		t.Error("NewReader accepted a legacy whole-JSON file")
+	if err := os.WriteFile(file, doc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := traceio.NewReader(file); err == nil || !strings.Contains(err.Error(), traceio.StreamFormat) {
+		t.Errorf("NewReader on a legacy document: err = %v, want one naming %q", err, traceio.StreamFormat)
+	}
+	if _, err := traceio.Load(file); err == nil || !strings.Contains(err.Error(), traceio.StreamFormat) {
+		t.Errorf("Load on a legacy document: err = %v, want one naming %q", err, traceio.StreamFormat)
+	}
+}
+
+// TestCommittedDatasetsAreStreams: every dataset committed under data/ is
+// in the one format the reader accepts and ends in a complete (counted,
+// non-partial) trailer — the repro pipeline never re-collects them.
+func TestCommittedDatasetsAreStreams(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "data", "*.json.gz"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) == 0 {
+		t.Fatal("no committed datasets found under data/")
+	}
+	for _, file := range files {
+		r, err := traceio.NewReader(file)
+		if err != nil {
+			t.Errorf("%s: %v", file, err)
+			continue
+		}
+		ds, err := r.ReadAll()
+		r.Close()
+		if err != nil {
+			t.Errorf("%s: %v", file, err)
+			continue
+		}
+		trl, ok := r.Trailer()
+		if !ok || trl.Partial || trl.Traces != len(ds.Traces) || trl.Epochs != ds.Epochs() || trl.Traces == 0 {
+			t.Errorf("%s: trailer = %+v ok=%v for %d traces/%d epochs, want a complete non-empty stream",
+				file, trl, ok, len(ds.Traces), ds.Epochs())
+		}
 	}
 }

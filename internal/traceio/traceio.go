@@ -1,24 +1,18 @@
 // Package traceio persists measurement datasets (cmd/ronsim writes,
-// cmd/repro reads) in two on-disk forms, both gzip-compressed when the
-// file name ends in .gz:
+// cmd/repro reads) in one on-disk form, gzip-compressed when the file
+// name ends in .gz: a record-per-epoch NDJSON stream (Writer/Reader) —
+// a header line, one line per trace start, one line per epoch record,
+// and a counting trailer line. A 10k-path campaign flushes each trace as
+// it completes instead of materializing the whole dataset, so collection
+// runs in bounded RSS; the trailer makes truncation and deliberate
+// partial writes (an interrupted campaign) detectable.
 //
-//   - the legacy whole-dataset JSON document (Save), kept readable
-//     forever, and
-//   - a streaming record-per-epoch form (Writer/Reader): a header line,
-//     one line per trace start, one line per epoch record, and a
-//     counting trailer line. A 10k-path campaign flushes each trace as
-//     it completes instead of materializing the whole dataset, so
-//     collection runs in bounded RSS; the trailer makes truncation and
-//     deliberate partial writes (an interrupted campaign) detectable.
-//
-// Load auto-detects the form, so readers never care which wrote the
-// file. All writes are crash-safe: temp file, fsync, atomic rename —
-// a failed or interrupted write never clobbers an existing dataset.
+// All writes are crash-safe: temp file, fsync, atomic rename — a failed
+// or interrupted write never clobbers an existing dataset.
 package traceio
 
 import (
 	"bufio"
-	"bytes"
 	"compress/gzip"
 	"context"
 	"encoding/json"
@@ -34,14 +28,12 @@ import (
 
 // StreamFormat identifies the streaming container; bump the suffix on
 // incompatible changes. It is the value of the header line's "stream"
-// field, and — because the header is the first record — also the byte
-// prefix Load's format sniffing keys on.
+// field; a file whose first record does not carry it is rejected.
 const StreamFormat = "tcppred-epochs/1"
 
 // SiteWrite is the fault-injection site checked before any dataset
-// write reaches disk (see SetFaults); a rule here makes Save and
-// Writer.Close fail after the temp file exists, proving the previous
-// file survives.
+// write reaches disk (see SetFaults); a rule here makes Writer.Close
+// fail after the temp file exists, proving the previous file survives.
 const SiteWrite = "traceio.write"
 
 // faults is the package fault-injection seam, nil outside tests.
@@ -69,24 +61,9 @@ var ErrPartial = errors.New("traceio: partial dataset (interrupted campaign)")
 // writer or a torn copy, as opposed to a declared-partial one.
 var ErrTruncated = errors.New("traceio: truncated stream (missing trailer)")
 
-// Save writes the dataset to path (creating parent directories) as one
-// JSON document, gzipped when the file name ends in .gz. The write is
-// atomic: the data lands in a temp file which is fsynced and renamed
-// over path, so a crash or failure mid-write leaves any previous
-// dataset untouched.
-func Save(path string, ds *testbed.Dataset) error {
-	return writeAtomic(path, func(w io.Writer) error {
-		if filepath.Ext(path) == ".gz" {
-			return json.NewEncoder(w).Encode(ds)
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", " ")
-		return enc.Encode(ds)
-	})
-}
-
-// SaveStream writes the dataset to path in the streaming form, with the
-// same atomicity as Save. Equivalent to a Writer fed every trace.
+// SaveStream writes the dataset to path (creating parent directories):
+// a Writer fed every trace, so the target is replaced atomically or not
+// at all.
 func SaveStream(path string, ds *testbed.Dataset) error {
 	w, err := NewWriter(path, ds.Label)
 	if err != nil {
@@ -99,57 +76,6 @@ func SaveStream(path string, ds *testbed.Dataset) error {
 		}
 	}
 	return w.Close()
-}
-
-// writeAtomic runs write against a buffered (and, for .gz paths,
-// gzipped) temp file in path's directory, then fsyncs and renames it
-// over path.
-func writeAtomic(path string, write func(io.Writer) error) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("traceio: %w", err)
-	}
-	f, err := os.CreateTemp(filepath.Dir(path), ".traceio-*")
-	if err != nil {
-		return fmt.Errorf("traceio: %w", err)
-	}
-	tmp := f.Name()
-	defer os.Remove(tmp) // no-op after a successful rename
-	fail := func(err error) error {
-		f.Close()
-		return fmt.Errorf("traceio: write %s: %w", path, err)
-	}
-	if err := checkFault(SiteWrite); err != nil {
-		return fail(err)
-	}
-	bw := bufio.NewWriterSize(f, 1<<16)
-	var w io.Writer = bw
-	var zw *gzip.Writer
-	if filepath.Ext(path) == ".gz" {
-		zw = gzip.NewWriter(bw)
-		w = zw
-	}
-	if err := write(w); err != nil {
-		return fail(err)
-	}
-	if zw != nil {
-		if err := zw.Close(); err != nil {
-			return fail(err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("traceio: write %s: %w", path, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("traceio: %w", err)
-	}
-	syncDir(filepath.Dir(path))
-	return nil
 }
 
 // syncDir fsyncs a directory so a just-renamed file's entry is durable.
@@ -167,7 +93,7 @@ func syncDir(dir string) {
 // Stream record shapes. Every line is one small JSON object with exactly
 // one of the keys below set; a reader dispatches on which.
 type streamHeader struct {
-	Stream string `json:"stream"` // StreamFormat; first line, also the sniff prefix
+	Stream string `json:"stream"` // StreamFormat; first line
 	Label  string `json:"label"`
 }
 
@@ -369,12 +295,13 @@ func NewReader(path string) (*Reader, error) {
 	}
 	r.dec = json.NewDecoder(bufio.NewReaderSize(in, 1<<16))
 	var h streamHeader
-	if err := r.dec.Decode(&h); err != nil || h.Stream != StreamFormat {
+	if err := r.dec.Decode(&h); err != nil {
 		r.Close()
-		if err == nil {
-			err = fmt.Errorf("not a %q stream (header %q)", StreamFormat, h.Stream)
-		}
-		return nil, fmt.Errorf("traceio: decode %s: %w", path, err)
+		return nil, fmt.Errorf("traceio: decode %s: expected a %q stream header: %w", path, StreamFormat, err)
+	}
+	if h.Stream != StreamFormat {
+		r.Close()
+		return nil, fmt.Errorf("traceio: decode %s: expected a %q stream, found header %q", path, StreamFormat, h.Stream)
 	}
 	r.label = h.Label
 	return r, nil
@@ -483,73 +410,32 @@ func (r *Reader) Close() error {
 	return r.f.Close()
 }
 
-// streamSniff is the byte prefix every streaming file starts with (the
-// header is always the first line and json.Encoder writes fields in
-// declaration order).
-var streamSniff = []byte(`{"stream":"` + StreamFormat + `"`)
-
-// Load reads a dataset written by Save, SaveStream, or a Writer,
-// auto-detecting the form. For a declared-partial stream it returns the
-// decoded prefix alongside ErrPartial (see ErrPartial for the contract).
+// Load reads a whole dataset written by SaveStream or a Writer. For a
+// declared-partial stream it returns the decoded prefix alongside
+// ErrPartial (see ErrPartial for the contract).
 func Load(path string) (*testbed.Dataset, error) {
-	f, err := os.Open(path)
+	r, err := NewReader(path)
 	if err != nil {
-		return nil, fmt.Errorf("traceio: %w", err)
+		return nil, err
 	}
-	defer f.Close()
-
-	var in io.Reader = f
-	if filepath.Ext(path) == ".gz" {
-		zr, err := gzip.NewReader(f)
-		if err != nil {
-			return nil, fmt.Errorf("traceio: %s: %w", path, err)
-		}
-		defer zr.Close()
-		in = zr
+	defer r.Close()
+	ds, err := r.ReadAll()
+	if errors.Is(err, ErrPartial) {
+		return ds, fmt.Errorf("%w: %s", ErrPartial, path)
 	}
-	br := bufio.NewReaderSize(in, 1<<16)
-	head, _ := br.Peek(len(streamSniff))
-	if bytes.Equal(head, streamSniff) {
-		r := &Reader{f: f, dec: json.NewDecoder(br)}
-		var h streamHeader
-		if err := r.dec.Decode(&h); err != nil {
-			return nil, fmt.Errorf("traceio: decode %s: %w", path, err)
-		}
-		r.label = h.Label
-		// The deferred closes above own the file; neuter the Reader's.
-		r.f = nil
-		r.zr = nil
-		ds, err := r.readAllNoClose()
-		if err != nil {
-			if errors.Is(err, ErrPartial) {
-				return ds, fmt.Errorf("%w: %s", ErrPartial, path)
-			}
-			return nil, fmt.Errorf("traceio: decode %s: %w", path, err)
-		}
-		return ds, nil
-	}
-	var ds testbed.Dataset
-	if err := json.NewDecoder(br).Decode(&ds); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("traceio: decode %s: %w", path, err)
 	}
-	return &ds, nil
+	return ds, nil
 }
 
-// readAllNoClose is ReadAll for a Reader whose file is owned elsewhere.
-func (r *Reader) readAllNoClose() (*testbed.Dataset, error) { return r.ReadAll() }
-
-// LoadOrCollect loads the dataset at path if it exists; otherwise it
-// collects one with the given config and saves it to path (when path is
-// non-empty). It is a compatibility wrapper over LoadOrCollectContext.
-func LoadOrCollect(path string, cfg testbed.RunConfig) (*testbed.Dataset, error) {
-	return LoadOrCollectContext(context.Background(), path, cfg)
-}
-
-// LoadOrCollectContext is LoadOrCollect with cancellation: a collection
-// in progress aborts at the next epoch boundaries and the partial dataset
-// is returned (but not saved) alongside ctx.Err(). Campaign progress
-// flows to cfg.Observer. An existing but declared-partial stream at path
-// is not reused: it is re-collected like a missing file.
+// LoadOrCollectContext loads the dataset at path if it exists; otherwise
+// it collects one with the given config and saves it to path (when path
+// is non-empty). Cancelling ctx aborts a collection in progress at the
+// next epoch boundaries and the partial dataset is returned (but not
+// saved) alongside ctx.Err(). Campaign progress flows to cfg.Observer. An
+// existing but declared-partial stream at path is not reused: it is
+// re-collected like a missing file.
 func LoadOrCollectContext(ctx context.Context, path string, cfg testbed.RunConfig) (*testbed.Dataset, error) {
 	if path != "" {
 		if _, err := os.Stat(path); err == nil {
@@ -568,7 +454,7 @@ func LoadOrCollectContext(ctx context.Context, path string, cfg testbed.RunConfi
 		return ds, err
 	}
 	if path != "" {
-		if err := Save(path, ds); err != nil {
+		if err := SaveStream(path, ds); err != nil {
 			return nil, err
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/testbed"
@@ -40,7 +41,7 @@ func TestSaveLoadRoundTripJSON(t *testing.T) {
 	dir := t.TempDir()
 	file := filepath.Join(dir, "ds.json")
 	ds := sampleDataset()
-	if err := traceio.Save(file, ds); err != nil {
+	if err := traceio.SaveStream(file, ds); err != nil {
 		t.Fatal(err)
 	}
 	got, err := traceio.Load(file)
@@ -56,7 +57,7 @@ func TestSaveLoadRoundTripGzip(t *testing.T) {
 	dir := t.TempDir()
 	file := filepath.Join(dir, "ds.json.gz")
 	ds := sampleDataset()
-	if err := traceio.Save(file, ds); err != nil {
+	if err := traceio.SaveStream(file, ds); err != nil {
 		t.Fatal(err)
 	}
 	got, err := traceio.Load(file)
@@ -71,7 +72,7 @@ func TestSaveLoadRoundTripGzip(t *testing.T) {
 func TestSaveCreatesParentDirs(t *testing.T) {
 	dir := t.TempDir()
 	file := filepath.Join(dir, "a", "b", "ds.json")
-	if err := traceio.Save(file, sampleDataset()); err != nil {
+	if err := traceio.SaveStream(file, sampleDataset()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(file); err != nil {
@@ -88,8 +89,8 @@ func TestLoadMissingFile(t *testing.T) {
 func TestLoadCorruptFile(t *testing.T) {
 	file := filepath.Join(t.TempDir(), "bad.json")
 	os.WriteFile(file, []byte("{not json"), 0o644)
-	if _, err := traceio.Load(file); err == nil {
-		t.Error("loading corrupt JSON should fail")
+	if _, err := traceio.Load(file); err == nil || !strings.Contains(err.Error(), traceio.StreamFormat) {
+		t.Errorf("loading corrupt JSON: err = %v, want one naming %q", err, traceio.StreamFormat)
 	}
 	gz := filepath.Join(t.TempDir(), "bad.json.gz")
 	os.WriteFile(gz, []byte("not gzip"), 0o644)
@@ -102,16 +103,16 @@ func TestLoadOrCollectUsesExisting(t *testing.T) {
 	dir := t.TempDir()
 	file := filepath.Join(dir, "ds.json")
 	ds := sampleDataset()
-	if err := traceio.Save(file, ds); err != nil {
+	if err := traceio.SaveStream(file, ds); err != nil {
 		t.Fatal(err)
 	}
 	// Config would produce something different; existing file must win.
-	got, err := traceio.LoadOrCollect(file, testbed.RunConfig{})
+	got, err := traceio.LoadOrCollectContext(context.Background(), file, testbed.RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(ds, got) {
-		t.Error("LoadOrCollect did not load the existing dataset")
+		t.Error("LoadOrCollectContext did not load the existing dataset")
 	}
 }
 

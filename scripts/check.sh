@@ -24,39 +24,11 @@ go build ./...
 echo "==> go test -race -short"
 go test -race -short ./...
 
-# The short suite above already includes these, but run them by name so a
-# test-filter or skip regression can't silently drop the end-to-end gates:
-# a real daemon on an ephemeral port driven by the load generator, and the
-# chaos gate (injected snapshot failures, handler panics, client aborts,
-# slowloris probes, load shedding — daemon survives, digest unchanged).
-echo "==> prediction-service end-to-end (short)"
-go test -race -short -run 'TestEndToEnd' -count=1 ./internal/predsvc
-
-echo "==> prediction-service chaos gate"
-go test -race -short -run 'TestEndToEndChaos|TestCorruptSnapshotQuarantine' -count=1 ./internal/predsvc
-
-# Storage/cluster gates: the store conformance suite against every Store
-# implementation, and the in-process cluster digest test (scripts/cluster.sh
-# is the real-binaries version of the latter).
-echo "==> store conformance + cluster digest gate"
-go test -race -short -run 'TestStoreConformance' -count=1 ./internal/predsvc/store
-go test -race -short -run 'TestClusterReplayDigest|TestSpillBackedServer' -count=1 ./internal/predsvc
-
-# Robustness gates: shard handoff (export/import/drop, last-writer-wins,
-# retry after injected mid-transfer kills, 2→3 resize digest equality),
-# the drain/health lifecycle, the retrying cluster client, and the
-# rendezvous-map churn property (random joins/leaves move only the
-# reassigned paths).
-echo "==> handoff + drain + cluster-client gates"
-go test -race -short -count=1 \
-    -run 'TestRebalance|TestImport|TestSessionsDrop|TestResizeMidLoadDigestEquality|TestHealth|TestReadyz|TestServeDrainWindow' \
-    ./internal/predsvc
-go test -race -short -count=1 \
-    -run 'TestChurnOnlyReassignedPathsMove|TestDo|TestWaitReady' \
-    ./internal/predsvc/cluster
-
-# The same properties against the real binaries: 4-node digest equality
-# over heterogeneous stores, a rolling restart of every node under paced
+# The short suite above carries the in-process end-to-end gates (daemon
+# under the load generator, chaos, store conformance, cluster digest,
+# handoff/drain lifecycle, wire fastpath vs oracle digest); the sections
+# below run the same properties against the real binaries.
+# 4-node digest equality over heterogeneous stores, a rolling restart of every node under paced
 # load, and a 2→3 resize whose first handoff is killed mid-transfer and
 # must converge on retry.
 echo "==> cluster robustness gates (real binaries)"
@@ -84,5 +56,9 @@ if ! awk -v t="$total" -v b="$COVER_BASELINE" 'BEGIN { exit !(t >= b - 2.0) }'; 
     echo "FAIL: coverage ${total}% is more than 2 points below the ${COVER_BASELINE}% baseline" >&2
     exit 1
 fi
+
+# Size ledger: simplification is a tracked number (ROADMAP item 2).
+echo "==> size ledger"
+./scripts/loc.sh
 
 echo "OK"

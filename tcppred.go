@@ -351,9 +351,9 @@ type PredictorSession = predsvc.Session
 type Prediction = predsvc.Prediction
 
 // PredictionServer serves the registry over the HTTP JSON API
-// (POST /v1/observe, POST /v1/measure, GET /v1/predict, GET /v1/stats,
-// GET /debug/vars) with graceful context-driven shutdown; cmd/predserverd
-// is its daemon wrapper and cmd/predload its load generator.
+// (POST /v1/observe, POST /v1/measure, GET /v1/predict, GET /v1/stats)
+// with graceful context-driven shutdown; cmd/predserverd is its daemon
+// wrapper and cmd/predload its load generator.
 //
 // The serving path is hardened: handler panics become 500s, load past
 // ServiceConfig.MaxInFlight is shed with 429 + Retry-After, snapshots are
