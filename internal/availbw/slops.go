@@ -187,11 +187,15 @@ type Estimator struct {
 
 	arrivals []float64 // OWDs of the stream in flight
 	expected int
+	nextSeq  int64  // index of the next chirp of the stream in flight
+	chirpFn  func() // e.sendChirp, bound once
 }
 
 // NewEstimator creates an estimator using flow on the path.
 func NewEstimator(eng *sim.Engine, path *netem.Path, flow netem.FlowID, cfg Config) *Estimator {
-	return &Estimator{cfg: cfg.Defaults(), eng: eng, path: path, flow: flow}
+	e := &Estimator{cfg: cfg.Defaults(), eng: eng, path: path, flow: flow}
+	e.chirpFn = e.sendChirp
+	return e
 }
 
 // sendStream transmits one periodic stream at rate bps and returns the
@@ -202,17 +206,12 @@ func (e *Estimator) sendStream(rate float64) []float64 {
 	e.path.B.Register(e.flow, netem.ReceiverFunc(e.onChirp))
 	defer e.path.B.Register(e.flow, nil)
 
+	// The chirps fire in index order (increasing delays, ties broken by
+	// scheduling order), so a counter stands in for a per-chirp closure.
 	gap := float64(e.cfg.PacketSize) * 8 / rate
+	e.nextSeq = 0
 	for i := 0; i < e.cfg.StreamLength; i++ {
-		i := i
-		e.eng.Schedule(float64(i)*gap, func() {
-			pkt := e.path.A.NewPacket()
-			pkt.Flow = e.flow
-			pkt.Kind = netem.KindChirp
-			pkt.Size = e.cfg.PacketSize
-			pkt.Seq = int64(i)
-			e.path.A.Send(pkt)
-		})
+		e.eng.Schedule(float64(i)*gap, e.chirpFn)
 	}
 	streamTime := float64(e.cfg.StreamLength)*gap + e.cfg.Timeout
 	deadline := e.eng.Now() + streamTime
@@ -221,6 +220,16 @@ func (e *Estimator) sendStream(rate float64) []float64 {
 		e.eng.RunUntil(math.Min(deadline, e.eng.Now()+0.05))
 	}
 	return append([]float64(nil), e.arrivals...)
+}
+
+func (e *Estimator) sendChirp() {
+	pkt := e.path.A.NewPacket()
+	pkt.Flow = e.flow
+	pkt.Kind = netem.KindChirp
+	pkt.Size = e.cfg.PacketSize
+	pkt.Seq = e.nextSeq
+	e.nextSeq++
+	e.path.A.Send(pkt)
 }
 
 func (e *Estimator) onChirp(pkt *netem.Packet) {

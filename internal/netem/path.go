@@ -214,16 +214,21 @@ func (ep *Endpoint) Receive(pkt *Packet) {
 
 // DelayReceiver forwards packets to Next after a fixed extra delay. It is
 // used to give cross-traffic TCP flows a different RTT than the target flow
-// without building a separate topology.
+// without building a separate topology. As with Queue.Next, Next is read
+// when the delay ends and is fixed once traffic flows.
 type DelayReceiver struct {
 	Delay float64
 	Next  Receiver
-	eng   *sim.Engine
+
+	eng       *sim.Engine
+	deliverFn func(any) // d.deliver, bound once
 }
 
 // NewDelayReceiver wraps next with a fixed delay stage.
 func NewDelayReceiver(eng *sim.Engine, delay float64, next Receiver) *DelayReceiver {
-	return &DelayReceiver{Delay: delay, Next: next, eng: eng}
+	d := &DelayReceiver{Delay: delay, Next: next, eng: eng}
+	d.deliverFn = d.deliver
+	return d
 }
 
 // Receive implements Receiver.
@@ -232,6 +237,7 @@ func (d *DelayReceiver) Receive(pkt *Packet) {
 		d.Next.Receive(pkt)
 		return
 	}
-	next := d.Next
-	d.eng.Schedule(d.Delay, func() { next.Receive(pkt) })
+	d.eng.ScheduleArg(d.Delay, d.deliverFn, pkt)
 }
+
+func (d *DelayReceiver) deliver(a any) { d.Next.Receive(a.(*Packet)) }

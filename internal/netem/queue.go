@@ -61,11 +61,18 @@ type Queue struct {
 	// cellular-style variable-rate link): each packet serializes at
 	// CapacityBps × Rate.At(t) sampled at its transmission start.
 	Rate *RateSchedule
+	// Next receives each packet when its propagation ends. It is read at
+	// delivery time, so it is fixed once traffic flows: reassigning it
+	// would redirect packets already on the wire.
 	Next Receiver
 
-	eng     *sim.Engine
-	rng     *sim.RNG
-	pool    *PacketPool // set when the queue belongs to a Path; nil-safe
+	eng  *sim.Engine
+	rng  *sim.RNG
+	pool *PacketPool // set when the queue belongs to a Path; nil-safe
+	// q.txDone and q.deliver, bound once: evaluated at the scheduling site
+	// each would allocate a method value per packet.
+	txDoneFn, deliverFn func(any)
+
 	fifo    []*Packet
 	head    int
 	qBytes  int
@@ -105,7 +112,7 @@ func NewQueue(eng *sim.Engine, rng *sim.RNG, name string, capacityBps, propDelay
 	if bufferBytes <= 0 {
 		panic(fmt.Sprintf("netem: queue %q: buffer must be positive", name))
 	}
-	return &Queue{
+	q := &Queue{
 		Name:        name,
 		CapacityBps: capacityBps,
 		PropDelay:   propDelay,
@@ -114,6 +121,8 @@ func NewQueue(eng *sim.Engine, rng *sim.RNG, name string, capacityBps, propDelay
 		eng:         eng,
 		rng:         rng,
 	}
+	q.txDoneFn, q.deliverFn = q.txDone, q.deliver
+	return q
 }
 
 // SetMonitor installs a callback invoked on every enqueue/dequeue/drop.
@@ -220,23 +229,30 @@ func (q *Queue) transmitNext() {
 	if q.Rate != nil {
 		tx /= q.Rate.At(q.eng.Now())
 	}
-	q.eng.Schedule(tx, func() {
-		q.stats.Departures++
-		q.stats.BytesOut += int64(pkt.Size)
-		q.emit(EvDequeue, pkt)
-		next := q.Next
-		delay := q.PropDelay
-		if q.ReorderProb > 0 && q.rng != nil && q.rng.Bool(q.ReorderProb) {
-			extra := q.ReorderDelay
-			if extra == 0 {
-				extra = q.PropDelay
-			}
-			delay += extra
-		}
-		q.eng.Schedule(delay, func() { next.Receive(pkt) })
-		q.transmitNext()
-	})
+	q.eng.ScheduleArg(tx, q.txDoneFn, pkt)
 }
+
+// txDone fires when pkt is serialized: it starts pkt's propagation toward
+// Next and the next packet's transmission.
+func (q *Queue) txDone(a any) {
+	pkt := a.(*Packet)
+	q.stats.Departures++
+	q.stats.BytesOut += int64(pkt.Size)
+	q.emit(EvDequeue, pkt)
+	delay := q.PropDelay
+	if q.ReorderProb > 0 && q.rng != nil && q.rng.Bool(q.ReorderProb) {
+		extra := q.ReorderDelay
+		if extra == 0 {
+			extra = q.PropDelay
+		}
+		delay += extra
+	}
+	q.eng.ScheduleArg(delay, q.deliverFn, pkt)
+	q.transmitNext()
+}
+
+// deliver fires when a packet's propagation ends.
+func (q *Queue) deliver(a any) { q.Next.Receive(a.(*Packet)) }
 
 func (q *Queue) emit(kind QueueEventKind, pkt *Packet) {
 	if q.monitor != nil {

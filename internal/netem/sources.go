@@ -28,6 +28,7 @@ type PoissonSource struct {
 	pool    *PacketPool
 	stopped bool
 	sent    int64
+	emitFn  func() // s.emit, bound once: a fresh method value allocates per packet
 }
 
 // NewPoissonSource builds a Poisson cross-traffic source. load may be nil
@@ -36,10 +37,12 @@ func NewPoissonSource(eng *sim.Engine, rng *sim.RNG, flow FlowID, rateBps float6
 	if load == nil {
 		load = ConstantLoad(1)
 	}
-	return &PoissonSource{
+	s := &PoissonSource{
 		Flow: flow, RateBps: rateBps, Size: size, Load: load, Out: out,
 		eng: eng, rng: rng,
 	}
+	s.emitFn = s.emit
+	return s
 }
 
 // Start begins packet generation.
@@ -76,19 +79,21 @@ func (s *PoissonSource) scheduleNext() {
 		return
 	}
 	mean := float64(s.Size) * 8 / rate
-	s.eng.Schedule(s.rng.Exp(mean), func() {
-		if s.stopped {
-			return
-		}
-		s.sent += int64(s.Size)
-		pkt := s.pool.Get()
-		pkt.Flow = s.Flow
-		pkt.Kind = KindCross
-		pkt.Size = s.Size
-		pkt.SentAt = s.eng.Now()
-		s.Out.Receive(pkt)
-		s.scheduleNext()
-	})
+	s.eng.Schedule(s.rng.Exp(mean), s.emitFn)
+}
+
+func (s *PoissonSource) emit() {
+	if s.stopped {
+		return
+	}
+	s.sent += int64(s.Size)
+	pkt := s.pool.Get()
+	pkt.Flow = s.Flow
+	pkt.Kind = KindCross
+	pkt.Size = s.Size
+	pkt.SentAt = s.eng.Now()
+	s.Out.Receive(pkt)
+	s.scheduleNext()
 }
 
 // ParetoOnOffSource emits packets at a constant PeakRateBps during ON
@@ -113,6 +118,8 @@ type ParetoOnOffSource struct {
 	sent    int64
 	on      bool
 	onEnds  float64
+	// s.emit and s.startOn, bound once (see PoissonSource).
+	emitFn, startOnFn func()
 }
 
 // NewParetoOnOffSource builds a Pareto ON/OFF source.
@@ -123,11 +130,13 @@ func NewParetoOnOffSource(eng *sim.Engine, rng *sim.RNG, flow FlowID, peakBps fl
 	if alpha <= 1 {
 		alpha = 1.5
 	}
-	return &ParetoOnOffSource{
+	s := &ParetoOnOffSource{
 		Flow: flow, PeakRateBps: peakBps, Size: size,
 		MeanOn: meanOn, MeanOff: meanOff, Alpha: alpha,
 		Load: load, Out: out, eng: eng, rng: rng,
 	}
+	s.emitFn, s.startOnFn = s.emit, s.startOn
+	return s
 }
 
 // Start begins the ON/OFF cycle (starting OFF).
@@ -170,7 +179,7 @@ func (s *ParetoOnOffSource) startOff() {
 	} else {
 		meanOff = s.MeanOff * 10
 	}
-	s.eng.Schedule(s.paretoDuration(meanOff), s.startOn)
+	s.eng.Schedule(s.paretoDuration(meanOff), s.startOnFn)
 }
 
 func (s *ParetoOnOffSource) startOn() {
@@ -198,5 +207,5 @@ func (s *ParetoOnOffSource) emit() {
 	pkt.SentAt = s.eng.Now()
 	s.Out.Receive(pkt)
 	gap := float64(s.Size) * 8 / s.PeakRateBps
-	s.eng.Schedule(gap, s.emit)
+	s.eng.Schedule(gap, s.emitFn)
 }

@@ -88,6 +88,7 @@ type Prober struct {
 	rttMax    float64
 	running   bool
 	tickTimer sim.Timer
+	tickFn    func() // p.tick, bound once so re-arming does not allocate
 }
 
 // NewProber creates a prober for flow on endpoint ep. The far endpoint
@@ -101,6 +102,7 @@ func NewProber(eng *sim.Engine, ep *netem.Endpoint, flow netem.FlowID, cfg Confi
 		flow:    flow,
 		pending: make(map[int64]sim.Timer),
 	}
+	p.tickFn = p.tick
 	ep.Register(flow, netem.ReceiverFunc(p.onEcho))
 	return p
 }
@@ -143,7 +145,7 @@ func (p *Prober) tick() {
 		// includes it in sent; removing it from pending marks the loss.
 		delete(p.pending, seq)
 	})
-	p.tickTimer = p.eng.Schedule(p.cfg.Interval, p.tick)
+	p.tickTimer = p.eng.Schedule(p.cfg.Interval, p.tickFn)
 }
 
 func (p *Prober) onEcho(pkt *netem.Packet) {

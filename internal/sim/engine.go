@@ -6,10 +6,12 @@
 // All times are float64 seconds of virtual time.
 //
 // The event queue is an inlined, monomorphic 4-ary min-heap over small
-// value entries (no interface boxing, no container/heap indirection), and
-// timer state lives in an arena recycled through a free list, so the
-// steady-state event loop — schedule, fire, schedule again — performs no
-// heap allocation at all. See DESIGN.md §10 for the layout and the
+// value entries (no container/heap indirection), and timer state lives in
+// an arena recycled through a free list, so the engine itself never
+// allocates in steady state. A closure or method value built at the call
+// site is still one heap object per event; per-packet and per-tick paths
+// pass a handler bound once (ScheduleArg with a pointer argument, or
+// Schedule with a stored func()). See DESIGN.md §10 for the layout and the
 // free-list invariants.
 package sim
 
@@ -48,15 +50,11 @@ func (t Timer) Time() float64 { return t.at }
 // engine tracks them so that Pending stays exact and the heap cannot fill
 // up with dead entries.
 func (t Timer) Cancel() bool {
+	if !t.Pending() {
+		return false
+	}
 	e := t.eng
-	if e == nil || t.node == 0 {
-		return false
-	}
-	nd := &e.nodes[t.node-1]
-	if nd.gen != t.gen || nd.canceled || nd.heapIdx < 0 {
-		return false
-	}
-	nd.canceled = true
+	e.nodes[t.node-1].canceled = true
 	e.canceled++
 	e.maybeCompact()
 	return true
@@ -69,24 +67,31 @@ func (t Timer) Pending() bool {
 		return false
 	}
 	nd := &e.nodes[t.node-1]
-	return nd.gen == t.gen && !nd.canceled && nd.heapIdx >= 0
+	return nd.gen == t.gen && !nd.canceled
 }
 
-// timerNode is the arena-resident state of one scheduled event. Nodes are
-// recycled through the engine's free list: when an event fires or a
-// cancelled entry leaves the heap, the node's generation is bumped
-// (invalidating all outstanding handles), its callback reference is
-// dropped, and the slot becomes available for the next Schedule/At call.
+// timerNode is the arena-resident state of one scheduled event: a handler
+// and its argument. Nodes are recycled through the engine's free list:
+// when an event fires or a cancelled entry leaves the heap, the node's
+// generation is bumped (invalidating all outstanding handles), its handler
+// and argument references are dropped, and the slot becomes available for
+// the next scheduling call. A node's generation matches a handle's exactly
+// while its entry is in the heap, so handles need no other "queued" flag.
 // Nobody — not the firing callback, not a retained Timer handle — may
 // reach a released node's state: handles are fenced by the generation
-// check, and the engine reads everything it needs (callback, firing time)
-// before releasing.
+// check, and the engine reads everything it needs (handler, argument,
+// firing time) before releasing.
 type timerNode struct {
-	fn       func()
-	heapIdx  int32 // index into Engine.heap; -1 when not in the heap
+	fn       func(any)
+	arg      any
 	gen      uint32
 	canceled bool
 }
+
+// callFunc is the handler behind Schedule/At: the func() rides in the
+// argument slot (boxing a func value does not allocate), so there is one
+// node layout and one dispatch in Step.
+func callFunc(a any) { a.(func())() }
 
 // heapEntry is one event-queue slot: the (at, seq) ordering key inline —
 // so heap comparisons touch no other memory — plus the arena index of the
@@ -142,10 +147,25 @@ func (e *Engine) Pending() int { return len(e.heap) - e.canceled }
 // Schedule runs fn after delay seconds of virtual time. A negative delay is
 // treated as zero. It returns a Timer that may be cancelled.
 func (e *Engine) Schedule(delay float64, fn func()) Timer {
+	if fn == nil {
+		panic("sim: nil event function")
+	}
+	return e.ScheduleArg(delay, callFunc, fn)
+}
+
+// ScheduleArg runs fn(arg) after delay seconds of virtual time, ordered
+// and clamped like Schedule. It is the form for per-packet paths: with fn
+// bound once at construction and arg a pointer, scheduling allocates
+// nothing, where a closure capturing the pointer costs one object per
+// event. The engine drops arg when the timer fires or is recycled.
+func (e *Engine) ScheduleArg(delay float64, fn func(any), arg any) Timer {
+	if fn == nil {
+		panic("sim: nil event function")
+	}
 	if delay < 0 || math.IsNaN(delay) {
 		delay = 0
 	}
-	return e.At(e.now+delay, fn)
+	return e.at(e.now+delay, fn, arg)
 }
 
 // At runs fn at absolute virtual time t. Scheduling in the past panics,
@@ -160,11 +180,15 @@ func (e *Engine) Schedule(delay float64, fn func()) Timer {
 // scheduling, so overflow is not a practical concern and is not checked on
 // the hot path.
 func (e *Engine) At(t float64, fn func()) Timer {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
-	}
 	if fn == nil {
 		panic("sim: nil event function")
+	}
+	return e.at(t, callFunc, fn)
+}
+
+func (e *Engine) at(t float64, fn func(any), arg any) Timer {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
 	var idx int32
@@ -176,7 +200,7 @@ func (e *Engine) At(t float64, fn func()) Timer {
 		idx = int32(len(e.nodes) - 1)
 	}
 	nd := &e.nodes[idx]
-	nd.fn = fn
+	nd.fn, nd.arg = fn, arg
 	nd.canceled = false
 	e.heapPush(heapEntry{at: t, seq: e.seq, node: idx})
 	return Timer{eng: e, at: t, node: idx + 1, gen: nd.gen}
@@ -197,11 +221,11 @@ func (e *Engine) Step() bool {
 		// handle goes stale here (Cancel-after-fire is a no-op by
 		// construction), and anything the callback schedules can reuse the
 		// slot immediately.
-		fn := nd.fn
+		fn, arg := nd.fn, nd.arg
 		e.freeNode(en.node)
 		e.now = en.at
 		e.processed++
-		fn()
+		fn(arg)
 		return true
 	}
 	return false
@@ -233,29 +257,29 @@ func (e *Engine) endRunSpan(sp *obs.Span, mark uint64) {
 	sp.End()
 }
 
-// RunUntil executes events in order until the clock would pass t or no
-// events remain. After RunUntil the clock is exactly t if any event horizon
-// reached it, otherwise the time of the last executed event.
+// RunUntil executes events in order until the clock would pass t, no
+// events remain, or Stop is called. The clock ends at exactly t when the
+// next event lies beyond t or the queue runs empty; after Stop it stays at
+// the last executed event, because earlier events may still be pending.
+// (It also stays put when only cancelled timers were left; pinned outputs
+// depend on that.)
 func (e *Engine) RunUntil(t float64) {
 	sp, mark := e.runSpan()
+	defer e.endRunSpan(sp, mark)
 	e.stopped = false
 	for len(e.heap) > 0 && !e.stopped {
 		next, ok := e.peek()
 		if !ok {
-			e.endRunSpan(sp, mark)
 			return
 		}
 		if next.at > t {
-			e.now = t
-			e.endRunSpan(sp, mark)
-			return
+			break
 		}
 		e.Step()
 	}
-	if e.now < t {
+	if e.now < t && !e.stopped {
 		e.now = t
 	}
-	e.endRunSpan(sp, mark)
 }
 
 // Run executes all pending events until none remain or Stop is called.
@@ -286,13 +310,12 @@ func (e *Engine) peek() (heapEntry, bool) {
 }
 
 // freeNode returns a node to the free list: the generation bump fences off
-// every outstanding handle, and dropping fn releases the callback (and
-// whatever its closure captured) without waiting for the whole arena to
-// become garbage.
+// every outstanding handle, and dropping fn and arg releases the callback
+// (and whatever its closure captured, or the packet it was to deliver)
+// without waiting for the whole arena to become garbage.
 func (e *Engine) freeNode(idx int32) {
 	nd := &e.nodes[idx]
-	nd.fn = nil
-	nd.heapIdx = -1
+	nd.fn, nd.arg = nil, nil
 	nd.canceled = false
 	nd.gen++
 	e.free = append(e.free, idx)
@@ -318,11 +341,9 @@ func (e *Engine) siftUp(i int) {
 			break
 		}
 		e.heap[i] = e.heap[p]
-		e.nodes[e.heap[i].node].heapIdx = int32(i)
 		i = p
 	}
 	e.heap[i] = en
-	e.nodes[en.node].heapIdx = int32(i)
 }
 
 func (e *Engine) siftDown(i int) {
@@ -347,11 +368,9 @@ func (e *Engine) siftDown(i int) {
 			break
 		}
 		e.heap[i] = e.heap[m]
-		e.nodes[e.heap[i].node].heapIdx = int32(i)
 		i = m
 	}
 	e.heap[i] = en
-	e.nodes[en.node].heapIdx = int32(i)
 }
 
 // popRoot removes and returns the minimum entry.
@@ -386,9 +405,6 @@ func (e *Engine) maybeCompact() {
 		live = append(live, en)
 	}
 	e.heap = live
-	for i, en := range e.heap {
-		e.nodes[en.node].heapIdx = int32(i)
-	}
 	for i := (len(e.heap) - 2) >> 2; i >= 0; i-- {
 		e.siftDown(i)
 	}

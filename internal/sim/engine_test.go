@@ -142,6 +142,27 @@ func TestAtPastPanics(t *testing.T) {
 	eng.At(1, func() {})
 }
 
+func TestNilHandlerPanics(t *testing.T) {
+	eng := NewEngine()
+	for name, schedule := range map[string]func(){
+		"At":          func() { eng.At(1, nil) },
+		"Schedule":    func() { eng.Schedule(1, nil) },
+		"ScheduleArg": func() { eng.ScheduleArg(1, nil, eng) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s with a nil handler did not panic", name)
+				}
+			}()
+			schedule()
+		}()
+	}
+	if eng.Pending() != 0 {
+		t.Errorf("a rejected call left %d events scheduled", eng.Pending())
+	}
+}
+
 func TestStop(t *testing.T) {
 	eng := NewEngine()
 	fired := 0
@@ -150,6 +171,38 @@ func TestStop(t *testing.T) {
 	eng.Run()
 	if fired != 1 {
 		t.Errorf("fired %d events after Stop, want 1", fired)
+	}
+}
+
+// TestRunUntilStopKeepsClockMonotonic: when Stop ends RunUntil early,
+// events before the horizon are still pending, so the clock must stay at
+// the last executed event — jumping to the horizon would make the next
+// Step run it backwards.
+func TestRunUntilStopKeepsClockMonotonic(t *testing.T) {
+	eng := NewEngine()
+	eng.Schedule(1, eng.Stop)
+	eng.Schedule(2, func() {})
+	eng.RunUntil(10)
+	if eng.Now() != 1 {
+		t.Errorf("Now = %v after Stop at t=1, want 1", eng.Now())
+	}
+	before := eng.Now()
+	if !eng.Step() {
+		t.Fatal("the t=2 event was lost")
+	}
+	if eng.Now() < before {
+		t.Errorf("clock ran backwards: %v -> %v", before, eng.Now())
+	}
+	// A fresh RunUntil that reaches its horizon still lands exactly on it.
+	eng.RunUntil(10)
+	if eng.Now() != 10 {
+		t.Errorf("Now = %v after an unstopped RunUntil(10), want 10", eng.Now())
+	}
+	// Nor does a horizon already in the past pull the clock back.
+	eng.Schedule(5, func() {})
+	eng.RunUntil(3)
+	if eng.Now() != 10 {
+		t.Errorf("Now = %v after RunUntil(3) at t=10, want 10", eng.Now())
 	}
 }
 

@@ -21,7 +21,11 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata golden event tra
 // randomness from its own seeded RNG, so the trace it produces is a pure
 // function of the engine's event-ordering semantics: any reimplementation
 // of the engine must reproduce it byte for byte.
-func goldenScript(seed int64, eng *Engine) []string {
+//
+// With mixed set, odd-numbered events go through ScheduleArg (handler +
+// boxed argument) and even ones through Schedule. The two forms share the
+// (at, seq) order, so the mixed run must reproduce the same golden files.
+func goldenScript(seed int64, eng *Engine, mixed bool) []string {
 	rng := NewRNG(seed)
 	var trace []string
 	record := func(id int) {
@@ -37,7 +41,7 @@ func goldenScript(seed int64, eng *Engine) []string {
 	schedule := func(delay float64) {
 		id := nextID
 		nextID++
-		tm := eng.Schedule(delay, func() {
+		body := func() {
 			record(id)
 			// A slice of events re-schedules follow-ups and assassinates a
 			// pseudo-random victim, exercising in-callback mutation.
@@ -49,7 +53,13 @@ func goldenScript(seed int64, eng *Engine) []string {
 			if id%11 == 0 && len(live) > 0 {
 				live[id%len(live)].tm.Cancel()
 			}
-		})
+		}
+		var tm Timer
+		if mixed && id%2 == 1 {
+			tm = eng.ScheduleArg(delay, func(a any) { a.(func())() }, body)
+		} else {
+			tm = eng.Schedule(delay, body)
+		}
 		live = append(live, handle{id, tm})
 	}
 
@@ -87,44 +97,49 @@ func goldenScript(seed int64, eng *Engine) []string {
 // TestGoldenEventTrace replays the deterministic script and compares the
 // processed-event sequence with the trace recorded from the pre-rewrite
 // container/heap engine (testdata/golden_trace_seed*.txt). It proves the
-// 4-ary heap + free-list engine preserves event ordering bit for bit.
+// 4-ary heap + free-list engine preserves event ordering bit for bit, and
+// (the mixed subtests) that arg-form and plain timers interleave in
+// scheduling order.
 // Regenerate with `go test ./internal/sim -run Golden -update` — but only
 // when intentionally changing ordering semantics, which breaks every
 // recorded campaign.
 func TestGoldenEventTrace(t *testing.T) {
 	for _, seed := range []int64{1, 42, 9001} {
 		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			got := strings.Join(goldenScript(seed, NewEngine()), "\n") + "\n"
-			path := filepath.Join("testdata", fmt.Sprintf("golden_trace_seed%d.txt", seed))
-			if *updateGolden {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				t.Logf("wrote %s (%d events)", path, strings.Count(got, "\n"))
-				return
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { checkGolden(t, seed, false) })
+		t.Run(fmt.Sprintf("seed%d-mixed", seed), func(t *testing.T) { checkGolden(t, seed, true) })
+	}
+}
+
+func checkGolden(t *testing.T, seed int64, mixed bool) {
+	got := strings.Join(goldenScript(seed, NewEngine(), mixed), "\n") + "\n"
+	path := filepath.Join("testdata", fmt.Sprintf("golden_trace_seed%d.txt", seed))
+	if *updateGolden && !mixed {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s (%d events)", path, strings.Count(got, "\n"))
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden trace (run with -update): %v", err)
+	}
+	if got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		n := len(gl)
+		if len(wl) < n {
+			n = len(wl)
+		}
+		for i := 0; i < n; i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("event trace diverges at line %d: got %q, want %q (got %d lines, want %d)",
+					i+1, gl[i], wl[i], len(gl), len(wl))
 			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden trace (run with -update): %v", err)
-			}
-			if got != string(want) {
-				gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-				n := len(gl)
-				if len(wl) < n {
-					n = len(wl)
-				}
-				for i := 0; i < n; i++ {
-					if gl[i] != wl[i] {
-						t.Fatalf("event trace diverges at line %d: got %q, want %q (got %d lines, want %d)",
-							i+1, gl[i], wl[i], len(gl), len(wl))
-					}
-				}
-				t.Fatalf("event trace length differs: got %d lines, want %d", len(gl), len(wl))
-			}
-		})
+		}
+		t.Fatalf("event trace length differs: got %d lines, want %d", len(gl), len(wl))
 	}
 }

@@ -189,3 +189,85 @@ func TestCancelHeavyChurn(t *testing.T) {
 	}
 	eng.Run()
 }
+
+// TestArgTimerHandles: Cancel, Pending and the stale-handle fence behave for
+// arg-form timers exactly as for plain ones, and the handler receives the
+// argument it was scheduled with.
+func TestArgTimerHandles(t *testing.T) {
+	eng := NewEngine()
+	var got []any
+	collect := func(a any) { got = append(got, a) }
+	x, y := new(int), new(int)
+
+	t1 := eng.ScheduleArg(1, collect, x)
+	t2 := eng.ScheduleArg(2, collect, y)
+	if !t1.Pending() || !t2.Pending() || eng.Pending() != 2 {
+		t.Fatal("fresh arg timers not pending")
+	}
+	if !t2.Cancel() || t2.Cancel() || t2.Pending() {
+		t.Error("Cancel on an arg timer: want true once, then inert")
+	}
+	eng.Run()
+	if len(got) != 1 || got[0] != any(x) {
+		t.Fatalf("handler saw %v, want exactly the first timer's argument", got)
+	}
+	// Both nodes are recycled now; the old handles must not reach the new
+	// occupants.
+	t3 := eng.ScheduleArg(1, collect, y)
+	t4 := eng.Schedule(1, func() {})
+	if t1.Cancel() || t2.Cancel() || t1.Pending() || t2.Pending() {
+		t.Error("stale arg-timer handle reached a recycled node")
+	}
+	if !t3.Pending() || !t4.Pending() {
+		t.Error("recycled timers disturbed by stale handles")
+	}
+	// Negative and NaN delays clamp to "now", as with Schedule.
+	eng.ScheduleArg(-1, collect, x)
+	eng.Run()
+	if len(got) != 3 || got[1] != any(x) || got[2] != any(y) {
+		t.Errorf("after clamp + recycle the handler saw %v", got)
+	}
+}
+
+// TestFreedNodesDropArg: a node must not keep its argument (in the
+// simulator: a *Packet that has since been recycled) alive once the timer
+// has fired, its cancelled entry has been popped, or compaction has swept
+// it away. Every arena node outside the heap must hold neither handler nor
+// argument.
+func TestFreedNodesDropArg(t *testing.T) {
+	eng := NewEngine()
+	noop := func(any) {}
+	checkFree := func(when string) {
+		t.Helper()
+		inHeap := make(map[int32]bool, len(eng.heap))
+		for _, en := range eng.heap {
+			inHeap[en.node] = true
+		}
+		for i := range eng.nodes {
+			if nd := &eng.nodes[i]; !inHeap[int32(i)] && (nd.fn != nil || nd.arg != nil) {
+				t.Fatalf("%s: free node %d retains fn/arg (%v)", when, i, nd.arg)
+			}
+		}
+	}
+
+	eng.ScheduleArg(1, noop, new(int))
+	eng.Run()
+	checkFree("after firing")
+
+	eng.ScheduleArg(1, noop, new(int)).Cancel()
+	eng.ScheduleArg(2, noop, new(int))
+	eng.Run() // pops the dead entry on the way to the live one
+	checkFree("after popping a cancelled entry")
+
+	keep := eng.ScheduleArg(5000, noop, new(int))
+	for i := 0; i < 500; i++ {
+		eng.ScheduleArg(float64(10+i), noop, new(int)).Cancel()
+	}
+	if len(eng.heap) > 100 {
+		t.Fatalf("compaction did not run: heap holds %d entries", len(eng.heap))
+	}
+	checkFree("after compaction")
+	if !keep.Pending() {
+		t.Error("compaction dropped the live timer")
+	}
+}

@@ -122,9 +122,9 @@ func (l *blockList) Snapshot() []Block {
 	return append([]Block(nil), l.blocks...)
 }
 
-// Subtract returns the portions of [start, end) not covered by the list.
-func (l *blockList) Subtract(start, end int64) []Block {
-	var out []Block
+// Subtract appends to out the portions of [start, end) not covered by the
+// list and returns the extended slice.
+func (l *blockList) Subtract(out []Block, start, end int64) []Block {
 	cur := start
 	for _, b := range l.blocks {
 		if b.End <= cur {

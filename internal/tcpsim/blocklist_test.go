@@ -116,15 +116,15 @@ func TestBlockListSubtract(t *testing.T) {
 	var l blockList
 	l.Add(3, 5)
 	l.Add(8, 10)
-	got := l.Subtract(0, 12)
+	got := l.Subtract(nil, 0, 12)
 	want := []Block{{0, 3}, {5, 8}, {10, 12}}
 	if !blocksEqual(got, want) {
 		t.Errorf("Subtract = %v, want %v", got, want)
 	}
-	if got := l.Subtract(3, 5); got != nil {
+	if got := l.Subtract(nil, 3, 5); got != nil {
 		t.Errorf("fully covered Subtract = %v, want nil", got)
 	}
-	if got := l.Subtract(5, 8); !blocksEqual(got, []Block{{5, 8}}) {
+	if got := l.Subtract(nil, 5, 8); !blocksEqual(got, []Block{{5, 8}}) {
 		t.Errorf("hole Subtract = %v", got)
 	}
 }
@@ -191,7 +191,7 @@ func TestBlockListSubtractProperty(t *testing.T) {
 		}
 		start := int64(qs)
 		end := start + int64(ql)
-		out := l.Subtract(start, end)
+		out := l.Subtract(nil, start, end)
 		uncovered := map[int64]bool{}
 		for _, b := range out {
 			for q := b.Start; q < b.End; q++ {

@@ -19,6 +19,7 @@ type Receiver struct {
 	ooo        blockList
 	unacked    int // in-order segments since last ACK (delayed-ACK counter)
 	delayTimer sim.Timer
+	delayFn    func() // r.onDelayTimeout, bound once so arming does not allocate
 
 	// SegmentsReceived counts data segments that arrived (including
 	// duplicates of already-delivered segments).
@@ -35,6 +36,7 @@ func NewReceiver(eng *sim.Engine, ep *netem.Endpoint, flow netem.FlowID, cfg Con
 		out:  ep,
 		flow: flow,
 	}
+	r.delayFn = r.onDelayTimeout
 	ep.Register(flow, netem.ReceiverFunc(r.onData))
 	return r
 }
@@ -77,7 +79,7 @@ func (r *Receiver) onData(pkt *netem.Packet) {
 		if !r.cfg.DelayedAck || r.unacked >= 2 {
 			r.sendAck()
 		} else if !r.delayTimer.Pending() {
-			r.delayTimer = r.eng.Schedule(r.cfg.DelAckTimeout, r.onDelayTimeout)
+			r.delayTimer = r.eng.Schedule(r.cfg.DelAckTimeout, r.delayFn)
 		}
 	case seq > r.cumAck:
 		// Out of order: buffer and send an immediate duplicate ACK with

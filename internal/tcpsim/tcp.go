@@ -176,9 +176,10 @@ type Sender struct {
 
 	// SACK scoreboard.
 	scoreboard blockList
-	highSacked int64 // highest sacked segment + 1
-	lossScan   int64 // next seq to evaluate for loss declaration
-	rtxCursor  int64 // next candidate lost segment to retransmit
+	gaps       []Block // processSACK scratch, reused across ACKs
+	highSacked int64   // highest sacked segment + 1
+	lossScan   int64   // next seq to evaluate for loss declaration
+	rtxCursor  int64   // next candidate lost segment to retransmit
 	// vackCursor attributes NewReno duplicate ACKs to concrete segments:
 	// each dup ACK proves some post-hole segment arrived, so that
 	// segment's in-flight copy is retired from the pipe here rather than
@@ -555,7 +556,8 @@ func (s *Sender) processSACK(blocks []Block) {
 		if end <= start {
 			continue
 		}
-		for _, nb := range s.scoreboard.Subtract(start, end) {
+		s.gaps = s.scoreboard.Subtract(s.gaps[:0], start, end)
+		for _, nb := range s.gaps {
 			for seq := nb.Start; seq < nb.End; seq++ {
 				st := s.seg(seq)
 				if st.sacked {
