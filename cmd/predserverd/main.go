@@ -53,6 +53,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/obs"
+	"repro/internal/predict"
 	"repro/internal/predsvc"
 )
 
@@ -67,7 +68,6 @@ func main() {
 		hwAlpha      = flag.Float64("hw-alpha", 0.8, "Holt-Winters α")
 		hwBeta       = flag.Float64("hw-beta", 0.2, "Holt-Winters β")
 		noLSO        = flag.Bool("no-lso", false, "disable the level-shift/outlier wrapper")
-		noZoo        = flag.Bool("no-zoo", false, "restrict each path to the paper ensemble (HB trio + FB); disables the switcher/regression/ECM tournament extras")
 		snapshotPath = flag.String("snapshot", "", "snapshot file (restored at startup, written periodically and at shutdown)")
 		snapshotIvl  = flag.Duration("snapshot-interval", time.Minute, "interval between snapshots")
 		spillDir     = flag.String("spill-dir", "", "directory for the two-tier store's spill log; paths evicted from the hot tier spill to disk instead of being dropped")
@@ -92,17 +92,18 @@ func main() {
 	}
 
 	cfg := predsvc.Config{
-		Obs:               o,
-		Shards:            *shards,
-		Capacity:          *capacity,
-		ErrorWindow:       *errWindow,
-		MAOrder:           *maOrder,
-		EWMAAlpha:         *ewmaAlpha,
-		HWAlpha:           *hwAlpha,
-		HWBeta:            *hwBeta,
-		DisableLSO:        *noLSO,
-		DisableZoo:        *noZoo,
-		StaleAfter:        *staleAfter,
+		Obs:      o,
+		Shards:   *shards,
+		Capacity: *capacity,
+		Ensemble: predict.EnsembleConfig{
+			ErrorWindow: *errWindow,
+			MAOrder:     *maOrder,
+			EWMAAlpha:   *ewmaAlpha,
+			HWAlpha:     *hwAlpha,
+			HWBeta:      *hwBeta,
+			DisableLSO:  *noLSO,
+			StaleAfter:  *staleAfter,
+		},
 		MaxInFlight:       *maxInflight,
 		ReadHeaderTimeout: *readHdrTO,
 		RequestTimeout:    *requestTO,

@@ -4,17 +4,9 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/predict"
 	"repro/internal/stats"
 	"repro/internal/testbed"
 )
-
-// ccFamilies is the zoo scored across the scenario matrix — the same
-// seven families ExtZoo runs on the primary dataset, so the Reno/droptail
-// cell is directly comparable to the paper-regime numbers.
-var ccFamilies = []string{"10-MA-LSO", "0.8-EWMA-LSO", "0.8-HW-LSO", "switcher", "FB", "regression", "ECM"}
-
-const ccIdxFB = 4
 
 // ccCell is one (sender × link) scenario of the matrix.
 type ccCell struct {
@@ -48,7 +40,10 @@ func ccCellOrder() []ccCell {
 // entirely)? History-based families never look inside the sender, so
 // they provide the control group.
 func ExtCC(ds *testbed.Dataset) Result {
-	n := len(ccFamilies)
+	// The same zoo ExtZoo runs on the primary dataset, so the
+	// Reno/droptail cell is directly comparable to the paper-regime numbers.
+	families, idxFB := zooFamilies()
+	n := len(families)
 	// Per-cell, per-family slices of per-trace RMSREs.
 	rmsres := make(map[ccCell][][]float64)
 	traces := make(map[ccCell]int)
@@ -65,7 +60,7 @@ func ExtCC(ds *testbed.Dataset) Result {
 			rmsres[cell] = make([][]float64, n)
 		}
 		traces[cell]++
-		errs := ccScoreTrace(tr)
+		errs := zooErrors(tr, nil)
 		for i := 0; i < n; i++ {
 			if len(errs[i]) == 0 {
 				continue
@@ -77,7 +72,7 @@ func ExtCC(ds *testbed.Dataset) Result {
 
 	matrix := Table{
 		Title:   "median per-trace RMSRE by (sender × link) scenario",
-		Columns: append([]string{"scenario", "traces", "best"}, ccFamilies...),
+		Columns: append([]string{"scenario", "traces", "best"}, families...),
 	}
 	fbByLink := map[string]map[string]float64{} // link → cc → FB median RMSRE
 	for _, cell := range ccCellOrder() {
@@ -96,17 +91,17 @@ func ExtCC(ds *testbed.Dataset) Result {
 			v := stats.Median(per[i])
 			vals = append(vals, fmt.Sprintf("%.2f", v))
 			if v < bestV {
-				best, bestV = ccFamilies[i], v
+				best, bestV = families[i], v
 			}
 		}
 		row = append(row, best)
 		row = append(row, vals...)
 		matrix.Rows = append(matrix.Rows, row)
-		if len(per[ccIdxFB]) > 0 {
+		if len(per[idxFB]) > 0 {
 			if fbByLink[cell.link] == nil {
 				fbByLink[cell.link] = map[string]float64{}
 			}
-			fbByLink[cell.link][cell.cc] = stats.Median(per[ccIdxFB])
+			fbByLink[cell.link][cell.cc] = stats.Median(per[idxFB])
 		}
 	}
 
@@ -151,50 +146,4 @@ func ExtCC(ds *testbed.Dataset) Result {
 		},
 		Tables: []Table{matrix, degrade},
 	}
-}
-
-// ccScoreTrace runs the zoo's online train/predict protocol over one
-// trace and returns the per-family relative-error series.
-func ccScoreTrace(tr testbed.Trace) [][]float64 {
-	n := len(ccFamilies)
-	lso := predict.DefaultLSOConfig()
-	fb := predict.NewFB(predict.FBConfig{})
-	reg := predict.NewRegression(predict.RegressionConfig{})
-	ecm := predict.NewECM(predict.ECMConfig{})
-	trained := []predict.HB{
-		predict.NewLSO(predict.NewMA(10), lso),
-		predict.NewLSO(predict.NewEWMA(0.8), lso),
-		predict.NewLSO(predict.NewHoltWinters(0.8, 0.2), lso),
-		predict.NewStabilitySwitcher(predict.NewEWMA(0.8), predict.NewMA(10), predict.SwitcherConfig{}),
-		reg,
-		ecm,
-	}
-	errs := make([][]float64, n)
-	for _, rec := range tr.Records {
-		in := predict.FBInputs{RTT: rec.PreRTT, LossRate: rec.PreLoss, AvailBw: rec.AvailBw}
-		reg.SetFeatures(in)
-		ecm.SetConditions(in)
-		for i := 0; i < n; i++ {
-			var f float64
-			var ok bool
-			if i == ccIdxFB {
-				f = fb.Predict(in)
-				ok = f > 0
-			} else {
-				idx := i
-				if i > ccIdxFB {
-					idx = i - 1 // FB is not in trained; shift past it
-				}
-				f, ok = trained[idx].Predict()
-			}
-			if !ok || f <= 0 {
-				continue
-			}
-			errs[i] = append(errs[i], relErr(f, rec.Throughput))
-		}
-		for _, hb := range trained {
-			hb.Observe(rec.Throughput)
-		}
-	}
-	return errs
 }

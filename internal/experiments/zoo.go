@@ -13,8 +13,9 @@ import (
 // the stability-aware switcher (Sun et al.), the formula-based predictor,
 // the online feature regression (Vazhkudai & Schopf style) and the
 // empirical conditional method — offline over every trace of the primary
-// dataset, with the pre-flow measurements of each epoch feeding the
-// measurement-conditioned families exactly as the serving layer would.
+// dataset. Each trace drives the serving layer's own predict.Ensemble,
+// with the pre-flow measurements of each epoch feeding FB and the
+// measurement-conditioned families.
 //
 // Three views come out: the per-trace RMSRE CDF per family, a tournament
 // table (how often each family is the per-trace best, i.e. what an oracle
@@ -22,12 +23,7 @@ import (
 // [p10,p90] interval forecasts — residual-window quantiles for the point
 // predictors, native conditional quantiles for the ECM.
 func ExtZoo(ds *testbed.Dataset) Result {
-	names := []string{"10-MA-LSO", "0.8-EWMA-LSO", "0.8-HW-LSO", "switcher", "FB", "regression", "ECM"}
-	const (
-		idxFB  = 4
-		idxReg = 5
-		idxECM = 6
-	)
+	names, _ := zooFamilies()
 	n := len(names)
 	rmsres := make([][]float64, n)
 	wins := make([]int, n)
@@ -38,65 +34,18 @@ func ExtZoo(ds *testbed.Dataset) Result {
 		if len(tr.Records) < 5 {
 			continue
 		}
-		lso := predict.DefaultLSOConfig()
-		fb := predict.NewFB(predict.FBConfig{})
-		reg := predict.NewRegression(predict.RegressionConfig{})
-		ecm := predict.NewECM(predict.ECMConfig{})
-		// Every non-FB family trains on each observation; FB only reads
-		// the pre-flow measurements.
-		trained := []predict.HB{
-			predict.NewLSO(predict.NewMA(10), lso),
-			predict.NewLSO(predict.NewEWMA(0.8), lso),
-			predict.NewLSO(predict.NewHoltWinters(0.8, 0.2), lso),
-			predict.NewStabilitySwitcher(predict.NewEWMA(0.8), predict.NewMA(10), predict.SwitcherConfig{}),
-			reg,
-			ecm,
-		}
-		errs := make([][]float64, n)
-		windows := make([]*predict.ResidualWindow, n)
-		for i := range windows {
-			windows[i] = predict.NewResidualWindow(50, 0)
-		}
-		for _, rec := range tr.Records {
-			in := predict.FBInputs{RTT: rec.PreRTT, LossRate: rec.PreLoss, AvailBw: rec.AvailBw}
-			reg.SetFeatures(in)
-			ecm.SetConditions(in)
-
-			forecast := func(i int) (float64, bool) {
-				if i == idxFB {
-					f := fb.Predict(in)
-					return f, f > 0
-				}
-				idx := i
-				if i > idxFB {
-					idx = i - 1 // FB is not in trained; shift past it
-				}
-				return trained[idx].Predict()
-			}
-			for i := 0; i < n; i++ {
-				f, ok := forecast(i)
-				if !ok || f <= 0 {
-					continue
-				}
-				errs[i] = append(errs[i], relErr(f, rec.Throughput))
-				// Interval coverage, scored before this epoch's error
-				// enters the calibration window.
-				q, qok := windows[i].QuantilesFor(f)
-				if i == idxECM {
-					q, qok = ecm.PredictQuantiles()
-				}
-				if qok {
+		// Interval coverage, scored before each epoch's error enters the
+		// calibration windows.
+		errs := zooErrors(tr, func(fams []predict.FamilyView, actual float64) {
+			for i, f := range fams {
+				if f.Ready && f.Forecast > 0 && f.Calibrated {
 					covTotal[i]++
-					if rec.Throughput >= q.P10 && rec.Throughput <= q.P90 {
+					if actual >= f.Quantiles.P10 && actual <= f.Quantiles.P90 {
 						covIn[i]++
 					}
 				}
-				windows[i].Score(f, rec.Throughput)
 			}
-			for _, hb := range trained {
-				hb.Observe(rec.Throughput)
-			}
-		}
+		})
 		best, bestV := -1, math.Inf(1)
 		for i := 0; i < n; i++ {
 			if len(errs[i]) == 0 {
@@ -143,4 +92,40 @@ func ExtZoo(ds *testbed.Dataset) Result {
 			tournament,
 		},
 	}
+}
+
+// zooFamilies returns the family names of the zoo in order, and the index
+// of FB among them.
+func zooFamilies() ([]string, int) {
+	e := predict.NewEnsemble(predict.EnsembleConfig{})
+	return e.Names(), e.View().FB
+}
+
+// zooErrors replays one trace through a fresh default predict.Ensemble —
+// the tournament the prediction service runs per path — feeding each
+// epoch's pre-flow measurements and then its achieved throughput. It
+// returns each family's series of relative errors (Eq. 4, with this
+// package's throughput floor) over the whole trace, one per epoch on
+// which the family had a positive forecast. visit, when non-nil, sees
+// every epoch's family views just before the throughput is absorbed.
+func zooErrors(tr testbed.Trace, visit func(fams []predict.FamilyView, actual float64)) [][]float64 {
+	e := predict.NewEnsemble(predict.EnsembleConfig{})
+	var errs [][]float64
+	for _, rec := range tr.Records {
+		e.SetMeasurement(predict.FBInputs{RTT: rec.PreRTT, LossRate: rec.PreLoss, AvailBw: rec.AvailBw})
+		fams := e.View().Families
+		if errs == nil {
+			errs = make([][]float64, len(fams))
+		}
+		for i, f := range fams {
+			if f.Ready && f.Forecast > 0 {
+				errs[i] = append(errs[i], relErr(f.Forecast, rec.Throughput))
+			}
+		}
+		if visit != nil {
+			visit(fams, rec.Throughput)
+		}
+		e.Observe(rec.Throughput)
+	}
+	return errs
 }

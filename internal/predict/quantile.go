@@ -21,9 +21,14 @@ type QuantilePredictor interface {
 }
 
 // residualMinSamples is the minimum number of scored residuals before
-// empirical quantiles are considered calibrated. Below it the tails are
-// pure extrapolation from one or two errors.
+// empirical quantiles are considered calibrated — and before an Ensemble
+// family competes in selection. Below it the tails are pure extrapolation
+// from one or two errors.
 const residualMinSamples = 3
+
+// residualClamp is the default bound on |E| in a ResidualWindow, the
+// paper's RMSRE clamp.
+const residualClamp = 10
 
 // ResidualWindow keeps a bounded ring of recent Eq.-4 relative errors
 // E = (X̂-X)/min(X̂,X) for one predictor and converts a point forecast
@@ -37,8 +42,9 @@ const residualMinSamples = 3
 // keeps every stored value finite and JSON-safe even when a degenerate
 // forecast produced the ±1e18 sentinel of relErr.
 //
-// The scratch slice used to sort errors is retained across calls, so
-// Score and QuantilesFor allocate nothing in steady state.
+// The scratch slice used to sort errors is allocated by the first
+// QuantilesFor and retained, so Score and QuantilesFor allocate nothing in
+// steady state.
 type ResidualWindow struct {
 	buf     []float64
 	next    int
@@ -51,17 +57,18 @@ type ResidualWindow struct {
 // (n ≥ 1), each clamped to ±clamp (clamp ≤ 0 means the paper's default
 // bound of 10).
 func NewResidualWindow(n int, clamp float64) *ResidualWindow {
+	w := newResidualWindow(n, clamp)
+	return &w
+}
+
+func newResidualWindow(n int, clamp float64) ResidualWindow {
 	if n < 1 {
 		n = 1
 	}
 	if clamp <= 0 {
-		clamp = 10
+		clamp = residualClamp
 	}
-	return &ResidualWindow{
-		buf:     make([]float64, 0, n),
-		clamp:   clamp,
-		scratch: make([]float64, 0, n),
-	}
+	return ResidualWindow{buf: make([]float64, 0, n), clamp: clamp}
 }
 
 // Score records the Eq.-4 error of one (forecast, actual) pair. Pairs
@@ -125,6 +132,31 @@ func (w *ResidualWindow) Errors(dst []float64) []float64 {
 	return append(dst, w.buf...)
 }
 
+// summary returns the window's RMSRE (Eq. 5) and mean |E|, both 0 while
+// it is empty. The sums run oldest first, not in ring-storage order: float
+// addition is not associative, and a window rebuilt by SetErrors is stored
+// compacted while a live one is rotated. Identical contents must give
+// bit-identical statistics either way, or a spill/fault cycle would change
+// served forecasts.
+func (w *ResidualWindow) summary() (rmsre, meanAbs float64) {
+	if len(w.buf) == 0 {
+		return 0, 0
+	}
+	older, newer := w.buf, w.buf[:0]
+	if w.full {
+		older, newer = w.buf[w.next:], w.buf[:w.next]
+	}
+	var sq, abs float64
+	for _, part := range [2][]float64{older, newer} {
+		for _, e := range part {
+			sq += e * e
+			abs += math.Abs(e)
+		}
+	}
+	n := float64(len(w.buf))
+	return math.Sqrt(sq / n), abs / n
+}
+
 // SetErrors replaces the window contents with errs (oldest-first),
 // keeping at most the window capacity (the most recent entries win).
 func (w *ResidualWindow) SetErrors(errs []float64) {
@@ -150,10 +182,10 @@ func (w *ResidualWindow) QuantilesFor(forecast float64) (Quantiles, bool) {
 
 // QuantilesForErrors derives empirical throughput quantiles for a point
 // forecast from a window of Eq.-4 relative errors, by inverting the
-// error quantiles (see ResidualWindow). scratch (may be nil) is used to
-// sort a copy of errs and is returned for reuse, so steady-state callers
-// allocate nothing. ok is false with fewer than 3 errors or a
-// non-positive/non-finite forecast.
+// error quantiles (see ResidualWindow). The order of errs does not
+// matter. scratch (may be nil) is used to sort a copy of errs and is
+// returned for reuse, so steady-state callers allocate nothing. ok is
+// false with fewer than 3 errors or a non-positive/non-finite forecast.
 func QuantilesForErrors(forecast float64, errs, scratch []float64) (Quantiles, bool, []float64) {
 	if len(errs) < residualMinSamples || !isFinitePositive(forecast) {
 		return Quantiles{}, false, scratch
@@ -221,8 +253,7 @@ func isFinitePositive(x float64) bool {
 // QuantilePredictor: each Observe first scores the inner predictor's
 // standing forecast against the actual value, then feeds the inner
 // predictor. It implements both HB and QuantilePredictor and is the
-// offline counterpart of the per-family residual tracking predsvc
-// sessions do internally.
+// standalone counterpart of the per-family residual tracking in Ensemble.
 type ResidualQuantile struct {
 	inner HB
 	win   *ResidualWindow

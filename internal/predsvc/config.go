@@ -29,7 +29,7 @@ import (
 )
 
 // Config tunes the registry, the per-path predictor ensemble, and the
-// rolling accuracy statistics. The zero value picks sensible defaults.
+// server. The zero value picks sensible defaults.
 type Config struct {
 	// Shards is the number of registry shards, rounded up to a power of
 	// two (default 16). More shards reduce lock contention.
@@ -51,57 +51,15 @@ type Config struct {
 	// cannot be opened).
 	SpillDir string
 
-	// ErrorWindow is the number of most recent relative errors (paper
-	// Eq. 4) retained per predictor for the rolling RMSRE (default 50).
-	ErrorWindow int
-	// ErrClamp bounds |E| when aggregating RMSRE, as in the offline
-	// experiments (default 10).
-	ErrClamp float64
-	// MinErrors is how many errors a predictor needs before it competes
-	// for "best predictor" (default 3).
-	MinErrors int
 	// HistoryLimit is the number of raw observations retained per path
 	// for snapshot/restore (default 128).
 	HistoryLimit int
 
-	// MAOrder is the moving-average order (default 10, the paper's
-	// sweet spot for stationary paths).
-	MAOrder int
-	// EWMAAlpha is the EWMA weight (default 0.8).
-	EWMAAlpha float64
-	// HWAlpha, HWBeta are the Holt-Winters weights (default 0.8 / 0.2,
-	// the paper's choice).
-	HWAlpha, HWBeta float64
-	// DisableLSO turns off the level-shift/outlier wrapper; by default
-	// every ensemble member is LSO-wrapped (the paper's best configs).
-	DisableLSO bool
-	// LSO overrides the LSO thresholds (zero value: paper defaults).
-	LSO predict.LSOConfig
-
-	// FB configures the formula-based predictor (zero value: PFTK,
-	// 1460 B MSS, 1 MB window, delayed ACKs — the paper's target flow).
-	FB predict.FBConfig
-
-	// DisableZoo restricts each session to the paper ensemble (HB trio +
-	// FB), turning off the tournament extras — stability switcher,
-	// feature regression and ECM. By default the full zoo runs per path.
-	DisableZoo bool
-	// Regression tunes the online least-squares family (zero value:
-	// predict.RegressionConfig defaults).
-	Regression predict.RegressionConfig
-	// ECM tunes the Empirical Conditional Method family (zero value:
-	// predict.ECMConfig defaults).
-	ECM predict.ECMConfig
-	// Switcher tunes the stability-aware hybrid family (zero value:
-	// predict.SwitcherConfig defaults).
-	Switcher predict.SwitcherConfig
-
-	// StaleAfter is how many observations a path may absorb after a
-	// measurement before FB forecasts are flagged stale and excluded from
-	// best-predictor selection (default 30; negative disables staleness
-	// tracking). Staleness is counted in observations, not wall time, so
-	// predict responses stay deterministic for a fixed request sequence.
-	StaleAfter int
+	// Ensemble sets the per-path predictor zoo's model parameters: the
+	// HB orders and weights, LSO, FB, the extension families, the error
+	// window and FB staleness (zero value: the paper's defaults; see
+	// predict.EnsembleConfig).
+	Ensemble predict.EnsembleConfig
 
 	// ReadHeaderTimeout bounds how long Serve's http.Server waits for a
 	// client to finish sending request headers — the slowloris guard
@@ -159,32 +117,8 @@ func (c Config) withDefaults() Config {
 	if c.Capacity <= 0 {
 		c.Capacity = 4096
 	}
-	if c.ErrorWindow <= 0 {
-		c.ErrorWindow = 50
-	}
-	if c.ErrClamp == 0 {
-		c.ErrClamp = 10
-	}
-	if c.MinErrors <= 0 {
-		c.MinErrors = 3
-	}
 	if c.HistoryLimit <= 0 {
 		c.HistoryLimit = 128
-	}
-	if c.MAOrder <= 0 {
-		c.MAOrder = 10
-	}
-	if c.EWMAAlpha == 0 {
-		c.EWMAAlpha = 0.8
-	}
-	if c.HWAlpha == 0 {
-		c.HWAlpha = 0.8
-	}
-	if c.HWBeta == 0 {
-		c.HWBeta = 0.2
-	}
-	if c.StaleAfter == 0 {
-		c.StaleAfter = 30
 	}
 	if c.ReadHeaderTimeout == 0 {
 		c.ReadHeaderTimeout = 5 * time.Second

@@ -2,7 +2,6 @@ package predsvc
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"time"
 
@@ -119,10 +118,10 @@ func (r *Server) registerMetrics(m *obs.Registry, families []string) {
 	for i, name := range families {
 		m.GaugeFunc(fmt.Sprintf("predsvc_rmsre{predictor=%q}", name),
 			"mean rolling RMSRE (Eq. 5) across paths",
-			func() float64 { return r.meanRMSRE(i) })
+			func() float64 { return r.familyMean(i, (*predict.Ensemble).FamilyRMSRE) })
 		m.GaugeFunc(fmt.Sprintf("predsvc_regret{family=%q}", name),
 			"mean rolling regret vs the best-in-hindsight family, across paths",
-			func() float64 { return r.meanRegret(i) })
+			func() float64 { return r.familyMean(i, (*predict.Ensemble).FamilyRegret) })
 		mt.familySelections[i] = m.Counter(fmt.Sprintf("predsvc_family_selected_total{family=%q}", name),
 			"predict responses this family won")
 	}
@@ -136,34 +135,19 @@ func (r *Server) registerMetrics(m *obs.Registry, families []string) {
 		func() float64 { _, o := r.lsoTotals(); return float64(o) })
 }
 
-// meanRMSRE averages family i's rolling RMSRE over every live session
-// that has scored at least one forecast for it. Sessions self-lock; the
+// familyMean averages stat(e, i) — family i's statistic on ensemble e —
+// over every live session where it is defined. Sessions self-lock; the
 // scrape never blocks the registry shards on predictor state.
-func (r *Server) meanRMSRE(i int) float64 {
+func (r *Server) familyMean(i int, stat func(*predict.Ensemble, int) (float64, bool)) float64 {
 	var sum float64
 	var n int
 	r.reg.forEachLRU(func(s *Session) {
-		if v, ok := s.familyRMSRE(i); ok {
-			sum += v
-			n++
-		}
-	})
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
-// meanRegret averages family i's rolling regret (mean |E| gap to the
-// session's best family) over every live session where it has scored.
-func (r *Server) meanRegret(i int) float64 {
-	var sum float64
-	var n int
-	r.reg.forEachLRU(func(s *Session) {
-		if v, ok := s.familyRegret(i); ok {
-			sum += v
-			n++
-		}
+		s.withEnsemble(func(e *predict.Ensemble) {
+			if v, ok := stat(e, i); ok {
+				sum += v
+				n++
+			}
+		})
 	})
 	if n == 0 {
 		return 0
@@ -178,9 +162,11 @@ func (r *Server) meanRegret(i int) float64 {
 func (r *Server) intervalCoverage() float64 {
 	var in, total uint64
 	r.reg.forEachLRU(func(s *Session) {
-		i, t := s.coverage()
-		in += i
-		total += t
+		s.withEnsemble(func(e *predict.Ensemble) {
+			i, t := e.Coverage()
+			in += i
+			total += t
+		})
 	})
 	if total == 0 {
 		return 0
@@ -191,59 +177,11 @@ func (r *Server) intervalCoverage() float64 {
 // lsoTotals sums LSO detections over every live session.
 func (r *Server) lsoTotals() (shifts, outliers int) {
 	r.reg.forEachLRU(func(s *Session) {
-		sh, out := s.lsoStats()
-		shifts += sh
-		outliers += out
+		s.withEnsemble(func(e *predict.Ensemble) {
+			sh, out := e.LSOStats()
+			shifts += sh
+			outliers += out
+		})
 	})
-	return
-}
-
-// familyRMSRE returns family i's rolling RMSRE and whether its window
-// has scored anything.
-func (s *Session) familyRMSRE(i int) (float64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if i >= len(s.families) {
-		return 0, false
-	}
-	w := s.families[i].err
-	if w.count() == 0 {
-		return 0, false
-	}
-	return w.rmsre(s.cfg.ErrClamp)
-}
-
-// familyRegret returns family i's rolling regret — its mean |E| minus
-// the lowest mean |E| among the session's families — and whether its
-// window has scored anything.
-func (s *Session) familyRegret(i int) (float64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if i >= len(s.families) || s.families[i].err.count() == 0 {
-		return 0, false
-	}
-	minMean := math.Inf(1)
-	for _, f := range s.families {
-		if f.err.count() == 0 {
-			continue
-		}
-		if m := f.err.meanAbs(); m < minMean {
-			minMean = m
-		}
-	}
-	return s.families[i].err.meanAbs() - minMean, true
-}
-
-// lsoStats sums level-shift and outlier detections over the session's
-// LSO-wrapped ensemble members (zero when LSO is disabled).
-func (s *Session) lsoStats() (shifts, outliers int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, f := range s.hbFamilies() {
-		if l, ok := f.hb.(*predict.LSO); ok {
-			shifts += l.Shifts
-			outliers += l.Outliers
-		}
-	}
 	return
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"repro/internal/predict"
 )
 
 func TestConfigShardRounding(t *testing.T) {
@@ -73,7 +75,7 @@ func TestRegistryConcurrentHammer(t *testing.T) {
 		opsPerG    = 400
 		pathSpace  = 32
 	)
-	r := NewRegistry(Config{Shards: 4, Capacity: 16, ErrorWindow: 8})
+	r := NewRegistry(Config{Shards: 4, Capacity: 16, Ensemble: predict.EnsembleConfig{ErrorWindow: 8}})
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)

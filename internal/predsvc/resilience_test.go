@@ -433,7 +433,7 @@ func TestReadHeaderTimeoutClosesSlowloris(t *testing.T) {
 // observations, are flagged, drop out of best-predictor selection, and a
 // fresh measurement rejuvenates them. Staleness survives snapshot/restore.
 func TestStaleMeasurementDegradation(t *testing.T) {
-	cfg := Config{StaleAfter: 5}
+	cfg := Config{Ensemble: predict.EnsembleConfig{StaleAfter: 5}}
 	reg := NewRegistry(cfg)
 	s := reg.GetOrCreate("p")
 	in := predict.FBInputs{RTT: 0.05, LossRate: 0.005, AvailBw: 2e7}
@@ -476,7 +476,7 @@ func TestStaleMeasurementDegradation(t *testing.T) {
 	}
 
 	// StaleAfter < 0 disables flagging entirely.
-	s2 := NewRegistry(Config{StaleAfter: -1}).GetOrCreate("q")
+	s2 := NewRegistry(Config{Ensemble: predict.EnsembleConfig{StaleAfter: -1}}).GetOrCreate("q")
 	s2.SetMeasurement(in)
 	for i := 0; i < 100; i++ {
 		s2.Observe(10e6)

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/predict"
 	"repro/internal/predsvc/store"
 )
 
@@ -94,14 +95,9 @@ func Open(cfg Config) (*Server, error) {
 		start: time.Now(),
 	}
 	s.tracer = s.cfg.Obs.T()
-	// Every session runs the same zoo, so a probe session supplies the
+	// Every session runs the same zoo, so one ensemble supplies the
 	// family names the per-family metrics are keyed by.
-	probe := newSession("", s.cfg)
-	names := make([]string, len(probe.families))
-	for i, f := range probe.families {
-		names[i] = f.name
-	}
-	s.registerMetrics(s.cfg.Obs.M(), names)
+	s.registerMetrics(s.cfg.Obs.M(), predict.NewEnsemble(s.cfg.Ensemble).Names())
 	// The hot endpoints run on the zero-alloc wire codec (wire.go), the
 	// cold ones on encoding/json.
 	s.mux.Handle("POST /v1/observe", s.instrument(epObserve, s.handleObserveFast))

@@ -45,7 +45,7 @@ func TestSessionAccuracyBookkeeping(t *testing.T) {
 	// Best must be the minimum-RMSRE qualified candidate.
 	bestRMSRE := math.Inf(1)
 	for _, st := range p.HB {
-		if st.ErrorCount >= s.cfg.MinErrors && st.RMSRE < bestRMSRE {
+		if st.ErrorCount >= 3 && st.RMSRE < bestRMSRE {
 			bestRMSRE = st.RMSRE
 		}
 	}
@@ -84,7 +84,7 @@ func TestSessionFBSide(t *testing.T) {
 
 func TestSessionErrorMatchesEq4(t *testing.T) {
 	cfg := testConfig()
-	cfg.DisableLSO = true
+	cfg.Ensemble.DisableLSO = true
 	cfg = cfg.withDefaults()
 	s := newSession("p", cfg)
 	s.Observe(10e6)

@@ -23,18 +23,6 @@ type FBInputsSnapshot struct {
 	AvailBwBps float64 `json:"avail_bw_bps"`
 }
 
-// FamilySnapshot is one tournament family's serialized state: its
-// rolling Eq.-4 error window (which doubles as quantile calibration
-// data), plus model state for the families whose memory is not a
-// bounded function of the retained history — the regression's decayed
-// normal equations and the ECM's conditional histograms.
-type FamilySnapshot struct {
-	Name       string                   `json:"name"`
-	Errors     []float64                `json:"errors,omitempty"`
-	Regression *predict.RegressionState `json:"regression,omitempty"`
-	ECM        *predict.ECMState        `json:"ecm,omitempty"`
-}
-
 // PathSnapshot is one path's replayable state: the retained raw
 // observation history (bounded by Config.HistoryLimit), the lifetime
 // observation count, the latest FB measurements, and the rolling error
@@ -50,7 +38,7 @@ type PathSnapshot struct {
 	// flagging survives a restart.
 	FBAge uint64 `json:"fb_age,omitempty"`
 
-	Families []FamilySnapshot `json:"families,omitempty"`
+	Families []predict.FamilySnapshot `json:"families,omitempty"`
 	// CovIn/CovTotal carry the interval-coverage calibration counters.
 	CovIn    uint64 `json:"cov_in,omitempty"`
 	CovTotal uint64 `json:"cov_total,omitempty"`

@@ -10,6 +10,8 @@ import (
 	"net/url"
 	"strings"
 	"testing"
+
+	"repro/internal/predict"
 )
 
 // The wire fastpath's correctness story: every request a client can send
@@ -130,7 +132,7 @@ func predictTarget(path string) string {
 // of the oracle equivalence proof: real predictions with full HB/FB/
 // family state, quantiles, staleness flags, and every tricky path name.
 func TestWireCompatSequences(t *testing.T) {
-	cp := newCompatPair(t, Config{StaleAfter: 5})
+	cp := newCompatPair(t, Config{Ensemble: predict.EnsembleConfig{StaleAfter: 5}})
 	rng := rand.New(rand.NewSource(9))
 	tputs := []float64{1, 0.5, 1e-7, 123456.789, 9.5e8, 1e20, 5e20, 1e21, 3.25e21, 8.125e6}
 	for i := 0; i < 600; i++ {

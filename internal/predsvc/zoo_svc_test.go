@@ -60,27 +60,6 @@ func TestPredictServesQuantilesAndFamily(t *testing.T) {
 	}
 }
 
-// TestDisableZoo restricts a session to the paper ensemble: no extra
-// families, no tournament winner beyond the HB trio + FB.
-func TestDisableZoo(t *testing.T) {
-	cfg := testConfig()
-	cfg.DisableZoo = true
-	s := newSession("p", cfg)
-	for _, x := range []float64{10e6, 11e6, 12e6, 11e6, 10e6, 12e6} {
-		s.Observe(x)
-	}
-	p := s.Predict()
-	if len(p.Families) != 4 {
-		t.Fatalf("DisableZoo session runs %d families, want 4 (MA, EWMA, HW, FB)", len(p.Families))
-	}
-	for _, f := range p.Families {
-		switch f.Name {
-		case "regression", "ECM", "switcher":
-			t.Errorf("DisableZoo session still runs %s", f.Name)
-		}
-	}
-}
-
 // TestCalibrationEndToEnd is the acceptance criterion for the quantile
 // surface: replay a deterministic synthetic workload against a real
 // daemon with interval scoring on, and require the empirical coverage of

@@ -359,7 +359,7 @@ type Prediction = predsvc.Prediction
 // ServiceConfig.MaxInFlight is shed with 429 + Retry-After, snapshots are
 // checksummed and retried with backoff, a corrupt snapshot at boot is
 // quarantined rather than fatal, and FB forecasts whose measurements have
-// aged past ServiceConfig.StaleAfter observations are flagged stale and
+// aged past ServiceConfig.Ensemble.StaleAfter observations are flagged stale and
 // excluded from best-predictor selection.
 type PredictionServer = predsvc.Server
 
