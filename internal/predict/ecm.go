@@ -1,6 +1,7 @@
 package predict
 
 import (
+	"fmt"
 	"math"
 	"sort"
 )
@@ -193,25 +194,45 @@ func (e *ECM) State() ECMState {
 // SetState restores a snapshot produced by State, overwriting all
 // retained distributions. Conditioning state is not part of the
 // snapshot; the serving layer re-derives it from FB inputs on restore.
-func (e *ECM) SetState(st ECMState) {
-	e.buckets = make(map[ecmKey]*ecmRing, len(st.Buckets))
-	e.global.reset()
-	for _, v := range st.Global {
-		if isFinitePositive(v) {
-			e.global.push(v)
-		}
+// It refuses rings beyond the configured caps, empty or repeated buckets
+// and samples that are not positive and finite; on error the predictor is
+// unchanged.
+func (e *ECM) SetState(st ECMState) error {
+	if err := checkRing(st.Global, e.cfg.GlobalCap); err != nil {
+		return fmt.Errorf("ECM: global ring: %w", err)
 	}
+	buckets := make(map[ecmKey]*ecmRing, len(st.Buckets))
 	for _, b := range st.Buckets {
-		r := newEcmRing(e.cfg.BucketCap)
-		for _, v := range b.Samples {
-			if isFinitePositive(v) {
-				r.push(v)
-			}
+		k := ecmKey{RTT: b.RTT, Loss: b.Loss, ABW: b.ABW}
+		if buckets[k] != nil || len(b.Samples) == 0 {
+			return fmt.Errorf("ECM: bucket %+v is empty or repeated", k)
 		}
-		if r.count() > 0 {
-			e.buckets[ecmKey{RTT: b.RTT, Loss: b.Loss, ABW: b.ABW}] = r
+		if err := checkRing(b.Samples, e.cfg.BucketCap); err != nil {
+			return fmt.Errorf("ECM: bucket %+v: %w", k, err)
+		}
+		r := newEcmRing(e.cfg.BucketCap)
+		r.buf = append(r.buf, b.Samples...)
+		r.full = len(r.buf) == cap(r.buf)
+		buckets[k] = r
+	}
+	e.buckets = buckets
+	e.global.buf = append(e.global.buf[:0], st.Global...)
+	e.global.next, e.global.full = 0, len(e.global.buf) == cap(e.global.buf)
+	return nil
+}
+
+// checkRing vets one restored ring: at most limit samples, each positive
+// and finite.
+func checkRing(xs []float64, limit int) error {
+	if len(xs) > limit {
+		return fmt.Errorf("%d samples exceed the cap of %d", len(xs), limit)
+	}
+	for _, v := range xs {
+		if !isFinitePositive(v) {
+			return fmt.Errorf("sample %v", v)
 		}
 	}
+	return nil
 }
 
 // bucketKey bins the conditioning variables on log scales.

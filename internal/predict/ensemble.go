@@ -1,6 +1,10 @@
 package predict
 
-import "math"
+import (
+	"fmt"
+	"math"
+	"slices"
+)
 
 // EnsembleConfig selects the zoo's model parameters. The zero value is
 // the paper's configuration throughout.
@@ -381,20 +385,17 @@ func (e *Ensemble) pick(paper bool) int {
 }
 
 // FamilySnapshot is one family's serialized state: its error window,
-// oldest first, plus model state for the families whose memory is not a
-// bounded function of the retained history — the regression's decayed
-// normal equations and the ECM's conditional histograms.
+// oldest first, and its predictor's live state (none for FB, whose
+// forecast is a function of the standing measurements).
 type FamilySnapshot struct {
-	Name       string           `json:"name"`
-	Errors     []float64        `json:"errors,omitempty"`
-	Regression *RegressionState `json:"regression,omitempty"`
-	ECM        *ECMState        `json:"ecm,omitempty"`
+	Name   string    `json:"name"`
+	Errors []float64 `json:"errors,omitempty"`
+	PredictorState
 }
 
-// EnsembleState is what replaying a path's observations cannot rebuild:
-// the lifetime observation count, the standing measurements and their
-// age, every family's error window and model state, and the coverage
-// counters.
+// EnsembleState is the whole tournament of one path: the lifetime
+// observation count, the standing measurements and their age, every
+// family's error window and predictor state, and the coverage counters.
 type EnsembleState struct {
 	Observations    uint64
 	FB              *FBInputs // nil until a measurement is installed
@@ -403,59 +404,83 @@ type EnsembleState struct {
 	CovIn, CovTotal uint64
 }
 
-// State captures the ensemble for a snapshot.
+// State captures the ensemble. SetState on a fresh ensemble of the same
+// configuration reproduces it exactly, at any history length.
 func (e *Ensemble) State() EnsembleState {
 	st := EnsembleState{Observations: e.observations, CovIn: e.covIn, CovTotal: e.covTotal}
 	if e.hasFB {
 		in := e.fbIn
 		st.FB, st.FBAge = &in, e.observations-e.fbSetAtObs
 	}
+	st.Families = make([]FamilySnapshot, len(e.families))
 	for i := range e.families {
 		f := &e.families[i]
-		fs := FamilySnapshot{Name: e.views[i].Name, Errors: f.win.Errors(nil)}
-		switch f.hb {
-		case e.reg:
-			rs := e.reg.State()
-			fs.Regression = &rs
-		case e.ecm:
-			es := e.ecm.State()
-			fs.ECM = &es
-		}
-		st.Families = append(st.Families, fs)
+		st.Families[i] = FamilySnapshot{Name: e.views[i].Name, Errors: f.win.Errors(nil), PredictorState: stateOf(f.hb)}
 	}
 	return st
 }
 
-// SetState installs st over an ensemble that has just replayed the path's
-// retained observations: error windows, regression and ECM state and the
-// coverage counters are replaced, the observation count never moves
-// backwards, and the measurement age is carried over so a forecast that
-// was stale stays stale. Families are matched by name; a family st does
-// not mention keeps its replayed state.
-func (e *Ensemble) SetState(st EnsembleState) {
-	for i := range e.families {
-		f := &e.families[i]
-		var fs *FamilySnapshot
-		for j := range st.Families {
-			if st.Families[j].Name == e.views[i].Name {
-				fs = &st.Families[j]
-			}
+// SetState installs st into a fresh ensemble by copying it — no
+// observation is replayed. Families are matched by name; a family st does
+// not name (after a configuration change, say) starts fresh, and a name
+// the ensemble does not run is ignored.
+//
+// st may come from an untrusted source. Lengths beyond the configured
+// bounds, non-finite values and counts that contradict each other are
+// reported as errors, never as panics; after an error the ensemble is
+// partly overwritten and should be discarded.
+func (e *Ensemble) SetState(st EnsembleState) error {
+	if st.CovIn > st.CovTotal || st.CovTotal > st.Observations || st.FBAge > st.Observations {
+		return fmt.Errorf("predict: coverage %d/%d or measurement age %d contradicts %d observations",
+			st.CovIn, st.CovTotal, st.FBAge, st.Observations)
+	}
+	if st.FB == nil && st.FBAge != 0 {
+		return fmt.Errorf("predict: measurement age %d without a measurement", st.FBAge)
+	}
+	if in := st.FB; in != nil && !(finite(in.RTT, in.AvailBw) && in.RTT >= 0 && in.AvailBw >= 0 && in.LossRate >= 0 && in.LossRate <= 1) {
+		return fmt.Errorf("predict: invalid measurement %+v", *in)
+	}
+	for j := range st.Families {
+		fs := &st.Families[j]
+		if slices.ContainsFunc(st.Families[:j], func(o FamilySnapshot) bool { return o.Name == fs.Name }) {
+			return fmt.Errorf("predict: family %q named twice", fs.Name)
 		}
-		if fs == nil {
-			continue
-		}
-		f.win.SetErrors(fs.Errors)
-		switch {
-		case f.hb == e.reg && fs.Regression != nil:
-			e.reg.SetState(*fs.Regression)
-		case f.hb == e.ecm && fs.ECM != nil:
-			e.ecm.SetState(*fs.ECM)
+		if err := e.setFamily(fs, st.Observations); err != nil {
+			return fmt.Errorf("predict: family %q: %w", fs.Name, err)
 		}
 	}
 	e.covIn, e.covTotal = st.CovIn, st.CovTotal
-	e.observations = max(e.observations, st.Observations)
+	e.observations = st.Observations
 	if st.FB != nil {
 		e.setMeasurement(*st.FB)
-		e.fbSetAtObs = e.observations - min(st.FBAge, e.observations)
+		e.fbSetAtObs = e.observations - st.FBAge
 	}
+	return nil
+}
+
+// setFamily installs fs into the family of the same name, if the ensemble
+// runs one.
+func (e *Ensemble) setFamily(fs *FamilySnapshot, observations uint64) error {
+	i := slices.IndexFunc(e.views, func(v FamilyView) bool { return v.Name == fs.Name })
+	if i < 0 {
+		return nil
+	}
+	f := &e.families[i]
+	if n := len(fs.Errors); n > cap(f.win.buf) || uint64(n) > observations {
+		return fmt.Errorf("%d errors for a window of %d and %d observations", n, cap(f.win.buf), observations)
+	}
+	for _, x := range fs.Errors {
+		if !(math.Abs(x) <= f.win.clamp) {
+			return fmt.Errorf("error %v outside ±%v", x, f.win.clamp)
+		}
+	}
+	if f.hb == nil {
+		if n := fs.count(); n != 0 {
+			return fmt.Errorf("%d predictor states for FB", n)
+		}
+	} else if err := setStateOf(f.hb, fs.PredictorState); err != nil {
+		return err
+	}
+	f.win.SetErrors(fs.Errors)
+	return nil
 }

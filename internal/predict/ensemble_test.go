@@ -1,8 +1,11 @@
 package predict
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -156,38 +159,191 @@ func TestEnsembleSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestEnsembleStateRoundTrip: replaying the observations into a fresh
-// ensemble and installing State gives the same view as the original.
+// TestEnsembleStateRoundTrip is the restore property: State, round-tripped
+// through JSON and installed into a fresh ensemble, reproduces the live
+// ensemble exactly — every view field, bit for bit — for the next 100
+// observations, whatever the history length at the cut. Measurements come
+// in bursts, so FB goes stale and recovers on both sides of the cut.
 func TestEnsembleStateRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	xs, ins := ensembleSeries(rng, 90)
+	configs := map[string]EnsembleConfig{
+		"default":    {},
+		"no-lso":     {DisableLSO: true},
+		"ma5-win20":  {MAOrder: 5, ErrorWindow: 20},
+		"lso-hist12": {LSO: LSOConfig{MaxHistory: 12}, Switcher: SwitcherConfig{Window: 6}},
+	}
+	for name, cfg := range configs {
+		for seed := int64(1); seed <= 4; seed++ {
+			for _, cut := range []int{0, 1, 7, 60, 300} {
+				rng := rand.New(rand.NewSource(seed))
+				xs, ins := ensembleSeries(rng, cut+100)
+				measure := func(e *Ensemble, k int) {
+					if (k/45)%2 == 0 && k%6 != 2 {
+						e.SetMeasurement(ins[k])
+					}
+				}
+				live := NewEnsemble(cfg)
+				for k := 0; k < cut; k++ {
+					measure(live, k)
+					live.Observe(xs[k])
+				}
+				data, err := json.Marshal(live.State())
+				if err != nil {
+					t.Fatal(err)
+				}
+				var st EnsembleState
+				if err := json.Unmarshal(data, &st); err != nil {
+					t.Fatal(err)
+				}
+				restored := NewEnsemble(cfg)
+				if err := restored.SetState(st); err != nil {
+					t.Fatalf("%s seed %d cut %d: SetState: %v", name, seed, cut, err)
+				}
+				for k := cut; k < cut+100; k++ {
+					if d := ensembleDiff(live, restored); d != "" {
+						t.Fatalf("%s seed %d cut %d: diverged at epoch %d: %s", name, seed, cut, k, d)
+					}
+					measure(live, k)
+					measure(restored, k)
+					live.Observe(xs[k])
+					restored.Observe(xs[k])
+				}
+			}
+		}
+	}
+}
+
+// ensembleDiff describes the first difference between two ensembles'
+// observable state, or returns "".
+func ensembleDiff(a, b *Ensemble) string {
+	va, vb := a.View(), b.View()
+	for i := range va.Families {
+		if fa, fb := va.Families[i], vb.Families[i]; fa != fb {
+			return fmt.Sprintf("family %d:\nlive     %+v\nrestored %+v", i, fa, fb)
+		}
+	}
+	if va.Selected != vb.Selected || va.Best != vb.Best {
+		return fmt.Sprintf("selection %d/%d vs %d/%d", va.Selected, va.Best, vb.Selected, vb.Best)
+	}
+	in1, age1, ok1 := a.Measurement()
+	in2, age2, ok2 := b.Measurement()
+	if in1 != in2 || age1 != age2 || ok1 != ok2 {
+		return fmt.Sprintf("measurement %v/%d/%v vs %v/%d/%v", in1, age1, ok1, in2, age2, ok2)
+	}
+	ci1, ct1 := a.Coverage()
+	ci2, ct2 := b.Coverage()
+	s1, o1 := a.LSOStats()
+	s2, o2 := b.LSOStats()
+	if a.Observations() != b.Observations() || ci1 != ci2 || ct1 != ct2 || s1 != s2 || o1 != o2 {
+		return fmt.Sprintf("counters differ: observations %d/%d coverage %d/%d vs %d/%d lso %d/%d vs %d/%d",
+			a.Observations(), b.Observations(), ci1, ct1, ci2, ct2, s1, o1, s2, o2)
+	}
+	return ""
+}
+
+// TestEnsembleSetStateRejectsMalformed: state that contradicts the
+// configuration or itself is an error naming the problem — never a panic,
+// never silently clipped. A family the state does not name starts fresh.
+func TestEnsembleSetStateRejectsMalformed(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	xs, ins := ensembleSeries(rng, 80)
 	live := NewEnsemble(EnsembleConfig{})
 	for k, x := range xs {
-		if k < 50 {
-			live.SetMeasurement(ins[k])
-		}
+		live.SetMeasurement(ins[k])
 		live.Observe(x)
 	}
-	restored := NewEnsemble(EnsembleConfig{})
-	for _, x := range xs {
-		restored.Observe(x)
+	family := func(st *EnsembleState, name string) *FamilySnapshot {
+		for i := range st.Families {
+			if st.Families[i].Name == name {
+				return &st.Families[i]
+			}
+		}
+		t.Fatalf("no family %q", name)
+		return nil
 	}
-	restored.SetState(live.State())
-	a, b := live.View(), restored.View()
-	for i := range a.Families {
-		fa, fb := a.Families[i], b.Families[i]
-		// EWMA/HW replays without measurements are exact here because the
-		// whole series was replayed; regression and ECM come from State.
-		if fa != fb {
-			t.Errorf("family %d differs after restore:\nlive     %+v\nrestored %+v", i, fa, fb)
+	cases := []struct {
+		name   string
+		mutate func(st *EnsembleState)
+		want   string
+	}{
+		{"MA ring longer than its order", func(st *EnsembleState) {
+			ma := family(st, "10-MA-LSO").LSO.Inner.MA
+			ma.Ring = append(ma.Ring, 1e6)
+		}, "exceeds the order"},
+		{"NaN Holt-Winters level", func(st *EnsembleState) {
+			family(st, "0.8-HW-LSO").LSO.Inner.HW.S = math.NaN()
+		}, "non-finite"},
+		{"LSO window beyond MaxHistory", func(st *EnsembleState) {
+			l := family(st, "0.8-EWMA-LSO").LSO
+			l.Window = make([]float64, 33)
+		}, "MaxHistory"},
+		{"switcher window beyond its size", func(st *EnsembleState) {
+			family(st, "switcher").Switcher.Ring = make([]float64, 17)
+		}, "exceeds"},
+		{"regression count below its ring", func(st *EnsembleState) {
+			family(st, "regression").Regression.N = 2
+		}, "history samples for 2 observations"},
+		{"ECM bucket beyond its cap", func(st *EnsembleState) {
+			b := &family(st, "ECM").ECM.Buckets[0]
+			for len(b.Samples) <= 64 {
+				b.Samples = append(b.Samples, 1e6)
+			}
+		}, "cap"},
+		{"error window beyond its size", func(st *EnsembleState) {
+			f := family(st, "FB")
+			f.Errors = make([]float64, 51)
+		}, "window of 50"},
+		{"error beyond the clamp", func(st *EnsembleState) {
+			family(st, "FB").Errors[0] = 11
+		}, "outside"},
+		{"predictor state on FB", func(st *EnsembleState) {
+			family(st, "FB").EWMA = &EWMAState{}
+		}, "for FB"},
+		{"state of another predictor type", func(st *EnsembleState) {
+			f := family(st, "regression")
+			f.Regression, f.EWMA = nil, &EWMAState{}
+		}, "another predictor type"},
+		{"missing predictor state", func(st *EnsembleState) {
+			family(st, "10-MA-LSO").LSO = nil
+		}, "0 predictor states"},
+		{"family named twice", func(st *EnsembleState) {
+			st.Families = append(st.Families, st.Families[0])
+		}, "named twice"},
+		{"coverage beyond the observations", func(st *EnsembleState) {
+			st.CovTotal = st.Observations + 1
+		}, "contradicts"},
+		{"measurement age without a measurement", func(st *EnsembleState) {
+			st.FB, st.FBAge = nil, 1
+		}, "without a measurement"},
+		{"negative RTT", func(st *EnsembleState) {
+			st.FB.RTT = -1
+		}, "invalid measurement"},
+	}
+	for _, tc := range cases {
+		data, _ := json.Marshal(live.State())
+		var st EnsembleState
+		if err := json.Unmarshal(data, &st); err != nil {
+			t.Fatal(err)
+		}
+		tc.mutate(&st)
+		err := NewEnsemble(EnsembleConfig{}).SetState(st)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
 		}
 	}
-	if a.Selected != b.Selected || a.Best != b.Best {
-		t.Errorf("selection differs: live %d/%d, restored %d/%d", a.Selected, a.Best, b.Selected, b.Best)
+
+	// A family the state does not name starts fresh; one it names but the
+	// ensemble does not run is ignored.
+	st := live.State()
+	family(&st, "switcher").Name = "retired-family"
+	e := NewEnsemble(EnsembleConfig{})
+	if err := e.SetState(st); err != nil {
+		t.Fatal(err)
 	}
-	in1, age1, ok1 := live.Measurement()
-	in2, age2, ok2 := restored.Measurement()
-	if in1 != in2 || age1 != age2 || ok1 != ok2 {
-		t.Errorf("measurement differs: live %v/%d/%v, restored %v/%d/%v", in1, age1, ok1, in2, age2, ok2)
+	v := e.View()
+	if sw := v.Families[3]; sw.Name != "switcher" || sw.Ready || sw.Errors != 0 {
+		t.Errorf("unnamed switcher not fresh: %+v", sw)
+	}
+	if ma := v.Families[0]; !ma.Ready || ma.Errors == 0 {
+		t.Errorf("named family not restored: %+v", ma)
 	}
 }

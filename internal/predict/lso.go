@@ -1,6 +1,7 @@
 package predict
 
 import (
+	"fmt"
 	"math"
 	"sort"
 )
@@ -102,6 +103,54 @@ func (l *LSO) Reset() {
 
 // History returns the retained raw sample count (for tests).
 func (l *LSO) History() int { return len(l.history) }
+
+// LSOState is an LSO's live state: the raw window since the last level
+// shift (oldest first), the shift count and the inner predictor's state.
+// The order statistics, outlier mask and clean series are functions of the
+// window, so SetState rebuilds them rather than carrying them.
+type LSOState struct {
+	Window []float64      `json:"window,omitempty"`
+	Shifts int            `json:"shifts,omitempty"`
+	Inner  PredictorState `json:"inner"`
+}
+
+// State captures the predictor.
+func (l *LSO) State() LSOState {
+	return LSOState{
+		Window: append([]float64(nil), l.history...),
+		Shifts: l.Shifts,
+		Inner:  stateOf(l.inner),
+	}
+}
+
+// SetState installs st. After every Observe the series the inner
+// predictor last absorbed is the clean series of the window, so rebuilding
+// both from the window reproduces the live predictor exactly. On error the
+// wrapper's own state is unchanged.
+func (l *LSO) SetState(st LSOState) error {
+	if len(st.Window) > l.cfg.MaxHistory {
+		return fmt.Errorf("%s: window of %d samples exceeds MaxHistory %d", l.Name(), len(st.Window), l.cfg.MaxHistory)
+	}
+	if !finite(st.Window...) {
+		return fmt.Errorf("%s: non-finite window", l.Name())
+	}
+	if st.Shifts < 0 {
+		return fmt.Errorf("%s: negative shift count %d", l.Name(), st.Shifts)
+	}
+	if err := setStateOf(l.inner, st.Inner); err != nil {
+		return err
+	}
+	if cap(l.history) < l.cfg.MaxHistory {
+		l.history = make([]float64, 0, l.cfg.MaxHistory)
+	}
+	l.history = append(l.history[:0], st.Window...)
+	l.Shifts = st.Shifts
+	l.rebuildSorted()
+	l.computeClean()
+	l.Outliers = countTrue(l.mask)
+	l.lastClean = append(l.lastClean[:0], l.clean...)
+	return nil
+}
 
 // Observe implements HB.
 func (l *LSO) Observe(x float64) {

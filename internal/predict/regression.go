@@ -1,6 +1,9 @@
 package predict
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // regDim is the fixed feature dimension of the Regression predictor:
 // [1, last-X, mean of last-K X, avail-bw, window-limit, Mathis-rate],
@@ -168,23 +171,29 @@ func (r *Regression) State() RegressionState {
 }
 
 // SetState restores a snapshot produced by State, overwriting all
-// learned state. Snapshots from a different feature dimension are
-// ignored (the predictor keeps its replay-trained state instead).
-func (r *Regression) SetState(st RegressionState) {
+// learned state. It refuses state of another feature dimension, non-finite
+// values, and a history ring that contradicts the observation count (the
+// ring holds the last min(N, LastK) observations); on error the predictor
+// is unchanged.
+func (r *Regression) SetState(st RegressionState) error {
 	if len(st.A) != len(r.a) || len(st.B) != regDim {
-		return
+		return fmt.Errorf("regression: state of dimension %d/%d, want %d/%d", len(st.A), len(st.B), len(r.a), regDim)
+	}
+	if !finite(st.A...) || !finite(st.B...) {
+		return fmt.Errorf("regression: non-finite normal equations")
+	}
+	if err := checkRing(st.Hist, cap(r.hist)); err != nil {
+		return fmt.Errorf("regression: history: %w", err)
+	}
+	if uint64(len(st.Hist)) != min(st.N, uint64(cap(r.hist))) {
+		return fmt.Errorf("regression: %d history samples for %d observations", len(st.Hist), st.N)
 	}
 	copy(r.a[:], st.A)
 	copy(r.b[:], st.B)
 	r.n = st.N
-	r.hist = r.hist[:0]
-	r.histNext = 0
-	r.histFull = false
-	for _, v := range st.Hist {
-		if isFinitePositive(v) {
-			r.histPush(v)
-		}
-	}
+	r.hist = append(r.hist[:0], st.Hist...)
+	r.histNext, r.histFull = 0, len(r.hist) == cap(r.hist)
+	return nil
 }
 
 // features fills z with the current feature vector in Mbps.

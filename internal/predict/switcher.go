@@ -1,6 +1,9 @@
 package predict
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // SwitcherConfig tunes the stability-aware hybrid switcher.
 type SwitcherConfig struct {
@@ -32,9 +35,8 @@ func (c SwitcherConfig) defaults() SwitcherConfig {
 // reactive tracker (EWMA/HW) for stable regimes and a robust smoother
 // (wide MA) for volatile ones.
 //
-// All state is a bounded function of the recent observation history, so
-// the serving layer restores a switcher exactly by replaying its
-// retained history — nothing needs separate serialization.
+// State/SetState carry the CoV window and both inner predictors' states,
+// so a restored switcher is exact at any history length.
 type StabilitySwitcher struct {
 	cfg      SwitcherConfig
 	stable   HB
@@ -131,6 +133,40 @@ func (s *StabilitySwitcher) Observe(x float64) {
 	}
 	s.stable.Observe(x)
 	s.volatile.Observe(x)
+}
+
+// SwitcherState is a StabilitySwitcher's live state: the CoV window oldest
+// first and both inner predictors' states.
+type SwitcherState struct {
+	Ring     []float64      `json:"ring,omitempty"`
+	Stable   PredictorState `json:"stable"`
+	Volatile PredictorState `json:"volatile"`
+}
+
+// State captures the predictor.
+func (s *StabilitySwitcher) State() SwitcherState {
+	st := SwitcherState{Stable: stateOf(s.stable), Volatile: stateOf(s.volatile)}
+	s.forEachChrono(func(v float64) { st.Ring = append(st.Ring, v) })
+	return st
+}
+
+// SetState installs st. On error the switcher's own window is unchanged.
+func (s *StabilitySwitcher) SetState(st SwitcherState) error {
+	if len(st.Ring) > cap(s.ring) {
+		return fmt.Errorf("switcher: window of %d samples exceeds %d", len(st.Ring), cap(s.ring))
+	}
+	if !finite(st.Ring...) {
+		return fmt.Errorf("switcher: non-finite window")
+	}
+	if err := setStateOf(s.stable, st.Stable); err != nil {
+		return err
+	}
+	if err := setStateOf(s.volatile, st.Volatile); err != nil {
+		return err
+	}
+	s.ring = append(s.ring[:0], st.Ring...)
+	s.next, s.full = 0, len(s.ring) == cap(s.ring)
+	return nil
 }
 
 // Reset implements HB.

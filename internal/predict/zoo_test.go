@@ -190,7 +190,9 @@ func TestRegressionStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg2 := NewRegression(RegressionConfig{})
-	reg2.SetState(st2)
+	if err := reg2.SetState(st2); err != nil {
+		t.Fatal(err)
+	}
 	reg2.SetFeatures(FBInputs{RTT: 0.04, LossRate: 0.01, AvailBw: 20e6})
 	reg.SetFeatures(FBInputs{RTT: 0.04, LossRate: 0.01, AvailBw: 20e6})
 	f1, ok1 := reg.Predict()
@@ -285,7 +287,9 @@ func TestECMStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	e2 := NewECM(ECMConfig{})
-	e2.SetState(st2)
+	if err := e2.SetState(st2); err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range conds {
 		e.SetConditions(c)
 		e2.SetConditions(c)

@@ -51,10 +51,6 @@ type Config struct {
 	// cannot be opened).
 	SpillDir string
 
-	// HistoryLimit is the number of raw observations retained per path
-	// for snapshot/restore (default 128).
-	HistoryLimit int
-
 	// Ensemble sets the per-path predictor zoo's model parameters: the
 	// HB orders and weights, LSO, FB, the extension families, the error
 	// window and FB staleness (zero value: the paper's defaults; see
@@ -116,9 +112,6 @@ func (c Config) withDefaults() Config {
 	c.Shards = nextPow2(c.Shards)
 	if c.Capacity <= 0 {
 		c.Capacity = 4096
-	}
-	if c.HistoryLimit <= 0 {
-		c.HistoryLimit = 128
 	}
 	if c.ReadHeaderTimeout == 0 {
 		c.ReadHeaderTimeout = 5 * time.Second

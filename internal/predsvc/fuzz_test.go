@@ -1,0 +1,58 @@
+package predsvc
+
+import (
+	"bytes"
+	"testing"
+)
+
+// FuzzPathSnapshotRestore feeds arbitrary bytes to the session codec: the
+// one decoder of path records, which arrive from the spill log, from
+// snapshot files and from other nodes. It must never panic, and a record
+// it accepts must re-encode to a fixed point — decoding its encoding and
+// encoding again gives the same bytes. The restored session must then
+// serve and absorb an observation. Seeds are real records at several
+// lifetimes plus the committed corpus in testdata/fuzz.
+//
+// Run with: go test ./internal/predsvc -run '^$' -fuzz FuzzPathSnapshotRestore -fuzztime 10s
+func FuzzPathSnapshotRestore(f *testing.F) {
+	codec := sessionCodec(Config{}.withDefaults())
+	series := SyntheticSeries(1, 40, 13)[0]
+	s := newSession(series.Path, Config{}.withDefaults())
+	for k := 0; k < len(series.Throughputs); k++ {
+		switch k {
+		case 0, 3, 12, 39:
+			data, err := codec.Encode(s)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(data)
+		}
+		if k%9 != 4 {
+			s.SetMeasurement(series.Inputs[k])
+		}
+		s.Observe(series.Throughputs[k])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		e, err := codec.Decode("fuzz", data)
+		if err != nil {
+			return
+		}
+		b1, err := codec.Encode(e)
+		if err != nil {
+			t.Fatalf("accepted record does not re-encode: %v", err)
+		}
+		e2, err := codec.Decode("fuzz", b1)
+		if err != nil {
+			t.Fatalf("re-encoded record refused: %v\n%s", err, b1)
+		}
+		b2, err := codec.Encode(e2)
+		if err != nil || !bytes.Equal(b1, b2) {
+			t.Fatalf("re-encoding is not a fixed point (err %v):\n%s\n%s", err, b1, b2)
+		}
+		s := e.(*Session)
+		s.Predict()
+		s.SetMeasurement(series.Inputs[0])
+		s.Observe(series.Throughputs[0])
+		s.Predict()
+	})
+}

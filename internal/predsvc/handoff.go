@@ -41,8 +41,8 @@ import (
 // HandoffRecord is one line of the session-handoff NDJSON stream: either
 // a session record (Path/Observations/State/Sum) or the final trailer
 // (Trailer/Count/Sum). State is the session's PathSnapshot JSON — the
-// same snapshot-v2 codec the registry snapshot and the spill log use —
-// and Sum its sha256. The trailer's Sum chains the record checksums in
+// record format the registry snapshot and the spill log use — and Sum its
+// sha256. The trailer's Sum chains the record checksums in
 // stream order, so a truncated or reordered stream is detected before
 // the importer trusts it.
 type HandoffRecord struct {
@@ -224,13 +224,19 @@ func (r *Server) handleSessionsImport(w http.ResponseWriter, req *http.Request) 
 		if ps.Path != rec.Path {
 			return writeError(w, http.StatusBadRequest, "handoff record %d: path %q carries state for %q", seen, rec.Path, ps.Path)
 		}
+		// The state is decoded before last-writer-wins looks at it, so a
+		// malformed record fails the stream even when it would be skipped.
+		ens, err := ps.ensemble(r.reg.cfg.Ensemble)
+		if err != nil {
+			return writeError(w, http.StatusBadRequest, "handoff record %d (%s): bad state: %v", seen, rec.Path, err)
+		}
 		seen++ // every message above names the record by its zero-based index
 		if existing, ok := r.reg.Peek(rec.Path); ok && existing.Observations() >= rec.Observations {
 			resp.Skipped++
 			r.metrics.handoffSkipped.Add(1)
 			continue
 		}
-		r.reg.Install(ps)
+		r.reg.install(rec.Path, ens)
 		resp.Imported++
 		r.metrics.handoffImported.Add(1)
 	}

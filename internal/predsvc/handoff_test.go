@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/faultinject"
+	"repro/internal/predict"
 	"repro/internal/predsvc/cluster"
 )
 
@@ -275,6 +276,146 @@ func TestImportRejectsCorruptStreams(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("valid stream rejected: %d %s", resp.StatusCode, data)
 	}
+}
+
+// TestImportRejectsMalformedState: a record whose checksum verifies but
+// whose predictor state is malformed — lengths beyond the configured
+// bounds, non-finite values, counts that contradict the lengths — is a
+// 400 naming the record by its zero-based index, never a panic and never
+// a half-installed session. Each bad record follows a good one.
+func TestImportRejectsMalformedState(t *testing.T) {
+	_, dst, _, dstURL := handoffPair(t, Config{}, Config{})
+
+	donor := NewServer(Config{})
+	series := SyntheticSeries(2, 80, 3)
+	snaps := make([]PathSnapshot, len(series))
+	for i, ps := range series {
+		sess := donor.Registry().GetOrCreate(ps.Path)
+		for k, x := range ps.Throughputs {
+			sess.SetMeasurement(ps.Inputs[k])
+			sess.Observe(x)
+		}
+		snaps[i] = sess.snapshot()
+	}
+	family := func(ps *PathSnapshot, name string) *predict.FamilySnapshot {
+		for i := range ps.Families {
+			if ps.Families[i].Name == name {
+				return &ps.Families[i]
+			}
+		}
+		t.Fatalf("no family %q", name)
+		return nil
+	}
+	// stream encodes records for the given states and a valid trailer. The
+	// record lines are written by hand, so a state that is not valid JSON
+	// reaches the importer as it is.
+	stream := func(states ...[]byte) string {
+		var b strings.Builder
+		chain := sha256.New()
+		for i, state := range states {
+			sum := sha256.Sum256(state)
+			chain.Write(sum[:])
+			fmt.Fprintf(&b, "{\"path\":%q,\"observations\":%d,\"state\":%s,\"sum\":%q}\n",
+				snaps[i].Path, snaps[i].Observations, state, hex.EncodeToString(sum[:]))
+		}
+		trailer, _ := json.Marshal(HandoffRecord{Trailer: true, Count: len(states), Sum: hex.EncodeToString(chain.Sum(nil))})
+		b.Write(trailer)
+		b.WriteByte('\n')
+		return b.String()
+	}
+	good, err := json.Marshal(snaps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// JSON has no spelling for NaN or ±Inf: a NaN makes the record line
+	// unparseable, and an overflowing number fails the state decode.
+	level := func(to string) func(state []byte) []byte {
+		return func(state []byte) []byte {
+			return bytes.Replace(state, []byte(`"s":123456.5`), []byte(`"s":`+to), 1)
+		}
+	}
+	const badLine = "bad handoff record 1:"
+	cases := []struct {
+		name   string
+		mutate func(ps *PathSnapshot)
+		raw    func(state []byte) []byte // optional edit of the encoded state
+		want   string
+	}{
+		{name: "MA ring longer than its order", mutate: func(ps *PathSnapshot) {
+			ma := family(ps, "10-MA-LSO").LSO.Inner.MA
+			ma.Ring = append(ma.Ring, 1e7)
+		}, want: "exceeds the order"},
+		{name: "NaN Holt-Winters level", mutate: func(ps *PathSnapshot) {
+			family(ps, "0.8-HW-LSO").LSO.Inner.HW.S = 123456.5
+		}, raw: level("NaN"), want: badLine},
+		{name: "infinite Holt-Winters level", mutate: func(ps *PathSnapshot) {
+			family(ps, "0.8-HW-LSO").LSO.Inner.HW.S = 123456.5
+		}, raw: level("1e999"), want: "cannot unmarshal number 1e999"},
+		{name: "regression n smaller than its ring", mutate: func(ps *PathSnapshot) {
+			family(ps, "regression").Regression.N = 3
+		}, want: "history samples for 3 observations"},
+		{name: "negative Holt-Winters count", mutate: func(ps *PathSnapshot) {
+			family(ps, "0.8-HW-LSO").LSO.Inner.HW.N = -1
+		}, want: "negative observation count"},
+		{name: "switcher without its stable predictor", mutate: func(ps *PathSnapshot) {
+			family(ps, "switcher").Switcher.Stable.EWMA = nil
+		}, want: "0 predictor states"},
+		{name: "LSO window beyond MaxHistory", mutate: func(ps *PathSnapshot) {
+			l := family(ps, "0.8-EWMA-LSO").LSO
+			for len(l.Window) <= 32 {
+				l.Window = append(l.Window, 1e7)
+			}
+		}, want: "MaxHistory"},
+		{name: "error window beyond its size", mutate: func(ps *PathSnapshot) {
+			f := family(ps, "ECM")
+			f.Errors = append(f.Errors, f.Errors...)
+		}, want: "window of 50"},
+		{name: "coverage beyond the observations", mutate: func(ps *PathSnapshot) {
+			ps.CovIn, ps.CovTotal = ps.Observations+1, ps.Observations+1
+		}, want: "contradicts"},
+		{name: "family named twice", mutate: func(ps *PathSnapshot) {
+			ps.Families = append(ps.Families, ps.Families[0])
+		}, want: "named twice"},
+	}
+	for _, tc := range cases {
+		var ps PathSnapshot
+		if err := json.Unmarshal(mustMarshal(t, snaps[1]), &ps); err != nil {
+			t.Fatal(err)
+		}
+		tc.mutate(&ps)
+		bad := mustMarshal(t, ps)
+		if tc.raw != nil {
+			bad = tc.raw(bad)
+		}
+		resp, data := postJSON(t, dstURL+"/v1/sessions/import", stream(good, bad))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d (%s), want 400", tc.name, resp.StatusCode, data)
+		}
+		prefix := fmt.Sprintf("handoff record 1 (%s): bad state", snaps[1].Path)
+		if tc.want == badLine {
+			prefix = badLine
+		}
+		if !strings.Contains(string(data), prefix) || !strings.Contains(string(data), tc.want) {
+			t.Errorf("%s: error %s, want %q and %q", tc.name, data, prefix, tc.want)
+		}
+		if _, ok := dst.Registry().Peek(snaps[1].Path); ok {
+			t.Fatalf("%s: the malformed record was installed", tc.name)
+		}
+	}
+	// Both records intact: the stream lands, so the fixture itself is valid.
+	resp, data := postJSON(t, dstURL+"/v1/sessions/import", stream(good, mustMarshal(t, snaps[1])))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("valid stream rejected: %d %s", resp.StatusCode, data)
+	}
+}
+
+func mustMarshal(t *testing.T, v any) []byte {
+	t.Helper()
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // TestSessionsDropOnlyDisowned: drop removes exactly the paths the

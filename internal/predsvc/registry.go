@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"sort"
 
+	"repro/internal/predict"
 	"repro/internal/predsvc/store"
 )
 
@@ -66,9 +67,10 @@ func memConfig(cfg Config) store.MemConfig {
 }
 
 // sessionCodec serializes sessions across the hot/cold boundary as their
-// JSON PathSnapshot — the same replayable state the registry snapshot
-// persists, with the same documented approximation (EWMA/Holt-Winters
-// influence beyond HistoryLimit observations is dropped on fault-in).
+// JSON PathSnapshot — the state the registry snapshot persists. A faulted
+// session is a copy of the spilled one, exact at any history length. A
+// record whose state does not decode is an error: the spill store drops it
+// and counts it.
 func sessionCodec(cfg Config) store.Codec {
 	return store.Codec{
 		Encode: func(e store.Entry) ([]byte, error) {
@@ -79,9 +81,11 @@ func sessionCodec(cfg Config) store.Codec {
 			if err := json.Unmarshal(data, &ps); err != nil {
 				return nil, err
 			}
-			s := newSession(path, cfg)
-			s.restore(ps)
-			return s, nil
+			ens, err := ps.ensemble(cfg.Ensemble)
+			if err != nil {
+				return nil, err
+			}
+			return &Session{path: path, ens: ens}, nil
 		},
 	}
 }
@@ -101,8 +105,55 @@ func (r *Registry) Capacity() int { return r.st.Capacity() }
 // GetOrCreate returns the session for path, creating it (possibly
 // evicting — or, on a spill store, demoting — another) if absent. The
 // returned session is marked most recently used.
+//
+// GetOrCreate is not eviction-safe under concurrency: once it returns,
+// another request may evict the session, and on a spill store an update
+// made after that lands on a copy the log no longer reflects — it is lost
+// when the path faults back in. Concurrent callers that mutate sessions
+// use With or WithBytes.
 func (r *Registry) GetOrCreate(path string) *Session {
 	return r.st.GetOrCreate(path).(*Session)
+}
+
+// WithBytes runs fn on path's session while no other request can evict
+// it — the entry point of every handler that reads or updates a session,
+// keyed by a byte-slice view of the path so a hot hit costs no allocation.
+// With create set an absent path is created; otherwise fn runs only when
+// path is present. It reports whether fn ran. On a store.Pinner (the
+// spill store) fn runs with the entry pinned; on the in-memory store an
+// evicted session is discarded by design, so fn runs on the session the
+// lookup returned. fn must not call back into the registry.
+func (r *Registry) WithBytes(path []byte, create bool, fn func(*Session)) bool {
+	var e store.Entry
+	ok := true
+	switch st := r.st.(type) {
+	case store.Pinner:
+		if e, ok = st.Pin(path, create); !ok {
+			return false
+		}
+		defer st.Unpin()
+	case store.BytesKeyed:
+		if create {
+			e = st.GetOrCreateBytes(path)
+		} else {
+			e, ok = st.LookupBytes(path)
+		}
+	default:
+		if create {
+			e = st.GetOrCreate(string(path))
+		} else {
+			e, ok = st.Lookup(string(path))
+		}
+	}
+	if ok {
+		fn(e.(*Session))
+	}
+	return ok
+}
+
+// With is WithBytes keyed by a string.
+func (r *Registry) With(path string, create bool, fn func(*Session)) bool {
+	return r.WithBytes([]byte(path), create, fn)
 }
 
 // Lookup returns the session for path if present, marking it most
@@ -110,35 +161,6 @@ func (r *Registry) GetOrCreate(path string) *Session {
 // memory).
 func (r *Registry) Lookup(path string) (*Session, bool) {
 	e, ok := r.st.Lookup(path)
-	if !ok {
-		return nil, false
-	}
-	return e.(*Session), true
-}
-
-// GetOrCreateBytes is GetOrCreate keyed by a byte-slice view of the
-// path — the wire fastpath's entry point. When the store implements
-// store.BytesKeyed (both shipped stores do) a hit costs no allocation;
-// otherwise the key is cloned and the string method used.
-func (r *Registry) GetOrCreateBytes(path []byte) *Session {
-	if bk, ok := r.st.(store.BytesKeyed); ok {
-		return bk.GetOrCreateBytes(path).(*Session)
-	}
-	return r.st.GetOrCreate(string(path)).(*Session)
-}
-
-// LookupBytes is Lookup keyed by a byte-slice view of the path; see
-// GetOrCreateBytes.
-func (r *Registry) LookupBytes(path []byte) (*Session, bool) {
-	var (
-		e  store.Entry
-		ok bool
-	)
-	if bk, bok := r.st.(store.BytesKeyed); bok {
-		e, ok = bk.LookupBytes(path)
-	} else {
-		e, ok = r.st.Lookup(string(path))
-	}
 	if !ok {
 		return nil, false
 	}
@@ -162,13 +184,23 @@ func (r *Registry) Peek(path string) (*Session, bool) {
 // forgotten here (the importing node owns the authoritative copy).
 func (r *Registry) Delete(path string) bool { return r.st.Delete(path) }
 
-// Install replaces path's session with one rebuilt from ps — the import
-// side of shard handoff. The previous session (if any) is deleted first;
-// restore never merges, so a retried import lands in the same state.
-func (r *Registry) Install(ps PathSnapshot) {
-	r.st.Delete(ps.Path)
-	s := r.st.GetOrCreate(ps.Path).(*Session)
-	s.restore(ps)
+// Install replaces ps.Path's session state with ps — the import side of
+// shard handoff and the per-path step of Restore. The state is decoded in
+// full before anything is replaced, so an error leaves the registry
+// unchanged. The previous session is deleted rather than faulted in, and
+// the install never merges, so a retried import lands in the same state.
+func (r *Registry) Install(ps PathSnapshot) error {
+	ens, err := ps.ensemble(r.cfg.Ensemble)
+	if err != nil {
+		return err
+	}
+	r.install(ps.Path, ens)
+	return nil
+}
+
+func (r *Registry) install(path string, ens *predict.Ensemble) {
+	r.st.Delete(path)
+	r.With(path, true, func(s *Session) { s.install(ens) })
 }
 
 // Len returns the number of registered paths across all tiers.

@@ -2,6 +2,10 @@ package predsvc
 
 import (
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -116,4 +120,82 @@ func TestRegistryConcurrentHammer(t *testing.T) {
 		}
 	}()
 	wg2.Wait()
+}
+
+// TestSpillHammerKeepsEveryObservation drives the handlers from eight
+// goroutines, each owning two paths, against a one-shard, four-slot spill
+// store: sixteen paths churn through four hot slots, so nearly every
+// request faults one session in and spills another. Every accepted
+// observation must be counted in its path's final session. Run under
+// -race (the short suite does); a handler that mutates a session after
+// releasing the store can lose an observation to a concurrent spill.
+func TestSpillHammerKeepsEveryObservation(t *testing.T) {
+	const (
+		goroutines = 8
+		rounds     = 100
+	)
+	// Oversubscribe the CPUs, as a loaded node is: the OS then preempts
+	// handler threads mid-request, which widens any window between a store
+	// lookup and the session update that follows it.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4 * goroutines))
+	srv, err := Open(Config{Shards: 1, Capacity: 4, SpillDir: t.TempDir(), Ensemble: predict.EnsembleConfig{ErrorWindow: 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.Handler()
+	do := func(method, target, body string) error {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			return fmt.Errorf("%s %s = %d: %s", method, target, rec.Code, rec.Body)
+		}
+		return nil
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			a, b := fmt.Sprintf("hammer-%02d", 2*g), fmt.Sprintf("hammer-%02d", 2*g+1)
+			for i := 0; i < rounds; i++ {
+				x := 1e6 * float64(1+(g+i)%7)
+				for _, req := range [][3]string{
+					{http.MethodPost, "/v1/measure", fmt.Sprintf(`{"path":%q,"rtt_s":0.05,"loss_rate":0.001,"avail_bw_bps":2e7}`, a)},
+					{http.MethodPost, "/v1/observe", fmt.Sprintf(`{"path":%q,"throughput_bps":%g}`, a, x)},
+					{http.MethodPost, "/v1/observe-batch", fmt.Sprintf(`{"observations":[{"path":%q,"throughput_bps":%g},{"path":%q,"throughput_bps":%g}]}`, a, x, b, x)},
+					{http.MethodGet, "/v1/predict?path=" + a, ""},
+					{http.MethodPost, "/v1/predict-batch", fmt.Sprintf(`{"paths":[%q,%q]}`, a, b)},
+				} {
+					if err := do(req[0], req[1], req[2]); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2*goroutines; i++ {
+		path := fmt.Sprintf("hammer-%02d", i)
+		want := uint64(rounds)
+		if i%2 == 0 {
+			want = 2 * rounds
+		}
+		s, ok := srv.Registry().Peek(path)
+		if !ok {
+			t.Fatalf("%s lost", path)
+		}
+		if got := s.Observations(); got != want {
+			t.Errorf("%s: %d observations, want %d", path, got, want)
+		}
+	}
+	if st := srv.Registry().TierStats(); st.Spills == 0 || st.Faults == 0 || st.Errors != 0 {
+		t.Errorf("hammer never crossed the spill tier cleanly: %+v", st)
+	}
 }

@@ -387,18 +387,21 @@ type RestoreStats struct {
 
 // RestoreSnapshot loads a snapshot file into the registry. A missing file
 // is not an error. A corrupt file (bad checksum, unparseable, wrong
-// version) is quarantined to "<path>.corrupt-<n>" and reported in the
-// returned stats — the daemon boots with an empty registry instead of
-// dying on state it can regrow from live traffic. Only real I/O failures
-// (unreadable file, failed quarantine rename) return an error.
+// version, state the configuration refuses) is quarantined to
+// "<path>.corrupt-<n>" and reported in the returned stats — the daemon
+// boots with an empty registry instead of dying on state it can regrow
+// from live traffic. Only real I/O failures (unreadable file, failed
+// quarantine rename) return an error.
 func (r *Server) RestoreSnapshot(path string) (RestoreStats, error) {
 	r.notReady.Store(true)
 	defer r.notReady.Store(false)
 	var st RestoreStats
 	snap, err := ReadSnapshotFile(path)
+	if err == nil {
+		st.Paths, err = r.reg.Restore(snap)
+	}
 	switch {
-	case err == nil:
-	case errors.Is(err, fs.ErrNotExist):
+	case err == nil, errors.Is(err, fs.ErrNotExist):
 		return st, nil
 	case errors.Is(err, ErrCorruptSnapshot):
 		q, qerr := Quarantine(path)
@@ -410,8 +413,6 @@ func (r *Server) RestoreSnapshot(path string) (RestoreStats, error) {
 	default:
 		return st, err
 	}
-	st.Paths, err = r.reg.Restore(snap)
-	return st, err
 }
 
 // apiError is the JSON error body.

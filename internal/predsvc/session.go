@@ -7,49 +7,19 @@ import (
 	"repro/internal/predict"
 )
 
-// Session is one path's predictor state behind a mutex: the path name,
-// the bounded log of raw observations a snapshot replays, and the
-// predict.Ensemble that runs the zoo — scoring (Eq. 4), selection,
+// Session is one path's predictor state behind a mutex: the path name and
+// the predict.Ensemble that runs the zoo — scoring (Eq. 4), selection,
 // quantiles, regret and coverage all live there. The ensemble is not
 // goroutine-safe; every Session method takes the lock, so a Session may be
 // used concurrently.
 type Session struct {
-	mu      sync.Mutex
-	path    string
-	history history
-	ens     *predict.Ensemble
-}
-
-// history is the bounded log of recent raw observations that a snapshot
-// carries and a restore replays.
-type history struct {
-	xs    []float64
-	limit int
-}
-
-// add appends x, compacting to the newest limit entries once twice that
-// many have accumulated.
-func (h *history) add(x float64) {
-	h.xs = append(h.xs, x)
-	if len(h.xs) >= 2*h.limit {
-		h.xs = append(h.xs[:0], h.xs[len(h.xs)-h.limit:]...)
-	}
-}
-
-// recent returns the newest limit entries.
-func (h *history) recent() []float64 {
-	if len(h.xs) > h.limit {
-		return h.xs[len(h.xs)-h.limit:]
-	}
-	return h.xs
+	mu   sync.Mutex
+	path string
+	ens  *predict.Ensemble
 }
 
 func newSession(path string, cfg Config) *Session {
-	return &Session{
-		path:    path,
-		history: history{limit: cfg.HistoryLimit},
-		ens:     predict.NewEnsemble(cfg.Ensemble),
-	}
+	return &Session{path: path, ens: predict.NewEnsemble(cfg.Ensemble)}
 }
 
 // withEnsemble runs fn on the session's ensemble under the session lock.
@@ -95,14 +65,9 @@ func (s *Session) Observe(throughputBps float64) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if ValidObservation(throughputBps) {
-		s.observeLocked(throughputBps)
+		s.ens.Observe(throughputBps)
 	}
 	return s.ens.Observations()
-}
-
-func (s *Session) observeLocked(x float64) {
-	s.ens.Observe(x)
-	s.history.add(x)
 }
 
 // SetMeasurement installs fresh a-priori path measurements (T̂, p̂, Â) for
@@ -260,15 +225,14 @@ func (s *Session) PredictInto(p *Prediction, fb *FBState) {
 	}
 }
 
-// snapshot captures the replayable state of the session.
+// snapshot captures the session's state.
 func (s *Session) snapshot() PathSnapshot {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	st := s.ens.State()
+	s.mu.Unlock()
 	ps := PathSnapshot{
 		Path:         s.path,
 		Observations: st.Observations,
-		History:      append([]float64(nil), s.history.recent()...),
 		FBAge:        st.FBAge,
 		Families:     st.Families,
 		CovIn:        st.CovIn,
@@ -284,23 +248,12 @@ func (s *Session) snapshot() PathSnapshot {
 	return ps
 }
 
-// restore replays a snapshot into the session. Predictors with bounded
-// memory (MA, windowed LSO, the switcher) restore exactly when the
-// snapshot history covers their window; EWMA/HW restore approximately
-// (their infinite tail beyond HistoryLimit observations is dropped),
-// which the snapshot format documents as acceptable for a cache-like
-// registry. Everything else the replay cannot rebuild — error windows
-// (FB's were scored against bygone measurements), regression and ECM
-// state, coverage counters, measurements and their age — is installed
-// verbatim by Ensemble.SetState.
-func (s *Session) restore(ps PathSnapshot) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Conditioning features are not retained per epoch, so regression and
-	// ECM see none during the replay; SetState overwrites their state.
-	for _, x := range ps.History {
-		s.observeLocked(x)
-	}
+// ensemble rebuilds the path's tournament from ps by installing its state
+// into a fresh predict.Ensemble: a copy, exact at any history length, with
+// no observation replayed. An error means ps is malformed or was taken
+// under another configuration; ps may come from disk or another node, so
+// callers treat it as untrusted input.
+func (ps *PathSnapshot) ensemble(cfg predict.EnsembleConfig) (*predict.Ensemble, error) {
 	st := predict.EnsembleState{
 		Observations: ps.Observations,
 		FBAge:        ps.FBAge,
@@ -315,5 +268,16 @@ func (s *Session) restore(ps PathSnapshot) {
 			AvailBw:  ps.FBInputs.AvailBwBps,
 		}
 	}
-	s.ens.SetState(st)
+	ens := predict.NewEnsemble(cfg)
+	if err := ens.SetState(st); err != nil {
+		return nil, err
+	}
+	return ens, nil
+}
+
+// install replaces the session's tournament with a restored one.
+func (s *Session) install(ens *predict.Ensemble) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.ens = ens
 }

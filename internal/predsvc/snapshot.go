@@ -23,15 +23,15 @@ type FBInputsSnapshot struct {
 	AvailBwBps float64 `json:"avail_bw_bps"`
 }
 
-// PathSnapshot is one path's replayable state: the retained raw
-// observation history (bounded by Config.HistoryLimit), the lifetime
-// observation count, the latest FB measurements, and the rolling error
-// windows of every predictor (which cannot be rebuilt from history alone —
-// FB errors depend on measurements that are not retained per epoch).
+// PathSnapshot is one path's state, the one record format of the spill
+// log, registry snapshots and shard handoff: the lifetime observation
+// count, the latest FB measurements and their age, and every family's
+// error window and live predictor state (predict.Ensemble.State).
+// Restoring installs that state into a fresh ensemble — a copy, exact at
+// any history length; no observation is replayed.
 type PathSnapshot struct {
 	Path         string            `json:"path"`
 	Observations uint64            `json:"observations"`
-	History      []float64         `json:"history"`
 	FBInputs     *FBInputsSnapshot `json:"fb_inputs,omitempty"`
 	// FBAge is how many observations the path had absorbed since the
 	// FBInputs measurements were installed — preserved so staleness
@@ -44,26 +44,20 @@ type PathSnapshot struct {
 	CovTotal uint64 `json:"cov_total,omitempty"`
 }
 
-// Snapshot is the serialized registry: every session's replayable state,
-// shard by shard, least recently used first — so restoring in file order
-// into an equally-sharded registry reproduces each shard's recency order.
-//
-// Restore replays each path's history through a fresh session. Predictors
-// whose memory fits in HistoryLimit observations (MA, LSO windows) come
-// back exactly; EWMA and Holt-Winters come back with their influence from
-// observations older than the retained history dropped, which is the
-// documented approximation for this cache-like registry.
+// Snapshot is the serialized registry: every session's state, shard by
+// shard, least recently used first — so restoring in file order into an
+// equally-sharded registry reproduces each shard's recency order.
 type Snapshot struct {
 	Version int            `json:"version"`
 	Paths   []PathSnapshot `json:"paths"`
 }
 
-// snapshotVersion guards the on-disk format: version 2 carries the
-// per-family tournament state (PathSnapshot.Families). Any other version
-// is rejected.
-const snapshotVersion = 2
+// snapshotVersion guards the on-disk format: version 3 carries each
+// family's live predictor state in place of version 2's replayed
+// observation history. Any other version is rejected.
+const snapshotVersion = 3
 
-// Snapshot captures the replayable state of every session.
+// Snapshot captures the state of every session.
 func (r *Registry) Snapshot() *Snapshot {
 	snap := &Snapshot{Version: snapshotVersion}
 	r.forEachLRU(func(s *Session) {
@@ -72,24 +66,32 @@ func (r *Registry) Snapshot() *Snapshot {
 	return snap
 }
 
-// Restore replays snap into the registry (intended for a freshly built
+// Restore installs snap into the registry (intended for a freshly built
 // one) and returns the number of paths restored. Paths beyond capacity
-// evict exactly as live traffic would.
+// evict exactly as live traffic would. A record whose state the
+// configuration refuses makes the whole snapshot ErrCorruptSnapshot: the
+// paths restored before it are deleted again, so a snapshot is never half
+// restored.
 func (r *Registry) Restore(snap *Snapshot) (int, error) {
 	if snap.Version != snapshotVersion {
-		return 0, fmt.Errorf("predsvc: snapshot version %d, want %d", snap.Version, snapshotVersion)
+		return 0, fmt.Errorf("%w: version %d, want %d", ErrCorruptSnapshot, snap.Version, snapshotVersion)
 	}
-	for _, ps := range snap.Paths {
-		r.GetOrCreate(ps.Path).restore(ps)
+	for i := range snap.Paths {
+		if err := r.Install(snap.Paths[i]); err != nil {
+			for _, ps := range snap.Paths[:i] {
+				r.Delete(ps.Path)
+			}
+			return 0, fmt.Errorf("%w: path %q: %v", ErrCorruptSnapshot, snap.Paths[i].Path, err)
+		}
 	}
 	return len(snap.Paths), nil
 }
 
 // ErrCorruptSnapshot tags snapshot data that fails its checksum, does not
-// parse, or carries an unknown version — anything a crash mid-write, a
-// torn disk, or a foreign file could produce. Callers match it with
-// errors.Is to distinguish "quarantine and boot empty" from real I/O
-// failures.
+// parse, carries an unknown version or holds state the configuration
+// refuses — anything a crash mid-write, a torn disk, or a foreign file
+// could produce. Callers match it with errors.Is to distinguish
+// "quarantine and boot empty" from real I/O failures.
 var ErrCorruptSnapshot = errors.New("predsvc: corrupt snapshot")
 
 // checksumPrefix separates the JSON body from the integrity trailer.

@@ -146,8 +146,9 @@ func (s *SpillStore) spill(e Entry) {
 
 // Interface conformance, checked at compile time.
 var (
-	_ Store = (*MemStore)(nil)
-	_ Store = (*SpillStore)(nil)
+	_ Store  = (*MemStore)(nil)
+	_ Store  = (*SpillStore)(nil)
+	_ Pinner = (*SpillStore)(nil)
 )
 
 // dropCold forgets path's cold record, accounting its bytes as dead.
@@ -203,61 +204,27 @@ func (s *SpillStore) faultIn(path string, ref recordRef, promote bool) (Entry, b
 // (promoting it back to the hot tier, possibly spilling another entry),
 // or a fresh entry.
 func (s *SpillStore) GetOrCreate(path string) Entry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.hot.Lookup(path); ok {
-		return e
-	}
-	if ref, ok := s.cold[path]; ok {
-		if e, ok := s.faultIn(path, ref, true); ok {
-			s.hot.put(path, e)
-			return e
-		}
-	}
-	return s.hot.GetOrCreate(path)
+	e, _ := s.Pin([]byte(path), true)
+	s.Unpin()
+	return e
 }
 
 // Lookup returns the entry for path if present in either tier, promoting
 // a cold entry back to the hot tier.
 func (s *SpillStore) Lookup(path string) (Entry, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.hot.Lookup(path); ok {
-		return e, true
+	e, ok := s.Pin([]byte(path), false)
+	if ok {
+		s.Unpin()
 	}
-	if ref, ok := s.cold[path]; ok {
-		if e, ok := s.faultIn(path, ref, true); ok {
-			s.hot.put(path, e)
-			return e, true
-		}
-	}
-	return nil, false
+	return e, ok
 }
 
-// GetOrCreateBytes is the BytesKeyed fastpath: a hot-tier hit costs no
-// allocation; the cold and miss paths clone the key (they do I/O or
-// construct a session anyway).
-func (s *SpillStore) GetOrCreateBytes(path []byte) Entry {
+// Pin implements Pinner by holding the store mutex until Unpin: every
+// eviction happens under it, so nothing can be spilled meanwhile. A
+// hot-tier hit costs no allocation; the cold and create paths clone the
+// key (they do I/O or construct an entry anyway).
+func (s *SpillStore) Pin(path []byte, create bool) (Entry, bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.hot.LookupBytes(path); ok {
-		return e
-	}
-	p := string(path)
-	if ref, ok := s.cold[p]; ok {
-		if e, ok := s.faultIn(p, ref, true); ok {
-			s.hot.put(p, e)
-			return e
-		}
-	}
-	return s.hot.GetOrCreate(p)
-}
-
-// LookupBytes is the BytesKeyed fastpath: a hot-tier hit costs no
-// allocation; a cold promotion clones the key on its way to disk.
-func (s *SpillStore) LookupBytes(path []byte) (Entry, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if e, ok := s.hot.LookupBytes(path); ok {
 		return e, true
 	}
@@ -268,8 +235,15 @@ func (s *SpillStore) LookupBytes(path []byte) (Entry, bool) {
 			return e, true
 		}
 	}
+	if create {
+		return s.hot.GetOrCreate(string(path)), true
+	}
+	s.mu.Unlock()
 	return nil, false
 }
+
+// Unpin releases the entry Pin returned.
+func (s *SpillStore) Unpin() { s.mu.Unlock() }
 
 // Peek returns the entry for path without touching recency. A cold entry
 // comes back as a transient decoded copy: reads are accurate, mutations

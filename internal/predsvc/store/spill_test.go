@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 func openSpillT(t *testing.T, mem MemConfig, compactMin int64) (*SpillStore, string) {
@@ -88,6 +89,42 @@ func TestSpillFaultPreservesState(t *testing.T) {
 	}
 	if st := s.Stats(); st.Faults != 1 {
 		t.Fatalf("hot lookup faulted: Faults = %d, want still 1", st.Faults)
+	}
+}
+
+// TestSpillPin: Pin faults a cold entry in or creates one on request,
+// holds the store until Unpin, and holds nothing when it misses.
+func TestSpillPin(t *testing.T) {
+	s, _ := openSpillT(t, MemConfig{Shards: 1, Capacity: 1, New: newToy}, 0)
+	if _, ok := s.Pin([]byte("a"), false); ok {
+		t.Fatal("Pin without create found an absent entry")
+	}
+	e, ok := s.Pin([]byte("a"), true)
+	if !ok {
+		t.Fatal("Pin with create missed")
+	}
+	e.(*toyEntry).add(5)
+	s.Unpin()
+	s.GetOrCreate("b") // spills a
+	e, ok = s.Pin([]byte("a"), false)
+	if !ok || e.(*toyEntry).sum() != 5 {
+		t.Fatalf("Pin of a cold entry = %v, %v; want it faulted in with sum 5", e, ok)
+	}
+	// While a is pinned no other operation can run, so none can evict it.
+	done := make(chan struct{})
+	go func() {
+		s.GetOrCreate("c")
+		close(done)
+	}()
+	select {
+	case <-done:
+		t.Fatal("GetOrCreate ran while an entry was pinned")
+	case <-time.After(20 * time.Millisecond):
+	}
+	s.Unpin()
+	<-done
+	if st := s.Stats(); st.ColdPaths != 2 || st.Errors != 0 {
+		t.Fatalf("after unpin: %+v, want a and b cold", st)
 	}
 }
 

@@ -105,6 +105,20 @@ type BytesKeyed interface {
 	LookupBytes(path []byte) (Entry, bool)
 }
 
+// Pinner is the optional interface of stores that can evict an entry
+// after GetOrCreate has returned it and before the caller is done with it:
+// on a SpillStore an update made to the evicted copy is lost, because the
+// log already holds the entry as it was. Pin resolves a byte-slice view of
+// path like Lookup, or like GetOrCreate when create is set, and holds
+// every entry resident until the paired Unpin. When it reports false
+// nothing is pinned and Unpin must not be called. The caller must not call
+// back into the store while an entry is pinned. Callers prefer it over
+// BytesKeyed.
+type Pinner interface {
+	Pin(path []byte, create bool) (Entry, bool)
+	Unpin()
+}
+
 // nextPow2 returns the smallest power of two ≥ n (n ≥ 1).
 func nextPow2(n int) int {
 	p := 1

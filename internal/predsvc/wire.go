@@ -307,7 +307,8 @@ func (r *Server) handleObserveFast(w http.ResponseWriter, req *http.Request) int
 		r.metrics.rejectedInputs.Add(1)
 		return writePre(w, http.StatusBadRequest, errBodyBadThroughput)
 	}
-	n := r.reg.GetOrCreateBytes(wc.path).Observe(tput)
+	var n uint64
+	r.reg.WithBytes(wc.path, true, func(s *Session) { n = s.Observe(tput) })
 	r.metrics.observations.Add(1)
 	e := jenc{b: wc.out[:0]}
 	e.raw(`{"path":`)
@@ -372,7 +373,8 @@ func (r *Server) handleMeasureFast(w http.ResponseWriter, req *http.Request) int
 		r.metrics.rejectedInputs.Add(1)
 		return writePre(w, http.StatusBadRequest, errBodyBadMeasurement)
 	}
-	f := r.reg.GetOrCreateBytes(wc.path).SetMeasurement(in)
+	var f float64
+	r.reg.WithBytes(wc.path, true, func(s *Session) { f = s.SetMeasurement(in) })
 	e := jenc{b: wc.out[:0]}
 	e.raw(`{"path":`)
 	e.strb(wc.path)
@@ -392,12 +394,10 @@ func (r *Server) handlePredictFast(w http.ResponseWriter, req *http.Request) int
 	if !queryPath(req.URL.RawQuery, wc) || len(wc.path) == 0 {
 		return writePre(w, http.StatusBadRequest, errBodyMissingPathQ)
 	}
-	sess, ok := r.reg.LookupBytes(wc.path)
-	if !ok {
+	if !r.reg.WithBytes(wc.path, false, func(s *Session) { s.PredictInto(&wc.pred, &wc.fb) }) {
 		return writeError(w, http.StatusNotFound, "unknown path %q", wc.path)
 	}
 	r.metrics.predictions.Add(1)
-	sess.PredictInto(&wc.pred, &wc.fb)
 	p := &wc.pred
 	if p.FB != nil && p.FB.Stale {
 		r.metrics.stalePredictions.Add(1)
@@ -465,7 +465,7 @@ func (r *Server) handleObserveBatchFast(w http.ResponseWriter, req *http.Request
 				rejected++
 				return nil
 			}
-			r.reg.GetOrCreateBytes(wc.path).Observe(tput)
+			r.reg.WithBytes(wc.path, true, func(s *Session) { s.Observe(tput) })
 			r.metrics.observations.Add(1)
 			accepted++
 			return nil
@@ -536,8 +536,7 @@ func (r *Server) handlePredictBatchFast(w http.ResponseWriter, req *http.Request
 				}
 				wc.setPath(s)
 			}
-			sess, ok := r.reg.LookupBytes(wc.path)
-			if !ok {
+			if !r.reg.WithBytes(wc.path, false, func(s *Session) { s.PredictInto(&wc.pred, &wc.fb) }) {
 				if nmiss > 0 {
 					wc.miss = append(wc.miss, ',')
 				}
@@ -546,7 +545,6 @@ func (r *Server) handlePredictBatchFast(w http.ResponseWriter, req *http.Request
 				return nil
 			}
 			r.metrics.predictions.Add(1)
-			sess.PredictInto(&wc.pred, &wc.fb)
 			p := &wc.pred
 			if p.FB != nil && p.FB.Stale {
 				r.metrics.stalePredictions.Add(1)

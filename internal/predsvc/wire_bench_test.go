@@ -147,11 +147,9 @@ func BenchmarkWirePredictRoundTrip(b *testing.B) {
 		if !queryPath(rawQuery, wc) {
 			b.Fatal("no path")
 		}
-		s, ok := reg.LookupBytes(wc.path)
-		if !ok {
+		if !reg.WithBytes(wc.path, false, func(s *Session) { s.PredictInto(&wc.pred, &wc.fb) }) {
 			b.Fatal("missing session")
 		}
-		s.PredictInto(&wc.pred, &wc.fb)
 		e := jenc{b: wc.out[:0]}
 		appendPrediction(&e, &wc.pred)
 		wc.out = e.b

@@ -87,43 +87,63 @@ func TestCalibrationEndToEnd(t *testing.T) {
 	t.Logf("calibration: coverage %.3f over %d intervals", rep.IntervalCoverage, rep.IntervalsScored)
 }
 
-// TestLegacyV1SnapshotRejected: a version-1 snapshot (PR-6 era: hb_errors
-// / fb_errors, no families) is no longer restorable. With an intact
-// checksum it must still be refused as ErrCorruptSnapshot by the codec,
-// refused by Registry.Restore, and quarantined at boot — never half
-// restored with empty tournament state.
+// TestLegacyV1SnapshotRejected: snapshots of earlier formats are no longer
+// restorable — version 1 (hb_errors / fb_errors, no families) and version
+// 2 (a replayed observation history beside the families' error windows) —
+// and neither is a current snapshot holding state the configuration
+// refuses. With an intact checksum each must still be
+// refused as ErrCorruptSnapshot and quarantined at boot — never half
+// restored.
 func TestLegacyV1SnapshotRejected(t *testing.T) {
-	body := []byte(`{"version":1,"paths":[{"path":"v1-path","observations":6,` +
-		`"history":[10e6,12e6,11e6,13e6,12e6,12.5e6],` +
-		`"fb_inputs":{"rtt_s":0.05,"loss_rate":0.001,"avail_bw_bps":20e6},"fb_age":2,` +
-		`"hb_errors":[[0.2,-0.1],[0.15,-0.12],[0.3,-0.2]],"fb_errors":[0.5,0.4]}]}`)
-	sum := sha256.Sum256(body)
-	data := append(append(body, checksumPrefix...), hex.EncodeToString(sum[:])...)
-	data = append(data, '\n')
-
-	if _, err := DecodeSnapshot(data); !errors.Is(err, ErrCorruptSnapshot) {
-		t.Fatalf("DecodeSnapshot(v1) err = %v, want ErrCorruptSnapshot", err)
+	bodies := map[string]string{
+		"v1": `{"version":1,"paths":[{"path":"v1-path","observations":6,` +
+			`"history":[10e6,12e6,11e6,13e6,12e6,12.5e6],` +
+			`"fb_inputs":{"rtt_s":0.05,"loss_rate":0.001,"avail_bw_bps":20e6},"fb_age":2,` +
+			`"hb_errors":[[0.2,-0.1],[0.15,-0.12],[0.3,-0.2]],"fb_errors":[0.5,0.4]}]}`,
+		"v2": `{"version":2,"paths":[{"path":"v2-path","observations":6,` +
+			`"history":[10e6,12e6,11e6,13e6,12e6,12.5e6],` +
+			`"fb_inputs":{"rtt_s":0.05,"loss_rate":0.001,"avail_bw_bps":20e6},"fb_age":2,` +
+			`"families":[{"name":"10-MA-LSO","errors":[0.2,-0.1,0.15]}]}]}`,
+		// The second path's MA ring is longer than the order: the first
+		// path must not stay restored.
+		"v3 malformed": `{"version":3,"paths":[{"path":"ok-path","observations":1,` +
+			`"families":[{"name":"10-MA-LSO","lso":{"window":[10e6],"inner":{"ma":{"ring":[10e6],"sum":10e6}}}}]},` +
+			`{"path":"bad-path","observations":1,` +
+			`"families":[{"name":"10-MA-LSO","lso":{"window":[10e6],"inner":{"ma":{"ring":[1,2,3,4,5,6,7,8,9,10,11],"sum":66}}}}]}]}`,
 	}
-	for _, v := range []int{1, 99} {
-		if _, err := NewRegistry(Config{Shards: 1, Capacity: 8}).Restore(&Snapshot{Version: v}); err == nil {
-			t.Errorf("Restore accepted snapshot version %d", v)
+	for name, body := range bodies {
+		sum := sha256.Sum256([]byte(body))
+		data := append(append([]byte(body), checksumPrefix...), hex.EncodeToString(sum[:])...)
+		data = append(data, '\n')
+
+		snap, err := DecodeSnapshot(data)
+		if err == nil {
+			_, err = NewRegistry(Config{Shards: 1, Capacity: 8}).Restore(snap)
+		}
+		if !errors.Is(err, ErrCorruptSnapshot) {
+			t.Fatalf("%s: decode+restore err = %v, want ErrCorruptSnapshot", name, err)
+		}
+
+		file := filepath.Join(t.TempDir(), "snap.json")
+		if err := os.WriteFile(file, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		srv := NewServer(Config{Shards: 1, Capacity: 8})
+		st, err := srv.RestoreSnapshot(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Paths != 0 || st.Quarantined == "" || !errors.Is(st.Reason, ErrCorruptSnapshot) {
+			t.Fatalf("%s: RestoreSnapshot = %+v, want a quarantine", name, st)
+		}
+		if srv.Registry().Len() != 0 {
+			t.Errorf("%s: registry holds %d paths after a rejected snapshot", name, srv.Registry().Len())
 		}
 	}
-
-	file := filepath.Join(t.TempDir(), "snap.json")
-	if err := os.WriteFile(file, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(Config{Shards: 1, Capacity: 8})
-	st, err := srv.RestoreSnapshot(file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Paths != 0 || st.Quarantined == "" || !errors.Is(st.Reason, ErrCorruptSnapshot) {
-		t.Fatalf("RestoreSnapshot(v1) = %+v, want a quarantine", st)
-	}
-	if srv.Registry().Len() != 0 {
-		t.Errorf("registry holds %d paths after a rejected v1 snapshot", srv.Registry().Len())
+	for _, v := range []int{1, 2, 99} {
+		if _, err := NewRegistry(Config{Shards: 1, Capacity: 8}).Restore(&Snapshot{Version: v}); !errors.Is(err, ErrCorruptSnapshot) {
+			t.Errorf("Restore of snapshot version %d: err = %v, want ErrCorruptSnapshot", v, err)
+		}
 	}
 }
 

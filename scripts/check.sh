@@ -24,6 +24,14 @@ go build ./...
 echo "==> go test -race -short"
 go test -race -short ./...
 
+# Fuzzing: the path-record decoder shared by the spill log, snapshots and
+# handoff must never panic on untrusted bytes, and must re-encode what it
+# accepts to a fixed point. Every `go test` replays the committed corpus
+# (internal/predsvc/testdata/fuzz); this step searches for new inputs, and
+# a failure it finds is written into that corpus.
+echo "==> fuzz FuzzPathSnapshotRestore (10s)"
+go test ./internal/predsvc -run '^$' -fuzz '^FuzzPathSnapshotRestore$' -fuzztime 10s -fuzzminimizetime 2s
+
 # The short suite above carries the in-process end-to-end gates (daemon
 # under the load generator, chaos, store conformance, cluster digest,
 # handoff/drain lifecycle, wire fastpath vs oracle digest); the sections

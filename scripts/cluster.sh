@@ -222,6 +222,11 @@ for i in 1 2 3 4; do
     eval "pid=\$roll_$i"
     stop_node "$pid" "$tmp/roll-$i.log"
     mv "$tmp/roll-$i.log" "$tmp/roll-$i.first.log"
+    # Stay down for two pace intervals, so at least one paced round is
+    # routed to the stopped node and the failover check has a premise: a
+    # restore is fast enough that an immediate restart can fall entirely
+    # between two rounds.
+    sleep 0.3
     "$tmp/predserverd" -addr "127.0.0.1:$port" -snapshot "$tmp/snap-$i.json" \
         -drain-delay 200ms >"$tmp/roll-$i.log" 2>&1 &
     eval "roll_$i=$!"
