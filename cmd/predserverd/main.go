@@ -2,7 +2,7 @@
 // serves the internal/predsvc HTTP JSON API (observe / measure / predict /
 // stats, plus the observe-batch / predict-batch bulk endpoints) over a
 // sharded, LRU-bounded path registry, with graceful shutdown on
-// SIGINT/SIGTERM and optional periodic JSON snapshots of registry state.
+// SIGINT/SIGTERM and optional periodic snapshots of registry state.
 // With -spill-dir the registry becomes a two-tier store: sessions evicted
 // from the in-memory hot tier are serialized to an append-only checksummed
 // spill log and faulted back on access, so the daemon holds far more paths

@@ -1,6 +1,6 @@
 // Package faultinject provides deterministic, seedable fault injection for
-// resilience testing: error returns, latency injection, and data corruption
-// at named call sites.
+// resilience testing: error returns and latency injection at named call
+// sites.
 //
 // A caller threads a *Injector (nil means "no faults, zero cost") into the
 // code under test and names each failure-prone seam with a site string,
@@ -120,31 +120,6 @@ func (in *Injector) Check(site string) error {
 	return err
 }
 
-// Mutate passes data through site's rules: when one fires, a copy of data
-// with one deterministically chosen byte flipped is returned (the original
-// slice is never modified). With a nil receiver, no matching rule, or no
-// fire, data is returned unchanged.
-func (in *Injector) Mutate(site string, data []byte) []byte {
-	if in == nil || len(data) == 0 {
-		return data
-	}
-	fired := false
-	in.mu.Lock()
-	in.calls[site]++
-	for _, rs := range in.sites[site] {
-		if rs.fire() {
-			fired = true
-		}
-	}
-	in.mu.Unlock()
-	if !fired {
-		return data
-	}
-	out := append([]byte(nil), data...)
-	out[len(out)/2] ^= 0xFF
-	return out
-}
-
 // Fires returns the total number of fires recorded at site.
 func (in *Injector) Fires(site string) uint64 {
 	if in == nil {
@@ -159,7 +134,7 @@ func (in *Injector) Fires(site string) uint64 {
 	return n
 }
 
-// Calls returns the number of Check/Mutate evaluations recorded at site.
+// Calls returns the number of Check evaluations recorded at site.
 func (in *Injector) Calls(site string) uint64 {
 	if in == nil {
 		return 0

@@ -394,14 +394,17 @@ type FamilySnapshot struct {
 }
 
 // EnsembleState is the whole tournament of one path: the lifetime
-// observation count, the standing measurements and their age, every
-// family's error window and predictor state, and the coverage counters.
+// observation count, the standing measurements (nil until one is
+// installed) and how many observations ago they were, every family's error
+// window and predictor state, and the coverage counters. Its JSON form is
+// what the prediction service persists per path.
 type EnsembleState struct {
-	Observations    uint64
-	FB              *FBInputs // nil until a measurement is installed
-	FBAge           uint64
-	Families        []FamilySnapshot
-	CovIn, CovTotal uint64
+	Observations uint64           `json:"observations"`
+	FB           *FBInputs        `json:"fb_inputs,omitempty"`
+	FBAge        uint64           `json:"fb_age,omitempty"`
+	Families     []FamilySnapshot `json:"families,omitempty"`
+	CovIn        uint64           `json:"cov_in,omitempty"`
+	CovTotal     uint64           `json:"cov_total,omitempty"`
 }
 
 // State captures the ensemble. SetState on a fresh ensemble of the same

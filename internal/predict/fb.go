@@ -55,9 +55,9 @@ func (m Model) String() string {
 
 // FBInputs are the a-priori measurements an FB prediction consumes.
 type FBInputs struct {
-	RTT      float64 // T̂: RTT from periodic probing before the flow, seconds
-	LossRate float64 // p̂: loss rate from periodic probing before the flow
-	AvailBw  float64 // Â: available bandwidth estimate before the flow, bits/s
+	RTT      float64 `json:"rtt_s"`        // T̂: RTT from periodic probing before the flow, seconds
+	LossRate float64 `json:"loss_rate"`    // p̂: loss rate from periodic probing before the flow
+	AvailBw  float64 `json:"avail_bw_bps"` // Â: available bandwidth estimate before the flow, bits/s
 }
 
 // FBConfig describes the transfer whose throughput is being predicted.

@@ -2,12 +2,14 @@ package predsvc
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 )
 
 // FuzzPathSnapshotRestore feeds arbitrary bytes to the session codec: the
-// one decoder of path records, which arrive from the spill log, from
-// snapshot files and from other nodes. It must never panic, and a record
+// one decoder of record payloads, which arrive from the spill log, from
+// snapshot files and from other nodes (FuzzRecordStream in store covers
+// the framing around them). It must never panic, and a record
 // it accepts must re-encode to a fixed point — decoding its encoding and
 // encoding again gives the same bytes. The restored session must then
 // serve and absorb an observation. Seeds are real records at several
@@ -33,7 +35,11 @@ func FuzzPathSnapshotRestore(f *testing.F) {
 		s.Observe(series.Throughputs[k])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		e, err := codec.Decode("fuzz", data)
+		// Decode under the path the record names: a record framed under
+		// another path is refused before its state is looked at.
+		var named struct{ Path string }
+		json.Unmarshal(data, &named)
+		e, err := codec.Decode(named.Path, data)
 		if err != nil {
 			return
 		}
@@ -41,7 +47,7 @@ func FuzzPathSnapshotRestore(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted record does not re-encode: %v", err)
 		}
-		e2, err := codec.Decode("fuzz", b1)
+		e2, err := codec.Decode(named.Path, b1)
 		if err != nil {
 			t.Fatalf("re-encoded record refused: %v\n%s", err, b1)
 		}

@@ -2,29 +2,33 @@ package predsvc
 
 import (
 	"bufio"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 
 	"repro/internal/predsvc/cluster"
+	"repro/internal/predsvc/store"
 )
 
 // Shard handoff moves per-path predictor sessions between nodes when the
 // cluster's membership changes, over two streaming endpoints plus a
 // cleanup step:
 //
-//	POST /v1/sessions/export  {"nodes":[...], "self":"..."}  → NDJSON stream of HandoffRecords + trailer
-//	POST /v1/sessions/import  NDJSON stream of HandoffRecords + trailer
+//	POST /v1/sessions/export  {"nodes":[...], "self":"..."}  → record stream of PathSnapshots
+//	POST /v1/sessions/import  record stream of PathSnapshots
 //	POST /v1/sessions/drop    {"nodes":[...], "self":"..."}  → delete paths the new map assigns elsewhere
+//
+// The bodies are the store's record stream (store.StreamWriter), the same
+// framing as snapshot files: a header naming sessionsFormat, one
+// checksummed record per session, and a trailer carrying the record count
+// and a chained checksum, so a truncated, reordered or corrupted stream is
+// detected before the importer trusts it. Nodes whose sessionsFormat
+// versions differ refuse each other's streams with a 400.
 //
 // Export answers "give me every path I no longer own under this cluster
 // map": the caller supplies the NEW membership and the exporting node's
 // own URL, and every session whose rendezvous owner is not self streams
-// out as a checksummed record. A node absent from the new membership owns
-// nothing and exports everything — how a node leaves the cluster.
+// out as a record. A node absent from the new membership owns nothing and
+// exports everything — how a node leaves the cluster.
 //
 // Import is last-writer-wins on observation count and never merges: a
 // record lands only when it has strictly more observations than the
@@ -37,23 +41,6 @@ import (
 // paths succeeded, so a kill anywhere between export and drop loses
 // nothing: the paths still live on the source and the next attempt
 // re-exports them.
-
-// HandoffRecord is one line of the session-handoff NDJSON stream: either
-// a session record (Path/Observations/State/Sum) or the final trailer
-// (Trailer/Count/Sum). State is the session's PathSnapshot JSON — the
-// record format the registry snapshot and the spill log use — and Sum its
-// sha256. The trailer's Sum chains the record checksums in
-// stream order, so a truncated or reordered stream is detected before
-// the importer trusts it.
-type HandoffRecord struct {
-	Path         string          `json:"path,omitempty"`
-	Observations uint64          `json:"observations,omitempty"`
-	State        json.RawMessage `json:"state,omitempty"`
-	Sum          string          `json:"sum,omitempty"`
-
-	Trailer bool `json:"trailer,omitempty"`
-	Count   int  `json:"count,omitempty"`
-}
 
 // ClusterViewRequest carries a cluster membership view: the node URLs
 // the rendezvous map is built from, plus the receiving node's own URL
@@ -81,7 +68,8 @@ type SessionsDropResponse struct {
 }
 
 // maxHandoffBytes bounds an import stream; whole-registry transfers run
-// far past the 1 MiB request cap of the point endpoints.
+// far past the 1 MiB request cap of the point endpoints. Each record is
+// bounded separately by store.MaxRecordBytes.
 const maxHandoffBytes = 1 << 30
 
 // handoffFlushEvery is how many export records are written between
@@ -107,20 +95,20 @@ func decodeClusterView(w http.ResponseWriter, req *http.Request) (*cluster.Map, 
 }
 
 // handleSessionsExport streams every session the supplied cluster map
-// assigns away from self, as checksummed NDJSON records closed by a
-// chained-checksum trailer. The stream is produced in sorted path order,
-// so two exports against the same registry state are byte-identical. An
-// injected fault at SiteHandoffExport aborts the stream mid-way without
-// a trailer — the importer must treat such a stream as void.
+// assigns away from self as a record stream, in sorted path order, so two
+// exports against the same registry state are byte-identical. Cold
+// sessions are copied verbatim from the spill log. An injected fault at
+// SiteHandoffExport aborts the stream mid-way without a trailer — the
+// importer must treat such a stream as void.
 func (r *Server) handleSessionsExport(w http.ResponseWriter, req *http.Request) int {
 	m, self, ok := decodeClusterView(w, req)
 	if !ok {
 		return http.StatusBadRequest
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("Content-Type", "application/octet-stream")
 	w.WriteHeader(http.StatusOK)
 	bw := bufio.NewWriter(w)
-	chain := sha256.New()
+	sw := store.NewStreamWriter(bw, sessionsFormat)
 	count := 0
 	for _, path := range r.reg.Paths() {
 		if m.Node(path) == self {
@@ -132,27 +120,13 @@ func (r *Server) handleSessionsExport(w http.ResponseWriter, req *http.Request) 
 			bw.Flush()
 			return http.StatusOK
 		}
-		sess, ok := r.reg.Peek(path)
+		rec, ok := r.reg.st.Record(path)
 		if !ok {
 			continue // concurrently deleted
 		}
-		state, err := json.Marshal(sess.snapshot())
-		if err != nil {
-			continue
+		if sw.Write(rec) != nil {
+			return http.StatusOK // the client went away
 		}
-		sum := sha256.Sum256(state)
-		chain.Write(sum[:])
-		rec, err := json.Marshal(HandoffRecord{
-			Path:         path,
-			Observations: sess.Observations(),
-			State:        state,
-			Sum:          hex.EncodeToString(sum[:]),
-		})
-		if err != nil {
-			continue
-		}
-		bw.Write(rec)
-		bw.WriteByte('\n')
 		count++
 		r.metrics.handoffExported.Add(1)
 		if count%handoffFlushEvery == 0 {
@@ -162,81 +136,51 @@ func (r *Server) handleSessionsExport(w http.ResponseWriter, req *http.Request) 
 			}
 		}
 	}
-	trailer, _ := json.Marshal(HandoffRecord{
-		Trailer: true,
-		Count:   count,
-		Sum:     hex.EncodeToString(chain.Sum(nil)),
-	})
-	bw.Write(trailer)
-	bw.WriteByte('\n')
+	sw.Close()
 	bw.Flush()
 	return http.StatusOK
 }
 
-// handleSessionsImport applies a handoff stream. Records are verified
-// (per-record sha256, then the trailer's chained sum and count) and
-// applied last-writer-wins: a record installs only when it carries
-// strictly more observations than the resident session. Failures may
-// leave a prefix of the stream applied — by LWW that is safe, and the
-// orchestrator simply replays the stream. An injected fault at
-// SiteHandoffImport fails the request mid-batch to exercise exactly that
-// path.
+// handleSessionsImport applies a handoff stream one bounded record at a
+// time. Records are verified (per-record checksum, then the trailer's
+// count and chained checksum) and applied last-writer-wins: a record
+// installs only when it carries strictly more observations than the
+// resident session. Failures may leave a prefix of the stream applied — by
+// LWW that is safe, and the orchestrator simply replays the stream. An
+// injected fault at SiteHandoffImport fails the request mid-batch to
+// exercise exactly that path.
 func (r *Server) handleSessionsImport(w http.ResponseWriter, req *http.Request) int {
-	br := bufio.NewReader(http.MaxBytesReader(w, req.Body, maxHandoffBytes))
+	sr, err := store.NewStreamReader(http.MaxBytesReader(w, req.Body, maxHandoffBytes), sessionsFormat)
+	if err != nil {
+		return writeError(w, http.StatusBadRequest, "bad handoff stream: %v", err)
+	}
 	var resp SessionsImportResponse
-	chain := sha256.New()
-	seen := 0
 	for {
-		line, err := br.ReadBytes('\n')
-		if len(line) == 0 && err != nil {
-			if errors.Is(err, io.EOF) {
-				return writeError(w, http.StatusBadRequest, "truncated handoff stream: no trailer after %d records", seen)
-			}
-			return writeError(w, http.StatusBadRequest, "reading handoff stream: %v", err)
-		}
-		var rec HandoffRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return writeError(w, http.StatusBadRequest, "bad handoff record %d: %v", seen, err)
-		}
-		if rec.Trailer {
-			if rec.Count != seen {
-				return writeError(w, http.StatusBadRequest, "handoff trailer count %d, stream carried %d records", rec.Count, seen)
-			}
-			if got := hex.EncodeToString(chain.Sum(nil)); got != rec.Sum {
-				return writeError(w, http.StatusBadRequest, "handoff stream checksum mismatch")
-			}
+		rec, err := sr.Next()
+		if err == io.EOF {
 			return writeJSON(w, http.StatusOK, resp)
+		}
+		if err != nil {
+			return writeError(w, http.StatusBadRequest, "bad handoff stream: %v", err)
 		}
 		if err := r.cfg.Faults.Check(SiteHandoffImport); err != nil {
 			// Mid-batch failure with a prefix applied: safe, the retry's
 			// already-applied records skip via last-writer-wins.
 			return writeError(w, http.StatusInternalServerError, "injected fault: %v", err)
 		}
-		sum := sha256.Sum256(rec.State)
-		if hex.EncodeToString(sum[:]) != rec.Sum {
-			return writeError(w, http.StatusBadRequest, "handoff record %d (%s): state checksum mismatch", seen, rec.Path)
-		}
-		chain.Write(sum[:])
-		var ps PathSnapshot
-		if err := json.Unmarshal(rec.State, &ps); err != nil {
-			return writeError(w, http.StatusBadRequest, "handoff record %d (%s): bad state: %v", seen, rec.Path, err)
-		}
-		if ps.Path != rec.Path {
-			return writeError(w, http.StatusBadRequest, "handoff record %d: path %q carries state for %q", seen, rec.Path, ps.Path)
-		}
 		// The state is decoded before last-writer-wins looks at it, so a
 		// malformed record fails the stream even when it would be skipped.
-		ens, err := ps.ensemble(r.reg.cfg.Ensemble)
+		path, index := rec.Path(), resp.Imported+resp.Skipped
+		s, err := decodeSession(path, rec.Data(), r.reg.cfg.Ensemble)
 		if err != nil {
-			return writeError(w, http.StatusBadRequest, "handoff record %d (%s): bad state: %v", seen, rec.Path, err)
+			return writeError(w, http.StatusBadRequest, "handoff record %d (%s): bad state: %v", index, path, err)
 		}
-		seen++ // every message above names the record by its zero-based index
-		if existing, ok := r.reg.Peek(rec.Path); ok && existing.Observations() >= rec.Observations {
+		if existing, ok := r.reg.Peek(path); ok && existing.Observations() >= s.ens.Observations() {
 			resp.Skipped++
 			r.metrics.handoffSkipped.Add(1)
 			continue
 		}
-		r.reg.install(rec.Path, ens)
+		r.reg.install(path, s.ens)
 		resp.Imported++
 		r.metrics.handoffImported.Add(1)
 	}

@@ -3,8 +3,6 @@ package predsvc
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -15,6 +13,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/predict"
 	"repro/internal/predsvc/cluster"
+	"repro/internal/predsvc/store"
 )
 
 // handoffPair spins up two in-process servers and seeds the first with
@@ -174,23 +173,13 @@ func TestImportLastWriterWins(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		postJSON(t, dstURL+"/v1/observe", `{"path":"p","throughput_bps":1e7}`)
 	}
-	mkRecord := func(obs int) []HandoffRecord {
+	mkStream := func(obs int) []byte {
 		donor := NewServer(Config{})
 		sess := donor.Registry().GetOrCreate("p")
 		for i := 0; i < obs; i++ {
 			sess.Observe(2e7)
 		}
-		state, err := json.Marshal(sess.snapshot())
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum := sha256.Sum256(state)
-		return []HandoffRecord{{
-			Path:         "p",
-			Observations: sess.Observations(),
-			State:        state,
-			Sum:          hex.EncodeToString(sum[:]),
-		}}
+		return streamOf(t, sessionsFormat, record(t, "p", mustMarshal(t, sess.snapshot())))
 	}
 	hc := &http.Client{}
 	for _, tc := range []struct {
@@ -201,7 +190,7 @@ func TestImportLastWriterWins(t *testing.T) {
 		{obs: 5, wantImported: 0, wantObs: 5}, // tie: skip (>= keeps resident)
 		{obs: 8, wantImported: 1, wantObs: 8}, // newer: replace wholesale
 	} {
-		imp, skp, err := importSessions(context.Background(), hc, dstURL, mkRecord(tc.obs))
+		imp, skp, err := importSessions(context.Background(), hc, dstURL, mkStream(tc.obs))
 		if err != nil {
 			t.Fatalf("import (%d obs): %v", tc.obs, err)
 		}
@@ -216,63 +205,60 @@ func TestImportLastWriterWins(t *testing.T) {
 	}
 }
 
-// TestImportRejectsCorruptStreams: missing trailers, count mismatches and
-// checksum damage are all 400s — an importer never trusts a stream it
-// cannot verify.
+// TestImportRejectsCorruptStreams: missing trailers, count mismatches,
+// checksum damage, foreign formats and bad records are all 400s — an
+// importer never trusts a stream it cannot verify.
 func TestImportRejectsCorruptStreams(t *testing.T) {
-	_, _, _, dstURL := handoffPair(t, Config{}, Config{})
+	_, dst, _, dstURL := handoffPair(t, Config{}, Config{})
 
 	donor := NewServer(Config{})
 	sess := donor.Registry().GetOrCreate("q")
 	sess.Observe(1e7)
-	state, _ := json.Marshal(sess.snapshot())
-	sum := sha256.Sum256(state)
-	rec, _ := json.Marshal(HandoffRecord{
-		Path: "q", Observations: 1, State: state, Sum: hex.EncodeToString(sum[:]),
-	})
-	goodTrailer, _ := json.Marshal(HandoffRecord{
-		Trailer: true, Count: 1, Sum: func() string {
-			h := sha256.New()
-			h.Write(sum[:])
-			return hex.EncodeToString(h.Sum(nil))
-		}(),
-	})
+	state := mustMarshal(t, sess.snapshot())
+	rec := record(t, "q", state)
+	good := streamOf(t, sessionsFormat, rec)
+	trailerAt := len(good) - 40 // u32 mark, u32 count, sha256 chain
+	edit := func(b []byte, at int, to ...byte) []byte {
+		b = append([]byte(nil), b...)
+		copy(b[at:], to)
+		return b
+	}
 	// Second records (index 1, after the good one) that fail each of the
 	// per-record checks: every message must name the same zero-based index.
-	second := func(path string, state []byte, breakSum bool) string {
-		ssum := sha256.Sum256(state)
-		hexSum := hex.EncodeToString(ssum[:])
-		if breakSum {
-			hexSum = "00" + hexSum
-		}
-		r, _ := json.Marshal(HandoffRecord{Path: path, Observations: 9, State: state, Sum: hexSum})
-		return string(rec) + "\n" + string(r) + "\n"
-	}
+	second := func(r store.Record) []byte { return streamOf(t, sessionsFormat, rec, r) }
+	brokenSum := record(t, "q2", state)
+	brokenSum[len(brokenSum)-1] ^= 1
 	cases := []struct {
 		name string
 		body []byte
 		want string // substring of the error message
 	}{
-		{"no trailer", append(append([]byte{}, rec...), '\n'), "no trailer after 1 records"},
-		{"trailer count mismatch", []byte(string(rec) + "\n" + `{"trailer":true,"count":7,"sum":"00"}` + "\n"), "carried 1 records"},
-		{"trailer chain mismatch", []byte(string(rec) + "\n" + `{"trailer":true,"count":1,"sum":"deadbeef"}` + "\n"), "checksum mismatch"},
-		{"record checksum mismatch", []byte(string(bytes.Replace(rec, []byte(`"sum":"`), []byte(`"sum":"00`), 1)) + "\n" + string(goodTrailer) + "\n"), "handoff record 0 (q)"},
-		{"second record: unparseable", []byte(string(rec) + "\n{not json\n"), "bad handoff record 1:"},
-		{"second record: checksum", []byte(second("q2", state, true)), "handoff record 1 (q2): state checksum"},
-		{"second record: bad state", []byte(second("q2", []byte(`"not a snapshot"`), false)), "handoff record 1 (q2): bad state"},
-		{"second record: path mismatch", []byte(second("q2", state, false)), "handoff record 1: path"},
+		{"no trailer", good[:trailerAt], "record 1: store: corrupt record stream: truncated"},
+		{"trailer count mismatch", edit(good, trailerAt+7, 7), "trailer counts 7 records, stream carried 1"},
+		{"trailer chain mismatch", edit(good, trailerAt+8, 0xde, 0xad), "trailer checksum mismatch"},
+		{"record checksum mismatch", edit(good, trailerAt-1, good[trailerAt-1]^1), "record 0: store: corrupt record stream: sha256 mismatch"},
+		{"second record: unparseable", append(good[:trailerAt:trailerAt], "{not json\n"...), "record 1: store: corrupt record stream: record declares"},
+		{"second record: checksum", second(brokenSum), "record 1: store: corrupt record stream: sha256 mismatch"},
+		{"second record: bad state", second(record(t, "q2", []byte(`"not a snapshot"`))), "handoff record 1 (q2): bad state"},
+		{"second record: path mismatch", second(record(t, "q2", state)), `handoff record 1 (q2): bad state: record for "q2" carries state for "q"`},
+		{"another version", streamOf(t, "predsvc.PathSnapshot/3", rec), `stream format "predsvc.PathSnapshot/3", want "predsvc.PathSnapshot/4"`},
+		{"an NDJSON stream", []byte(`{"path":"q","observations":1,"state":{},"sum":"00"}` + "\n"), "record declares"},
 	}
 	for _, tc := range cases {
 		resp, data := postJSON(t, dstURL+"/v1/sessions/import", string(tc.body))
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s: status %d (%s), want 400", tc.name, resp.StatusCode, data)
 		}
-		if !strings.Contains(string(data), tc.want) {
+		var apiErr apiError
+		if json.Unmarshal(data, &apiErr) != nil || !strings.Contains(apiErr.Error, tc.want) {
 			t.Errorf("%s: error %s, want it to contain %q", tc.name, data, tc.want)
+		}
+		if _, ok := dst.Registry().Peek("q2"); ok {
+			t.Fatalf("%s: the bad second record was installed", tc.name)
 		}
 	}
 	// The intact stream still lands, proving the fixture itself is valid.
-	resp, data := postJSON(t, dstURL+"/v1/sessions/import", string(rec)+"\n"+string(goodTrailer)+"\n")
+	resp, data := postJSON(t, dstURL+"/v1/sessions/import", string(good))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("valid stream rejected: %d %s", resp.StatusCode, data)
 	}
@@ -306,35 +292,23 @@ func TestImportRejectsMalformedState(t *testing.T) {
 		t.Fatalf("no family %q", name)
 		return nil
 	}
-	// stream encodes records for the given states and a valid trailer. The
-	// record lines are written by hand, so a state that is not valid JSON
-	// reaches the importer as it is.
+	// stream frames records for the given states, so a state that is not
+	// valid JSON reaches the importer as it is.
 	stream := func(states ...[]byte) string {
-		var b strings.Builder
-		chain := sha256.New()
+		recs := make([]store.Record, len(states))
 		for i, state := range states {
-			sum := sha256.Sum256(state)
-			chain.Write(sum[:])
-			fmt.Fprintf(&b, "{\"path\":%q,\"observations\":%d,\"state\":%s,\"sum\":%q}\n",
-				snaps[i].Path, snaps[i].Observations, state, hex.EncodeToString(sum[:]))
+			recs[i] = record(t, snaps[i].Path, state)
 		}
-		trailer, _ := json.Marshal(HandoffRecord{Trailer: true, Count: len(states), Sum: hex.EncodeToString(chain.Sum(nil))})
-		b.Write(trailer)
-		b.WriteByte('\n')
-		return b.String()
+		return string(streamOf(t, sessionsFormat, recs...))
 	}
-	good, err := json.Marshal(snaps[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	// JSON has no spelling for NaN or ±Inf: a NaN makes the record line
-	// unparseable, and an overflowing number fails the state decode.
+	good := mustMarshal(t, snaps[0])
+	// JSON has no spelling for NaN or ±Inf: a NaN does not parse, and an
+	// overflowing number fails the state decode.
 	level := func(to string) func(state []byte) []byte {
 		return func(state []byte) []byte {
 			return bytes.Replace(state, []byte(`"s":123456.5`), []byte(`"s":`+to), 1)
 		}
 	}
-	const badLine = "bad handoff record 1:"
 	cases := []struct {
 		name   string
 		mutate func(ps *PathSnapshot)
@@ -347,7 +321,7 @@ func TestImportRejectsMalformedState(t *testing.T) {
 		}, want: "exceeds the order"},
 		{name: "NaN Holt-Winters level", mutate: func(ps *PathSnapshot) {
 			family(ps, "0.8-HW-LSO").LSO.Inner.HW.S = 123456.5
-		}, raw: level("NaN"), want: badLine},
+		}, raw: level("NaN"), want: "invalid character 'N'"},
 		{name: "infinite Holt-Winters level", mutate: func(ps *PathSnapshot) {
 			family(ps, "0.8-HW-LSO").LSO.Inner.HW.S = 123456.5
 		}, raw: level("1e999"), want: "cannot unmarshal number 1e999"},
@@ -377,6 +351,7 @@ func TestImportRejectsMalformedState(t *testing.T) {
 			ps.Families = append(ps.Families, ps.Families[0])
 		}, want: "named twice"},
 	}
+	prefix := fmt.Sprintf("handoff record 1 (%s): bad state", snaps[1].Path)
 	for _, tc := range cases {
 		var ps PathSnapshot
 		if err := json.Unmarshal(mustMarshal(t, snaps[1]), &ps); err != nil {
@@ -390,10 +365,6 @@ func TestImportRejectsMalformedState(t *testing.T) {
 		resp, data := postJSON(t, dstURL+"/v1/sessions/import", stream(good, bad))
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s: status %d (%s), want 400", tc.name, resp.StatusCode, data)
-		}
-		prefix := fmt.Sprintf("handoff record 1 (%s): bad state", snaps[1].Path)
-		if tc.want == badLine {
-			prefix = badLine
 		}
 		if !strings.Contains(string(data), prefix) || !strings.Contains(string(data), tc.want) {
 			t.Errorf("%s: error %s, want %q and %q", tc.name, data, prefix, tc.want)
@@ -409,7 +380,31 @@ func TestImportRejectsMalformedState(t *testing.T) {
 	}
 }
 
-func mustMarshal(t *testing.T, v any) []byte {
+// record frames data under path.
+func record(t testing.TB, path string, data []byte) store.Record {
+	t.Helper()
+	rec, err := store.NewRecord(path, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
+// streamOf writes recs as one record stream of the given format.
+func streamOf(t testing.TB, format string, recs ...store.Record) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	sw := store.NewStreamWriter(&b, format)
+	for _, rec := range recs {
+		sw.Write(rec)
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+func mustMarshal(t testing.TB, v any) []byte {
 	t.Helper()
 	data, err := json.Marshal(v)
 	if err != nil {

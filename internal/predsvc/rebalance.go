@@ -1,19 +1,18 @@
 package predsvc
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"time"
 
 	"repro/internal/predsvc/cluster"
+	"repro/internal/predsvc/store"
 )
 
 // RebalanceConfig drives one cluster resize (see Rebalance).
@@ -120,24 +119,20 @@ func Rebalance(ctx context.Context, cfg RebalanceConfig) (*RebalanceReport, erro
 // with nothing destroyed — the caller retries the whole pass.
 func rebalanceOne(ctx context.Context, hc *http.Client, src string, to []string, newMap *cluster.Map, logf func(string, ...any)) (moved, imported, skipped, dropped int, err error) {
 	view, _ := json.Marshal(ClusterViewRequest{Nodes: to, Self: src})
-	records, err := exportSessions(ctx, hc, src, view)
+	bodies, moved, err := exportSessions(ctx, hc, src, view, newMap)
 	if err != nil {
 		return 0, 0, 0, 0, fmt.Errorf("export from %s: %w", src, err)
 	}
-	logf("source %s: exported %d sessions", src, len(records))
-	// Partition by new owner and import, destinations in sorted order so
-	// a retried pass replays identically.
-	byDst := make(map[string][]HandoffRecord)
-	for _, rec := range records {
-		byDst[newMap.Node(rec.Path)] = append(byDst[newMap.Node(rec.Path)], rec)
-	}
-	dsts := make([]string, 0, len(byDst))
-	for d := range byDst {
+	logf("source %s: exported %d sessions", src, moved)
+	// Import destinations in sorted order so a retried pass replays
+	// identically.
+	dsts := make([]string, 0, len(bodies))
+	for d := range bodies {
 		dsts = append(dsts, d)
 	}
 	sort.Strings(dsts)
 	for _, dst := range dsts {
-		imp, skp, ierr := importSessions(ctx, hc, dst, byDst[dst])
+		imp, skp, ierr := importSessions(ctx, hc, dst, bodies[dst])
 		if ierr != nil {
 			return 0, 0, 0, 0, fmt.Errorf("import into %s: %w", dst, ierr)
 		}
@@ -148,108 +143,95 @@ func rebalanceOne(ctx context.Context, hc *http.Client, src string, to []string,
 	// Every destination confirmed: only now is deleting on the source
 	// safe. Drop is idempotent, so a retry after a failed drop is fine.
 	var dres SessionsDropResponse
-	if err := handoffPost(ctx, hc, src+"/v1/sessions/drop", view, &dres); err != nil {
+	if err := handoffPostJSON(ctx, hc, src+"/v1/sessions/drop", view, &dres); err != nil {
 		return 0, 0, 0, 0, fmt.Errorf("drop on %s: %w", src, err)
 	}
 	logf("source %s: dropped %d sessions, %d remain", src, dres.Dropped, dres.Remaining)
-	return len(records), imported, skipped, dres.Dropped, nil
+	return moved, imported, skipped, dres.Dropped, nil
 }
 
-// exportSessions POSTs /v1/sessions/export and parses the NDJSON stream,
-// verifying every record checksum and the chained trailer. A stream cut
-// short of its trailer — a mid-transfer kill — is an error; nothing from
-// it is trusted.
-func exportSessions(ctx context.Context, hc *http.Client, src string, view []byte) ([]HandoffRecord, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, src+"/v1/sessions/export", bytes.NewReader(view))
+// exportSessions POSTs /v1/sessions/export and splits the verified
+// stream into one import stream per new owner, copying records verbatim.
+// A stream cut short of its trailer — a mid-transfer kill — is an error;
+// nothing from it is trusted.
+func exportSessions(ctx context.Context, hc *http.Client, src string, view []byte, newMap *cluster.Map) (bodies map[string][]byte, moved int, err error) {
+	body, err := handoffPost(ctx, hc, src+"/v1/sessions/export", view)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := hc.Do(req)
+	defer body.Close()
+	sr, err := store.NewStreamReader(body, sessionsFormat)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %s", resp.Status)
+	type out struct {
+		buf bytes.Buffer
+		sw  *store.StreamWriter
 	}
-	br := bufio.NewReader(resp.Body)
-	var records []HandoffRecord
-	chain := sha256.New()
+	outs := make(map[string]*out)
 	for {
-		line, rerr := br.ReadBytes('\n')
-		if len(line) == 0 && rerr != nil {
-			return nil, fmt.Errorf("truncated export stream after %d records (no trailer)", len(records))
+		rec, err := sr.Next()
+		if err == io.EOF {
+			break
 		}
-		var rec HandoffRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return nil, fmt.Errorf("bad export record %d: %w", len(records), err)
+		if err != nil {
+			return nil, 0, err
 		}
-		if rec.Trailer {
-			if rec.Count != len(records) {
-				return nil, fmt.Errorf("export trailer count %d, stream carried %d records", rec.Count, len(records))
-			}
-			if got := hex.EncodeToString(chain.Sum(nil)); got != rec.Sum {
-				return nil, errors.New("export stream checksum mismatch")
-			}
-			return records, nil
+		dst := newMap.Node(rec.Path())
+		o := outs[dst]
+		if o == nil {
+			o = &out{}
+			o.sw = store.NewStreamWriter(&o.buf, sessionsFormat)
+			outs[dst] = o
 		}
-		sum := sha256.Sum256(rec.State)
-		if hex.EncodeToString(sum[:]) != rec.Sum {
-			return nil, fmt.Errorf("export record %d (%s): state checksum mismatch", len(records), rec.Path)
-		}
-		chain.Write(sum[:])
-		records = append(records, rec)
+		o.sw.Write(rec)
+		moved++
 	}
+	bodies = make(map[string][]byte, len(outs))
+	for dst, o := range outs {
+		o.sw.Close()
+		bodies[dst] = o.buf.Bytes()
+	}
+	return bodies, moved, nil
 }
 
-// importSessions streams records (with a fresh chained trailer) into
-// dst's /v1/sessions/import.
-func importSessions(ctx context.Context, hc *http.Client, dst string, records []HandoffRecord) (imported, skipped int, err error) {
-	var buf bytes.Buffer
-	chain := sha256.New()
-	for _, rec := range records {
-		sum := sha256.Sum256(rec.State)
-		chain.Write(sum[:])
-		line, err := json.Marshal(rec)
-		if err != nil {
-			return 0, 0, err
-		}
-		buf.Write(line)
-		buf.WriteByte('\n')
-	}
-	trailer, _ := json.Marshal(HandoffRecord{Trailer: true, Count: len(records), Sum: hex.EncodeToString(chain.Sum(nil))})
-	buf.Write(trailer)
-	buf.WriteByte('\n')
+// importSessions POSTs one record stream to dst's /v1/sessions/import.
+func importSessions(ctx context.Context, hc *http.Client, dst string, stream []byte) (imported, skipped int, err error) {
 	var resp SessionsImportResponse
-	if err := handoffPost(ctx, hc, dst+"/v1/sessions/import", buf.Bytes(), &resp); err != nil {
+	if err := handoffPostJSON(ctx, hc, dst+"/v1/sessions/import", stream, &resp); err != nil {
 		return 0, 0, err
 	}
 	return resp.Imported, resp.Skipped, nil
 }
 
-// handoffPost POSTs body and decodes a 200 response into out.
-func handoffPost(ctx context.Context, hc *http.Client, url string, body []byte, out any) error {
+// handoffPostJSON POSTs body and decodes the 200 response into out.
+func handoffPostJSON(ctx context.Context, hc *http.Client, url string, body []byte, out any) error {
+	resp, err := handoffPost(ctx, hc, url, body)
+	if err != nil {
+		return err
+	}
+	defer resp.Close()
+	return json.NewDecoder(resp).Decode(out)
+}
+
+// handoffPost POSTs body and returns the 200 response's body; any other
+// status is an error carrying the server's message.
+func handoffPost(ctx context.Context, hc *http.Client, url string, body []byte) (io.ReadCloser, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
 	resp, err := hc.Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
+		defer resp.Body.Close()
 		var apiErr apiError
-		dec := json.NewDecoder(resp.Body)
-		if dec.Decode(&apiErr) == nil && apiErr.Error != "" {
-			return fmt.Errorf("status %s: %s", resp.Status, apiErr.Error)
+		if json.NewDecoder(resp.Body).Decode(&apiErr) == nil && apiErr.Error != "" {
+			return nil, fmt.Errorf("status %s: %s", resp.Status, apiErr.Error)
 		}
-		return fmt.Errorf("status %s", resp.Status)
+		return nil, fmt.Errorf("status %s", resp.Status)
 	}
-	if out != nil {
-		return json.NewDecoder(resp.Body).Decode(out)
-	}
-	return nil
+	return resp.Body, nil
 }

@@ -38,63 +38,42 @@ func OpenRegistry(cfg Config) (*Registry, error) {
 	if cfg.SpillDir == "" {
 		return &Registry{cfg: cfg, st: store.NewMem(memConfig(cfg))}, nil
 	}
-	st, err := store.OpenSpill(store.SpillConfig{
-		Mem:   memConfig(cfg),
-		Dir:   cfg.SpillDir,
-		Codec: sessionCodec(cfg),
-	})
+	st, err := store.OpenSpill(store.SpillConfig{Mem: memConfig(cfg), Dir: cfg.SpillDir})
 	if err != nil {
 		return nil, err
 	}
 	return &Registry{cfg: cfg, st: st}, nil
 }
 
-// NewRegistryOn wraps an arbitrary store.Store implementation — the seam
-// for routed, remote, or test stores. The store's entries must be
-// *Session values created by a session factory from the same Config.
-func NewRegistryOn(cfg Config, st store.Store) *Registry {
-	return &Registry{cfg: cfg.withDefaults(), st: st}
-}
-
 // memConfig maps the service Config onto the hot tier's store config,
-// with the session constructor as the entry factory.
+// with the session constructor as the entry factory and sessionCodec as
+// the codec.
 func memConfig(cfg Config) store.MemConfig {
 	return store.MemConfig{
 		Shards:   cfg.Shards,
 		Capacity: cfg.Capacity,
 		New:      func(path string) store.Entry { return newSession(path, cfg) },
+		Codec:    sessionCodec(cfg),
 	}
 }
 
-// sessionCodec serializes sessions across the hot/cold boundary as their
-// JSON PathSnapshot — the state the registry snapshot persists. A faulted
-// session is a copy of the spilled one, exact at any history length. A
-// record whose state does not decode is an error: the spill store drops it
-// and counts it.
+// sessionCodec serializes sessions as their JSON PathSnapshot, the payload
+// of every record the store writes. A decoded session is a copy of the
+// encoded one, exact at any history length. A record whose state does not
+// decode is an error: the spill store drops it and counts it.
 func sessionCodec(cfg Config) store.Codec {
 	return store.Codec{
 		Encode: func(e store.Entry) ([]byte, error) {
 			return json.Marshal(e.(*Session).snapshot())
 		},
 		Decode: func(path string, data []byte) (store.Entry, error) {
-			var ps PathSnapshot
-			if err := json.Unmarshal(data, &ps); err != nil {
-				return nil, err
-			}
-			ens, err := ps.ensemble(cfg.Ensemble)
-			if err != nil {
-				return nil, err
-			}
-			return &Session{path: path, ens: ens}, nil
+			return decodeSession(path, data, cfg.Ensemble)
 		},
 	}
 }
 
 // Config returns the effective (defaulted) configuration.
 func (r *Registry) Config() Config { return r.cfg }
-
-// Store exposes the underlying storage tier.
-func (r *Registry) Store() store.Store { return r.st }
 
 // Shards returns the hot tier's shard count (a power of two).
 func (r *Registry) Shards() int { return r.st.Shards() }
@@ -132,17 +111,11 @@ func (r *Registry) WithBytes(path []byte, create bool, fn func(*Session)) bool {
 			return false
 		}
 		defer st.Unpin()
-	case store.BytesKeyed:
+	case *store.MemStore:
 		if create {
 			e = st.GetOrCreateBytes(path)
 		} else {
 			e, ok = st.LookupBytes(path)
-		}
-	default:
-		if create {
-			e = st.GetOrCreate(string(path))
-		} else {
-			e, ok = st.Lookup(string(path))
 		}
 	}
 	if ok {
@@ -167,9 +140,10 @@ func (r *Registry) Lookup(path string) (*Session, bool) {
 	return e.(*Session), true
 }
 
-// Peek returns the session for path without touching recency — for stats
-// and snapshots. On a spill store a cold session is served as a
-// transient decoded copy: reads are accurate, mutations are lost.
+// Peek returns the session for path without touching recency — for stats,
+// metrics and handoff's last-writer-wins check. On a spill store a cold
+// session is served as a transient decoded copy: reads are accurate,
+// mutations are lost.
 func (r *Registry) Peek(path string) (*Session, bool) {
 	e, ok := r.st.Peek(path)
 	if !ok {
@@ -184,20 +158,10 @@ func (r *Registry) Peek(path string) (*Session, bool) {
 // forgotten here (the importing node owns the authoritative copy).
 func (r *Registry) Delete(path string) bool { return r.st.Delete(path) }
 
-// Install replaces ps.Path's session state with ps — the import side of
-// shard handoff and the per-path step of Restore. The state is decoded in
-// full before anything is replaced, so an error leaves the registry
-// unchanged. The previous session is deleted rather than faulted in, and
-// the install never merges, so a retried import lands in the same state.
-func (r *Registry) Install(ps PathSnapshot) error {
-	ens, err := ps.ensemble(r.cfg.Ensemble)
-	if err != nil {
-		return err
-	}
-	r.install(ps.Path, ens)
-	return nil
-}
-
+// install replaces path's session state with ens — the import side of
+// shard handoff and the per-record step of ReadSnapshot. The previous
+// session is deleted rather than faulted in, and the install never merges,
+// so a retried import lands in the same state.
 func (r *Registry) install(path string, ens *predict.Ensemble) {
 	r.st.Delete(path)
 	r.With(path, true, func(s *Session) { s.install(ens) })
@@ -223,7 +187,7 @@ func (r *Registry) Recent(n int) []*Session {
 	return out
 }
 
-// Paths returns all registered path names, sorted.
+// Paths returns all registered path names, sorted (export order).
 func (r *Registry) Paths() []string {
 	out := r.st.Paths()
 	sort.Strings(out)
@@ -235,12 +199,13 @@ func (r *Registry) Paths() []string {
 func (r *Registry) Close() error { return r.st.Close() }
 
 // forEachLRU visits every session coldest first (cold tier, then each
-// hot shard least recently used first) without touching recency.
-// Sessions self-lock; on the in-memory store fn runs outside the shard
-// locks.
+// hot shard least recently used first) without touching recency; cold
+// sessions are transient decoded copies. Sessions self-lock; fn runs
+// outside the store's locks.
 func (r *Registry) forEachLRU(fn func(*Session)) {
-	r.st.Range(func(e store.Entry) bool {
-		fn(e.(*Session))
-		return true
-	})
+	for _, p := range r.st.Paths() {
+		if s, ok := r.Peek(p); ok {
+			fn(s)
+		}
+	}
 }

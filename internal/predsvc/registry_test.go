@@ -2,6 +2,7 @@ package predsvc
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -112,7 +113,7 @@ func TestRegistryConcurrentHammer(t *testing.T) {
 	// The snapshot path must also be safe against concurrent mutation.
 	var wg2 sync.WaitGroup
 	wg2.Add(2)
-	go func() { defer wg2.Done(); r.Snapshot() }()
+	go func() { defer wg2.Done(); r.WriteSnapshot(io.Discard) }()
 	go func() {
 		defer wg2.Done()
 		for i := 0; i < 100; i++ {

@@ -1,6 +1,7 @@
 package predsvc
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -158,9 +159,8 @@ func TestEndToEndChaos(t *testing.T) {
 
 // TestCorruptSnapshotQuarantine: a corrupt snapshot at boot is moved to
 // "<path>.corrupt-<n>" and the daemon starts empty; successive corruptions
-// get successive quarantine names; a body whose checksum trailer was
-// stripped (the pre-checksum format, or an edit hiding its tracks) is
-// corruption too.
+// get successive quarantine names; a stream whose trailer is missing (a
+// torn write, or an edit hiding its tracks) is corruption too.
 func TestCorruptSnapshotQuarantine(t *testing.T) {
 	dir := t.TempDir()
 	snapPath := dir + "/snap.json"
@@ -172,7 +172,7 @@ func TestCorruptSnapshotQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Bit-flip inside the JSON body → checksum mismatch.
+	// Bit-flip inside a record → checksum mismatch.
 	data, err := os.ReadFile(snapPath)
 	if err != nil {
 		t.Fatal(err)
@@ -205,13 +205,13 @@ func TestCorruptSnapshotQuarantine(t *testing.T) {
 		t.Fatalf("second quarantine = %+v, %v; want .corrupt-2", st2, err)
 	}
 
-	// A well-formed body with no checksum trailer is quarantined, not
-	// restored: nothing vouches for its content.
-	raw, err := json.Marshal(seed.Registry().Snapshot())
-	if err != nil {
+	// Well-formed records with no trailer are quarantined, not restored:
+	// nothing vouches that the stream is complete.
+	var raw bytes.Buffer
+	if err := seed.Registry().WriteSnapshot(&raw); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(snapPath, raw, 0o644); err != nil {
+	if err := os.WriteFile(snapPath, raw.Bytes()[:raw.Len()-40], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	bare := NewServer(Config{})
@@ -230,38 +230,31 @@ func TestCorruptSnapshotQuarantine(t *testing.T) {
 	}
 }
 
-// TestSnapshotChecksumRoundTrip pins the encode/decode contract: intact
-// data round-trips, any tampering surfaces as ErrCorruptSnapshot.
+// TestSnapshotChecksumRoundTrip pins the write/read contract: an intact
+// stream round-trips, any tampering surfaces as ErrCorruptSnapshot.
 func TestSnapshotChecksumRoundTrip(t *testing.T) {
 	reg := NewRegistry(Config{})
 	reg.GetOrCreate("a#1").Observe(1e6)
 	reg.GetOrCreate("b#2").Observe(2e6)
-	data, err := EncodeSnapshot(reg.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "\nsha256:") {
-		t.Fatalf("encoded snapshot missing checksum trailer: %q", data[:min(len(data), 80)])
-	}
-	snap, err := DecodeSnapshot(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snap.Paths) != 2 {
-		t.Errorf("round trip lost paths: %d", len(snap.Paths))
-	}
-	for _, corrupt := range [][]byte{
-		append([]byte{}, data[:len(data)/2]...), // truncated
-		append([]byte("x"), data...),            // prefixed garbage
-	} {
-		if _, err := DecodeSnapshot(corrupt); err == nil {
-			t.Error("DecodeSnapshot accepted corrupt data")
-		}
+	data, _ := snapshotRecords(t, reg)
+	if n, err := NewRegistry(Config{}).ReadSnapshot(bytes.NewReader(data)); err != nil || n != 2 {
+		t.Fatalf("round trip = (%d, %v), want 2 paths", n, err)
 	}
 	flipped := append([]byte(nil), data...)
 	flipped[10] ^= 0x01
-	if _, err := DecodeSnapshot(flipped); err == nil {
-		t.Error("DecodeSnapshot accepted a bit flip")
+	for _, corrupt := range [][]byte{
+		append([]byte{}, data[:len(data)/2]...), // truncated
+		append([]byte("x"), data...),            // prefixed garbage
+		append(append([]byte{}, data...), 'x'),  // trailing garbage
+		flipped,
+	} {
+		reg := NewRegistry(Config{})
+		if _, err := reg.ReadSnapshot(bytes.NewReader(corrupt)); !errors.Is(err, ErrCorruptSnapshot) {
+			t.Errorf("ReadSnapshot of corrupt data: err = %v, want ErrCorruptSnapshot", err)
+		}
+		if reg.Len() != 0 {
+			t.Errorf("a corrupt snapshot left %d paths restored", reg.Len())
+		}
 	}
 }
 
@@ -296,8 +289,8 @@ func TestSnapshotLoopRetriesTransientFailures(t *testing.T) {
 	if m.SnapshotFailures != 2 || m.SnapshotRetries < 2 {
 		t.Errorf("failures/retries = %d/%d, want 2 failures and >= 2 retries", m.SnapshotFailures, m.SnapshotRetries)
 	}
-	if _, err := ReadSnapshotFile(path); err != nil {
-		t.Errorf("snapshot on disk unreadable after recovery: %v", err)
+	if st, err := NewServer(Config{}).RestoreSnapshot(path); err != nil || st.Paths != 1 {
+		t.Errorf("snapshot on disk unreadable after recovery: %+v, %v", st, err)
 	}
 }
 
@@ -455,9 +448,9 @@ func TestStaleMeasurementDegradation(t *testing.T) {
 	}
 
 	// Staleness survives a snapshot/restore cycle.
-	snap := reg.Snapshot()
+	snap, _ := snapshotRecords(t, reg)
 	reg2 := NewRegistry(cfg)
-	if _, err := reg2.Restore(snap); err != nil {
+	if _, err := reg2.ReadSnapshot(bytes.NewReader(snap)); err != nil {
 		t.Fatal(err)
 	}
 	p2, ok := reg2.Peek("p")

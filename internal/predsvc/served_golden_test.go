@@ -3,6 +3,8 @@ package predsvc
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -12,13 +14,15 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/predsvc/store"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata golden served bytes")
 
 // TestServedBytesGolden pins what the service serves, byte for byte,
 // against files recorded from an earlier build: every /v1/predict body of
-// a deterministic replay, and the EncodeSnapshot bytes of the registry it
+// a deterministic replay, and the WriteSnapshot stream of the registry it
 // leaves behind. The other byte-identity gates compare two runs of the
 // same predictor code (fastpath vs oracle, 1 node vs 4, daemon vs shadow
 // replay), so only this test fails when a refactor changes a forecast.
@@ -70,12 +74,66 @@ func TestServedBytesGolden(t *testing.T) {
 	if st := srv.Registry().TierStats(); st.Faults == 0 || st.Spills == 0 {
 		t.Fatalf("replay never crossed the spill tier: %+v", st)
 	}
-	snap, err := EncodeSnapshot(srv.Registry().Snapshot())
-	if err != nil {
+	var snap bytes.Buffer
+	if err := srv.Registry().WriteSnapshot(&snap); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "served_predict.golden.gz", predicts.Bytes())
-	checkGolden(t, "served_snapshot.golden", snap)
+	checkGolden(t, "served_snapshot.golden", snap.Bytes())
+}
+
+// TestServedSnapshotPayloadParity: the record-stream snapshot changed only
+// the framing. testdata/legacy_v3_snapshot.golden is served_snapshot.golden
+// as recorded in the version-3 format (one JSON document plus a sha256
+// trailer line) from the same replay; the stream's record payloads must
+// equal json.Marshal of each of its paths, in order and byte for byte.
+// The legacy file itself is refused.
+func TestServedSnapshotPayloadParity(t *testing.T) {
+	stream, err := os.ReadFile(filepath.Join("testdata", "served_snapshot.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy, err := os.ReadFile(filepath.Join("testdata", "legacy_v3_snapshot.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v3 struct {
+		Version int            `json:"version"`
+		Paths   []PathSnapshot `json:"paths"`
+	}
+	body, _, ok := bytes.Cut(legacy, []byte("\nsha256:"))
+	if !ok || json.Unmarshal(body, &v3) != nil || v3.Version != 3 || len(v3.Paths) == 0 {
+		t.Fatalf("legacy golden is not a version-3 snapshot")
+	}
+	sr, err := store.NewStreamReader(bytes.NewReader(stream), sessionsFormat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; ; i++ {
+		rec, err := sr.Next()
+		if err == io.EOF {
+			if i != len(v3.Paths) {
+				t.Fatalf("stream holds %d records, version 3 held %d paths", i, len(v3.Paths))
+			}
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i >= len(v3.Paths) {
+			t.Fatalf("stream holds more records than version 3 held paths (%d)", len(v3.Paths))
+		}
+		want, err := json.Marshal(v3.Paths[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Path() != v3.Paths[i].Path || !bytes.Equal(rec.Data(), want) {
+			t.Fatalf("record %d (%s) differs from version 3's paths[%d] (%s)", i, rec.Path(), i, v3.Paths[i].Path)
+		}
+	}
+	if _, err := NewRegistry(Config{}).ReadSnapshot(bytes.NewReader(legacy)); !errors.Is(err, ErrCorruptSnapshot) {
+		t.Fatalf("ReadSnapshot of the version-3 golden: err = %v, want ErrCorruptSnapshot", err)
+	}
 }
 
 // checkGolden compares got with testdata/name, or rewrites the file under

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"os"
 	"runtime"
 	"strconv"
 	"sync/atomic"
@@ -21,18 +22,17 @@ import (
 
 // Fault-injection sites understood by the server (see Config.Faults and
 // internal/faultinject). A rule at SiteSnapshotWrite fails WriteSnapshot
-// calls; SiteSnapshotCorrupt flips a byte in the encoded snapshot before
-// it reaches disk; SiteHandlerPanic makes requests carrying
-// ChaosPanicHeader panic inside the handler chain (exercising the
-// recovery middleware); SiteHandlerDelay delays or fails requests at the
-// front of the handler chain.
+// calls; SiteHandlerPanic makes requests carrying ChaosPanicHeader panic
+// inside the handler chain (exercising the recovery middleware);
+// SiteHandlerDelay delays or fails requests at the front of the handler
+// chain; SiteHandoffExport and SiteHandoffImport cut a handoff stream
+// mid-transfer (see handoff.go).
 const (
-	SiteSnapshotWrite   = "snapshot.write"
-	SiteSnapshotCorrupt = "snapshot.corrupt"
-	SiteHandlerPanic    = "handler.panic"
-	SiteHandlerDelay    = "handler.delay"
-	SiteHandoffExport   = "handoff.export"
-	SiteHandoffImport   = "handoff.import"
+	SiteSnapshotWrite = "snapshot.write"
+	SiteHandlerPanic  = "handler.panic"
+	SiteHandlerDelay  = "handler.delay"
+	SiteHandoffExport = "handoff.export"
+	SiteHandoffImport = "handoff.import"
 )
 
 // ChaosPanicHeader marks a request as a chaos panic probe. It is honored
@@ -357,17 +357,14 @@ func (r *Server) WriteSnapshotRetry(ctx context.Context, path string) error {
 	return err
 }
 
-// WriteSnapshot atomically persists the registry to path, checksummed.
+// WriteSnapshot atomically persists the registry to path as a record
+// stream (Registry.WriteSnapshot), streamed to a temp file one record at a
+// time.
 func (r *Server) WriteSnapshot(path string) error {
 	if err := r.cfg.Faults.Check(SiteSnapshotWrite); err != nil {
 		return fmt.Errorf("predsvc: snapshot write: %w", err)
 	}
-	data, err := EncodeSnapshot(r.reg.Snapshot())
-	if err != nil {
-		return err
-	}
-	data = r.cfg.Faults.Mutate(SiteSnapshotCorrupt, data)
-	if err := writeFileAtomic(path, data); err != nil {
+	if err := writeFileAtomic(path, r.reg.WriteSnapshot); err != nil {
 		return err
 	}
 	r.metrics.snapshotsWritten.Add(1)
@@ -386,8 +383,8 @@ type RestoreStats struct {
 }
 
 // RestoreSnapshot loads a snapshot file into the registry. A missing file
-// is not an error. A corrupt file (bad checksum, unparseable, wrong
-// version, state the configuration refuses) is quarantined to
+// is not an error. A corrupt file (bad framing or checksum, another format
+// or version, state the configuration refuses) is quarantined to
 // "<path>.corrupt-<n>" and reported in the returned stats — the daemon
 // boots with an empty registry instead of dying on state it can regrow
 // from live traffic. Only real I/O failures (unreadable file, failed
@@ -396,9 +393,13 @@ func (r *Server) RestoreSnapshot(path string) (RestoreStats, error) {
 	r.notReady.Store(true)
 	defer r.notReady.Store(false)
 	var st RestoreStats
-	snap, err := ReadSnapshotFile(path)
+	f, err := os.Open(path)
 	if err == nil {
-		st.Paths, err = r.reg.Restore(snap)
+		st.Paths, err = r.reg.ReadSnapshot(f)
+		f.Close()
+		if err != nil {
+			err = fmt.Errorf("%s: %w", path, err)
+		}
 	}
 	switch {
 	case err == nil, errors.Is(err, fs.ErrNotExist):

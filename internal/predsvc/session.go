@@ -228,51 +228,8 @@ func (s *Session) PredictInto(p *Prediction, fb *FBState) {
 // snapshot captures the session's state.
 func (s *Session) snapshot() PathSnapshot {
 	s.mu.Lock()
-	st := s.ens.State()
-	s.mu.Unlock()
-	ps := PathSnapshot{
-		Path:         s.path,
-		Observations: st.Observations,
-		FBAge:        st.FBAge,
-		Families:     st.Families,
-		CovIn:        st.CovIn,
-		CovTotal:     st.CovTotal,
-	}
-	if st.FB != nil {
-		ps.FBInputs = &FBInputsSnapshot{
-			RTTSeconds: st.FB.RTT,
-			LossRate:   st.FB.LossRate,
-			AvailBwBps: st.FB.AvailBw,
-		}
-	}
-	return ps
-}
-
-// ensemble rebuilds the path's tournament from ps by installing its state
-// into a fresh predict.Ensemble: a copy, exact at any history length, with
-// no observation replayed. An error means ps is malformed or was taken
-// under another configuration; ps may come from disk or another node, so
-// callers treat it as untrusted input.
-func (ps *PathSnapshot) ensemble(cfg predict.EnsembleConfig) (*predict.Ensemble, error) {
-	st := predict.EnsembleState{
-		Observations: ps.Observations,
-		FBAge:        ps.FBAge,
-		Families:     ps.Families,
-		CovIn:        ps.CovIn,
-		CovTotal:     ps.CovTotal,
-	}
-	if ps.FBInputs != nil {
-		st.FB = &predict.FBInputs{
-			RTT:      ps.FBInputs.RTTSeconds,
-			LossRate: ps.FBInputs.LossRate,
-			AvailBw:  ps.FBInputs.AvailBwBps,
-		}
-	}
-	ens := predict.NewEnsemble(cfg)
-	if err := ens.SetState(st); err != nil {
-		return nil, err
-	}
-	return ens, nil
+	defer s.mu.Unlock()
+	return PathSnapshot{Path: s.path, EnsembleState: s.ens.State()}
 }
 
 // install replaces the session's tournament with a restored one.

@@ -1,12 +1,15 @@
 package predsvc
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"reflect"
 	"testing"
 
 	"repro/internal/predict"
+	"repro/internal/predsvc/store"
 	"repro/internal/stats"
 )
 
@@ -130,7 +133,7 @@ func TestSessionDeterminism(t *testing.T) {
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	cfg := Config{Shards: 2, Capacity: 32}
 	reg := NewRegistry(cfg)
-	series := SyntheticSeries(5, 40, 7) // well under HistoryLimit
+	series := SyntheticSeries(5, 40, 7)
 	for _, ps := range series {
 		s := reg.GetOrCreate(ps.Path)
 		for i, x := range ps.Throughputs {
@@ -138,15 +141,15 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 			s.Observe(x)
 		}
 	}
-	snap := reg.Snapshot()
-	if len(snap.Paths) != len(series) {
-		t.Fatalf("snapshot has %d paths, want %d", len(snap.Paths), len(series))
+	stream, paths := snapshotRecords(t, reg)
+	if len(paths) != len(series) {
+		t.Fatalf("snapshot has %d paths, want %d", len(paths), len(series))
 	}
 
 	reg2 := NewRegistry(cfg)
-	n, err := reg2.Restore(snap)
+	n, err := reg2.ReadSnapshot(bytes.NewReader(stream))
 	if err != nil || n != len(series) {
-		t.Fatalf("Restore = (%d, %v), want (%d, nil)", n, err, len(series))
+		t.Fatalf("ReadSnapshot = (%d, %v), want (%d, nil)", n, err, len(series))
 	}
 	for _, ps := range series {
 		s1, _ := reg.Peek(ps.Path)
@@ -161,54 +164,85 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Version mismatch is rejected.
-	bad := &Snapshot{Version: 99}
-	if _, err := NewRegistry(cfg).Restore(bad); err == nil {
-		t.Error("Restore accepted a bad snapshot version")
+	// Another version is rejected.
+	bad := streamOf(t, "predsvc.PathSnapshot/99")
+	if _, err := NewRegistry(cfg).ReadSnapshot(bytes.NewReader(bad)); err == nil {
+		t.Error("ReadSnapshot accepted a bad snapshot version")
 	}
 }
 
 func TestSnapshotFileRoundTrip(t *testing.T) {
-	reg := NewRegistry(Config{Shards: 1, Capacity: 8})
-	reg.GetOrCreate("x").Observe(5e6)
+	srv := NewServer(Config{Shards: 1, Capacity: 8})
+	srv.Registry().GetOrCreate("x").Observe(5e6)
 	file := t.TempDir() + "/snap.json"
-	if err := WriteSnapshotFile(file, reg.Snapshot()); err != nil {
+	if err := srv.WriteSnapshot(file); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := ReadSnapshotFile(file)
-	if err != nil {
-		t.Fatal(err)
+	fresh := NewServer(Config{Shards: 1, Capacity: 8})
+	st, err := fresh.RestoreSnapshot(file)
+	if err != nil || st.Paths != 1 || st.Quarantined != "" {
+		t.Fatalf("RestoreSnapshot = %+v, %v; want 1 path", st, err)
 	}
-	if len(snap.Paths) != 1 || snap.Paths[0].Path != "x" {
-		t.Fatalf("unexpected snapshot content: %+v", snap)
+	if s, ok := fresh.Registry().Peek("x"); !ok || s.Observations() != 1 {
+		t.Fatalf("restored registry lost x")
 	}
 }
 
 // TestSnapshotFiniteAfterNonPositiveForecast: Holt-Winters forecasts a
 // negative value after a steep throughput drop, which makes the raw
 // relative error ±Inf. The session must clamp errors before they enter
-// the rolling windows, or the JSON snapshot fails to marshal (json has no
-// representation for infinities) and the daemon's snapshot loop dies.
+// the rolling windows, or the JSON record fails to marshal (json has no
+// representation for infinities) and the session drops out of snapshots.
 func TestSnapshotFiniteAfterNonPositiveForecast(t *testing.T) {
 	reg := NewRegistry(Config{Shards: 1, Capacity: 8})
 	s := reg.GetOrCreate("falling")
 	for _, x := range []float64{1e8, 1e6, 1e4, 1e4, 1e4} {
 		s.Observe(x)
 	}
-	snap := reg.Snapshot()
-	for _, ps := range snap.Paths {
-		for _, fs := range ps.Families {
-			for _, e := range fs.Errors {
-				if math.IsInf(e, 0) || math.IsNaN(e) {
-					t.Fatalf("family %s holds non-finite error %v", fs.Name, e)
-				}
+	_, paths := snapshotRecords(t, reg)
+	if len(paths) != 1 {
+		t.Fatalf("snapshot with extreme errors holds %d records, want 1", len(paths))
+	}
+	for _, fs := range paths[0].Families {
+		for _, e := range fs.Errors {
+			if math.IsInf(e, 0) || math.IsNaN(e) {
+				t.Fatalf("family %s holds non-finite error %v", fs.Name, e)
 			}
 		}
 	}
-	if _, err := json.Marshal(snap); err != nil {
-		t.Fatalf("snapshot with extreme errors does not marshal: %v", err)
+}
+
+// snapshotRecords snapshots reg with WriteSnapshot and returns the stream
+// with every record decoded, in stream order.
+func snapshotRecords(t *testing.T, reg *Registry) ([]byte, []PathSnapshot) {
+	t.Helper()
+	var b bytes.Buffer
+	if err := reg.WriteSnapshot(&b); err != nil {
+		t.Fatal(err)
 	}
-	if err := WriteSnapshotFile(t.TempDir()+"/snap.json", snap); err != nil {
-		t.Fatalf("WriteSnapshotFile: %v", err)
+	return b.Bytes(), decodeStream(t, b.Bytes())
+}
+
+// decodeStream decodes every record of a session stream.
+func decodeStream(t *testing.T, data []byte) []PathSnapshot {
+	t.Helper()
+	sr, err := store.NewStreamReader(bytes.NewReader(data), sessionsFormat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var paths []PathSnapshot
+	for {
+		rec, err := sr.Next()
+		if err == io.EOF {
+			return paths
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ps PathSnapshot
+		if err := json.Unmarshal(rec.Data(), &ps); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, ps)
 	}
 }

@@ -1,8 +1,11 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -69,6 +72,7 @@ func factories() []factory {
 			name:           "mem",
 			retainsEvicted: false,
 			open: func(t *testing.T, mem MemConfig) Store {
+				mem.Codec = toyCodec()
 				return NewMem(mem)
 			},
 		},
@@ -76,7 +80,8 @@ func factories() []factory {
 			name:           "spill",
 			retainsEvicted: true,
 			open: func(t *testing.T, mem MemConfig) Store {
-				s, err := OpenSpill(SpillConfig{Mem: mem, Dir: t.TempDir(), Codec: toyCodec()})
+				mem.Codec = toyCodec()
+				s, err := OpenSpill(SpillConfig{Mem: mem, Dir: t.TempDir()})
 				if err != nil {
 					t.Fatalf("OpenSpill: %v", err)
 				}
@@ -96,7 +101,7 @@ func TestStoreConformance(t *testing.T) {
 			t.Run("CreateLookupPeek", func(t *testing.T) { testCreateLookupPeek(t, f) })
 			t.Run("Eviction", func(t *testing.T) { testEviction(t, f) })
 			t.Run("RecencyProtects", func(t *testing.T) { testRecencyProtects(t, f) })
-			t.Run("Range", func(t *testing.T) { testRange(t, f) })
+			t.Run("Paths", func(t *testing.T) { testPaths(t, f) })
 			t.Run("Recent", func(t *testing.T) { testRecent(t, f) })
 			t.Run("Delete", func(t *testing.T) { testDelete(t, f) })
 			t.Run("SnapshotRoundTrip", func(t *testing.T) { testSnapshotRoundTrip(t, f) })
@@ -209,7 +214,10 @@ func testRecencyProtects(t *testing.T, f factory) {
 	}
 }
 
-func testRange(t *testing.T, f factory) {
+// testPaths pins the order snapshots walk in: every stored path once,
+// coldest first — the cold tier sorted, then each hot shard least
+// recently used first.
+func testPaths(t *testing.T, f factory) {
 	st := f.open(t, MemConfig{Shards: 2, Capacity: 4, New: newToy})
 	defer st.Close()
 
@@ -219,38 +227,35 @@ func testRange(t *testing.T, f factory) {
 		st.GetOrCreate(p)
 		want[p] = true
 	}
+	paths := st.Paths()
 	seen := map[string]int{}
-	st.Range(func(e Entry) bool {
-		seen[e.Path()]++
-		return true
-	})
-	expect := st.Len()
-	if len(seen) != expect {
-		t.Fatalf("Range visited %d distinct paths, store holds %d", len(seen), expect)
+	for _, p := range paths {
+		seen[p]++
+	}
+	if len(seen) != st.Len() {
+		t.Fatalf("Paths listed %d distinct paths, store holds %d", len(seen), st.Len())
 	}
 	for p, n := range seen {
 		if n != 1 {
-			t.Fatalf("Range visited %s %d times", p, n)
+			t.Fatalf("Paths listed %s %d times", p, n)
 		}
 		if !want[p] {
-			t.Fatalf("Range visited unknown path %s", p)
+			t.Fatalf("Paths listed unknown path %s", p)
 		}
 	}
-	// Early stop.
-	calls := 0
-	st.Range(func(Entry) bool { calls++; return false })
-	if calls != 1 {
-		t.Fatalf("Range after fn()=false made %d calls, want 1", calls)
-	}
-	// Paths agrees with Range.
-	paths := st.Paths()
-	if len(paths) != expect {
-		t.Fatalf("Paths returned %d names, want %d", len(paths), expect)
-	}
-	for _, p := range paths {
-		if seen[p] != 1 {
-			t.Fatalf("Paths returned %s which Range did not visit", p)
+	if f.retainsEvicted {
+		if cold := paths[:st.Stats().ColdPaths]; !sort.StringsAreSorted(cold) {
+			t.Fatalf("cold paths %v are not sorted", cold)
 		}
+	}
+	lru := f.open(t, MemConfig{Shards: 1, Capacity: 3, New: newToy})
+	defer lru.Close()
+	for _, p := range []string{"a", "b", "c"} {
+		lru.GetOrCreate(p)
+	}
+	lru.Lookup("a")
+	if got := fmt.Sprint(lru.Paths()); got != "[b c a]" {
+		t.Fatalf("Paths after touching a = %s, want least recently used first [b c a]", got)
 	}
 }
 
@@ -337,9 +342,10 @@ func testDelete(t *testing.T, f factory) {
 }
 
 // testSnapshotRoundTrip proves the snapshot contract end to end through
-// the store interface alone: Range + Codec.Encode captures every entry,
-// and replaying into a fresh store rebuilds identical values — exactly how
-// predsvc snapshots a registry over any Store.
+// the store interface alone: Paths + Record written as a record stream
+// capture every entry, and reading the stream back into a fresh store
+// rebuilds identical values — exactly how predsvc snapshots a registry
+// over any Store.
 func testSnapshotRoundTrip(t *testing.T, f factory) {
 	codec := toyCodec()
 	st := f.open(t, MemConfig{Shards: 2, Capacity: 4, New: newToy})
@@ -358,40 +364,56 @@ func testSnapshotRoundTrip(t *testing.T, f factory) {
 	}
 	if !f.retainsEvicted {
 		// Only surviving entries round-trip for a lossy store.
-		st.Range(func(e Entry) bool {
-			wantSum[e.Path()] = e.(*toyEntry).sum()
-			return true
-		})
+		for _, p := range st.Paths() {
+			e, _ := st.Peek(p)
+			wantSum[p] = e.(*toyEntry).sum()
+		}
+	}
+	if _, ok := st.Record("absent"); ok {
+		t.Fatal("Record of an absent path reported a hit")
 	}
 
-	type rec struct {
-		path string
-		data []byte
-	}
-	var dump []rec
-	st.Range(func(e Entry) bool {
-		data, err := codec.Encode(e)
-		if err != nil {
-			t.Fatalf("Encode(%s): %v", e.Path(), err)
+	var stream bytes.Buffer
+	sw := NewStreamWriter(&stream, "toy/1")
+	for _, p := range st.Paths() {
+		rec, ok := st.Record(p)
+		if !ok {
+			t.Fatalf("Record(%s) missed a stored path", p)
 		}
-		dump = append(dump, rec{e.Path(), data})
-		return true
-	})
-	if len(dump) != len(wantSum) {
-		t.Fatalf("snapshot captured %d entries, want %d", len(dump), len(wantSum))
+		if err := sw.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
 	}
 
 	fresh := f.open(t, MemConfig{Shards: 2, Capacity: 16, New: newToy})
 	defer fresh.Close()
-	for _, r := range dump {
-		e, err := codec.Decode(r.path, r.data)
-		if err != nil {
-			t.Fatalf("Decode(%s): %v", r.path, err)
+	sr, err := NewStreamReader(&stream, "toy/1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for ; ; n++ {
+		rec, err := sr.Next()
+		if err == io.EOF {
+			break
 		}
-		dst := fresh.GetOrCreate(r.path).(*toyEntry)
+		if err != nil {
+			t.Fatalf("record %d: %v", n, err)
+		}
+		e, err := codec.Decode(rec.Path(), rec.Data())
+		if err != nil {
+			t.Fatalf("Decode(%s): %v", rec.Path(), err)
+		}
+		dst := fresh.GetOrCreate(rec.Path()).(*toyEntry)
 		for _, v := range e.(*toyEntry).vals {
 			dst.add(v)
 		}
+	}
+	if n != len(wantSum) {
+		t.Fatalf("snapshot captured %d entries, want %d", n, len(wantSum))
 	}
 	for p, want := range wantSum {
 		e, ok := fresh.Peek(p)
@@ -473,7 +495,7 @@ func testHammer(t *testing.T, f factory) {
 				case 4:
 					switch i % 3 {
 					case 0:
-						st.Range(func(e Entry) bool { return e.Path() != p })
+						st.Paths()
 					case 1:
 						st.Recent(8)
 					default:

@@ -19,6 +19,9 @@ type MemConfig struct {
 	Capacity int
 	// New builds a fresh entry for a path on first access. Required.
 	New func(path string) Entry
+	// Codec serializes entries into Records. Record requires it, and so
+	// does a SpillStore's hot tier, which spills through it.
+	Codec Codec
 	// OnEvict, when non-nil, is called with every evicted entry — the
 	// evict-notify hook SpillStore builds its disk tier on. It runs with
 	// the victim's shard lock held and must not call back into the store.
@@ -147,7 +150,8 @@ func (m *MemStore) GetOrCreate(path string) Entry {
 // GetOrCreateBytes is GetOrCreate keyed by a byte-slice view of the
 // path, for wire decoders that never materialize a string: a hit costs
 // no allocation (the map lookup through string(path) is recognized by
-// the compiler), and only the miss path clones the key for insertion.
+// the compiler), and only the miss path clones the key for insertion. The
+// slice is never retained.
 func (m *MemStore) GetOrCreateBytes(path []byte) Entry {
 	sh := m.shardForBytes(path)
 	sh.mu.Lock()
@@ -228,7 +232,7 @@ func (m *MemStore) Lookup(path string) (Entry, bool) {
 }
 
 // Peek returns the entry for path without touching recency (shared lock
-// only) — for stats and snapshots.
+// only) — for stats.
 func (m *MemStore) Peek(path string) (Entry, bool) {
 	sh := m.shardFor(path)
 	sh.mu.RLock()
@@ -270,37 +274,38 @@ func (m *MemStore) Len() int {
 // Evictions returns the number of LRU evictions since construction.
 func (m *MemStore) Evictions() uint64 { return m.evictions.Load() }
 
-// Paths returns all stored path names, in no particular order.
+// Paths returns all stored path names shard by shard, least recently used
+// first within each shard.
 func (m *MemStore) Paths() []string {
 	var out []string
 	for _, sh := range m.shards {
 		sh.mu.RLock()
-		for p := range sh.elems {
-			out = append(out, p)
+		for e := sh.lru.Back(); e != nil; e = e.Prev() {
+			out = append(out, e.Value.(*memNode).e.Path())
 		}
 		sh.mu.RUnlock()
 	}
 	return out
 }
 
-// Range visits every entry shard by shard, least recently used first
-// within each shard, without touching recency, stopping early when fn
-// returns false. fn runs outside the shard locks (entries self-lock), so
-// a slow visitor never blocks the serving path.
-func (m *MemStore) Range(fn func(Entry) bool) {
-	for _, sh := range m.shards {
-		sh.mu.RLock()
-		entries := make([]Entry, 0, sh.lru.Len())
-		for e := sh.lru.Back(); e != nil; e = e.Prev() {
-			entries = append(entries, e.Value.(*memNode).e)
-		}
-		sh.mu.RUnlock()
-		for _, e := range entries {
-			if !fn(e) {
-				return
-			}
-		}
+// Record returns path's entry encoded through MemConfig.Codec, without
+// touching recency. The shard lock is released before encoding (entries
+// self-lock). An entry that fails to encode is reported absent.
+func (m *MemStore) Record(path string) (Record, bool) {
+	e, ok := m.Peek(path)
+	if !ok {
+		return nil, false
 	}
+	rec, err := m.encode(e)
+	return rec, err == nil
+}
+
+func (m *MemStore) encode(e Entry) (Record, error) {
+	data, err := m.cfg.Codec.Encode(e)
+	if err != nil {
+		return nil, err
+	}
+	return NewRecord(e.Path(), data)
 }
 
 // Recent returns up to n entries, most recently used first across all

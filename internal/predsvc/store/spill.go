@@ -1,9 +1,6 @@
 package store
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,15 +10,14 @@ import (
 
 // SpillConfig tunes a SpillStore.
 type SpillConfig struct {
-	// Mem configures the hot tier. Mem.New is required. Mem.OnEvict, when
-	// set, is called after the victim has been spilled to disk.
+	// Mem configures the hot tier. Mem.New and Mem.Codec are required; the
+	// codec serializes entries across the hot/cold boundary. Mem.OnEvict,
+	// when set, is called after the victim has been spilled to disk.
 	Mem MemConfig
 	// Dir is the directory holding the spill log. Created if absent. The
 	// log is truncated on open: it is a cache extension, not a durability
 	// mechanism — snapshots remain the restart story.
 	Dir string
-	// Codec serializes entries across the hot/cold boundary. Required.
-	Codec Codec
 	// CompactMinBytes is the dead-byte threshold below which the log is
 	// never compacted (default 1 MiB). Compaction triggers when dead bytes
 	// exceed both this and the live bytes.
@@ -29,19 +25,18 @@ type SpillConfig struct {
 }
 
 // SpillStore is the two-tier implementation: a MemStore holds the hot
-// set, and evicted entries spill to an append-only log of checksummed
-// records, faulting back into the hot tier on access. The cold tier is
-// bounded only by disk: one node holds millions of cold paths while RSS
-// tracks the hot capacity plus a small per-cold-path index entry.
+// set, and evicted entries spill to an append-only log of Records,
+// faulting back into the hot tier on access. The cold tier is bounded only
+// by disk: one node holds millions of cold paths while RSS tracks the hot
+// capacity plus a small per-cold-path index entry.
 //
 // A single mutex serializes every operation — the spill store trades the
 // MemStore's shard concurrency for capacity. The log is rewritten in
 // place (compacted) once dead records outweigh live ones.
 type SpillStore struct {
-	mu    sync.Mutex
-	hot   *MemStore
-	codec Codec
-	dir   string
+	mu  sync.Mutex
+	hot *MemStore
+	dir string
 
 	f          *os.File
 	off        int64
@@ -53,22 +48,10 @@ type SpillStore struct {
 	spills, faults, errs uint64
 }
 
-// recordRef locates one record in the spill log.
+// recordRef locates one Record in the spill log.
 type recordRef struct {
-	off     int64
-	pathLen int32
-	dataLen int32
+	off, size int64
 }
-
-func (r recordRef) size() int64 {
-	return recordHeaderLen + int64(r.pathLen) + int64(r.dataLen) + sha256.Size
-}
-
-// Record layout: 4-byte big-endian path length, 4-byte big-endian data
-// length, path bytes, data bytes, sha256 over path+data. The checksum
-// reuses the snapshot-trailer discipline: a torn or bit-flipped record is
-// detected on fault-in, never silently restored.
-const recordHeaderLen = 8
 
 // spillLogName is the log's file name inside SpillConfig.Dir.
 const spillLogName = "spill.log"
@@ -78,8 +61,8 @@ func OpenSpill(cfg SpillConfig) (*SpillStore, error) {
 	if cfg.Mem.New == nil {
 		panic("store: SpillConfig.Mem.New is required")
 	}
-	if cfg.Codec.Encode == nil || cfg.Codec.Decode == nil {
-		panic("store: SpillConfig.Codec is required")
+	if cfg.Mem.Codec.Encode == nil || cfg.Mem.Codec.Decode == nil {
+		panic("store: SpillConfig.Mem.Codec is required")
 	}
 	if cfg.CompactMinBytes <= 0 {
 		cfg.CompactMinBytes = 1 << 20
@@ -92,7 +75,6 @@ func OpenSpill(cfg SpillConfig) (*SpillStore, error) {
 		return nil, fmt.Errorf("store: spill log: %w", err)
 	}
 	s := &SpillStore{
-		codec:      cfg.Codec,
 		dir:        cfg.Dir,
 		f:          f,
 		cold:       make(map[string]recordRef),
@@ -110,36 +92,25 @@ func OpenSpill(cfg SpillConfig) (*SpillStore, error) {
 	return s, nil
 }
 
-// spill serializes a hot-tier victim into the log. Called with s.mu held
-// (every hot-tier mutation happens under it). An entry that fails to
+// spill appends a hot-tier victim's Record to the log. Called with s.mu
+// held (every hot-tier mutation happens under it). An entry that fails to
 // encode is dropped and counted — eviction cannot be refused.
 func (s *SpillStore) spill(e Entry) {
 	path := e.Path()
-	data, err := s.codec.Encode(e)
+	rec, err := s.hot.encode(e)
+	if err == nil {
+		_, err = s.f.WriteAt(rec, s.off)
+	}
 	if err != nil {
 		s.errs++
 		s.dropCold(path)
 		return
 	}
-	ref := recordRef{off: s.off, pathLen: int32(len(path)), dataLen: int32(len(data))}
-	buf := make([]byte, 0, ref.size())
-	var hdr [recordHeaderLen]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(ref.pathLen))
-	binary.BigEndian.PutUint32(hdr[4:8], uint32(ref.dataLen))
-	buf = append(buf, hdr[:]...)
-	buf = append(buf, path...)
-	buf = append(buf, data...)
-	sum := sha256.Sum256(buf[recordHeaderLen:])
-	buf = append(buf, sum[:]...)
-	if _, err := s.f.WriteAt(buf, s.off); err != nil {
-		s.errs++
-		s.dropCold(path)
-		return
-	}
-	s.off += ref.size()
+	ref := recordRef{off: s.off, size: int64(len(rec))}
+	s.off += ref.size
 	s.dropCold(path) // a stale record for the same path becomes garbage
 	s.cold[path] = ref
-	s.liveBytes += ref.size()
+	s.liveBytes += ref.size
 	s.spills++
 	s.maybeCompact()
 }
@@ -155,26 +126,22 @@ var (
 func (s *SpillStore) dropCold(path string) {
 	if old, ok := s.cold[path]; ok {
 		delete(s.cold, path)
-		s.liveBytes -= old.size()
-		s.deadBytes += old.size()
+		s.liveBytes -= old.size
+		s.deadBytes += old.size
 	}
 }
 
-// readRecord reads and verifies one record, returning the payload.
-func (s *SpillStore) readRecord(path string, ref recordRef) ([]byte, error) {
-	buf := make([]byte, ref.size()-recordHeaderLen)
-	if _, err := s.f.ReadAt(buf, ref.off+recordHeaderLen); err != nil {
+// readRecord reads and verifies path's Record from the log.
+func (s *SpillStore) readRecord(path string, ref recordRef) (Record, error) {
+	buf := make([]byte, ref.size)
+	if _, err := s.f.ReadAt(buf, ref.off); err != nil {
 		return nil, err
 	}
-	body := buf[:int(ref.pathLen)+int(ref.dataLen)]
-	sum := sha256.Sum256(body)
-	if !bytes.Equal(sum[:], buf[len(body):]) {
-		return nil, fmt.Errorf("store: spill record for %q: sha256 mismatch", path)
+	rec, err := checkRecord(buf)
+	if err == nil && rec.Path() != path {
+		err = fmt.Errorf("store: spill record for %q holds %q", path, rec.Path())
 	}
-	if string(body[:ref.pathLen]) != path {
-		return nil, fmt.Errorf("store: spill record for %q: path mismatch", path)
-	}
-	return body[ref.pathLen:], nil
+	return rec, err
 }
 
 // faultIn decodes path's cold record. promote removes it from the cold
@@ -182,22 +149,23 @@ func (s *SpillStore) readRecord(path string, ref recordRef) ([]byte, error) {
 // the record. Any read/verify/decode failure drops the record and counts
 // an error — the entry's state is lost, not silently corrupted.
 func (s *SpillStore) faultIn(path string, ref recordRef, promote bool) (Entry, bool) {
-	data, err := s.readRecord(path, ref)
+	var e Entry
+	rec, err := s.readRecord(path, ref)
 	if err == nil {
-		var e Entry
-		if e, err = s.codec.Decode(path, data); err == nil {
-			s.faults++
-			if promote {
-				s.dropCold(path)
-				s.maybeCompact()
-			}
-			return e, true
-		}
+		e, err = s.hot.cfg.Codec.Decode(path, rec.Data())
 	}
-	s.errs++
-	s.dropCold(path)
-	s.maybeCompact()
-	return nil, false
+	if err != nil {
+		s.errs++
+		s.dropCold(path)
+		s.maybeCompact()
+		return nil, false
+	}
+	if promote {
+		s.faults++
+		s.dropCold(path)
+		s.maybeCompact()
+	}
+	return e, true
 }
 
 // GetOrCreate returns the entry for path: hot hit, cold fault-in
@@ -246,8 +214,8 @@ func (s *SpillStore) Pin(path []byte, create bool) (Entry, bool) {
 func (s *SpillStore) Unpin() { s.mu.Unlock() }
 
 // Peek returns the entry for path without touching recency. A cold entry
-// comes back as a transient decoded copy: reads are accurate, mutations
-// are lost — for stats and snapshots only.
+// comes back as a transient decoded copy (not counted as a fault): reads
+// are accurate, mutations are lost — for stats only.
 func (s *SpillStore) Peek(path string) (Entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -258,6 +226,34 @@ func (s *SpillStore) Peek(path string) (Entry, bool) {
 		return s.faultIn(path, ref, false)
 	}
 	return nil, false
+}
+
+// Record returns path's Record without touching recency: a cold path's
+// log bytes, copied verbatim once their checksum verifies (a record that
+// fails is dropped and counted, like a failed fault-in), or a hot entry
+// encoded through the codec. The store mutex is held for this one call.
+func (s *SpillStore) Record(path string) (Record, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e, ok := s.hot.Peek(path); ok {
+		rec, err := s.hot.encode(e)
+		if err != nil {
+			s.errs++
+		}
+		return rec, err == nil
+	}
+	ref, ok := s.cold[path]
+	if !ok {
+		return nil, false
+	}
+	rec, err := s.readRecord(path, ref)
+	if err != nil {
+		s.errs++
+		s.dropCold(path)
+		s.maybeCompact()
+		return nil, false
+	}
+	return rec, true
 }
 
 // Delete removes path's entry from whichever tier holds it, reporting
@@ -299,40 +295,6 @@ func (s *SpillStore) Shards() int { return s.hot.Shards() }
 // a spill, not a loss.
 func (s *SpillStore) Evictions() uint64 { return s.hot.Evictions() }
 
-// Range visits the cold tier first (sorted by path, decoded transiently)
-// and then the hot tier, least recently used first per shard — so a
-// snapshot restored in Range order rebuilds the hot set as the most
-// recent entries. fn must not call back into the store.
-func (s *SpillStore) Range(fn func(Entry) bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	coldPaths := make([]string, 0, len(s.cold))
-	for p := range s.cold {
-		coldPaths = append(coldPaths, p)
-	}
-	sort.Strings(coldPaths)
-	for _, p := range coldPaths {
-		data, err := s.readRecord(p, s.cold[p])
-		if err != nil {
-			s.errs++
-			continue
-		}
-		e, err := s.codec.Decode(p, data)
-		if err != nil {
-			s.errs++
-			continue
-		}
-		if !fn(e) {
-			return
-		}
-	}
-	cont := true
-	s.hot.Range(func(e Entry) bool {
-		cont = fn(e)
-		return cont
-	})
-}
-
 // Recent returns up to n hot-tier entries, most recently used first.
 func (s *SpillStore) Recent(n int) []Entry {
 	s.mu.Lock()
@@ -340,15 +302,17 @@ func (s *SpillStore) Recent(n int) []Entry {
 	return s.hot.Recent(n)
 }
 
-// Paths returns every stored path name across both tiers.
+// Paths returns every stored path, coldest first: the cold tier sorted,
+// then each hot shard least recently used first.
 func (s *SpillStore) Paths() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := s.hot.Paths()
+	out := make([]string, 0, len(s.cold)+s.hot.Len())
 	for p := range s.cold {
 		out = append(out, p)
 	}
-	return out
+	sort.Strings(out)
+	return append(out, s.hot.Paths()...)
 }
 
 // Stats reports both tiers' occupancy and the log activity counters.
@@ -378,31 +342,20 @@ func (s *SpillStore) maybeCompact() {
 		return // keep serving from the bloated log
 	}
 	newCold := make(map[string]recordRef, len(s.cold))
-	var off, live int64
-	ok := true
+	var off int64
 	for path, ref := range s.cold {
-		rec := make([]byte, ref.size())
-		if _, err := s.f.ReadAt(rec, ref.off); err != nil {
-			s.errs++
-			continue
-		}
-		sum := sha256.Sum256(rec[recordHeaderLen : recordHeaderLen+int(ref.pathLen)+int(ref.dataLen)])
-		if !bytes.Equal(sum[:], rec[len(rec)-sha256.Size:]) {
+		rec, err := s.readRecord(path, ref)
+		if err != nil {
 			s.errs++
 			continue
 		}
 		if _, err := nf.WriteAt(rec, off); err != nil {
-			ok = false
-			break
+			nf.Close()
+			os.Remove(tmpName)
+			return
 		}
-		newCold[path] = recordRef{off: off, pathLen: ref.pathLen, dataLen: ref.dataLen}
-		off += ref.size()
-		live += ref.size()
-	}
-	if !ok {
-		nf.Close()
-		os.Remove(tmpName)
-		return
+		newCold[path] = recordRef{off: off, size: ref.size}
+		off += ref.size
 	}
 	if err := os.Rename(tmpName, filepath.Join(s.dir, spillLogName)); err != nil {
 		nf.Close()
@@ -413,7 +366,7 @@ func (s *SpillStore) maybeCompact() {
 	s.f = nf
 	s.off = off
 	s.cold = newCold
-	s.liveBytes = live
+	s.liveBytes = off
 	s.deadBytes = 0
 }
 

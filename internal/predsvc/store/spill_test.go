@@ -11,7 +11,8 @@ import (
 func openSpillT(t *testing.T, mem MemConfig, compactMin int64) (*SpillStore, string) {
 	t.Helper()
 	dir := t.TempDir()
-	s, err := OpenSpill(SpillConfig{Mem: mem, Dir: dir, Codec: toyCodec(), CompactMinBytes: compactMin})
+	mem.Codec = toyCodec()
+	s, err := OpenSpill(SpillConfig{Mem: mem, Dir: dir, CompactMinBytes: compactMin})
 	if err != nil {
 		t.Fatalf("OpenSpill: %v", err)
 	}
@@ -206,7 +207,7 @@ func TestOpenSpillTruncates(t *testing.T) {
 	if err := os.WriteFile(log, []byte("stale garbage from a previous run"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, err := OpenSpill(SpillConfig{Mem: MemConfig{New: newToy}, Dir: dir, Codec: toyCodec()})
+	s, err := OpenSpill(SpillConfig{Mem: MemConfig{New: newToy, Codec: toyCodec()}, Dir: dir})
 	if err != nil {
 		t.Fatalf("OpenSpill over a stale log: %v", err)
 	}

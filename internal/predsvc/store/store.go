@@ -2,11 +2,13 @@
 // a Store interface over "path → entry" maps with LRU recency semantics,
 // plus the two implementations the service ships with — the sharded
 // in-memory MemStore (the original registry core) and the two-tier
-// SpillStore that evicts cold entries to an append-only checksummed disk
-// log and faults them back in on access.
+// SpillStore that evicts cold entries to an append-only disk log and
+// faults them back in on access — and the one framing every persisted or
+// transferred entry uses: the checksummed Record and the record stream
+// (StreamWriter, StreamReader) that snapshot files and shard handoff carry.
 //
 // The package is deliberately ignorant of predictor sessions: entries are
-// anything with a path name, and the disk tier serializes them through a
+// anything with a path name, and Records carry them as serialized by a
 // caller-supplied Codec. internal/predsvc wires its *Session in; the
 // conformance suite (conformance_test.go) runs against a toy entry type,
 // proving the contract is implementation- and payload-independent.
@@ -20,10 +22,9 @@ type Entry interface {
 	Path() string
 }
 
-// Codec serializes entries for the disk tier. Encode must capture enough
-// state for Decode to rebuild a usable entry; the round trip may be
-// approximate (predsvc sessions document exactly how), but must be
-// deterministic.
+// Codec serializes entries into Record payloads. Decode must rebuild an
+// entry that behaves exactly like the one Encode captured, and Encode must
+// be deterministic.
 type Codec struct {
 	Encode func(Entry) ([]byte, error)
 	Decode func(path string, data []byte) (Entry, error)
@@ -32,7 +33,7 @@ type Codec struct {
 // TierStats reports a store's tier occupancy and disk-tier activity.
 // MemStore reports everything hot; SpillStore splits hot/cold and counts
 // spills (evictions serialized to the log) and faults (log reads that
-// rebuilt an entry).
+// promoted an entry back to the hot tier).
 type TierStats struct {
 	// HotPaths is the number of entries resident in memory.
 	HotPaths int `json:"hot_paths"`
@@ -40,8 +41,9 @@ type TierStats struct {
 	ColdPaths int `json:"cold_paths"`
 	// Spills counts entries written to the spill log on eviction.
 	Spills uint64 `json:"spills"`
-	// Faults counts spill-log reads that rebuilt an entry (promotions and
-	// transient peeks).
+	// Faults counts spill-log reads that promoted an entry back to the hot
+	// tier. Transient peeks (stats, metrics walks, handoff's
+	// last-writer-wins check) are not faults.
 	Faults uint64 `json:"faults"`
 	// Errors counts spill records that failed their checksum or codec on
 	// either side — the entry's state was dropped and recreated fresh.
@@ -50,7 +52,7 @@ type TierStats struct {
 
 // Store is the session-storage contract the prediction service builds on.
 // All methods are goroutine-safe. Recency: GetOrCreate and Lookup mark
-// the entry most recently used; Peek and Range never touch recency.
+// the entry most recently used; Peek and Record never touch recency.
 type Store interface {
 	// GetOrCreate returns the entry for path, creating it (possibly
 	// evicting another) when absent anywhere in the store.
@@ -60,8 +62,8 @@ type Store interface {
 	// tier here.
 	Lookup(path string) (Entry, bool)
 	// Peek returns the entry for path without touching recency — for
-	// stats and snapshots. A SpillStore serves cold entries as transient
-	// decoded copies: reads are accurate, mutations are lost.
+	// stats. A SpillStore serves cold entries as transient decoded copies:
+	// reads are accurate, mutations are lost.
 	Peek(path string) (Entry, bool)
 	// Delete removes path's entry from every tier, reporting whether it
 	// was present. A delete is not an eviction: no evict hook runs and no
@@ -78,31 +80,25 @@ type Store interface {
 	// Evictions returns how many entries the hot tier has evicted. For a
 	// MemStore an eviction loses the entry; for a SpillStore it spills it.
 	Evictions() uint64
-	// Range visits every entry, coldest first (cold tier in sorted path
-	// order, then each hot shard least recently used first), stopping
-	// early when fn returns false. fn must not call back into the store.
-	Range(fn func(Entry) bool)
 	// Recent returns up to n hot-tier entries, most recently used first.
 	// Cold entries are by construction older than every hot entry and are
 	// not listed.
 	Recent(n int) []Entry
-	// Paths returns every stored path name, in no particular order.
+	// Paths returns every stored path name, coldest first: the cold tier
+	// in sorted order, then each hot shard least recently used first — so
+	// entries restored in this order rebuild the hot set as the most
+	// recent ones.
 	Paths() []string
+	// Record returns path's entry as a Record without touching recency,
+	// holding the store's locks for this one call only: a cold entry's log
+	// bytes copied verbatim once their checksum verifies, a hot one encoded
+	// through the Codec. It reports false when path is absent or its
+	// Record cannot be produced.
+	Record(path string) (Record, bool)
 	// Stats reports tier occupancy and disk activity.
 	Stats() TierStats
 	// Close releases disk resources. The store must not be used after.
 	Close() error
-}
-
-// BytesKeyed is the optional fastpath interface for stores that can be
-// queried with a byte-slice view of the path, sparing the wire decoder a
-// string allocation per request. Semantics match GetOrCreate/Lookup
-// exactly (including recency); the key slice is only read during the
-// call and is never retained — implementations clone it if they must
-// insert. Callers type-assert and fall back to the string methods.
-type BytesKeyed interface {
-	GetOrCreateBytes(path []byte) Entry
-	LookupBytes(path []byte) (Entry, bool)
 }
 
 // Pinner is the optional interface of stores that can evict an entry
@@ -112,8 +108,7 @@ type BytesKeyed interface {
 // path like Lookup, or like GetOrCreate when create is set, and holds
 // every entry resident until the paired Unpin. When it reports false
 // nothing is pinned and Unpin must not be called. The caller must not call
-// back into the store while an entry is pinned. Callers prefer it over
-// BytesKeyed.
+// back into the store while an entry is pinned.
 type Pinner interface {
 	Pin(path []byte, create bool) (Entry, bool)
 	Unpin()

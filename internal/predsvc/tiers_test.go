@@ -210,8 +210,8 @@ func TestSnapshotWriteAtomic(t *testing.T) {
 	if string(before) != string(after) {
 		t.Fatal("failed write mutated the previous snapshot")
 	}
-	if snap, err := ReadSnapshotFile(path); err != nil || len(snap.Paths) != 1 {
-		t.Fatalf("previous snapshot unreadable after failed write: %v", err)
+	if st, err := NewServer(Config{}).RestoreSnapshot(path); err != nil || st.Paths != 1 {
+		t.Fatalf("previous snapshot unreadable after failed write: %+v, %v", st, err)
 	}
 
 	// Third write succeeds and replaces the file; the directory must hold
@@ -219,8 +219,8 @@ func TestSnapshotWriteAtomic(t *testing.T) {
 	if err := srv.WriteSnapshot(path); err != nil {
 		t.Fatalf("third write: %v", err)
 	}
-	if snap, err := ReadSnapshotFile(path); err != nil || len(snap.Paths) != 2 {
-		t.Fatalf("final snapshot: %v, %d paths", err, len(snap.Paths))
+	if st, err := NewServer(Config{}).RestoreSnapshot(path); err != nil || st.Paths != 2 {
+		t.Fatalf("final snapshot: %+v, %v", st, err)
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -283,8 +283,8 @@ func TestSpillBackedServer(t *testing.T) {
 	}
 
 	// The snapshot walks both tiers: all 64 paths, cold included.
-	if snap := reg.Snapshot(); len(snap.Paths) != paths {
-		t.Fatalf("snapshot captured %d paths, want %d", len(snap.Paths), paths)
+	if _, snap := snapshotRecords(t, reg); len(snap) != paths {
+		t.Fatalf("snapshot captured %d paths, want %d", len(snap), paths)
 	}
 }
 

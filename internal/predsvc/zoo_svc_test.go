@@ -1,10 +1,10 @@
 package predsvc
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"math"
 	"os"
@@ -88,40 +88,40 @@ func TestCalibrationEndToEnd(t *testing.T) {
 }
 
 // TestLegacyV1SnapshotRejected: snapshots of earlier formats are no longer
-// restorable — version 1 (hb_errors / fb_errors, no families) and version
-// 2 (a replayed observation history beside the families' error windows) —
-// and neither is a current snapshot holding state the configuration
-// refuses. With an intact checksum each must still be
-// refused as ErrCorruptSnapshot and quarantined at boot — never half
-// restored.
+// restorable — version 1 (hb_errors / fb_errors, no families), version 2
+// (a replayed observation history beside the families' error windows) and
+// version 3 (one JSON document of live state) — even with an intact sha256
+// trailer, and neither is a record stream of another version nor a current
+// one holding state the configuration refuses. Each must be refused as
+// ErrCorruptSnapshot and quarantined at boot — never half restored.
 func TestLegacyV1SnapshotRejected(t *testing.T) {
-	bodies := map[string]string{
-		"v1": `{"version":1,"paths":[{"path":"v1-path","observations":6,` +
-			`"history":[10e6,12e6,11e6,13e6,12e6,12.5e6],` +
-			`"fb_inputs":{"rtt_s":0.05,"loss_rate":0.001,"avail_bw_bps":20e6},"fb_age":2,` +
-			`"hb_errors":[[0.2,-0.1],[0.15,-0.12],[0.3,-0.2]],"fb_errors":[0.5,0.4]}]}`,
-		"v2": `{"version":2,"paths":[{"path":"v2-path","observations":6,` +
-			`"history":[10e6,12e6,11e6,13e6,12e6,12.5e6],` +
-			`"fb_inputs":{"rtt_s":0.05,"loss_rate":0.001,"avail_bw_bps":20e6},"fb_age":2,` +
-			`"families":[{"name":"10-MA-LSO","errors":[0.2,-0.1,0.15]}]}]}`,
-		// The second path's MA ring is longer than the order: the first
-		// path must not stay restored.
-		"v3 malformed": `{"version":3,"paths":[{"path":"ok-path","observations":1,` +
-			`"families":[{"name":"10-MA-LSO","lso":{"window":[10e6],"inner":{"ma":{"ring":[10e6],"sum":10e6}}}}]},` +
-			`{"path":"bad-path","observations":1,` +
-			`"families":[{"name":"10-MA-LSO","lso":{"window":[10e6],"inner":{"ma":{"ring":[1,2,3,4,5,6,7,8,9,10,11],"sum":66}}}}]}]}`,
-	}
-	for name, body := range bodies {
+	legacy := func(body string) []byte {
 		sum := sha256.Sum256([]byte(body))
-		data := append(append([]byte(body), checksumPrefix...), hex.EncodeToString(sum[:])...)
-		data = append(data, '\n')
-
-		snap, err := DecodeSnapshot(data)
-		if err == nil {
-			_, err = NewRegistry(Config{Shards: 1, Capacity: 8}).Restore(snap)
-		}
-		if !errors.Is(err, ErrCorruptSnapshot) {
-			t.Fatalf("%s: decode+restore err = %v, want ErrCorruptSnapshot", name, err)
+		return []byte(body + "\nsha256:" + hex.EncodeToString(sum[:]) + "\n")
+	}
+	okPath := `{"path":"ok-path","observations":1,` +
+		`"families":[{"name":"10-MA-LSO","lso":{"window":[10e6],"inner":{"ma":{"ring":[10e6],"sum":10e6}}}}]}`
+	// The second path's MA ring is longer than the order: the first path
+	// must not stay restored.
+	badPath := `{"path":"bad-path","observations":1,` +
+		`"families":[{"name":"10-MA-LSO","lso":{"window":[10e6],"inner":{"ma":{"ring":[1,2,3,4,5,6,7,8,9,10,11],"sum":66}}}}]}`
+	files := map[string][]byte{
+		"v1": legacy(`{"version":1,"paths":[{"path":"v1-path","observations":6,` +
+			`"history":[10e6,12e6,11e6,13e6,12e6,12.5e6],` +
+			`"fb_inputs":{"rtt_s":0.05,"loss_rate":0.001,"avail_bw_bps":20e6},"fb_age":2,` +
+			`"hb_errors":[[0.2,-0.1],[0.15,-0.12],[0.3,-0.2]],"fb_errors":[0.5,0.4]}]}`),
+		"v2": legacy(`{"version":2,"paths":[{"path":"v2-path","observations":6,` +
+			`"history":[10e6,12e6,11e6,13e6,12e6,12.5e6],` +
+			`"fb_inputs":{"rtt_s":0.05,"loss_rate":0.001,"avail_bw_bps":20e6},"fb_age":2,` +
+			`"families":[{"name":"10-MA-LSO","errors":[0.2,-0.1,0.15]}]}]}`),
+		"v3":           legacy(`{"version":3,"paths":[` + okPath + `]}`),
+		"v3 stream":    streamOf(t, "predsvc.PathSnapshot/3", record(t, "ok-path", []byte(okPath))),
+		"v99 stream":   streamOf(t, "predsvc.PathSnapshot/99", record(t, "ok-path", []byte(okPath))),
+		"v4 malformed": streamOf(t, sessionsFormat, record(t, "ok-path", []byte(okPath)), record(t, "bad-path", []byte(badPath))),
+	}
+	for name, data := range files {
+		if _, err := NewRegistry(Config{Shards: 1, Capacity: 8}).ReadSnapshot(bytes.NewReader(data)); !errors.Is(err, ErrCorruptSnapshot) {
+			t.Fatalf("%s: ReadSnapshot err = %v, want ErrCorruptSnapshot", name, err)
 		}
 
 		file := filepath.Join(t.TempDir(), "snap.json")
@@ -140,11 +140,6 @@ func TestLegacyV1SnapshotRejected(t *testing.T) {
 			t.Errorf("%s: registry holds %d paths after a rejected snapshot", name, srv.Registry().Len())
 		}
 	}
-	for _, v := range []int{1, 2, 99} {
-		if _, err := NewRegistry(Config{Shards: 1, Capacity: 8}).Restore(&Snapshot{Version: v}); !errors.Is(err, ErrCorruptSnapshot) {
-			t.Errorf("Restore of snapshot version %d: err = %v, want ErrCorruptSnapshot", v, err)
-		}
-	}
 }
 
 // TestSnapshotZooFamiliesFinite mirrors the PR-2 Holt-Winters clamp fix
@@ -159,27 +154,20 @@ func TestSnapshotZooFamiliesFinite(t *testing.T) {
 		s.SetMeasurement(in)
 		s.Observe(x)
 	}
-	snap := reg.Snapshot()
-	for _, ps := range snap.Paths {
-		for _, fs := range ps.Families {
-			for _, e := range fs.Errors {
-				if math.IsInf(e, 0) || math.IsNaN(e) {
-					t.Fatalf("family %s window holds non-finite error %v", fs.Name, e)
-				}
+	stream, paths := snapshotRecords(t, reg)
+	if len(paths) != 1 {
+		t.Fatalf("zoo snapshot with extreme inputs holds %d records, want 1", len(paths))
+	}
+	for _, fs := range paths[0].Families {
+		for _, e := range fs.Errors {
+			if math.IsInf(e, 0) || math.IsNaN(e) {
+				t.Fatalf("family %s window holds non-finite error %v", fs.Name, e)
 			}
 		}
 	}
-	data, err := json.Marshal(snap)
-	if err != nil {
-		t.Fatalf("zoo snapshot with extreme inputs does not marshal: %v", err)
-	}
 	// And it restores: the serialized regression/ECM state is valid.
-	decoded := &Snapshot{}
-	if err := json.Unmarshal(data, decoded); err != nil {
-		t.Fatal(err)
-	}
 	reg2 := NewRegistry(Config{Shards: 1, Capacity: 8})
-	if _, err := reg2.Restore(decoded); err != nil {
+	if _, err := reg2.ReadSnapshot(bytes.NewReader(stream)); err != nil {
 		t.Fatalf("restore of extreme-input snapshot failed: %v", err)
 	}
 	s2, _ := reg2.Peek("falling")

@@ -24,13 +24,23 @@ go build ./...
 echo "==> go test -race -short"
 go test -race -short ./...
 
-# Fuzzing: the path-record decoder shared by the spill log, snapshots and
-# handoff must never panic on untrusted bytes, and must re-encode what it
-# accepts to a fixed point. Every `go test` replays the committed corpus
-# (internal/predsvc/testdata/fuzz); this step searches for new inputs, and
-# a failure it finds is written into that corpus.
+# Fuzzing: the record-stream reader (the one framing of the spill log,
+# snapshot files and handoff bodies) and the record-payload decoder must
+# never panic on untrusted bytes; the reader must never hand out a record
+# past its cap and must re-write what it accepts byte for byte, and the
+# decoder must re-encode what it accepts to a fixed point. Every `go test`
+# replays the committed corpora (testdata/fuzz in internal/predsvc/store
+# and internal/predsvc); these steps search for new inputs, and a failure
+# they find is written into that corpus.
+echo "==> fuzz FuzzRecordStream (10s)"
+go test ./internal/predsvc/store -run '^$' -fuzz '^FuzzRecordStream$' -fuzztime 10s -fuzzminimizetime 2s
 echo "==> fuzz FuzzPathSnapshotRestore (10s)"
 go test ./internal/predsvc -run '^$' -fuzz '^FuzzPathSnapshotRestore$' -fuzztime 10s -fuzzminimizetime 2s
+
+# The benchmark harness is its own module and is not part of ./...: its
+# unit tests also compile it against the predsvc API it drives.
+echo "==> go test -C bench ./..."
+go test -C bench ./...
 
 # The short suite above carries the in-process end-to-end gates (daemon
 # under the load generator, chaos, store conformance, cluster digest,
