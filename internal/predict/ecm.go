@@ -194,9 +194,9 @@ func (e *ECM) State() ECMState {
 // SetState restores a snapshot produced by State, overwriting all
 // retained distributions. Conditioning state is not part of the
 // snapshot; the serving layer re-derives it from FB inputs on restore.
-// It refuses rings beyond the configured caps, empty or repeated buckets
-// and samples that are not positive and finite; on error the predictor is
-// unchanged.
+// It refuses rings beyond the configured caps, empty or repeated buckets,
+// bucket keys no measurement maps to and samples that are not positive and
+// finite; on error the predictor is unchanged.
 func (e *ECM) SetState(st ECMState) error {
 	if err := checkRing(st.Global, e.cfg.GlobalCap); err != nil {
 		return fmt.Errorf("ECM: global ring: %w", err)
@@ -204,6 +204,9 @@ func (e *ECM) SetState(st ECMState) error {
 	buckets := make(map[ecmKey]*ecmRing, len(st.Buckets))
 	for _, b := range st.Buckets {
 		k := ecmKey{RTT: b.RTT, Loss: b.Loss, ABW: b.ABW}
+		if !k.reachable() {
+			return fmt.Errorf("ECM: bucket %+v has a key no measurement maps to", k)
+		}
 		if buckets[k] != nil || len(b.Samples) == 0 {
 			return fmt.Errorf("ECM: bucket %+v is empty or repeated", k)
 		}
@@ -235,23 +238,35 @@ func checkRing(xs []float64, limit int) error {
 	return nil
 }
 
+// The bins bucketKey clamps each conditioning variable to, and the key
+// value of an unknown (non-positive) one.
+const (
+	rttBinMin, rttBinMax, rttUnknown = 0, 12, -1
+	lossBinMin, lossBinMax, lossNone = -5, -1, 0
+	abwBinMin, abwBinMax, abwUnknown = -4, 14, -20
+)
+
 // bucketKey bins the conditioning variables on log scales.
 func bucketKey(in FBInputs) ecmKey {
-	var k ecmKey
+	k := ecmKey{RTT: rttUnknown, Loss: lossNone, ABW: abwUnknown}
 	if in.RTT > 0 {
-		k.RTT = clampInt8(int(math.Floor(math.Log2(in.RTT*1000))), 0, 12)
-	} else {
-		k.RTT = -1
+		k.RTT = clampInt8(int(math.Floor(math.Log2(in.RTT*1000))), rttBinMin, rttBinMax)
 	}
 	if in.LossRate > 0 {
-		k.Loss = clampInt8(int(math.Floor(math.Log10(in.LossRate))), -5, -1)
+		k.Loss = clampInt8(int(math.Floor(math.Log10(in.LossRate))), lossBinMin, lossBinMax)
 	}
 	if in.AvailBw > 0 {
-		k.ABW = clampInt8(int(math.Floor(math.Log2(in.AvailBw/1e6))), -4, 14)
-	} else {
-		k.ABW = -20
+		k.ABW = clampInt8(int(math.Floor(math.Log2(in.AvailBw/1e6))), abwBinMin, abwBinMax)
 	}
 	return k
+}
+
+// reachable reports whether bucketKey can produce k. It bounds how many
+// buckets a restored state may hold to the 1 680 keys measurements map to.
+func (k ecmKey) reachable() bool {
+	in := func(v int8, lo, hi, none int) bool { return v == int8(none) || int(v) >= lo && int(v) <= hi }
+	return in(k.RTT, rttBinMin, rttBinMax, rttUnknown) && in(k.Loss, lossBinMin, lossBinMax, lossNone) &&
+		in(k.ABW, abwBinMin, abwBinMax, abwUnknown)
 }
 
 func clampInt8(v, lo, hi int) int8 {

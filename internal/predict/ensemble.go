@@ -396,8 +396,8 @@ type FamilySnapshot struct {
 // EnsembleState is the whole tournament of one path: the lifetime
 // observation count, the standing measurements (nil until one is
 // installed) and how many observations ago they were, every family's error
-// window and predictor state, and the coverage counters. Its JSON form is
-// what the prediction service persists per path.
+// window and predictor state, and the coverage counters. Its binary form
+// (AppendBinary) is what the prediction service persists per path.
 type EnsembleState struct {
 	Observations uint64           `json:"observations"`
 	FB           *FBInputs        `json:"fb_inputs,omitempty"`
@@ -425,8 +425,8 @@ func (e *Ensemble) State() EnsembleState {
 
 // SetState installs st into a fresh ensemble by copying it — no
 // observation is replayed. Families are matched by name; a family st does
-// not name (after a configuration change, say) starts fresh, and a name
-// the ensemble does not run is ignored.
+// not name (after a configuration change, say) starts fresh, a name the
+// ensemble does not run is ignored, and one it runs must not appear twice.
 //
 // st may come from an untrusted source. Lengths beyond the configured
 // bounds, non-finite values and counts that contradict each other are
@@ -443,12 +443,20 @@ func (e *Ensemble) SetState(st EnsembleState) error {
 	if in := st.FB; in != nil && !(finite(in.RTT, in.AvailBw) && in.RTT >= 0 && in.AvailBw >= 0 && in.LossRate >= 0 && in.LossRate <= 1) {
 		return fmt.Errorf("predict: invalid measurement %+v", *in)
 	}
+	// Families installed so far, one bit per zoo index, so the check stays
+	// linear in the number of families a hostile state may list.
+	var installed uint64
 	for j := range st.Families {
 		fs := &st.Families[j]
-		if slices.ContainsFunc(st.Families[:j], func(o FamilySnapshot) bool { return o.Name == fs.Name }) {
+		i := slices.IndexFunc(e.views, func(v FamilyView) bool { return v.Name == fs.Name })
+		if i < 0 {
+			continue
+		}
+		if installed&(1<<i) != 0 {
 			return fmt.Errorf("predict: family %q named twice", fs.Name)
 		}
-		if err := e.setFamily(fs, st.Observations); err != nil {
+		installed |= 1 << i
+		if err := e.setFamily(i, fs, st.Observations); err != nil {
 			return fmt.Errorf("predict: family %q: %w", fs.Name, err)
 		}
 	}
@@ -461,13 +469,8 @@ func (e *Ensemble) SetState(st EnsembleState) error {
 	return nil
 }
 
-// setFamily installs fs into the family of the same name, if the ensemble
-// runs one.
-func (e *Ensemble) setFamily(fs *FamilySnapshot, observations uint64) error {
-	i := slices.IndexFunc(e.views, func(v FamilyView) bool { return v.Name == fs.Name })
-	if i < 0 {
-		return nil
-	}
+// setFamily installs fs into family i.
+func (e *Ensemble) setFamily(i int, fs *FamilySnapshot, observations uint64) error {
 	f := &e.families[i]
 	if n := len(fs.Errors); n > cap(f.win.buf) || uint64(n) > observations {
 		return fmt.Errorf("%d errors for a window of %d and %d observations", n, cap(f.win.buf), observations)

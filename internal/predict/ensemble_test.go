@@ -1,12 +1,17 @@
 package predict
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // ensembleSeries is a synthetic path for the tournament tests: a noisy
@@ -160,10 +165,11 @@ func TestEnsembleSteadyStateAllocs(t *testing.T) {
 }
 
 // TestEnsembleStateRoundTrip is the restore property: State, round-tripped
-// through JSON and installed into a fresh ensemble, reproduces the live
-// ensemble exactly — every view field, bit for bit — for the next 100
-// observations, whatever the history length at the cut. Measurements come
-// in bursts, so FB goes stale and recovers on both sides of the cut.
+// through its binary form and installed into a fresh ensemble, reproduces
+// the live ensemble exactly — the same state, compared as JSON, and every
+// view field, bit for bit, for the next 100 observations — whatever the
+// history length at the cut. Measurements come in bursts, so FB goes stale
+// and recovers on both sides of the cut.
 func TestEnsembleStateRoundTrip(t *testing.T) {
 	configs := map[string]EnsembleConfig{
 		"default":    {},
@@ -186,17 +192,22 @@ func TestEnsembleStateRoundTrip(t *testing.T) {
 					measure(live, k)
 					live.Observe(xs[k])
 				}
-				data, err := json.Marshal(live.State())
+				st := live.State()
+				data, err := st.AppendBinary(nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				var st EnsembleState
-				if err := json.Unmarshal(data, &st); err != nil {
-					t.Fatal(err)
+				var decoded EnsembleState
+				if err := decoded.UnmarshalBinary(data); err != nil {
+					t.Fatalf("%s seed %d cut %d: %v", name, seed, cut, err)
 				}
 				restored := NewEnsemble(cfg)
-				if err := restored.SetState(st); err != nil {
+				if err := restored.SetState(decoded); err != nil {
 					t.Fatalf("%s seed %d cut %d: SetState: %v", name, seed, cut, err)
+				}
+				want, _ := json.Marshal(st)
+				if got, _ := json.Marshal(restored.State()); string(got) != string(want) {
+					t.Fatalf("%s seed %d cut %d: restored state differs:\nlive     %s\nrestored %s", name, seed, cut, want, got)
 				}
 				for k := cut; k < cut+100; k++ {
 					if d := ensembleDiff(live, restored); d != "" {
@@ -288,6 +299,9 @@ func TestEnsembleSetStateRejectsMalformed(t *testing.T) {
 				b.Samples = append(b.Samples, 1e6)
 			}
 		}, "cap"},
+		{"ECM bucket key no measurement maps to", func(st *EnsembleState) {
+			family(st, "ECM").ECM.Buckets[0].RTT = 13
+		}, "no measurement maps to"},
 		{"error window beyond its size", func(st *EnsembleState) {
 			f := family(st, "FB")
 			f.Errors = make([]float64, 51)
@@ -345,5 +359,111 @@ func TestEnsembleSetStateRejectsMalformed(t *testing.T) {
 	}
 	if ma := v.Families[0]; !ma.Ready || ma.Errors == 0 {
 		t.Errorf("named family not restored: %+v", ma)
+	}
+}
+
+// TestEnsembleSetStateManyFamilies: a state may list any number of names
+// the ensemble does not run, and they are ignored in time linear in their
+// number. A duplicate check over every pair of names took over a minute for
+// the 150 000 names a 1 MiB record can carry.
+func TestEnsembleSetStateManyFamilies(t *testing.T) {
+	st := EnsembleState{Families: make([]FamilySnapshot, 100000)}
+	for i := range st.Families {
+		st.Families[i].Name = strconv.Itoa(i)
+	}
+	start := time.Now()
+	if err := NewEnsemble(EnsembleConfig{}).SetState(st); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("SetState of 100 000 unknown families took %v", d)
+	}
+}
+
+// TestEnsembleStateBinaryRefuses: the binary form is read from disk and
+// from other nodes, so every malformed input is an error, never a panic —
+// including every truncation of a real record — and a declared length is
+// checked before anything is allocated for it. The encoder refuses what
+// json.Marshal refused, and what its decoder would.
+func TestEnsembleStateBinaryRefuses(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	xs, ins := ensembleSeries(rng, 80)
+	live := NewEnsemble(EnsembleConfig{})
+	for k, x := range xs {
+		live.SetMeasurement(ins[k])
+		live.Observe(x)
+	}
+	st := live.State()
+	good, err := st.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	encode := func(st EnsembleState) []byte {
+		t.Helper()
+		b, err := st.AppendBinary(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	lso := func(inner PredictorState) EnsembleState {
+		return EnsembleState{Families: []FamilySnapshot{{Name: "10-MA-LSO",
+			PredictorState: PredictorState{LSO: &LSOState{Inner: inner}}}}}
+	}
+	flat := encode(lso(PredictorState{MA: &MAState{}}))
+	// One family with no errors and no predictor state ends "0, kindNone";
+	// replace that with a count of 2^60 floats.
+	fb := encode(EnsembleState{Observations: 1, Families: []FamilySnapshot{{Name: "10-MA-LSO"}}})
+	huge := append(binary.AppendUvarint(fb[:len(fb)-2:len(fb)-2], 1<<60), make([]byte, 64)...)
+	type input struct {
+		name string
+		data []byte
+		want string
+	}
+	decodeCases := []input{
+		{"trailing byte", append(good[:len(good):len(good)], 0), "1 trailing bytes"},
+		{"unknown kind", append(fb[:len(fb)-1:len(fb)-1], 99), "unknown predictor kind 99"},
+		{"bool byte 2", []byte{0, 2, 0, 0, 0, 0}, "bool byte 2"},
+		{"nesting beyond the cap", bytes.Replace(flat, []byte{kindLSO, 0, 0}, []byte{kindLSO, 0, 0, kindLSO, 0, 0}, 1), "nested deeper than 1"},
+		{"2^60 floats declared", huge, "1152921504606846976 items of 8 bytes declared"},
+	}
+	for n := range good {
+		decodeCases = append(decodeCases, input{fmt.Sprintf("truncated to %d bytes", n), good[:n], "predict: decode state"})
+	}
+	for _, tc := range decodeCases {
+		var st EnsembleState
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := st.UnmarshalBinary(tc.data)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<10 {
+			t.Errorf("%s: decoding allocated %d bytes", tc.name, grew)
+		}
+	}
+
+	encodeCases := []struct {
+		name   string
+		mutate func(st *EnsembleState)
+		want   string
+	}{
+		{"NaN error", func(st *EnsembleState) { st.Families[0].Errors[0] = math.NaN() }, "non-finite"},
+		{"infinite measurement", func(st *EnsembleState) { st.FB.AvailBw = math.Inf(1) }, "non-finite"},
+		{"two predictor states in one", func(st *EnsembleState) { st.Families[0].EWMA = &EWMAState{} }, "2 predictor states"},
+		{"nesting beyond the cap", func(st *EnsembleState) {
+			*st = lso(PredictorState{LSO: &LSOState{Inner: PredictorState{MA: &MAState{}}}})
+		}, "nested deeper than 1"},
+	}
+	for _, tc := range encodeCases {
+		var st EnsembleState
+		if err := st.UnmarshalBinary(good); err != nil {
+			t.Fatal(err)
+		}
+		tc.mutate(&st)
+		if _, err := st.AppendBinary(nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("encode %s: err = %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package predict
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 )
@@ -109,4 +110,307 @@ func finite(xs ...float64) bool {
 		}
 	}
 	return true
+}
+
+// The binary form of an EnsembleState, the payload the prediction service
+// persists per path. Counts, lengths and integers are uvarints (an int as
+// its two's complement, so a negative one round-trips for SetState to
+// refuse), floats are float64 little-endian, bools and ECM bucket keys one
+// byte each, and a PredictorState is a one-byte kind tag and that kind's
+// fields in declaration order:
+//
+//	state     = observations hasFB [rtt loss availBw] fbAge covIn covTotal n family*n
+//	family    = len name errors predictor
+//	predictor = kind fields
+//	floats    = n float64*n
+const (
+	kindNone byte = iota
+	kindMA
+	kindEWMA
+	kindHW
+	kindLSO
+	kindSwitcher
+	kindRegression
+	kindECM
+)
+
+// maxNesting bounds how deep LSO and switcher states may nest. The zoo
+// wraps plain predictors only, one level deep.
+const maxNesting = 1
+
+// AppendBinary appends st's binary form to b. Like json.Marshal it refuses
+// NaN and ±Inf, so a non-finite state fails when it is written rather than
+// when it is read back. It also refuses a PredictorState with more than one
+// field set and nesting past what the zoo builds.
+func (st *EnsembleState) AppendBinary(b []byte) ([]byte, error) {
+	w := stateWriter{b: b}
+	w.uvarint(st.Observations)
+	w.flag(st.FB != nil)
+	if in := st.FB; in != nil {
+		w.float(in.RTT)
+		w.float(in.LossRate)
+		w.float(in.AvailBw)
+	}
+	w.uvarint(st.FBAge)
+	w.uvarint(st.CovIn)
+	w.uvarint(st.CovTotal)
+	w.uvarint(uint64(len(st.Families)))
+	for i := range st.Families {
+		f := &st.Families[i]
+		w.uvarint(uint64(len(f.Name)))
+		w.b = append(w.b, f.Name...)
+		w.floats(f.Errors)
+		w.predictor(&f.PredictorState, 0)
+	}
+	if w.err != nil {
+		return b, w.err
+	}
+	return w.b, nil
+}
+
+// UnmarshalBinary decodes an AppendBinary form into st. The bytes are
+// untrusted: every declared length is checked against the bytes that remain
+// before anything is allocated for it, and a truncation, an unknown kind or
+// bool byte, nesting past the cap or a trailing byte is an error. It checks
+// structure only; SetState checks the values. The decoded slices do not
+// alias data. On error st is partly overwritten.
+func (st *EnsembleState) UnmarshalBinary(data []byte) error {
+	// Every float takes 8 bytes of data, so one backing array of len/8
+	// holds all of them.
+	r := stateReader{data: data, floats: make([]float64, 0, len(data)/8)}
+	*st = EnsembleState{Observations: r.uvarint()}
+	if r.flag() {
+		st.FB = &FBInputs{RTT: r.float(), LossRate: r.float(), AvailBw: r.float()}
+	}
+	st.FBAge, st.CovIn, st.CovTotal = r.uvarint(), r.uvarint(), r.uvarint()
+	// A family is at least a name length, an error count and a kind.
+	if n := r.count(3); n > 0 {
+		st.Families = make([]FamilySnapshot, n)
+		for i := range st.Families {
+			f := &st.Families[i]
+			f.Name = string(r.take(r.count(1)))
+			f.Errors = r.floatSlice()
+			f.PredictorState = r.predictor(0)
+		}
+	}
+	if r.err == nil && len(r.data) > 0 {
+		r.fail("%d trailing bytes", len(r.data))
+	}
+	return r.err
+}
+
+// stateWriter appends the binary form, keeping the first error.
+type stateWriter struct {
+	b   []byte
+	err error
+}
+
+func (w *stateWriter) fail(format string, args ...any) {
+	if w.err == nil {
+		w.err = fmt.Errorf("predict: encode state: "+format, args...)
+	}
+}
+
+func (w *stateWriter) uvarint(v uint64) { w.b = binary.AppendUvarint(w.b, v) }
+
+func (w *stateWriter) flag(v bool) {
+	if v {
+		w.b = append(w.b, 1)
+	} else {
+		w.b = append(w.b, 0)
+	}
+}
+
+func (w *stateWriter) float(x float64) {
+	if !finite(x) {
+		w.fail("non-finite value %v", x)
+	}
+	w.b = binary.LittleEndian.AppendUint64(w.b, math.Float64bits(x))
+}
+
+func (w *stateWriter) floats(xs []float64) {
+	w.uvarint(uint64(len(xs)))
+	for _, x := range xs {
+		w.float(x)
+	}
+}
+
+// predictor writes st, which sits inside depth LSO or switcher states.
+func (w *stateWriter) predictor(st *PredictorState, depth int) {
+	if n := st.count(); n > 1 {
+		w.fail("%d predictor states in one", n)
+		return
+	}
+	if (st.LSO != nil || st.Switcher != nil) && depth >= maxNesting {
+		w.fail("state nested deeper than %d", maxNesting)
+		return
+	}
+	switch {
+	case st.MA != nil:
+		w.b = append(w.b, kindMA)
+		w.floats(st.MA.Ring)
+		w.float(st.MA.Sum)
+	case st.EWMA != nil:
+		w.b = append(w.b, kindEWMA)
+		w.float(st.EWMA.Pred)
+		w.flag(st.EWMA.Seen)
+	case st.HW != nil:
+		w.b = append(w.b, kindHW)
+		w.float(st.HW.S)
+		w.float(st.HW.T)
+		w.float(st.HW.X0)
+		w.uvarint(uint64(st.HW.N))
+	case st.LSO != nil:
+		w.b = append(w.b, kindLSO)
+		w.floats(st.LSO.Window)
+		w.uvarint(uint64(st.LSO.Shifts))
+		w.predictor(&st.LSO.Inner, depth+1)
+	case st.Switcher != nil:
+		w.b = append(w.b, kindSwitcher)
+		w.floats(st.Switcher.Ring)
+		w.predictor(&st.Switcher.Stable, depth+1)
+		w.predictor(&st.Switcher.Volatile, depth+1)
+	case st.Regression != nil:
+		w.b = append(w.b, kindRegression)
+		w.floats(st.Regression.A)
+		w.floats(st.Regression.B)
+		w.uvarint(st.Regression.N)
+		w.floats(st.Regression.Hist)
+	case st.ECM != nil:
+		w.b = append(w.b, kindECM)
+		w.floats(st.ECM.Global)
+		w.uvarint(uint64(len(st.ECM.Buckets)))
+		for _, bk := range st.ECM.Buckets {
+			w.b = append(w.b, byte(bk.RTT), byte(bk.Loss), byte(bk.ABW))
+			w.floats(bk.Samples)
+		}
+	default:
+		w.b = append(w.b, kindNone)
+	}
+}
+
+// stateReader consumes the binary form. The first error sticks: every
+// later read returns a zero value, so decoding runs to the end without
+// checks at each step and reports that error.
+type stateReader struct {
+	data   []byte
+	floats []float64 // backing array of every decoded float slice
+	err    error
+}
+
+func (r *stateReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("predict: decode state: "+format, args...)
+	}
+}
+
+// take returns the next n bytes, or nil once the data runs short.
+func (r *stateReader) take(n int) []byte {
+	if r.err != nil {
+		return nil
+	}
+	if n > len(r.data) {
+		r.fail("truncated")
+		return nil
+	}
+	b := r.data[:n]
+	r.data = r.data[n:]
+	return b
+}
+
+func (r *stateReader) u8() byte {
+	if b := r.take(1); b != nil {
+		return b[0]
+	}
+	return 0
+}
+
+func (r *stateReader) flag() bool {
+	b := r.u8()
+	if b > 1 {
+		r.fail("bool byte %d", b)
+	}
+	return b == 1
+}
+
+func (r *stateReader) uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.data)
+	if n <= 0 {
+		r.fail("bad varint")
+		return 0
+	}
+	r.data = r.data[n:]
+	return v
+}
+
+func (r *stateReader) float() float64 {
+	if b := r.take(8); b != nil {
+		return math.Float64frombits(binary.LittleEndian.Uint64(b))
+	}
+	return 0
+}
+
+// count reads a length and checks that that many items of at least size
+// bytes each fit in the bytes that remain, so the caller may allocate.
+func (r *stateReader) count(size int) int {
+	n := r.uvarint()
+	if n > uint64(len(r.data)/size) {
+		r.fail("%d items of %d bytes declared, %d bytes left", n, size, len(r.data))
+		return 0
+	}
+	return int(n)
+}
+
+// floatSlice reads a float list into the backing array, capped so that an
+// append to one slice cannot overwrite the next. An empty list is nil.
+func (r *stateReader) floatSlice() []float64 {
+	n := r.count(8)
+	if n == 0 {
+		return nil
+	}
+	start, b := len(r.floats), r.take(8*n)
+	for ; len(b) >= 8; b = b[8:] {
+		r.floats = append(r.floats, math.Float64frombits(binary.LittleEndian.Uint64(b)))
+	}
+	return r.floats[start:len(r.floats):len(r.floats)]
+}
+
+// predictor reads a PredictorState that sits inside depth LSO or switcher
+// states.
+func (r *stateReader) predictor(depth int) (st PredictorState) {
+	kind := r.u8()
+	if (kind == kindLSO || kind == kindSwitcher) && depth >= maxNesting {
+		r.fail("state nested deeper than %d", maxNesting)
+		return st
+	}
+	switch kind {
+	case kindNone:
+	case kindMA:
+		st.MA = &MAState{Ring: r.floatSlice(), Sum: r.float()}
+	case kindEWMA:
+		st.EWMA = &EWMAState{Pred: r.float(), Seen: r.flag()}
+	case kindHW:
+		st.HW = &HWState{S: r.float(), T: r.float(), X0: r.float(), N: int(r.uvarint())}
+	case kindLSO:
+		st.LSO = &LSOState{Window: r.floatSlice(), Shifts: int(r.uvarint()), Inner: r.predictor(depth + 1)}
+	case kindSwitcher:
+		st.Switcher = &SwitcherState{Ring: r.floatSlice(), Stable: r.predictor(depth + 1), Volatile: r.predictor(depth + 1)}
+	case kindRegression:
+		st.Regression = &RegressionState{A: r.floatSlice(), B: r.floatSlice(), N: r.uvarint(), Hist: r.floatSlice()}
+	case kindECM:
+		st.ECM = &ECMState{Global: r.floatSlice()}
+		// A bucket is at least its three key bytes and a sample count.
+		if n := r.count(4); n > 0 {
+			st.ECM.Buckets = make([]ECMBucketState, n)
+			for i := range st.ECM.Buckets {
+				st.ECM.Buckets[i] = ECMBucketState{RTT: int8(r.u8()), Loss: int8(r.u8()), ABW: int8(r.u8()), Samples: r.floatSlice()}
+			}
+		}
+	default:
+		r.fail("unknown predictor kind %d", kind)
+	}
+	return st
 }

@@ -2,7 +2,6 @@ package predsvc
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 )
 
@@ -35,11 +34,8 @@ func FuzzPathSnapshotRestore(f *testing.F) {
 		s.Observe(series.Throughputs[k])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Decode under the path the record names: a record framed under
-		// another path is refused before its state is looked at.
-		var named struct{ Path string }
-		json.Unmarshal(data, &named)
-		e, err := codec.Decode(named.Path, data)
+		// The payload does not name its path; the record frame does.
+		e, err := codec.Decode(series.Path, data)
 		if err != nil {
 			return
 		}
@@ -47,13 +43,13 @@ func FuzzPathSnapshotRestore(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted record does not re-encode: %v", err)
 		}
-		e2, err := codec.Decode(named.Path, b1)
+		e2, err := codec.Decode(series.Path, b1)
 		if err != nil {
-			t.Fatalf("re-encoded record refused: %v\n%s", err, b1)
+			t.Fatalf("re-encoded record refused: %v\n%x", err, b1)
 		}
 		b2, err := codec.Encode(e2)
 		if err != nil || !bytes.Equal(b1, b2) {
-			t.Fatalf("re-encoding is not a fixed point (err %v):\n%s\n%s", err, b1, b2)
+			t.Fatalf("re-encoding is not a fixed point (err %v):\n%x\n%x", err, b1, b2)
 		}
 		s := e.(*Session)
 		s.Predict()

@@ -13,8 +13,8 @@ import (
 // cluster's membership changes, over two streaming endpoints plus a
 // cleanup step:
 //
-//	POST /v1/sessions/export  {"nodes":[...], "self":"..."}  → record stream of PathSnapshots
-//	POST /v1/sessions/import  record stream of PathSnapshots
+//	POST /v1/sessions/export  {"nodes":[...], "self":"..."}  → record stream of session states
+//	POST /v1/sessions/import  record stream of session states
 //	POST /v1/sessions/drop    {"nodes":[...], "self":"..."}  → delete paths the new map assigns elsewhere
 //
 // The bodies are the store's record stream (store.StreamWriter), the same

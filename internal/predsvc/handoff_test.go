@@ -3,8 +3,10 @@ package predsvc
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -179,7 +181,7 @@ func TestImportLastWriterWins(t *testing.T) {
 		for i := 0; i < obs; i++ {
 			sess.Observe(2e7)
 		}
-		return streamOf(t, sessionsFormat, record(t, "p", mustMarshal(t, sess.snapshot())))
+		return streamOf(t, sessionsFormat, record(t, "p", encodeState(t, sess.state())))
 	}
 	hc := &http.Client{}
 	for _, tc := range []struct {
@@ -214,7 +216,7 @@ func TestImportRejectsCorruptStreams(t *testing.T) {
 	donor := NewServer(Config{})
 	sess := donor.Registry().GetOrCreate("q")
 	sess.Observe(1e7)
-	state := mustMarshal(t, sess.snapshot())
+	state := encodeState(t, sess.state())
 	rec := record(t, "q", state)
 	good := streamOf(t, sessionsFormat, rec)
 	trailerAt := len(good) - 40 // u32 mark, u32 count, sha256 chain
@@ -240,8 +242,8 @@ func TestImportRejectsCorruptStreams(t *testing.T) {
 		{"second record: unparseable", append(good[:trailerAt:trailerAt], "{not json\n"...), "record 1: store: corrupt record stream: record declares"},
 		{"second record: checksum", second(brokenSum), "record 1: store: corrupt record stream: sha256 mismatch"},
 		{"second record: bad state", second(record(t, "q2", []byte(`"not a snapshot"`))), "handoff record 1 (q2): bad state"},
-		{"second record: path mismatch", second(record(t, "q2", state)), `handoff record 1 (q2): bad state: record for "q2" carries state for "q"`},
-		{"another version", streamOf(t, "predsvc.PathSnapshot/3", rec), `stream format "predsvc.PathSnapshot/3", want "predsvc.PathSnapshot/4"`},
+		{"second record: trailing byte", second(record(t, "q2", append(state[:len(state):len(state)], 0))), "handoff record 1 (q2): bad state: predict: decode state: 1 trailing bytes"},
+		{"another version", streamOf(t, "predsvc.PathSnapshot/4", rec), `stream format "predsvc.PathSnapshot/4", want "predsvc.PathSnapshot/5"`},
 		{"an NDJSON stream", []byte(`{"path":"q","observations":1,"state":{},"sum":"00"}` + "\n"), "record declares"},
 	}
 	for _, tc := range cases {
@@ -268,97 +270,98 @@ func TestImportRejectsCorruptStreams(t *testing.T) {
 // whose predictor state is malformed — lengths beyond the configured
 // bounds, non-finite values, counts that contradict the lengths — is a
 // 400 naming the record by its zero-based index, never a panic and never
-// a half-installed session. Each bad record follows a good one.
+// a half-installed session. Each bad record follows a good one and is the
+// encoding of a mutated state.
 func TestImportRejectsMalformedState(t *testing.T) {
 	_, dst, _, dstURL := handoffPair(t, Config{}, Config{})
 
 	donor := NewServer(Config{})
 	series := SyntheticSeries(2, 80, 3)
-	snaps := make([]PathSnapshot, len(series))
+	states := make([]predict.EnsembleState, len(series))
 	for i, ps := range series {
 		sess := donor.Registry().GetOrCreate(ps.Path)
 		for k, x := range ps.Throughputs {
 			sess.SetMeasurement(ps.Inputs[k])
 			sess.Observe(x)
 		}
-		snaps[i] = sess.snapshot()
+		states[i] = sess.state()
 	}
-	family := func(ps *PathSnapshot, name string) *predict.FamilySnapshot {
-		for i := range ps.Families {
-			if ps.Families[i].Name == name {
-				return &ps.Families[i]
+	family := func(st *predict.EnsembleState, name string) *predict.FamilySnapshot {
+		for i := range st.Families {
+			if st.Families[i].Name == name {
+				return &st.Families[i]
 			}
 		}
 		t.Fatalf("no family %q", name)
 		return nil
 	}
-	// stream frames records for the given states, so a state that is not
-	// valid JSON reaches the importer as it is.
-	stream := func(states ...[]byte) string {
-		recs := make([]store.Record, len(states))
-		for i, state := range states {
-			recs[i] = record(t, snaps[i].Path, state)
+	// stream frames records for the given states under the series' paths.
+	stream := func(data ...[]byte) string {
+		recs := make([]store.Record, len(data))
+		for i, d := range data {
+			recs[i] = record(t, series[i].Path, d)
 		}
 		return string(streamOf(t, sessionsFormat, recs...))
 	}
-	good := mustMarshal(t, snaps[0])
-	// JSON has no spelling for NaN or ±Inf: a NaN does not parse, and an
-	// overflowing number fails the state decode.
-	level := func(to string) func(state []byte) []byte {
-		return func(state []byte) []byte {
-			return bytes.Replace(state, []byte(`"s":123456.5`), []byte(`"s":`+to), 1)
-		}
+	good := encodeState(t, states[0])
+	// The encoder refuses NaN and ±Inf, so a non-finite level is written as
+	// a marker value and its eight bytes replaced in the record.
+	const marker = 123456.5
+	le := func(x float64) []byte { return binary.LittleEndian.AppendUint64(nil, math.Float64bits(x)) }
+	level := func(to float64) func(data []byte) []byte {
+		return func(data []byte) []byte { return bytes.Replace(data, le(marker), le(to), 1) }
 	}
 	cases := []struct {
 		name   string
-		mutate func(ps *PathSnapshot)
-		raw    func(state []byte) []byte // optional edit of the encoded state
+		mutate func(st *predict.EnsembleState)
+		raw    func(data []byte) []byte // optional edit of the encoded state
 		want   string
 	}{
-		{name: "MA ring longer than its order", mutate: func(ps *PathSnapshot) {
-			ma := family(ps, "10-MA-LSO").LSO.Inner.MA
+		{name: "MA ring longer than its order", mutate: func(st *predict.EnsembleState) {
+			ma := family(st, "10-MA-LSO").LSO.Inner.MA
 			ma.Ring = append(ma.Ring, 1e7)
 		}, want: "exceeds the order"},
-		{name: "NaN Holt-Winters level", mutate: func(ps *PathSnapshot) {
-			family(ps, "0.8-HW-LSO").LSO.Inner.HW.S = 123456.5
-		}, raw: level("NaN"), want: "invalid character 'N'"},
-		{name: "infinite Holt-Winters level", mutate: func(ps *PathSnapshot) {
-			family(ps, "0.8-HW-LSO").LSO.Inner.HW.S = 123456.5
-		}, raw: level("1e999"), want: "cannot unmarshal number 1e999"},
-		{name: "regression n smaller than its ring", mutate: func(ps *PathSnapshot) {
-			family(ps, "regression").Regression.N = 3
+		{name: "NaN Holt-Winters level", mutate: func(st *predict.EnsembleState) {
+			family(st, "0.8-HW-LSO").LSO.Inner.HW.S = marker
+		}, raw: level(math.NaN()), want: "0.8-HW: non-finite state"},
+		{name: "infinite Holt-Winters level", mutate: func(st *predict.EnsembleState) {
+			family(st, "0.8-HW-LSO").LSO.Inner.HW.S = marker
+		}, raw: level(math.Inf(1)), want: "0.8-HW: non-finite state"},
+		{name: "regression n smaller than its ring", mutate: func(st *predict.EnsembleState) {
+			family(st, "regression").Regression.N = 3
 		}, want: "history samples for 3 observations"},
-		{name: "negative Holt-Winters count", mutate: func(ps *PathSnapshot) {
-			family(ps, "0.8-HW-LSO").LSO.Inner.HW.N = -1
+		{name: "negative Holt-Winters count", mutate: func(st *predict.EnsembleState) {
+			family(st, "0.8-HW-LSO").LSO.Inner.HW.N = -1
 		}, want: "negative observation count"},
-		{name: "switcher without its stable predictor", mutate: func(ps *PathSnapshot) {
-			family(ps, "switcher").Switcher.Stable.EWMA = nil
+		{name: "switcher without its stable predictor", mutate: func(st *predict.EnsembleState) {
+			family(st, "switcher").Switcher.Stable.EWMA = nil
 		}, want: "0 predictor states"},
-		{name: "LSO window beyond MaxHistory", mutate: func(ps *PathSnapshot) {
-			l := family(ps, "0.8-EWMA-LSO").LSO
+		{name: "LSO window beyond MaxHistory", mutate: func(st *predict.EnsembleState) {
+			l := family(st, "0.8-EWMA-LSO").LSO
 			for len(l.Window) <= 32 {
 				l.Window = append(l.Window, 1e7)
 			}
 		}, want: "MaxHistory"},
-		{name: "error window beyond its size", mutate: func(ps *PathSnapshot) {
-			f := family(ps, "ECM")
+		{name: "error window beyond its size", mutate: func(st *predict.EnsembleState) {
+			f := family(st, "ECM")
 			f.Errors = append(f.Errors, f.Errors...)
 		}, want: "window of 50"},
-		{name: "coverage beyond the observations", mutate: func(ps *PathSnapshot) {
-			ps.CovIn, ps.CovTotal = ps.Observations+1, ps.Observations+1
+		{name: "coverage beyond the observations", mutate: func(st *predict.EnsembleState) {
+			st.CovIn, st.CovTotal = st.Observations+1, st.Observations+1
 		}, want: "contradicts"},
-		{name: "family named twice", mutate: func(ps *PathSnapshot) {
-			ps.Families = append(ps.Families, ps.Families[0])
+		{name: "family named twice", mutate: func(st *predict.EnsembleState) {
+			st.Families = append(st.Families, st.Families[0])
 		}, want: "named twice"},
 	}
-	prefix := fmt.Sprintf("handoff record 1 (%s): bad state", snaps[1].Path)
+	prefix := fmt.Sprintf("handoff record 1 (%s): bad state", series[1].Path)
 	for _, tc := range cases {
-		var ps PathSnapshot
-		if err := json.Unmarshal(mustMarshal(t, snaps[1]), &ps); err != nil {
+		// A decoded copy, so the mutation cannot reach states[1].
+		var st predict.EnsembleState
+		if err := st.UnmarshalBinary(encodeState(t, states[1])); err != nil {
 			t.Fatal(err)
 		}
-		tc.mutate(&ps)
-		bad := mustMarshal(t, ps)
+		tc.mutate(&st)
+		bad := encodeState(t, st)
 		if tc.raw != nil {
 			bad = tc.raw(bad)
 		}
@@ -369,12 +372,12 @@ func TestImportRejectsMalformedState(t *testing.T) {
 		if !strings.Contains(string(data), prefix) || !strings.Contains(string(data), tc.want) {
 			t.Errorf("%s: error %s, want %q and %q", tc.name, data, prefix, tc.want)
 		}
-		if _, ok := dst.Registry().Peek(snaps[1].Path); ok {
+		if _, ok := dst.Registry().Peek(series[1].Path); ok {
 			t.Fatalf("%s: the malformed record was installed", tc.name)
 		}
 	}
 	// Both records intact: the stream lands, so the fixture itself is valid.
-	resp, data := postJSON(t, dstURL+"/v1/sessions/import", stream(good, mustMarshal(t, snaps[1])))
+	resp, data := postJSON(t, dstURL+"/v1/sessions/import", stream(good, encodeState(t, states[1])))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("valid stream rejected: %d %s", resp.StatusCode, data)
 	}
@@ -404,9 +407,10 @@ func streamOf(t testing.TB, format string, recs ...store.Record) []byte {
 	return b.Bytes()
 }
 
-func mustMarshal(t testing.TB, v any) []byte {
+// encodeState is the record data of st.
+func encodeState(t testing.TB, st predict.EnsembleState) []byte {
 	t.Helper()
-	data, err := json.Marshal(v)
+	data, err := st.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,9 @@
 package predsvc
 
 import (
-	"encoding/json"
+	"bytes"
 	"sort"
+	"sync"
 
 	"repro/internal/predict"
 	"repro/internal/predsvc/store"
@@ -57,20 +58,36 @@ func memConfig(cfg Config) store.MemConfig {
 	}
 }
 
-// sessionCodec serializes sessions as their JSON PathSnapshot, the payload
-// of every record the store writes. A decoded session is a copy of the
-// encoded one, exact at any history length. A record whose state does not
-// decode is an error: the spill store drops it and counts it.
+// sessionCodec serializes a session as the binary form of its
+// predict.EnsembleState (see EnsembleState.AppendBinary), the payload of
+// every record the store writes. The path is not repeated in the payload:
+// the record frame carries it under the record's checksum. A decoded
+// session is a copy of the encoded one, exact at any history length. A
+// record whose state does not decode is an error: the spill store drops it
+// and counts it.
 func sessionCodec(cfg Config) store.Codec {
 	return store.Codec{
 		Encode: func(e store.Entry) ([]byte, error) {
-			return json.Marshal(e.(*Session).snapshot())
+			st := e.(*Session).state()
+			bp := encodeBufs.Get().(*[]byte)
+			defer encodeBufs.Put(bp)
+			b, err := st.AppendBinary((*bp)[:0])
+			if err != nil {
+				return nil, err
+			}
+			*bp = b
+			return bytes.Clone(b), nil
 		},
 		Decode: func(path string, data []byte) (store.Entry, error) {
 			return decodeSession(path, data, cfg.Ensemble)
 		},
 	}
 }
+
+// encodeBufs holds sessionCodec's scratch buffers: a record is appended
+// into one and copied out at its exact size, rather than grown from empty
+// on every spill.
+var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // Config returns the effective (defaulted) configuration.
 func (r *Registry) Config() Config { return r.cfg }

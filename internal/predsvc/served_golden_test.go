@@ -15,6 +15,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/predict"
 	"repro/internal/predsvc/store"
 )
 
@@ -82,57 +83,58 @@ func TestServedBytesGolden(t *testing.T) {
 	checkGolden(t, "served_snapshot.golden", snap.Bytes())
 }
 
-// TestServedSnapshotPayloadParity: the record-stream snapshot changed only
-// the framing. testdata/legacy_v3_snapshot.golden is served_snapshot.golden
-// as recorded in the version-3 format (one JSON document plus a sha256
-// trailer line) from the same replay; the stream's record payloads must
-// equal json.Marshal of each of its paths, in order and byte for byte.
-// The legacy file itself is refused.
+// TestServedSnapshotPayloadParity: version 5 changed only the payload's
+// encoding. testdata/legacy_v4_snapshot.golden is served_snapshot.golden as
+// recorded in version 4 (JSON payloads) from the same replay; each version-5
+// record, decoded, must carry the path and the state of the version-4 record
+// at the same position, compared as json.Marshal of both states. The legacy
+// file itself is refused.
 func TestServedSnapshotPayloadParity(t *testing.T) {
-	stream, err := os.ReadFile(filepath.Join("testdata", "served_snapshot.golden"))
-	if err != nil {
-		t.Fatal(err)
+	stream := func(name, format string) *store.StreamReader {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sr, err := store.NewStreamReader(bytes.NewReader(data), format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sr
 	}
-	legacy, err := os.ReadFile(filepath.Join("testdata", "legacy_v3_snapshot.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var v3 struct {
-		Version int            `json:"version"`
-		Paths   []PathSnapshot `json:"paths"`
-	}
-	body, _, ok := bytes.Cut(legacy, []byte("\nsha256:"))
-	if !ok || json.Unmarshal(body, &v3) != nil || v3.Version != 3 || len(v3.Paths) == 0 {
-		t.Fatalf("legacy golden is not a version-3 snapshot")
-	}
-	sr, err := store.NewStreamReader(bytes.NewReader(stream), sessionsFormat)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v5 := stream("served_snapshot.golden", sessionsFormat)
+	v4 := stream("legacy_v4_snapshot.golden", "predsvc.PathSnapshot/4")
 	for i := 0; ; i++ {
-		rec, err := sr.Next()
-		if err == io.EOF {
-			if i != len(v3.Paths) {
-				t.Fatalf("stream holds %d records, version 3 held %d paths", i, len(v3.Paths))
+		rec5, err5 := v5.Next()
+		rec4, err4 := v4.Next()
+		if err5 == io.EOF && err4 == io.EOF {
+			if i == 0 {
+				t.Fatal("the goldens hold no records")
 			}
 			break
 		}
-		if err != nil {
-			t.Fatal(err)
+		if err5 != nil || err4 != nil {
+			t.Fatalf("record %d: version 5 %v, version 4 %v", i, err5, err4)
 		}
-		if i >= len(v3.Paths) {
-			t.Fatalf("stream holds more records than version 3 held paths (%d)", len(v3.Paths))
+		var st5, st4 predict.EnsembleState
+		if err := st5.UnmarshalBinary(rec5.Data()); err != nil {
+			t.Fatalf("record %d: %v", i, err)
 		}
-		want, err := json.Marshal(v3.Paths[i])
-		if err != nil {
-			t.Fatal(err)
+		// A version-4 payload is the state's JSON plus a "path" field.
+		if err := json.Unmarshal(rec4.Data(), &st4); err != nil {
+			t.Fatalf("record %d: %v", i, err)
 		}
-		if rec.Path() != v3.Paths[i].Path || !bytes.Equal(rec.Data(), want) {
-			t.Fatalf("record %d (%s) differs from version 3's paths[%d] (%s)", i, rec.Path(), i, v3.Paths[i].Path)
+		j5, _ := json.Marshal(st5)
+		j4, _ := json.Marshal(st4)
+		if rec5.Path() != rec4.Path() || !bytes.Equal(j5, j4) {
+			t.Fatalf("record %d (%s) differs from version 4's (%s)", i, rec5.Path(), rec4.Path())
 		}
 	}
+	legacy, err := os.ReadFile(filepath.Join("testdata", "legacy_v4_snapshot.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := NewRegistry(Config{}).ReadSnapshot(bytes.NewReader(legacy)); !errors.Is(err, ErrCorruptSnapshot) {
-		t.Fatalf("ReadSnapshot of the version-3 golden: err = %v, want ErrCorruptSnapshot", err)
+		t.Fatalf("ReadSnapshot of the version-4 golden: err = %v, want ErrCorruptSnapshot", err)
 	}
 }
 

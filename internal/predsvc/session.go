@@ -225,11 +225,11 @@ func (s *Session) PredictInto(p *Prediction, fb *FBState) {
 	}
 }
 
-// snapshot captures the session's state.
-func (s *Session) snapshot() PathSnapshot {
+// state captures the session's tournament.
+func (s *Session) state() predict.EnsembleState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return PathSnapshot{Path: s.path, EnsembleState: s.ens.State()}
+	return s.ens.State()
 }
 
 // install replaces the session's tournament with a restored one.

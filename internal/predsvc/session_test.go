@@ -191,8 +191,8 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 // TestSnapshotFiniteAfterNonPositiveForecast: Holt-Winters forecasts a
 // negative value after a steep throughput drop, which makes the raw
 // relative error ±Inf. The session must clamp errors before they enter
-// the rolling windows, or the JSON record fails to marshal (json has no
-// representation for infinities) and the session drops out of snapshots.
+// the rolling windows, or the record fails to encode (the codec refuses
+// infinities) and the session drops out of snapshots.
 func TestSnapshotFiniteAfterNonPositiveForecast(t *testing.T) {
 	reg := NewRegistry(Config{Shards: 1, Capacity: 8})
 	s := reg.GetOrCreate("falling")
@@ -212,9 +212,15 @@ func TestSnapshotFiniteAfterNonPositiveForecast(t *testing.T) {
 	}
 }
 
+// pathState is one decoded record of a session stream.
+type pathState struct {
+	Path string
+	predict.EnsembleState
+}
+
 // snapshotRecords snapshots reg with WriteSnapshot and returns the stream
 // with every record decoded, in stream order.
-func snapshotRecords(t *testing.T, reg *Registry) ([]byte, []PathSnapshot) {
+func snapshotRecords(t *testing.T, reg *Registry) ([]byte, []pathState) {
 	t.Helper()
 	var b bytes.Buffer
 	if err := reg.WriteSnapshot(&b); err != nil {
@@ -224,13 +230,13 @@ func snapshotRecords(t *testing.T, reg *Registry) ([]byte, []PathSnapshot) {
 }
 
 // decodeStream decodes every record of a session stream.
-func decodeStream(t *testing.T, data []byte) []PathSnapshot {
+func decodeStream(t *testing.T, data []byte) []pathState {
 	t.Helper()
 	sr, err := store.NewStreamReader(bytes.NewReader(data), sessionsFormat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var paths []PathSnapshot
+	var paths []pathState
 	for {
 		rec, err := sr.Next()
 		if err == io.EOF {
@@ -239,8 +245,8 @@ func decodeStream(t *testing.T, data []byte) []PathSnapshot {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var ps PathSnapshot
-		if err := json.Unmarshal(rec.Data(), &ps); err != nil {
+		ps := pathState{Path: rec.Path()}
+		if err := ps.UnmarshalBinary(rec.Data()); err != nil {
 			t.Fatal(err)
 		}
 		paths = append(paths, ps)

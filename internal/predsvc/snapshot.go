@@ -2,7 +2,6 @@ package predsvc
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -14,23 +13,18 @@ import (
 	"repro/internal/predsvc/store"
 )
 
-// PathSnapshot is one path's state, the payload of every store.Record the
-// service writes — spill log, snapshot files and shard handoff alike: the
-// path name and its predict.EnsembleState (the observation count, the FB
-// measurements and their age, so staleness flagging survives a restart,
-// every family's error window and live predictor state, and the coverage
-// counters). Restoring installs that state into a fresh ensemble — a copy,
-// exact at any history length; no observation is replayed.
-type PathSnapshot struct {
-	Path string `json:"path"`
-	predict.EnsembleState
-}
-
 // sessionsFormat names the payload of the record streams the service
-// writes — snapshot files and handoff bodies: JSON PathSnapshot records,
-// version 4 (version 3 was one JSON document with a sha256 trailer line).
-// A stream of any other format is refused.
-const sessionsFormat = "predsvc.PathSnapshot/4"
+// writes, snapshot files and handoff bodies, whose records are the spill
+// log's: one per path, its data the binary predict.EnsembleState of the
+// path's session (the observation count, the FB measurements and their age,
+// so staleness flagging survives a restart, every family's error window and
+// live predictor state, and the coverage counters). Restoring installs that
+// state into a fresh ensemble — a copy, exact at any history length; no
+// observation is replayed. Versions 1–4 carried JSON PathSnapshot documents
+// (version 3 one document with a sha256 trailer line); the name is kept so
+// that an older node reports another version rather than another format. A
+// stream of any other format or version is refused.
+const sessionsFormat = "predsvc.PathSnapshot/5"
 
 // WriteSnapshot streams every session to w as a record stream, coldest
 // first (see store.Store.Paths), so restoring it into an equally-sharded
@@ -98,20 +92,16 @@ func (r *Registry) ReadSnapshot(rd io.Reader) (int, error) {
 // to distinguish "quarantine and boot empty" from real I/O failures.
 var ErrCorruptSnapshot = errors.New("predsvc: corrupt snapshot")
 
-// decodeSession rebuilds a session from a PathSnapshot record stored under
-// path. The record may come from disk or another node, so it is untrusted:
-// an error means it does not parse, names another path, or holds state
-// the configuration refuses.
+// decodeSession rebuilds path's session from a record's data. The record
+// may come from disk or another node, so it is untrusted: an error means it
+// does not parse or holds state the configuration refuses.
 func decodeSession(path string, data []byte, cfg predict.EnsembleConfig) (*Session, error) {
-	var ps PathSnapshot
-	if err := json.Unmarshal(data, &ps); err != nil {
+	var st predict.EnsembleState
+	if err := st.UnmarshalBinary(data); err != nil {
 		return nil, err
 	}
-	if ps.Path != path {
-		return nil, fmt.Errorf("record for %q carries state for %q", path, ps.Path)
-	}
 	ens := predict.NewEnsemble(cfg)
-	if err := ens.SetState(ps.EnsembleState); err != nil {
+	if err := ens.SetState(st); err != nil {
 		return nil, err
 	}
 	return &Session{path: path, ens: ens}, nil

@@ -3,6 +3,8 @@ package predsvc
 import (
 	"encoding/json"
 	"testing"
+
+	"repro/internal/predict"
 )
 
 // TestSpillFaultMidstreamByteIdentity guards the two-tier store's core
@@ -60,5 +62,36 @@ func TestSpillFaultMidstreamByteIdentity(t *testing.T) {
 	}
 	if len(faulted) != len(cuts) {
 		t.Fatalf("%d faulted copies, want %d", len(faulted), len(cuts))
+	}
+}
+
+// TestSessionRecordCompact pins what a fault-in costs without timing it: a
+// session at svc-spill's warm depth (112 observations, measured every
+// epoch) encodes to at most 8 KB, and decoding the record's state
+// allocates at most 64 objects. Version 4's JSON record was ≈ 15 KB, and
+// json.Unmarshal of it allocated ≈ 163.
+func TestSessionRecordCompact(t *testing.T) {
+	series := SyntheticSeries(1, 112, 5)[0]
+	cfg := Config{}.withDefaults()
+	s := newSession(series.Path, cfg)
+	for k, x := range series.Throughputs {
+		s.SetMeasurement(series.Inputs[k])
+		s.Observe(x)
+	}
+	data, err := sessionCodec(cfg).Encode(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) > 8<<10 {
+		t.Errorf("record of %d bytes, want ≤ 8 KB", len(data))
+	}
+	var st predict.EnsembleState
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := st.UnmarshalBinary(data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 64 {
+		t.Errorf("decoding a record allocates %.0f objects, want ≤ 64", allocs)
 	}
 }

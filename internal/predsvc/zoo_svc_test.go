@@ -89,22 +89,36 @@ func TestCalibrationEndToEnd(t *testing.T) {
 
 // TestLegacyV1SnapshotRejected: snapshots of earlier formats are no longer
 // restorable — version 1 (hb_errors / fb_errors, no families), version 2
-// (a replayed observation history beside the families' error windows) and
-// version 3 (one JSON document of live state) — even with an intact sha256
-// trailer, and neither is a record stream of another version nor a current
-// one holding state the configuration refuses. Each must be refused as
-// ErrCorruptSnapshot and quarantined at boot — never half restored.
+// (a replayed observation history beside the families' error windows),
+// version 3 (one JSON document of live state) and version 4 (a record
+// stream of JSON states) — even with an intact sha256 trailer, and neither
+// is a record stream of another version nor a current one holding state
+// the configuration refuses. Each must be refused as ErrCorruptSnapshot and
+// quarantined at boot — never half restored.
 func TestLegacyV1SnapshotRejected(t *testing.T) {
 	legacy := func(body string) []byte {
 		sum := sha256.Sum256([]byte(body))
 		return []byte(body + "\nsha256:" + hex.EncodeToString(sum[:]) + "\n")
 	}
-	okPath := `{"path":"ok-path","observations":1,` +
+	okJSON := `{"path":"ok-path","observations":1,` +
 		`"families":[{"name":"10-MA-LSO","lso":{"window":[10e6],"inner":{"ma":{"ring":[10e6],"sum":10e6}}}}]}`
+	maState := func(ring ...float64) predict.EnsembleState {
+		var sum float64
+		for _, x := range ring {
+			sum += x
+		}
+		return predict.EnsembleState{Observations: 1, Families: []predict.FamilySnapshot{{
+			Name: "10-MA-LSO",
+			PredictorState: predict.PredictorState{LSO: &predict.LSOState{
+				Window: []float64{10e6},
+				Inner:  predict.PredictorState{MA: &predict.MAState{Ring: ring, Sum: sum}},
+			}},
+		}}}
+	}
+	okPath := encodeState(t, maState(10e6))
 	// The second path's MA ring is longer than the order: the first path
 	// must not stay restored.
-	badPath := `{"path":"bad-path","observations":1,` +
-		`"families":[{"name":"10-MA-LSO","lso":{"window":[10e6],"inner":{"ma":{"ring":[1,2,3,4,5,6,7,8,9,10,11],"sum":66}}}}]}`
+	badPath := encodeState(t, maState(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11))
 	files := map[string][]byte{
 		"v1": legacy(`{"version":1,"paths":[{"path":"v1-path","observations":6,` +
 			`"history":[10e6,12e6,11e6,13e6,12e6,12.5e6],` +
@@ -114,10 +128,16 @@ func TestLegacyV1SnapshotRejected(t *testing.T) {
 			`"history":[10e6,12e6,11e6,13e6,12e6,12.5e6],` +
 			`"fb_inputs":{"rtt_s":0.05,"loss_rate":0.001,"avail_bw_bps":20e6},"fb_age":2,` +
 			`"families":[{"name":"10-MA-LSO","errors":[0.2,-0.1,0.15]}]}]}`),
-		"v3":           legacy(`{"version":3,"paths":[` + okPath + `]}`),
-		"v3 stream":    streamOf(t, "predsvc.PathSnapshot/3", record(t, "ok-path", []byte(okPath))),
-		"v99 stream":   streamOf(t, "predsvc.PathSnapshot/99", record(t, "ok-path", []byte(okPath))),
-		"v4 malformed": streamOf(t, sessionsFormat, record(t, "ok-path", []byte(okPath)), record(t, "bad-path", []byte(badPath))),
+		"v3":           legacy(`{"version":3,"paths":[` + okJSON + `]}`),
+		"v3 stream":    streamOf(t, "predsvc.PathSnapshot/3", record(t, "ok-path", []byte(okJSON))),
+		"v4 stream":    streamOf(t, "predsvc.PathSnapshot/4", record(t, "ok-path", []byte(okJSON))),
+		"v99 stream":   streamOf(t, "predsvc.PathSnapshot/99", record(t, "ok-path", okPath)),
+		"v5 malformed": streamOf(t, sessionsFormat, record(t, "ok-path", okPath), record(t, "bad-path", badPath)),
+	}
+	// The intact first record alone restores, so the malformed case fails
+	// on its second record.
+	if n, err := NewRegistry(Config{}).ReadSnapshot(bytes.NewReader(streamOf(t, sessionsFormat, record(t, "ok-path", okPath)))); n != 1 || err != nil {
+		t.Fatalf("ReadSnapshot of the intact record = %d, %v", n, err)
 	}
 	for name, data := range files {
 		if _, err := NewRegistry(Config{Shards: 1, Capacity: 8}).ReadSnapshot(bytes.NewReader(data)); !errors.Is(err, ErrCorruptSnapshot) {
