@@ -57,10 +57,8 @@ type ECM struct {
 	cond    ecmKey
 	hasCond bool
 
-	buckets map[ecmKey]*ecmRing
-	global  *ecmRing
-
-	scratch []float64
+	buckets map[ecmKey]*orderedRing
+	global  orderedRing
 }
 
 // NewECM returns an Empirical Conditional Method predictor.
@@ -68,9 +66,8 @@ func NewECM(cfg ECMConfig) *ECM {
 	cfg = cfg.defaults()
 	return &ECM{
 		cfg:     cfg,
-		buckets: make(map[ecmKey]*ecmRing),
-		global:  newEcmRing(cfg.GlobalCap),
-		scratch: make([]float64, 0, maxInt(cfg.BucketCap, cfg.GlobalCap)),
+		buckets: make(map[ecmKey]*orderedRing),
+		global:  newOrderedRing(cfg.GlobalCap),
 	}
 }
 
@@ -99,7 +96,8 @@ func (e *ECM) Observe(x float64) {
 	}
 	r := e.buckets[e.cond]
 	if r == nil {
-		r = newEcmRing(e.cfg.BucketCap)
+		nr := newOrderedRing(e.cfg.BucketCap)
+		r = &nr
 		e.buckets[e.cond] = r
 	}
 	r.push(x)
@@ -108,24 +106,23 @@ func (e *ECM) Observe(x float64) {
 // ring returns the distribution Predict and PredictQuantiles draw from:
 // the conditioning bucket when it has enough mass, else the global
 // fallback.
-func (e *ECM) ring() *ecmRing {
+func (e *ECM) ring() *orderedRing {
 	if e.hasCond {
 		if r := e.buckets[e.cond]; r != nil && r.count() >= e.cfg.MinBucket {
 			return r
 		}
 	}
-	return e.global
+	return &e.global
 }
 
 // Predict implements HB: the forecast is the empirical median of the
-// selected distribution.
+// selected distribution, read off its ring's ascending mirror.
 func (e *ECM) Predict() (float64, bool) {
 	r := e.ring()
 	if r.count() == 0 {
 		return 0, false
 	}
-	e.sortInto(r)
-	return percentileSorted(e.scratch, 0.50), true
+	return percentileSorted(r.sorted, 0.50), true
 }
 
 // PredictQuantiles implements QuantilePredictor.
@@ -134,22 +131,16 @@ func (e *ECM) PredictQuantiles() (Quantiles, bool) {
 	if r.count() < residualMinSamples {
 		return Quantiles{}, false
 	}
-	e.sortInto(r)
 	return Quantiles{
-		P10: percentileSorted(e.scratch, 0.10),
-		P50: percentileSorted(e.scratch, 0.50),
-		P90: percentileSorted(e.scratch, 0.90),
+		P10: percentileSorted(r.sorted, 0.10),
+		P50: percentileSorted(r.sorted, 0.50),
+		P90: percentileSorted(r.sorted, 0.90),
 	}, true
-}
-
-func (e *ECM) sortInto(r *ecmRing) {
-	e.scratch = r.chronological(e.scratch[:0])
-	insertionSort(e.scratch)
 }
 
 // Reset implements HB.
 func (e *ECM) Reset() {
-	e.buckets = make(map[ecmKey]*ecmRing)
+	e.buckets = make(map[ecmKey]*orderedRing)
 	e.global.reset()
 	e.hasCond = false
 }
@@ -201,7 +192,7 @@ func (e *ECM) SetState(st ECMState) error {
 	if err := checkRing(st.Global, e.cfg.GlobalCap); err != nil {
 		return fmt.Errorf("ECM: global ring: %w", err)
 	}
-	buckets := make(map[ecmKey]*ecmRing, len(st.Buckets))
+	buckets := make(map[ecmKey]*orderedRing, len(st.Buckets))
 	for _, b := range st.Buckets {
 		k := ecmKey{RTT: b.RTT, Loss: b.Loss, ABW: b.ABW}
 		if !k.reachable() {
@@ -213,14 +204,12 @@ func (e *ECM) SetState(st ECMState) error {
 		if err := checkRing(b.Samples, e.cfg.BucketCap); err != nil {
 			return fmt.Errorf("ECM: bucket %+v: %w", k, err)
 		}
-		r := newEcmRing(e.cfg.BucketCap)
-		r.buf = append(r.buf, b.Samples...)
-		r.full = len(r.buf) == cap(r.buf)
-		buckets[k] = r
+		r := newOrderedRing(e.cfg.BucketCap)
+		r.fill(b.Samples)
+		buckets[k] = &r
 	}
 	e.buckets = buckets
-	e.global.buf = append(e.global.buf[:0], st.Global...)
-	e.global.next, e.global.full = 0, len(e.global.buf) == cap(e.global.buf)
+	e.global.fill(st.Global)
 	return nil
 }
 
@@ -277,51 +266,4 @@ func clampInt8(v, lo, hi int) int8 {
 		v = hi
 	}
 	return int8(v)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// ecmRing is a bounded FIFO of throughput samples.
-type ecmRing struct {
-	buf  []float64
-	next int
-	full bool
-}
-
-func newEcmRing(n int) *ecmRing {
-	return &ecmRing{buf: make([]float64, 0, n)}
-}
-
-func (r *ecmRing) push(x float64) {
-	if !r.full && len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, x)
-		if len(r.buf) == cap(r.buf) {
-			r.full = true
-			r.next = 0
-		}
-		return
-	}
-	r.buf[r.next] = x
-	r.next = (r.next + 1) % len(r.buf)
-}
-
-func (r *ecmRing) count() int { return len(r.buf) }
-
-func (r *ecmRing) reset() {
-	r.buf = r.buf[:0]
-	r.next = 0
-	r.full = false
-}
-
-func (r *ecmRing) chronological(dst []float64) []float64 {
-	if r.full {
-		dst = append(dst, r.buf[r.next:]...)
-		return append(dst, r.buf[:r.next]...)
-	}
-	return append(dst, r.buf...)
 }

@@ -98,8 +98,7 @@ type Ensemble struct {
 	// those that landed inside it.
 	covIn, covTotal uint64
 
-	views   []FamilyView // View's backing store, reused across calls
-	scratch []float64    // sort scratch for residual quantiles
+	views []FamilyView // View's backing store, reused across calls
 }
 
 // family is one tournament entrant. hb is nil only for FB, whose forecast
@@ -126,7 +125,6 @@ func NewEnsemble(cfg EnsembleConfig) *Ensemble {
 		fb:         NewFB(cfg.FB),
 		reg:        NewRegression(cfg.Regression),
 		ecm:        NewECM(cfg.ECM),
-		scratch:    make([]float64, 0, cfg.ErrorWindow),
 	}
 	members := []HB{
 		wrap(NewMA(cfg.MAOrder)),
@@ -355,10 +353,7 @@ func (e *Ensemble) quantiles(i int) (Quantiles, bool) {
 	if f.qp != nil {
 		return f.qp.PredictQuantiles()
 	}
-	var q Quantiles
-	var ok bool
-	q, ok, e.scratch = QuantilesForErrors(e.views[i].Forecast, f.win.buf, e.scratch)
-	return q, ok
+	return f.win.QuantilesFor(e.views[i].Forecast)
 }
 
 // pick runs the selection documented on View over the filled views;
@@ -472,8 +467,8 @@ func (e *Ensemble) SetState(st EnsembleState) error {
 // setFamily installs fs into family i.
 func (e *Ensemble) setFamily(i int, fs *FamilySnapshot, observations uint64) error {
 	f := &e.families[i]
-	if n := len(fs.Errors); n > cap(f.win.buf) || uint64(n) > observations {
-		return fmt.Errorf("%d errors for a window of %d and %d observations", n, cap(f.win.buf), observations)
+	if n := len(fs.Errors); n > f.win.ring.capacity() || uint64(n) > observations {
+		return fmt.Errorf("%d errors for a window of %d and %d observations", n, f.win.ring.capacity(), observations)
 	}
 	for _, x := range fs.Errors {
 		if !(math.Abs(x) <= f.win.clamp) {

@@ -3,7 +3,7 @@ package predict
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // LSOConfig tunes the level-shift/outlier heuristics of paper §5.2. The
@@ -50,11 +50,11 @@ func (c LSOConfig) defaults() LSOConfig {
 //     and the inner predictor to restart from X_k.
 //
 // Observations are processed incrementally: the window's order statistics
-// are maintained by insertion into a sorted scratch slice rather than a
-// per-call sort, and the inner predictor is only rebuilt by replay when the
-// outlier/shift labelling of the retained history actually changes — when
-// the new sample merely extends the clean series, one inner Observe
-// suffices. The forecasts are bit-for-bit identical to rebuilding from
+// are maintained by binary insert/remove in a sorted slice (the helpers
+// every orderedRing uses) rather than a per-call sort, and the inner
+// predictor is only rebuilt by replay when the outlier/shift labelling of
+// the retained history actually changes — when the new sample merely
+// extends the clean series, one inner Observe suffices. The forecasts are bit-for-bit identical to rebuilding from
 // scratch every observation (see TestLSOIncrementalMatchesNaive).
 type LSO struct {
 	cfg   LSOConfig
@@ -68,16 +68,12 @@ type LSO struct {
 
 	// Incremental scratch state, reused across observations so the
 	// steady-state Observe path performs no allocations.
-	sorted     []float64 // history's values in ascending order
-	mask       []bool    // outlier mask over history
-	deviant    []bool    // scratch: |x-med|/med > ψ flags
-	clean      []float64 // history minus outliers
-	lastClean  []float64 // clean series the inner predictor has absorbed
-	prefMin    []float64 // prefix/suffix extrema for the shift scan
-	prefMax    []float64
-	sufMin     []float64
-	sufMax     []float64
-	medScratch []float64 // segment-median scratch for shift candidates
+	sorted      []float64 // history's values in ascending order
+	mask        []bool    // outlier mask over history
+	deviant     []bool    // scratch: |x-med|/med > ψ flags
+	clean       []float64 // history minus outliers
+	lastClean   []float64 // clean series the inner predictor has absorbed
+	cleanSorted []float64 // clean's values in ascending order, for the shift scan
 }
 
 // NewLSO wraps inner with the LSO heuristics.
@@ -162,16 +158,16 @@ func (l *LSO) Observe(x float64) {
 	if len(l.history) == l.cfg.MaxHistory {
 		// Window slide: evict the head in place and drop its order-statistic
 		// entry, keeping both backing arrays stable.
-		l.sortedRemove(l.history[0])
+		l.sorted = sortedRemove(l.sorted, l.history[0])
 		copy(l.history, l.history[1:])
 		l.history[len(l.history)-1] = x
 	} else {
 		l.history = append(l.history, x)
 	}
-	l.sortedInsert(x)
+	l.sorted = sortedInsert(l.sorted, x)
 
 	l.computeClean()
-	if k := l.findLevelShift(l.clean); k > 0 {
+	if k := l.findLevelShift(); k > 0 {
 		l.Shifts++
 		// Restart from the shift point: translate the index in the clean
 		// series back to the raw history and drop everything before it.
@@ -214,38 +210,26 @@ func (l *LSO) cleanExtendsLast() bool {
 	return true
 }
 
-// sortedInsert adds v to the ascending order-statistics view.
-func (l *LSO) sortedInsert(v float64) {
-	i := sort.SearchFloat64s(l.sorted, v)
-	l.sorted = append(l.sorted, 0)
-	copy(l.sorted[i+1:], l.sorted[i:])
-	l.sorted[i] = v
-}
-
-// sortedRemove deletes one instance of v from the view.
-func (l *LSO) sortedRemove(v float64) {
-	i := sort.SearchFloat64s(l.sorted, v)
-	copy(l.sorted[i:], l.sorted[i+1:])
-	l.sorted = l.sorted[:len(l.sorted)-1]
-}
-
 // rebuildSorted reconstructs the view after a level-shift truncation.
 func (l *LSO) rebuildSorted() {
 	l.sorted = append(l.sorted[:0], l.history...)
-	sort.Float64s(l.sorted)
+	slices.Sort(l.sorted)
 }
 
 // windowMedian returns the median of the raw window in O(1) from the
 // maintained order statistics.
-func (l *LSO) windowMedian() float64 {
-	n := len(l.sorted)
+func (l *LSO) windowMedian() float64 { return medianSorted(l.sorted) }
+
+// medianSorted returns the median of an ascending slice (0 when empty).
+func medianSorted(xs []float64) float64 {
+	n := len(xs)
 	if n == 0 {
 		return 0
 	}
 	if n%2 == 1 {
-		return l.sorted[n/2]
+		return xs[n/2]
 	}
-	return (l.sorted[n/2-1] + l.sorted[n/2]) / 2
+	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 // computeClean refreshes l.mask (the outlier mask over the raw window) and
@@ -310,56 +294,42 @@ func growBool(b []bool, n int) []bool {
 	return b
 }
 
-// findLevelShift returns the index k (in the clean series) of a detected
+// findLevelShift returns the index k in the clean series of a detected
 // level shift, or 0 if none. When several k qualify it picks the one with
 // the largest relative median difference.
 //
-// The strict-separation screen (every sample before k below/above every
-// sample from k on) runs over precomputed prefix/suffix extrema, turning
-// the scan from O(n²) comparisons per observation into O(n); the segment
-// medians, which do need a sort, are only computed for the rare candidates
-// that survive the screen.
-func (l *LSO) findLevelShift(xs []float64) int {
+// Every sample before k lies strictly below (above) every sample from k on
+// exactly when the first k samples are the series' k smallest (largest)
+// values, with a gap in the sorted order between them and the rest. So the
+// strict-separation screen compares running prefix extrema with the clean
+// series' order statistics, and a candidate's two segment medians are read
+// off the same sorted values: O(n) per observation, no per-candidate sort.
+func (l *LSO) findLevelShift() int {
+	xs := l.clean
 	n := len(xs)
 	if n < 4 {
 		return 0
 	}
-	l.prefMin = append(l.prefMin[:0], xs[0])
-	l.prefMax = append(l.prefMax[:0], xs[0])
-	for i := 1; i < n; i++ {
-		mn, mx := l.prefMin[i-1], l.prefMax[i-1]
-		if xs[i] < mn {
-			mn = xs[i]
-		}
-		if xs[i] > mx {
-			mx = xs[i]
-		}
-		l.prefMin = append(l.prefMin, mn)
-		l.prefMax = append(l.prefMax, mx)
-	}
-	l.sufMin = growFloat(l.sufMin, n)
-	l.sufMax = growFloat(l.sufMax, n)
-	l.sufMin[n-1], l.sufMax[n-1] = xs[n-1], xs[n-1]
-	for i := n - 2; i >= 0; i-- {
-		mn, mx := l.sufMin[i+1], l.sufMax[i+1]
-		if xs[i] < mn {
-			mn = xs[i]
-		}
-		if xs[i] > mx {
-			mx = xs[i]
-		}
-		l.sufMin[i], l.sufMax[i] = mn, mx
-	}
+	s := l.sortClean()
 	bestK, bestDiff := 0, 0.0
+	preMin, preMax := xs[0], xs[0] // extrema of xs[:k]
 	// Condition 3: k+2 ≤ n with 1-based indexing, i.e. at least two
 	// samples follow X_k. With 0-based k: k ≤ n-3.
 	for k := 1; k <= n-3; k++ {
-		increasing := l.prefMax[k-1] < l.sufMin[k]
-		decreasing := l.prefMin[k-1] > l.sufMax[k]
-		if !increasing && !decreasing {
+		if v := xs[k-1]; v < preMin {
+			preMin = v
+		} else if v > preMax {
+			preMax = v
+		}
+		var m1, m2 float64 // the medians of xs[:k] and xs[k:]
+		switch {
+		case preMax == s[k-1] && s[k-1] < s[k]: // xs[:k] are the k smallest
+			m1, m2 = medianSorted(s[:k]), medianSorted(s[k:])
+		case preMin == s[n-k] && s[n-k-1] < s[n-k]: // xs[:k] are the k largest
+			m1, m2 = medianSorted(s[n-k:]), medianSorted(s[:n-k])
+		default:
 			continue
 		}
-		m1, m2 := l.medianInto(xs[:k]), l.medianInto(xs[k:])
 		d := relDiff(m1, m2)
 		if d > l.cfg.Gamma && d > bestDiff {
 			bestK, bestDiff = k, d
@@ -368,25 +338,16 @@ func (l *LSO) findLevelShift(xs []float64) int {
 	return bestK
 }
 
-// medianInto computes a segment median through the reusable scratch slice.
-func (l *LSO) medianInto(xs []float64) float64 {
-	l.medScratch = append(l.medScratch[:0], xs...)
-	sort.Float64s(l.medScratch)
-	n := len(l.medScratch)
-	if n == 0 {
-		return 0
+// sortClean returns the clean series in ascending order: the window's
+// order statistics minus the samples computeClean labelled outliers.
+func (l *LSO) sortClean() []float64 {
+	l.cleanSorted = append(l.cleanSorted[:0], l.sorted...)
+	for i, out := range l.mask {
+		if out {
+			l.cleanSorted = sortedRemove(l.cleanSorted, l.history[i])
+		}
 	}
-	if n%2 == 1 {
-		return l.medScratch[n/2]
-	}
-	return (l.medScratch[n/2-1] + l.medScratch[n/2]) / 2
-}
-
-func growFloat(xs []float64, n int) []float64 {
-	if cap(xs) < n {
-		return make([]float64, n)
-	}
-	return xs[:n]
+	return l.cleanSorted
 }
 
 // cleanIndexToRaw maps index k of the outlier-free series to the
@@ -424,39 +385,6 @@ func relDiff(a, b float64) float64 {
 		d = -d
 	}
 	return d / lo
-}
-
-func medianOf(xs []float64) float64 {
-	tmp := append([]float64(nil), xs...)
-	sort.Float64s(tmp)
-	n := len(tmp)
-	if n == 0 {
-		return 0
-	}
-	if n%2 == 1 {
-		return tmp[n/2]
-	}
-	return (tmp[n/2-1] + tmp[n/2]) / 2
-}
-
-func minOf(xs []float64) float64 {
-	m := xs[0]
-	for _, v := range xs[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-func maxOf(xs []float64) float64 {
-	m := xs[0]
-	for _, v := range xs[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
 }
 
 func countTrue(mask []bool) int {

@@ -1,7 +1,9 @@
 package predict
 
 import (
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -117,6 +119,40 @@ func (l *naiveLSO) cleanIndexToRaw(k int, mask []bool) int {
 	return len(mask) - 1
 }
 
+// medianOf, minOf and maxOf are the naive twin's per-call order statistics.
+func medianOf(xs []float64) float64 {
+	tmp := append([]float64(nil), xs...)
+	sort.Float64s(tmp)
+	n := len(tmp)
+	if n == 0 {
+		return 0
+	}
+	if n%2 == 1 {
+		return tmp[n/2]
+	}
+	return (tmp[n/2-1] + tmp[n/2]) / 2
+}
+
+func minOf(xs []float64) float64 {
+	m := xs[0]
+	for _, v := range xs[1:] {
+		if v < m {
+			m = v
+		}
+	}
+	return m
+}
+
+func maxOf(xs []float64) float64 {
+	m := xs[0]
+	for _, v := range xs[1:] {
+		if v > m {
+			m = v
+		}
+	}
+	return m
+}
+
 // throughputSeries generates a randomized series with the structures LSO
 // exists to handle: a wandering base level, multiplicative noise, injected
 // outlier spikes/dips (runs of 1–2), and occasional sharp level shifts.
@@ -189,6 +225,28 @@ func TestLSOIncrementalMatchesNaive(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLSOMatchesNaiveOnTies repeats the comparison on series rounded to a
+// coarse grid, so samples tie often: a split whose two sides share a value
+// is not a strict separation, and the incremental screen must see that.
+func TestLSOMatchesNaiveOnTies(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		cfg := LSOConfig{MaxHistory: 12}
+		fast, slow := NewLSO(NewMA(4), cfg), newNaiveLSO(NewMA(4), cfg)
+		rng := rand.New(rand.NewSource(seed))
+		for i, x := range throughputSeries(rng, 400) {
+			x = math.Round(x/2e6) * 2e6
+			fast.Observe(x)
+			slow.Observe(x)
+			fp, fok := fast.Predict()
+			sp, sok := slow.Predict()
+			if fok != sok || fp != sp || fast.Shifts != slow.Shifts || fast.Outliers != slow.Outliers {
+				t.Fatalf("seed %d sample %d: incremental (%v,%v, %d shifts, %d outliers), naive (%v,%v, %d, %d)",
+					seed, i, fp, fok, fast.Shifts, fast.Outliers, sp, sok, slow.Shifts, slow.Outliers)
+			}
+		}
 	}
 }
 

@@ -42,15 +42,17 @@ const residualClamp = 10
 // keeps every stored value finite and JSON-safe even when a degenerate
 // forecast produced the ±1e18 sentinel of relErr.
 //
-// The scratch slice used to sort errors is allocated by the first
-// QuantilesFor and retained, so Score and QuantilesFor allocate nothing in
-// steady state.
+// The errors sit in an orderedRing, so QuantilesFor reads their order
+// statistics without sorting and Score and QuantilesFor allocate nothing.
 type ResidualWindow struct {
-	buf     []float64
-	next    int
-	full    bool
-	clamp   float64
-	scratch []float64
+	ring  orderedRing
+	clamp float64
+	// sum caches summary's result until the window next changes: a
+	// predict and the observe that follows it read the same window.
+	sum struct {
+		rmsre, meanAbs float64
+		ok             bool
+	}
 }
 
 // NewResidualWindow returns a window retaining the last n errors
@@ -68,7 +70,7 @@ func newResidualWindow(n int, clamp float64) ResidualWindow {
 	if clamp <= 0 {
 		clamp = residualClamp
 	}
-	return ResidualWindow{buf: make([]float64, 0, n), clamp: clamp}
+	return ResidualWindow{ring: newOrderedRing(n), clamp: clamp}
 }
 
 // Score records the Eq.-4 error of one (forecast, actual) pair. Pairs
@@ -77,60 +79,41 @@ func newResidualWindow(n int, clamp float64) ResidualWindow {
 // predictor widens its own intervals instead of silently keeping them
 // tight.
 func (w *ResidualWindow) Score(forecast, actual float64) {
-	var e float64
-	if !isFinitePositive(forecast) {
-		e = w.clamp
-	} else {
+	e := w.clamp
+	if isFinitePositive(forecast) {
 		e = relErr(forecast, actual)
-		if e > w.clamp {
-			e = w.clamp
-		} else if e < -w.clamp {
-			e = -w.clamp
-		}
 	}
 	w.Push(e)
 }
 
-// Push records an already-computed (and caller-clamped) error value.
-// Non-finite values are clamped to ±clamp so the window stays JSON-safe.
+// Push records an error value, clamped to ±clamp; NaN counts as +clamp,
+// so the window stays JSON-safe.
 func (w *ResidualWindow) Push(e float64) {
-	if math.IsNaN(e) {
-		e = w.clamp
-	} else if e > w.clamp {
-		e = w.clamp
-	} else if e < -w.clamp {
-		e = -w.clamp
+	w.ring.push(w.bound(e))
+	w.sum.ok = false
+}
+
+func (w *ResidualWindow) bound(e float64) float64 {
+	if math.IsNaN(e) || e > w.clamp {
+		return w.clamp
 	}
-	if !w.full && len(w.buf) < cap(w.buf) {
-		w.buf = append(w.buf, e)
-		if len(w.buf) == cap(w.buf) {
-			w.full = true
-			w.next = 0
-		}
-		return
+	if e < -w.clamp {
+		return -w.clamp
 	}
-	w.buf[w.next] = e
-	w.next = (w.next + 1) % len(w.buf)
+	return e
 }
 
 // Count returns the number of retained errors.
-func (w *ResidualWindow) Count() int { return len(w.buf) }
+func (w *ResidualWindow) Count() int { return w.ring.count() }
 
 // Reset discards all retained errors.
 func (w *ResidualWindow) Reset() {
-	w.buf = w.buf[:0]
-	w.next = 0
-	w.full = false
+	w.ring.reset()
+	w.sum.ok = false
 }
 
 // Errors returns the retained errors oldest-first, appended to dst.
-func (w *ResidualWindow) Errors(dst []float64) []float64 {
-	if w.full {
-		dst = append(dst, w.buf[w.next:]...)
-		return append(dst, w.buf[:w.next]...)
-	}
-	return append(dst, w.buf...)
-}
+func (w *ResidualWindow) Errors(dst []float64) []float64 { return w.ring.chronological(dst) }
 
 // summary returns the window's RMSRE (Eq. 5) and mean |E|, both 0 while
 // it is empty. The sums run oldest first, not in ring-storage order: float
@@ -139,34 +122,36 @@ func (w *ResidualWindow) Errors(dst []float64) []float64 {
 // bit-identical statistics either way, or a spill/fault cycle would change
 // served forecasts.
 func (w *ResidualWindow) summary() (rmsre, meanAbs float64) {
-	if len(w.buf) == 0 {
+	r := &w.ring
+	if r.count() == 0 {
 		return 0, 0
 	}
-	older, newer := w.buf, w.buf[:0]
-	if w.full {
-		older, newer = w.buf[w.next:], w.buf[:w.next]
-	}
-	var sq, abs float64
-	for _, part := range [2][]float64{older, newer} {
-		for _, e := range part {
-			sq += e * e
-			abs += math.Abs(e)
+	if !w.sum.ok {
+		var sq, abs float64
+		for _, part := range [2][]float64{r.buf[r.next:], r.buf[:r.next]} {
+			for _, e := range part {
+				sq += e * e
+				abs += math.Abs(e)
+			}
 		}
+		n := float64(r.count())
+		w.sum.rmsre, w.sum.meanAbs, w.sum.ok = math.Sqrt(sq/n), abs/n, true
 	}
-	n := float64(len(w.buf))
-	return math.Sqrt(sq / n), abs / n
+	return w.sum.rmsre, w.sum.meanAbs
 }
 
 // SetErrors replaces the window contents with errs (oldest-first),
 // keeping at most the window capacity (the most recent entries win).
 func (w *ResidualWindow) SetErrors(errs []float64) {
-	w.Reset()
-	if n := cap(w.buf); len(errs) > n {
+	if n := w.ring.capacity(); len(errs) > n {
 		errs = errs[len(errs)-n:]
 	}
+	w.Reset()
+	r := &w.ring
 	for _, e := range errs {
-		w.Push(e)
+		r.buf = append(r.buf, w.bound(e))
 	}
+	r.resort()
 }
 
 // QuantilesFor converts a point forecast into empirical throughput
@@ -174,35 +159,17 @@ func (w *ResidualWindow) SetErrors(errs []float64) {
 // residualMinSamples errors have been scored or when the forecast is
 // not a positive finite value.
 func (w *ResidualWindow) QuantilesFor(forecast float64) (Quantiles, bool) {
-	var q Quantiles
-	var ok bool
-	q, ok, w.scratch = QuantilesForErrors(forecast, w.buf, w.scratch)
-	return q, ok
-}
-
-// QuantilesForErrors derives empirical throughput quantiles for a point
-// forecast from a window of Eq.-4 relative errors, by inverting the
-// error quantiles (see ResidualWindow). The order of errs does not
-// matter. scratch (may be nil) is used to sort a copy of errs and is
-// returned for reuse, so steady-state callers allocate nothing. ok is
-// false with fewer than 3 errors or a non-positive/non-finite forecast.
-func QuantilesForErrors(forecast float64, errs, scratch []float64) (Quantiles, bool, []float64) {
+	errs := w.ring.sorted
 	if len(errs) < residualMinSamples || !isFinitePositive(forecast) {
-		return Quantiles{}, false, scratch
+		return Quantiles{}, false
 	}
-	scratch = append(scratch[:0], errs...)
-	insertionSort(scratch)
-	e10 := percentileSorted(scratch, 0.10)
-	e50 := percentileSorted(scratch, 0.50)
-	e90 := percentileSorted(scratch, 0.90)
 	// X is monotone decreasing in E: the largest errors (overprediction)
 	// map to the lowest throughputs.
-	q := Quantiles{
-		P10: invertRelErr(forecast, e90),
-		P50: invertRelErr(forecast, e50),
-		P90: invertRelErr(forecast, e10),
-	}
-	return q, true, scratch
+	return Quantiles{
+		P10: invertRelErr(forecast, percentileSorted(errs, 0.90)),
+		P50: invertRelErr(forecast, percentileSorted(errs, 0.50)),
+		P90: invertRelErr(forecast, percentileSorted(errs, 0.10)),
+	}, true
 }
 
 // invertRelErr solves Eq. 4 for the actual value X given the forecast
@@ -228,21 +195,6 @@ func percentileSorted(xs []float64, p float64) float64 {
 	}
 	frac := pos - float64(i)
 	return xs[i] + frac*(xs[i+1]-xs[i])
-}
-
-// insertionSort sorts xs ascending in place. The windows sorted here are
-// small (≤ ~64 entries) and the allocation-free guarantee matters more
-// than asymptotics, so this replaces sort.Float64s on the hot path.
-func insertionSort(xs []float64) {
-	for i := 1; i < len(xs); i++ {
-		v := xs[i]
-		j := i - 1
-		for j >= 0 && xs[j] > v {
-			xs[j+1] = xs[j]
-			j--
-		}
-		xs[j+1] = v
-	}
 }
 
 func isFinitePositive(x float64) bool {

@@ -95,3 +95,34 @@ func TestSessionRecordCompact(t *testing.T) {
 		t.Errorf("decoding a record allocates %.0f objects, want ≤ 64", allocs)
 	}
 }
+
+// TestFaultInAllocs pins what a cold request costs the allocator: decoding
+// a record at svc-spill's warm depth (112 observations) into a session and
+// absorbing its first observation allocates at most 129 objects. The
+// first Observe runs every LSO's shift scan over a restored window, so
+// scratch that grows by append shows here: while the scan built prefix
+// extrema arrays that way, the same cycle allocated 159.
+func TestFaultInAllocs(t *testing.T) {
+	const faultInAllocs = 129
+	series := SyntheticSeries(1, 113, 5)[0]
+	cfg := Config{}.withDefaults()
+	s := newSession(series.Path, cfg)
+	for k := 0; k < 112; k++ {
+		s.SetMeasurement(series.Inputs[k])
+		s.Observe(series.Throughputs[k])
+	}
+	data, err := sessionCodec(cfg).Encode(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		f, err := decodeSession(series.Path, data, cfg.Ensemble)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Observe(series.Throughputs[112])
+	})
+	if allocs > faultInAllocs {
+		t.Errorf("fault-in + first Observe allocates %.0f objects, want ≤ %d", allocs, faultInAllocs)
+	}
+}
