@@ -27,10 +27,9 @@
 // /v1/sessions/{export,import,drop} endpoints implement checksummed
 // shard handoff; drive them with predctl rebalance.
 //
-// Observability is on by default (disable with -no-obs): the listener
-// also serves /metrics (Prometheus text exposition of every service
-// counter, latency histogram and accuracy gauge), /debug/pprof/ (standard
-// Go profiles), and /debug/trace (recent request spans in Chrome
+// The listener also serves /metrics (Prometheus text exposition of every
+// service counter, latency histogram and accuracy gauge), /debug/pprof/
+// (standard Go profiles), and /debug/trace (recent request spans in Chrome
 // trace_event format; /debug/trace.txt for the plain-text tree). These
 // endpoints bypass the load-shedding middleware, so scrapes and profile
 // grabs keep working exactly when the API is refusing traffic.
@@ -81,18 +80,12 @@ func main() {
 		chaosHand   = flag.Bool("chaos-handoff", false, "kill the first session handoff mid-transfer: the 6th exported record aborts the stream and the 6th imported record 500s, so only a retried pass can complete")
 		drainDelay  = flag.Duration("drain-delay", 0, "extra time /readyz advertises draining before connections close on shutdown (lets cluster clients re-probe)")
 
-		noObs    = flag.Bool("no-obs", false, "disable the observability endpoints (/metrics, /debug/pprof/, /debug/trace)")
 		obsSpans = flag.Int("obs-spans", obs.DefaultSpanCapacity, "completed request spans retained for /debug/trace")
 	)
 	flag.Parse()
 
-	var o *obs.Obs
-	if !*noObs {
-		o = obs.New(*obsSpans)
-	}
-
 	cfg := predsvc.Config{
-		Obs:      o,
+		Obs:      obs.New(*obsSpans),
 		Shards:   *shards,
 		Capacity: *capacity,
 		Ensemble: predict.EnsembleConfig{
@@ -166,10 +159,8 @@ func main() {
 	}
 	log.Printf("predserverd: serving on http://%s (%d shards, capacity %d)",
 		ln.Addr(), srv.Registry().Shards(), srv.Registry().Capacity())
-	if o != nil {
-		log.Printf("predserverd: observability on http://%s{%s,%s,%s}",
-			ln.Addr(), obs.PathMetrics, obs.PathPprof, obs.PathTrace)
-	}
+	log.Printf("predserverd: observability on http://%s{%s,%s,%s}",
+		ln.Addr(), obs.PathMetrics, obs.PathPprof, obs.PathTrace)
 
 	snapDone := make(chan error, 1)
 	if *snapshotPath != "" {

@@ -43,7 +43,7 @@ func run(interval float64, window int, seed int64) (meanTput, rmsre float64) {
 		hb.Observe(actual)
 		path.Wait(interval)
 	}
-	return sum / transfers, stats.RMSRE(errs, 50)
+	return sum / transfers, stats.RMSRE(errs)
 }
 
 func main() {

@@ -55,11 +55,11 @@ func TestEndToEndShapes(t *testing.T) {
 			pred := fb.Predict(predict.FBInputs{RTT: rec.PreRTT, LossRate: rec.PreLoss, AvailBw: rec.AvailBw})
 			fbE = append(fbE, stats.RelativeError(pred, rec.Throughput))
 		}
-		fbR = append(fbR, stats.RMSRE(fbE, 50))
+		fbR = append(fbR, stats.RMSRE(fbE))
 		res := predict.Evaluate(
 			predict.NewLSO(predict.NewHoltWinters(0.8, 0.2), predict.DefaultLSOConfig()),
 			tr.Throughputs())
-		hbR = append(hbR, stats.RMSRE(res.Errors, 50))
+		hbR = append(hbR, stats.RMSRE(res.Errors))
 	}
 	fbMed, hbMed := stats.Median(fbR), stats.Median(hbR)
 	t.Logf("median per-trace RMSRE: FB %.3f, HB %.3f", fbMed, hbMed)
@@ -94,7 +94,7 @@ func TestEndToEndShapes(t *testing.T) {
 		smallE = append(smallE, stats.RelativeError(fbS.Predict(in), rec.SmallThroughput))
 	}
 	if len(smallE) >= 10 {
-		lr, sr := stats.RMSRE(largeE, 50), stats.RMSRE(smallE, 50)
+		lr, sr := stats.RMSRE(largeE), stats.RMSRE(smallE)
 		t.Logf("FB RMSRE over %d window-limited epochs: large-W %.3f, small-W %.3f", len(smallE), lr, sr)
 		if sr >= lr {
 			t.Errorf("window-limited RMSRE %.3f not below congestion-limited %.3f", sr, lr)

@@ -40,9 +40,9 @@ func AblationAvailBw(ds *testbed.Dataset) Result {
 			continue
 		}
 		in := predict.FBInputs{RTT: rec.PreRTT, LossRate: 0, AvailBw: rec.AvailBw}
-		withA = append(withA, relErr(fb.Predict(in), rec.Throughput))
+		withA = append(withA, stats.RelativeError(fb.Predict(in), rec.Throughput))
 		in.AvailBw = 0 // disables the avail-bw cap
-		withoutA = append(withoutA, relErr(fb.Predict(in), rec.Throughput))
+		withoutA = append(withoutA, stats.RelativeError(fb.Predict(in), rec.Throughput))
 	}
 	return Result{
 		ID:    "ablation-availbw",
@@ -98,8 +98,8 @@ func AblationDelayedACK(ds *testbed.Dataset) Result {
 			continue // b only enters the PFTK branch
 		}
 		in := predict.FBInputs{RTT: rec.PreRTT, LossRate: rec.PreLoss, AvailBw: rec.AvailBw}
-		b2 = append(b2, relErr(fb2.Predict(in), rec.Throughput))
-		b1 = append(b1, relErr(fb1.Predict(in), rec.Throughput))
+		b2 = append(b2, stats.RelativeError(fb2.Predict(in), rec.Throughput))
+		b1 = append(b1, stats.RelativeError(fb1.Predict(in), rec.Throughput))
 	}
 	return Result{
 		ID:     "ablation-delayed-ack",
@@ -173,11 +173,11 @@ func hbFBTraceRMSRE(ds *testbed.Dataset) []float64 {
 	for _, tr := range ds.Traces {
 		var errs []float64
 		for _, rec := range tr.Records {
-			errs = append(errs, relErr(fb.Predict(predict.FBInputs{
+			errs = append(errs, stats.RelativeError(fb.Predict(predict.FBInputs{
 				RTT: rec.PreRTT, LossRate: rec.PreLoss, AvailBw: rec.AvailBw,
 			}), rec.Throughput))
 		}
-		out = append(out, stats.RMSRE(errs, errClamp))
+		out = append(out, stats.RMSRE(errs))
 	}
 	return out
 }

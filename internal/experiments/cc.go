@@ -65,7 +65,7 @@ func ExtCC(ds *testbed.Dataset) Result {
 			if len(errs[i]) == 0 {
 				continue
 			}
-			v := stats.RMSRE(clampErrs(errs[i]), errClamp)
+			v := stats.RMSRE(errs[i])
 			rmsres[cell][i] = append(rmsres[cell][i], v)
 		}
 	}

@@ -78,27 +78,6 @@ func (r Result) Format(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// minThroughputBps floors measured throughput when computing relative
-// errors, so a (rare) zero-byte transfer yields a large finite error
-// instead of an infinite one.
-const minThroughputBps = 1e3
-
-// errClamp bounds |E| in RMSRE aggregation; a single pathological epoch
-// then contributes at most errClamp² to the mean square.
-const errClamp = 50.0
-
-// relErr computes the paper's Eq. (4) with the throughput floor applied to
-// both operands.
-func relErr(pred, actual float64) float64 {
-	if pred < minThroughputBps {
-		pred = minThroughputBps
-	}
-	if actual < minThroughputBps {
-		actual = minThroughputBps
-	}
-	return stats.RelativeError(pred, actual)
-}
-
 // FBSource selects which measurements feed the FB formula, mirroring the
 // paper's comparisons.
 type FBSource int
@@ -149,7 +128,7 @@ func EvalFB(ds *testbed.Dataset, model predict.Model, src FBSource, windowBytes 
 			out = append(out, FBEval{
 				Rec:   rec,
 				Pred:  pred,
-				Err:   relErr(pred, rec.Throughput),
+				Err:   stats.RelativeError(pred, rec.Throughput),
 				Lossy: in.LossRate > 0,
 			})
 		}
@@ -179,7 +158,7 @@ func EvalFBSmoothed(ds *testbed.Dataset, model predict.Model, n int, windowBytes
 			out = append(out, FBEval{
 				Rec:   rec,
 				Pred:  pred,
-				Err:   relErr(pred, rec.Throughput),
+				Err:   stats.RelativeError(pred, rec.Throughput),
 				Lossy: in.LossRate > 0,
 			})
 		}

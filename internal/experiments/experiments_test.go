@@ -187,26 +187,6 @@ func TestSummaryHasAllMetrics(t *testing.T) {
 	}
 }
 
-func TestRelErrFloorsZeroThroughput(t *testing.T) {
-	e := relErr(1e6, 0)
-	if math.IsInf(e, 0) || math.IsNaN(e) {
-		t.Errorf("relErr with zero actual = %v, want finite (floored)", e)
-	}
-	if e < 100 {
-		t.Errorf("relErr(1 Mbps, 0) = %v, want large", e)
-	}
-}
-
-func TestClampErrs(t *testing.T) {
-	got := clampErrs([]float64{-1e18, -1, 0, 1, 1e18})
-	want := []float64{-errClamp, -1, 0, 1, errClamp}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("clampErrs[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
 func TestHBPerTraceRMSRESmallSeries(t *testing.T) {
 	ds := &testbed.Dataset{Traces: []testbed.Trace{{Path: "x", Records: nil}}}
 	got := hbPerTraceRMSRE(ds, func() predict.HB { return predict.NewMA(5) }, false)

@@ -78,17 +78,17 @@ func ExtHybrid(ds *testbed.Dataset) Result {
 		var fbE, hyE, hbE []float64
 		for _, rec := range tr.Records {
 			in := predict.FBInputs{RTT: rec.PreRTT, LossRate: rec.PreLoss, AvailBw: rec.AvailBw}
-			fbE = append(fbE, relErr(fb.Predict(in), rec.Throughput))
-			hyE = append(hyE, relErr(hy.Predict(in), rec.Throughput))
+			fbE = append(fbE, stats.RelativeError(fb.Predict(in), rec.Throughput))
+			hyE = append(hyE, stats.RelativeError(hy.Predict(in), rec.Throughput))
 			hy.Observe(rec.Throughput)
 			if p, ok := hb.Predict(); ok {
-				hbE = append(hbE, relErr(p, rec.Throughput))
+				hbE = append(hbE, stats.RelativeError(p, rec.Throughput))
 			}
 			hb.Observe(rec.Throughput)
 		}
-		fbR = append(fbR, stats.RMSRE(fbE, errClamp))
-		hyR = append(hyR, stats.RMSRE(hyE, errClamp))
-		hbR = append(hbR, stats.RMSRE(hbE, errClamp))
+		fbR = append(fbR, stats.RMSRE(fbE))
+		hyR = append(hyR, stats.RMSRE(hyE))
+		hbR = append(hbR, stats.RMSRE(hbE))
 	}
 	better := 0
 	for i := range fbR {
@@ -125,13 +125,13 @@ func ExtNWSProbes(ds *testbed.Dataset) Result {
 		var rawE, corrE, directE []float64
 		for _, rec := range tr.Records {
 			if probePred, ok := probeHW.Predict(); ok && probePred > 0 {
-				rawE = append(rawE, relErr(probePred, rec.Throughput))
+				rawE = append(rawE, stats.RelativeError(probePred, rec.Throughput))
 				if r, ok2 := ratio.Predict(); ok2 {
-					corrE = append(corrE, relErr(probePred*r, rec.Throughput))
+					corrE = append(corrE, stats.RelativeError(probePred*r, rec.Throughput))
 				}
 			}
 			if p, ok := bulkHW.Predict(); ok {
-				directE = append(directE, relErr(p, rec.Throughput))
+				directE = append(directE, stats.RelativeError(p, rec.Throughput))
 			}
 			probeHW.Observe(rec.SmallThroughput)
 			bulkHW.Observe(rec.Throughput)
@@ -139,9 +139,9 @@ func ExtNWSProbes(ds *testbed.Dataset) Result {
 				ratio.Observe(rec.Throughput / rec.SmallThroughput)
 			}
 		}
-		rawR = append(rawR, stats.RMSRE(clampErrs(rawE), errClamp))
-		corrR = append(corrR, stats.RMSRE(clampErrs(corrE), errClamp))
-		directR = append(directR, stats.RMSRE(clampErrs(directE), errClamp))
+		rawR = append(rawR, stats.RMSRE(rawE))
+		corrR = append(corrR, stats.RMSRE(corrE))
+		directR = append(directR, stats.RMSRE(directE))
 	}
 	return Result{
 		ID:    "ext-nws",
@@ -244,7 +244,7 @@ func ExtStationarity(ds *testbed.Dataset) Result {
 		}
 		res := predict.Evaluate(
 			predict.NewLSO(predict.NewHoltWinters(0.8, 0.2), predict.DefaultLSOConfig()), series)
-		rmsre := stats.RMSRE(clampErrs(res.Errors), errClamp)
+		rmsre := stats.RMSRE(res.Errors)
 		if stats.StationaryByRunTest(series) {
 			statR = append(statR, rmsre)
 		} else {

@@ -293,11 +293,11 @@ func Fig11(ds2 *testbed.Dataset, checkpointDurations []float64, fullDuration flo
 		pred := fb.Predict(fbInputs(rec, SourcePre))
 		for i := range checkpointDurations {
 			if i < len(rec.Checkpoints) && rec.Checkpoints[i] > 0 {
-				samples[i] = append(samples[i], relErr(pred, rec.Checkpoints[i]))
+				samples[i] = append(samples[i], stats.RelativeError(pred, rec.Checkpoints[i]))
 			}
 		}
 		samples[len(checkpointDurations)] = append(samples[len(checkpointDurations)],
-			relErr(pred, rec.Throughput))
+			stats.RelativeError(pred, rec.Throughput))
 	}
 	return Result{
 		ID:     "fig11",
@@ -334,8 +334,8 @@ func Fig12(ds *testbed.Dataset) Result {
 			fbL := predict.NewFB(predict.FBConfig{Model: predict.ModelPFTK, MaxWindowBytes: 1 << 20})
 			fbS := predict.NewFB(predict.FBConfig{Model: predict.ModelPFTK, MaxWindowBytes: rec.SmallWindowBytes})
 			in := fbInputs(rec, SourcePre)
-			a.largeE = append(a.largeE, relErr(fbL.Predict(in), rec.Throughput))
-			a.smallE = append(a.smallE, relErr(fbS.Predict(in), rec.SmallThroughput))
+			a.largeE = append(a.largeE, stats.RelativeError(fbL.Predict(in), rec.Throughput))
+			a.smallE = append(a.smallE, stats.RelativeError(fbS.Predict(in), rec.SmallThroughput))
 			a.total++
 			if rec.SmallWindowLimited {
 				a.limited++
@@ -355,8 +355,8 @@ func Fig12(ds *testbed.Dataset) Result {
 			continue // not a window-limited path for this W
 		}
 		kept++
-		rl := stats.RMSRE(a.largeE, errClamp)
-		rs := stats.RMSRE(a.smallE, errClamp)
+		rl := stats.RMSRE(a.largeE)
+		rs := stats.RMSRE(a.smallE)
 		if rs < rl {
 			better++
 		}
@@ -426,9 +426,9 @@ func Fig19(ds *testbed.Dataset) Result {
 	for _, tr := range ds.Traces {
 		var errs []float64
 		for _, rec := range tr.Records {
-			errs = append(errs, relErr(fb.Predict(fbInputs(rec, SourcePre)), rec.Throughput))
+			errs = append(errs, stats.RelativeError(fb.Predict(fbInputs(rec, SourcePre)), rec.Throughput))
 		}
-		rmsres = append(rmsres, stats.RMSRE(errs, errClamp))
+		rmsres = append(rmsres, stats.RMSRE(errs))
 	}
 	hb := hbPerTraceRMSRE(ds, func() predict.HB {
 		return predict.NewLSO(predict.NewHoltWinters(0.8, 0.2), predict.DefaultLSOConfig())

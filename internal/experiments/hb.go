@@ -24,22 +24,7 @@ func hbPerTraceRMSRE(ds *testbed.Dataset, mk func() predict.HB, small bool) []fl
 			continue
 		}
 		res := predict.Evaluate(mk(), series)
-		out = append(out, stats.RMSRE(clampErrs(res.Errors), errClamp))
-	}
-	return out
-}
-
-func clampErrs(errs []float64) []float64 {
-	out := make([]float64, len(errs))
-	for i, e := range errs {
-		switch {
-		case e > errClamp:
-			out[i] = errClamp
-		case e < -errClamp:
-			out[i] = -errClamp
-		default:
-			out[i] = e
-		}
+		out = append(out, stats.RMSRE(res.Errors))
 	}
 	return out
 }
@@ -79,7 +64,7 @@ func Fig15() Result {
 		row := []string{name}
 		for _, tn := range order {
 			res := predict.Evaluate(mks[i](), traces[tn])
-			row = append(row, fmt.Sprintf("%.3f", stats.RMSRE(clampErrs(res.Errors), errClamp)))
+			row = append(row, fmt.Sprintf("%.3f", stats.RMSRE(res.Errors)))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -238,8 +223,8 @@ func Fig18(ds *testbed.Dataset) Result {
 		var errs []float64
 		for _, tr := range ds.Traces {
 			res := predict.Evaluate(predict.NewLSO(predict.NewMA(5), cfg), tr.Throughputs())
-			for _, e := range clampErrs(res.Errors) {
-				errs = append(errs, math.Abs(e))
+			for _, e := range res.Errors {
+				errs = append(errs, math.Abs(stats.ClampError(e)))
 			}
 		}
 		names = append(names, fmt.Sprintf("γ=%.1f ψ=%.1f", c.gamma, c.psi))
@@ -265,7 +250,7 @@ func Fig20(ds *testbed.Dataset) Result {
 		}
 		p := predict.NewLSO(predict.NewHoltWinters(0.8, 0.2), predict.DefaultLSOConfig())
 		res := predict.Evaluate(p, series)
-		rmsres = append(rmsres, stats.RMSRE(clampErrs(res.Errors), errClamp))
+		rmsres = append(rmsres, stats.RMSRE(res.Errors))
 		covs = append(covs, segmentedCoV(series))
 	}
 	r := stats.Pearson(covs, rmsres)
@@ -332,7 +317,7 @@ func Fig21(ds *testbed.Dataset) Result {
 			class = tr.Class
 			for i, mk := range mks {
 				res := predict.Evaluate(mk(), tr.Throughputs())
-				agg.perTrace[i] = append(agg.perTrace[i], stats.RMSRE(clampErrs(res.Errors), errClamp))
+				agg.perTrace[i] = append(agg.perTrace[i], stats.RMSRE(res.Errors))
 			}
 		}
 		hwlso := agg.perTrace[len(mks)-1] // HW-LSO is last in hbMakers
@@ -414,8 +399,8 @@ func Fig22(ds *testbed.Dataset) Result {
 			}
 			resL := predict.Evaluate(mk(), tr.Throughputs())
 			resS := predict.Evaluate(mk(), tr.SmallThroughputs())
-			largeR = append(largeR, stats.RMSRE(clampErrs(resL.Errors), errClamp))
-			smallR = append(smallR, stats.RMSRE(clampErrs(resS.Errors), errClamp))
+			largeR = append(largeR, stats.RMSRE(resL.Errors))
+			smallR = append(smallR, stats.RMSRE(resS.Errors))
 		}
 		if len(largeR) == 0 {
 			continue
@@ -462,7 +447,7 @@ func Fig23(ds *testbed.Dataset, baseIntervalMin float64) Result {
 					continue
 				}
 				res := predict.Evaluate(mk(), down)
-				acc = append(acc, stats.RMSRE(clampErrs(res.Errors), errClamp))
+				acc = append(acc, stats.RMSRE(res.Errors))
 			}
 			if len(acc) > 0 {
 				rmsres = append(rmsres, stats.Mean(acc))

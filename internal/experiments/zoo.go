@@ -51,7 +51,7 @@ func ExtZoo(ds *testbed.Dataset) Result {
 			if len(errs[i]) == 0 {
 				continue
 			}
-			v := stats.RMSRE(clampErrs(errs[i]), errClamp)
+			v := stats.RMSRE(errs[i])
 			rmsres[i] = append(rmsres[i], v)
 			if v < bestV {
 				best, bestV = i, v
@@ -104,10 +104,10 @@ func zooFamilies() ([]string, int) {
 // zooErrors replays one trace through a fresh default predict.Ensemble —
 // the tournament the prediction service runs per path — feeding each
 // epoch's pre-flow measurements and then its achieved throughput. It
-// returns each family's series of relative errors (Eq. 4, with this
-// package's throughput floor) over the whole trace, one per epoch on
-// which the family had a positive forecast. visit, when non-nil, sees
-// every epoch's family views just before the throughput is absorbed.
+// returns each family's series of relative errors (Eq. 4) over the whole
+// trace, one per epoch on which the family had a positive forecast.
+// visit, when non-nil, sees every epoch's family views just before the
+// throughput is absorbed.
 func zooErrors(tr testbed.Trace, visit func(fams []predict.FamilyView, actual float64)) [][]float64 {
 	e := predict.NewEnsemble(predict.EnsembleConfig{})
 	var errs [][]float64
@@ -119,7 +119,7 @@ func zooErrors(tr testbed.Trace, visit func(fams []predict.FamilyView, actual fl
 		}
 		for i, f := range fams {
 			if f.Ready && f.Forecast > 0 {
-				errs[i] = append(errs[i], relErr(f.Forecast, rec.Throughput))
+				errs[i] = append(errs[i], stats.RelativeError(f.Forecast, rec.Throughput))
 			}
 		}
 		if visit != nil {

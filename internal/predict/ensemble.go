@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+
+	"repro/internal/stats"
 )
 
 // EnsembleConfig selects the zoo's model parameters. The zero value is
@@ -142,7 +144,7 @@ func NewEnsemble(cfg EnsembleConfig) *Ensemble {
 	for i, hb := range members {
 		f := &e.families[i]
 		f.hb, f.paper = hb, i < 3
-		f.win = newResidualWindow(cfg.ErrorWindow, 0)
+		f.win = newResidualWindow(cfg.ErrorWindow)
 		if hb == nil {
 			e.fbIdx, f.paper = i, true
 			e.views[i].Name = "FB"
@@ -471,8 +473,8 @@ func (e *Ensemble) setFamily(i int, fs *FamilySnapshot, observations uint64) err
 		return fmt.Errorf("%d errors for a window of %d and %d observations", n, f.win.ring.capacity(), observations)
 	}
 	for _, x := range fs.Errors {
-		if !(math.Abs(x) <= f.win.clamp) {
-			return fmt.Errorf("error %v outside ±%v", x, f.win.clamp)
+		if !(math.Abs(x) <= stats.ErrClamp) {
+			return fmt.Errorf("error %v outside ±%v", x, stats.ErrClamp)
 		}
 	}
 	if f.hb == nil {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+
+	"repro/internal/stats"
 )
 
 // LSOConfig tunes the level-shift/outlier heuristics of paper §5.2. The
@@ -256,7 +258,7 @@ func (l *LSO) computeClean() {
 	l.deviant = growBool(l.deviant, len(xs))
 	deviant := l.deviant
 	for i, v := range xs {
-		deviant[i] = relDiff(v, med) > l.cfg.Psi
+		deviant[i] = math.Abs(stats.RelativeError(v, med)) > l.cfg.Psi
 	}
 	for i := 0; i < len(xs); {
 		if !deviant[i] {
@@ -330,7 +332,7 @@ func (l *LSO) findLevelShift() int {
 		default:
 			continue
 		}
-		d := relDiff(m1, m2)
+		d := math.Abs(stats.RelativeError(m1, m2))
 		if d > l.cfg.Gamma && d > bestDiff {
 			bestK, bestDiff = k, d
 		}
@@ -366,27 +368,6 @@ func (l *LSO) cleanIndexToRaw(k int, mask []bool) int {
 	return len(mask) - 1
 }
 
-// relDiff returns |a-b| / min(a, b), the paper's symmetric relative
-// difference (infinite when the smaller value is non-positive but the
-// values differ).
-func relDiff(a, b float64) float64 {
-	if a == b {
-		return 0
-	}
-	lo := a
-	if b < lo {
-		lo = b
-	}
-	if lo <= 0 {
-		return 1e18
-	}
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	return d / lo
-}
-
 func countTrue(mask []bool) int {
 	n := 0
 	for _, b := range mask {
@@ -405,29 +386,6 @@ type EvalResult struct {
 	Predictions int
 }
 
-// RMSRE returns the root mean square relative error (paper Eq. 5) of the
-// evaluation, clamping |E| at clampAbs before squaring when clampAbs > 0.
-// ok is false when the predictor never produced a forecast (empty or
-// all-unready series), so callers get a guarded zero-count result instead
-// of a division by zero.
-func (r EvalResult) RMSRE(clampAbs float64) (rmsre float64, ok bool) {
-	if r.Predictions == 0 || len(r.Errors) == 0 {
-		return 0, false
-	}
-	var sum float64
-	for _, e := range r.Errors {
-		if clampAbs > 0 {
-			if e > clampAbs {
-				e = clampAbs
-			} else if e < -clampAbs {
-				e = -clampAbs
-			}
-		}
-		sum += e * e
-	}
-	return math.Sqrt(sum / float64(len(r.Errors))), true
-}
-
 // Evaluate runs a fresh predictor over the series, collecting the relative
 // error E = (X̂-X)/min(X̂,X) for every sample where a forecast existed.
 // The predictor is left in its final state.
@@ -435,27 +393,10 @@ func Evaluate(p HB, series []float64) EvalResult {
 	res := EvalResult{Name: p.Name()}
 	for _, x := range series {
 		if pred, ok := p.Predict(); ok {
-			res.Errors = append(res.Errors, relErr(pred, x))
+			res.Errors = append(res.Errors, stats.RelativeError(pred, x))
 			res.Predictions++
 		}
 		p.Observe(x)
 	}
 	return res
-}
-
-func relErr(pred, actual float64) float64 {
-	if pred == actual {
-		return 0
-	}
-	lo := pred
-	if actual < lo {
-		lo = actual
-	}
-	if lo <= 0 {
-		if pred > actual {
-			return 1e18
-		}
-		return -1e18
-	}
-	return (pred - actual) / lo
 }

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 // naiveLSO is the pre-optimization reference implementation: it re-sorts
@@ -55,7 +57,7 @@ func (l *naiveLSO) removeOutliers(xs []float64) ([]float64, []bool) {
 	}
 	deviant := make([]bool, len(xs))
 	for i, v := range xs {
-		deviant[i] = relDiff(v, med) > l.cfg.Psi
+		deviant[i] = math.Abs(stats.RelativeError(v, med)) > l.cfg.Psi
 	}
 	for i := 0; i < len(xs); {
 		if !deviant[i] {
@@ -97,7 +99,7 @@ func (l *naiveLSO) findLevelShift(xs []float64) int {
 			continue
 		}
 		m1, m2 := medianOf(xs[:k]), medianOf(xs[k:])
-		d := relDiff(m1, m2)
+		d := math.Abs(stats.RelativeError(m1, m2))
 		if d > l.cfg.Gamma && d > bestDiff {
 			bestK, bestDiff = k, d
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 func TestLSODetectsIncreasingShift(t *testing.T) {
@@ -197,7 +198,10 @@ func TestLSOPaperTraceShapes(t *testing.T) {
 	}
 }
 
+// TestRelDiff checks the symmetric relative difference |a-b| / min(a, b)
+// that the LSO heuristics compare against Psi and Gamma.
 func TestRelDiff(t *testing.T) {
+	relDiff := func(a, b float64) float64 { return math.Abs(stats.RelativeError(a, b)) }
 	if relDiff(1, 1.3) <= 0.29 || relDiff(1, 1.3) >= 0.31 {
 		t.Errorf("relDiff(1,1.3) = %v, want 0.3", relDiff(1, 1.3))
 	}
@@ -225,24 +229,23 @@ func TestMedianOf(t *testing.T) {
 }
 
 func TestEvalResultRMSREGuard(t *testing.T) {
-	// Empty series: no forecast is ever made, so RMSRE must report ok=false
-	// (a guarded zero-count result) rather than dividing by zero.
-	if r, ok := Evaluate(NewMA(5), nil).RMSRE(10); ok || r != 0 {
-		t.Errorf("empty series: got (%v, %v), want (0, false)", r, ok)
+	// Empty series: no forecast is ever made, so there are no errors and
+	// RMSRE reports 0 rather than dividing by zero.
+	if res := Evaluate(NewMA(5), nil); res.Predictions != 0 || stats.RMSRE(res.Errors) != 0 {
+		t.Errorf("empty series: got %d predictions, RMSRE %v, want 0, 0", res.Predictions, stats.RMSRE(res.Errors))
 	}
 	// All-unready series: a single observation never yields a prediction.
-	if r, ok := Evaluate(NewMA(5), []float64{4e6}).RMSRE(10); ok || r != 0 {
-		t.Errorf("all-unready series: got (%v, %v), want (0, false)", r, ok)
+	if res := Evaluate(NewMA(5), []float64{4e6}); res.Predictions != 0 || stats.RMSRE(res.Errors) != 0 {
+		t.Errorf("all-unready series: got %d predictions, RMSRE %v, want 0, 0", res.Predictions, stats.RMSRE(res.Errors))
 	}
 	// Non-degenerate case: errors are clamped and averaged under a sqrt.
 	res := Evaluate(NewMA(1), []float64{1e6, 2e6, 2e6})
-	r, ok := res.RMSRE(10)
-	if !ok {
-		t.Fatal("expected ok=true with 2 predictions")
+	if res.Predictions != 2 || len(res.Errors) != 2 {
+		t.Fatalf("got %d predictions, %d errors, want 2, 2", res.Predictions, len(res.Errors))
 	}
 	// Errors: (1e6-2e6)/1e6 = -1, (2e6-2e6) = 0 → RMSRE = sqrt(1/2).
 	want := math.Sqrt(0.5)
-	if math.Abs(r-want) > 1e-12 {
+	if r := stats.RMSRE(res.Errors); math.Abs(r-want) > 1e-12 {
 		t.Errorf("RMSRE = %v, want %v", r, want)
 	}
 }

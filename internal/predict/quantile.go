@@ -1,6 +1,10 @@
 package predict
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/stats"
+)
 
 // Quantiles is a three-point summary of a throughput forecast
 // distribution. P10 ≤ P50 ≤ P90 always holds; all values are positive
@@ -26,10 +30,6 @@ type QuantilePredictor interface {
 // from one or two errors.
 const residualMinSamples = 3
 
-// residualClamp is the default bound on |E| in a ResidualWindow, the
-// paper's RMSRE clamp.
-const residualClamp = 10
-
 // ResidualWindow keeps a bounded ring of recent Eq.-4 relative errors
 // E = (X̂-X)/min(X̂,X) for one predictor and converts a point forecast
 // into empirical throughput quantiles by inverting the error quantiles:
@@ -38,15 +38,14 @@ const residualClamp = 10
 //	E < 0 (underprediction): X = X̂ · (1-E)
 //
 // X is monotone decreasing in E, so the throughput P10 comes from the
-// error P90 and vice versa. Errors are clamped to ±clamp on entry, which
-// keeps every stored value finite and JSON-safe even when a degenerate
-// forecast produced the ±1e18 sentinel of relErr.
+// error P90 and vice versa. Errors are bounded by stats.ClampError on
+// entry, so every stored value is finite even when a degenerate pair
+// scored ±Inf.
 //
 // The errors sit in an orderedRing, so QuantilesFor reads their order
 // statistics without sorting and Score and QuantilesFor allocate nothing.
 type ResidualWindow struct {
-	ring  orderedRing
-	clamp float64
+	ring orderedRing
 	// sum caches summary's result until the window next changes: a
 	// predict and the observe that follows it read the same window.
 	sum struct {
@@ -55,52 +54,34 @@ type ResidualWindow struct {
 	}
 }
 
-// NewResidualWindow returns a window retaining the last n errors
-// (n ≥ 1), each clamped to ±clamp (clamp ≤ 0 means the paper's default
-// bound of 10).
-func NewResidualWindow(n int, clamp float64) *ResidualWindow {
-	w := newResidualWindow(n, clamp)
+// NewResidualWindow returns a window retaining the last n errors (at
+// least one).
+func NewResidualWindow(n int) *ResidualWindow {
+	w := newResidualWindow(n)
 	return &w
 }
 
-func newResidualWindow(n int, clamp float64) ResidualWindow {
-	if n < 1 {
-		n = 1
-	}
-	if clamp <= 0 {
-		clamp = residualClamp
-	}
-	return ResidualWindow{ring: newOrderedRing(n), clamp: clamp}
+func newResidualWindow(n int) ResidualWindow {
+	return ResidualWindow{ring: newOrderedRing(max(n, 1))}
 }
 
 // Score records the Eq.-4 error of one (forecast, actual) pair. Pairs
 // with a non-positive or non-finite forecast are scored as a maximal
-// overprediction (+clamp) rather than skipped, so a pathological
-// predictor widens its own intervals instead of silently keeping them
-// tight.
+// overprediction (+stats.ErrClamp) rather than skipped, so a
+// pathological predictor widens its own intervals instead of silently
+// keeping them tight.
 func (w *ResidualWindow) Score(forecast, actual float64) {
-	e := w.clamp
+	e := stats.ErrClamp
 	if isFinitePositive(forecast) {
-		e = relErr(forecast, actual)
+		e = stats.RelativeError(forecast, actual)
 	}
 	w.Push(e)
 }
 
-// Push records an error value, clamped to ±clamp; NaN counts as +clamp,
-// so the window stays JSON-safe.
+// Push records an error value, bounded by stats.ClampError.
 func (w *ResidualWindow) Push(e float64) {
-	w.ring.push(w.bound(e))
+	w.ring.push(stats.ClampError(e))
 	w.sum.ok = false
-}
-
-func (w *ResidualWindow) bound(e float64) float64 {
-	if math.IsNaN(e) || e > w.clamp {
-		return w.clamp
-	}
-	if e < -w.clamp {
-		return -w.clamp
-	}
-	return e
 }
 
 // Count returns the number of retained errors.
@@ -127,15 +108,14 @@ func (w *ResidualWindow) summary() (rmsre, meanAbs float64) {
 		return 0, 0
 	}
 	if !w.sum.ok {
-		var sq, abs float64
-		for _, part := range [2][]float64{r.buf[r.next:], r.buf[:r.next]} {
+		older, newer := r.buf[r.next:], r.buf[:r.next]
+		var abs float64
+		for _, part := range [2][]float64{older, newer} {
 			for _, e := range part {
-				sq += e * e
 				abs += math.Abs(e)
 			}
 		}
-		n := float64(r.count())
-		w.sum.rmsre, w.sum.meanAbs, w.sum.ok = math.Sqrt(sq/n), abs/n, true
+		w.sum.rmsre, w.sum.meanAbs, w.sum.ok = stats.RMSRE(older, newer), abs/float64(r.count()), true
 	}
 	return w.sum.rmsre, w.sum.meanAbs
 }
@@ -149,7 +129,7 @@ func (w *ResidualWindow) SetErrors(errs []float64) {
 	w.Reset()
 	r := &w.ring
 	for _, e := range errs {
-		r.buf = append(r.buf, w.bound(e))
+		r.buf = append(r.buf, stats.ClampError(e))
 	}
 	r.resort()
 }
@@ -212,13 +192,12 @@ type ResidualQuantile struct {
 }
 
 // NewResidualQuantile wraps inner with a residual window of the given
-// size (window ≤ 0 means 50, the service's default error window) and
-// error clamp (≤ 0 means 10).
-func NewResidualQuantile(inner HB, window int, clamp float64) *ResidualQuantile {
+// size (window ≤ 0 means 50, the service's default error window).
+func NewResidualQuantile(inner HB, window int) *ResidualQuantile {
 	if window <= 0 {
 		window = 50
 	}
-	return &ResidualQuantile{inner: inner, win: NewResidualWindow(window, clamp)}
+	return &ResidualQuantile{inner: inner, win: NewResidualWindow(window)}
 }
 
 // Name implements HB.

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 // insertionSort and oracleQuantiles are the sort-per-query path the
@@ -36,18 +38,16 @@ func oracleQuantiles(forecast float64, errs []float64) (Quantiles, bool) {
 	}, true
 }
 
-// oracleSummary is the Eq.-5 RMSRE and mean |E| of errs, summed in order.
-func oracleSummary(errs []float64) (rmsre, meanAbs float64) {
+// oracleMeanAbs is the mean |E| of errs, summed in order.
+func oracleMeanAbs(errs []float64) float64 {
 	if len(errs) == 0 {
-		return 0, 0
+		return 0
 	}
-	var sq, abs float64
+	var abs float64
 	for _, e := range errs {
-		sq += e * e
 		abs += math.Abs(e)
 	}
-	n := float64(len(errs))
-	return math.Sqrt(sq / n), abs / n
+	return abs / float64(len(errs))
 }
 
 // checkMirror fails unless r's mirror is its chronological contents sorted.
@@ -98,7 +98,7 @@ func TestOrderedRingMatchesOracle(t *testing.T) {
 	forecasts := []float64{1, 3.7e6, 1e9, 0, -1, math.Inf(1)}
 	for _, n := range []int{1, 2, 3, 50, 64, 128} {
 		rng := rand.New(rand.NewSource(int64(n)))
-		w := NewResidualWindow(n, 10)
+		w := NewResidualWindow(n)
 		for step := 0; step < 20*n+200; step++ {
 			switch r := rng.Intn(100); {
 			case r == 0:
@@ -118,7 +118,7 @@ func TestOrderedRingMatchesOracle(t *testing.T) {
 			}
 			errs := w.Errors(nil)
 			rmsre, meanAbs := w.summary()
-			if wr, wm := oracleSummary(errs); math.Float64bits(rmsre) != math.Float64bits(wr) || math.Float64bits(meanAbs) != math.Float64bits(wm) {
+			if wr, wm := stats.RMSRE(errs), oracleMeanAbs(errs); math.Float64bits(rmsre) != math.Float64bits(wr) || math.Float64bits(meanAbs) != math.Float64bits(wm) {
 				t.Fatalf("cap %d, step %d: summary %v,%v, oracle %v,%v", n, step, rmsre, meanAbs, wr, wm)
 			}
 			for _, f := range forecasts {

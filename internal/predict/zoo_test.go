@@ -5,10 +5,12 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 func TestResidualWindowQuantileInversion(t *testing.T) {
-	w := NewResidualWindow(50, 10)
+	w := NewResidualWindow(50)
 	// A known symmetric error distribution around zero.
 	for _, e := range []float64{-0.5, -0.25, 0, 0.25, 0.5} {
 		w.Push(e)
@@ -34,10 +36,10 @@ func TestResidualWindowQuantileInversion(t *testing.T) {
 }
 
 func TestResidualWindowClampsAndStaysFinite(t *testing.T) {
-	w := NewResidualWindow(8, 10)
-	w.Score(0, 5e6)           // non-positive forecast → +clamp, not ±1e18
+	w := NewResidualWindow(8)
+	w.Score(0, 5e6)           // non-positive forecast → +clamp, not -Inf
 	w.Score(math.Inf(1), 5e6) // non-finite forecast
-	w.Score(5e6, 0)           // degenerate actual → relErr sentinel, clamped
+	w.Score(5e6, 0)           // degenerate actual → +Inf, clamped
 	w.Push(math.NaN())        // direct garbage
 	w.Push(math.Inf(-1))      //
 	for _, e := range w.Errors(nil) {
@@ -51,7 +53,7 @@ func TestResidualWindowClampsAndStaysFinite(t *testing.T) {
 }
 
 func TestResidualWindowErrorsRoundTrip(t *testing.T) {
-	w := NewResidualWindow(4, 10)
+	w := NewResidualWindow(4)
 	for _, e := range []float64{1, 2, 3, 4, 5, 6} { // wraps: keeps 3,4,5,6
 		w.Push(e)
 	}
@@ -65,7 +67,7 @@ func TestResidualWindowErrorsRoundTrip(t *testing.T) {
 			t.Fatalf("Errors = %v, want %v", got, want)
 		}
 	}
-	w2 := NewResidualWindow(4, 10)
+	w2 := NewResidualWindow(4)
 	w2.SetErrors(got)
 	got2 := w2.Errors(nil)
 	for i := range want {
@@ -80,7 +82,7 @@ func TestResidualWindowErrorsRoundTrip(t *testing.T) {
 // [P10, P90].
 func TestResidualQuantileCoverage(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	p := NewResidualQuantile(NewEWMA(0.8), 50, 10)
+	p := NewResidualQuantile(NewEWMA(0.8), 50)
 	in, total := 0, 0
 	for i := 0; i < 2000; i++ {
 		x := 10e6 * (1 + 0.3*rng.NormFloat64())
@@ -119,8 +121,8 @@ func TestRegressionLearnsFeatureSignal(t *testing.T) {
 		if i > 50 {
 			f1, _ := reg.Predict()
 			f2, _ := ma.Predict()
-			regErr += math.Abs(relErr(f1, x))
-			maErr += math.Abs(relErr(f2, x))
+			regErr += math.Abs(stats.RelativeError(f1, x))
+			maErr += math.Abs(stats.RelativeError(f2, x))
 			n++
 		}
 		reg.Observe(x)

@@ -133,9 +133,6 @@ type LoadConfig struct {
 	// 5xxs and connection-refused before the replay fails (default 30s —
 	// long enough to ride out a node restart; negative disables retries).
 	RetryDeadline time.Duration
-	// ErrClamp bounds |E| in the client-side accuracy aggregation
-	// (default 10, as in the offline experiments).
-	ErrClamp float64
 	// Quantiles scores the service's [p10,p90] interval forecasts against
 	// the actual throughputs: every predict response carrying an interval
 	// counts toward LoadReport.IntervalCoverage. The quantile fields ride
@@ -306,9 +303,6 @@ func (r LoadReport) String() string {
 func Replay(ctx context.Context, cfg LoadConfig, series []PathSeries) (*LoadReport, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 8
-	}
-	if cfg.ErrClamp == 0 {
-		cfg.ErrClamp = 10
 	}
 	client := cfg.Client
 	if client == nil {
@@ -510,10 +504,10 @@ func Replay(ctx context.Context, cfg LoadConfig, series []PathSeries) (*LoadRepo
 	if rep.IntervalsScored > 0 {
 		rep.IntervalCoverage = float64(covIn) / float64(rep.IntervalsScored)
 	}
-	rep.RMSRE = stats.RMSRE(allErrs, cfg.ErrClamp)
+	rep.RMSRE = stats.RMSRE(allErrs)
 	abs := make([]float64, len(allErrs))
 	for i, e := range allErrs {
-		abs[i] = math.Min(math.Abs(e), cfg.ErrClamp)
+		abs[i] = math.Abs(stats.ClampError(e))
 	}
 	rep.MedianAbsErr = stats.Median(abs)
 

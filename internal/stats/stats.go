@@ -16,12 +16,13 @@ import (
 //
 // Degenerate inputs: if both are zero the error is 0; if exactly one is
 // zero (or negative) the error is +Inf or -Inf by the sign of the
-// numerator, matching the "wrong by an unbounded factor" reading.
+// numerator, matching the "wrong by an unbounded factor" reading. RMSRE
+// and ClampError bound such an error at ErrClamp.
 func RelativeError(pred, actual float64) float64 {
 	if pred == actual {
 		return 0
 	}
-	m := math.Min(pred, actual)
+	m := min(pred, actual)
 	if m <= 0 {
 		if pred > actual {
 			return math.Inf(1)
@@ -31,25 +32,42 @@ func RelativeError(pred, actual float64) float64 {
 	return (pred - actual) / m
 }
 
-// RMSRE returns sqrt(mean(E_i²)) over the errors (paper Eq. 5). Infinite
-// errors are clamped to clampAbs before squaring when clampAbs > 0;
-// otherwise an infinite error makes the result +Inf.
-func RMSRE(errors []float64, clampAbs float64) float64 {
-	if len(errors) == 0 {
+// ErrClamp bounds |E| wherever errors are aggregated: in RMSRE and in the
+// prediction service's error windows. The bound is this repository's
+// choice, not the paper's. A zero forecast or a zero-byte transfer has
+// |E| = ∞, and one such epoch would otherwise decide a trace's RMSRE on
+// its own. |E| = 10 is a forecast off by a factor of 11, past which the
+// size of the miss says nothing more about the predictor, and the bound
+// keeps every stored error finite.
+const ErrClamp = 10.0
+
+// ClampError bounds e to [-ErrClamp, ErrClamp]. NaN counts as +ErrClamp,
+// an overprediction of unknown size.
+func ClampError(e float64) float64 {
+	if !(e <= ErrClamp) {
+		return ErrClamp
+	}
+	return max(e, -ErrClamp)
+}
+
+// RMSRE returns sqrt(mean(E_i²)), the paper's Eq. (5), over the errors of
+// all parts, each clamped by ClampError before squaring (0 when there are
+// none). The squares are summed part by part in order, so a ring passes
+// its two segments oldest first and gets the same bits as one slice.
+func RMSRE(parts ...[]float64) float64 {
+	var sum float64
+	n := 0
+	for _, part := range parts {
+		for _, e := range part {
+			e = ClampError(e)
+			sum += e * e
+		}
+		n += len(part)
+	}
+	if n == 0 {
 		return 0
 	}
-	var sum float64
-	for _, e := range errors {
-		if clampAbs > 0 {
-			if e > clampAbs {
-				e = clampAbs
-			} else if e < -clampAbs {
-				e = -clampAbs
-			}
-		}
-		sum += e * e
-	}
-	return math.Sqrt(sum / float64(len(errors)))
+	return math.Sqrt(sum / float64(n))
 }
 
 // Mean returns the arithmetic mean (0 for an empty slice).
@@ -263,11 +281,4 @@ func FractionAbove(xs []float64, thresh float64) float64 {
 		}
 	}
 	return float64(n) / float64(len(xs))
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -17,6 +18,10 @@ func TestRelativeErrorSymmetry(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+	// |E| is the symmetric relative difference LSO thresholds.
+	if a, b := math.Abs(RelativeError(1, 1.3)), math.Abs(RelativeError(1.3, 1)); a != b || math.Abs(a-0.3) > 1e-12 {
+		t.Errorf("|E(1, 1.3)| = %v, |E(1.3, 1)| = %v, want both 0.3", a, b)
 	}
 }
 
@@ -46,23 +51,108 @@ func TestRelativeErrorDegenerate(t *testing.T) {
 
 func TestRMSRE(t *testing.T) {
 	// sqrt((1+4+9)/3) = sqrt(14/3)
-	got := RMSRE([]float64{1, -2, 3}, 0)
+	got := RMSRE([]float64{1, -2, 3})
 	want := math.Sqrt(14.0 / 3)
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("RMSRE = %v, want %v", got, want)
 	}
-	if RMSRE(nil, 0) != 0 {
-		t.Error("empty RMSRE should be 0")
+	// No scored forecast at all (an empty or all-unready series) is a
+	// zero, not a division by zero.
+	for _, parts := range [][][]float64{nil, {nil}, {nil, {}}} {
+		if got := RMSRE(parts...); got != 0 {
+			t.Errorf("RMSRE of %d empty parts = %v, want 0", len(parts), got)
+		}
 	}
 }
 
 func TestRMSREClamp(t *testing.T) {
-	got := RMSRE([]float64{math.Inf(1)}, 10)
-	if got != 10 {
-		t.Errorf("clamped RMSRE = %v, want 10", got)
+	if got := RMSRE([]float64{math.Inf(1)}); got != ErrClamp {
+		t.Errorf("RMSRE(+Inf) = %v, want %v", got, ErrClamp)
 	}
-	if !math.IsInf(RMSRE([]float64{math.Inf(1)}, 0), 1) {
-		t.Error("unclamped RMSRE of Inf should be Inf")
+	// 3 and -4 stay; 100 counts as 10.
+	if got, want := RMSRE([]float64{3, -4, 100}), math.Sqrt((9+16+100)/3.0); got != want {
+		t.Errorf("RMSRE = %v, want %v", got, want)
+	}
+}
+
+func TestClampError(t *testing.T) {
+	for _, c := range []struct{ e, want float64 }{
+		{math.Inf(-1), -ErrClamp},
+		{-1e18, -ErrClamp},
+		{-10.5, -ErrClamp},
+		{-ErrClamp, -ErrClamp},
+		{-1, -1},
+		{math.Copysign(0, -1), math.Copysign(0, -1)},
+		{0, 0},
+		{1, 1},
+		{ErrClamp, ErrClamp},
+		{10.5, ErrClamp},
+		{1e18, ErrClamp},
+		{math.Inf(1), ErrClamp},
+		{math.NaN(), ErrClamp},
+	} {
+		if got := ClampError(c.e); math.Float64bits(got) != math.Float64bits(c.want) {
+			t.Errorf("ClampError(%v) = %v, want %v", c.e, got, c.want)
+		}
+	}
+}
+
+// TestRMSREParts: splitting the errors into parts, as a ring passes its
+// two segments, gives the same bits as one slice.
+func TestRMSREParts(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	draw := func(n int) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			switch rng.Intn(8) {
+			case 0:
+				xs[i] = math.Inf(1 - 2*rng.Intn(2))
+			case 1:
+				xs[i] = math.NaN()
+			default:
+				xs[i] = rng.NormFloat64() * 3
+			}
+		}
+		return xs
+	}
+	for trial := 0; trial < 200; trial++ {
+		a, b := draw(rng.Intn(60)), draw(rng.Intn(60))
+		whole := RMSRE(append(append([]float64(nil), a...), b...))
+		if got := RMSRE(a, b); math.Float64bits(got) != math.Float64bits(whole) {
+			t.Fatalf("trial %d: RMSRE(a, b) = %v, RMSRE(a ++ b) = %v", trial, got, whole)
+		}
+		k := len(b) / 2
+		if got := RMSRE(a, b[:k], nil, b[k:]); math.Float64bits(got) != math.Float64bits(whole) {
+			t.Fatalf("trial %d: RMSRE over four parts = %v, over one = %v", trial, got, whole)
+		}
+	}
+}
+
+// TestRMSREDegenerate: each degenerate (forecast, actual) pair adds
+// exactly 0 or ErrClamp² to the sum of squares, so a zero-byte transfer
+// or a garbage forecast costs a bounded, finite amount.
+func TestRMSREDegenerate(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	for _, c := range []struct {
+		pred, actual, contrib float64
+	}{
+		{0, 0, 0},
+		{1e6, 0, ErrClamp * ErrClamp},
+		{0, 1e6, ErrClamp * ErrClamp},
+		{-1, 1e6, ErrClamp * ErrClamp},
+		{nan, 1e6, ErrClamp * ErrClamp},
+		{1e6, nan, ErrClamp * ErrClamp},
+		{nan, nan, ErrClamp * ErrClamp},
+		{inf, 1e6, ErrClamp * ErrClamp},
+		{1e6, inf, ErrClamp * ErrClamp},
+		{-inf, 1e6, ErrClamp * ErrClamp},
+		{inf, inf, 0},
+	} {
+		e := RelativeError(c.pred, c.actual)
+		// Alongside a regular error of 1: sqrt((1 + contrib) / 2).
+		if got, want := RMSRE([]float64{1, e}), math.Sqrt((1+c.contrib)/2); got != want {
+			t.Errorf("RelativeError(%v, %v) = %v: RMSRE with E=1 is %v, want %v", c.pred, c.actual, e, got, want)
+		}
 	}
 }
 

@@ -153,7 +153,7 @@ type QuantilePredictor = predict.QuantilePredictor
 // [p10,p90] interval from the empirical quantiles of its last `window`
 // relative errors (0 picks the default 50).
 func WithQuantiles(inner HBPredictor, window int) *predict.ResidualQuantile {
-	return predict.NewResidualQuantile(inner, window, 0)
+	return predict.NewResidualQuantile(inner, window)
 }
 
 // RegressionConfig configures the online feature regression predictor.
