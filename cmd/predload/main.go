@@ -69,8 +69,6 @@ func main() {
 		chaosMode = flag.Bool("chaos", false, "inject client-side faults (aborted predicts, slowloris probes, forced-panic probes); digest covers only the fault-free replay")
 		chaosSeed = flag.Int64("chaos-seed", 1, "fault-injection seed for -chaos")
 
-		quantiles = flag.Bool("quantiles", false, "score the daemon's [p10,p90] interval forecasts against the actuals and report empirical coverage (nominal 0.8)")
-
 		startEpoch    = flag.Int("start-epoch", 0, "replay only epoch indices >= this (phase-split runs around a resize)")
 		pace          = flag.Duration("pace", 0, "pause per worker between epoch rounds, stretching the replay so restarts land mid-load")
 		retryDeadline = flag.Duration("retry-deadline", 0, "how long one request retries through 429/5xx/connection-refused before failing the run (default 30s)")
@@ -123,7 +121,6 @@ func main() {
 		Cluster:       nodes,
 		BatchObserve:  *batchMode,
 		Workers:       *workers,
-		Quantiles:     *quantiles,
 		StartEpoch:    *startEpoch,
 		EpochPause:    *pace,
 		RetryDeadline: *retryDeadline,

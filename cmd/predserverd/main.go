@@ -6,7 +6,9 @@
 // With -spill-dir the registry becomes a two-tier store: sessions evicted
 // from the in-memory hot tier are serialized to an append-only checksummed
 // spill log and faulted back on access, so the daemon holds far more paths
-// than -capacity at a bounded resident set.
+// than -capacity at a bounded resident set. Every path runs the same
+// predictor zoo, the paper's configuration (predict.NewEnsemble), so any
+// node of a cluster can restore any other node's sessions.
 //
 // The serving path is hardened for imperfect conditions: header/read/idle
 // timeouts guard against slow clients, handler panics are converted into
@@ -52,7 +54,6 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/obs"
-	"repro/internal/predict"
 	"repro/internal/predsvc"
 )
 
@@ -61,17 +62,10 @@ func main() {
 		addr         = flag.String("addr", "127.0.0.1:8355", "listen address")
 		shards       = flag.Int("shards", 16, "registry shards (rounded up to a power of two)")
 		capacity     = flag.Int("capacity", 4096, "maximum paths kept (LRU eviction beyond this)")
-		errWindow    = flag.Int("err-window", 50, "rolling errors kept per predictor for RMSRE")
-		maOrder      = flag.Int("ma", 10, "moving-average order")
-		ewmaAlpha    = flag.Float64("ewma", 0.8, "EWMA weight α")
-		hwAlpha      = flag.Float64("hw-alpha", 0.8, "Holt-Winters α")
-		hwBeta       = flag.Float64("hw-beta", 0.2, "Holt-Winters β")
-		noLSO        = flag.Bool("no-lso", false, "disable the level-shift/outlier wrapper")
 		snapshotPath = flag.String("snapshot", "", "snapshot file (restored at startup, written periodically and at shutdown)")
 		snapshotIvl  = flag.Duration("snapshot-interval", time.Minute, "interval between snapshots")
 		spillDir     = flag.String("spill-dir", "", "directory for the two-tier store's spill log; paths evicted from the hot tier spill to disk instead of being dropped")
 
-		staleAfter  = flag.Int("stale-after", 0, "observations since the last measurement before FB forecasts are flagged stale (0 = default 30, negative = never)")
 		maxInflight = flag.Int("max-inflight", 0, "concurrent-request cap before shedding with 429 (0 = default 1024, negative = unlimited)")
 		readHdrTO   = flag.Duration("read-header-timeout", 0, "slowloris guard on request headers (0 = default 5s, negative = off)")
 		requestTO   = flag.Duration("request-timeout", 0, "per-request deadline (0 = default 15s, negative = off)")
@@ -85,18 +79,9 @@ func main() {
 	flag.Parse()
 
 	cfg := predsvc.Config{
-		Obs:      obs.New(*obsSpans),
-		Shards:   *shards,
-		Capacity: *capacity,
-		Ensemble: predict.EnsembleConfig{
-			ErrorWindow: *errWindow,
-			MAOrder:     *maOrder,
-			EWMAAlpha:   *ewmaAlpha,
-			HWAlpha:     *hwAlpha,
-			HWBeta:      *hwBeta,
-			DisableLSO:  *noLSO,
-			StaleAfter:  *staleAfter,
-		},
+		Obs:               obs.New(*obsSpans),
+		Shards:            *shards,
+		Capacity:          *capacity,
 		MaxInFlight:       *maxInflight,
 		ReadHeaderTimeout: *readHdrTO,
 		RequestTimeout:    *requestTO,

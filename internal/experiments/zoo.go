@@ -97,11 +97,11 @@ func ExtZoo(ds *testbed.Dataset) Result {
 // zooFamilies returns the family names of the zoo in order, and the index
 // of FB among them.
 func zooFamilies() ([]string, int) {
-	e := predict.NewEnsemble(predict.EnsembleConfig{})
+	e := predict.NewEnsemble()
 	return e.Names(), e.View().FB
 }
 
-// zooErrors replays one trace through a fresh default predict.Ensemble —
+// zooErrors replays one trace through a fresh predict.Ensemble —
 // the tournament the prediction service runs per path — feeding each
 // epoch's pre-flow measurements and then its achieved throughput. It
 // returns each family's series of relative errors (Eq. 4) over the whole
@@ -109,7 +109,7 @@ func zooFamilies() ([]string, int) {
 // visit, when non-nil, sees every epoch's family views just before the
 // throughput is absorbed.
 func zooErrors(tr testbed.Trace, visit func(fams []predict.FamilyView, actual float64)) [][]float64 {
-	e := predict.NewEnsemble(predict.EnsembleConfig{})
+	e := predict.NewEnsemble()
 	var errs [][]float64
 	for _, rec := range tr.Records {
 		e.SetMeasurement(predict.FBInputs{RTT: rec.PreRTT, LossRate: rec.PreLoss, AvailBw: rec.AvailBw})

@@ -8,63 +8,6 @@ import (
 	"repro/internal/stats"
 )
 
-// EnsembleConfig selects the zoo's model parameters. The zero value is
-// the paper's configuration throughout.
-type EnsembleConfig struct {
-	// ErrorWindow is the number of most recent relative errors (Eq. 4)
-	// each family keeps for its rolling RMSRE and quantiles (default 50).
-	ErrorWindow int
-	// MAOrder is the moving-average order (default 10, the paper's sweet
-	// spot for stationary paths).
-	MAOrder int
-	// EWMAAlpha is the EWMA weight (default 0.8).
-	EWMAAlpha float64
-	// HWAlpha, HWBeta are the Holt-Winters weights (default 0.8 / 0.2,
-	// the paper's choice).
-	HWAlpha, HWBeta float64
-	// DisableLSO turns off the level-shift/outlier wrapper; by default
-	// the three HB members are LSO-wrapped (the paper's best configs).
-	DisableLSO bool
-	// LSO overrides the LSO thresholds (zero value: paper defaults).
-	LSO LSOConfig
-	// FB configures the formula-based predictor (zero value: PFTK,
-	// 1460 B MSS, 1 MB window, delayed ACKs — the paper's target flow).
-	FB FBConfig
-	// Regression, ECM and Switcher tune the extension families (zero
-	// values: their package defaults).
-	Regression RegressionConfig
-	ECM        ECMConfig
-	Switcher   SwitcherConfig
-	// StaleAfter is how many observations may follow a measurement before
-	// the FB forecast is flagged stale and excluded from selection
-	// (default 30; negative disables staleness). It is counted in
-	// observations, not wall time, so the ensemble stays a deterministic
-	// function of its inputs.
-	StaleAfter int
-}
-
-func (c EnsembleConfig) defaults() EnsembleConfig {
-	if c.ErrorWindow <= 0 {
-		c.ErrorWindow = 50
-	}
-	if c.MAOrder <= 0 {
-		c.MAOrder = 10
-	}
-	if c.EWMAAlpha == 0 {
-		c.EWMAAlpha = 0.8
-	}
-	if c.HWAlpha == 0 {
-		c.HWAlpha = 0.8
-	}
-	if c.HWBeta == 0 {
-		c.HWBeta = 0.2
-	}
-	if c.StaleAfter == 0 {
-		c.StaleAfter = 30
-	}
-	return c
-}
-
 // Ensemble runs the predictor zoo for one path as an online tournament.
 // It is the one place the zoo exists: the prediction service keeps one per
 // path behind a lock, and the offline experiments drive one per trace.
@@ -80,9 +23,8 @@ func (c EnsembleConfig) defaults() EnsembleConfig {
 //
 // An Ensemble is not goroutine-safe.
 type Ensemble struct {
-	families   []family
-	fbIdx      int
-	staleAfter int
+	families []family
+	fbIdx    int
 
 	fb  *FB
 	reg *Regression
@@ -113,28 +55,44 @@ type family struct {
 	win   ResidualWindow
 }
 
-// NewEnsemble builds the zoo; see EnsembleConfig for the defaults.
-func NewEnsemble(cfg EnsembleConfig) *Ensemble {
-	cfg = cfg.defaults()
-	wrap := func(p HB) HB {
-		if cfg.DisableLSO {
-			return p
-		}
-		return NewLSO(p, cfg.LSO)
-	}
+// The zoo's one configuration: the paper's parameters, fixed once (§5).
+// Records do not carry them, so every node of a cluster serves the same
+// zoo and any node can restore any record.
+const (
+	// zooErrorWindow is the number of most recent relative errors (Eq. 4)
+	// each family keeps for its rolling RMSRE and quantiles.
+	zooErrorWindow = 50
+	// zooMAOrder is the moving-average order, the paper's sweet spot for
+	// stationary paths.
+	zooMAOrder = 10
+	// zooEWMAAlpha is the EWMA weight; zooHWAlpha and zooHWBeta are the
+	// Holt-Winters weights.
+	zooEWMAAlpha          = 0.8
+	zooHWAlpha, zooHWBeta = 0.8, 0.2
+	// zooStaleAfter is how many observations may follow a measurement
+	// before the FB forecast is flagged stale and excluded from selection.
+	// It is counted in observations, not wall time, so the ensemble stays a
+	// deterministic function of its inputs.
+	zooStaleAfter = 30
+)
+
+// NewEnsemble builds the zoo: the HB trio LSO-wrapped with the paper's
+// thresholds (its best configurations), FB for the paper's target flow
+// (PFTK, 1460 B MSS, 1 MB window, delayed ACKs), and the extension
+// families at their package defaults.
+func NewEnsemble() *Ensemble {
 	e := &Ensemble{
-		staleAfter: cfg.StaleAfter,
-		fb:         NewFB(cfg.FB),
-		reg:        NewRegression(cfg.Regression),
-		ecm:        NewECM(cfg.ECM),
+		fb:  NewFB(FBConfig{}),
+		reg: NewRegression(RegressionConfig{}),
+		ecm: NewECM(ECMConfig{}),
 	}
 	members := []HB{
-		wrap(NewMA(cfg.MAOrder)),
-		wrap(NewEWMA(cfg.EWMAAlpha)),
-		wrap(NewHoltWinters(cfg.HWAlpha, cfg.HWBeta)),
+		NewLSO(NewMA(zooMAOrder), LSOConfig{}),
+		NewLSO(NewEWMA(zooEWMAAlpha), LSOConfig{}),
+		NewLSO(NewHoltWinters(zooHWAlpha, zooHWBeta), LSOConfig{}),
 		// Sun et al.'s pairing: a reactive tracker for stable regimes, a
 		// robust smoother once the rolling CoV flags volatility.
-		NewStabilitySwitcher(NewEWMA(cfg.EWMAAlpha), NewMA(cfg.MAOrder), cfg.Switcher),
+		NewStabilitySwitcher(NewEWMA(zooEWMAAlpha), NewMA(zooMAOrder), SwitcherConfig{}),
 		nil, // FB
 		e.reg,
 		e.ecm,
@@ -144,7 +102,7 @@ func NewEnsemble(cfg EnsembleConfig) *Ensemble {
 	for i, hb := range members {
 		f := &e.families[i]
 		f.hb, f.paper = hb, i < 3
-		f.win = newResidualWindow(cfg.ErrorWindow)
+		f.win = newResidualWindow(zooErrorWindow)
 		if hb == nil {
 			e.fbIdx, f.paper = i, true
 			e.views[i].Name = "FB"
@@ -231,7 +189,7 @@ type FamilyView struct {
 	// Regret is this family's mean |E| minus the lowest mean |E| of any
 	// family, over their windows (0 while the window is empty).
 	Regret float64
-	Stale  bool // FB only: the measurements are older than StaleAfter
+	Stale  bool // FB only: the measurements are older than 30 observations
 	// Quantiles is the calibrated P10/P50/P90 of the forecast, valid when
 	// Calibrated: residual quantiles of the error window, or ECM's own.
 	Quantiles  Quantiles
@@ -287,7 +245,7 @@ func (e *Ensemble) FamilyRegret(i int) (float64, bool) {
 }
 
 // LSOStats sums level-shift and outlier detections over the LSO-wrapped
-// families (zero with DisableLSO).
+// families.
 func (e *Ensemble) LSOStats() (shifts, outliers int) {
 	for i := range e.families {
 		if l, ok := e.families[i].hb.(*LSO); ok {
@@ -323,7 +281,7 @@ func (e *Ensemble) summarize() {
 // staleness and, when asked, quantiles.
 func (e *Ensemble) fill(quantiles bool) {
 	e.summarize()
-	stale := e.staleAfter > 0 && e.observations-e.fbSetAtObs > uint64(e.staleAfter)
+	stale := e.observations-e.fbSetAtObs > zooStaleAfter
 	for i := range e.families {
 		v := &e.views[i]
 		v.Forecast, v.Ready = e.forecast(i)
@@ -404,8 +362,8 @@ type EnsembleState struct {
 	CovTotal     uint64           `json:"cov_total,omitempty"`
 }
 
-// State captures the ensemble. SetState on a fresh ensemble of the same
-// configuration reproduces it exactly, at any history length.
+// State captures the ensemble. SetState on a fresh ensemble reproduces it
+// exactly, at any history length.
 func (e *Ensemble) State() EnsembleState {
 	st := EnsembleState{Observations: e.observations, CovIn: e.covIn, CovTotal: e.covTotal}
 	if e.hasFB {
@@ -422,13 +380,14 @@ func (e *Ensemble) State() EnsembleState {
 
 // SetState installs st into a fresh ensemble by copying it — no
 // observation is replayed. Families are matched by name; a family st does
-// not name (after a configuration change, say) starts fresh, a name the
-// ensemble does not run is ignored, and one it runs must not appear twice.
+// not name (a record written by a build whose zoo lacked it, say) starts
+// fresh, a name the ensemble does not run is ignored, and one it runs must
+// not appear twice.
 //
-// st may come from an untrusted source. Lengths beyond the configured
-// bounds, non-finite values and counts that contradict each other are
-// reported as errors, never as panics; after an error the ensemble is
-// partly overwritten and should be discarded.
+// st may come from an untrusted source. Lengths beyond the zoo's bounds,
+// non-finite values and counts that contradict each other are reported as
+// errors, never as panics; after an error the ensemble is partly
+// overwritten and should be discarded.
 func (e *Ensemble) SetState(st EnsembleState) error {
 	if st.CovIn > st.CovTotal || st.CovTotal > st.Observations || st.FBAge > st.Observations {
 		return fmt.Errorf("predict: coverage %d/%d or measurement age %d contradicts %d observations",

@@ -84,9 +84,9 @@ func TestEnsembleBestIsPaperSetSelection(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		for path := 0; path < 3; path++ {
 			xs, ins := ensembleSeries(rng, 120)
-			e := NewEnsemble(EnsembleConfig{})
+			e := NewEnsemble()
 			for k, x := range xs {
-				// Measurements arrive in bursts; the gaps outlast StaleAfter.
+				// Measurements arrive in bursts; the gaps outlast the staleness threshold.
 				if (k/40)%2 == 0 && k%7 != 3 {
 					e.SetMeasurement(ins[k])
 				}
@@ -122,7 +122,7 @@ func TestEnsembleBestIsPaperSetSelection(t *testing.T) {
 func TestEnsembleSelectedQualifies(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	xs, ins := ensembleSeries(rng, 80)
-	e := NewEnsemble(EnsembleConfig{})
+	e := NewEnsemble()
 	for k, x := range xs {
 		e.SetMeasurement(ins[k])
 		e.Observe(x)
@@ -147,7 +147,7 @@ func TestEnsembleSelectedQualifies(t *testing.T) {
 func TestEnsembleSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	xs, ins := ensembleSeries(rng, 300)
-	e := NewEnsemble(EnsembleConfig{})
+	e := NewEnsemble()
 	for k := 0; k < 200; k++ {
 		e.SetMeasurement(ins[0])
 		e.Observe(xs[k])
@@ -171,53 +171,45 @@ func TestEnsembleSteadyStateAllocs(t *testing.T) {
 // history length at the cut. Measurements come in bursts, so FB goes stale
 // and recovers on both sides of the cut.
 func TestEnsembleStateRoundTrip(t *testing.T) {
-	configs := map[string]EnsembleConfig{
-		"default":    {},
-		"no-lso":     {DisableLSO: true},
-		"ma5-win20":  {MAOrder: 5, ErrorWindow: 20},
-		"lso-hist12": {LSO: LSOConfig{MaxHistory: 12}, Switcher: SwitcherConfig{Window: 6}},
-	}
-	for name, cfg := range configs {
-		for seed := int64(1); seed <= 4; seed++ {
-			for _, cut := range []int{0, 1, 7, 60, 300} {
-				rng := rand.New(rand.NewSource(seed))
-				xs, ins := ensembleSeries(rng, cut+100)
-				measure := func(e *Ensemble, k int) {
-					if (k/45)%2 == 0 && k%6 != 2 {
-						e.SetMeasurement(ins[k])
-					}
+	for seed := int64(1); seed <= 4; seed++ {
+		for _, cut := range []int{0, 1, 7, 60, 300} {
+			rng := rand.New(rand.NewSource(seed))
+			xs, ins := ensembleSeries(rng, cut+100)
+			measure := func(e *Ensemble, k int) {
+				if (k/45)%2 == 0 && k%6 != 2 {
+					e.SetMeasurement(ins[k])
 				}
-				live := NewEnsemble(cfg)
-				for k := 0; k < cut; k++ {
-					measure(live, k)
-					live.Observe(xs[k])
+			}
+			live := NewEnsemble()
+			for k := 0; k < cut; k++ {
+				measure(live, k)
+				live.Observe(xs[k])
+			}
+			st := live.State()
+			data, err := st.AppendBinary(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var decoded EnsembleState
+			if err := decoded.UnmarshalBinary(data); err != nil {
+				t.Fatalf("seed %d cut %d: %v", seed, cut, err)
+			}
+			restored := NewEnsemble()
+			if err := restored.SetState(decoded); err != nil {
+				t.Fatalf("seed %d cut %d: SetState: %v", seed, cut, err)
+			}
+			want, _ := json.Marshal(st)
+			if got, _ := json.Marshal(restored.State()); string(got) != string(want) {
+				t.Fatalf("seed %d cut %d: restored state differs:\nlive     %s\nrestored %s", seed, cut, want, got)
+			}
+			for k := cut; k < cut+100; k++ {
+				if d := ensembleDiff(live, restored); d != "" {
+					t.Fatalf("seed %d cut %d: diverged at epoch %d: %s", seed, cut, k, d)
 				}
-				st := live.State()
-				data, err := st.AppendBinary(nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var decoded EnsembleState
-				if err := decoded.UnmarshalBinary(data); err != nil {
-					t.Fatalf("%s seed %d cut %d: %v", name, seed, cut, err)
-				}
-				restored := NewEnsemble(cfg)
-				if err := restored.SetState(decoded); err != nil {
-					t.Fatalf("%s seed %d cut %d: SetState: %v", name, seed, cut, err)
-				}
-				want, _ := json.Marshal(st)
-				if got, _ := json.Marshal(restored.State()); string(got) != string(want) {
-					t.Fatalf("%s seed %d cut %d: restored state differs:\nlive     %s\nrestored %s", name, seed, cut, want, got)
-				}
-				for k := cut; k < cut+100; k++ {
-					if d := ensembleDiff(live, restored); d != "" {
-						t.Fatalf("%s seed %d cut %d: diverged at epoch %d: %s", name, seed, cut, k, d)
-					}
-					measure(live, k)
-					measure(restored, k)
-					live.Observe(xs[k])
-					restored.Observe(xs[k])
-				}
+				measure(live, k)
+				measure(restored, k)
+				live.Observe(xs[k])
+				restored.Observe(xs[k])
 			}
 		}
 	}
@@ -251,13 +243,13 @@ func ensembleDiff(a, b *Ensemble) string {
 	return ""
 }
 
-// TestEnsembleSetStateRejectsMalformed: state that contradicts the
-// configuration or itself is an error naming the problem — never a panic,
-// never silently clipped. A family the state does not name starts fresh.
+// TestEnsembleSetStateRejectsMalformed: state that contradicts the zoo or
+// itself is an error naming the problem — never a panic, never silently
+// clipped. A family the state does not name starts fresh.
 func TestEnsembleSetStateRejectsMalformed(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	xs, ins := ensembleSeries(rng, 80)
-	live := NewEnsemble(EnsembleConfig{})
+	live := NewEnsemble()
 	for k, x := range xs {
 		live.SetMeasurement(ins[k])
 		live.Observe(x)
@@ -339,7 +331,7 @@ func TestEnsembleSetStateRejectsMalformed(t *testing.T) {
 			t.Fatal(err)
 		}
 		tc.mutate(&st)
-		err := NewEnsemble(EnsembleConfig{}).SetState(st)
+		err := NewEnsemble().SetState(st)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
 		}
@@ -349,7 +341,7 @@ func TestEnsembleSetStateRejectsMalformed(t *testing.T) {
 	// ensemble does not run is ignored.
 	st := live.State()
 	family(&st, "switcher").Name = "retired-family"
-	e := NewEnsemble(EnsembleConfig{})
+	e := NewEnsemble()
 	if err := e.SetState(st); err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +364,7 @@ func TestEnsembleSetStateManyFamilies(t *testing.T) {
 		st.Families[i].Name = strconv.Itoa(i)
 	}
 	start := time.Now()
-	if err := NewEnsemble(EnsembleConfig{}).SetState(st); err != nil {
+	if err := NewEnsemble().SetState(st); err != nil {
 		t.Fatal(err)
 	}
 	if d := time.Since(start); d > 5*time.Second {
@@ -388,7 +380,7 @@ func TestEnsembleSetStateManyFamilies(t *testing.T) {
 func TestEnsembleStateBinaryRefuses(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	xs, ins := ensembleSeries(rng, 80)
-	live := NewEnsemble(EnsembleConfig{})
+	live := NewEnsemble()
 	for k, x := range xs {
 		live.SetMeasurement(ins[k])
 		live.Observe(x)

@@ -8,7 +8,7 @@
 // routing, replica selection and streaming systems ask "what throughput
 // will a bulk transfer on path P achieve right now?" before starting the
 // transfer. Each session keeps the paper's History-Based ensemble
-// (MA/EWMA/Holt-Winters, optionally LSO-wrapped, §5), a Formula-Based
+// (MA/EWMA/Holt-Winters, LSO-wrapped, §5), a Formula-Based
 // predictor fed with the latest pre-flow measurements (Eq. 3), and rolling
 // accuracy statistics — the relative error of Eq. 4 and the RMSRE of
 // Eq. 5 over a sliding window — so the service can also answer "which
@@ -25,11 +25,11 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/obs"
-	"repro/internal/predict"
 )
 
-// Config tunes the registry, the per-path predictor ensemble, and the
-// server. The zero value picks sensible defaults.
+// Config tunes the registry and the server. The per-path predictor zoo has
+// no settings: every session runs predict.NewEnsemble, the paper's
+// configuration. The zero value picks sensible defaults.
 type Config struct {
 	// Shards is the number of registry shards, rounded up to a power of
 	// two (default 16). More shards reduce lock contention.
@@ -50,12 +50,6 @@ type Config struct {
 	// OpenRegistry and Open (NewServer/NewRegistry panic if the directory
 	// cannot be opened).
 	SpillDir string
-
-	// Ensemble sets the per-path predictor zoo's model parameters: the
-	// HB orders and weights, LSO, FB, the extension families, the error
-	// window and FB staleness (zero value: the paper's defaults; see
-	// predict.EnsembleConfig).
-	Ensemble predict.EnsembleConfig
 
 	// ReadHeaderTimeout bounds how long Serve's http.Server waits for a
 	// client to finish sending request headers — the slowloris guard

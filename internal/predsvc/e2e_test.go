@@ -76,6 +76,46 @@ func TestEndToEndDaemonLoad(t *testing.T) {
 	}
 }
 
+// TestReplayEpochsFromStartEpoch: a phase-split replay reports the epochs
+// it replayed. A [0,k) run plus a [k,n) run report each path's n epochs in
+// total, and a path shorter than k contributes nothing to the second.
+func TestReplayEpochsFromStartEpoch(t *testing.T) {
+	const paths, boundary, epochs = 4, 6, 15
+	base, stop := startDaemon(t, Config{Shards: 4, Capacity: 64})
+	defer stop()
+	phase1 := SyntheticSeries(paths, boundary, 3)
+	full := SyntheticSeries(paths, epochs, 3)
+	short := boundary - 2
+	for _, s := range [][]PathSeries{phase1, full} {
+		s[0].Throughputs, s[0].Inputs = s[0].Throughputs[:short], s[0].Inputs[:short]
+	}
+	replay := func(cfg LoadConfig, series []PathSeries) *LoadReport {
+		t.Helper()
+		rep, err := Replay(context.Background(), cfg, series)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Errors != 0 {
+			t.Fatalf("%d request errors", rep.Errors)
+		}
+		return rep
+	}
+	rep1 := replay(LoadConfig{BaseURL: base, Workers: 2}, phase1)
+	rep2 := replay(LoadConfig{BaseURL: base, Workers: 2, StartEpoch: boundary}, full)
+	if want := short + (paths-1)*boundary; rep1.Epochs != want {
+		t.Errorf("phase 1 reports %d epochs, want %d", rep1.Epochs, want)
+	}
+	if want := (paths - 1) * (epochs - boundary); rep2.Epochs != want {
+		t.Errorf("phase 2 reports %d epochs, want %d", rep2.Epochs, want)
+	}
+	if got, want := rep1.Epochs+rep2.Epochs, short+(paths-1)*epochs; got != want {
+		t.Errorf("the two phases report %d epochs, want every path's length: %d", got, want)
+	}
+	if got, want := rep2.Requests, uint64(3*rep2.Epochs); got != want {
+		t.Errorf("phase 2 sent %d requests, want 3 per reported epoch: %d", got, want)
+	}
+}
+
 // TestReplayReservedCharacterPaths replays series whose path names carry
 // URL-reserved characters — most importantly '#', which SeriesFromDataset
 // puts in every name ("<path>#<trace>") and which http.NewRequest would

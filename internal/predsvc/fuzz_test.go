@@ -16,9 +16,9 @@ import (
 //
 // Run with: go test ./internal/predsvc -run '^$' -fuzz FuzzPathSnapshotRestore -fuzztime 10s
 func FuzzPathSnapshotRestore(f *testing.F) {
-	codec := sessionCodec(Config{}.withDefaults())
+	codec := sessionCodec()
 	series := SyntheticSeries(1, 40, 13)[0]
-	s := newSession(series.Path, Config{}.withDefaults())
+	s := newSession(series.Path)
 	for k := 0; k < len(series.Throughputs); k++ {
 		switch k {
 		case 0, 3, 12, 39:

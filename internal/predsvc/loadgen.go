@@ -133,12 +133,6 @@ type LoadConfig struct {
 	// 5xxs and connection-refused before the replay fails (default 30s —
 	// long enough to ride out a node restart; negative disables retries).
 	RetryDeadline time.Duration
-	// Quantiles scores the service's [p10,p90] interval forecasts against
-	// the actual throughputs: every predict response carrying an interval
-	// counts toward LoadReport.IntervalCoverage. The quantile fields ride
-	// in the predict response body either way (and hence in the digest);
-	// this only enables the client-side calibration bookkeeping.
-	Quantiles bool
 	// Client overrides the HTTP client (default: keep-alive tuned for
 	// Workers connections).
 	Client *http.Client
@@ -200,7 +194,7 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 // LoadReport summarizes a Replay run.
 type LoadReport struct {
 	Paths    int
-	Epochs   int // total epochs replayed across paths
+	Epochs   int // total epochs replayed across paths (from StartEpoch on)
 	Requests uint64
 	Errors   uint64
 	Duration time.Duration
@@ -221,9 +215,8 @@ type LoadReport struct {
 	RMSRE        float64
 	MedianAbsErr float64
 
-	// Interval calibration, populated when LoadConfig.Quantiles is set:
-	// of the IntervalsScored predict responses that carried a [p10,p90]
-	// interval, IntervalCoverage is the fraction whose epoch's actual
+	// Interval calibration: of the IntervalsScored predict responses that
+	// carried a [p10,p90] interval, IntervalCoverage is the fraction whose epoch's actual
 	// throughput landed inside it (nominal 0.8 for a calibrated service).
 	IntervalsScored  int
 	IntervalCoverage float64
@@ -485,7 +478,7 @@ func Replay(ctx context.Context, cfg LoadConfig, series []PathSeries) (*LoadRepo
 		}
 	}
 	for _, ps := range series {
-		rep.Epochs += len(ps.Throughputs)
+		rep.Epochs += max(len(ps.Throughputs)-cfg.StartEpoch, 0)
 	}
 	rep.Duration = time.Since(start)
 	if rep.Duration > 0 {
@@ -587,7 +580,7 @@ func (lw *loadWorker) epoch(ctx context.Context, ps PathSeries, e int) {
 			if pred.Best != "" && pred.BestForecastBps > 0 {
 				lw.scored = append(lw.scored, stats.RelativeError(pred.BestForecastBps, actual))
 			}
-			if lw.cfg.Quantiles && pred.P10Bps > 0 && pred.P90Bps >= pred.P10Bps {
+			if pred.P10Bps > 0 && pred.P90Bps >= pred.P10Bps {
 				lw.covTotal++
 				if actual >= pred.P10Bps && actual <= pred.P90Bps {
 					lw.covIn++

@@ -34,7 +34,10 @@ import (
 //	predsvc_lso_shifts, predsvc_lso_outliers      LSO detections summed over live sessions
 //	predsvc_ready, predsvc_draining               lifecycle gauges behind /readyz
 //	predsvc_handoff_*_total                       shard-handoff traffic (export/import/skip/drop)
-func (r *Server) registerMetrics(m *obs.Registry, families []string) {
+func (r *Server) registerMetrics(m *obs.Registry) {
+	// Every session runs the same zoo, so one ensemble supplies the
+	// family names the per-family metrics are keyed by.
+	families := predict.NewEnsemble().Names()
 	mt := &Metrics{familyNames: families}
 	r.metrics = mt
 	for ep := endpoint(0); ep < epCount; ep++ {

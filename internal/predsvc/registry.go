@@ -53,8 +53,8 @@ func memConfig(cfg Config) store.MemConfig {
 	return store.MemConfig{
 		Shards:   cfg.Shards,
 		Capacity: cfg.Capacity,
-		New:      func(path string) store.Entry { return newSession(path, cfg) },
-		Codec:    sessionCodec(cfg),
+		New:      func(path string) store.Entry { return newSession(path) },
+		Codec:    sessionCodec(),
 	}
 }
 
@@ -65,7 +65,7 @@ func memConfig(cfg Config) store.MemConfig {
 // session is a copy of the encoded one, exact at any history length. A
 // record whose state does not decode is an error: the spill store drops it
 // and counts it.
-func sessionCodec(cfg Config) store.Codec {
+func sessionCodec() store.Codec {
 	return store.Codec{
 		Encode: func(e store.Entry) ([]byte, error) {
 			st := e.(*Session).state()
@@ -79,7 +79,7 @@ func sessionCodec(cfg Config) store.Codec {
 			return bytes.Clone(b), nil
 		},
 		Decode: func(path string, data []byte) (store.Entry, error) {
-			return decodeSession(path, data, cfg.Ensemble)
+			return decodeSession(path, data)
 		},
 	}
 }

@@ -8,9 +8,8 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
-
-	"repro/internal/predict"
 )
 
 func TestConfigShardRounding(t *testing.T) {
@@ -72,16 +71,19 @@ func TestRegistryCapacityBound(t *testing.T) {
 
 // TestRegistryConcurrentHammer drives observe/predict/evict from 16
 // goroutines over overlapping paths with a capacity small enough that
-// eviction churns constantly. Run under -race (the short suite does), this
-// is the data-race acceptance test for the sharded registry.
+// eviction churns constantly. Every goroutine also feeds one hot path,
+// which stays recently used through the churn, so its 50-error windows
+// wrap under concurrent access too. Run under -race (the short suite
+// does), this is the data-race acceptance test for the sharded registry.
 func TestRegistryConcurrentHammer(t *testing.T) {
 	const (
 		goroutines = 16
 		opsPerG    = 400
 		pathSpace  = 32
 	)
-	r := NewRegistry(Config{Shards: 4, Capacity: 16, Ensemble: predict.EnsembleConfig{ErrorWindow: 8}})
+	r := NewRegistry(Config{Shards: 4, Capacity: 16})
 	var wg sync.WaitGroup
+	var wrapped atomic.Bool
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -97,6 +99,11 @@ func TestRegistryConcurrentHammer(t *testing.T) {
 						s.Predict()
 					}
 				default:
+					hot := r.GetOrCreate("hot")
+					hot.Observe(1e6 * float64(1+i%7))
+					if hot.Predict().HB[0].ErrorCount == 50 && hot.Observations() > 51 {
+						wrapped.Store(true)
+					}
 					if s, ok := r.Peek(p); ok {
 						s.Predict()
 					}
@@ -107,6 +114,9 @@ func TestRegistryConcurrentHammer(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	if !wrapped.Load() {
+		t.Error("no session outlived its 50-error window")
+	}
 	if got, bound := r.Len(), r.Capacity(); got > bound {
 		t.Errorf("Len = %d exceeds capacity %d after hammer", got, bound)
 	}
@@ -139,7 +149,7 @@ func TestSpillHammerKeepsEveryObservation(t *testing.T) {
 	// handler threads mid-request, which widens any window between a store
 	// lookup and the session update that follows it.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4 * goroutines))
-	srv, err := Open(Config{Shards: 1, Capacity: 4, SpillDir: t.TempDir(), Ensemble: predict.EnsembleConfig{ErrorWindow: 8}})
+	srv, err := Open(Config{Shards: 1, Capacity: 4, SpillDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,6 +204,11 @@ func TestSpillHammerKeepsEveryObservation(t *testing.T) {
 		}
 		if got := s.Observations(); got != want {
 			t.Errorf("%s: %d observations, want %d", path, got, want)
+		}
+		// Every path outlives its 50-error windows, so the spill tier
+		// round-trips wrapped rings.
+		if got := s.Predict().HB[0].ErrorCount; got != 50 {
+			t.Errorf("%s: %d errors in the window, want a full 50", path, got)
 		}
 	}
 	if st := srv.Registry().TierStats(); st.Spills == 0 || st.Faults == 0 || st.Errors != 0 {

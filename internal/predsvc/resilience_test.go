@@ -422,26 +422,28 @@ func TestReadHeaderTimeoutClosesSlowloris(t *testing.T) {
 	}
 }
 
-// TestStaleMeasurementDegradation: FB forecasts age out after StaleAfter
+// TestStaleMeasurementDegradation: FB forecasts age out after the zoo's 30
 // observations, are flagged, drop out of best-predictor selection, and a
 // fresh measurement rejuvenates them. Staleness survives snapshot/restore.
 func TestStaleMeasurementDegradation(t *testing.T) {
-	cfg := Config{Ensemble: predict.EnsembleConfig{StaleAfter: 5}}
-	reg := NewRegistry(cfg)
+	reg := NewRegistry(Config{})
 	s := reg.GetOrCreate("p")
 	in := predict.FBInputs{RTT: 0.05, LossRate: 0.005, AvailBw: 2e7}
 	if f := s.SetMeasurement(in); f <= 0 {
 		t.Fatalf("FB forecast %v for valid measurements, want > 0", f)
 	}
-	for i := 0; i < 6; i++ {
-		s.Observe(10e6 * (1 + 0.01*float64(i)))
+	for i := 0; i < 31; i++ {
+		s.Observe(10e6 * (1 + 0.01*float64(i%6)))
+		if p := s.Predict(); i < 30 && p.FB.Stale {
+			t.Fatalf("FB flagged stale at age %d, want only past 30", p.FB.MeasurementAge)
+		}
 	}
 	p := s.Predict()
 	if p.FB == nil {
 		t.Fatal("FB state missing")
 	}
-	if p.FB.MeasurementAge != 6 || !p.FB.Stale {
-		t.Errorf("age %d stale %v, want 6/true", p.FB.MeasurementAge, p.FB.Stale)
+	if p.FB.MeasurementAge != 31 || !p.FB.Stale {
+		t.Errorf("age %d stale %v, want 31/true", p.FB.MeasurementAge, p.FB.Stale)
 	}
 	if p.Best == "FB" {
 		t.Error("stale FB still selected as best predictor")
@@ -449,7 +451,7 @@ func TestStaleMeasurementDegradation(t *testing.T) {
 
 	// Staleness survives a snapshot/restore cycle.
 	snap, _ := snapshotRecords(t, reg)
-	reg2 := NewRegistry(cfg)
+	reg2 := NewRegistry(Config{})
 	if _, err := reg2.ReadSnapshot(bytes.NewReader(snap)); err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +459,7 @@ func TestStaleMeasurementDegradation(t *testing.T) {
 	if !ok {
 		t.Fatal("restored registry lost the path")
 	}
-	if got := p2.Predict(); got.FB == nil || !got.FB.Stale || got.FB.MeasurementAge != 6 {
+	if got := p2.Predict(); got.FB == nil || !got.FB.Stale || got.FB.MeasurementAge != 31 {
 		t.Errorf("restored staleness lost: %+v", got.FB)
 	}
 
@@ -466,16 +468,6 @@ func TestStaleMeasurementDegradation(t *testing.T) {
 	p3 := s.Predict()
 	if p3.FB.Stale || p3.FB.MeasurementAge != 0 {
 		t.Errorf("fresh measurement still stale: age %d stale %v", p3.FB.MeasurementAge, p3.FB.Stale)
-	}
-
-	// StaleAfter < 0 disables flagging entirely.
-	s2 := NewRegistry(Config{Ensemble: predict.EnsembleConfig{StaleAfter: -1}}).GetOrCreate("q")
-	s2.SetMeasurement(in)
-	for i := 0; i < 100; i++ {
-		s2.Observe(10e6)
-	}
-	if got := s2.Predict(); got.FB.Stale {
-		t.Error("StaleAfter=-1 still flagged stale")
 	}
 }
 

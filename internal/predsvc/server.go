@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/predict"
 	"repro/internal/predsvc/store"
 )
 
@@ -95,9 +94,7 @@ func Open(cfg Config) (*Server, error) {
 		start: time.Now(),
 	}
 	s.tracer = s.cfg.Obs.T()
-	// Every session runs the same zoo, so one ensemble supplies the
-	// family names the per-family metrics are keyed by.
-	s.registerMetrics(s.cfg.Obs.M(), predict.NewEnsemble(s.cfg.Ensemble).Names())
+	s.registerMetrics(s.cfg.Obs.M())
 	// The hot endpoints run on the zero-alloc wire codec (wire.go), the
 	// cold ones on encoding/json.
 	s.mux.Handle("POST /v1/observe", s.instrument(epObserve, s.handleObserveFast))
@@ -384,7 +381,7 @@ type RestoreStats struct {
 
 // RestoreSnapshot loads a snapshot file into the registry. A missing file
 // is not an error. A corrupt file (bad framing or checksum, another format
-// or version, state the configuration refuses) is quarantined to
+// or version, state the zoo refuses) is quarantined to
 // "<path>.corrupt-<n>" and reported in the returned stats — the daemon
 // boots with an empty registry instead of dying on state it can regrow
 // from live traffic. Only real I/O failures (unreadable file, failed

@@ -18,8 +18,8 @@ type Session struct {
 	ens  *predict.Ensemble
 }
 
-func newSession(path string, cfg Config) *Session {
-	return &Session{path: path, ens: predict.NewEnsemble(cfg.Ensemble)}
+func newSession(path string) *Session {
+	return &Session{path: path, ens: predict.NewEnsemble()}
 }
 
 // withEnsemble runs fn on the session's ensemble under the session lock.
@@ -98,10 +98,10 @@ type PredictorState struct {
 // FBState reports the formula-based side: the latest installed
 // measurements, the forecast they produce, its rolling accuracy, and how
 // stale the measurements are. MeasurementAge counts observations absorbed
-// since the measurements were installed; past Config.Ensemble.StaleAfter the
-// forecast is flagged Stale and excluded from best-predictor selection —
-// the service degrades to HB-only rather than serving forecasts computed
-// from a bygone path state.
+// since the measurements were installed; past the zoo's fixed threshold of
+// 30 the forecast is flagged Stale and excluded from best-predictor
+// selection — the service degrades to HB-only rather than serving
+// forecasts computed from a bygone path state.
 type FBState struct {
 	RTTSeconds     float64 `json:"rtt_s"`
 	LossRate       float64 `json:"loss_rate"`

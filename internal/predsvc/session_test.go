@@ -13,12 +13,8 @@ import (
 	"repro/internal/stats"
 )
 
-func testConfig() Config {
-	return Config{Shards: 1, Capacity: 16}.withDefaults()
-}
-
 func TestSessionAccuracyBookkeeping(t *testing.T) {
-	s := newSession("p", testConfig())
+	s := newSession("p")
 	series := []float64{10e6, 12e6, 11e6, 13e6, 12e6, 12.5e6}
 	for _, x := range series {
 		s.Observe(x)
@@ -60,7 +56,7 @@ func TestSessionAccuracyBookkeeping(t *testing.T) {
 }
 
 func TestSessionFBSide(t *testing.T) {
-	s := newSession("p", testConfig())
+	s := newSession("p")
 	in := predict.FBInputs{RTT: 0.05, LossRate: 0.01, AvailBw: 20e6}
 	f := s.SetMeasurement(in)
 	if f <= 0 {
@@ -86,10 +82,7 @@ func TestSessionFBSide(t *testing.T) {
 }
 
 func TestSessionErrorMatchesEq4(t *testing.T) {
-	cfg := testConfig()
-	cfg.Ensemble.DisableLSO = true
-	cfg = cfg.withDefaults()
-	s := newSession("p", cfg)
+	s := newSession("p")
 	s.Observe(10e6)
 	s.Observe(20e6)
 	p := s.Predict()
@@ -108,7 +101,7 @@ func TestSessionErrorMatchesEq4(t *testing.T) {
 func TestSessionDeterminism(t *testing.T) {
 	series := SyntheticSeries(1, 60, 99)[0]
 	run := func() ([]byte, Prediction) {
-		s := newSession("p", testConfig())
+		s := newSession("p")
 		for i, x := range series.Throughputs {
 			s.SetMeasurement(series.Inputs[i])
 			s.Observe(x)

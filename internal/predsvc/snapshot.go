@@ -76,7 +76,7 @@ func (r *Registry) ReadSnapshot(rd io.Reader) (int, error) {
 			return fail(err)
 		}
 		path := rec.Path()
-		s, err := decodeSession(path, rec.Data(), r.cfg.Ensemble)
+		s, err := decodeSession(path, rec.Data())
 		if err != nil {
 			return fail(fmt.Errorf("%w: path %q: %v", ErrCorruptSnapshot, path, err))
 		}
@@ -87,20 +87,20 @@ func (r *Registry) ReadSnapshot(rd io.Reader) (int, error) {
 
 // ErrCorruptSnapshot tags snapshot data that fails its framing (see
 // store.ErrCorruptStream), carries another format or version, or holds
-// state the configuration refuses — anything a crash mid-write, a torn
+// state the zoo refuses — anything a crash mid-write, a torn
 // disk, or a foreign file could produce. Callers match it with errors.Is
 // to distinguish "quarantine and boot empty" from real I/O failures.
 var ErrCorruptSnapshot = errors.New("predsvc: corrupt snapshot")
 
 // decodeSession rebuilds path's session from a record's data. The record
 // may come from disk or another node, so it is untrusted: an error means it
-// does not parse or holds state the configuration refuses.
-func decodeSession(path string, data []byte, cfg predict.EnsembleConfig) (*Session, error) {
+// does not parse or holds state the zoo refuses.
+func decodeSession(path string, data []byte) (*Session, error) {
 	var st predict.EnsembleState
 	if err := st.UnmarshalBinary(data); err != nil {
 		return nil, err
 	}
-	ens := predict.NewEnsemble(cfg)
+	ens := predict.NewEnsemble()
 	if err := ens.SetState(st); err != nil {
 		return nil, err
 	}

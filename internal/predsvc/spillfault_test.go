@@ -20,8 +20,7 @@ import (
 func TestSpillFaultMidstreamByteIdentity(t *testing.T) {
 	const epochs = 600
 	series := SyntheticSeries(1, epochs, 7)[0]
-	cfg := Config{Shards: 1, Capacity: 8}.withDefaults()
-	codec := sessionCodec(cfg)
+	codec := sessionCodec()
 	step := func(s *Session, k int) {
 		if (k/70)%3 != 2 {
 			s.SetMeasurement(series.Inputs[k])
@@ -36,7 +35,7 @@ func TestSpillFaultMidstreamByteIdentity(t *testing.T) {
 		return string(b)
 	}
 
-	live := newSession(series.Path, cfg)
+	live := newSession(series.Path)
 	var faulted []*Session
 	cuts := map[int]bool{60: true, 200: true, 500: true}
 	for k := 0; k < epochs; k++ {
@@ -72,13 +71,12 @@ func TestSpillFaultMidstreamByteIdentity(t *testing.T) {
 // json.Unmarshal of it allocated ≈ 163.
 func TestSessionRecordCompact(t *testing.T) {
 	series := SyntheticSeries(1, 112, 5)[0]
-	cfg := Config{}.withDefaults()
-	s := newSession(series.Path, cfg)
+	s := newSession(series.Path)
 	for k, x := range series.Throughputs {
 		s.SetMeasurement(series.Inputs[k])
 		s.Observe(x)
 	}
-	data, err := sessionCodec(cfg).Encode(s)
+	data, err := sessionCodec().Encode(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,18 +103,17 @@ func TestSessionRecordCompact(t *testing.T) {
 func TestFaultInAllocs(t *testing.T) {
 	const faultInAllocs = 129
 	series := SyntheticSeries(1, 113, 5)[0]
-	cfg := Config{}.withDefaults()
-	s := newSession(series.Path, cfg)
+	s := newSession(series.Path)
 	for k := 0; k < 112; k++ {
 		s.SetMeasurement(series.Inputs[k])
 		s.Observe(series.Throughputs[k])
 	}
-	data, err := sessionCodec(cfg).Encode(s)
+	data, err := sessionCodec().Encode(s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		f, err := decodeSession(series.Path, data, cfg.Ensemble)
+		f, err := decodeSession(series.Path, data)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -80,7 +80,7 @@ func BenchmarkJSONObserveEncode(b *testing.B) {
 // from a live session so the encode benches exercise the real shape.
 func benchPrediction(b *testing.B) *Prediction {
 	b.Helper()
-	s := newSession("ams-3.example.net/sfo-1.example.net", Config{}.withDefaults())
+	s := newSession("ams-3.example.net/sfo-1.example.net")
 	for i := 0; i < 64; i++ {
 		s.SetMeasurement(benchFBInputs(i))
 		s.Observe(5e7 * (1 + 0.01*float64(i%7)))

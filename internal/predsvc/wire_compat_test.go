@@ -10,8 +10,6 @@ import (
 	"net/url"
 	"strings"
 	"testing"
-
-	"repro/internal/predict"
 )
 
 // The wire fastpath's correctness story: every request a client can send
@@ -65,7 +63,9 @@ func parseErrDivergenceOK(status int, fastBody, oracleBody []byte) bool {
 		bytes.HasPrefix(oracleBody, []byte(pfx))
 }
 
-func (cp *compatPair) do(method, target string, body []byte) {
+// do serves one request through both servers, fails the test unless they
+// agree, and returns the fastpath's response body.
+func (cp *compatPair) do(method, target string, body []byte) []byte {
 	cp.t.Helper()
 	fw := serveOne(cp.fast, method, target, body)
 	ow := serveOne(cp.oracle, method, target, body)
@@ -81,6 +81,7 @@ func (cp *compatPair) do(method, target string, body []byte) {
 	if fct, oct := fw.Header().Get("Content-Type"), ow.Header().Get("Content-Type"); fct != oct {
 		cp.t.Fatalf("%s %s: Content-Type diverges: fast %q, oracle %q", method, target, fct, oct)
 	}
+	return fb
 }
 
 func truncate(b []byte) string {
@@ -131,19 +132,29 @@ func predictTarget(path string) string {
 // comparing every response byte for byte. This is the live-traffic half
 // of the oracle equivalence proof: real predictions with full HB/FB/
 // family state, quantiles, staleness flags, and every tricky path name.
+// Measurements are rare enough (one draw in 36) that a path often absorbs
+// more than the zoo's 30 observations between two of them, so stale FB
+// forecasts are compared too.
 func TestWireCompatSequences(t *testing.T) {
-	cp := newCompatPair(t, Config{Ensemble: predict.EnsembleConfig{StaleAfter: 5}})
+	cp := newCompatPair(t, Config{})
 	rng := rand.New(rand.NewSource(9))
 	tputs := []float64{1, 0.5, 1e-7, 123456.789, 9.5e8, 1e20, 5e20, 1e21, 3.25e21, 8.125e6}
+	stale := 0
 	for i := 0; i < 600; i++ {
 		path := trickyPaths[rng.Intn(len(trickyPaths))]
 		switch rng.Intn(6) {
 		case 0, 1:
 			cp.do("POST", "/v1/observe", observeBody(path, tputs[rng.Intn(len(tputs))]))
 		case 2:
+			if rng.Intn(6) != 0 {
+				cp.do("POST", "/v1/observe", observeBody(path, tputs[rng.Intn(len(tputs))]))
+				break
+			}
 			cp.do("POST", "/v1/measure", measureBody(path, 0.01+rng.Float64(), rng.Float64()*0.05, 1e6+rng.Float64()*1e9))
 		case 3, 4:
-			cp.do("GET", predictTarget(path), nil)
+			if bytes.Contains(cp.do("GET", predictTarget(path), nil), []byte(`"stale":true`)) {
+				stale++
+			}
 		case 5:
 			var batch ObserveBatchRequest
 			for n := rng.Intn(5); n >= 0; n-- {
@@ -160,6 +171,10 @@ func TestWireCompatSequences(t *testing.T) {
 			cp.do("POST", "/v1/predict-batch", body)
 		}
 	}
+	if stale == 0 {
+		t.Fatal("no compared predict body carried a stale FB forecast")
+	}
+	t.Logf("%d compared predict bodies carried a stale FB forecast", stale)
 }
 
 // TestWireCompatEdgeBodies drives hand-written request bodies — valid,

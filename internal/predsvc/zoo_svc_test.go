@@ -18,7 +18,7 @@ import (
 // response must carry a tournament winner plus an ordered [p10,p50,p90]
 // interval, and the per-family breakdown must cover the full zoo.
 func TestPredictServesQuantilesAndFamily(t *testing.T) {
-	s := newSession("p", testConfig())
+	s := newSession("p")
 	series := SyntheticSeries(1, 60, 42)[0]
 	for i, x := range series.Throughputs {
 		s.SetMeasurement(series.Inputs[i])
@@ -70,7 +70,7 @@ func TestCalibrationEndToEnd(t *testing.T) {
 	defer stop()
 
 	series := SyntheticSeries(12, 80, 17)
-	rep, err := Replay(context.Background(), LoadConfig{BaseURL: base, Workers: 4, Quantiles: true}, series)
+	rep, err := Replay(context.Background(), LoadConfig{BaseURL: base, Workers: 4}, series)
 	if err != nil {
 		t.Fatal(err)
 	}

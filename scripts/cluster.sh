@@ -93,7 +93,7 @@ single_pid=$!
 pids="$single_pid"
 wait_ready "127.0.0.1:$P0"
 "$tmp/predload" -addr "127.0.0.1:$P0" -seed "$SEED" -paths "$PATHS" -epochs "$EPOCHS" \
-    -quantiles >"$tmp/single.out" 2>&1
+    >"$tmp/single.out" 2>&1
 stop_node "$single_pid" "$tmp/single.log"
 pids=""
 
@@ -132,7 +132,7 @@ pids="$a_pid $b_pid $c_pid $d_pid"
 for port in $P1 $P2 $P3 $P4; do wait_ready "127.0.0.1:$port"; done
 
 "$tmp/predload" -cluster "127.0.0.1:$P1,127.0.0.1:$P2,127.0.0.1:$P3,127.0.0.1:$P4" -batch \
-    -seed "$SEED" -paths "$PATHS" -epochs "$EPOCHS" -quantiles >"$tmp/cluster4.out" 2>&1
+    -seed "$SEED" -paths "$PATHS" -epochs "$EPOCHS" >"$tmp/cluster4.out" 2>&1
 
 # Disjoint coverage across all four nodes, read while they serve.
 total=0

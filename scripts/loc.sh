@@ -11,14 +11,12 @@ cd "$(dirname "$0")/.."
 loc() { find . -name '*.go' -not -path './bench/*' "$@" -exec cat {} + | wc -l | tr -d ' '; }
 # Flag definitions (flag.String, flag.Int, ... — not flag.Parse) in a command.
 flags() { grep -cE 'flag\.(Bool|Int|Int64|Uint|Uint64|Float64|String|Duration)\(' "$1"; }
-# Exported fields of struct type $2 in file $1: "HWAlpha, HWBeta float64"
-# counts twice. The nested predict.EnsembleConfig is not a value of its
-# own: its fields are counted where that type is declared.
+# Exported fields of struct type $2 in file $1: "A, B int" counts twice.
 fields() {
     awk -v t="$2" '
         $0 ~ "^type " t " struct" { in_cfg = 1; next }
         in_cfg && /^}/            { exit }
-        in_cfg && /^\t[A-Z]/ && !/\.EnsembleConfig$/ { n += gsub(/,/, ",") + 1 }
+        in_cfg && /^\t[A-Z]/     { n += gsub(/,/, ",") + 1 }
         END                       { print n + 0 }' "$1"
 }
 # Exported top-level identifiers (funcs, methods, types, consts, vars) in
@@ -37,7 +35,8 @@ echo "non-test Go LOC (outside bench/): $(loc -not -name '*_test.go')"
 echo "test Go LOC (outside bench/):     $(loc -name '*_test.go')"
 echo "predserverd flags:                $(flags cmd/predserverd/main.go)"
 echo "ronsim flags:                     $(flags cmd/ronsim/main.go)"
-# Everything a predsvc.Config literal can set, nested ensemble included.
-echo "predsvc.Config settable values:   $(( $(fields internal/predsvc/config.go Config) + $(fields internal/predict/ensemble.go EnsembleConfig) ))"
+# Everything a predsvc.Config literal can set. The predictor zoo has no
+# settings: every path runs the paper's configuration.
+echo "predsvc.Config settable values:   $(fields internal/predsvc/config.go Config)"
 echo "exported identifiers, predict:    $(exported internal/predict)"
 echo "exported identifiers, predsvc:    $(exported internal/predsvc)"

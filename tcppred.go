@@ -274,9 +274,10 @@ type Observability = obs.Obs
 // WriteFiles dumps the same telemetry as offline artifacts.
 func NewObservability(spanCapacity int) *Observability { return obs.New(spanCapacity) }
 
-// ServiceConfig tunes the online prediction service: registry sharding and
-// LRU capacity, the per-path HB ensemble, and the rolling accuracy
-// windows. The zero value picks the paper-informed defaults.
+// ServiceConfig tunes the online prediction service: registry sharding,
+// LRU capacity, spilling, and the HTTP server's limits. The per-path
+// predictor zoo is not configurable: every path runs the paper's
+// parameters. The zero value picks sensible defaults.
 type ServiceConfig = predsvc.Config
 
 // PathRegistry is the path → predictor-session façade at the heart of the
@@ -341,7 +342,7 @@ func Rebalance(ctx context.Context, cfg RebalanceConfig) (*RebalanceReport, erro
 }
 
 // PredictorSession is the goroutine-safe per-path predictor state: the HB
-// ensemble (MA/EWMA/Holt-Winters, LSO-wrapped by default), the FB
+// ensemble (MA/EWMA/Holt-Winters, LSO-wrapped), the FB
 // predictor with its latest measurements, and rolling Eq. 4/RMSRE
 // accuracy statistics.
 type PredictorSession = predsvc.Session
@@ -359,8 +360,8 @@ type Prediction = predsvc.Prediction
 // ServiceConfig.MaxInFlight is shed with 429 + Retry-After, snapshots are
 // checksummed and retried with backoff, a corrupt snapshot at boot is
 // quarantined rather than fatal, and FB forecasts whose measurements have
-// aged past ServiceConfig.Ensemble.StaleAfter observations are flagged stale and
-// excluded from best-predictor selection.
+// aged past 30 observations are flagged stale and excluded from
+// best-predictor selection.
 type PredictionServer = predsvc.Server
 
 // NewPathRegistry returns a sharded LRU path registry.
