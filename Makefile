@@ -29,15 +29,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Tracked benchmark run: three passes of every benchmark, distilled into
-# BENCH_<pr>.json and gated against the previous committed baseline (>25%
-# ns/op regression on the hot-path benches fails). `bench-short` is the CI
-# variant: hot-path benches only, compare-only.
+# The performance contract: the end-to-end workloads BENCHMARK.json
+# declares, run by the harness module in bench/ (one JSON line each).
 bench:
-	./scripts/bench.sh
-
-bench-short:
-	./scripts/bench.sh -short
+	$(GO) run -C bench .
 
 # Sustained prediction-service load: ≥50k requests against a real daemon,
 # twice, asserting zero errors and cross-run digest equality.

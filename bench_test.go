@@ -249,7 +249,8 @@ func BenchmarkPacketPath(b *testing.B) {
 
 // BenchmarkQueueForwarding measures packet forwarding through one queue.
 // Packets come from a pool the sink refills, so the benchmark itself
-// allocates nothing and the queue's own 0 allocs/op can be gated.
+// allocates nothing; netem's TestPathForwardingAllocFree holds this queue
+// at 0 allocs/op.
 func BenchmarkQueueForwarding(b *testing.B) {
 	eng := sim.NewEngine()
 	pool := &netem.PacketPool{}
@@ -280,40 +281,6 @@ func BenchmarkTCPTransfer(b *testing.B) {
 		}
 	}
 }
-
-// benchCCSteadyState measures the per-ACK decision stream of a long
-// transfer at the CongestionControl seam: growth on cumulative ACKs,
-// periodic RTT samples, and an occasional recovery episode. This is the
-// path the sender hits millions of times per simulated transfer, and the
-// seam's contract is zero allocations on it (asserted by bench.sh's
-// -zero-alloc gate).
-func benchCCSteadyState(b *testing.B, cc tcpsim.Congestion) {
-	ctl := tcpsim.NewCongestionControl(tcpsim.Config{Congestion: cc}.Defaults())
-	b.ReportAllocs()
-	b.ResetTimer()
-	now := 0.0
-	for i := 0; i < b.N; i++ {
-		now += 0.0001
-		if i%97 == 0 {
-			ctl.OnRTT(0.05, now)
-		}
-		ctl.OnAck(tcpsim.AckInfo{Acked: 1, Pipe: int(ctl.Window()), Now: now})
-		if i%5000 == 4999 {
-			ctl.OnEnterRecovery(int(ctl.Window()), now)
-			ctl.OnExitRecovery(now)
-		}
-	}
-	if ctl.Window() <= 0 {
-		b.Fatal("window collapsed")
-	}
-}
-
-// BenchmarkCUBICTransfer measures CUBIC's steady-state transfer hot path.
-func BenchmarkCUBICTransfer(b *testing.B) { benchCCSteadyState(b, tcpsim.CCCubic) }
-
-// BenchmarkBBRTransfer measures BBR's steady-state transfer hot path
-// (round accounting, minmax filters, state machine — all per-ACK).
-func BenchmarkBBRTransfer(b *testing.B) { benchCCSteadyState(b, tcpsim.CCBBR) }
 
 // BenchmarkPFTK measures one formula evaluation.
 func BenchmarkPFTK(b *testing.B) {

@@ -70,6 +70,30 @@ func TestPathForwardingAllocFree(t *testing.T) {
 			}
 		})
 	}
+	// BenchmarkQueueForwarding's queue: built alone rather than by NewPath,
+	// so it has no pool of its own, and forwarding into a pool the caller
+	// owns. Its buffer never fills, so only forwarding is measured.
+	t.Run("single-queue", func(t *testing.T) {
+		eng := sim.NewEngine()
+		pool := &PacketPool{}
+		q := NewQueue(eng, sim.NewRNG(1), "q", 1e12, 0, 1<<30, ReceiverFunc(pool.Put))
+		burst := func() {
+			for i := 0; i < 16; i++ {
+				pkt := pool.Get()
+				pkt.Size = 1500
+				q.Receive(pkt)
+			}
+			eng.Run()
+		}
+		burst()
+		if got := testing.AllocsPerRun(50, burst); got != 0 {
+			t.Errorf("%v allocs per 16-packet burst, want 0", got)
+		}
+		if st := q.Stats(); st.Drops != 0 || st.Departures != st.Arrivals {
+			t.Errorf("queue dropped %d and forwarded %d of %d packets; want all forwarded",
+				st.Drops, st.Departures, st.Arrivals)
+		}
+	})
 }
 
 func TestDelayReceiverAllocFree(t *testing.T) {

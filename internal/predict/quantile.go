@@ -14,10 +14,10 @@ type Quantiles struct {
 }
 
 // QuantilePredictor is implemented by predictors that can emit a
-// forecast distribution rather than a single point. Point predictors
-// gain the interface through ResidualQuantile, which derives empirical
-// quantiles from the window of recent Eq.-4 relative errors; ECM
-// implements it natively from its conditional histograms.
+// forecast distribution rather than a single point. ECM implements it
+// natively from its conditional histograms; the Ensemble gives every
+// point family an interval through its ResidualWindow, which derives
+// empirical quantiles from the window of recent Eq.-4 relative errors.
 type QuantilePredictor interface {
 	// PredictQuantiles returns the P10/P50/P90 forecast for the next
 	// value and whether enough history exists to calibrate one.
@@ -180,54 +180,3 @@ func percentileSorted(xs []float64, p float64) float64 {
 func isFinitePositive(x float64) bool {
 	return x > 0 && !math.IsInf(x, 0) && !math.IsNaN(x)
 }
-
-// ResidualQuantile adapts any point HB predictor into a
-// QuantilePredictor: each Observe first scores the inner predictor's
-// standing forecast against the actual value, then feeds the inner
-// predictor. It implements both HB and QuantilePredictor and is the
-// standalone counterpart of the per-family residual tracking in Ensemble.
-type ResidualQuantile struct {
-	inner HB
-	win   *ResidualWindow
-}
-
-// NewResidualQuantile wraps inner with a residual window of the given
-// size (window ≤ 0 means 50, the service's default error window).
-func NewResidualQuantile(inner HB, window int) *ResidualQuantile {
-	if window <= 0 {
-		window = 50
-	}
-	return &ResidualQuantile{inner: inner, win: NewResidualWindow(window)}
-}
-
-// Name implements HB.
-func (r *ResidualQuantile) Name() string { return r.inner.Name() }
-
-// Predict implements HB.
-func (r *ResidualQuantile) Predict() (float64, bool) { return r.inner.Predict() }
-
-// Observe implements HB.
-func (r *ResidualQuantile) Observe(x float64) {
-	if f, ok := r.inner.Predict(); ok {
-		r.win.Score(f, x)
-	}
-	r.inner.Observe(x)
-}
-
-// Reset implements HB.
-func (r *ResidualQuantile) Reset() {
-	r.inner.Reset()
-	r.win.Reset()
-}
-
-// PredictQuantiles implements QuantilePredictor.
-func (r *ResidualQuantile) PredictQuantiles() (Quantiles, bool) {
-	f, ok := r.inner.Predict()
-	if !ok {
-		return Quantiles{}, false
-	}
-	return r.win.QuantilesFor(f)
-}
-
-// Window exposes the residual window (for serialization and tests).
-func (r *ResidualQuantile) Window() *ResidualWindow { return r.win }

@@ -77,23 +77,26 @@ func TestResidualWindowErrorsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestResidualQuantileCoverage checks the wrapper's core promise: on a
-// noisy but stationary series, roughly 80% of actuals land inside
-// [P10, P90].
+// TestResidualQuantileCoverage checks the residual window's core promise:
+// scoring a point predictor's forecasts on a noisy but stationary series,
+// roughly 80% of actuals land inside the [P10, P90] it derives.
 func TestResidualQuantileCoverage(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	p := NewResidualQuantile(NewEWMA(0.8), 50)
+	p, win := NewEWMA(0.8), NewResidualWindow(50)
 	in, total := 0, 0
 	for i := 0; i < 2000; i++ {
 		x := 10e6 * (1 + 0.3*rng.NormFloat64())
 		if x < 1e5 {
 			x = 1e5
 		}
-		if q, ok := p.PredictQuantiles(); ok {
-			total++
-			if x >= q.P10 && x <= q.P90 {
-				in++
+		if f, ok := p.Predict(); ok {
+			if q, ok := win.QuantilesFor(f); ok {
+				total++
+				if x >= q.P10 && x <= q.P90 {
+					in++
+				}
 			}
+			win.Score(f, x)
 		}
 		p.Observe(x)
 	}

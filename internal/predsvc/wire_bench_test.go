@@ -12,25 +12,120 @@ import (
 )
 
 // Wire codec benchmarks: each fastpath bench has a stdlib counterpart so
-// the speedup claim is measured, not asserted. The BenchmarkWire*
-// encode/decode benches are gated by scripts/bench.sh on both ns/op
-// regression and allocs/op == 0 — the fastpath's whole reason to exist.
+// the speedup claim is measured, not asserted. The four hot wire
+// operations are defined once, as wireOps; the BenchmarkWire* benches time
+// them and TestWireHotPathAllocFree holds each at 0 allocs/op — the
+// fastpath's whole reason to exist.
 
 var benchObserveBody = []byte(`{"path":"ams-3.example.net/sfo-1.example.net","throughput_bps":52428800.5}`)
 
-func BenchmarkWireObserveDecode(b *testing.B) {
+// A wireOp is one hot wire operation bound to warm pooled state; it
+// reports whether the operation produced a well-formed result.
+type wireOp func() bool
+
+// pooledWire takes a codec from the pool for the rest of tb.
+func pooledWire(tb testing.TB) *wireCtx {
 	wc := getWire()
-	defer putWire(wc)
+	tb.Cleanup(func() { putWire(wc) })
+	return wc
+}
+
+func observeDecodeOp(tb testing.TB) wireOp {
+	wc := pooledWire(tb)
+	return func() bool {
+		wc.dec.Reset(benchObserveBody)
+		tput, err := decodeObserveFields(&wc.dec, wc)
+		return err == nil && tput != 0 && len(wc.path) != 0
+	}
+}
+
+func observeEncodeOp(tb testing.TB) wireOp {
+	path := []byte("ams-3.example.net/sfo-1.example.net")
+	wc := pooledWire(tb)
+	return func() bool {
+		e := jenc{b: wc.out[:0]}
+		e.raw(`{"path":`)
+		e.strb(path)
+		e.raw(`,"observations":`)
+		e.u64(123456)
+		e.raw("}")
+		wc.out = e.b
+		return len(wc.out) != 0 && !e.bad
+	}
+}
+
+func predictEncodeOp(tb testing.TB) wireOp {
+	p := benchPrediction(tb)
+	wc := pooledWire(tb)
+	return func() bool {
+		e := jenc{b: wc.out[:0]}
+		appendPrediction(&e, p)
+		wc.out = e.b
+		return len(wc.out) != 0 && !e.bad
+	}
+}
+
+// predictRoundTripOp is the full hot predict cycle minus net/http: decode
+// the query, look the session up by bytes, fill the pooled Prediction
+// under the lock, and encode the response.
+func predictRoundTripOp(tb testing.TB) wireOp {
+	reg := NewRegistry(Config{})
+	sess := reg.GetOrCreate("bench-path")
+	for i := 0; i < 64; i++ {
+		sess.Observe(5e7 * (1 + 0.01*float64(i%7)))
+	}
+	wc := pooledWire(tb)
+	const rawQuery = "path=bench-path"
+	return func() bool {
+		if !queryPath(rawQuery, wc) {
+			return false
+		}
+		if !reg.WithBytes(wc.path, false, func(s *Session) { s.PredictInto(&wc.pred, &wc.fb) }) {
+			return false
+		}
+		e := jenc{b: wc.out[:0]}
+		appendPrediction(&e, &wc.pred)
+		wc.out = e.b
+		return len(wc.out) != 0 && !e.bad
+	}
+}
+
+var wireOps = []struct {
+	name string
+	op   func(testing.TB) wireOp
+}{
+	{"observe-decode", observeDecodeOp},
+	{"observe-encode", observeEncodeOp},
+	{"predict-encode", predictEncodeOp},
+	{"predict-round-trip", predictRoundTripOp},
+}
+
+func TestWireHotPathAllocFree(t *testing.T) {
+	for _, tc := range wireOps {
+		t.Run(tc.name, func(t *testing.T) {
+			op, ok := tc.op(t), true
+			if got := testing.AllocsPerRun(200, func() { ok = op() && ok }); got != 0 {
+				t.Errorf("%v allocs per op, want 0", got)
+			}
+			if !ok {
+				t.Error("operation produced a malformed result")
+			}
+		})
+	}
+}
+
+func benchWireOp(b *testing.B, mk func(testing.TB) wireOp) {
+	op := mk(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		wc.dec.Reset(benchObserveBody)
-		tput, err := decodeObserveFields(&wc.dec, wc)
-		if err != nil || tput == 0 || len(wc.path) == 0 {
-			b.Fatal("bad decode")
+		if !op() {
+			b.Fatal("malformed result")
 		}
 	}
 }
+
+func BenchmarkWireObserveDecode(b *testing.B) { benchWireOp(b, observeDecodeOp) }
 
 func BenchmarkJSONObserveDecode(b *testing.B) {
 	b.ReportAllocs()
@@ -43,25 +138,7 @@ func BenchmarkJSONObserveDecode(b *testing.B) {
 	}
 }
 
-func BenchmarkWireObserveEncode(b *testing.B) {
-	path := []byte("ams-3.example.net/sfo-1.example.net")
-	wc := getWire()
-	defer putWire(wc)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := jenc{b: wc.out[:0]}
-		e.raw(`{"path":`)
-		e.strb(path)
-		e.raw(`,"observations":`)
-		e.u64(123456)
-		e.raw("}")
-		wc.out = e.b
-		if len(wc.out) == 0 || e.bad {
-			b.Fatal("bad encode")
-		}
-	}
-}
+func BenchmarkWireObserveEncode(b *testing.B) { benchWireOp(b, observeEncodeOp) }
 
 func BenchmarkJSONObserveEncode(b *testing.B) {
 	resp := ObserveResponse{Path: "ams-3.example.net/sfo-1.example.net", Observations: 123456}
@@ -78,8 +155,8 @@ func BenchmarkJSONObserveEncode(b *testing.B) {
 // benchPrediction is a steady-state prediction with every section
 // populated — HB trio, FB, family tournament with quantiles — captured
 // from a live session so the encode benches exercise the real shape.
-func benchPrediction(b *testing.B) *Prediction {
-	b.Helper()
+func benchPrediction(tb testing.TB) *Prediction {
+	tb.Helper()
 	s := newSession("ams-3.example.net/sfo-1.example.net")
 	for i := 0; i < 64; i++ {
 		s.SetMeasurement(benchFBInputs(i))
@@ -88,7 +165,7 @@ func benchPrediction(b *testing.B) *Prediction {
 	p := new(Prediction)
 	s.PredictInto(p, new(FBState))
 	if p.Best == "" || p.FB == nil || len(p.Families) == 0 {
-		b.Fatal("bench prediction not fully populated")
+		tb.Fatal("bench prediction not fully populated")
 	}
 	return p
 }
@@ -101,21 +178,7 @@ func benchFBInputs(i int) predict.FBInputs {
 	}
 }
 
-func BenchmarkWirePredictEncode(b *testing.B) {
-	p := benchPrediction(b)
-	wc := getWire()
-	defer putWire(wc)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := jenc{b: wc.out[:0]}
-		appendPrediction(&e, p)
-		wc.out = e.b
-		if len(wc.out) == 0 || e.bad {
-			b.Fatal("bad encode")
-		}
-	}
-}
+func BenchmarkWirePredictEncode(b *testing.B) { benchWireOp(b, predictEncodeOp) }
 
 func BenchmarkJSONPredictEncode(b *testing.B) {
 	p := benchPrediction(b)
@@ -129,35 +192,7 @@ func BenchmarkJSONPredictEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkWirePredictRoundTrip is the full hot predict cycle minus
-// net/http: decode the query, look the session up by bytes, fill the
-// pooled Prediction under the lock, and encode the response.
-func BenchmarkWirePredictRoundTrip(b *testing.B) {
-	reg := NewRegistry(Config{})
-	sess := reg.GetOrCreate("bench-path")
-	for i := 0; i < 64; i++ {
-		sess.Observe(5e7 * (1 + 0.01*float64(i%7)))
-	}
-	wc := getWire()
-	defer putWire(wc)
-	const rawQuery = "path=bench-path"
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !queryPath(rawQuery, wc) {
-			b.Fatal("no path")
-		}
-		if !reg.WithBytes(wc.path, false, func(s *Session) { s.PredictInto(&wc.pred, &wc.fb) }) {
-			b.Fatal("missing session")
-		}
-		e := jenc{b: wc.out[:0]}
-		appendPrediction(&e, &wc.pred)
-		wc.out = e.b
-		if len(wc.out) == 0 || e.bad {
-			b.Fatal("bad encode")
-		}
-	}
-}
+func BenchmarkWirePredictRoundTrip(b *testing.B) { benchWireOp(b, predictRoundTripOp) }
 
 // reusableBody is an io.ReadCloser over a fixed payload that can be
 // rewound between handler invocations without reallocating.

@@ -42,6 +42,15 @@ go test ./internal/predsvc -run '^$' -fuzz '^FuzzPathSnapshotRestore$' -fuzztime
 echo "==> go test -C bench ./..."
 go test -C bench ./...
 
+# Benchmark smoke: one short run of a service and a campaign workload from
+# BENCHMARK.json. The harness exits non-zero when a run's correctness check
+# fails or a declared metric is missing; the figures themselves are judged
+# against their bounds by a full `go run -C bench .`, not here.
+for w in svc-single campaign-paper; do
+    echo "==> benchmark smoke: $w (1s)"
+    go run -C bench . --workload "$w" --seconds 1
+done
+
 # The short suite above carries the in-process end-to-end gates (daemon
 # under the load generator, chaos, store conformance, cluster digest,
 # handoff/drain lifecycle, wire fastpath vs oracle digest); the sections

@@ -38,5 +38,8 @@ echo "ronsim flags:                     $(flags cmd/ronsim/main.go)"
 # Everything a predsvc.Config literal can set. The predictor zoo has no
 # settings: every path runs the paper's configuration.
 echo "predsvc.Config settable values:   $(fields internal/predsvc/config.go Config)"
+# The public facade (tcppred.go at the root) carries what examples/, cmd/
+# and the root tests name, and the types its functions return.
+echo "exported identifiers, tcppred (facade): $(exported .)"
 echo "exported identifiers, predict:    $(exported internal/predict)"
 echo "exported identifiers, predsvc:    $(exported internal/predsvc)"

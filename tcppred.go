@@ -5,10 +5,10 @@
 // It exposes the two predictor families the paper studies and the
 // simulated wide-area testbed used to evaluate them:
 //
-//   - Formula-Based (FB) prediction: NewFBPredictor applies the PFTK (or
-//     Mathis / revised-PFTK) TCP throughput model to a-priori path
-//     measurements — RTT and loss rate from periodic probing, and an
-//     available-bandwidth estimate for lossless paths (paper Eq. 3).
+//   - Formula-Based (FB) prediction: NewFBPredictor applies the PFTK TCP
+//     throughput model to a-priori path measurements — RTT and loss rate
+//     from periodic probing, and an available-bandwidth estimate for
+//     lossless paths (paper Eq. 3).
 //
 //   - History-Based (HB) prediction: NewMovingAverage, NewEWMA and
 //     NewHoltWinters forecast from previous transfer throughputs; WithLSO
@@ -18,8 +18,13 @@
 // The measurement side (Measure, NewTestbedPath) lets applications collect
 // the inputs on simulated paths. Full measurement campaigns run on the
 // campaign runner (CollectDataset) with context cancellation, fault
-// isolation and progress observers; the paper's figure set lives in
-// cmd/ronsim and cmd/repro.
+// isolation and progress observers, and NewPredictionServer embeds the
+// online prediction service.
+//
+// The facade carries what the programs under examples/ and cmd/ name and
+// nothing more. The paper's figure set lives in cmd/ronsim and cmd/repro;
+// the service's cluster, storage tiers and telemetry are run through
+// cmd/predserverd, cmd/predload and cmd/predctl.
 package tcppred
 
 import (
@@ -29,14 +34,10 @@ import (
 
 	"repro/internal/availbw"
 	"repro/internal/campaign"
-	"repro/internal/faultinject"
 	"repro/internal/iperf"
 	"repro/internal/netem"
-	"repro/internal/obs"
 	"repro/internal/predict"
 	"repro/internal/predsvc"
-	"repro/internal/predsvc/cluster"
-	"repro/internal/predsvc/store"
 	"repro/internal/probe"
 	"repro/internal/sim"
 	"repro/internal/tcpmodel"
@@ -44,16 +45,8 @@ import (
 	"repro/internal/testbed"
 )
 
-// Model selects a TCP throughput formula for FB prediction.
-type Model = predict.Model
-
-// Supported formulas.
-const (
-	PFTK        = predict.ModelPFTK
-	PFTKPaper   = predict.ModelPFTKPaper
-	RevisedPFTK = predict.ModelRevisedPFTK
-	Mathis      = predict.ModelMathis
-)
+// PFTK selects the PFTK throughput formula (paper Eq. 3) in FBConfig.Model.
+const PFTK = predict.ModelPFTK
 
 // FBInputs are the a-priori measurements consumed by an FB prediction:
 // RTT (seconds) and loss rate from periodic probing before the flow, and
@@ -125,73 +118,10 @@ func ShortTransferThroughput(n int64, rtt, lossRate float64, maxWindowBytes int)
 	return tcpmodel.ShortTransferThroughput(p, d) * 8
 }
 
-// LSOConfig holds the level-shift (γ) and outlier (ψ) thresholds; the
-// paper's values are γ = 0.3, ψ = 0.4.
-type LSOConfig = predict.LSOConfig
-
 // WithLSO wraps an HB predictor with the paper's level-shift restart and
 // outlier removal heuristics (paper §5.2) using the default parameters.
 func WithLSO(inner HBPredictor) HBPredictor {
 	return predict.NewLSO(inner, predict.DefaultLSOConfig())
-}
-
-// WithLSOConfig is WithLSO with explicit thresholds.
-func WithLSOConfig(inner HBPredictor, cfg LSOConfig) HBPredictor {
-	return predict.NewLSO(inner, cfg)
-}
-
-// Quantiles is a p10/p50/p90 interval forecast of throughput (bits/s):
-// the point forecast plus an uncertainty band derived from the
-// predictor's recent Eq.-4 relative errors.
-type Quantiles = predict.Quantiles
-
-// QuantilePredictor is implemented by predictors that forecast an
-// interval, not just a point — see WithQuantiles and NewECMPredictor.
-type QuantilePredictor = predict.QuantilePredictor
-
-// WithQuantiles wraps an HB predictor so its point forecasts carry a
-// [p10,p90] interval from the empirical quantiles of its last `window`
-// relative errors (0 picks the default 50).
-func WithQuantiles(inner HBPredictor, window int) *predict.ResidualQuantile {
-	return predict.NewResidualQuantile(inner, window)
-}
-
-// RegressionConfig configures the online feature regression predictor.
-type RegressionConfig = predict.RegressionConfig
-
-// RegressionPredictor forecasts throughput by online least-squares over
-// path features (RTT, loss, avail-bw, recent history) — the
-// measurement-conditioned family in the direction of Vazhkudai & Schopf.
-// Call SetFeatures with fresh measurements before Predict/Observe.
-type RegressionPredictor = predict.Regression
-
-// NewRegressionPredictor returns an online feature-regression predictor.
-func NewRegressionPredictor(cfg RegressionConfig) *RegressionPredictor {
-	return predict.NewRegression(cfg)
-}
-
-// ECMConfig configures the empirical conditional method predictor.
-type ECMConfig = predict.ECMConfig
-
-// ECMPredictor forecasts throughput from the empirical conditional
-// distribution of past throughputs whose pre-flow measurements fell in
-// the same bucket; its quantiles are native, not residual-derived. Call
-// SetConditions with fresh measurements before Predict/Observe.
-type ECMPredictor = predict.ECM
-
-// NewECMPredictor returns an empirical-conditional-method predictor.
-func NewECMPredictor(cfg ECMConfig) *ECMPredictor { return predict.NewECM(cfg) }
-
-// SwitcherConfig configures the stability-aware switcher: the coefficient
-// of variation threshold separating stable from volatile regimes, and the
-// window it is computed over.
-type SwitcherConfig = predict.SwitcherConfig
-
-// NewStabilitySwitcher returns an HB predictor that routes between a
-// stable-regime and a volatile-regime inner predictor on the recent
-// coefficient of variation of the throughput series (Sun et al. style).
-func NewStabilitySwitcher(stable, volatile HBPredictor, cfg SwitcherConfig) HBPredictor {
-	return predict.NewStabilitySwitcher(stable, volatile, cfg)
 }
 
 // RunConfig configures a measurement campaign on the simulated RON-style
@@ -204,44 +134,12 @@ type RunConfig = testbed.RunConfig
 type Dataset = testbed.Dataset
 
 // Observer receives campaign lifecycle events (traces started/finished,
-// epochs completed) — see NewProgressObserver and NewJSONLObserver.
+// epochs completed) — see NewProgressObserver.
 type Observer = campaign.Observer
 
 // DefaultCampaign returns the scaled-down default campaign configuration
 // (12 paths × 2 traces × 40 epochs) for the given seed.
 func DefaultCampaign(seed int64) RunConfig { return testbed.DefaultScaled(seed) }
-
-// PaperCampaign returns the paper's full-scale campaign configuration
-// (35 paths × 7 traces × 150 epochs; slow).
-func PaperCampaign(seed int64) RunConfig { return testbed.PaperScale(seed) }
-
-// Congestion selects the target transfer's congestion control in a
-// scenario campaign: CCReno (the paper's sender, the default), CCCubic
-// (RFC 8312), or CCBBR (a model-based BBR-like sender whose throughput is
-// decoupled from loss rate).
-type Congestion = tcpsim.Congestion
-
-// The supported congestion controls.
-const (
-	CCReno  = tcpsim.CCReno
-	CCCubic = tcpsim.CCCubic
-	CCBBR   = tcpsim.CCBBR
-)
-
-// ScenarioConfig controls the (sender × link) scenario-matrix campaign:
-// which congestion controls, which bottleneck regimes (droptail,
-// randomdrop, cellular, rwnd-limited), and how many path instances per
-// cell.
-type ScenarioConfig = testbed.ScenarioConfig
-
-// ScenarioCampaign returns the scenario-matrix campaign configuration for
-// the given seed: every sender in scfg crossed with every link type, each
-// cell sharing a byte-identical substrate across senders so cross-sender
-// comparisons isolate the congestion control. Score the collected dataset
-// with `repro -only ext-cc` (or experiments.ExtCC).
-func ScenarioCampaign(seed int64, scfg ScenarioConfig) RunConfig {
-	return testbed.ScenarioScaled(seed, scfg)
-}
 
 // CollectDataset runs the campaign described by cfg under ctx. Cancelling
 // the context aborts cleanly at epoch boundaries: the completed traces are
@@ -258,94 +156,11 @@ func CollectDataset(ctx context.Context, cfg RunConfig) (*Dataset, error) {
 // RunConfig.Observer.
 func NewProgressObserver(w io.Writer) Observer { return campaign.NewProgress(w) }
 
-// NewJSONLObserver returns an Observer that emits one JSON object per
-// campaign event to w, for machine consumption.
-func NewJSONLObserver(w io.Writer) Observer { return campaign.NewJSONL(w) }
-
-// Observability is the unified telemetry bundle (span tracer + Prometheus
-// metrics registry + HTTP endpoints). Assign one to RunConfig.Obs or
-// ServiceConfig.Obs to instrument a campaign or a prediction server; a
-// nil Observability is valid everywhere and turns instrumentation off.
-type Observability = obs.Obs
-
-// NewObservability returns a telemetry bundle retaining up to
-// spanCapacity completed spans (0 picks the default). Serve its Handler
-// (or call Serve) to expose /metrics, /debug/pprof/ and /debug/trace;
-// WriteFiles dumps the same telemetry as offline artifacts.
-func NewObservability(spanCapacity int) *Observability { return obs.New(spanCapacity) }
-
 // ServiceConfig tunes the online prediction service: registry sharding,
 // LRU capacity, spilling, and the HTTP server's limits. The per-path
 // predictor zoo is not configurable: every path runs the paper's
 // parameters. The zero value picks sensible defaults.
 type ServiceConfig = predsvc.Config
-
-// PathRegistry is the path → predictor-session façade at the heart of the
-// serving layer, backed by a SessionStore — in-memory sharded LRU by
-// default, or a two-tier disk-spill store when ServiceConfig.SpillDir is
-// set.
-type PathRegistry = predsvc.Registry
-
-// SessionStore is the storage seam under the registry: any implementation
-// of the store.Store contract (get-or-create, lookup, LRU range,
-// evict-notify, tier stats). The package ships MemStore (power-of-two
-// sharded in-memory LRU) and SpillStore (hot tier + append-only checksummed
-// spill log with fault-back on access).
-type SessionStore = store.Store
-
-// StoreTierStats is one store's occupancy and traffic counters per tier;
-// exposed at /v1/stats and as predsvc_store_* Prometheus gauges.
-type StoreTierStats = store.TierStats
-
-// ClusterMap routes paths to nodes by rendezvous (highest-random-weight)
-// hashing: every client agrees on each path's owner without coordination,
-// and removing a node only remaps the paths it owned. cmd/predload's
-// -cluster flag uses it for client-side routing.
-type ClusterMap = cluster.Map
-
-// NewClusterMap builds a rendezvous-hash router over the given node names
-// (base URLs, host:ports — any stable identifiers).
-func NewClusterMap(nodes ...string) *ClusterMap { return cluster.New(nodes...) }
-
-// ClusterClient routes requests over a ClusterMap and retries through the
-// failures a live cluster throws at it — 429 load shedding, 5xx responses,
-// and connection errors while a node restarts (it parks on /readyz probes
-// until the node is back, then replays). predload and predctl are built on
-// it; embedders get the same ride-out-the-restart behavior.
-type ClusterClient = cluster.Client
-
-// ClusterClientConfig tunes a ClusterClient: node set, backoff bounds,
-// retry deadline (the window a node restart must fit into), and the
-// /readyz probing cadence.
-type ClusterClientConfig = cluster.ClientConfig
-
-// NewClusterClient builds a retrying cluster client over the given nodes.
-func NewClusterClient(cfg ClusterClientConfig) *ClusterClient { return cluster.NewClient(cfg) }
-
-// RebalanceConfig drives one cluster membership change (see Rebalance).
-type RebalanceConfig = predsvc.RebalanceConfig
-
-// RebalanceReport summarizes a Rebalance run: sessions moved, imported,
-// skipped (already present — the signature of a retried pass), dropped,
-// and how many failed passes were retried.
-type RebalanceReport = predsvc.RebalanceReport
-
-// Rebalance resizes a cluster from one membership to another using the
-// session-handoff protocol (DESIGN.md §14): every node of the old
-// membership exports the sessions the new rendezvous map assigns
-// elsewhere, each session is imported into its new owner last-writer-wins
-// on observation count, and sources drop their copies only after every
-// import succeeded — so a kill anywhere mid-transfer loses nothing and a
-// retried run converges. cmd/predctl's rebalance subcommand wraps it.
-func Rebalance(ctx context.Context, cfg RebalanceConfig) (*RebalanceReport, error) {
-	return predsvc.Rebalance(ctx, cfg)
-}
-
-// PredictorSession is the goroutine-safe per-path predictor state: the HB
-// ensemble (MA/EWMA/Holt-Winters, LSO-wrapped), the FB
-// predictor with its latest measurements, and rolling Eq. 4/RMSRE
-// accuracy statistics.
-type PredictorSession = predsvc.Session
 
 // Prediction is the service's full per-path answer: every predictor's
 // forecast and rolling accuracy plus the best predictor right now.
@@ -364,30 +179,9 @@ type Prediction = predsvc.Prediction
 // best-predictor selection.
 type PredictionServer = predsvc.Server
 
-// NewPathRegistry returns a sharded LRU path registry.
-func NewPathRegistry(cfg ServiceConfig) *PathRegistry { return predsvc.NewRegistry(cfg) }
-
 // NewPredictionServer returns an HTTP prediction server over a fresh
 // registry.
 func NewPredictionServer(cfg ServiceConfig) *PredictionServer { return predsvc.NewServer(cfg) }
-
-// FaultInjector is a deterministic, seedable fault-injection plan: named
-// sites in the serving and snapshot paths consult it and fail, delay, or
-// corrupt according to its rules. Assign one to ServiceConfig.Faults for
-// chaos testing; a nil injector is inert and costs one predictable branch
-// per site.
-type FaultInjector = faultinject.Injector
-
-// FaultRule describes when one fault-injection site fires: every Nth call,
-// with a probability, after a warm-up, a limited number of times.
-type FaultRule = faultinject.Rule
-
-// NewFaultInjector builds a deterministic injector from seed and rules.
-// For a fixed seed and rule set the total number of injected faults over N
-// calls is independent of goroutine interleaving.
-func NewFaultInjector(seed int64, rules ...FaultRule) *FaultInjector {
-	return faultinject.New(seed, rules...)
-}
 
 // PathSpec describes a simulated bidirectional network path.
 type PathSpec = netem.PathSpec
