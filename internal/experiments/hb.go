@@ -275,24 +275,23 @@ func Fig20(ds *testbed.Dataset) Result {
 	}
 }
 
-// segmentedCoV computes the paper's stationarity-aware CoV: detect level
-// shifts/outliers with the LSO heuristics, exclude outliers, and weight
-// per-segment CoVs by length.
+// segmentedCoV computes the paper's stationarity-aware CoV: split the series
+// where the LSO detector reports a level shift and weight per-segment CoVs
+// by length. It departs from §6.1.3 in two ways. Outliers are not
+// excluded: every sample stays in its segment. And a boundary falls at the
+// sample whose arrival made the shift detectable, which is at least two
+// samples after the shift point X_k, not at X_k itself.
 func segmentedCoV(series []float64) float64 {
-	det := predict.NewLSO(predict.NewMA(1), predict.DefaultLSOConfig())
-	var clean []float64
+	det := predict.NewDetector(predict.DefaultLSOConfig())
 	var boundaries []int
-	shifts := 0
-	for _, x := range series {
+	for i, x := range series {
+		shifts := det.Shifts
 		det.Observe(x)
 		if det.Shifts > shifts {
-			shifts = det.Shifts
-			boundaries = append(boundaries, len(clean))
+			boundaries = append(boundaries, i)
 		}
-		clean = append(clean, x)
 	}
-	// Remove obvious outliers relative to each segment's median.
-	return stats.SegmentedCoV(clean, boundaries)
+	return stats.SegmentedCoV(series, boundaries)
 }
 
 // Fig21 — the four path-predictability classes: per-trace RMSRE bars for

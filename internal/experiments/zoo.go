@@ -9,7 +9,7 @@ import (
 	"repro/internal/testbed"
 )
 
-// ExtZoo scores the full predictor zoo — the paper's LSO-wrapped HB trio,
+// ExtZoo scores the full predictor zoo — the paper's HB trio with LSO,
 // the stability-aware switcher (Sun et al.), the formula-based predictor,
 // the online feature regression (Vazhkudai & Schopf style) and the
 // empirical conditional method — offline over every trace of the primary

@@ -12,12 +12,14 @@ import (
 // It is the one place the zoo exists: the prediction service keeps one per
 // path behind a lock, and the offline experiments drive one per trace.
 //
-// The families, in order: the paper's HB trio (MA, EWMA and Holt-Winters,
-// LSO-wrapped), the stability switcher of Sun et al., FB, the feature
-// regression and Zheng's ECM. Each keeps a ResidualWindow of its Eq.-4
-// errors. The paper's protocol is followed exactly: when an observation X
-// arrives, each family's standing forecast X̂ is scored with
-// E = (X̂-X)/min(X̂,X) before X reaches any predictor. The same windows
+// The families, in order: the paper's HB trio (MA, EWMA and Holt-Winters
+// with LSO), the stability switcher of Sun et al., FB, the feature
+// regression and Zheng's ECM. The trio shares the path's one Detector:
+// detection runs once per observation and the three predictors read its
+// clean series. Each family keeps a ResidualWindow of its Eq.-4 errors.
+// The paper's protocol is followed exactly: when an observation X arrives,
+// each family's standing forecast X̂ is scored with E = (X̂-X)/min(X̂,X)
+// before X reaches any predictor. The same windows
 // calibrate the quantiles (ECM forecasts its own) and carry the regret
 // bookkeeping.
 //
@@ -25,6 +27,7 @@ import (
 type Ensemble struct {
 	families []family
 	fbIdx    int
+	det      *Detector // the §5.2 detector the HB trio reads
 
 	fb  *FB
 	reg *Regression
@@ -52,6 +55,7 @@ type family struct {
 	hb    HB
 	qp    QuantilePredictor
 	paper bool // one of the paper's predictors: MA, EWMA, HW or FB
+	lso   bool // hb reads the detector's clean series: the HB trio
 	win   ResidualWindow
 }
 
@@ -76,20 +80,21 @@ const (
 	zooStaleAfter = 30
 )
 
-// NewEnsemble builds the zoo: the HB trio LSO-wrapped with the paper's
-// thresholds (its best configurations), FB for the paper's target flow
-// (PFTK, 1460 B MSS, 1 MB window, delayed ACKs), and the extension
+// NewEnsemble builds the zoo: the HB trio behind one detector with the
+// paper's thresholds (its best configurations), FB for the paper's target
+// flow (PFTK, 1460 B MSS, 1 MB window, delayed ACKs), and the extension
 // families at their package defaults.
 func NewEnsemble() *Ensemble {
 	e := &Ensemble{
 		fb:  NewFB(FBConfig{}),
 		reg: NewRegression(RegressionConfig{}),
 		ecm: NewECM(ECMConfig{}),
+		det: NewDetector(LSOConfig{}),
 	}
 	members := []HB{
-		NewLSO(NewMA(zooMAOrder), LSOConfig{}),
-		NewLSO(NewEWMA(zooEWMAAlpha), LSOConfig{}),
-		NewLSO(NewHoltWinters(zooHWAlpha, zooHWBeta), LSOConfig{}),
+		NewMA(zooMAOrder),
+		NewEWMA(zooEWMAAlpha),
+		NewHoltWinters(zooHWAlpha, zooHWBeta),
 		// Sun et al.'s pairing: a reactive tracker for stable regimes, a
 		// robust smoother once the rolling CoV flags volatility.
 		NewStabilitySwitcher(NewEWMA(zooEWMAAlpha), NewMA(zooMAOrder), SwitcherConfig{}),
@@ -101,7 +106,7 @@ func NewEnsemble() *Ensemble {
 	e.views = make([]FamilyView, len(members))
 	for i, hb := range members {
 		f := &e.families[i]
-		f.hb, f.paper = hb, i < 3
+		f.hb, f.paper, f.lso = hb, i < 3, i < 3
 		f.win = newResidualWindow(zooErrorWindow)
 		if hb == nil {
 			e.fbIdx, f.paper = i, true
@@ -110,6 +115,9 @@ func NewEnsemble() *Ensemble {
 		}
 		f.qp, _ = hb.(QuantilePredictor)
 		e.views[i].Name = hb.Name()
+		if f.lso {
+			e.views[i].Name += "-LSO"
+		}
 	}
 	return e
 }
@@ -156,7 +164,8 @@ func (e *Ensemble) setMeasurement(in FBInputs) {
 // Observe absorbs the throughput x of the path's latest transfer. The
 // tournament winner's standing [P10,P90] is scored for coverage, then
 // every family's standing forecast is scored against x (Eq. 4), and only
-// then do the predictors see x.
+// then do the predictors see x: the detector labels it once, and the HB
+// trio reads the clean series.
 func (e *Ensemble) Observe(x float64) {
 	e.fill(false)
 	if w := e.pick(false); w >= 0 {
@@ -167,12 +176,16 @@ func (e *Ensemble) Observe(x float64) {
 			}
 		}
 	}
+	e.det.Observe(x)
 	for i := range e.families {
 		f := &e.families[i]
 		if v := &e.views[i]; v.Ready && v.Forecast > 0 {
 			f.win.Score(v.Forecast, x)
 		}
-		if f.hb != nil {
+		switch {
+		case f.lso:
+			e.det.feed(f.hb)
+		case f.hb != nil:
 			f.hb.Observe(x)
 		}
 	}
@@ -244,16 +257,10 @@ func (e *Ensemble) FamilyRegret(i int) (float64, bool) {
 	return e.views[i].Regret, e.views[i].Errors > 0
 }
 
-// LSOStats sums level-shift and outlier detections over the LSO-wrapped
-// families.
+// LSOStats returns the path's detected level shifts and the samples
+// currently labelled outliers.
 func (e *Ensemble) LSOStats() (shifts, outliers int) {
-	for i := range e.families {
-		if l, ok := e.families[i].hb.(*LSO); ok {
-			shifts += l.Shifts
-			outliers += l.Outliers
-		}
-	}
-	return shifts, outliers
+	return e.det.Shifts, e.det.Outliers
 }
 
 // summarize fills each view's error statistics from its window: count,
@@ -350,13 +357,15 @@ type FamilySnapshot struct {
 
 // EnsembleState is the whole tournament of one path: the lifetime
 // observation count, the standing measurements (nil until one is
-// installed) and how many observations ago they were, every family's error
-// window and predictor state, and the coverage counters. Its binary form
-// (AppendBinary) is what the prediction service persists per path.
+// installed) and how many observations ago they were, the detector's
+// window, every family's error window and predictor state, and the
+// coverage counters. Its binary form (AppendBinary) is what the prediction
+// service persists per path.
 type EnsembleState struct {
 	Observations uint64           `json:"observations"`
 	FB           *FBInputs        `json:"fb_inputs,omitempty"`
 	FBAge        uint64           `json:"fb_age,omitempty"`
+	LSO          LSOState         `json:"lso"`
 	Families     []FamilySnapshot `json:"families,omitempty"`
 	CovIn        uint64           `json:"cov_in,omitempty"`
 	CovTotal     uint64           `json:"cov_total,omitempty"`
@@ -365,7 +374,7 @@ type EnsembleState struct {
 // State captures the ensemble. SetState on a fresh ensemble reproduces it
 // exactly, at any history length.
 func (e *Ensemble) State() EnsembleState {
-	st := EnsembleState{Observations: e.observations, CovIn: e.covIn, CovTotal: e.covTotal}
+	st := EnsembleState{Observations: e.observations, LSO: e.det.state(), CovIn: e.covIn, CovTotal: e.covTotal}
 	if e.hasFB {
 		in := e.fbIn
 		st.FB, st.FBAge = &in, e.observations-e.fbSetAtObs
@@ -381,8 +390,9 @@ func (e *Ensemble) State() EnsembleState {
 // SetState installs st into a fresh ensemble by copying it — no
 // observation is replayed. Families are matched by name; a family st does
 // not name (a record written by a build whose zoo lacked it, say) starts
-// fresh, a name the ensemble does not run is ignored, and one it runs must
-// not appear twice.
+// fresh — one of the HB trio from the restored detector's clean series — a
+// name the ensemble does not run is ignored, and one it runs must not
+// appear twice.
 //
 // st may come from an untrusted source. Lengths beyond the zoo's bounds,
 // non-finite values and counts that contradict each other are reported as
@@ -399,6 +409,9 @@ func (e *Ensemble) SetState(st EnsembleState) error {
 	if in := st.FB; in != nil && !(finite(in.RTT, in.AvailBw) && in.RTT >= 0 && in.AvailBw >= 0 && in.LossRate >= 0 && in.LossRate <= 1) {
 		return fmt.Errorf("predict: invalid measurement %+v", *in)
 	}
+	if err := e.det.setState(st.LSO); err != nil {
+		return err
+	}
 	// Families installed so far, one bit per zoo index, so the check stays
 	// linear in the number of families a hostile state may list.
 	var installed uint64
@@ -414,6 +427,11 @@ func (e *Ensemble) SetState(st EnsembleState) error {
 		installed |= 1 << i
 		if err := e.setFamily(i, fs, st.Observations); err != nil {
 			return fmt.Errorf("predict: family %q: %w", fs.Name, err)
+		}
+	}
+	for i := range e.families {
+		if f := &e.families[i]; f.lso && installed&(1<<i) == 0 {
+			e.det.feed(f.hb)
 		}
 	}
 	e.covIn, e.covTotal = st.CovIn, st.CovTotal

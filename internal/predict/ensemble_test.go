@@ -269,16 +269,21 @@ func TestEnsembleSetStateRejectsMalformed(t *testing.T) {
 		want   string
 	}{
 		{"MA ring longer than its order", func(st *EnsembleState) {
-			ma := family(st, "10-MA-LSO").LSO.Inner.MA
+			ma := family(st, "10-MA-LSO").MA
 			ma.Ring = append(ma.Ring, 1e6)
 		}, "exceeds the order"},
 		{"NaN Holt-Winters level", func(st *EnsembleState) {
-			family(st, "0.8-HW-LSO").LSO.Inner.HW.S = math.NaN()
+			family(st, "0.8-HW-LSO").HW.S = math.NaN()
 		}, "non-finite"},
 		{"LSO window beyond MaxHistory", func(st *EnsembleState) {
-			l := family(st, "0.8-EWMA-LSO").LSO
-			l.Window = make([]float64, 33)
+			st.LSO.Window = make([]float64, 33)
 		}, "MaxHistory"},
+		{"NaN in the LSO window", func(st *EnsembleState) {
+			st.LSO.Window[0] = math.NaN()
+		}, "non-finite LSO window"},
+		{"negative LSO shift count", func(st *EnsembleState) {
+			st.LSO.Shifts = -1
+		}, "negative LSO shift count"},
 		{"switcher window beyond its size", func(st *EnsembleState) {
 			family(st, "switcher").Switcher.Ring = make([]float64, 17)
 		}, "exceeds"},
@@ -309,7 +314,7 @@ func TestEnsembleSetStateRejectsMalformed(t *testing.T) {
 			f.Regression, f.EWMA = nil, &EWMAState{}
 		}, "another predictor type"},
 		{"missing predictor state", func(st *EnsembleState) {
-			family(st, "10-MA-LSO").LSO = nil
+			family(st, "10-MA-LSO").MA = nil
 		}, "0 predictor states"},
 		{"family named twice", func(st *EnsembleState) {
 			st.Families = append(st.Families, st.Families[0])
@@ -337,10 +342,12 @@ func TestEnsembleSetStateRejectsMalformed(t *testing.T) {
 		}
 	}
 
-	// A family the state does not name starts fresh; one it names but the
-	// ensemble does not run is ignored.
+	// A family the state does not name starts fresh — one of the HB trio
+	// from the restored detector's clean series, so it forecasts as the
+	// live one does; one it names but the ensemble does not run is ignored.
 	st := live.State()
 	family(&st, "switcher").Name = "retired-family"
+	family(&st, "10-MA-LSO").Name = "retired-MA"
 	e := NewEnsemble()
 	if err := e.SetState(st); err != nil {
 		t.Fatal(err)
@@ -349,8 +356,11 @@ func TestEnsembleSetStateRejectsMalformed(t *testing.T) {
 	if sw := v.Families[3]; sw.Name != "switcher" || sw.Ready || sw.Errors != 0 {
 		t.Errorf("unnamed switcher not fresh: %+v", sw)
 	}
-	if ma := v.Families[0]; !ma.Ready || ma.Errors == 0 {
-		t.Errorf("named family not restored: %+v", ma)
+	if ma, want := v.Families[0], live.View().Families[0]; !ma.Ready || ma.Errors != 0 || ma.Forecast != want.Forecast {
+		t.Errorf("unnamed MA not rebuilt from the clean series: %+v, live forecast %v", ma, want.Forecast)
+	}
+	if ewma := v.Families[1]; !ewma.Ready || ewma.Errors == 0 {
+		t.Errorf("named family not restored: %+v", ewma)
 	}
 }
 
@@ -398,11 +408,11 @@ func TestEnsembleStateBinaryRefuses(t *testing.T) {
 		}
 		return b
 	}
-	lso := func(inner PredictorState) EnsembleState {
-		return EnsembleState{Families: []FamilySnapshot{{Name: "10-MA-LSO",
-			PredictorState: PredictorState{LSO: &LSOState{Inner: inner}}}}}
+	switcher := func(stable PredictorState) EnsembleState {
+		return EnsembleState{Families: []FamilySnapshot{{Name: "switcher",
+			PredictorState: PredictorState{Switcher: &SwitcherState{Stable: stable, Volatile: PredictorState{MA: &MAState{}}}}}}}
 	}
-	flat := encode(lso(PredictorState{MA: &MAState{}}))
+	flat := encode(switcher(PredictorState{MA: &MAState{}}))
 	// One family with no errors and no predictor state ends "0, kindNone";
 	// replace that with a count of 2^60 floats.
 	fb := encode(EnsembleState{Observations: 1, Families: []FamilySnapshot{{Name: "10-MA-LSO"}}})
@@ -416,7 +426,7 @@ func TestEnsembleStateBinaryRefuses(t *testing.T) {
 		{"trailing byte", append(good[:len(good):len(good)], 0), "1 trailing bytes"},
 		{"unknown kind", append(fb[:len(fb)-1:len(fb)-1], 99), "unknown predictor kind 99"},
 		{"bool byte 2", []byte{0, 2, 0, 0, 0, 0}, "bool byte 2"},
-		{"nesting beyond the cap", bytes.Replace(flat, []byte{kindLSO, 0, 0}, []byte{kindLSO, 0, 0, kindLSO, 0, 0}, 1), "nested deeper than 1"},
+		{"nesting beyond the cap", bytes.Replace(flat, []byte{kindSwitcher, 0}, []byte{kindSwitcher, 0, kindSwitcher, 0}, 1), "nested deeper than 1"},
 		{"2^60 floats declared", huge, "1152921504606846976 items of 8 bytes declared"},
 	}
 	for n := range good {
@@ -445,7 +455,7 @@ func TestEnsembleStateBinaryRefuses(t *testing.T) {
 		{"infinite measurement", func(st *EnsembleState) { st.FB.AvailBw = math.Inf(1) }, "non-finite"},
 		{"two predictor states in one", func(st *EnsembleState) { st.Families[0].EWMA = &EWMAState{} }, "2 predictor states"},
 		{"nesting beyond the cap", func(st *EnsembleState) {
-			*st = lso(PredictorState{LSO: &LSOState{Inner: PredictorState{MA: &MAState{}}}})
+			*st = switcher(PredictorState{Switcher: &SwitcherState{Stable: PredictorState{MA: &MAState{}}, Volatile: PredictorState{MA: &MAState{}}}})
 		}, "nested deeper than 1"},
 	}
 	for _, tc := range encodeCases {

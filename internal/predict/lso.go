@@ -38,35 +38,42 @@ func (c LSOConfig) defaults() LSOConfig {
 	return c
 }
 
-// LSO wraps an HB predictor with the paper's two heuristics:
+// Detector runs the paper's two heuristics (§5.2) over one throughput
+// series. They are a property of the series, not of a predictor: detection
+// reads only the raw window and γ/ψ, so a path needs one Detector however
+// many predictors read its clean series.
 //
 //   - Outliers — samples deviating from the window median by more than a
-//     relative difference ψ — are excluded from the history fed to the
-//     inner predictor (the most recent sample is never judged an outlier,
-//     since it may instead be the start of a level shift).
+//     relative difference ψ — are excluded from the clean series (the most
+//     recent sample is never judged an outlier, since it may instead be the
+//     start of a level shift).
 //
 //   - Level shifts — a point X_k where every earlier sample is strictly
 //     below (above) every sample from X_k on, the two segment medians
 //     differ by more than a relative difference γ, and at least two
-//     samples follow X_k — cause all history before X_k to be discarded
-//     and the inner predictor to restart from X_k.
+//     samples follow X_k — cause all history before X_k to be discarded,
+//     so the clean series restarts from X_k.
 //
 // Observations are processed incrementally: the window's order statistics
 // are maintained by binary insert/remove in a sorted slice (the helpers
-// every orderedRing uses) rather than a per-call sort, and the inner
-// predictor is only rebuilt by replay when the outlier/shift labelling of
-// the retained history actually changes — when the new sample merely
-// extends the clean series, one inner Observe suffices. The forecasts are bit-for-bit identical to rebuilding from
-// scratch every observation (see TestLSOIncrementalMatchesNaive).
-type LSO struct {
-	cfg   LSOConfig
-	inner HB
+// every orderedRing uses) rather than a per-call sort. A predictor that
+// reads the clean series is only rebuilt by replay when the outlier/shift
+// labelling of the retained history actually changes — when the new sample
+// merely extends the clean series, one Observe suffices (see feed). The
+// forecasts are bit-for-bit identical to rebuilding from scratch every
+// observation (see TestLSOIncrementalMatchesNaive).
+type Detector struct {
+	cfg LSOConfig
 
 	history []float64 // raw samples since the last detected level shift
 	// Shifts counts detected level shifts; Outliers counts samples
 	// currently labelled as outliers.
 	Shifts   int
 	Outliers int
+	// extended reports whether the latest Observe merely appended its
+	// sample to the clean series: no prior sample was relabelled and no
+	// window slide or shift discarded history.
+	extended bool
 
 	// Incremental scratch state, reused across observations so the
 	// steady-state Observe path performs no allocations.
@@ -74,13 +81,108 @@ type LSO struct {
 	mask        []bool    // outlier mask over history
 	deviant     []bool    // scratch: |x-med|/med > ψ flags
 	clean       []float64 // history minus outliers
-	lastClean   []float64 // clean series the inner predictor has absorbed
+	lastClean   []float64 // clean series before the latest sample
 	cleanSorted []float64 // clean's values in ascending order, for the shift scan
+}
+
+// NewDetector returns a detector with no history.
+func NewDetector(cfg LSOConfig) *Detector {
+	cfg = cfg.defaults()
+	return &Detector{cfg: cfg, history: make([]float64, 0, cfg.MaxHistory)}
+}
+
+// LSOState is a path's detector state: the raw window since the last level
+// shift (oldest first) and the shift count. The order statistics, outlier
+// mask and clean series are functions of the window, so setState rebuilds
+// them rather than carrying them.
+type LSOState struct {
+	Window []float64 `json:"window,omitempty"`
+	Shifts int       `json:"shifts,omitempty"`
+}
+
+func (d *Detector) state() LSOState {
+	return LSOState{Window: append([]float64(nil), d.history...), Shifts: d.Shifts}
+}
+
+// setState installs st. After it the clean series counts as relabelled, so
+// the next feed replays it. On error the detector is unchanged.
+func (d *Detector) setState(st LSOState) error {
+	if len(st.Window) > d.cfg.MaxHistory {
+		return fmt.Errorf("predict: LSO window of %d samples exceeds MaxHistory %d", len(st.Window), d.cfg.MaxHistory)
+	}
+	if !finite(st.Window...) {
+		return fmt.Errorf("predict: non-finite LSO window")
+	}
+	if st.Shifts < 0 {
+		return fmt.Errorf("predict: negative LSO shift count %d", st.Shifts)
+	}
+	d.history = append(d.history[:0], st.Window...)
+	d.Shifts = st.Shifts
+	d.rebuildSorted()
+	d.computeClean()
+	d.Outliers = countTrue(d.mask)
+	d.extended = false
+	return nil
+}
+
+// Observe adds x to the window and relabels it: outliers, then a level
+// shift, which truncates the window to the shift point.
+func (d *Detector) Observe(x float64) {
+	d.lastClean = append(d.lastClean[:0], d.clean...)
+	if len(d.history) == d.cfg.MaxHistory {
+		// Window slide: evict the head in place and drop its order-statistic
+		// entry, keeping both backing arrays stable.
+		d.sorted = sortedRemove(d.sorted, d.history[0])
+		copy(d.history, d.history[1:])
+		d.history[len(d.history)-1] = x
+	} else {
+		d.history = append(d.history, x)
+	}
+	d.sorted = sortedInsert(d.sorted, x)
+
+	d.computeClean()
+	if k := d.findLevelShift(); k > 0 {
+		d.Shifts++
+		// Restart from the shift point: translate the index in the clean
+		// series back to the raw history and drop everything before it.
+		raw := d.cleanIndexToRaw(k, d.mask)
+		n := copy(d.history, d.history[raw:])
+		d.history = d.history[:n]
+		d.rebuildSorted()
+		d.computeClean()
+	}
+	d.Outliers = countTrue(d.mask)
+	n := len(d.lastClean)
+	d.extended = len(d.clean) == n+1 && slices.Equal(d.clean[:n], d.lastClean)
+}
+
+// feed brings p up to the clean series. p must have absorbed the clean
+// series as it stood before the latest Observe (or, after a setState, any
+// series). In the common case the clean series is exactly that plus the
+// new sample, and a single incremental Observe produces the identical
+// state; after a relabel, a slide, a shift or a restore p is reset and the
+// clean series replayed.
+func (d *Detector) feed(p HB) {
+	if d.extended {
+		p.Observe(d.clean[len(d.clean)-1])
+		return
+	}
+	p.Reset()
+	for _, v := range d.clean {
+		p.Observe(v)
+	}
+}
+
+// LSO is an HB predictor fed the clean series of its own Detector: the
+// paper's HB-with-LSO for a caller that runs one predictor per series.
+type LSO struct {
+	*Detector
+	inner HB
 }
 
 // NewLSO wraps inner with the LSO heuristics.
 func NewLSO(inner HB, cfg LSOConfig) *LSO {
-	return &LSO{cfg: cfg.defaults(), inner: inner}
+	return &LSO{Detector: NewDetector(cfg), inner: inner}
 }
 
 // Name implements HB.
@@ -91,136 +193,25 @@ func (l *LSO) Predict() (float64, bool) { return l.inner.Predict() }
 
 // Reset implements HB.
 func (l *LSO) Reset() {
-	l.history = l.history[:0]
-	l.sorted = l.sorted[:0]
-	l.lastClean = l.lastClean[:0]
+	l.Detector = NewDetector(l.cfg)
 	l.inner.Reset()
-	l.Shifts = 0
-	l.Outliers = 0
-}
-
-// History returns the retained raw sample count (for tests).
-func (l *LSO) History() int { return len(l.history) }
-
-// LSOState is an LSO's live state: the raw window since the last level
-// shift (oldest first), the shift count and the inner predictor's state.
-// The order statistics, outlier mask and clean series are functions of the
-// window, so SetState rebuilds them rather than carrying them.
-type LSOState struct {
-	Window []float64      `json:"window,omitempty"`
-	Shifts int            `json:"shifts,omitempty"`
-	Inner  PredictorState `json:"inner"`
-}
-
-// State captures the predictor.
-func (l *LSO) State() LSOState {
-	return LSOState{
-		Window: append([]float64(nil), l.history...),
-		Shifts: l.Shifts,
-		Inner:  stateOf(l.inner),
-	}
-}
-
-// SetState installs st. After every Observe the series the inner
-// predictor last absorbed is the clean series of the window, so rebuilding
-// both from the window reproduces the live predictor exactly. On error the
-// wrapper's own state is unchanged.
-func (l *LSO) SetState(st LSOState) error {
-	if len(st.Window) > l.cfg.MaxHistory {
-		return fmt.Errorf("%s: window of %d samples exceeds MaxHistory %d", l.Name(), len(st.Window), l.cfg.MaxHistory)
-	}
-	if !finite(st.Window...) {
-		return fmt.Errorf("%s: non-finite window", l.Name())
-	}
-	if st.Shifts < 0 {
-		return fmt.Errorf("%s: negative shift count %d", l.Name(), st.Shifts)
-	}
-	if err := setStateOf(l.inner, st.Inner); err != nil {
-		return err
-	}
-	if cap(l.history) < l.cfg.MaxHistory {
-		l.history = make([]float64, 0, l.cfg.MaxHistory)
-	}
-	l.history = append(l.history[:0], st.Window...)
-	l.Shifts = st.Shifts
-	l.rebuildSorted()
-	l.computeClean()
-	l.Outliers = countTrue(l.mask)
-	l.lastClean = append(l.lastClean[:0], l.clean...)
-	return nil
 }
 
 // Observe implements HB.
 func (l *LSO) Observe(x float64) {
-	if cap(l.history) < l.cfg.MaxHistory {
-		h := make([]float64, len(l.history), l.cfg.MaxHistory)
-		copy(h, l.history)
-		l.history = h
-	}
-	if len(l.history) == l.cfg.MaxHistory {
-		// Window slide: evict the head in place and drop its order-statistic
-		// entry, keeping both backing arrays stable.
-		l.sorted = sortedRemove(l.sorted, l.history[0])
-		copy(l.history, l.history[1:])
-		l.history[len(l.history)-1] = x
-	} else {
-		l.history = append(l.history, x)
-	}
-	l.sorted = sortedInsert(l.sorted, x)
-
-	l.computeClean()
-	if k := l.findLevelShift(); k > 0 {
-		l.Shifts++
-		// Restart from the shift point: translate the index in the clean
-		// series back to the raw history and drop everything before it.
-		raw := l.cleanIndexToRaw(k, l.mask)
-		n := copy(l.history, l.history[raw:])
-		l.history = l.history[:n]
-		l.rebuildSorted()
-		l.computeClean()
-	}
-	l.Outliers = countTrue(l.mask)
-
-	// Replay the inner predictor only when the labelling of the retained
-	// history changed. In the common case the clean series is exactly what
-	// the inner predictor already absorbed plus the new sample, and a
-	// single incremental Observe produces the identical state.
-	if l.cleanExtendsLast() {
-		l.inner.Observe(x)
-	} else {
-		l.inner.Reset()
-		for _, v := range l.clean {
-			l.inner.Observe(v)
-		}
-	}
-	l.lastClean = append(l.lastClean[:0], l.clean...)
-}
-
-// cleanExtendsLast reports whether clean == lastClean + [newest sample],
-// i.e. no prior sample was relabelled and no window slide or shift
-// discarded absorbed history.
-func (l *LSO) cleanExtendsLast() bool {
-	n := len(l.lastClean)
-	if len(l.clean) != n+1 {
-		return false
-	}
-	for i, v := range l.lastClean {
-		if l.clean[i] != v {
-			return false
-		}
-	}
-	return true
+	l.Detector.Observe(x)
+	l.feed(l.inner)
 }
 
 // rebuildSorted reconstructs the view after a level-shift truncation.
-func (l *LSO) rebuildSorted() {
-	l.sorted = append(l.sorted[:0], l.history...)
-	slices.Sort(l.sorted)
+func (d *Detector) rebuildSorted() {
+	d.sorted = append(d.sorted[:0], d.history...)
+	slices.Sort(d.sorted)
 }
 
 // windowMedian returns the median of the raw window in O(1) from the
 // maintained order statistics.
-func (l *LSO) windowMedian() float64 { return medianSorted(l.sorted) }
+func (d *Detector) windowMedian() float64 { return medianSorted(d.sorted) }
 
 // medianSorted returns the median of an ascending slice (0 when empty).
 func medianSorted(xs []float64) float64 {
@@ -234,31 +225,31 @@ func medianSorted(xs []float64) float64 {
 	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
-// computeClean refreshes l.mask (the outlier mask over the raw window) and
-// l.clean (the non-outlier samples), reusing the scratch buffers. A sample
+// computeClean refreshes d.mask (the outlier mask over the raw window) and
+// d.clean (the non-outlier samples), reusing the scratch buffers. A sample
 // is an outlier if it deviates from the window median by more than ψ in
 // relative terms AND is part of a short (≤2 samples), already-ended run of
 // such deviations. Longer runs, and runs still in progress at the end of
 // the window, are candidate level shifts and must stay in the history for
 // the shift detector — otherwise a genuine shift would be shredded into
 // "outliers" before it can ever be recognized.
-func (l *LSO) computeClean() {
-	xs := l.history
-	l.mask = growBool(l.mask, len(xs))
-	l.clean = l.clean[:0]
+func (d *Detector) computeClean() {
+	xs := d.history
+	d.mask = growBool(d.mask, len(xs))
+	d.clean = d.clean[:0]
 	if len(xs) < 3 {
-		l.clean = append(l.clean, xs...)
+		d.clean = append(d.clean, xs...)
 		return
 	}
-	med := l.windowMedian()
+	med := d.windowMedian()
 	if med <= 0 {
-		l.clean = append(l.clean, xs...)
+		d.clean = append(d.clean, xs...)
 		return
 	}
-	l.deviant = growBool(l.deviant, len(xs))
-	deviant := l.deviant
+	d.deviant = growBool(d.deviant, len(xs))
+	deviant := d.deviant
 	for i, v := range xs {
-		deviant[i] = math.Abs(stats.RelativeError(v, med)) > l.cfg.Psi
+		deviant[i] = math.Abs(stats.RelativeError(v, med)) > d.cfg.Psi
 	}
 	for i := 0; i < len(xs); {
 		if !deviant[i] {
@@ -271,14 +262,14 @@ func (l *LSO) computeClean() {
 		}
 		if j-i <= 2 && j < len(xs) {
 			for k := i; k < j; k++ {
-				l.mask[k] = true
+				d.mask[k] = true
 			}
 		}
 		i = j
 	}
 	for i, v := range xs {
-		if !l.mask[i] {
-			l.clean = append(l.clean, v)
+		if !d.mask[i] {
+			d.clean = append(d.clean, v)
 		}
 	}
 }
@@ -306,13 +297,13 @@ func growBool(b []bool, n int) []bool {
 // strict-separation screen compares running prefix extrema with the clean
 // series' order statistics, and a candidate's two segment medians are read
 // off the same sorted values: O(n) per observation, no per-candidate sort.
-func (l *LSO) findLevelShift() int {
-	xs := l.clean
+func (d *Detector) findLevelShift() int {
+	xs := d.clean
 	n := len(xs)
 	if n < 4 {
 		return 0
 	}
-	s := l.sortClean()
+	s := d.sortClean()
 	bestK, bestDiff := 0, 0.0
 	preMin, preMax := xs[0], xs[0] // extrema of xs[:k]
 	// Condition 3: k+2 ≤ n with 1-based indexing, i.e. at least two
@@ -332,9 +323,9 @@ func (l *LSO) findLevelShift() int {
 		default:
 			continue
 		}
-		d := math.Abs(stats.RelativeError(m1, m2))
-		if d > l.cfg.Gamma && d > bestDiff {
-			bestK, bestDiff = k, d
+		diff := math.Abs(stats.RelativeError(m1, m2))
+		if diff > d.cfg.Gamma && diff > bestDiff {
+			bestK, bestDiff = k, diff
 		}
 	}
 	return bestK
@@ -342,19 +333,19 @@ func (l *LSO) findLevelShift() int {
 
 // sortClean returns the clean series in ascending order: the window's
 // order statistics minus the samples computeClean labelled outliers.
-func (l *LSO) sortClean() []float64 {
-	l.cleanSorted = append(l.cleanSorted[:0], l.sorted...)
-	for i, out := range l.mask {
+func (d *Detector) sortClean() []float64 {
+	d.cleanSorted = append(d.cleanSorted[:0], d.sorted...)
+	for i, out := range d.mask {
 		if out {
-			l.cleanSorted = sortedRemove(l.cleanSorted, l.history[i])
+			d.cleanSorted = sortedRemove(d.cleanSorted, d.history[i])
 		}
 	}
-	return l.cleanSorted
+	return d.cleanSorted
 }
 
 // cleanIndexToRaw maps index k of the outlier-free series to the
 // corresponding index in the raw history.
-func (l *LSO) cleanIndexToRaw(k int, mask []bool) int {
+func (d *Detector) cleanIndexToRaw(k int, mask []bool) int {
 	seen := 0
 	for i := range mask {
 		if mask[i] {

@@ -270,3 +270,60 @@ func TestLSOObserveSteadyStateAllocs(t *testing.T) {
 		t.Errorf("steady-state Observe allocates %.2f allocs/op, want 0", avg)
 	}
 }
+
+// TestEnsembleHBTrioMatchesLSOWrappers: the ensemble's HB trio reads one
+// shared detector, and must forecast exactly as three independent LSO
+// wrappers of the same predictors do — bit for bit, after every
+// observation, through level shifts, outlier runs and window slides. The
+// ensemble's detection counts are one wrapper's, not their sum. The naive
+// twins, which rebuild their predictor on every observation, keep the
+// comparison honest should the wrappers and the ensemble share a defect.
+func TestEnsembleHBTrioMatchesLSOWrappers(t *testing.T) {
+	var shifts, outliers, slides int // steps that saw each
+	for seed := int64(0); seed < 20; seed++ {
+		e := NewEnsemble()
+		mks := []func() HB{
+			func() HB { return NewMA(10) },
+			func() HB { return NewEWMA(0.8) },
+			func() HB { return NewHoltWinters(0.8, 0.2) },
+		}
+		var wrappers []*LSO
+		var naive []*naiveLSO
+		for _, mk := range mks {
+			wrappers = append(wrappers, NewLSO(mk(), LSOConfig{}))
+			naive = append(naive, newNaiveLSO(mk(), LSOConfig{}))
+		}
+		rng := rand.New(rand.NewSource(seed))
+		for i, x := range throughputSeries(rng, 400) {
+			e.Observe(x)
+			v := e.View()
+			for k, w := range wrappers {
+				w.Observe(x)
+				naive[k].Observe(x)
+				want, wantOK := w.Predict()
+				rebuilt, rebuiltOK := naive[k].Predict()
+				if f := v.Families[k]; f.Name != w.Name() || f.Forecast != want || f.Ready != wantOK || rebuilt != want || rebuiltOK != wantOK {
+					t.Fatalf("seed %d sample %d: %s forecasts (%v,%v), wrapper %s (%v,%v), naive twin (%v,%v)",
+						seed, i, f.Name, f.Forecast, f.Ready, w.Name(), want, wantOK, rebuilt, rebuiltOK)
+				}
+			}
+			w := wrappers[0]
+			if s, o := e.LSOStats(); s != w.Shifts || o != w.Outliers {
+				t.Fatalf("seed %d sample %d: LSOStats %d shifts, %d outliers; one wrapper %d, %d",
+					seed, i, s, o, w.Shifts, w.Outliers)
+			}
+			if w.Shifts > 0 {
+				shifts++
+			}
+			if w.Outliers > 0 {
+				outliers++
+			}
+			if len(w.history) == w.cfg.MaxHistory {
+				slides++
+			}
+		}
+	}
+	if shifts == 0 || outliers == 0 || slides == 0 {
+		t.Fatalf("steps after a shift %d, with an outlier %d, with a full window %d; want all three", shifts, outliers, slides)
+	}
+}

@@ -121,8 +121,8 @@ func TestLSOHistoryBounded(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		l.Observe(5)
 	}
-	if l.History() > 16 {
-		t.Errorf("history %d exceeds MaxHistory 16", l.History())
+	if len(l.history) > 16 {
+		t.Errorf("history %d exceeds MaxHistory 16", len(l.history))
 	}
 }
 
@@ -130,7 +130,7 @@ func TestLSOReset(t *testing.T) {
 	l := NewLSO(NewMA(5), DefaultLSOConfig())
 	feed(l, 1, 1, 1, 5, 5, 5)
 	l.Reset()
-	if l.History() != 0 || l.Shifts != 0 || l.Outliers != 0 {
+	if len(l.history) != 0 || l.Shifts != 0 || l.Outliers != 0 {
 		t.Error("reset did not clear state")
 	}
 	if _, ok := l.Predict(); ok {

@@ -8,13 +8,12 @@ import (
 
 // PredictorState is the live state of one history-based predictor, as its
 // State method returns it and its SetState method installs it. Exactly one
-// field is set, the one matching the predictor's type; LSO and the switcher
-// nest their inner predictors' states.
+// field is set, the one matching the predictor's type; the switcher nests
+// its inner predictors' states.
 type PredictorState struct {
 	MA         *MAState         `json:"ma,omitempty"`
 	EWMA       *EWMAState       `json:"ewma,omitempty"`
 	HW         *HWState         `json:"hw,omitempty"`
-	LSO        *LSOState        `json:"lso,omitempty"`
 	Switcher   *SwitcherState   `json:"switcher,omitempty"`
 	Regression *RegressionState `json:"regression,omitempty"`
 	ECM        *ECMState        `json:"ecm,omitempty"`
@@ -34,9 +33,6 @@ func stateOf(p HB) PredictorState {
 	case *HoltWinters:
 		s := p.State()
 		st.HW = &s
-	case *LSO:
-		s := p.State()
-		st.LSO = &s
 	case *StabilitySwitcher:
 		s := p.State()
 		st.Switcher = &s
@@ -70,10 +66,6 @@ func setStateOf(p HB, st PredictorState) error {
 		if st.HW != nil {
 			return p.SetState(*st.HW)
 		}
-	case *LSO:
-		if st.LSO != nil {
-			return p.SetState(*st.LSO)
-		}
 	case *StabilitySwitcher:
 		if st.Switcher != nil {
 			return p.SetState(*st.Switcher)
@@ -93,7 +85,7 @@ func setStateOf(p HB, st PredictorState) error {
 // count returns how many of the state's fields are set.
 func (st PredictorState) count() int {
 	n := 0
-	for _, set := range []bool{st.MA != nil, st.EWMA != nil, st.HW != nil, st.LSO != nil,
+	for _, set := range []bool{st.MA != nil, st.EWMA != nil, st.HW != nil,
 		st.Switcher != nil, st.Regression != nil, st.ECM != nil} {
 		if set {
 			n++
@@ -119,7 +111,7 @@ func finite(xs ...float64) bool {
 // byte each, and a PredictorState is a one-byte kind tag and that kind's
 // fields in declaration order:
 //
-//	state     = observations hasFB [rtt loss availBw] fbAge covIn covTotal n family*n
+//	state     = observations hasFB [rtt loss availBw] fbAge covIn covTotal window shifts n family*n
 //	family    = len name errors predictor
 //	predictor = kind fields
 //	floats    = n float64*n
@@ -128,14 +120,13 @@ const (
 	kindMA
 	kindEWMA
 	kindHW
-	kindLSO
 	kindSwitcher
 	kindRegression
 	kindECM
 )
 
-// maxNesting bounds how deep LSO and switcher states may nest. The zoo
-// wraps plain predictors only, one level deep.
+// maxNesting bounds how deep switcher states may nest. The zoo's switcher
+// wraps plain predictors, one level deep.
 const maxNesting = 1
 
 // AppendBinary appends st's binary form to b. Like json.Marshal it refuses
@@ -154,6 +145,8 @@ func (st *EnsembleState) AppendBinary(b []byte) ([]byte, error) {
 	w.uvarint(st.FBAge)
 	w.uvarint(st.CovIn)
 	w.uvarint(st.CovTotal)
+	w.floats(st.LSO.Window)
+	w.uvarint(uint64(st.LSO.Shifts))
 	w.uvarint(uint64(len(st.Families)))
 	for i := range st.Families {
 		f := &st.Families[i]
@@ -183,6 +176,7 @@ func (st *EnsembleState) UnmarshalBinary(data []byte) error {
 		st.FB = &FBInputs{RTT: r.float(), LossRate: r.float(), AvailBw: r.float()}
 	}
 	st.FBAge, st.CovIn, st.CovTotal = r.uvarint(), r.uvarint(), r.uvarint()
+	st.LSO = LSOState{Window: r.floatSlice(), Shifts: int(r.uvarint())}
 	// A family is at least a name length, an error count and a kind.
 	if n := r.count(3); n > 0 {
 		st.Families = make([]FamilySnapshot, n)
@@ -235,13 +229,13 @@ func (w *stateWriter) floats(xs []float64) {
 	}
 }
 
-// predictor writes st, which sits inside depth LSO or switcher states.
+// predictor writes st, which sits inside depth switcher states.
 func (w *stateWriter) predictor(st *PredictorState, depth int) {
 	if n := st.count(); n > 1 {
 		w.fail("%d predictor states in one", n)
 		return
 	}
-	if (st.LSO != nil || st.Switcher != nil) && depth >= maxNesting {
+	if st.Switcher != nil && depth >= maxNesting {
 		w.fail("state nested deeper than %d", maxNesting)
 		return
 	}
@@ -260,11 +254,6 @@ func (w *stateWriter) predictor(st *PredictorState, depth int) {
 		w.float(st.HW.T)
 		w.float(st.HW.X0)
 		w.uvarint(uint64(st.HW.N))
-	case st.LSO != nil:
-		w.b = append(w.b, kindLSO)
-		w.floats(st.LSO.Window)
-		w.uvarint(uint64(st.LSO.Shifts))
-		w.predictor(&st.LSO.Inner, depth+1)
 	case st.Switcher != nil:
 		w.b = append(w.b, kindSwitcher)
 		w.floats(st.Switcher.Ring)
@@ -378,11 +367,10 @@ func (r *stateReader) floatSlice() []float64 {
 	return r.floats[start:len(r.floats):len(r.floats)]
 }
 
-// predictor reads a PredictorState that sits inside depth LSO or switcher
-// states.
+// predictor reads a PredictorState that sits inside depth switcher states.
 func (r *stateReader) predictor(depth int) (st PredictorState) {
 	kind := r.u8()
-	if (kind == kindLSO || kind == kindSwitcher) && depth >= maxNesting {
+	if kind == kindSwitcher && depth >= maxNesting {
 		r.fail("state nested deeper than %d", maxNesting)
 		return st
 	}
@@ -394,8 +382,6 @@ func (r *stateReader) predictor(depth int) (st PredictorState) {
 		st.EWMA = &EWMAState{Pred: r.float(), Seen: r.flag()}
 	case kindHW:
 		st.HW = &HWState{S: r.float(), T: r.float(), X0: r.float(), N: int(r.uvarint())}
-	case kindLSO:
-		st.LSO = &LSOState{Window: r.floatSlice(), Shifts: int(r.uvarint()), Inner: r.predictor(depth + 1)}
 	case kindSwitcher:
 		st.Switcher = &SwitcherState{Ring: r.floatSlice(), Stable: r.predictor(depth + 1), Volatile: r.predictor(depth + 1)}
 	case kindRegression:

@@ -8,7 +8,7 @@
 // routing, replica selection and streaming systems ask "what throughput
 // will a bulk transfer on path P achieve right now?" before starting the
 // transfer. Each session keeps the paper's History-Based ensemble
-// (MA/EWMA/Holt-Winters, LSO-wrapped, §5), a Formula-Based
+// (MA/EWMA/Holt-Winters with LSO, §5), a Formula-Based
 // predictor fed with the latest pre-flow measurements (Eq. 3), and rolling
 // accuracy statistics — the relative error of Eq. 4 and the RMSRE of
 // Eq. 5 over a sliding window — so the service can also answer "which

@@ -243,7 +243,7 @@ func TestImportRejectsCorruptStreams(t *testing.T) {
 		{"second record: checksum", second(brokenSum), "record 1: store: corrupt record stream: sha256 mismatch"},
 		{"second record: bad state", second(record(t, "q2", []byte(`"not a snapshot"`))), "handoff record 1 (q2): bad state"},
 		{"second record: trailing byte", second(record(t, "q2", append(state[:len(state):len(state)], 0))), "handoff record 1 (q2): bad state: predict: decode state: 1 trailing bytes"},
-		{"another version", streamOf(t, "predsvc.PathSnapshot/4", rec), `stream format "predsvc.PathSnapshot/4", want "predsvc.PathSnapshot/5"`},
+		{"another version", streamOf(t, "predsvc.PathSnapshot/4", rec), `stream format "predsvc.PathSnapshot/4", want "predsvc.PathSnapshot/6"`},
 		{"an NDJSON stream", []byte(`{"path":"q","observations":1,"state":{},"sum":"00"}` + "\n"), "record declares"},
 	}
 	for _, tc := range cases {
@@ -318,28 +318,27 @@ func TestImportRejectsMalformedState(t *testing.T) {
 		want   string
 	}{
 		{name: "MA ring longer than its order", mutate: func(st *predict.EnsembleState) {
-			ma := family(st, "10-MA-LSO").LSO.Inner.MA
+			ma := family(st, "10-MA-LSO").MA
 			ma.Ring = append(ma.Ring, 1e7)
 		}, want: "exceeds the order"},
 		{name: "NaN Holt-Winters level", mutate: func(st *predict.EnsembleState) {
-			family(st, "0.8-HW-LSO").LSO.Inner.HW.S = marker
+			family(st, "0.8-HW-LSO").HW.S = marker
 		}, raw: level(math.NaN()), want: "0.8-HW: non-finite state"},
 		{name: "infinite Holt-Winters level", mutate: func(st *predict.EnsembleState) {
-			family(st, "0.8-HW-LSO").LSO.Inner.HW.S = marker
+			family(st, "0.8-HW-LSO").HW.S = marker
 		}, raw: level(math.Inf(1)), want: "0.8-HW: non-finite state"},
 		{name: "regression n smaller than its ring", mutate: func(st *predict.EnsembleState) {
 			family(st, "regression").Regression.N = 3
 		}, want: "history samples for 3 observations"},
 		{name: "negative Holt-Winters count", mutate: func(st *predict.EnsembleState) {
-			family(st, "0.8-HW-LSO").LSO.Inner.HW.N = -1
+			family(st, "0.8-HW-LSO").HW.N = -1
 		}, want: "negative observation count"},
 		{name: "switcher without its stable predictor", mutate: func(st *predict.EnsembleState) {
 			family(st, "switcher").Switcher.Stable.EWMA = nil
 		}, want: "0 predictor states"},
 		{name: "LSO window beyond MaxHistory", mutate: func(st *predict.EnsembleState) {
-			l := family(st, "0.8-EWMA-LSO").LSO
-			for len(l.Window) <= 32 {
-				l.Window = append(l.Window, 1e7)
+			for len(st.LSO.Window) <= 32 {
+				st.LSO.Window = append(st.LSO.Window, 1e7)
 			}
 		}, want: "MaxHistory"},
 		{name: "error window beyond its size", mutate: func(st *predict.EnsembleState) {

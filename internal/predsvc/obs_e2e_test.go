@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/obs"
+	"repro/internal/predict"
 )
 
 // scrape fetches url and returns the body.
@@ -391,6 +392,36 @@ func TestMetricsViewsAgree(t *testing.T) {
 	got := sampleValue(t, exposition, `predsvc_request_duration_seconds_sum{endpoint="sessions_drop"}`)
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("sessions_drop duration_sum = %v, want %v (exact)", got, want)
+	}
+}
+
+// TestLSOMetricsCountEachDetectionOnce: predsvc_lso_shifts and
+// predsvc_lso_outliers count what the path's series holds — the level
+// shifts and outliers one LSO detector finds in it — not that once per HB
+// family.
+func TestLSOMetricsCountEachDetectionOnce(t *testing.T) {
+	srv := NewServer(Config{Obs: obs.New(64)})
+	h := srv.Handler()
+	lone := predict.NewLSO(predict.NewMA(10), predict.LSOConfig{})
+	// A level with an outlier, a shift to three times the level, and an
+	// outlier at the new level.
+	for _, mbps := range []float64{10, 10.2, 9.8, 10, 2, 10.1, 9.9, 10, 30, 30.5, 29.8, 30.2, 5, 30.1, 29.9} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/observe",
+			strings.NewReader(`{"path":"shifty","throughput_bps":`+strconv.FormatFloat(mbps*1e6, 'g', -1, 64)+`}`)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("observe = %d: %s", rec.Code, rec.Body)
+		}
+		lone.Observe(mbps * 1e6)
+	}
+	if lone.Shifts == 0 || lone.Outliers == 0 {
+		t.Fatalf("the series holds %d shifts and %d outliers; want both", lone.Shifts, lone.Outliers)
+	}
+	exposition := scrapeInProcess(t, srv, obs.PathMetrics)
+	shifts, outliers := sampleValue(t, exposition, "predsvc_lso_shifts"), sampleValue(t, exposition, "predsvc_lso_outliers")
+	if shifts != float64(lone.Shifts) || outliers != float64(lone.Outliers) {
+		t.Errorf("predsvc_lso_shifts %v, predsvc_lso_outliers %v; one detector finds %d and %d",
+			shifts, outliers, lone.Shifts, lone.Outliers)
 	}
 }
 

@@ -3,7 +3,7 @@ package predsvc
 import (
 	"bytes"
 	"compress/gzip"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"flag"
 	"fmt"
@@ -12,10 +12,10 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
-	"repro/internal/predict"
 	"repro/internal/predsvc/store"
 )
 
@@ -83,12 +83,15 @@ func TestServedBytesGolden(t *testing.T) {
 	checkGolden(t, "served_snapshot.golden", snap.Bytes())
 }
 
-// TestServedSnapshotPayloadParity: version 5 changed only the payload's
-// encoding. testdata/legacy_v4_snapshot.golden is served_snapshot.golden as
-// recorded in version 4 (JSON payloads) from the same replay; each version-5
-// record, decoded, must carry the path and the state of the version-4 record
-// at the same position, compared as json.Marshal of both states. The legacy
-// file itself is refused.
+// TestServedSnapshotPayloadParity: version 6 changed only where the LSO
+// state sits. testdata/legacy_v5_snapshot.golden is served_snapshot.golden
+// as recorded in version 5 from the same replay, when each of the HB trio
+// carried its own LSO window and shift count around its predictor's state.
+// In every version-5 record the three must be identical — one detector per
+// path loses nothing — and the version-6 record at the same position must
+// be that record, byte for byte, with the three collapsed into the state's
+// one and the predictor states unwrapped. The legacy file itself is
+// refused.
 func TestServedSnapshotPayloadParity(t *testing.T) {
 	stream := func(name, format string) *store.StreamReader {
 		data, err := os.ReadFile(filepath.Join("testdata", name))
@@ -101,40 +104,140 @@ func TestServedSnapshotPayloadParity(t *testing.T) {
 		}
 		return sr
 	}
-	v5 := stream("served_snapshot.golden", sessionsFormat)
-	v4 := stream("legacy_v4_snapshot.golden", "predsvc.PathSnapshot/4")
+	v6 := stream("served_snapshot.golden", sessionsFormat)
+	v5 := stream("legacy_v5_snapshot.golden", "predsvc.PathSnapshot/5")
 	for i := 0; ; i++ {
+		rec6, err6 := v6.Next()
 		rec5, err5 := v5.Next()
-		rec4, err4 := v4.Next()
-		if err5 == io.EOF && err4 == io.EOF {
+		if err6 == io.EOF && err5 == io.EOF {
 			if i == 0 {
 				t.Fatal("the goldens hold no records")
 			}
 			break
 		}
-		if err5 != nil || err4 != nil {
-			t.Fatalf("record %d: version 5 %v, version 4 %v", i, err5, err4)
+		if err6 != nil || err5 != nil {
+			t.Fatalf("record %d: version 6 %v, version 5 %v", i, err6, err5)
 		}
-		var st5, st4 predict.EnsembleState
-		if err := st5.UnmarshalBinary(rec5.Data()); err != nil {
-			t.Fatalf("record %d: %v", i, err)
+		want, err := v5ToV6(rec5.Data())
+		if err != nil {
+			t.Fatalf("record %d (%s): %v", i, rec5.Path(), err)
 		}
-		// A version-4 payload is the state's JSON plus a "path" field.
-		if err := json.Unmarshal(rec4.Data(), &st4); err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-		j5, _ := json.Marshal(st5)
-		j4, _ := json.Marshal(st4)
-		if rec5.Path() != rec4.Path() || !bytes.Equal(j5, j4) {
-			t.Fatalf("record %d (%s) differs from version 4's (%s)", i, rec5.Path(), rec4.Path())
+		if rec6.Path() != rec5.Path() || !bytes.Equal(rec6.Data(), want) {
+			t.Fatalf("record %d (%s) differs from version 5's (%s)", i, rec6.Path(), rec5.Path())
 		}
 	}
-	legacy, err := os.ReadFile(filepath.Join("testdata", "legacy_v4_snapshot.golden"))
+	legacy, err := os.ReadFile(filepath.Join("testdata", "legacy_v5_snapshot.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := NewRegistry(Config{}).ReadSnapshot(bytes.NewReader(legacy)); !errors.Is(err, ErrCorruptSnapshot) {
-		t.Fatalf("ReadSnapshot of the version-4 golden: err = %v, want ErrCorruptSnapshot", err)
+		t.Fatalf("ReadSnapshot of the version-5 golden: err = %v, want ErrCorruptSnapshot", err)
+	}
+}
+
+// v5ToV6 rewrites a version-5 payload in the version-6 layout. Version 5
+// wrapped each of the HB trio's states in an LSO state (kind 4: window,
+// shift count, inner state); version 6 writes one window and shift count
+// before the family count, the inner states bare, and numbers the kinds
+// after LSO one lower. The trio's three LSO states must be identical.
+func v5ToV6(data []byte) ([]byte, error) {
+	w := v5walk{b: data}
+	w.uvarint() // observations
+	if w.copy(1); len(w.out) > 0 && w.out[len(w.out)-1] == 1 {
+		w.copy(24) // the measurement
+	}
+	w.uvarint() // measurement age
+	w.uvarint() // coverage
+	w.uvarint()
+	at := len(w.out)
+	for n := w.uvarint(); n > 0 && w.err == nil; n-- {
+		w.copy(int(w.uvarint())) // name
+		w.floats()               // error window
+		w.predictor()
+	}
+	if w.err == nil && len(w.b) > 0 {
+		w.err = fmt.Errorf("%d trailing bytes", len(w.b))
+	}
+	if w.err != nil {
+		return nil, w.err
+	}
+	if len(w.lso) != 3 || !bytes.Equal(w.lso[0], w.lso[1]) || !bytes.Equal(w.lso[0], w.lso[2]) {
+		return nil, fmt.Errorf("%d LSO states, want 3 identical ones", len(w.lso))
+	}
+	return slices.Concat(w.out[:at], w.lso[0], w.out[at:]), nil
+}
+
+// v5walk copies a version-5 payload to out as it reads it, setting aside
+// each LSO state's window and shift count in lso.
+type v5walk struct {
+	b, out []byte
+	lso    [][]byte
+	err    error
+}
+
+func (w *v5walk) copy(n int) {
+	if w.err == nil && (n < 0 || n > len(w.b)) {
+		w.err = errors.New("truncated")
+	}
+	if w.err == nil {
+		w.out, w.b = append(w.out, w.b[:n]...), w.b[n:]
+	}
+}
+
+func (w *v5walk) uvarint() uint64 {
+	v, n := binary.Uvarint(w.b)
+	if n <= 0 && w.err == nil {
+		w.err = errors.New("bad varint")
+	}
+	w.copy(n)
+	return v
+}
+
+func (w *v5walk) floats() { w.copy(8 * int(w.uvarint())) }
+
+func (w *v5walk) predictor() {
+	if w.copy(1); w.err != nil {
+		return
+	}
+	kind := &w.out[len(w.out)-1]
+	switch *kind {
+	case 0: // none
+	case 1: // MA
+		w.floats()
+		w.copy(8)
+	case 2: // EWMA
+		w.copy(9)
+	case 3: // Holt-Winters
+		w.copy(24)
+		w.uvarint()
+	case 4: // LSO
+		w.out = w.out[:len(w.out)-1]
+		start := len(w.out)
+		w.floats()
+		w.uvarint()
+		w.lso = append(w.lso, slices.Clone(w.out[start:]))
+		w.out = w.out[:start]
+		w.predictor()
+	case 5: // switcher
+		*kind = 4
+		w.floats()
+		w.predictor()
+		w.predictor()
+	case 6: // regression
+		*kind = 5
+		w.floats()
+		w.floats()
+		w.uvarint()
+		w.floats()
+	case 7: // ECM
+		*kind = 6
+		w.floats()
+		for n := w.uvarint(); n > 0 && w.err == nil; n-- {
+			w.copy(3)
+			w.floats()
+		}
+	default:
+		w.err = fmt.Errorf("unknown kind %d", *kind)
 	}
 }
 

@@ -17,14 +17,16 @@ import (
 // writes, snapshot files and handoff bodies, whose records are the spill
 // log's: one per path, its data the binary predict.EnsembleState of the
 // path's session (the observation count, the FB measurements and their age,
-// so staleness flagging survives a restart, every family's error window and
-// live predictor state, and the coverage counters). Restoring installs that
-// state into a fresh ensemble — a copy, exact at any history length; no
-// observation is replayed. Versions 1–4 carried JSON PathSnapshot documents
-// (version 3 one document with a sha256 trailer line); the name is kept so
-// that an older node reports another version rather than another format. A
-// stream of any other format or version is refused.
-const sessionsFormat = "predsvc.PathSnapshot/5"
+// so staleness flagging survives a restart, the path's one LSO window and
+// shift count, every family's error window and live predictor state, and
+// the coverage counters). Restoring installs that state into a fresh
+// ensemble — a copy, exact at any history length; no observation is
+// replayed. Versions 1–4 carried JSON PathSnapshot documents (version 3 one
+// document with a sha256 trailer line), and version 5 one LSO window per HB
+// family; the name is kept so that an older node reports another version
+// rather than another format. A stream of any other format or version is
+// refused.
+const sessionsFormat = "predsvc.PathSnapshot/6"
 
 // WriteSnapshot streams every session to w as a record stream, coldest
 // first (see store.Store.Paths), so restoring it into an equally-sharded

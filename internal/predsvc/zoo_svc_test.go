@@ -90,8 +90,9 @@ func TestCalibrationEndToEnd(t *testing.T) {
 // TestLegacyV1SnapshotRejected: snapshots of earlier formats are no longer
 // restorable — version 1 (hb_errors / fb_errors, no families), version 2
 // (a replayed observation history beside the families' error windows),
-// version 3 (one JSON document of live state) and version 4 (a record
-// stream of JSON states) — even with an intact sha256 trailer, and neither
+// version 3 (one JSON document of live state), version 4 (a record stream
+// of JSON states) and version 5 (binary states with an LSO window per HB
+// family) — even with an intact sha256 trailer, and neither
 // is a record stream of another version nor a current one holding state
 // the configuration refuses. Each must be refused as ErrCorruptSnapshot and
 // quarantined at boot — never half restored.
@@ -107,13 +108,11 @@ func TestLegacyV1SnapshotRejected(t *testing.T) {
 		for _, x := range ring {
 			sum += x
 		}
-		return predict.EnsembleState{Observations: 1, Families: []predict.FamilySnapshot{{
-			Name: "10-MA-LSO",
-			PredictorState: predict.PredictorState{LSO: &predict.LSOState{
-				Window: []float64{10e6},
-				Inner:  predict.PredictorState{MA: &predict.MAState{Ring: ring, Sum: sum}},
-			}},
-		}}}
+		return predict.EnsembleState{Observations: 1, LSO: predict.LSOState{Window: []float64{10e6}},
+			Families: []predict.FamilySnapshot{{
+				Name:           "10-MA-LSO",
+				PredictorState: predict.PredictorState{MA: &predict.MAState{Ring: ring, Sum: sum}},
+			}}}
 	}
 	okPath := encodeState(t, maState(10e6))
 	// The second path's MA ring is longer than the order: the first path
@@ -132,7 +131,8 @@ func TestLegacyV1SnapshotRejected(t *testing.T) {
 		"v3 stream":    streamOf(t, "predsvc.PathSnapshot/3", record(t, "ok-path", []byte(okJSON))),
 		"v4 stream":    streamOf(t, "predsvc.PathSnapshot/4", record(t, "ok-path", []byte(okJSON))),
 		"v99 stream":   streamOf(t, "predsvc.PathSnapshot/99", record(t, "ok-path", okPath)),
-		"v5 malformed": streamOf(t, sessionsFormat, record(t, "ok-path", okPath), record(t, "bad-path", badPath)),
+		"v5 stream":    streamOf(t, "predsvc.PathSnapshot/5", record(t, "ok-path", okPath)),
+		"v6 malformed": streamOf(t, sessionsFormat, record(t, "ok-path", okPath), record(t, "bad-path", badPath)),
 	}
 	// The intact first record alone restores, so the malformed case fails
 	// on its second record.
