@@ -142,7 +142,7 @@ func ExtCC(ds *testbed.Dataset) Result {
 		Notes: []string{
 			"scenario paths share their substrate across senders: cc-<sender>-<link>-p<i> differ only in the congestion control;",
 			"FB encodes Reno's loss response, so its error under cubic/bbr isolates formula-model mismatch;",
-			"history-based families (MA/EWMA/HW/switcher) never inspect the sender and act as the control group",
+			"history-based families (MA/EWMA/HW) never inspect the sender and act as the control group",
 		},
 		Tables: []Table{matrix, degrade},
 	}

@@ -103,8 +103,8 @@ func TestExtZooTournament(t *testing.T) {
 		t.Fatalf("tables = %d, want 2 (CDF + tournament)", len(res.Tables))
 	}
 	tour := res.Tables[1]
-	if len(tour.Rows) != 7 {
-		t.Fatalf("tournament rows = %d, want 7 families", len(tour.Rows))
+	if len(tour.Rows) != 4 {
+		t.Fatalf("tournament rows = %d, want 4 families", len(tour.Rows))
 	}
 	// Every trace crowns exactly one winner: wins sum to the trace count.
 	wins := 0

@@ -9,19 +9,16 @@ import (
 	"repro/internal/testbed"
 )
 
-// ExtZoo scores the full predictor zoo — the paper's HB trio with LSO,
-// the stability-aware switcher (Sun et al.), the formula-based predictor,
-// the online feature regression (Vazhkudai & Schopf style) and the
-// empirical conditional method — offline over every trace of the primary
-// dataset. Each trace drives the serving layer's own predict.Ensemble,
-// with the pre-flow measurements of each epoch feeding FB and the
-// measurement-conditioned families.
+// ExtZoo scores the served predictor zoo — the paper's HB trio with LSO
+// and the formula-based predictor — offline over every trace of the
+// primary dataset. Each trace drives the serving layer's own
+// predict.Ensemble, with the pre-flow measurements of each epoch feeding
+// FB.
 //
 // Three views come out: the per-trace RMSRE CDF per family, a tournament
 // table (how often each family is the per-trace best, i.e. what an oracle
 // selector would pick), and the empirical coverage of each family's
-// [p10,p90] interval forecasts — residual-window quantiles for the point
-// predictors, native conditional quantiles for the ECM.
+// residual-window [p10,p90] interval forecasts.
 func ExtZoo(ds *testbed.Dataset) Result {
 	names, _ := zooFamilies()
 	n := len(names)
@@ -81,7 +78,7 @@ func ExtZoo(ds *testbed.Dataset) Result {
 	}
 	return Result{
 		ID:    "ext-zoo",
-		Title: "Extension: predictor-zoo tournament — regression & ECM families, quantile calibration",
+		Title: "Extension: predictor-zoo tournament — the paper's HB trio and FB, quantile calibration",
 		Notes: []string{
 			"every family sees the same per-epoch stream: pre-flow measurements, then the achieved throughput;",
 			"wins = traces where the family has the lowest RMSRE (the best-in-hindsight an online selector chases);",

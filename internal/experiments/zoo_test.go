@@ -61,3 +61,65 @@ func TestZooLoopServesWhatSessionServes(t *testing.T) {
 		}
 	}
 }
+
+// TestServedSelectionAccuracy pins the accuracy of what /v1/predict
+// serves. Every trace of the committed datasets is replayed through
+// predict.Ensemble in ExtZoo's order — measurement, view, observation —
+// and the selected family's forecast and [p10,p90] are scored by
+// zero-based epoch index k: the median per-trace RMSRE (Eq. 5) from k ≥ 1
+// and from k ≥ 10, and the fraction of calibrated intervals that held the
+// actual, pooled over the traces. A change that serves worse forecasts
+// fails here.
+func TestServedSelectionAccuracy(t *testing.T) {
+	for _, c := range []struct {
+		file            string
+		rmsre1, rmsre10 float64 // ceilings on the median per-trace RMSRE
+		cover1, cover10 float64 // floors on the [p10,p90] coverage
+	}{
+		{"d1-seed1.json.gz", 0.20, 0.20, 0.68, 0.71},
+		{"cc-seed1.json.gz", 0.20, 0.15, 0.75, 0.77},
+		{"d2-seed1.json.gz", 0.15, 0.15, 0.66, 0.58},
+	} {
+		ds, err := traceio.Load(filepath.Join("..", "..", "data", c.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rmsres [2][]float64
+		var in, total [2]int
+		for _, tr := range ds.Traces {
+			e := predict.NewEnsemble()
+			var errs [2][]float64
+			for k, rec := range tr.Records {
+				e.SetMeasurement(predict.FBInputs{RTT: rec.PreRTT, LossRate: rec.PreLoss, AvailBw: rec.AvailBw})
+				if v := e.View(); k >= 1 && v.Selected >= 0 {
+					f := v.Families[v.Selected]
+					for i, from := range []int{1, 10} {
+						if k < from {
+							continue
+						}
+						errs[i] = append(errs[i], stats.RelativeError(f.Forecast, rec.Throughput))
+						if f.Calibrated {
+							total[i]++
+							if rec.Throughput >= f.Quantiles.P10 && rec.Throughput <= f.Quantiles.P90 {
+								in[i]++
+							}
+						}
+					}
+				}
+				e.Observe(rec.Throughput)
+			}
+			for i := range errs {
+				if len(errs[i]) > 0 {
+					rmsres[i] = append(rmsres[i], stats.RMSRE(errs[i]))
+				}
+			}
+		}
+		r1, r10 := stats.Median(rmsres[0]), stats.Median(rmsres[1])
+		c1, c10 := float64(in[0])/float64(total[0]), float64(in[1])/float64(total[1])
+		t.Logf("%s: median RMSRE %.3f (k ≥ 1) %.3f (k ≥ 10); coverage %.3f (k ≥ 1) %.3f (k ≥ 10)", c.file, r1, r10, c1, c10)
+		if !(r1 <= c.rmsre1 && r10 <= c.rmsre10 && c1 >= c.cover1 && c10 >= c.cover10) {
+			t.Errorf("%s: served accuracy outside the bounds: RMSRE ≤ %.2f and %.2f, coverage ≥ %.2f and %.2f",
+				c.file, c.rmsre1, c.rmsre10, c.cover1, c.cover10)
+		}
+	}
+}

@@ -12,16 +12,14 @@ import (
 // It is the one place the zoo exists: the prediction service keeps one per
 // path behind a lock, and the offline experiments drive one per trace.
 //
-// The families, in order: the paper's HB trio (MA, EWMA and Holt-Winters
-// with LSO), the stability switcher of Sun et al., FB, the feature
-// regression and Zheng's ECM. The trio shares the path's one Detector:
-// detection runs once per observation and the three predictors read its
-// clean series. Each family keeps a ResidualWindow of its Eq.-4 errors.
-// The paper's protocol is followed exactly: when an observation X arrives,
-// each family's standing forecast X̂ is scored with E = (X̂-X)/min(X̂,X)
-// before X reaches any predictor. The same windows
-// calibrate the quantiles (ECM forecasts its own) and carry the regret
-// bookkeeping.
+// The families, in order, are the paper's four: the HB trio (MA, EWMA and
+// Holt-Winters with LSO, §5) and FB (§4). The trio shares the path's one
+// Detector: detection runs once per observation and the three predictors
+// read its clean series. Each family keeps a ResidualWindow of its Eq.-4
+// errors. The paper's protocol is followed exactly: when an observation X
+// arrives, each family's standing forecast X̂ is scored with
+// E = (X̂-X)/min(X̂,X) before X reaches any predictor. The same windows
+// calibrate the quantiles and carry the regret bookkeeping.
 //
 // An Ensemble is not goroutine-safe.
 type Ensemble struct {
@@ -29,9 +27,7 @@ type Ensemble struct {
 	fbIdx    int
 	det      *Detector // the §5.2 detector the HB trio reads
 
-	fb  *FB
-	reg *Regression
-	ecm *ECM
+	fb *FB
 
 	fbIn  FBInputs
 	hasFB bool
@@ -48,15 +44,12 @@ type Ensemble struct {
 	views []FamilyView // View's backing store, reused across calls
 }
 
-// family is one tournament entrant. hb is nil only for FB, whose forecast
-// is a function of the standing measurements rather than of history; qp
-// is set for the family that forecasts quantiles natively (ECM).
+// family is one tournament entrant: one of the HB trio, which reads the
+// detector's clean series, or FB (hb nil), whose forecast is a function of
+// the standing measurements rather than of history.
 type family struct {
-	hb    HB
-	qp    QuantilePredictor
-	paper bool // one of the paper's predictors: MA, EWMA, HW or FB
-	lso   bool // hb reads the detector's clean series: the HB trio
-	win   ResidualWindow
+	hb  HB
+	win ResidualWindow
 }
 
 // The zoo's one configuration: the paper's parameters, fixed once (§5).
@@ -81,42 +74,23 @@ const (
 )
 
 // NewEnsemble builds the zoo: the HB trio behind one detector with the
-// paper's thresholds (its best configurations), FB for the paper's target
-// flow (PFTK, 1460 B MSS, 1 MB window, delayed ACKs), and the extension
-// families at their package defaults.
+// paper's thresholds (its best configurations), then FB for the paper's
+// target flow (PFTK, 1460 B MSS, 1 MB window, delayed ACKs).
 func NewEnsemble() *Ensemble {
+	members := []HB{NewMA(zooMAOrder), NewEWMA(zooEWMAAlpha), NewHoltWinters(zooHWAlpha, zooHWBeta), nil}
 	e := &Ensemble{
-		fb:  NewFB(FBConfig{}),
-		reg: NewRegression(RegressionConfig{}),
-		ecm: NewECM(ECMConfig{}),
-		det: NewDetector(LSOConfig{}),
+		fb:       NewFB(FBConfig{}),
+		det:      NewDetector(LSOConfig{}),
+		fbIdx:    len(members) - 1,
+		families: make([]family, len(members)),
+		views:    make([]FamilyView, len(members)),
 	}
-	members := []HB{
-		NewMA(zooMAOrder),
-		NewEWMA(zooEWMAAlpha),
-		NewHoltWinters(zooHWAlpha, zooHWBeta),
-		// Sun et al.'s pairing: a reactive tracker for stable regimes, a
-		// robust smoother once the rolling CoV flags volatility.
-		NewStabilitySwitcher(NewEWMA(zooEWMAAlpha), NewMA(zooMAOrder), SwitcherConfig{}),
-		nil, // FB
-		e.reg,
-		e.ecm,
-	}
-	e.families = make([]family, len(members))
-	e.views = make([]FamilyView, len(members))
 	for i, hb := range members {
-		f := &e.families[i]
-		f.hb, f.paper, f.lso = hb, i < 3, i < 3
-		f.win = newResidualWindow(zooErrorWindow)
+		e.families[i] = family{hb: hb, win: newResidualWindow(zooErrorWindow)}
 		if hb == nil {
-			e.fbIdx, f.paper = i, true
 			e.views[i].Name = "FB"
-			continue
-		}
-		f.qp, _ = hb.(QuantilePredictor)
-		e.views[i].Name = hb.Name()
-		if f.lso {
-			e.views[i].Name += "-LSO"
+		} else {
+			e.views[i].Name = hb.Name() + "-LSO"
 		}
 	}
 	return e
@@ -145,20 +119,13 @@ func (e *Ensemble) Measurement() (in FBInputs, age uint64, ok bool) {
 	return e.fbIn, e.observations - e.fbSetAtObs, e.hasFB
 }
 
-// SetMeasurement installs a-priori path measurements (T̂, p̂, Â): the FB
-// inputs, and the conditioning features of the regression and ECM
-// families. It restarts the measurement age and returns the FB forecast
-// for the inputs (0 when they give no basis for prediction).
+// SetMeasurement installs a-priori path measurements (T̂, p̂, Â), the FB
+// inputs. It restarts the measurement age and returns the FB forecast for
+// the inputs (0 when they give no basis for prediction).
 func (e *Ensemble) SetMeasurement(in FBInputs) float64 {
-	e.setMeasurement(in)
+	e.fbIn, e.hasFB = in, true
 	e.fbSetAtObs = e.observations
 	return e.fb.Predict(in)
-}
-
-func (e *Ensemble) setMeasurement(in FBInputs) {
-	e.fbIn, e.hasFB = in, true
-	e.reg.SetFeatures(in)
-	e.ecm.SetConditions(in)
 }
 
 // Observe absorbs the throughput x of the path's latest transfer. The
@@ -168,8 +135,8 @@ func (e *Ensemble) setMeasurement(in FBInputs) {
 // trio reads the clean series.
 func (e *Ensemble) Observe(x float64) {
 	e.fill(false)
-	if w := e.pick(false); w >= 0 {
-		if q, ok := e.quantiles(w); ok {
+	if w := e.pick(); w >= 0 {
+		if q, ok := e.families[w].win.QuantilesFor(e.views[w].Forecast); ok {
 			e.covTotal++
 			if x >= q.P10 && x <= q.P90 {
 				e.covIn++
@@ -182,11 +149,8 @@ func (e *Ensemble) Observe(x float64) {
 		if v := &e.views[i]; v.Ready && v.Forecast > 0 {
 			f.win.Score(v.Forecast, x)
 		}
-		switch {
-		case f.lso:
+		if f.hb != nil {
 			e.det.feed(f.hb)
-		case f.hb != nil:
-			f.hb.Observe(x)
 		}
 	}
 	e.observations++
@@ -204,7 +168,7 @@ type FamilyView struct {
 	Regret float64
 	Stale  bool // FB only: the measurements are older than 30 observations
 	// Quantiles is the calibrated P10/P50/P90 of the forecast, valid when
-	// Calibrated: residual quantiles of the error window, or ECM's own.
+	// Calibrated: residual quantiles of the error window.
 	Quantiles  Quantiles
 	Calibrated bool
 
@@ -220,21 +184,19 @@ type View struct {
 	// Selected indexes the tournament winner: the family with the lowest
 	// rolling RMSRE among those with a positive forecast and at least
 	// three scored errors (FB never while stale), ties going to zoo order.
-	// During warm-up it is the first family with a positive forecast.
-	// -1 when no family has one.
+	// During warm-up, until two families have three scored errors each,
+	// it is the first family with a positive forecast. -1 when no family
+	// has one.
 	Selected int
-	// Best indexes the same selection restricted to the paper's
-	// predictors (MA, EWMA, HW and FB), or is -1.
-	Best int
 	// FB indexes the FB family.
 	FB int
 }
 
 // View evaluates every family once — forecast, rolling RMSRE, regret and
-// quantiles — and runs both selections over the result.
+// quantiles — and runs the selection over the result.
 func (e *Ensemble) View() View {
 	e.fill(true)
-	return View{Families: e.views, Selected: e.pick(false), Best: e.pick(true), FB: e.fbIdx}
+	return View{Families: e.views, Selected: e.pick(), FB: e.fbIdx}
 }
 
 // FamilyRMSRE returns family i's rolling RMSRE; ok is false while its
@@ -295,7 +257,7 @@ func (e *Ensemble) fill(quantiles bool) {
 		v.Stale = i == e.fbIdx && stale
 		v.Quantiles, v.Calibrated = Quantiles{}, false
 		if quantiles {
-			v.Quantiles, v.Calibrated = e.quantiles(i)
+			v.Quantiles, v.Calibrated = e.families[i].win.QuantilesFor(v.Forecast)
 		}
 	}
 }
@@ -312,35 +274,28 @@ func (e *Ensemble) forecast(i int) (float64, bool) {
 	return fc, fc > 0
 }
 
-// quantiles derives family i's calibrated P10/P50/P90 for its filled
-// forecast: natively for ECM, by inverting the empirical quantiles of the
-// error window for every other family.
-func (e *Ensemble) quantiles(i int) (Quantiles, bool) {
-	f := &e.families[i]
-	if f.qp != nil {
-		return f.qp.PredictQuantiles()
-	}
-	return f.win.QuantilesFor(e.views[i].Forecast)
-}
-
-// pick runs the selection documented on View over the filled views;
-// paper restricts it to the paper's predictors. The warm-up stand-in is
-// the first family eligible at all.
-func (e *Ensemble) pick(paper bool) int {
-	best, first, bestRMSRE := -1, -1, math.Inf(1)
+// pick runs the selection documented on View over the filled views. The
+// warm-up stand-in is the first family eligible at all: FB is scored from
+// the first observation and the HB trio from the second, so a lone
+// qualified family has only outlasted the others, not beaten them.
+func (e *Ensemble) pick() int {
+	best, first, qualified, bestRMSRE := -1, -1, 0, math.Inf(1)
 	for i := range e.views {
 		v := &e.views[i]
-		if paper && !e.families[i].paper || v.Stale || !v.Ready || v.Forecast <= 0 {
+		if v.Stale || !v.Ready || v.Forecast <= 0 {
 			continue
 		}
 		if first < 0 {
 			first = i
 		}
-		if v.Errors >= residualMinSamples && v.RMSRE < bestRMSRE {
-			best, bestRMSRE = i, v.RMSRE
+		if v.Errors >= residualMinSamples {
+			qualified++
+			if v.RMSRE < bestRMSRE {
+				best, bestRMSRE = i, v.RMSRE
+			}
 		}
 	}
-	if best < 0 {
+	if qualified < 2 {
 		return first
 	}
 	return best
@@ -430,14 +385,14 @@ func (e *Ensemble) SetState(st EnsembleState) error {
 		}
 	}
 	for i := range e.families {
-		if f := &e.families[i]; f.lso && installed&(1<<i) == 0 {
+		if f := &e.families[i]; f.hb != nil && installed&(1<<i) == 0 {
 			e.det.feed(f.hb)
 		}
 	}
 	e.covIn, e.covTotal = st.CovIn, st.CovTotal
 	e.observations = st.Observations
 	if st.FB != nil {
-		e.setMeasurement(*st.FB)
+		e.fbIn, e.hasFB = *st.FB, true
 		e.fbSetAtObs = e.observations - st.FBAge
 	}
 	return nil

@@ -1,7 +1,6 @@
 package predict
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -40,18 +39,20 @@ func ensembleSeries(rng *rand.Rand, epochs int) ([]float64, []FBInputs) {
 	return xs, ins
 }
 
-// paperBest is the paper-ensemble selection as the service wrote it
-// before the zoo and the paper view shared one tournament: among the HB
-// trio and a fresh FB forecast, the lowest rolling RMSRE over at least
-// three scored errors wins; during warm-up the first ready HB member,
-// then FB, stands in.
+// paperBest is the paper-ensemble selection written out over the HB trio
+// and a fresh FB forecast: once two of them have at least three scored
+// errors, the lowest rolling RMSRE among those wins; until then the first
+// ready HB member, then FB, stands in.
 func paperBest(v View) int {
 	hb := v.Families[:3]
 	fb := v.Families[v.FB]
-	best, bestRMSRE := -1, math.Inf(1)
+	best, qualified, bestRMSRE := -1, 0, math.Inf(1)
 	consider := func(i int, f FamilyView) {
-		if f.Ready && f.Errors >= 3 && f.Forecast > 0 && f.RMSRE < bestRMSRE {
-			best, bestRMSRE = i, f.RMSRE
+		if f.Ready && f.Errors >= 3 && f.Forecast > 0 {
+			qualified++
+			if f.RMSRE < bestRMSRE {
+				best, bestRMSRE = i, f.RMSRE
+			}
 		}
 	}
 	for i, f := range hb {
@@ -60,7 +61,7 @@ func paperBest(v View) int {
 	if !fb.Stale {
 		consider(v.FB, fb)
 	}
-	if best >= 0 {
+	if qualified >= 2 {
 		return best
 	}
 	for i, f := range hb {
@@ -74,10 +75,10 @@ func paperBest(v View) int {
 	return -1
 }
 
-// TestEnsembleBestIsPaperSetSelection pins that View.Best is the paper's
-// selection over MA, EWMA, HW and FB — including warm-up and the stretches
-// where withheld measurements leave FB stale — and that a stale FB is
-// never selected by either view.
+// TestEnsembleBestIsPaperSetSelection pins that View.Selected — what the
+// service serves as both best and family — is the paper's selection over
+// MA, EWMA, HW and FB, including warm-up and the stretches where withheld
+// measurements leave FB stale, and that a stale FB is never selected.
 func TestEnsembleBestIsPaperSetSelection(t *testing.T) {
 	var predicts, stale, warmup, fbBest int
 	for seed := int64(1); seed <= 12; seed++ {
@@ -92,19 +93,19 @@ func TestEnsembleBestIsPaperSetSelection(t *testing.T) {
 				}
 				v := e.View()
 				predicts++
-				if want := paperBest(v); v.Best != want {
-					t.Fatalf("seed %d path %d epoch %d: Best = %d, paper selection = %d", seed, path, k, v.Best, want)
+				if want := paperBest(v); v.Selected != want {
+					t.Fatalf("seed %d path %d epoch %d: Selected = %d, paper selection = %d", seed, path, k, v.Selected, want)
 				}
 				if fb := v.Families[v.FB]; fb.Stale {
 					stale++
-					if v.Best == v.FB || v.Selected == v.FB {
-						t.Fatalf("seed %d path %d epoch %d: stale FB selected (best %d, selected %d)", seed, path, k, v.Best, v.Selected)
+					if v.Selected == v.FB {
+						t.Fatalf("seed %d path %d epoch %d: stale FB selected", seed, path, k)
 					}
 				}
-				if v.Best >= 0 && v.Families[v.Best].Errors < 3 {
+				if v.Selected >= 0 && v.Families[v.Selected].Errors < 3 {
 					warmup++
 				}
-				if v.Best == v.FB {
+				if v.Selected == v.FB {
 					fbBest++
 				}
 				e.Observe(x)
@@ -114,6 +115,31 @@ func TestEnsembleBestIsPaperSetSelection(t *testing.T) {
 	// The cases the equivalence has to cover must actually occur.
 	if stale == 0 || warmup == 0 || fbBest == 0 {
 		t.Fatalf("%d predicts: %d with FB stale, %d warm-up picks, %d FB picks; want all > 0", predicts, stale, warmup, fbBest)
+	}
+}
+
+// TestEnsembleWarmupHoldsUntilTwoQualify: FB is scored from the first
+// observation and the HB trio from the second, so after three observations
+// FB alone has three scored errors. Warm-up order holds until a second
+// family has as many; only then does RMSRE choose, and then FB, exact on
+// this path, wins.
+func TestEnsembleWarmupHoldsUntilTwoQualify(t *testing.T) {
+	_, ins := ensembleSeries(rand.New(rand.NewSource(4)), 5)
+	fb, e := NewFB(FBConfig{}), NewEnsemble()
+	for k, in := range ins {
+		e.SetMeasurement(in)
+		v := e.View()
+		// FB is the only family with a forecast before the first
+		// observation; from the second to the fourth warm-up order picks
+		// 10-MA-LSO.
+		want := 0
+		if k == 0 || k == 4 {
+			want = v.FB
+		}
+		if v.Selected != want {
+			t.Fatalf("epoch %d: selected %d (%+v), want %d", k, v.Selected, v.Families, want)
+		}
+		e.Observe(fb.Predict(in))
 	}
 }
 
@@ -224,8 +250,8 @@ func ensembleDiff(a, b *Ensemble) string {
 			return fmt.Sprintf("family %d:\nlive     %+v\nrestored %+v", i, fa, fb)
 		}
 	}
-	if va.Selected != vb.Selected || va.Best != vb.Best {
-		return fmt.Sprintf("selection %d/%d vs %d/%d", va.Selected, va.Best, vb.Selected, vb.Best)
+	if va.Selected != vb.Selected {
+		return fmt.Sprintf("selection %d vs %d", va.Selected, vb.Selected)
 	}
 	in1, age1, ok1 := a.Measurement()
 	in2, age2, ok2 := b.Measurement()
@@ -284,21 +310,6 @@ func TestEnsembleSetStateRejectsMalformed(t *testing.T) {
 		{"negative LSO shift count", func(st *EnsembleState) {
 			st.LSO.Shifts = -1
 		}, "negative LSO shift count"},
-		{"switcher window beyond its size", func(st *EnsembleState) {
-			family(st, "switcher").Switcher.Ring = make([]float64, 17)
-		}, "exceeds"},
-		{"regression count below its ring", func(st *EnsembleState) {
-			family(st, "regression").Regression.N = 2
-		}, "history samples for 2 observations"},
-		{"ECM bucket beyond its cap", func(st *EnsembleState) {
-			b := &family(st, "ECM").ECM.Buckets[0]
-			for len(b.Samples) <= 64 {
-				b.Samples = append(b.Samples, 1e6)
-			}
-		}, "cap"},
-		{"ECM bucket key no measurement maps to", func(st *EnsembleState) {
-			family(st, "ECM").ECM.Buckets[0].RTT = 13
-		}, "no measurement maps to"},
 		{"error window beyond its size", func(st *EnsembleState) {
 			f := family(st, "FB")
 			f.Errors = make([]float64, 51)
@@ -310,8 +321,8 @@ func TestEnsembleSetStateRejectsMalformed(t *testing.T) {
 			family(st, "FB").EWMA = &EWMAState{}
 		}, "for FB"},
 		{"state of another predictor type", func(st *EnsembleState) {
-			f := family(st, "regression")
-			f.Regression, f.EWMA = nil, &EWMAState{}
+			f := family(st, "0.8-HW-LSO")
+			f.HW, f.EWMA = nil, &EWMAState{}
 		}, "another predictor type"},
 		{"missing predictor state", func(st *EnsembleState) {
 			family(st, "10-MA-LSO").MA = nil
@@ -346,15 +357,15 @@ func TestEnsembleSetStateRejectsMalformed(t *testing.T) {
 	// from the restored detector's clean series, so it forecasts as the
 	// live one does; one it names but the ensemble does not run is ignored.
 	st := live.State()
-	family(&st, "switcher").Name = "retired-family"
+	family(&st, "FB").Name = "retired-family"
 	family(&st, "10-MA-LSO").Name = "retired-MA"
 	e := NewEnsemble()
 	if err := e.SetState(st); err != nil {
 		t.Fatal(err)
 	}
 	v := e.View()
-	if sw := v.Families[3]; sw.Name != "switcher" || sw.Ready || sw.Errors != 0 {
-		t.Errorf("unnamed switcher not fresh: %+v", sw)
+	if fb := v.Families[v.FB]; fb.Name != "FB" || fb.Errors != 0 {
+		t.Errorf("unnamed FB not fresh: %+v", fb)
 	}
 	if ma, want := v.Families[0], live.View().Families[0]; !ma.Ready || ma.Errors != 0 || ma.Forecast != want.Forecast {
 		t.Errorf("unnamed MA not rebuilt from the clean series: %+v, live forecast %v", ma, want.Forecast)
@@ -408,11 +419,6 @@ func TestEnsembleStateBinaryRefuses(t *testing.T) {
 		}
 		return b
 	}
-	switcher := func(stable PredictorState) EnsembleState {
-		return EnsembleState{Families: []FamilySnapshot{{Name: "switcher",
-			PredictorState: PredictorState{Switcher: &SwitcherState{Stable: stable, Volatile: PredictorState{MA: &MAState{}}}}}}}
-	}
-	flat := encode(switcher(PredictorState{MA: &MAState{}}))
 	// One family with no errors and no predictor state ends "0, kindNone";
 	// replace that with a count of 2^60 floats.
 	fb := encode(EnsembleState{Observations: 1, Families: []FamilySnapshot{{Name: "10-MA-LSO"}}})
@@ -424,10 +430,12 @@ func TestEnsembleStateBinaryRefuses(t *testing.T) {
 	}
 	decodeCases := []input{
 		{"trailing byte", append(good[:len(good):len(good)], 0), "1 trailing bytes"},
-		{"unknown kind", append(fb[:len(fb)-1:len(fb)-1], 99), "unknown predictor kind 99"},
 		{"bool byte 2", []byte{0, 2, 0, 0, 0, 0}, "bool byte 2"},
-		{"nesting beyond the cap", bytes.Replace(flat, []byte{kindSwitcher, 0}, []byte{kindSwitcher, 0, kindSwitcher, 0}, 1), "nested deeper than 1"},
 		{"2^60 floats declared", huge, "1152921504606846976 items of 8 bytes declared"},
+	}
+	// 4, 5 and 6 were the switcher, regression and ECM kinds.
+	for _, kind := range []byte{4, 5, 6, 99} {
+		decodeCases = append(decodeCases, input{fmt.Sprintf("kind %d", kind), append(fb[:len(fb)-1:len(fb)-1], kind), fmt.Sprintf("unknown predictor kind %d", kind)})
 	}
 	for n := range good {
 		decodeCases = append(decodeCases, input{fmt.Sprintf("truncated to %d bytes", n), good[:n], "predict: decode state"})
@@ -454,9 +462,6 @@ func TestEnsembleStateBinaryRefuses(t *testing.T) {
 		{"NaN error", func(st *EnsembleState) { st.Families[0].Errors[0] = math.NaN() }, "non-finite"},
 		{"infinite measurement", func(st *EnsembleState) { st.FB.AvailBw = math.Inf(1) }, "non-finite"},
 		{"two predictor states in one", func(st *EnsembleState) { st.Families[0].EWMA = &EWMAState{} }, "2 predictor states"},
-		{"nesting beyond the cap", func(st *EnsembleState) {
-			*st = switcher(PredictorState{Switcher: &SwitcherState{Stable: PredictorState{MA: &MAState{}}, Volatile: PredictorState{MA: &MAState{}}}})
-		}, "nested deeper than 1"},
 	}
 	for _, tc := range encodeCases {
 		var st EnsembleState

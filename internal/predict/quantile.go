@@ -13,17 +13,6 @@ type Quantiles struct {
 	P10, P50, P90 float64
 }
 
-// QuantilePredictor is implemented by predictors that can emit a
-// forecast distribution rather than a single point. ECM implements it
-// natively from its conditional histograms; the Ensemble gives every
-// point family an interval through its ResidualWindow, which derives
-// empirical quantiles from the window of recent Eq.-4 relative errors.
-type QuantilePredictor interface {
-	// PredictQuantiles returns the P10/P50/P90 forecast for the next
-	// value and whether enough history exists to calibrate one.
-	PredictQuantiles() (Quantiles, bool)
-}
-
 // residualMinSamples is the minimum number of scored residuals before
 // empirical quantiles are considered calibrated — and before an Ensemble
 // family competes in selection. Below it the tails are pure extrapolation

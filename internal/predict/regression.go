@@ -1,9 +1,6 @@
 package predict
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // regDim is the fixed feature dimension of the Regression predictor:
 // [1, last-X, mean of last-K X, avail-bw, window-limit, Mathis-rate],
@@ -51,8 +48,7 @@ func (c RegressionConfig) defaults() RegressionConfig {
 // in the serving layer: a degenerate solve (singular matrix, non-finite
 // or non-positive output) falls back to the recent-history mean, and
 // every forecast is clamped into a band around the observed history, so
-// no ≤0 or ±Inf value can enter rolling error windows or JSON
-// snapshots.
+// no ≤0 or ±Inf value can enter rolling error windows.
 type Regression struct {
 	cfg RegressionConfig
 
@@ -90,10 +86,6 @@ func (r *Regression) SetFeatures(in FBInputs) {
 	r.feat = in
 	r.hasFeat = true
 }
-
-// ClearFeatures drops the standing conditioning measurements (e.g. when
-// the serving layer deems them stale).
-func (r *Regression) ClearFeatures() { r.hasFeat = false }
 
 // Observe implements HB.
 func (r *Regression) Observe(x float64) {
@@ -146,54 +138,6 @@ func (r *Regression) Reset() {
 	r.histNext = 0
 	r.histFull = false
 	r.hasFeat = false
-}
-
-// RegressionState is the JSON-serializable snapshot of a Regression
-// predictor's decayed normal equations and history ring.
-type RegressionState struct {
-	A    []float64 `json:"a"` // upper triangle of the normal matrix
-	B    []float64 `json:"b"`
-	N    uint64    `json:"n"`
-	Hist []float64 `json:"hist,omitempty"` // oldest-first recent throughputs, bps
-}
-
-// State captures the predictor for a snapshot. Pending features are not
-// part of the state: the serving layer re-derives them from the
-// snapshot's FB inputs on restore.
-func (r *Regression) State() RegressionState {
-	st := RegressionState{
-		A: append([]float64(nil), r.a[:]...),
-		B: append([]float64(nil), r.b[:]...),
-		N: r.n,
-	}
-	st.Hist = r.histChronological(nil)
-	return st
-}
-
-// SetState restores a snapshot produced by State, overwriting all
-// learned state. It refuses state of another feature dimension, non-finite
-// values, and a history ring that contradicts the observation count (the
-// ring holds the last min(N, LastK) observations); on error the predictor
-// is unchanged.
-func (r *Regression) SetState(st RegressionState) error {
-	if len(st.A) != len(r.a) || len(st.B) != regDim {
-		return fmt.Errorf("regression: state of dimension %d/%d, want %d/%d", len(st.A), len(st.B), len(r.a), regDim)
-	}
-	if !finite(st.A...) || !finite(st.B...) {
-		return fmt.Errorf("regression: non-finite normal equations")
-	}
-	if err := checkRing(st.Hist, cap(r.hist)); err != nil {
-		return fmt.Errorf("regression: history: %w", err)
-	}
-	if uint64(len(st.Hist)) != min(st.N, uint64(cap(r.hist))) {
-		return fmt.Errorf("regression: %d history samples for %d observations", len(st.Hist), st.N)
-	}
-	copy(r.a[:], st.A)
-	copy(r.b[:], st.B)
-	r.n = st.N
-	r.hist = append(r.hist[:0], st.Hist...)
-	r.histNext, r.histFull = 0, len(r.hist) == cap(r.hist)
-	return nil
 }
 
 // features fills z with the current feature vector in Mbps.
@@ -249,10 +193,7 @@ func (r *Regression) histPush(x float64) {
 }
 
 // histMean returns the mean of the history ring in Mbps (0 when empty).
-// The sum runs in chronological order, not ring-storage order: float
-// addition is not associative, and a snapshot-restored ring is compacted
-// while a live one is rotated — summing both the same way keeps restored
-// predictions bit-identical to the live session's.
+// The sum runs in chronological order.
 func (r *Regression) histMean() float64 {
 	if len(r.hist) == 0 {
 		return 0
@@ -289,14 +230,6 @@ func (r *Regression) histBand() (lo, hi float64) {
 		}
 	}
 	return lo / 16, hi * 16
-}
-
-func (r *Regression) histChronological(dst []float64) []float64 {
-	if r.histFull {
-		dst = append(dst, r.hist[r.histNext:]...)
-		return append(dst, r.hist[:r.histNext]...)
-	}
-	return append(dst, r.hist...)
 }
 
 // solveDot solves (A + λI)w = b by Cholesky factorization and returns

@@ -42,15 +42,6 @@ func (r *orderedRing) reset() {
 	r.buf, r.sorted, r.next = r.buf[:0], r.sorted[:0], 0
 }
 
-// fill replaces the contents with xs, oldest first, and rebuilds the
-// mirror with one sort rather than one insertion per sample. xs must fit
-// the capacity.
-func (r *orderedRing) fill(xs []float64) {
-	r.buf = append(r.buf[:0], xs...)
-	r.next = 0
-	r.resort()
-}
-
 // resort rebuilds the mirror from buf.
 func (r *orderedRing) resort() {
 	r.sorted = append(r.sorted[:0], r.buf...)

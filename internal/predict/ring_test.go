@@ -133,10 +133,9 @@ func TestOrderedRingMatchesOracle(t *testing.T) {
 }
 
 // TestECMRingsMatchOracle drives ECM over a few conditioning buckets with
-// small caps, resetting it and restoring it through SetState now and then.
-// After every step each ring's mirror must be its sorted contents, and the
-// median forecast and quantiles must be bit-equal to sorting the selected
-// distribution per query.
+// small caps, resetting it now and then. After every step each ring's
+// mirror must be its sorted contents, and the median forecast must be
+// bit-equal to sorting the selected distribution per query.
 func TestECMRingsMatchOracle(t *testing.T) {
 	conds := []FBInputs{
 		{RTT: 0.01, LossRate: 1e-3, AvailBw: 8e6},
@@ -150,17 +149,10 @@ func TestECMRingsMatchOracle(t *testing.T) {
 			switch r := rng.Intn(100); {
 			case r == 0:
 				e.Reset()
-			case r < 3:
-				fresh := NewECM(e.cfg)
-				if err := fresh.SetState(e.State()); err != nil {
-					t.Fatal(err)
-				}
-				fresh.cond, fresh.hasCond = e.cond, e.hasCond
-				e = fresh
 			case r < 10:
 				e.SetConditions(conds[rng.Intn(len(conds))])
 			case r < 12:
-				e.ClearConditions()
+				e.hasCond = false
 			default:
 				e.Observe(float64(1+rng.Intn(12)) * 1e6)
 			}
@@ -173,16 +165,6 @@ func TestECMRingsMatchOracle(t *testing.T) {
 			got, ok := e.Predict()
 			if ok != (len(s) > 0) || ok && math.Float64bits(got) != math.Float64bits(percentileSorted(s, 0.5)) {
 				t.Fatalf("%+v, step %d: median %v,%v over sorted %v", cfg, step, got, ok, s)
-			}
-			q, ok := e.PredictQuantiles()
-			if ok != (len(s) >= residualMinSamples) {
-				t.Fatalf("%+v, step %d: quantiles ok=%v over %d samples", cfg, step, ok, len(s))
-			}
-			if !ok {
-				continue
-			}
-			if want := (Quantiles{percentileSorted(s, 0.1), percentileSorted(s, 0.5), percentileSorted(s, 0.9)}); !sameBits(q, want) {
-				t.Fatalf("%+v, step %d: quantiles %+v, oracle %+v", cfg, step, q, want)
 			}
 		}
 	}

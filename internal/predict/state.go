@@ -6,17 +6,13 @@ import (
 	"math"
 )
 
-// PredictorState is the live state of one history-based predictor, as its
-// State method returns it and its SetState method installs it. Exactly one
-// field is set, the one matching the predictor's type; the switcher nests
-// its inner predictors' states.
+// PredictorState is the live state of one of the HB trio's predictors, as
+// its State method returns it and its SetState method installs it. Exactly
+// one field is set, the one matching the predictor's type.
 type PredictorState struct {
-	MA         *MAState         `json:"ma,omitempty"`
-	EWMA       *EWMAState       `json:"ewma,omitempty"`
-	HW         *HWState         `json:"hw,omitempty"`
-	Switcher   *SwitcherState   `json:"switcher,omitempty"`
-	Regression *RegressionState `json:"regression,omitempty"`
-	ECM        *ECMState        `json:"ecm,omitempty"`
+	MA   *MAState   `json:"ma,omitempty"`
+	EWMA *EWMAState `json:"ewma,omitempty"`
+	HW   *HWState   `json:"hw,omitempty"`
 }
 
 // stateOf captures p's state. It is empty for a nil predictor and for
@@ -33,15 +29,6 @@ func stateOf(p HB) PredictorState {
 	case *HoltWinters:
 		s := p.State()
 		st.HW = &s
-	case *StabilitySwitcher:
-		s := p.State()
-		st.Switcher = &s
-	case *Regression:
-		s := p.State()
-		st.Regression = &s
-	case *ECM:
-		s := p.State()
-		st.ECM = &s
 	}
 	return st
 }
@@ -66,18 +53,6 @@ func setStateOf(p HB, st PredictorState) error {
 		if st.HW != nil {
 			return p.SetState(*st.HW)
 		}
-	case *StabilitySwitcher:
-		if st.Switcher != nil {
-			return p.SetState(*st.Switcher)
-		}
-	case *Regression:
-		if st.Regression != nil {
-			return p.SetState(*st.Regression)
-		}
-	case *ECM:
-		if st.ECM != nil {
-			return p.SetState(*st.ECM)
-		}
 	}
 	return fmt.Errorf("%s: state of another predictor type", p.Name())
 }
@@ -85,8 +60,7 @@ func setStateOf(p HB, st PredictorState) error {
 // count returns how many of the state's fields are set.
 func (st PredictorState) count() int {
 	n := 0
-	for _, set := range []bool{st.MA != nil, st.EWMA != nil, st.HW != nil,
-		st.Switcher != nil, st.Regression != nil, st.ECM != nil} {
+	for _, set := range []bool{st.MA != nil, st.EWMA != nil, st.HW != nil} {
 		if set {
 			n++
 		}
@@ -107,9 +81,9 @@ func finite(xs ...float64) bool {
 // The binary form of an EnsembleState, the payload the prediction service
 // persists per path. Counts, lengths and integers are uvarints (an int as
 // its two's complement, so a negative one round-trips for SetState to
-// refuse), floats are float64 little-endian, bools and ECM bucket keys one
-// byte each, and a PredictorState is a one-byte kind tag and that kind's
-// fields in declaration order:
+// refuse), floats are float64 little-endian, bools one byte each, and a
+// PredictorState is a one-byte kind tag and that kind's fields in
+// declaration order:
 //
 //	state     = observations hasFB [rtt loss availBw] fbAge covIn covTotal window shifts n family*n
 //	family    = len name errors predictor
@@ -120,19 +94,12 @@ const (
 	kindMA
 	kindEWMA
 	kindHW
-	kindSwitcher
-	kindRegression
-	kindECM
 )
-
-// maxNesting bounds how deep switcher states may nest. The zoo's switcher
-// wraps plain predictors, one level deep.
-const maxNesting = 1
 
 // AppendBinary appends st's binary form to b. Like json.Marshal it refuses
 // NaN and ±Inf, so a non-finite state fails when it is written rather than
 // when it is read back. It also refuses a PredictorState with more than one
-// field set and nesting past what the zoo builds.
+// field set.
 func (st *EnsembleState) AppendBinary(b []byte) ([]byte, error) {
 	w := stateWriter{b: b}
 	w.uvarint(st.Observations)
@@ -153,7 +120,7 @@ func (st *EnsembleState) AppendBinary(b []byte) ([]byte, error) {
 		w.uvarint(uint64(len(f.Name)))
 		w.b = append(w.b, f.Name...)
 		w.floats(f.Errors)
-		w.predictor(&f.PredictorState, 0)
+		w.predictor(&f.PredictorState)
 	}
 	if w.err != nil {
 		return b, w.err
@@ -164,7 +131,7 @@ func (st *EnsembleState) AppendBinary(b []byte) ([]byte, error) {
 // UnmarshalBinary decodes an AppendBinary form into st. The bytes are
 // untrusted: every declared length is checked against the bytes that remain
 // before anything is allocated for it, and a truncation, an unknown kind or
-// bool byte, nesting past the cap or a trailing byte is an error. It checks
+// bool byte or a trailing byte is an error. It checks
 // structure only; SetState checks the values. The decoded slices do not
 // alias data. On error st is partly overwritten.
 func (st *EnsembleState) UnmarshalBinary(data []byte) error {
@@ -184,7 +151,7 @@ func (st *EnsembleState) UnmarshalBinary(data []byte) error {
 			f := &st.Families[i]
 			f.Name = string(r.take(r.count(1)))
 			f.Errors = r.floatSlice()
-			f.PredictorState = r.predictor(0)
+			f.PredictorState = r.predictor()
 		}
 	}
 	if r.err == nil && len(r.data) > 0 {
@@ -229,14 +196,10 @@ func (w *stateWriter) floats(xs []float64) {
 	}
 }
 
-// predictor writes st, which sits inside depth switcher states.
-func (w *stateWriter) predictor(st *PredictorState, depth int) {
+// predictor writes st.
+func (w *stateWriter) predictor(st *PredictorState) {
 	if n := st.count(); n > 1 {
 		w.fail("%d predictor states in one", n)
-		return
-	}
-	if st.Switcher != nil && depth >= maxNesting {
-		w.fail("state nested deeper than %d", maxNesting)
 		return
 	}
 	switch {
@@ -254,25 +217,6 @@ func (w *stateWriter) predictor(st *PredictorState, depth int) {
 		w.float(st.HW.T)
 		w.float(st.HW.X0)
 		w.uvarint(uint64(st.HW.N))
-	case st.Switcher != nil:
-		w.b = append(w.b, kindSwitcher)
-		w.floats(st.Switcher.Ring)
-		w.predictor(&st.Switcher.Stable, depth+1)
-		w.predictor(&st.Switcher.Volatile, depth+1)
-	case st.Regression != nil:
-		w.b = append(w.b, kindRegression)
-		w.floats(st.Regression.A)
-		w.floats(st.Regression.B)
-		w.uvarint(st.Regression.N)
-		w.floats(st.Regression.Hist)
-	case st.ECM != nil:
-		w.b = append(w.b, kindECM)
-		w.floats(st.ECM.Global)
-		w.uvarint(uint64(len(st.ECM.Buckets)))
-		for _, bk := range st.ECM.Buckets {
-			w.b = append(w.b, byte(bk.RTT), byte(bk.Loss), byte(bk.ABW))
-			w.floats(bk.Samples)
-		}
 	default:
 		w.b = append(w.b, kindNone)
 	}
@@ -367,14 +311,9 @@ func (r *stateReader) floatSlice() []float64 {
 	return r.floats[start:len(r.floats):len(r.floats)]
 }
 
-// predictor reads a PredictorState that sits inside depth switcher states.
-func (r *stateReader) predictor(depth int) (st PredictorState) {
-	kind := r.u8()
-	if kind == kindSwitcher && depth >= maxNesting {
-		r.fail("state nested deeper than %d", maxNesting)
-		return st
-	}
-	switch kind {
+// predictor reads a PredictorState.
+func (r *stateReader) predictor() (st PredictorState) {
+	switch kind := r.u8(); kind {
 	case kindNone:
 	case kindMA:
 		st.MA = &MAState{Ring: r.floatSlice(), Sum: r.float()}
@@ -382,19 +321,6 @@ func (r *stateReader) predictor(depth int) (st PredictorState) {
 		st.EWMA = &EWMAState{Pred: r.float(), Seen: r.flag()}
 	case kindHW:
 		st.HW = &HWState{S: r.float(), T: r.float(), X0: r.float(), N: int(r.uvarint())}
-	case kindSwitcher:
-		st.Switcher = &SwitcherState{Ring: r.floatSlice(), Stable: r.predictor(depth + 1), Volatile: r.predictor(depth + 1)}
-	case kindRegression:
-		st.Regression = &RegressionState{A: r.floatSlice(), B: r.floatSlice(), N: r.uvarint(), Hist: r.floatSlice()}
-	case kindECM:
-		st.ECM = &ECMState{Global: r.floatSlice()}
-		// A bucket is at least its three key bytes and a sample count.
-		if n := r.count(4); n > 0 {
-			st.ECM.Buckets = make([]ECMBucketState, n)
-			for i := range st.ECM.Buckets {
-				st.ECM.Buckets[i] = ECMBucketState{RTT: int8(r.u8()), Loss: int8(r.u8()), ABW: int8(r.u8()), Samples: r.floatSlice()}
-			}
-		}
 	default:
 		r.fail("unknown predictor kind %d", kind)
 	}

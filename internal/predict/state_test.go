@@ -11,9 +11,9 @@ import (
 // through the binary form and installed with setStateOf into a fresh
 // predictor of the same construction, reproduces the live one — the same
 // state, compared as JSON, and bit-equal forecasts for the next 100
-// observations. The cuts straddle every ring's capacity: MA(5)'s 5 and the
-// switcher's window of 6. The detector's window is part of the ensemble's
-// state, not a predictor's: TestEnsembleStateRoundTrip restores it.
+// observations. The cuts straddle MA(5)'s ring capacity. The detector's
+// window is part of the ensemble's state, not a predictor's:
+// TestEnsembleStateRoundTrip restores it.
 func TestPredictorStateRoundTrip(t *testing.T) {
 	cases := []struct {
 		name string
@@ -22,9 +22,6 @@ func TestPredictorStateRoundTrip(t *testing.T) {
 		{"MA(5)", func() HB { return NewMA(5) }},
 		{"EWMA", func() HB { return NewEWMA(0.8) }},
 		{"HW", func() HB { return NewHoltWinters(0.8, 0.2) }},
-		{"Switcher window 6", func() HB {
-			return NewStabilitySwitcher(NewEWMA(0.8), NewMA(5), SwitcherConfig{Window: 6})
-		}},
 	}
 	for _, c := range cases {
 		for seed := int64(1); seed <= 3; seed++ {

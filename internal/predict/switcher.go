@@ -1,9 +1,6 @@
 package predict
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // SwitcherConfig tunes the stability-aware hybrid switcher.
 type SwitcherConfig struct {
@@ -34,9 +31,6 @@ func (c SwitcherConfig) defaults() SwitcherConfig {
 // threshold, `volatile` once it exceeds it. The typical pairing is a
 // reactive tracker (EWMA/HW) for stable regimes and a robust smoother
 // (wide MA) for volatile ones.
-//
-// State/SetState carry the CoV window and both inner predictors' states,
-// so a restored switcher is exact at any history length.
 type StabilitySwitcher struct {
 	cfg      SwitcherConfig
 	stable   HB
@@ -69,8 +63,7 @@ func (s *StabilitySwitcher) Volatile() bool {
 
 // cov returns the coefficient of variation of the retained window
 // (0 with fewer than 2 samples). Both passes accumulate in chronological
-// order so a restored (compacted) ring and a live (rotated) ring with the
-// same contents produce bit-identical statistics.
+// order.
 func (s *StabilitySwitcher) cov() float64 {
 	n := len(s.ring)
 	if n < 2 {
@@ -133,40 +126,6 @@ func (s *StabilitySwitcher) Observe(x float64) {
 	}
 	s.stable.Observe(x)
 	s.volatile.Observe(x)
-}
-
-// SwitcherState is a StabilitySwitcher's live state: the CoV window oldest
-// first and both inner predictors' states.
-type SwitcherState struct {
-	Ring     []float64      `json:"ring,omitempty"`
-	Stable   PredictorState `json:"stable"`
-	Volatile PredictorState `json:"volatile"`
-}
-
-// State captures the predictor.
-func (s *StabilitySwitcher) State() SwitcherState {
-	st := SwitcherState{Stable: stateOf(s.stable), Volatile: stateOf(s.volatile)}
-	s.forEachChrono(func(v float64) { st.Ring = append(st.Ring, v) })
-	return st
-}
-
-// SetState installs st. On error the switcher's own window is unchanged.
-func (s *StabilitySwitcher) SetState(st SwitcherState) error {
-	if len(st.Ring) > cap(s.ring) {
-		return fmt.Errorf("switcher: window of %d samples exceeds %d", len(st.Ring), cap(s.ring))
-	}
-	if !finite(st.Ring...) {
-		return fmt.Errorf("switcher: non-finite window")
-	}
-	if err := setStateOf(s.stable, st.Stable); err != nil {
-		return err
-	}
-	if err := setStateOf(s.volatile, st.Volatile); err != nil {
-		return err
-	}
-	s.ring = append(s.ring[:0], st.Ring...)
-	s.next, s.full = 0, len(s.ring) == cap(s.ring)
-	return nil
 }
 
 // Reset implements HB.

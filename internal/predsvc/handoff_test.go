@@ -243,7 +243,7 @@ func TestImportRejectsCorruptStreams(t *testing.T) {
 		{"second record: checksum", second(brokenSum), "record 1: store: corrupt record stream: sha256 mismatch"},
 		{"second record: bad state", second(record(t, "q2", []byte(`"not a snapshot"`))), "handoff record 1 (q2): bad state"},
 		{"second record: trailing byte", second(record(t, "q2", append(state[:len(state):len(state)], 0))), "handoff record 1 (q2): bad state: predict: decode state: 1 trailing bytes"},
-		{"another version", streamOf(t, "predsvc.PathSnapshot/4", rec), `stream format "predsvc.PathSnapshot/4", want "predsvc.PathSnapshot/6"`},
+		{"another version", streamOf(t, "predsvc.PathSnapshot/6", rec), `stream format "predsvc.PathSnapshot/6", want "predsvc.PathSnapshot/7"`},
 		{"an NDJSON stream", []byte(`{"path":"q","observations":1,"state":{},"sum":"00"}` + "\n"), "record declares"},
 	}
 	for _, tc := range cases {
@@ -327,14 +327,11 @@ func TestImportRejectsMalformedState(t *testing.T) {
 		{name: "infinite Holt-Winters level", mutate: func(st *predict.EnsembleState) {
 			family(st, "0.8-HW-LSO").HW.S = marker
 		}, raw: level(math.Inf(1)), want: "0.8-HW: non-finite state"},
-		{name: "regression n smaller than its ring", mutate: func(st *predict.EnsembleState) {
-			family(st, "regression").Regression.N = 3
-		}, want: "history samples for 3 observations"},
 		{name: "negative Holt-Winters count", mutate: func(st *predict.EnsembleState) {
 			family(st, "0.8-HW-LSO").HW.N = -1
 		}, want: "negative observation count"},
-		{name: "switcher without its stable predictor", mutate: func(st *predict.EnsembleState) {
-			family(st, "switcher").Switcher.Stable.EWMA = nil
+		{name: "EWMA without its state", mutate: func(st *predict.EnsembleState) {
+			family(st, "0.8-EWMA-LSO").EWMA = nil
 		}, want: "0 predictor states"},
 		{name: "LSO window beyond MaxHistory", mutate: func(st *predict.EnsembleState) {
 			for len(st.LSO.Window) <= 32 {
@@ -342,7 +339,7 @@ func TestImportRejectsMalformedState(t *testing.T) {
 			}
 		}, want: "MaxHistory"},
 		{name: "error window beyond its size", mutate: func(st *predict.EnsembleState) {
-			f := family(st, "ECM")
+			f := family(st, "0.8-EWMA-LSO")
 			f.Errors = append(f.Errors, f.Errors...)
 		}, want: "window of 50"},
 		{name: "coverage beyond the observations", mutate: func(st *predict.EnsembleState) {

@@ -11,8 +11,7 @@ import (
 
 // registerMetrics creates the server's instruments in m — the one place
 // service counters live — and registers the scrape-time gauges beside
-// them. families is the zoo's family names (identical on every path). A
-// nil m (a server opened without Config.Obs) yields detached instruments
+// them. A nil m (a server opened without Config.Obs) yields detached instruments
 // that count all the same, so /v1/stats and the request path never ask
 // whether telemetry is on.
 //
@@ -116,7 +115,9 @@ func (r *Server) registerMetrics(m *obs.Registry) {
 	// Per-family tournament metrics: the gauges average each family's
 	// rolling RMSRE (paper Eq. 5) and regret over the paths where its
 	// error window has content, and the counters track how often each
-	// family won the online selection.
+	// family won the online selection. Each gauge below walks every live
+	// session once per scrape: two per family and three more, 11 walks
+	// for the zoo's four families.
 	mt.familySelections = make([]*obs.Counter, len(families))
 	for i, name := range families {
 		m.GaugeFunc(fmt.Sprintf("predsvc_rmsre{predictor=%q}", name),

@@ -83,15 +83,14 @@ func TestServedBytesGolden(t *testing.T) {
 	checkGolden(t, "served_snapshot.golden", snap.Bytes())
 }
 
-// TestServedSnapshotPayloadParity: version 6 changed only where the LSO
-// state sits. testdata/legacy_v5_snapshot.golden is served_snapshot.golden
-// as recorded in version 5 from the same replay, when each of the HB trio
-// carried its own LSO window and shift count around its predictor's state.
-// In every version-5 record the three must be identical — one detector per
-// path loses nothing — and the version-6 record at the same position must
-// be that record, byte for byte, with the three collapsed into the state's
-// one and the predictor states unwrapped. The legacy file itself is
-// refused.
+// TestServedSnapshotPayloadParity: version 7 dropped the switcher,
+// regression and ECM families. testdata/legacy_v6_snapshot.golden is
+// served_snapshot.golden as recorded in version 6 from the same replay. The
+// version-7 record at each position must be the version-6 record, byte for
+// byte, with those three family entries removed — so the four remaining
+// families' error windows and predictor states, and the LSO window, did not
+// move — except for the coverage counters, which count the new selection's
+// intervals. The legacy file itself is refused.
 func TestServedSnapshotPayloadParity(t *testing.T) {
 	stream := func(name, format string) *store.StreamReader {
 		data, err := os.ReadFile(filepath.Join("testdata", name))
@@ -104,78 +103,90 @@ func TestServedSnapshotPayloadParity(t *testing.T) {
 		}
 		return sr
 	}
-	v6 := stream("served_snapshot.golden", sessionsFormat)
-	v5 := stream("legacy_v5_snapshot.golden", "predsvc.PathSnapshot/5")
+	v7 := stream("served_snapshot.golden", sessionsFormat)
+	v6 := stream("legacy_v6_snapshot.golden", "predsvc.PathSnapshot/6")
 	for i := 0; ; i++ {
+		rec7, err7 := v7.Next()
 		rec6, err6 := v6.Next()
-		rec5, err5 := v5.Next()
-		if err6 == io.EOF && err5 == io.EOF {
+		if err7 == io.EOF && err6 == io.EOF {
 			if i == 0 {
 				t.Fatal("the goldens hold no records")
 			}
 			break
 		}
-		if err6 != nil || err5 != nil {
-			t.Fatalf("record %d: version 6 %v, version 5 %v", i, err6, err5)
+		if err7 != nil || err6 != nil {
+			t.Fatalf("record %d: version 7 %v, version 6 %v", i, err7, err6)
 		}
-		want, err := v5ToV6(rec5.Data())
+		head, tail, err := v6ToV7(rec6.Data())
 		if err != nil {
-			t.Fatalf("record %d (%s): %v", i, rec5.Path(), err)
+			t.Fatalf("record %d (%s): %v", i, rec6.Path(), err)
 		}
-		if rec6.Path() != rec5.Path() || !bytes.Equal(rec6.Data(), want) {
-			t.Fatalf("record %d (%s) differs from version 5's (%s)", i, rec6.Path(), rec5.Path())
+		// Skip version 7's two coverage counters.
+		rest, ok := bytes.CutPrefix(rec7.Data(), head)
+		for j := 0; j < 2 && ok; j++ {
+			_, n := binary.Uvarint(rest)
+			ok, rest = n > 0, rest[max(n, 0):]
+		}
+		if rec7.Path() != rec6.Path() || !ok || !bytes.Equal(rest, tail) {
+			t.Fatalf("record %d (%s) differs from version 6's (%s)", i, rec7.Path(), rec6.Path())
 		}
 	}
-	legacy, err := os.ReadFile(filepath.Join("testdata", "legacy_v5_snapshot.golden"))
+	legacy, err := os.ReadFile(filepath.Join("testdata", "legacy_v6_snapshot.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := NewRegistry(Config{}).ReadSnapshot(bytes.NewReader(legacy)); !errors.Is(err, ErrCorruptSnapshot) {
-		t.Fatalf("ReadSnapshot of the version-5 golden: err = %v, want ErrCorruptSnapshot", err)
+		t.Fatalf("ReadSnapshot of the version-6 golden: err = %v, want ErrCorruptSnapshot", err)
 	}
 }
 
-// v5ToV6 rewrites a version-5 payload in the version-6 layout. Version 5
-// wrapped each of the HB trio's states in an LSO state (kind 4: window,
-// shift count, inner state); version 6 writes one window and shift count
-// before the family count, the inner states bare, and numbers the kinds
-// after LSO one lower. The trio's three LSO states must be identical.
-func v5ToV6(data []byte) ([]byte, error) {
-	w := v5walk{b: data}
+// v6ToV7 rewrites a version-6 payload in the version-7 layout: the entries
+// of the families with predictor kinds 4, 5 and 6 (switcher, regression
+// and ECM) removed and the family count lowered to match. It returns the
+// payload before the two coverage counters and after them.
+func v6ToV7(data []byte) (head, tail []byte, err error) {
+	w := v6walk{b: data}
 	w.uvarint() // observations
 	if w.copy(1); len(w.out) > 0 && w.out[len(w.out)-1] == 1 {
 		w.copy(24) // the measurement
 	}
 	w.uvarint() // measurement age
+	head, w.out = w.out, nil
 	w.uvarint() // coverage
 	w.uvarint()
+	w.out = nil
+	w.floats()  // LSO window
+	w.uvarint() // shift count
 	at := len(w.out)
-	for n := w.uvarint(); n > 0 && w.err == nil; n-- {
+	var kept uint64
+	n := w.uvarint()
+	families := len(w.out)
+	for ; n > 0 && w.err == nil; n-- {
+		start := len(w.out)
 		w.copy(int(w.uvarint())) // name
 		w.floats()               // error window
-		w.predictor()
+		if w.predictor() >= 4 {
+			w.out = w.out[:start]
+		} else {
+			kept++
+		}
 	}
 	if w.err == nil && len(w.b) > 0 {
 		w.err = fmt.Errorf("%d trailing bytes", len(w.b))
 	}
 	if w.err != nil {
-		return nil, w.err
+		return nil, nil, w.err
 	}
-	if len(w.lso) != 3 || !bytes.Equal(w.lso[0], w.lso[1]) || !bytes.Equal(w.lso[0], w.lso[2]) {
-		return nil, fmt.Errorf("%d LSO states, want 3 identical ones", len(w.lso))
-	}
-	return slices.Concat(w.out[:at], w.lso[0], w.out[at:]), nil
+	return head, slices.Concat(w.out[:at], binary.AppendUvarint(nil, kept), w.out[families:]), nil
 }
 
-// v5walk copies a version-5 payload to out as it reads it, setting aside
-// each LSO state's window and shift count in lso.
-type v5walk struct {
+// v6walk copies a version-6 payload to out as it reads it.
+type v6walk struct {
 	b, out []byte
-	lso    [][]byte
 	err    error
 }
 
-func (w *v5walk) copy(n int) {
+func (w *v6walk) copy(n int) {
 	if w.err == nil && (n < 0 || n > len(w.b)) {
 		w.err = errors.New("truncated")
 	}
@@ -184,7 +195,7 @@ func (w *v5walk) copy(n int) {
 	}
 }
 
-func (w *v5walk) uvarint() uint64 {
+func (w *v6walk) uvarint() uint64 {
 	v, n := binary.Uvarint(w.b)
 	if n <= 0 && w.err == nil {
 		w.err = errors.New("bad varint")
@@ -193,14 +204,15 @@ func (w *v5walk) uvarint() uint64 {
 	return v
 }
 
-func (w *v5walk) floats() { w.copy(8 * int(w.uvarint())) }
+func (w *v6walk) floats() { w.copy(8 * int(w.uvarint())) }
 
-func (w *v5walk) predictor() {
+// predictor copies one predictor state and returns its kind.
+func (w *v6walk) predictor() byte {
 	if w.copy(1); w.err != nil {
-		return
+		return 0
 	}
-	kind := &w.out[len(w.out)-1]
-	switch *kind {
+	kind := w.out[len(w.out)-1]
+	switch kind {
 	case 0: // none
 	case 1: // MA
 		w.floats()
@@ -210,35 +222,25 @@ func (w *v5walk) predictor() {
 	case 3: // Holt-Winters
 		w.copy(24)
 		w.uvarint()
-	case 4: // LSO
-		w.out = w.out[:len(w.out)-1]
-		start := len(w.out)
-		w.floats()
-		w.uvarint()
-		w.lso = append(w.lso, slices.Clone(w.out[start:]))
-		w.out = w.out[:start]
-		w.predictor()
-	case 5: // switcher
-		*kind = 4
+	case 4: // switcher
 		w.floats()
 		w.predictor()
 		w.predictor()
-	case 6: // regression
-		*kind = 5
+	case 5: // regression
 		w.floats()
 		w.floats()
 		w.uvarint()
 		w.floats()
-	case 7: // ECM
-		*kind = 6
+	case 6: // ECM
 		w.floats()
 		for n := w.uvarint(); n > 0 && w.err == nil; n-- {
 			w.copy(3)
 			w.floats()
 		}
 	default:
-		w.err = fmt.Errorf("unknown kind %d", *kind)
+		w.err = fmt.Errorf("unknown kind %d", kind)
 	}
+	return kind
 }
 
 // checkGolden compares got with testdata/name, or rewrites the file under

@@ -71,8 +71,7 @@ func (s *Session) Observe(throughputBps float64) uint64 {
 }
 
 // SetMeasurement installs fresh a-priori path measurements (T̂, p̂, Â) for
-// the FB predictor — and as conditioning features for the regression and
-// ECM families — and returns the FB forecast for them (0 when the inputs
+// the FB predictor and returns the FB forecast for them (0 when the inputs
 // give no basis for prediction). Installing resets the measurement age
 // that drives staleness flagging. Invalid inputs (see ValidMeasurement)
 // are dropped and 0 is returned, leaving prior measurements in place.
@@ -132,10 +131,10 @@ type FamilyState struct {
 }
 
 // Prediction is the full answer for one path: the paper ensemble's
-// forecasts and accuracy (HB/FB, and Best — the tournament restricted to
-// MA, EWMA, HW and FB), plus the zoo tournament — every family's state
-// with calibrated quantiles and regret, the online-selected family, and
-// its P10/P50/P90 interval at the top level.
+// forecasts and accuracy (HB/FB), plus the tournament — every family's
+// state with calibrated quantiles and regret, the online-selected family,
+// and its P10/P50/P90 interval at the top level. Best and Family name the
+// same selection; Best is kept for clients that read the older field.
 type Prediction struct {
 	Path            string           `json:"path"`
 	Observations    uint64           `json:"observations"`
@@ -202,9 +201,6 @@ func (s *Session) PredictInto(p *Prediction, fb *FBState) {
 		}
 		p.FB = fb
 	}
-	if v.Best >= 0 {
-		p.Best, p.BestForecastBps = v.Families[v.Best].Name, v.Families[v.Best].Forecast
-	}
 	for i := range v.Families {
 		f := &v.Families[i]
 		st := FamilyState{
@@ -219,6 +215,7 @@ func (s *Session) PredictInto(p *Prediction, fb *FBState) {
 	if v.Selected >= 0 {
 		f := &v.Families[v.Selected]
 		p.Family, p.FamilyForecastBps = f.Name, f.Forecast
+		p.Best, p.BestForecastBps = p.Family, p.FamilyForecastBps
 		if f.Calibrated {
 			p.P10Bps, p.P50Bps, p.P90Bps = f.Quantiles.P10, f.Quantiles.P50, f.Quantiles.P90
 		}

@@ -22,11 +22,11 @@ import (
 // the coverage counters). Restoring installs that state into a fresh
 // ensemble — a copy, exact at any history length; no observation is
 // replayed. Versions 1–4 carried JSON PathSnapshot documents (version 3 one
-// document with a sha256 trailer line), and version 5 one LSO window per HB
-// family; the name is kept so that an older node reports another version
-// rather than another format. A stream of any other format or version is
-// refused.
-const sessionsFormat = "predsvc.PathSnapshot/6"
+// document with a sha256 trailer line), version 5 one LSO window per HB
+// family, and version 6 the switcher, regression and ECM families as well;
+// the name is kept so that an older node reports another version rather
+// than another format. A stream of any other format or version is refused.
+const sessionsFormat = "predsvc.PathSnapshot/7"
 
 // WriteSnapshot streams every session to w as a record stream, coldest
 // first (see store.Store.Paths), so restoring it into an equally-sharded

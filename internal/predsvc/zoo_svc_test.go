@@ -16,7 +16,8 @@ import (
 
 // TestPredictServesQuantilesAndFamily: after enough traffic every predict
 // response must carry a tournament winner plus an ordered [p10,p50,p90]
-// interval, and the per-family breakdown must cover the full zoo.
+// interval, the per-family breakdown must cover the full zoo, and best
+// must name the same selection as family.
 func TestPredictServesQuantilesAndFamily(t *testing.T) {
 	s := newSession("p")
 	series := SyntheticSeries(1, 60, 42)[0]
@@ -32,8 +33,8 @@ func TestPredictServesQuantilesAndFamily(t *testing.T) {
 		t.Fatalf("quantiles not ordered/positive: p10=%v p50=%v p90=%v",
 			p.P10Bps, p.P50Bps, p.P90Bps)
 	}
-	if len(p.Families) != 7 {
-		t.Fatalf("family breakdown has %d entries, want 7 (MA, EWMA, HW, switcher, FB, regression, ECM)", len(p.Families))
+	if len(p.Families) != 4 {
+		t.Fatalf("family breakdown has %d entries, want 4 (MA, EWMA, HW, FB)", len(p.Families))
 	}
 	var won *FamilyState
 	for i := range p.Families {
@@ -54,9 +55,9 @@ func TestPredictServesQuantilesAndFamily(t *testing.T) {
 	if won.Regret != 0 {
 		t.Errorf("winner %s has regret %v, want 0 (it is the best-in-hindsight)", won.Name, won.Regret)
 	}
-	// The paper ensemble's fields are unchanged by the zoo.
-	if len(p.HB) != 3 || p.Best == "" {
-		t.Errorf("paper ensemble view degraded: %d HB entries, best %q", len(p.HB), p.Best)
+	if len(p.HB) != 3 || p.Best != p.Family || p.BestForecastBps != p.FamilyForecastBps {
+		t.Errorf("paper ensemble view degraded: %d HB entries, best %q %v, family %q %v",
+			len(p.HB), p.Best, p.BestForecastBps, p.Family, p.FamilyForecastBps)
 	}
 }
 
@@ -91,8 +92,9 @@ func TestCalibrationEndToEnd(t *testing.T) {
 // restorable — version 1 (hb_errors / fb_errors, no families), version 2
 // (a replayed observation history beside the families' error windows),
 // version 3 (one JSON document of live state), version 4 (a record stream
-// of JSON states) and version 5 (binary states with an LSO window per HB
-// family) — even with an intact sha256 trailer, and neither
+// of JSON states), version 5 (binary states with an LSO window per HB
+// family) and version 6 (seven families) — even with an intact sha256
+// trailer, and neither
 // is a record stream of another version nor a current one holding state
 // the configuration refuses. Each must be refused as ErrCorruptSnapshot and
 // quarantined at boot — never half restored.
@@ -132,7 +134,8 @@ func TestLegacyV1SnapshotRejected(t *testing.T) {
 		"v4 stream":    streamOf(t, "predsvc.PathSnapshot/4", record(t, "ok-path", []byte(okJSON))),
 		"v99 stream":   streamOf(t, "predsvc.PathSnapshot/99", record(t, "ok-path", okPath)),
 		"v5 stream":    streamOf(t, "predsvc.PathSnapshot/5", record(t, "ok-path", okPath)),
-		"v6 malformed": streamOf(t, sessionsFormat, record(t, "ok-path", okPath), record(t, "bad-path", badPath)),
+		"v6 stream":    streamOf(t, "predsvc.PathSnapshot/6", record(t, "ok-path", okPath)),
+		"v7 malformed": streamOf(t, sessionsFormat, record(t, "ok-path", okPath), record(t, "bad-path", badPath)),
 	}
 	// The intact first record alone restores, so the malformed case fails
 	// on its second record.
@@ -165,7 +168,7 @@ func TestLegacyV1SnapshotRejected(t *testing.T) {
 // TestSnapshotZooFamiliesFinite mirrors the PR-2 Holt-Winters clamp fix
 // at the zoo level: after a collapsing series (HW goes negative, raw
 // relative errors blow up toward ±Inf) every family's serialized error
-// window — and the regression/ECM model state — must still be finite JSON.
+// window must still be finite.
 func TestSnapshotZooFamiliesFinite(t *testing.T) {
 	reg := NewRegistry(Config{Shards: 1, Capacity: 8})
 	s := reg.GetOrCreate("falling")
@@ -185,7 +188,7 @@ func TestSnapshotZooFamiliesFinite(t *testing.T) {
 			}
 		}
 	}
-	// And it restores: the serialized regression/ECM state is valid.
+	// And it restores: the serialized state is valid.
 	reg2 := NewRegistry(Config{Shards: 1, Capacity: 8})
 	if _, err := reg2.ReadSnapshot(bytes.NewReader(stream)); err != nil {
 		t.Fatalf("restore of extreme-input snapshot failed: %v", err)
@@ -219,8 +222,8 @@ func TestSelectionCountsSurface(t *testing.T) {
 		}
 	}
 	counts := srv.Metrics().SelectionCounts()
-	if len(counts) != 7 {
-		t.Fatalf("SelectionCounts has %d families, want 7: %v", len(counts), counts)
+	if len(counts) != 4 {
+		t.Fatalf("SelectionCounts has %d families, want 4: %v", len(counts), counts)
 	}
 	var total uint64
 	for _, c := range counts {

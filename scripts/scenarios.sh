@@ -57,9 +57,9 @@ grep -q "== ext-cc:" "$tmp/ext-cc.txt" || {
 }
 
 # Matrix rows look like:
-#   bbr/randomdrop 1 regression 0.07 0.08 0.09 0.08 3.07 0.07 0.07
-# fields: scenario traces best MA EWMA HW switcher FB regression ECM.
-# On every BBR cell the Reno-formula FB predictor ($8) must lose to the
+#   bbr/randomdrop 1 10-MA-LSO 0.07 0.08 0.09 3.07
+# fields: scenario traces best MA EWMA HW FB.
+# On every BBR cell the Reno-formula FB predictor ($7) must lose to the
 # history-based moving average ($4), and all 12 cells must be present.
 cells=$(awk '$1 ~ /^(reno|cubic|bbr)\// { n++ } END { print n+0 }' "$tmp/ext-cc.txt")
 if [ "$cells" -ne 12 ]; then
@@ -67,7 +67,7 @@ if [ "$cells" -ne 12 ]; then
     cat "$tmp/ext-cc.txt" >&2
     exit 1
 fi
-bad=$(awk '$1 ~ /^bbr\// && ($8 == "-" || $4 == "-" || $8 + 0 <= $4 + 0) { print $1 }' "$tmp/ext-cc.txt")
+bad=$(awk '$1 ~ /^bbr\// && ($7 == "-" || $4 == "-" || $7 + 0 <= $4 + 0) { print $1 }' "$tmp/ext-cc.txt")
 if [ -n "$bad" ]; then
     echo "FAIL: FB did not degrade past the 10-MA control on BBR cells: $bad" >&2
     cat "$tmp/ext-cc.txt" >&2
