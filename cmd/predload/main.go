@@ -72,23 +72,19 @@ func main() {
 		startEpoch    = flag.Int("start-epoch", 0, "replay only epoch indices >= this (phase-split runs around a resize)")
 		pace          = flag.Duration("pace", 0, "pause per worker between epoch rounds, stretching the replay so restarts land mid-load")
 		retryDeadline = flag.Duration("retry-deadline", 0, "how long one request retries through 429/5xx/connection-refused before failing the run (default 30s)")
-
-		bench = flag.Bool("bench", false, "after the replay, report per-endpoint service time (ns/observe etc.) from the latency histograms in the daemon's /v1/stats")
 	)
 	flag.Parse()
 
-	// Accept the same bare host:port the daemon's -addr takes.
-	base := normalizeURL(*addr)
-
-	// -cluster routes per path across nodes; the reports afterwards are
-	// fetched from every node.
+	// -cluster routes per path across nodes; without it the one node is
+	// -addr. The reports afterwards are fetched from every node.
 	var nodes []string
-	if *clusterList != "" {
-		for _, n := range strings.Split(*clusterList, ",") {
-			if n = strings.TrimSpace(n); n != "" {
-				nodes = append(nodes, normalizeURL(n))
-			}
+	for _, n := range strings.Split(*clusterList, ",") {
+		if n = strings.TrimSpace(n); n != "" {
+			nodes = append(nodes, normalizeURL(n))
 		}
+	}
+	if len(nodes) == 0 {
+		nodes = []string{normalizeURL(*addr)}
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -117,15 +113,14 @@ func main() {
 	}
 
 	lcfg := predsvc.LoadConfig{
-		BaseURL:       base,
-		Cluster:       nodes,
+		Nodes:         nodes,
 		BatchObserve:  *batchMode,
 		Workers:       *workers,
 		StartEpoch:    *startEpoch,
 		EpochPause:    *pace,
 		RetryDeadline: *retryDeadline,
 	}
-	if len(nodes) > 0 {
+	if len(nodes) > 1 {
 		log.Printf("predload: routing paths across %d nodes by rendezvous hash", len(nodes))
 	}
 	if *chaosMode {
@@ -142,16 +137,9 @@ func main() {
 		log.Fatalf("predload: %v", err)
 	}
 	fmt.Println(rep)
-	targets := nodes
-	if len(targets) == 0 {
-		targets = []string{base}
-	}
-	for _, t := range targets {
-		if *chaosMode {
-			reportServerResilience(t)
-		}
-		if *bench {
-			reportServiceTimes(t)
+	if *chaosMode {
+		for _, n := range nodes {
+			reportServerResilience(n)
 		}
 	}
 	if rep.Errors > 0 {
@@ -179,27 +167,6 @@ func fetchStats(base string) (predsvc.StatsResponse, error) {
 		return st, fmt.Errorf("bad /v1/stats response: %w", err)
 	}
 	return st, nil
-}
-
-// reportServiceTimes prints each busy endpoint's latency distribution
-// from /v1/stats as a benchmark-style line — the observe row is the
-// service-side cost of one LSO-wrapped predictor update (ns/observe). The
-// mean is estimated from the histogram's bucket midpoints; the quantiles
-// are bucket upper bounds.
-func reportServiceTimes(base string) {
-	st, err := fetchStats(base)
-	if err != nil {
-		log.Printf("predload: could not fetch server stats for -bench: %v", err)
-		return
-	}
-	for _, ep := range st.Metrics.Endpoints {
-		if ep.Requests == 0 {
-			continue
-		}
-		h := ep.Latency
-		fmt.Printf("bench: %-10s %8d reqs  ~%9.0f ns/%s  p50<%dµs p95<%dµs p99<%dµs\n",
-			ep.Name, ep.Requests, h.MeanUsec()*1000, ep.Name, h.P50Usec, h.P95Usec, h.P99Usec)
-	}
 }
 
 // reportServerResilience prints the daemon's resilience counters after a

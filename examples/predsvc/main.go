@@ -73,11 +73,8 @@ func main() {
 	var final tcppred.Prediction
 	get(base+"/v1/predict?path=svc-demo", &final)
 	fmt.Printf("final: best=%s (rolling RMSRE per predictor:", final.Best)
-	for _, st := range final.HB {
+	for _, st := range final.Families {
 		fmt.Printf(" %s=%.3f", st.Name, st.RMSRE)
-	}
-	if final.FB != nil {
-		fmt.Printf(" FB=%.3f", final.FB.RMSRE)
 	}
 	fmt.Println(")")
 

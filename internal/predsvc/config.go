@@ -55,12 +55,6 @@ type Config struct {
 	// client to finish sending request headers — the slowloris guard
 	// (default 5s; negative disables).
 	ReadHeaderTimeout time.Duration
-	// ReadTimeout bounds reading one full request (default 1m; negative
-	// disables).
-	ReadTimeout time.Duration
-	// IdleTimeout bounds how long a keep-alive connection may sit idle
-	// (default 2m; negative disables).
-	IdleTimeout time.Duration
 	// RequestTimeout is the per-request context deadline installed by the
 	// hardening middleware (default 15s; negative disables).
 	RequestTimeout time.Duration
@@ -80,9 +74,6 @@ type Config struct {
 	// of a failed snapshot write (defaults 250ms / 15s).
 	SnapshotRetryMin time.Duration
 	SnapshotRetryMax time.Duration
-	// SnapshotRetries is how many backoff retries one snapshot cycle
-	// attempts before giving up until the next tick (default 8).
-	SnapshotRetries int
 
 	// Faults is an optional deterministic fault injector; sites are the
 	// Site* constants in this package. Nil injects nothing.
@@ -110,12 +101,6 @@ func (c Config) withDefaults() Config {
 	if c.ReadHeaderTimeout == 0 {
 		c.ReadHeaderTimeout = 5 * time.Second
 	}
-	if c.ReadTimeout == 0 {
-		c.ReadTimeout = time.Minute
-	}
-	if c.IdleTimeout == 0 {
-		c.IdleTimeout = 2 * time.Minute
-	}
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = 15 * time.Second
 	}
@@ -127,9 +112,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SnapshotRetryMax <= 0 {
 		c.SnapshotRetryMax = 15 * time.Second
-	}
-	if c.SnapshotRetries == 0 {
-		c.SnapshotRetries = 8
 	}
 	return c
 }

@@ -43,7 +43,7 @@ func TestEndToEndDaemonLoad(t *testing.T) {
 	defer stop()
 
 	series := SyntheticSeries(8, 40, 11)
-	rep, err := Replay(context.Background(), LoadConfig{BaseURL: base, Workers: 4}, series)
+	rep, err := Replay(context.Background(), LoadConfig{Nodes: []string{base}, Workers: 4}, series)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,8 +100,8 @@ func TestReplayEpochsFromStartEpoch(t *testing.T) {
 		}
 		return rep
 	}
-	rep1 := replay(LoadConfig{BaseURL: base, Workers: 2}, phase1)
-	rep2 := replay(LoadConfig{BaseURL: base, Workers: 2, StartEpoch: boundary}, full)
+	rep1 := replay(LoadConfig{Nodes: []string{base}, Workers: 2}, phase1)
+	rep2 := replay(LoadConfig{Nodes: []string{base}, Workers: 2, StartEpoch: boundary}, full)
 	if want := short + (paths-1)*boundary; rep1.Epochs != want {
 		t.Errorf("phase 1 reports %d epochs, want %d", rep1.Epochs, want)
 	}
@@ -140,7 +140,7 @@ func TestReplayReservedCharacterPaths(t *testing.T) {
 		series[i].Path = name
 	}
 
-	rep, err := Replay(context.Background(), LoadConfig{BaseURL: base, Workers: 3}, series)
+	rep, err := Replay(context.Background(), LoadConfig{Nodes: []string{base}, Workers: 3}, series)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestEndToEndDeterministicDigest(t *testing.T) {
 	digest := func(workers int) string {
 		base, stop := startDaemon(t, Config{Shards: 4, Capacity: 64})
 		defer stop()
-		rep, err := Replay(context.Background(), LoadConfig{BaseURL: base, Workers: workers}, series)
+		rep, err := Replay(context.Background(), LoadConfig{Nodes: []string{base}, Workers: workers}, series)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +203,7 @@ func TestSustainedLoad50k(t *testing.T) {
 	run := func() *LoadReport {
 		base, stop := startDaemon(t, Config{})
 		defer stop()
-		rep, err := Replay(context.Background(), LoadConfig{BaseURL: base, Workers: 16}, series)
+		rep, err := Replay(context.Background(), LoadConfig{Nodes: []string{base}, Workers: 16}, series)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,7 +244,7 @@ func TestServeGracefulShutdownMidTraffic(t *testing.T) {
 	series := SyntheticSeries(4, 5000, 3)
 	repc := make(chan error, 1)
 	go func() {
-		_, err := Replay(loadCtx, LoadConfig{BaseURL: "http://" + ln.Addr().String(), Workers: 4}, series)
+		_, err := Replay(loadCtx, LoadConfig{Nodes: []string{"http://" + ln.Addr().String()}, Workers: 4}, series)
 		repc <- err
 	}()
 	time.Sleep(100 * time.Millisecond)

@@ -485,8 +485,8 @@ func TestResizeMidLoadDigestEquality(t *testing.T) {
 	ref := NewServer(Config{Shards: 4, Capacity: 1024})
 	refTS := httptest.NewServer(ref.Handler())
 	defer refTS.Close()
-	refD1 := replay(t, LoadConfig{BaseURL: refTS.URL, Workers: 4}, phase1)
-	refD2 := replay(t, LoadConfig{BaseURL: refTS.URL, Workers: 4, StartEpoch: boundary}, full)
+	refD1 := replay(t, LoadConfig{Nodes: []string{refTS.URL}, Workers: 4}, phase1)
+	refD2 := replay(t, LoadConfig{Nodes: []string{refTS.URL}, Workers: 4, StartEpoch: boundary}, full)
 
 	// Cluster: phase 1 on two nodes, rebalance to three, phase 2 on three.
 	srvs := make([]*Server, 3)
@@ -497,7 +497,7 @@ func TestResizeMidLoadDigestEquality(t *testing.T) {
 		defer ts.Close()
 		urls[i] = ts.URL
 	}
-	d1 := replay(t, LoadConfig{Cluster: urls[:2], Workers: 4}, phase1)
+	d1 := replay(t, LoadConfig{Nodes: urls[:2], Workers: 4}, phase1)
 	if d1 != refD1 {
 		t.Fatalf("phase-1 digest diverged:\n  1-node %s\n  2-node %s", refD1, d1)
 	}
@@ -508,7 +508,7 @@ func TestResizeMidLoadDigestEquality(t *testing.T) {
 	if rep.Moved == 0 {
 		t.Fatal("resize moved nothing — the new node owns no paths")
 	}
-	d2 := replay(t, LoadConfig{Cluster: urls, Workers: 4, StartEpoch: boundary}, full)
+	d2 := replay(t, LoadConfig{Nodes: urls, Workers: 4, StartEpoch: boundary}, full)
 	if d2 != refD2 {
 		t.Fatalf("phase-2 digest diverged after the resize:\n  1-node %s\n  3-node %s", refD2, d2)
 	}

@@ -98,15 +98,14 @@ func SyntheticSeries(paths, epochs int, seed int64) []PathSeries {
 
 // LoadConfig tunes a Replay run.
 type LoadConfig struct {
-	// BaseURL of the daemon, e.g. "http://127.0.0.1:8355".
-	BaseURL string
-	// Cluster lists the base URLs of a multi-node deployment. When
-	// non-empty every path's requests are routed to the node owning it
-	// under rendezvous hashing (cluster.Map), and BaseURL is unused.
-	// Per-path state lives entirely on one node, so the predict digest of
-	// a clustered replay equals the single-node digest for the same
-	// series — the property scripts/cluster.sh gates on.
-	Cluster []string
+	// Nodes lists the base URLs of the deployment, e.g.
+	// "http://127.0.0.1:8355"; a single daemon is a one-element list.
+	// Every path's requests go to the node owning it under rendezvous
+	// hashing (cluster.Map). Per-path state lives entirely on one node, so
+	// the predict digest of a multi-node replay equals the single-node
+	// digest for the same series — the property scripts/cluster.sh gates
+	// on.
+	Nodes []string
 	// BatchObserve groups each worker's per-epoch observations into one
 	// POST /v1/observe-batch per node instead of one /v1/observe per
 	// path, amortizing ingest over far fewer requests. Per-path request
@@ -133,9 +132,6 @@ type LoadConfig struct {
 	// 5xxs and connection-refused before the replay fails (default 30s —
 	// long enough to ride out a node restart; negative disables retries).
 	RetryDeadline time.Duration
-	// Client overrides the HTTP client (default: keep-alive tuned for
-	// Workers connections).
-	Client *http.Client
 	// Chaos enables deterministic client-side fault injection: aborted
 	// predict requests, slowloris probes, and forced-panic probes. All
 	// chaos traffic is read-only or rejected by the server, so the predict
@@ -286,7 +282,7 @@ func (r LoadReport) String() string {
 	return s
 }
 
-// Replay drives the daemon at cfg.BaseURL with the given series: per path
+// Replay drives the daemons at cfg.Nodes with the given series: per path
 // and epoch it installs the pre-flow measurements (when present), asks for
 // a prediction, scores the returned best forecast against the epoch's
 // actual throughput, and feeds that throughput back as an observation.
@@ -297,14 +293,11 @@ func Replay(ctx context.Context, cfg LoadConfig, series []PathSeries) (*LoadRepo
 	if cfg.Workers <= 0 {
 		cfg.Workers = 8
 	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{
-			Transport: &http.Transport{
-				MaxIdleConns:        cfg.Workers * 2,
-				MaxIdleConnsPerHost: cfg.Workers * 2,
-			},
-		}
+	client := &http.Client{
+		Transport: &http.Transport{
+			MaxIdleConns:        cfg.Workers * 2,
+			MaxIdleConnsPerHost: cfg.Workers * 2,
+		},
 	}
 	// Close pooled connections when the replay is done. Under CPU
 	// contention the transport dials speculative spare connections that
@@ -314,26 +307,19 @@ func Replay(ctx context.Context, cfg LoadConfig, series []PathSeries) (*LoadRepo
 	defer client.CloseIdleConnections()
 
 	// All normal traffic goes through one shared retrying cluster client:
-	// rendezvous routing over cfg.Cluster (or the single BaseURL), capped
-	// jittered backoff on 429/5xx, and /readyz probing on connection
-	// errors — a node restarting mid-replay stalls its paths' workers
-	// briefly instead of failing the run.
-	nodes := cfg.Cluster
-	if len(nodes) == 0 {
-		nodes = []string{cfg.BaseURL}
+	// rendezvous routing over cfg.Nodes, capped jittered backoff on
+	// 429/5xx, and /readyz probing on connection errors — a node
+	// restarting mid-replay stalls its paths' workers briefly instead of
+	// failing the run.
+	if len(cfg.Nodes) == 0 {
+		return nil, errors.New("predsvc: LoadConfig.Nodes is empty")
 	}
 	cc := cluster.NewClient(cluster.ClientConfig{
-		Nodes:         nodes,
+		Nodes:         cfg.Nodes,
 		HTTP:          client,
 		RetryDeadline: cfg.RetryDeadline,
 	})
 	router := cc.Map()
-	baseFor := func(path string) string {
-		if len(cfg.Cluster) > 0 {
-			return router.Node(path)
-		}
-		return cfg.BaseURL
-	}
 
 	// Chaos mode: one shared seeded injector across workers. Each
 	// per-epoch evaluation consumes one draw under the injector's lock, so
@@ -348,11 +334,7 @@ func Replay(ctx context.Context, cfg LoadConfig, series []PathSeries) (*LoadRepo
 			faultinject.Rule{Site: siteClientAbort, Probability: chaosCfg.AbortProb},
 			faultinject.Rule{Site: siteClientSlow, Probability: chaosCfg.SlowProb},
 		)
-		slowTarget := cfg.BaseURL
-		if router != nil && router.Len() > 0 {
-			slowTarget = router.Nodes()[0]
-		}
-		if u, err := url.Parse(slowTarget); err == nil {
+		if u, err := url.Parse(cfg.Nodes[0]); err == nil {
 			host = u.Host
 		}
 	}
@@ -384,7 +366,7 @@ func Replay(ctx context.Context, cfg LoadConfig, series []PathSeries) (*LoadRepo
 			defer wg.Done()
 			lw := loadWorker{
 				cfg: cfg, client: client, cc: cc, digests: make(map[string]string),
-				baseFor: baseFor, chaos: chaos, chaosCfg: chaosCfg, host: host,
+				router: router, chaos: chaos, chaosCfg: chaosCfg, host: host,
 				lat: lat,
 			}
 			// Epoch-major over this worker's paths so load interleaves
@@ -457,7 +439,7 @@ func Replay(ctx context.Context, cfg LoadConfig, series []PathSeries) (*LoadRepo
 	// middleware), a production daemon just serves the prediction. Either
 	// way the response stays out of the digest.
 	if cfg.Chaos != nil && len(series) > 0 && ctx.Err() == nil {
-		probe := baseFor(series[0].Path) + "/v1/predict?path=" + url.QueryEscape(series[0].Path)
+		probe := router.Node(series[0].Path) + "/v1/predict?path=" + url.QueryEscape(series[0].Path)
 		for i := 0; i < chaosCfg.Panics; i++ {
 			rep.ChaosRequests++
 			req, err := http.NewRequestWithContext(ctx, http.MethodGet, probe, nil)
@@ -522,9 +504,9 @@ func Replay(ctx context.Context, cfg LoadConfig, series []PathSeries) (*LoadRepo
 // loadWorker is one replay goroutine's state.
 type loadWorker struct {
 	cfg      LoadConfig
-	client   *http.Client             // raw client, for chaos traffic only
-	cc       *cluster.Client          // retrying client carrying all normal traffic
-	baseFor  func(path string) string // path → owning node's base URL
+	client   *http.Client    // raw client, for chaos traffic only
+	cc       *cluster.Client // retrying client carrying all normal traffic
+	router   *cluster.Map    // path → owning node's base URL
 	requests uint64
 	errors   uint64
 	scored   []float64
@@ -557,10 +539,7 @@ func (lw *loadWorker) epoch(ctx context.Context, ps PathSeries, e int) {
 		}
 	}
 	actual := ps.Throughputs[e]
-	base := lw.cfg.BaseURL
-	if lw.baseFor != nil {
-		base = lw.baseFor(ps.Path)
-	}
+	base := lw.router.Node(ps.Path)
 	hasInputs := ps.Inputs != nil
 	if hasInputs {
 		in := ps.Inputs[e]
@@ -635,10 +614,7 @@ func (lw *loadWorker) flushObserves(ctx context.Context) {
 // fault-free digest are untouched.
 func (lw *loadWorker) chaosAbort(ctx context.Context, path string) {
 	lw.chaosRequests++
-	base := lw.cfg.BaseURL
-	if lw.baseFor != nil {
-		base = lw.baseFor(path)
-	}
+	base := lw.router.Node(path)
 	actx, cancel := context.WithTimeout(ctx, 500*time.Microsecond)
 	defer cancel()
 	req, err := http.NewRequestWithContext(actx, http.MethodGet,

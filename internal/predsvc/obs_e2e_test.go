@@ -89,7 +89,7 @@ func TestMetricsEndpointE2E(t *testing.T) {
 	// probe panics inside the handler chain, and one request is shed
 	// while the in-flight semaphore is saturated by hand.
 	series := SyntheticSeries(4, 20, 5)
-	if _, err := Replay(context.Background(), LoadConfig{BaseURL: base, Workers: 4}, series); err != nil {
+	if _, err := Replay(context.Background(), LoadConfig{Nodes: []string{base}, Workers: 4}, series); err != nil {
 		t.Fatal(err)
 	}
 	// One round through each batch endpoint so their per-endpoint families
@@ -334,7 +334,7 @@ func TestMetricsViewsAgree(t *testing.T) {
 
 	series := SyntheticSeries(6, 12, 9)
 	for _, batch := range []bool{false, true} {
-		if _, err := Replay(context.Background(), LoadConfig{BaseURL: ts.URL, Workers: 3, BatchObserve: batch}, series); err != nil {
+		if _, err := Replay(context.Background(), LoadConfig{Nodes: []string{ts.URL}, Workers: 3, BatchObserve: batch}, series); err != nil {
 			t.Fatal(err)
 		}
 	}

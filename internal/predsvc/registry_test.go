@@ -101,7 +101,7 @@ func TestRegistryConcurrentHammer(t *testing.T) {
 				default:
 					hot := r.GetOrCreate("hot")
 					hot.Observe(1e6 * float64(1+i%7))
-					if hot.Predict().HB[0].ErrorCount == 50 && hot.Observations() > 51 {
+					if hot.Predict().Families[0].ErrorCount == 50 && hot.Observations() > 51 {
 						wrapped.Store(true)
 					}
 					if s, ok := r.Peek(p); ok {
@@ -207,7 +207,7 @@ func TestSpillHammerKeepsEveryObservation(t *testing.T) {
 		}
 		// Every path outlives its 50-error windows, so the spill tier
 		// round-trips wrapped rings.
-		if got := s.Predict().HB[0].ErrorCount; got != 50 {
+		if got := s.Predict().Families[0].ErrorCount; got != 50 {
 			t.Errorf("%s: %d errors in the window, want a full 50", path, got)
 		}
 	}

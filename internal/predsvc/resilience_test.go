@@ -65,7 +65,7 @@ func TestEndToEndChaos(t *testing.T) {
 	// Baseline: no chaos, no shedding pressure.
 	baseSrv := NewServer(Config{Shards: 4, Capacity: 64})
 	base, stopBase := startResilientDaemon(t, Config{}, baseSrv, "", 0)
-	baseRep, err := Replay(context.Background(), LoadConfig{BaseURL: base, Workers: 4}, series)
+	baseRep, err := Replay(context.Background(), LoadConfig{Nodes: []string{base}, Workers: 4}, series)
 	stopBase()
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func TestEndToEndChaos(t *testing.T) {
 	chaosBase, stop := startResilientDaemon(t, cfg, srv, snapPath, 20*time.Millisecond)
 
 	rep, err := Replay(context.Background(), LoadConfig{
-		BaseURL: chaosBase,
+		Nodes:   []string{chaosBase},
 		Workers: 8,
 		Chaos: &ChaosConfig{
 			Seed:      7,

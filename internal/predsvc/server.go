@@ -265,17 +265,25 @@ func (r *Server) Metrics() *Metrics { return r.metrics }
 // hardening middleware (load shedding, panic recovery, request deadlines).
 func (r *Server) Handler() http.Handler { return r.root }
 
+// readTimeout bounds reading one full request; idleTimeout bounds how long
+// a keep-alive connection may sit idle.
+const (
+	readTimeout = time.Minute
+	idleTimeout = 2 * time.Minute
+)
+
 // Serve accepts connections on ln until ctx is cancelled, then shuts the
 // HTTP server down gracefully (in-flight requests get up to 5 s), mirroring
 // the context discipline of internal/campaign: cancellation is the normal
 // way to stop, and a clean shutdown returns nil. The http.Server carries
-// the configured read-header (slowloris guard), read, and idle timeouts.
+// the configured read-header timeout (slowloris guard) and fixed read and
+// idle timeouts.
 func (r *Server) Serve(ctx context.Context, ln net.Listener) error {
 	srv := &http.Server{
 		Handler:           r.root,
 		ReadHeaderTimeout: posDur(r.cfg.ReadHeaderTimeout),
-		ReadTimeout:       posDur(r.cfg.ReadTimeout),
-		IdleTimeout:       posDur(r.cfg.IdleTimeout),
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
@@ -323,8 +331,12 @@ func (r *Server) SnapshotLoop(ctx context.Context, path string, interval time.Du
 	}
 }
 
+// snapshotRetries is how many backoff retries one snapshot cycle attempts
+// before giving up until the next tick.
+const snapshotRetries = 8
+
 // WriteSnapshotRetry writes a snapshot, retrying failures up to
-// Config.SnapshotRetries times with exponential backoff between
+// snapshotRetries times with exponential backoff between
 // SnapshotRetryMin and SnapshotRetryMax plus up to 50% jitter (so many
 // daemons recovering from a shared-disk hiccup do not retry in lockstep).
 // Each failed attempt ticks snapshot_failures, each backoff sleep ticks
@@ -333,7 +345,7 @@ func (r *Server) SnapshotLoop(ctx context.Context, path string, interval time.Du
 func (r *Server) WriteSnapshotRetry(ctx context.Context, path string) error {
 	backoff := r.cfg.SnapshotRetryMin
 	var err error
-	for attempt := 0; attempt <= r.cfg.SnapshotRetries; attempt++ {
+	for attempt := 0; attempt <= snapshotRetries; attempt++ {
 		if attempt > 0 {
 			r.metrics.snapshotRetries.Add(1)
 			sleep := backoff + time.Duration(rand.Int63n(int64(backoff)/2+1))
@@ -569,16 +581,8 @@ type StatsResponse struct {
 }
 
 func (r *Server) handleStats(w http.ResponseWriter, req *http.Request) int {
-	q := req.URL.Query()
-	if path := q.Get("path"); path != "" {
-		sess, ok := r.reg.Peek(path)
-		if !ok {
-			return writeError(w, http.StatusNotFound, "unknown path %q", path)
-		}
-		return writeJSON(w, http.StatusOK, sess.Predict())
-	}
 	limit := DefaultStatsLimit
-	if s := q.Get("limit"); s != "" {
+	if s := req.URL.Query().Get("limit"); s != "" {
 		n, err := strconv.Atoi(s)
 		if err != nil || n < 0 {
 			return writeError(w, http.StatusBadRequest, "limit must be a non-negative integer")

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -90,7 +91,7 @@ func TestServerEndpoints(t *testing.T) {
 		t.Errorf("unexpected prediction: %+v", pred)
 	}
 
-	// Stats: global and per-path.
+	// Stats.
 	resp, data = getJSON(t, ts.URL+"/v1/stats")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stats: status %d", resp.StatusCode)
@@ -117,11 +118,14 @@ func TestServerEndpoints(t *testing.T) {
 	if epObs.Latency.Total != 6 {
 		t.Errorf("observe latency total = %d, want 6", epObs.Latency.Total)
 	}
-	if resp, _ = getJSON(t, ts.URL+"/v1/stats?path=p1"); resp.StatusCode != http.StatusOK {
-		t.Errorf("per-path stats: status %d", resp.StatusCode)
-	}
-	if resp, _ = getJSON(t, ts.URL+"/v1/stats?path=zzz"); resp.StatusCode != http.StatusNotFound {
-		t.Errorf("per-path stats unknown: status %d, want 404", resp.StatusCode)
+	// A path's forecast is /v1/predict's alone: /v1/stats ignores a path
+	// parameter, known or not, and answers with the service-wide stats.
+	for _, q := range []string{"?path=p1", "?path=zzz"} {
+		resp, data = getJSON(t, ts.URL+"/v1/stats"+q)
+		var keys map[string]json.RawMessage
+		if err := json.Unmarshal(data, &keys); resp.StatusCode != http.StatusOK || err != nil || keys["uptime_s"] == nil || keys["families"] != nil {
+			t.Errorf("stats%s: status %d, body %.120s, want the service-wide stats", q, resp.StatusCode, data)
+		}
 	}
 
 	// /debug/vars was folded into /v1/stats and /metrics; it is gone, not
@@ -194,5 +198,73 @@ func TestPredictShardCountInvariance(t *testing.T) {
 	}
 	if !bytes.Equal(run(1), run(32)) {
 		t.Error("predict bodies differ between 1-shard and 32-shard registries")
+	}
+}
+
+// TestPredictBodyKeySets pins the exact keys of a /v1/predict body and of
+// a /v1/predict-batch item: each fact appears once. A family's forecast
+// and accuracy live only in its families[] entry, the selection only at
+// the top level, and FB's staleness only in fb next to the measurement
+// age it derives from.
+func TestPredictBodyKeySets(t *testing.T) {
+	h := NewServer(Config{}).Handler()
+	do := func(method, target, body string) []byte {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s %s = %d: %s", method, target, rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes()
+	}
+	// 60 measured epochs calibrate every family; 35 more without a
+	// measurement leave FB stale.
+	ps := SyntheticSeries(1, 95, 3)[0]
+	for k, x := range ps.Throughputs {
+		if k < 60 {
+			in := ps.Inputs[k]
+			do(http.MethodPost, "/v1/measure", fmt.Sprintf(`{"path":"p","rtt_s":%g,"loss_rate":%g,"avail_bw_bps":%g}`,
+				in.RTT, in.LossRate, in.AvailBw))
+		}
+		do(http.MethodPost, "/v1/observe", fmt.Sprintf(`{"path":"p","throughput_bps":%g}`, x))
+	}
+	var single map[string]any
+	if err := json.Unmarshal(do(http.MethodGet, "/v1/predict?path=p", ""), &single); err != nil {
+		t.Fatal(err)
+	}
+	var batch struct{ Predictions []map[string]any }
+	if err := json.Unmarshal(do(http.MethodPost, "/v1/predict-batch", `{"paths":["p"]}`), &batch); err != nil || len(batch.Predictions) != 1 {
+		t.Fatalf("predict-batch: %d predictions (err %v)", len(batch.Predictions), err)
+	}
+	keys := func(v any) string {
+		m, _ := v.(map[string]any)
+		ks := make([]string, 0, len(m))
+		for k := range m {
+			ks = append(ks, k)
+		}
+		slices.Sort(ks)
+		return strings.Join(ks, " ")
+	}
+	const (
+		wantBody   = "best best_forecast_bps families family fb observations p10_bps p50_bps p90_bps path"
+		wantFB     = "avail_bw_bps loss_rate measurement_age rtt_s stale"
+		wantFamily = "error_count forecast_bps name p10_bps p50_bps p90_bps ready regret rmsre"
+	)
+	for name, body := range map[string]map[string]any{"predict": single, "predict-batch item": batch.Predictions[0]} {
+		if got := keys(body); got != wantBody {
+			t.Errorf("%s body keys = %q, want %q", name, got, wantBody)
+		}
+		if got := keys(body["fb"]); got != wantFB {
+			t.Errorf("%s fb keys = %q, want %q", name, got, wantFB)
+		}
+		fams, _ := body["families"].([]any)
+		if len(fams) != 4 {
+			t.Fatalf("%s: %d families, want 4", name, len(fams))
+		}
+		for _, f := range fams {
+			if got := keys(f); got != wantFamily {
+				t.Errorf("%s family keys = %q, want %q", name, got, wantFamily)
+			}
+		}
 	}
 }

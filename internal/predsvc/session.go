@@ -84,30 +84,17 @@ func (s *Session) SetMeasurement(in predict.FBInputs) float64 {
 	return s.ens.SetMeasurement(in)
 }
 
-// PredictorState reports one ensemble member's standing forecast and
-// rolling accuracy.
-type PredictorState struct {
-	Name        string  `json:"name"`
-	Ready       bool    `json:"ready"`
-	ForecastBps float64 `json:"forecast_bps"`
-	RMSRE       float64 `json:"rmsre"`
-	ErrorCount  int     `json:"error_count"`
-}
-
-// FBState reports the formula-based side: the latest installed
-// measurements, the forecast they produce, its rolling accuracy, and how
-// stale the measurements are. MeasurementAge counts observations absorbed
-// since the measurements were installed; past the zoo's fixed threshold of
-// 30 the forecast is flagged Stale and excluded from best-predictor
-// selection — the service degrades to HB-only rather than serving
-// forecasts computed from a bygone path state.
+// FBState reports the formula-based side's inputs: the latest installed
+// measurements and how stale they are. MeasurementAge counts observations
+// absorbed since the measurements were installed; past the zoo's fixed
+// threshold of 30 the FB forecast is flagged Stale and excluded from
+// best-predictor selection — the service degrades to HB-only rather than
+// serving forecasts computed from a bygone path state. FB's forecast and
+// accuracy are its entry in Prediction.Families.
 type FBState struct {
 	RTTSeconds     float64 `json:"rtt_s"`
 	LossRate       float64 `json:"loss_rate"`
 	AvailBwBps     float64 `json:"avail_bw_bps"`
-	ForecastBps    float64 `json:"forecast_bps"`
-	RMSRE          float64 `json:"rmsre"`
-	ErrorCount     int     `json:"error_count"`
 	MeasurementAge uint64  `json:"measurement_age"`
 	Stale          bool    `json:"stale,omitempty"`
 }
@@ -127,27 +114,25 @@ type FamilyState struct {
 	RMSRE       float64 `json:"rmsre"`
 	ErrorCount  int     `json:"error_count"`
 	Regret      float64 `json:"regret"`
-	Stale       bool    `json:"stale,omitempty"`
 }
 
-// Prediction is the full answer for one path: the paper ensemble's
-// forecasts and accuracy (HB/FB), plus the tournament — every family's
-// state with calibrated quantiles and regret, the online-selected family,
-// and its P10/P50/P90 interval at the top level. Best and Family name the
-// same selection; Best is kept for clients that read the older field.
+// Prediction is the full answer for one path: the online-selected family
+// with its forecast and P10/P50/P90 interval at the top level, the FB
+// measurements, and the tournament — every family's forecast, calibrated
+// quantiles, rolling accuracy and regret, in zoo order (10-MA-LSO,
+// 0.8-EWMA-LSO, 0.8-HW-LSO, FB). Best and Family name the same selection;
+// Best is kept for clients that read the older field.
 type Prediction struct {
-	Path            string           `json:"path"`
-	Observations    uint64           `json:"observations"`
-	Best            string           `json:"best,omitempty"`
-	BestForecastBps float64          `json:"best_forecast_bps,omitempty"`
-	HB              []PredictorState `json:"hb"`
-	FB              *FBState         `json:"fb,omitempty"`
+	Path            string   `json:"path"`
+	Observations    uint64   `json:"observations"`
+	Best            string   `json:"best,omitempty"`
+	BestForecastBps float64  `json:"best_forecast_bps,omitempty"`
+	FB              *FBState `json:"fb,omitempty"`
 
 	// Family is the tournament winner: lowest rolling RMSRE among
 	// qualified families (≥ 3 scored forecasts, ready, positive forecast,
 	// FB never while stale); ties break toward zoo order.
-	Family            string  `json:"family,omitempty"`
-	FamilyForecastBps float64 `json:"family_forecast_bps,omitempty"`
+	Family string `json:"family,omitempty"`
 	// P10/P50/P90 are the selected family's calibrated quantiles
 	// (omitted until its error window holds enough scored forecasts).
 	P10Bps   float64       `json:"p10_bps,omitempty"`
@@ -167,10 +152,10 @@ func (s *Session) Predict() Prediction {
 
 // PredictInto is Predict for callers that recycle response memory (the
 // wire fastpath keeps a pooled Prediction + FBState per request): the
-// HB/Families slices are truncated and refilled in place, and fb — which
-// must be non-nil — is overwritten and installed as p.FB when the
-// session has standing measurements. Every field of *p is reassigned, so
-// a recycled value never leaks state between paths.
+// Families slice is truncated and refilled in place, and fb — which must
+// be non-nil — is overwritten and installed as p.FB when the session has
+// standing measurements. Every field of *p is reassigned, so a recycled
+// value never leaks state between paths.
 func (s *Session) PredictInto(p *Prediction, fb *FBState) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -179,25 +164,15 @@ func (s *Session) PredictInto(p *Prediction, fb *FBState) {
 	*p = Prediction{
 		Path:         s.path,
 		Observations: s.ens.Observations(),
-		HB:           p.HB[:0],
 		Families:     p.Families[:0],
 	}
-	for _, f := range v.Families[:3] {
-		p.HB = append(p.HB, PredictorState{
-			Name: f.Name, Ready: f.Ready, ForecastBps: f.Forecast, RMSRE: f.RMSRE, ErrorCount: f.Errors,
-		})
-	}
 	if in, age, ok := s.ens.Measurement(); ok {
-		f := &v.Families[v.FB]
 		*fb = FBState{
 			RTTSeconds:     in.RTT,
 			LossRate:       in.LossRate,
 			AvailBwBps:     in.AvailBw,
-			ForecastBps:    f.Forecast,
-			RMSRE:          f.RMSRE,
-			ErrorCount:     f.Errors,
 			MeasurementAge: age,
-			Stale:          f.Stale,
+			Stale:          v.Families[v.FB].Stale,
 		}
 		p.FB = fb
 	}
@@ -205,7 +180,7 @@ func (s *Session) PredictInto(p *Prediction, fb *FBState) {
 		f := &v.Families[i]
 		st := FamilyState{
 			Name: f.Name, Ready: f.Ready, ForecastBps: f.Forecast,
-			RMSRE: f.RMSRE, ErrorCount: f.Errors, Regret: f.Regret, Stale: f.Stale,
+			RMSRE: f.RMSRE, ErrorCount: f.Errors, Regret: f.Regret,
 		}
 		if f.Calibrated {
 			st.P10Bps, st.P50Bps, st.P90Bps = f.Quantiles.P10, f.Quantiles.P50, f.Quantiles.P90
@@ -214,8 +189,7 @@ func (s *Session) PredictInto(p *Prediction, fb *FBState) {
 	}
 	if v.Selected >= 0 {
 		f := &v.Families[v.Selected]
-		p.Family, p.FamilyForecastBps = f.Name, f.Forecast
-		p.Best, p.BestForecastBps = p.Family, p.FamilyForecastBps
+		p.Family, p.Best, p.BestForecastBps = f.Name, f.Name, f.Forecast
 		if f.Calibrated {
 			p.P10Bps, p.P50Bps, p.P90Bps = f.Quantiles.P10, f.Quantiles.P50, f.Quantiles.P90
 		}

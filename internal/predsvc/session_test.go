@@ -23,10 +23,11 @@ func TestSessionAccuracyBookkeeping(t *testing.T) {
 	if p.Observations != uint64(len(series)) {
 		t.Fatalf("Observations = %d, want %d", p.Observations, len(series))
 	}
-	if len(p.HB) != 3 {
-		t.Fatalf("ensemble size = %d, want 3 (MA, EWMA, HW)", len(p.HB))
+	if len(p.Families) != 4 {
+		t.Fatalf("zoo size = %d, want 4 (MA, EWMA, HW, FB)", len(p.Families))
 	}
-	for _, st := range p.HB {
+	hb := p.Families[:3]
+	for _, st := range hb {
 		if !st.Ready {
 			t.Errorf("%s not ready after %d observations", st.Name, len(series))
 		}
@@ -43,12 +44,12 @@ func TestSessionAccuracyBookkeeping(t *testing.T) {
 	}
 	// Best must be the minimum-RMSRE qualified candidate.
 	bestRMSRE := math.Inf(1)
-	for _, st := range p.HB {
+	for _, st := range hb {
 		if st.ErrorCount >= 3 && st.RMSRE < bestRMSRE {
 			bestRMSRE = st.RMSRE
 		}
 	}
-	for _, st := range p.HB {
+	for _, st := range hb {
 		if st.Name == p.Best && st.RMSRE != bestRMSRE {
 			t.Errorf("best %s has RMSRE %v, but minimum is %v", p.Best, st.RMSRE, bestRMSRE)
 		}
@@ -72,11 +73,12 @@ func TestSessionFBSide(t *testing.T) {
 	if p.FB == nil {
 		t.Fatal("Prediction.FB missing after SetMeasurement")
 	}
-	if p.FB.ErrorCount != 1 {
-		t.Errorf("FB ErrorCount = %d, want 1", p.FB.ErrorCount)
+	fb := p.Families[3]
+	if fb.Name != "FB" || fb.ErrorCount != 1 {
+		t.Errorf("family %s ErrorCount = %d, want FB with 1", fb.Name, fb.ErrorCount)
 	}
 	// Over-estimation by 2× ⇒ |E| = 1 (Eq. 4).
-	if got := p.FB.RMSRE; math.Abs(got-1) > 1e-9 {
+	if got := fb.RMSRE; math.Abs(got-1) > 1e-9 {
 		t.Errorf("FB RMSRE = %v, want 1", got)
 	}
 }
@@ -88,7 +90,7 @@ func TestSessionErrorMatchesEq4(t *testing.T) {
 	p := s.Predict()
 	// EWMA forecast before the 2nd observation was 10e6; the MA(10)
 	// forecast was also 10e6. E = (10e6-20e6)/10e6 = -1 ⇒ RMSRE 1.
-	for _, st := range p.HB[:2] {
+	for _, st := range p.Families[:2] {
 		if math.Abs(st.RMSRE-1) > 1e-9 {
 			t.Errorf("%s RMSRE = %v, want 1 (single Eq.4 error of -1)", st.Name, st.RMSRE)
 		}

@@ -304,13 +304,7 @@ func TestClusterReplayDigest(t *testing.T) {
 			t.Cleanup(ts.Close)
 			urls[i] = ts.URL
 		}
-		cfg := LoadConfig{Workers: 4, BatchObserve: batch}
-		if nodes == 1 {
-			cfg.BaseURL = urls[0]
-		} else {
-			cfg.Cluster = urls
-		}
-		rep, err := Replay(context.Background(), cfg, series)
+		rep, err := Replay(context.Background(), LoadConfig{Nodes: urls, Workers: 4, BatchObserve: batch}, series)
 		if err != nil {
 			t.Fatalf("replay (%d nodes, batch=%v): %v", nodes, batch, err)
 		}

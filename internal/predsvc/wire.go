@@ -123,7 +123,7 @@ func (e *jenc) f64(f float64) {
 }
 
 // appendPrediction encodes p exactly as json.Marshal does: fields in
-// declaration order, omitempty honored, hb null when nil.
+// declaration order, omitempty honored.
 func appendPrediction(e *jenc, p *Prediction) {
 	e.raw(`{"path":`)
 	e.str(p.Path)
@@ -137,30 +137,6 @@ func appendPrediction(e *jenc, p *Prediction) {
 		e.raw(`,"best_forecast_bps":`)
 		e.f64(p.BestForecastBps)
 	}
-	e.raw(`,"hb":`)
-	if p.HB == nil {
-		e.raw("null")
-	} else {
-		e.raw("[")
-		for i := range p.HB {
-			if i > 0 {
-				e.raw(",")
-			}
-			st := &p.HB[i]
-			e.raw(`{"name":`)
-			e.str(st.Name)
-			e.raw(`,"ready":`)
-			e.bln(st.Ready)
-			e.raw(`,"forecast_bps":`)
-			e.f64(st.ForecastBps)
-			e.raw(`,"rmsre":`)
-			e.f64(st.RMSRE)
-			e.raw(`,"error_count":`)
-			e.i64(int64(st.ErrorCount))
-			e.raw("}")
-		}
-		e.raw("]")
-	}
 	if p.FB != nil {
 		e.raw(`,"fb":{"rtt_s":`)
 		e.f64(p.FB.RTTSeconds)
@@ -168,12 +144,6 @@ func appendPrediction(e *jenc, p *Prediction) {
 		e.f64(p.FB.LossRate)
 		e.raw(`,"avail_bw_bps":`)
 		e.f64(p.FB.AvailBwBps)
-		e.raw(`,"forecast_bps":`)
-		e.f64(p.FB.ForecastBps)
-		e.raw(`,"rmsre":`)
-		e.f64(p.FB.RMSRE)
-		e.raw(`,"error_count":`)
-		e.i64(int64(p.FB.ErrorCount))
 		e.raw(`,"measurement_age":`)
 		e.u64(p.FB.MeasurementAge)
 		if p.FB.Stale {
@@ -184,10 +154,6 @@ func appendPrediction(e *jenc, p *Prediction) {
 	if p.Family != "" {
 		e.raw(`,"family":`)
 		e.str(p.Family)
-	}
-	if p.FamilyForecastBps != 0 {
-		e.raw(`,"family_forecast_bps":`)
-		e.f64(p.FamilyForecastBps)
 	}
 	if p.P10Bps != 0 {
 		e.raw(`,"p10_bps":`)
@@ -232,9 +198,6 @@ func appendPrediction(e *jenc, p *Prediction) {
 			e.i64(int64(f.ErrorCount))
 			e.raw(`,"regret":`)
 			e.f64(f.Regret)
-			if f.Stale {
-				e.raw(`,"stale":true`)
-			}
 			e.raw("}")
 		}
 		e.raw("]")

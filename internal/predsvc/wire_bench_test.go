@@ -255,7 +255,7 @@ func BenchmarkPredloadServiceTime(b *testing.B) {
 	var rep *LoadReport
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err = Replay(context.Background(), LoadConfig{BaseURL: ts.URL, Workers: 4}, series)
+		rep, err = Replay(context.Background(), LoadConfig{Nodes: []string{ts.URL}, Workers: 4}, series)
 		if err != nil {
 			b.Fatal(err)
 		}

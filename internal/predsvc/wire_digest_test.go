@@ -24,7 +24,7 @@ func TestReplayDigestFastpathIdentical(t *testing.T) {
 		defer srv.Close()
 		ts := httptest.NewServer(srv.Handler())
 		defer ts.Close()
-		rep, err := Replay(context.Background(), LoadConfig{BaseURL: ts.URL, Workers: 4}, series)
+		rep, err := Replay(context.Background(), LoadConfig{Nodes: []string{ts.URL}, Workers: 4}, series)
 		if err != nil {
 			t.Fatal(err)
 		}

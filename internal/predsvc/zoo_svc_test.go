@@ -26,7 +26,7 @@ func TestPredictServesQuantilesAndFamily(t *testing.T) {
 		s.Observe(x)
 	}
 	p := s.Predict()
-	if p.Family == "" || p.FamilyForecastBps <= 0 {
+	if p.Family == "" || p.BestForecastBps <= 0 {
 		t.Fatalf("no tournament winner after 60 epochs: %+v", p)
 	}
 	if !(p.P10Bps > 0 && p.P10Bps <= p.P50Bps && p.P50Bps <= p.P90Bps) {
@@ -55,9 +55,8 @@ func TestPredictServesQuantilesAndFamily(t *testing.T) {
 	if won.Regret != 0 {
 		t.Errorf("winner %s has regret %v, want 0 (it is the best-in-hindsight)", won.Name, won.Regret)
 	}
-	if len(p.HB) != 3 || p.Best != p.Family || p.BestForecastBps != p.FamilyForecastBps {
-		t.Errorf("paper ensemble view degraded: %d HB entries, best %q %v, family %q %v",
-			len(p.HB), p.Best, p.BestForecastBps, p.Family, p.FamilyForecastBps)
+	if p.Best != p.Family || p.BestForecastBps != won.ForecastBps {
+		t.Errorf("best %q %v does not restate family %q %v", p.Best, p.BestForecastBps, won.Name, won.ForecastBps)
 	}
 }
 
@@ -71,7 +70,7 @@ func TestCalibrationEndToEnd(t *testing.T) {
 	defer stop()
 
 	series := SyntheticSeries(12, 80, 17)
-	rep, err := Replay(context.Background(), LoadConfig{BaseURL: base, Workers: 4}, series)
+	rep, err := Replay(context.Background(), LoadConfig{Nodes: []string{base}, Workers: 4}, series)
 	if err != nil {
 		t.Fatal(err)
 	}
