@@ -48,6 +48,7 @@ import (
 	"strings"
 	"syscall"
 
+	"repro/internal/predict"
 	"repro/internal/predsvc"
 	"repro/internal/testbed"
 	"repro/internal/traceio"
@@ -97,7 +98,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("predload: load %s: %v", *dataset, err)
 		}
-		series = predsvc.SeriesFromDataset(ds)
+		series = seriesFromDataset(ds)
 		log.Printf("predload: replaying %d traces from %s", len(series), *dataset)
 	case *useTb:
 		cfg := testbed.DefaultScaled(*seed)
@@ -106,7 +107,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("predload: campaign: %v", err)
 		}
-		series = predsvc.SeriesFromDataset(ds)
+		series = seriesFromDataset(ds)
 	default:
 		series = predsvc.SyntheticSeries(*paths, *epochs, *seed)
 		log.Printf("predload: replaying %d synthetic paths × %d epochs", *paths, *epochs)
@@ -181,4 +182,25 @@ func reportServerResilience(base string) {
 	m := st.Metrics
 	fmt.Printf("chaos: server panics_recovered=%d requests_shed=%d snapshot_failures=%d snapshot_retries=%d rejected_inputs=%d stale_predictions=%d\n",
 		m.PanicsRecovered, m.RequestsShed, m.SnapshotFailures, m.SnapshotRetries, m.RejectedInputs, m.StalePredictions)
+}
+
+// seriesFromDataset converts a testbed-simulated dataset into replayable
+// per-path series: each (path, trace) pair becomes one service path named
+// "<path>#<trace>", with the pre-flow measurements of every epoch feeding
+// the FB side, exactly as an online deployment would see them.
+func seriesFromDataset(ds *testbed.Dataset) []predsvc.PathSeries {
+	var out []predsvc.PathSeries
+	for _, tr := range ds.Traces {
+		s := predsvc.PathSeries{Path: fmt.Sprintf("%s#%d", tr.Path, tr.Index)}
+		for _, rec := range tr.Records {
+			s.Throughputs = append(s.Throughputs, rec.Throughput)
+			s.Inputs = append(s.Inputs, predict.FBInputs{
+				RTT:      rec.PreRTT,
+				LossRate: rec.PreLoss,
+				AvailBw:  rec.AvailBw,
+			})
+		}
+		out = append(out, s)
+	}
+	return out
 }

@@ -317,30 +317,6 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 	return s.upper(len(s.Counts))
 }
 
-// Mean estimates the mean from bucket midpoints, taking observations as
-// non-negative (the first bucket spans [0, Bounds[0]]) and the +Inf
-// bucket at the highest finite bound. It needs only Counts, so it also
-// serves snapshots decoded from JSON; where the exact mean matters use
-// Sum / Total.
-func (s HistogramSnapshot) Mean() float64 {
-	total := s.Total()
-	if total == 0 {
-		return 0
-	}
-	var sum float64
-	for i, c := range s.Counts {
-		if c == 0 {
-			continue
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = s.upper(i - 1)
-		}
-		sum += (lo + s.upper(i)) / 2 * float64(c)
-	}
-	return sum / float64(total)
-}
-
 // WritePrometheus renders every registered metric in the text exposition
 // format, families in registration order.
 func (r *Registry) WritePrometheus(w io.Writer) error {

@@ -192,25 +192,25 @@ func TestValidateExpositionRejects(t *testing.T) {
 	}
 }
 
-// TestHistogramQuantileMean pins the one quantile/mean estimator: bucket
-// upper bounds for quantiles, bucket midpoints for the mean, the +Inf
-// bucket at the highest finite bound — over live histograms and over
-// snapshots rebuilt from bare counts.
+// TestHistogramQuantileMean pins the one quantile estimator, bucket upper
+// bounds with the +Inf bucket at the highest finite bound, over live
+// histograms and over snapshots rebuilt from bare counts, and the exact
+// sum the mean is read from.
 func TestHistogramQuantileMean(t *testing.T) {
 	bounds := []float64{1, 2, 4, 8}
 	for _, tc := range []struct {
-		name          string
-		observe       []float64
-		total         uint64
-		p50, p99, avg float64
+		name     string
+		observe  []float64
+		total    uint64
+		p50, p99 float64
 	}{
 		{name: "empty"},
-		{name: "single sample", observe: []float64{3}, total: 1, p50: 4, p99: 4, avg: 3},
-		{name: "on a bound counts as le", observe: []float64{2}, total: 1, p50: 2, p99: 2, avg: 1.5},
-		{name: "first bucket spans zero", observe: []float64{0.2, 0.4}, total: 2, p50: 1, p99: 1, avg: 0.5},
-		{name: "spread", observe: []float64{0.5, 1.5, 1.5, 3, 7}, total: 5, p50: 2, p99: 4, avg: (0.5 + 1.5 + 1.5 + 3 + 6) / 5},
-		{name: "overflow bucket", observe: []float64{100, 200}, total: 2, p50: 8, p99: 8, avg: 8},
-		{name: "tail in overflow", observe: []float64{0.5, 0.5, 0.5, 50}, total: 4, p50: 1, p99: 1, avg: (3*0.5 + 8) / 4},
+		{name: "single sample", observe: []float64{3}, total: 1, p50: 4, p99: 4},
+		{name: "on a bound counts as le", observe: []float64{2}, total: 1, p50: 2, p99: 2},
+		{name: "first bucket spans zero", observe: []float64{0.2, 0.4}, total: 2, p50: 1, p99: 1},
+		{name: "spread", observe: []float64{0.5, 1.5, 1.5, 3, 7}, total: 5, p50: 2, p99: 4},
+		{name: "overflow bucket", observe: []float64{100, 200}, total: 2, p50: 8, p99: 8},
+		{name: "tail in overflow", observe: []float64{0.5, 0.5, 0.5, 50}, total: 4, p50: 1, p99: 1},
 	} {
 		var detached *Registry
 		h := detached.Histogram("h", "", bounds)
@@ -229,25 +229,22 @@ func TestHistogramQuantileMean(t *testing.T) {
 		if got := s.Quantile(0.99); got != tc.p99 {
 			t.Errorf("%s: p99 = %v, want %v", tc.name, got, tc.p99)
 		}
-		if got := s.Mean(); math.Abs(got-tc.avg) > 1e-12 {
-			t.Errorf("%s: mean = %v, want %v", tc.name, got, tc.avg)
-		}
 		// The same answers from serialized counts alone (no Sum).
 		bare := HistogramSnapshot{Bounds: bounds, Counts: s.Counts}
-		if bare.Quantile(0.5) != tc.p50 || math.Abs(bare.Mean()-tc.avg) > 1e-12 {
-			t.Errorf("%s: bare-counts snapshot disagrees: p50 %v mean %v", tc.name, bare.Quantile(0.5), bare.Mean())
+		if bare.Quantile(0.5) != tc.p50 {
+			t.Errorf("%s: bare-counts snapshot disagrees: p50 %v", tc.name, bare.Quantile(0.5))
 		}
 	}
 
 	// Counts that do not match the bounds (a foreign or truncated JSON
 	// document) must not panic: extra buckets fold into the overflow.
 	long := HistogramSnapshot{Bounds: bounds, Counts: []uint64{0, 0, 0, 0, 0, 0, 3}}
-	if long.Quantile(0.5) != 8 || long.Mean() != 8 {
-		t.Errorf("over-long counts: p50 %v mean %v, want 8 / 8", long.Quantile(0.5), long.Mean())
+	if long.Quantile(0.5) != 8 {
+		t.Errorf("over-long counts: p50 %v, want 8", long.Quantile(0.5))
 	}
 	short := HistogramSnapshot{Bounds: bounds, Counts: []uint64{2}}
-	if short.Quantile(0.5) != 1 || short.Mean() != 0.5 {
-		t.Errorf("short counts: p50 %v mean %v, want 1 / 0.5", short.Quantile(0.5), short.Mean())
+	if short.Quantile(0.5) != 1 {
+		t.Errorf("short counts: p50 %v, want 1", short.Quantile(0.5))
 	}
 	if q := (HistogramSnapshot{Counts: []uint64{1}}).Quantile(0.5); q != 0 {
 		t.Errorf("no bounds: p50 %v, want 0", q)

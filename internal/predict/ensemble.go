@@ -3,7 +3,6 @@ package predict
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/stats"
 )
@@ -301,29 +300,24 @@ func (e *Ensemble) pick() int {
 	return best
 }
 
-// FamilySnapshot is one family's serialized state: its error window,
-// oldest first, and its predictor's live state (none for FB, whose
-// forecast is a function of the standing measurements).
-type FamilySnapshot struct {
-	Name   string    `json:"name"`
-	Errors []float64 `json:"errors,omitempty"`
-	PredictorState
-}
-
 // EnsembleState is the whole tournament of one path: the lifetime
 // observation count, the standing measurements (nil until one is
 // installed) and how many observations ago they were, the detector's
-// window, every family's error window and predictor state, and the
-// coverage counters. Its binary form (AppendBinary) is what the prediction
-// service persists per path.
+// window, every family's error window and the coverage counters. The HB
+// trio's predictors are not part of it: each is a function of the
+// detector's clean series, so SetState rebuilds them from the window. Its
+// binary form (AppendBinary) is what the prediction service persists per
+// path.
 type EnsembleState struct {
-	Observations uint64           `json:"observations"`
-	FB           *FBInputs        `json:"fb_inputs,omitempty"`
-	FBAge        uint64           `json:"fb_age,omitempty"`
-	LSO          LSOState         `json:"lso"`
-	Families     []FamilySnapshot `json:"families,omitempty"`
-	CovIn        uint64           `json:"cov_in,omitempty"`
-	CovTotal     uint64           `json:"cov_total,omitempty"`
+	Observations uint64
+	FB           *FBInputs
+	FBAge        uint64
+	LSO          LSOState
+	// Errors holds every family's error window, oldest first, in zoo
+	// order.
+	Errors   [][]float64
+	CovIn    uint64
+	CovTotal uint64
 }
 
 // State captures the ensemble. SetState on a fresh ensemble reproduces it
@@ -334,23 +328,22 @@ func (e *Ensemble) State() EnsembleState {
 		in := e.fbIn
 		st.FB, st.FBAge = &in, e.observations-e.fbSetAtObs
 	}
-	st.Families = make([]FamilySnapshot, len(e.families))
+	st.Errors = make([][]float64, len(e.families))
 	for i := range e.families {
-		f := &e.families[i]
-		st.Families[i] = FamilySnapshot{Name: e.views[i].Name, Errors: f.win.Errors(nil), PredictorState: stateOf(f.hb)}
+		st.Errors[i] = e.families[i].win.Errors(nil)
 	}
 	return st
 }
 
-// SetState installs st into a fresh ensemble by copying it — no
-// observation is replayed. Families are matched by name; a family st does
-// not name (a record written by a build whose zoo lacked it, say) starts
-// fresh — one of the HB trio from the restored detector's clean series — a
-// name the ensemble does not run is ignored, and one it runs must not
-// appear twice.
+// SetState installs st into a fresh ensemble: the detector's window, the
+// counters, the measurement and its age, and the error windows in zoo
+// order; then each of the HB trio replays the restored detector's clean
+// series, which is how the detector rebuilds a predictor after any
+// relabel, so the trio forecasts exactly as it did when st was captured.
 //
 // st may come from an untrusted source. Lengths beyond the zoo's bounds,
-// non-finite values and counts that contradict each other are reported as
+// non-finite values and counts that contradict each other — an error
+// window count other than the zoo's size among them — are reported as
 // errors, never as panics; after an error the ensemble is partly
 // overwritten and should be discarded.
 func (e *Ensemble) SetState(st EnsembleState) error {
@@ -364,28 +357,19 @@ func (e *Ensemble) SetState(st EnsembleState) error {
 	if in := st.FB; in != nil && !(finite(in.RTT, in.AvailBw) && in.RTT >= 0 && in.AvailBw >= 0 && in.LossRate >= 0 && in.LossRate <= 1) {
 		return fmt.Errorf("predict: invalid measurement %+v", *in)
 	}
+	if len(st.Errors) != len(e.families) {
+		return fmt.Errorf("predict: %d error windows, want %d", len(st.Errors), len(e.families))
+	}
 	if err := e.det.setState(st.LSO); err != nil {
 		return err
 	}
-	// Families installed so far, one bit per zoo index, so the check stays
-	// linear in the number of families a hostile state may list.
-	var installed uint64
-	for j := range st.Families {
-		fs := &st.Families[j]
-		i := slices.IndexFunc(e.views, func(v FamilyView) bool { return v.Name == fs.Name })
-		if i < 0 {
-			continue
-		}
-		if installed&(1<<i) != 0 {
-			return fmt.Errorf("predict: family %q named twice", fs.Name)
-		}
-		installed |= 1 << i
-		if err := e.setFamily(i, fs, st.Observations); err != nil {
-			return fmt.Errorf("predict: family %q: %w", fs.Name, err)
+	for i, errs := range st.Errors {
+		if err := e.families[i].setErrors(errs, st.Observations); err != nil {
+			return fmt.Errorf("predict: family %q: %w", e.views[i].Name, err)
 		}
 	}
 	for i := range e.families {
-		if f := &e.families[i]; f.hb != nil && installed&(1<<i) == 0 {
+		if f := &e.families[i]; f.hb != nil {
 			e.det.feed(f.hb)
 		}
 	}
@@ -398,24 +382,16 @@ func (e *Ensemble) SetState(st EnsembleState) error {
 	return nil
 }
 
-// setFamily installs fs into family i.
-func (e *Ensemble) setFamily(i int, fs *FamilySnapshot, observations uint64) error {
-	f := &e.families[i]
-	if n := len(fs.Errors); n > f.win.ring.capacity() || uint64(n) > observations {
+// setErrors installs a restored error window, oldest first.
+func (f *family) setErrors(errs []float64, observations uint64) error {
+	if n := len(errs); n > f.win.ring.capacity() || uint64(n) > observations {
 		return fmt.Errorf("%d errors for a window of %d and %d observations", n, f.win.ring.capacity(), observations)
 	}
-	for _, x := range fs.Errors {
+	for _, x := range errs {
 		if !(math.Abs(x) <= stats.ErrClamp) {
 			return fmt.Errorf("error %v outside ±%v", x, stats.ErrClamp)
 		}
 	}
-	if f.hb == nil {
-		if n := fs.count(); n != 0 {
-			return fmt.Errorf("%d predictor states for FB", n)
-		}
-	} else if err := setStateOf(f.hb, fs.PredictorState); err != nil {
-		return err
-	}
-	f.win.SetErrors(fs.Errors)
+	f.win.SetErrors(errs)
 	return nil
 }

@@ -1,9 +1,6 @@
 package predict
 
-import (
-	"fmt"
-	"strconv"
-)
+import "strconv"
 
 // HB is the interface of history-based one-step-ahead predictors. The usage
 // protocol is: call Predict to obtain the forecast for the next
@@ -96,39 +93,6 @@ func (m *MA) Name() string { return m.name }
 // Order returns n.
 func (m *MA) Order() int { return m.n }
 
-// MAState is an MA's live state: the retained samples oldest first and the
-// running sum exactly as the predictor holds it — recomputing the sum from
-// the ring would change its low-order bits.
-type MAState struct {
-	Ring []float64 `json:"ring,omitempty"`
-	Sum  float64   `json:"sum"`
-}
-
-// State captures the predictor.
-func (m *MA) State() MAState {
-	st := MAState{Sum: m.sum}
-	if m.full {
-		st.Ring = append(append(st.Ring, m.buf[m.head:]...), m.buf[:m.head]...)
-	} else {
-		st.Ring = append(st.Ring, m.buf...)
-	}
-	return st
-}
-
-// SetState installs st, which must fit the order and be finite; on error
-// the predictor is unchanged.
-func (m *MA) SetState(st MAState) error {
-	if len(st.Ring) > m.n {
-		return fmt.Errorf("%s: ring of %d samples exceeds the order", m.name, len(st.Ring))
-	}
-	if !finite(st.Ring...) || !finite(st.Sum) {
-		return fmt.Errorf("%s: non-finite state", m.name)
-	}
-	m.buf = append(m.buf[:0], st.Ring...)
-	m.head, m.full, m.sum = 0, len(m.buf) == m.n, st.Sum
-	return nil
-}
-
 // EWMA is the exponentially weighted moving average predictor (paper
 // §5.1.2): X̂_{i+1} = α·X_i + (1-α)·X̂_i.
 type EWMA struct {
@@ -166,24 +130,6 @@ func (e *EWMA) Reset() { e.seen = false; e.pred = 0 }
 
 // Name implements HB.
 func (e *EWMA) Name() string { return e.name }
-
-// EWMAState is an EWMA's live state.
-type EWMAState struct {
-	Pred float64 `json:"pred"`
-	Seen bool    `json:"seen,omitempty"`
-}
-
-// State captures the predictor.
-func (e *EWMA) State() EWMAState { return EWMAState{Pred: e.pred, Seen: e.seen} }
-
-// SetState installs st; on error the predictor is unchanged.
-func (e *EWMA) SetState(st EWMAState) error {
-	if !finite(st.Pred) {
-		return fmt.Errorf("%s: non-finite state", e.name)
-	}
-	e.pred, e.seen = st.Pred, st.Seen
-	return nil
-}
 
 // HoltWinters is the non-seasonal Holt-Winters predictor (paper §5.1.3),
 // maintaining a smoothing component X̂ˢ and a trend component X̂ᵗ:
@@ -248,30 +194,6 @@ func (h *HoltWinters) Reset() { h.s, h.t, h.x0, h.n = 0, 0, 0, 0 }
 
 // Name implements HB.
 func (h *HoltWinters) Name() string { return h.name }
-
-// HWState is a Holt-Winters predictor's live state: the smoothing and
-// trend components, the first sample and the observation count.
-type HWState struct {
-	S  float64 `json:"s"`
-	T  float64 `json:"t"`
-	X0 float64 `json:"x0"`
-	N  int     `json:"n"`
-}
-
-// State captures the predictor.
-func (h *HoltWinters) State() HWState { return HWState{S: h.s, T: h.t, X0: h.x0, N: h.n} }
-
-// SetState installs st; on error the predictor is unchanged.
-func (h *HoltWinters) SetState(st HWState) error {
-	if st.N < 0 {
-		return fmt.Errorf("%s: negative observation count %d", h.name, st.N)
-	}
-	if !finite(st.S, st.T, st.X0) {
-		return fmt.Errorf("%s: non-finite state", h.name)
-	}
-	h.s, h.t, h.x0, h.n = st.S, st.T, st.X0, st.N
-	return nil
-}
 
 // paramString renders a smoothing parameter for a predictor name using the
 // shortest exact decimal representation ("0.8", "0.25").

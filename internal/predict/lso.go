@@ -96,8 +96,8 @@ func NewDetector(cfg LSOConfig) *Detector {
 // mask and clean series are functions of the window, so setState rebuilds
 // them rather than carrying them.
 type LSOState struct {
-	Window []float64 `json:"window,omitempty"`
-	Shifts int       `json:"shifts,omitempty"`
+	Window []float64
+	Shifts int
 }
 
 func (d *Detector) state() LSOState {

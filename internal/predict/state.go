@@ -6,68 +6,6 @@ import (
 	"math"
 )
 
-// PredictorState is the live state of one of the HB trio's predictors, as
-// its State method returns it and its SetState method installs it. Exactly
-// one field is set, the one matching the predictor's type.
-type PredictorState struct {
-	MA   *MAState   `json:"ma,omitempty"`
-	EWMA *EWMAState `json:"ewma,omitempty"`
-	HW   *HWState   `json:"hw,omitempty"`
-}
-
-// stateOf captures p's state. It is empty for a nil predictor and for
-// types without serializable state.
-func stateOf(p HB) PredictorState {
-	var st PredictorState
-	switch p := p.(type) {
-	case *MA:
-		s := p.State()
-		st.MA = &s
-	case *EWMA:
-		s := p.State()
-		st.EWMA = &s
-	case *HoltWinters:
-		s := p.State()
-		st.HW = &s
-	}
-	return st
-}
-
-// setStateOf installs st into p. st must carry exactly the state of p's
-// type; anything else — another predictor's state, none at all, or a value
-// the predictor's own SetState refuses — is an error, never a panic.
-func setStateOf(p HB, st PredictorState) error {
-	if n := st.count(); n != 1 {
-		return fmt.Errorf("%s: %d predictor states, want 1", p.Name(), n)
-	}
-	switch p := p.(type) {
-	case *MA:
-		if st.MA != nil {
-			return p.SetState(*st.MA)
-		}
-	case *EWMA:
-		if st.EWMA != nil {
-			return p.SetState(*st.EWMA)
-		}
-	case *HoltWinters:
-		if st.HW != nil {
-			return p.SetState(*st.HW)
-		}
-	}
-	return fmt.Errorf("%s: state of another predictor type", p.Name())
-}
-
-// count returns how many of the state's fields are set.
-func (st PredictorState) count() int {
-	n := 0
-	for _, set := range []bool{st.MA != nil, st.EWMA != nil, st.HW != nil} {
-		if set {
-			n++
-		}
-	}
-	return n
-}
-
 // finite reports whether every value is neither infinite nor NaN.
 func finite(xs ...float64) bool {
 	for _, x := range xs {
@@ -81,25 +19,18 @@ func finite(xs ...float64) bool {
 // The binary form of an EnsembleState, the payload the prediction service
 // persists per path. Counts, lengths and integers are uvarints (an int as
 // its two's complement, so a negative one round-trips for SetState to
-// refuse), floats are float64 little-endian, bools one byte each, and a
-// PredictorState is a one-byte kind tag and that kind's fields in
-// declaration order:
+// refuse), floats are float64 little-endian and bools one byte each:
 //
-//	state     = observations hasFB [rtt loss availBw] fbAge covIn covTotal window shifts n family*n
-//	family    = len name errors predictor
-//	predictor = kind fields
-//	floats    = n float64*n
-const (
-	kindNone byte = iota
-	kindMA
-	kindEWMA
-	kindHW
-)
+//	state  = observations hasFB [rtt loss availBw] fbAge covIn covTotal window shifts n floats*n
+//	floats = n float64*n
+//
+// The n float lists after the shift count are the families' error windows
+// in zoo order; the HB trio's predictors are not stored, since SetState
+// rebuilds them from the window.
 
 // AppendBinary appends st's binary form to b. Like json.Marshal it refuses
 // NaN and ±Inf, so a non-finite state fails when it is written rather than
-// when it is read back. It also refuses a PredictorState with more than one
-// field set.
+// when it is read back.
 func (st *EnsembleState) AppendBinary(b []byte) ([]byte, error) {
 	w := stateWriter{b: b}
 	w.uvarint(st.Observations)
@@ -114,13 +45,9 @@ func (st *EnsembleState) AppendBinary(b []byte) ([]byte, error) {
 	w.uvarint(st.CovTotal)
 	w.floats(st.LSO.Window)
 	w.uvarint(uint64(st.LSO.Shifts))
-	w.uvarint(uint64(len(st.Families)))
-	for i := range st.Families {
-		f := &st.Families[i]
-		w.uvarint(uint64(len(f.Name)))
-		w.b = append(w.b, f.Name...)
-		w.floats(f.Errors)
-		w.predictor(&f.PredictorState)
+	w.uvarint(uint64(len(st.Errors)))
+	for _, errs := range st.Errors {
+		w.floats(errs)
 	}
 	if w.err != nil {
 		return b, w.err
@@ -130,10 +57,10 @@ func (st *EnsembleState) AppendBinary(b []byte) ([]byte, error) {
 
 // UnmarshalBinary decodes an AppendBinary form into st. The bytes are
 // untrusted: every declared length is checked against the bytes that remain
-// before anything is allocated for it, and a truncation, an unknown kind or
-// bool byte or a trailing byte is an error. It checks
-// structure only; SetState checks the values. The decoded slices do not
-// alias data. On error st is partly overwritten.
+// before anything is allocated for it, and a truncation, a bool byte other
+// than 0 or 1 or a trailing byte is an error. It checks structure only;
+// SetState checks the values. The decoded slices do not alias data. On
+// error st is partly overwritten.
 func (st *EnsembleState) UnmarshalBinary(data []byte) error {
 	// Every float takes 8 bytes of data, so one backing array of len/8
 	// holds all of them.
@@ -144,14 +71,11 @@ func (st *EnsembleState) UnmarshalBinary(data []byte) error {
 	}
 	st.FBAge, st.CovIn, st.CovTotal = r.uvarint(), r.uvarint(), r.uvarint()
 	st.LSO = LSOState{Window: r.floatSlice(), Shifts: int(r.uvarint())}
-	// A family is at least a name length, an error count and a kind.
-	if n := r.count(3); n > 0 {
-		st.Families = make([]FamilySnapshot, n)
-		for i := range st.Families {
-			f := &st.Families[i]
-			f.Name = string(r.take(r.count(1)))
-			f.Errors = r.floatSlice()
-			f.PredictorState = r.predictor()
+	// An error window is at least its length.
+	if n := r.count(1); n > 0 {
+		st.Errors = make([][]float64, n)
+		for i := range st.Errors {
+			st.Errors[i] = r.floatSlice()
 		}
 	}
 	if r.err == nil && len(r.data) > 0 {
@@ -193,32 +117,6 @@ func (w *stateWriter) floats(xs []float64) {
 	w.uvarint(uint64(len(xs)))
 	for _, x := range xs {
 		w.float(x)
-	}
-}
-
-// predictor writes st.
-func (w *stateWriter) predictor(st *PredictorState) {
-	if n := st.count(); n > 1 {
-		w.fail("%d predictor states in one", n)
-		return
-	}
-	switch {
-	case st.MA != nil:
-		w.b = append(w.b, kindMA)
-		w.floats(st.MA.Ring)
-		w.float(st.MA.Sum)
-	case st.EWMA != nil:
-		w.b = append(w.b, kindEWMA)
-		w.float(st.EWMA.Pred)
-		w.flag(st.EWMA.Seen)
-	case st.HW != nil:
-		w.b = append(w.b, kindHW)
-		w.float(st.HW.S)
-		w.float(st.HW.T)
-		w.float(st.HW.X0)
-		w.uvarint(uint64(st.HW.N))
-	default:
-		w.b = append(w.b, kindNone)
 	}
 }
 
@@ -309,20 +207,4 @@ func (r *stateReader) floatSlice() []float64 {
 		r.floats = append(r.floats, math.Float64frombits(binary.LittleEndian.Uint64(b)))
 	}
 	return r.floats[start:len(r.floats):len(r.floats)]
-}
-
-// predictor reads a PredictorState.
-func (r *stateReader) predictor() (st PredictorState) {
-	switch kind := r.u8(); kind {
-	case kindNone:
-	case kindMA:
-		st.MA = &MAState{Ring: r.floatSlice(), Sum: r.float()}
-	case kindEWMA:
-		st.EWMA = &EWMAState{Pred: r.float(), Seen: r.flag()}
-	case kindHW:
-		st.HW = &HWState{S: r.float(), T: r.float(), X0: r.float(), N: int(r.uvarint())}
-	default:
-		r.fail("unknown predictor kind %d", kind)
-	}
-	return st
 }

@@ -2,10 +2,6 @@ package predsvc
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
-	"strconv"
-	"strings"
 	"testing"
 )
 
@@ -61,24 +57,4 @@ func FuzzPathSnapshotRestore(f *testing.F) {
 		s.Observe(series.Throughputs[0])
 		s.Predict()
 	})
-}
-
-// TestRetiredKindsRefused: the corpus entries committed for the switcher,
-// regression and ECM states, which version 7 dropped with those families,
-// are refused as unknown predictor kinds.
-func TestRetiredKindsRefused(t *testing.T) {
-	for _, name := range []string{"nesting-beyond-cap", "regression-count-below-ring", "ecm-empty-bucket"} {
-		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzPathSnapshotRestore", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, quoted, _ := strings.Cut(strings.TrimSpace(string(raw)), "[]byte(")
-		data, err := strconv.Unquote(strings.TrimSuffix(quoted, ")"))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if _, err := sessionCodec().Decode("p", []byte(data)); err == nil || !strings.Contains(err.Error(), "unknown predictor kind") {
-			t.Errorf("%s: err = %v, want an unknown predictor kind", name, err)
-		}
-	}
 }

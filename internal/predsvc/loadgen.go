@@ -22,7 +22,6 @@ import (
 	"repro/internal/predsvc/cluster"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/testbed"
 )
 
 // PathSeries is one path's replayable trace: the per-epoch achieved
@@ -32,27 +31,6 @@ type PathSeries struct {
 	Path        string
 	Throughputs []float64
 	Inputs      []predict.FBInputs // len == len(Throughputs) when non-nil
-}
-
-// SeriesFromDataset converts a testbed-simulated dataset into replayable
-// per-path series: each (path, trace) pair becomes one service path named
-// "<path>#<trace>", with the pre-flow measurements of every epoch feeding
-// the FB side, exactly as an online deployment would see them.
-func SeriesFromDataset(ds *testbed.Dataset) []PathSeries {
-	var out []PathSeries
-	for _, tr := range ds.Traces {
-		s := PathSeries{Path: fmt.Sprintf("%s#%d", tr.Path, tr.Index)}
-		for _, rec := range tr.Records {
-			s.Throughputs = append(s.Throughputs, rec.Throughput)
-			s.Inputs = append(s.Inputs, predict.FBInputs{
-				RTT:      rec.PreRTT,
-				LossRate: rec.PreLoss,
-				AvailBw:  rec.AvailBw,
-			})
-		}
-		out = append(out, s)
-	}
-	return out
 }
 
 // SyntheticSeries generates deterministic throughput series with the
@@ -202,8 +180,6 @@ type LoadReport struct {
 	// exponential histogram the server uses, in microseconds.
 	LatencyP50Usec uint64
 	LatencyP99Usec uint64
-	// LatencyMeanUsec is the bucket-midpoint mean, in microseconds.
-	LatencyMeanUsec float64
 
 	// Accuracy of the service's "best" forecast against the next actual
 	// throughput, scored client-side with the paper's Eq. 4/5.
@@ -469,7 +445,6 @@ func Replay(ctx context.Context, cfg LoadConfig, series []PathSeries) (*LoadRepo
 	ls := latencySnapshot(lat)
 	rep.LatencyP50Usec = ls.P50Usec
 	rep.LatencyP99Usec = ls.P99Usec
-	rep.LatencyMeanUsec = ls.MeanUsec()
 	cs := cc.Stats()
 	rep.ShedRetries = cs.ShedRetries
 	rep.Retries = cs.Retries

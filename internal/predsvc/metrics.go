@@ -127,13 +127,6 @@ func latencySnapshot(h *obs.Histogram) LatencySnapshot {
 	}
 }
 
-// MeanUsec estimates the mean latency in microseconds from the bucket
-// counts (see obs.HistogramSnapshot.Mean). It is what `predload -bench`
-// reports as ns/observe, from the counts /v1/stats serves.
-func (s LatencySnapshot) MeanUsec() float64 {
-	return obs.HistogramSnapshot{Bounds: latencyBounds, Counts: s.Counts}.Mean() * 1e6
-}
-
 // EndpointSnapshot is one endpoint's counters.
 type EndpointSnapshot struct {
 	Name     string          `json:"name"`

@@ -12,7 +12,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 
@@ -83,14 +82,14 @@ func TestServedBytesGolden(t *testing.T) {
 	checkGolden(t, "served_snapshot.golden", snap.Bytes())
 }
 
-// TestServedSnapshotPayloadParity: version 7 dropped the switcher,
-// regression and ECM families. testdata/legacy_v6_snapshot.golden is
-// served_snapshot.golden as recorded in version 6 from the same replay. The
-// version-7 record at each position must be the version-6 record, byte for
-// byte, with those three family entries removed — so the four remaining
-// families' error windows and predictor states, and the LSO window, did not
-// move — except for the coverage counters, which count the new selection's
-// intervals. The legacy file itself is refused.
+// TestServedSnapshotPayloadParity: version 8 dropped the families' names
+// and the HB trio's predictor states, which restore rebuilds from the LSO
+// window. testdata/legacy_v7_snapshot.golden is served_snapshot.golden as
+// recorded in version 7 from the same replay. The version-8 record at each
+// position must be the version-7 record, byte for byte, with every name
+// and predictor state removed — so the counters, the measurement, the LSO
+// window and the error windows did not move. The legacy file itself is
+// refused.
 func TestServedSnapshotPayloadParity(t *testing.T) {
 	stream := func(name, format string) *store.StreamReader {
 		data, err := os.ReadFile(filepath.Join("testdata", name))
@@ -103,90 +102,69 @@ func TestServedSnapshotPayloadParity(t *testing.T) {
 		}
 		return sr
 	}
-	v7 := stream("served_snapshot.golden", sessionsFormat)
-	v6 := stream("legacy_v6_snapshot.golden", "predsvc.PathSnapshot/6")
+	v8 := stream("served_snapshot.golden", sessionsFormat)
+	v7 := stream("legacy_v7_snapshot.golden", "predsvc.PathSnapshot/7")
 	for i := 0; ; i++ {
+		rec8, err8 := v8.Next()
 		rec7, err7 := v7.Next()
-		rec6, err6 := v6.Next()
-		if err7 == io.EOF && err6 == io.EOF {
+		if err8 == io.EOF && err7 == io.EOF {
 			if i == 0 {
 				t.Fatal("the goldens hold no records")
 			}
 			break
 		}
-		if err7 != nil || err6 != nil {
-			t.Fatalf("record %d: version 7 %v, version 6 %v", i, err7, err6)
+		if err8 != nil || err7 != nil {
+			t.Fatalf("record %d: version 8 %v, version 7 %v", i, err8, err7)
 		}
-		head, tail, err := v6ToV7(rec6.Data())
+		want, err := v7ToV8(rec7.Data())
 		if err != nil {
-			t.Fatalf("record %d (%s): %v", i, rec6.Path(), err)
+			t.Fatalf("record %d (%s): %v", i, rec7.Path(), err)
 		}
-		// Skip version 7's two coverage counters.
-		rest, ok := bytes.CutPrefix(rec7.Data(), head)
-		for j := 0; j < 2 && ok; j++ {
-			_, n := binary.Uvarint(rest)
-			ok, rest = n > 0, rest[max(n, 0):]
-		}
-		if rec7.Path() != rec6.Path() || !ok || !bytes.Equal(rest, tail) {
-			t.Fatalf("record %d (%s) differs from version 6's (%s)", i, rec7.Path(), rec6.Path())
+		if rec8.Path() != rec7.Path() || !bytes.Equal(rec8.Data(), want) {
+			t.Fatalf("record %d (%s) differs from version 7's (%s)", i, rec8.Path(), rec7.Path())
 		}
 	}
-	legacy, err := os.ReadFile(filepath.Join("testdata", "legacy_v6_snapshot.golden"))
+	legacy, err := os.ReadFile(filepath.Join("testdata", "legacy_v7_snapshot.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := NewRegistry(Config{}).ReadSnapshot(bytes.NewReader(legacy)); !errors.Is(err, ErrCorruptSnapshot) {
-		t.Fatalf("ReadSnapshot of the version-6 golden: err = %v, want ErrCorruptSnapshot", err)
+		t.Fatalf("ReadSnapshot of the version-7 golden: err = %v, want ErrCorruptSnapshot", err)
 	}
 }
 
-// v6ToV7 rewrites a version-6 payload in the version-7 layout: the entries
-// of the families with predictor kinds 4, 5 and 6 (switcher, regression
-// and ECM) removed and the family count lowered to match. It returns the
-// payload before the two coverage counters and after them.
-func v6ToV7(data []byte) (head, tail []byte, err error) {
-	w := v6walk{b: data}
+// v7ToV8 rewrites a version-7 payload in the version-8 layout: each
+// family's entry keeps its error window and loses its name and its
+// predictor state (a kind byte, then that kind's fields).
+func v7ToV8(data []byte) ([]byte, error) {
+	w := v7walk{b: data}
 	w.uvarint() // observations
 	if w.copy(1); len(w.out) > 0 && w.out[len(w.out)-1] == 1 {
 		w.copy(24) // the measurement
 	}
 	w.uvarint() // measurement age
-	head, w.out = w.out, nil
 	w.uvarint() // coverage
 	w.uvarint()
-	w.out = nil
 	w.floats()  // LSO window
 	w.uvarint() // shift count
-	at := len(w.out)
-	var kept uint64
-	n := w.uvarint()
-	families := len(w.out)
-	for ; n > 0 && w.err == nil; n-- {
-		start := len(w.out)
-		w.copy(int(w.uvarint())) // name
-		w.floats()               // error window
-		if w.predictor() >= 4 {
-			w.out = w.out[:start]
-		} else {
-			kept++
-		}
+	for n := w.uvarint(); n > 0 && w.err == nil; n-- {
+		w.drop(func() { w.copy(int(w.uvarint())) }) // name
+		w.floats()                                  // error window
+		w.drop(w.predictor)
 	}
 	if w.err == nil && len(w.b) > 0 {
 		w.err = fmt.Errorf("%d trailing bytes", len(w.b))
 	}
-	if w.err != nil {
-		return nil, nil, w.err
-	}
-	return head, slices.Concat(w.out[:at], binary.AppendUvarint(nil, kept), w.out[families:]), nil
+	return w.out, w.err
 }
 
-// v6walk copies a version-6 payload to out as it reads it.
-type v6walk struct {
+// v7walk copies a version-7 payload to out as it reads it.
+type v7walk struct {
 	b, out []byte
 	err    error
 }
 
-func (w *v6walk) copy(n int) {
+func (w *v7walk) copy(n int) {
 	if w.err == nil && (n < 0 || n > len(w.b)) {
 		w.err = errors.New("truncated")
 	}
@@ -195,7 +173,14 @@ func (w *v6walk) copy(n int) {
 	}
 }
 
-func (w *v6walk) uvarint() uint64 {
+// drop reads what read reads without keeping it in out.
+func (w *v7walk) drop(read func()) {
+	at := len(w.out)
+	read()
+	w.out = w.out[:min(at, len(w.out))]
+}
+
+func (w *v7walk) uvarint() uint64 {
 	v, n := binary.Uvarint(w.b)
 	if n <= 0 && w.err == nil {
 		w.err = errors.New("bad varint")
@@ -204,15 +189,14 @@ func (w *v6walk) uvarint() uint64 {
 	return v
 }
 
-func (w *v6walk) floats() { w.copy(8 * int(w.uvarint())) }
+func (w *v7walk) floats() { w.copy(8 * int(w.uvarint())) }
 
-// predictor copies one predictor state and returns its kind.
-func (w *v6walk) predictor() byte {
+// predictor copies one predictor state: a kind byte, then its fields.
+func (w *v7walk) predictor() {
 	if w.copy(1); w.err != nil {
-		return 0
+		return
 	}
-	kind := w.out[len(w.out)-1]
-	switch kind {
+	switch kind := w.out[len(w.out)-1]; kind {
 	case 0: // none
 	case 1: // MA
 		w.floats()
@@ -222,25 +206,9 @@ func (w *v6walk) predictor() byte {
 	case 3: // Holt-Winters
 		w.copy(24)
 		w.uvarint()
-	case 4: // switcher
-		w.floats()
-		w.predictor()
-		w.predictor()
-	case 5: // regression
-		w.floats()
-		w.floats()
-		w.uvarint()
-		w.floats()
-	case 6: // ECM
-		w.floats()
-		for n := w.uvarint(); n > 0 && w.err == nil; n-- {
-			w.copy(3)
-			w.floats()
-		}
 	default:
 		w.err = fmt.Errorf("unknown kind %d", kind)
 	}
-	return kind
 }
 
 // checkGolden compares got with testdata/name, or rewrites the file under

@@ -198,10 +198,10 @@ func TestSnapshotFiniteAfterNonPositiveForecast(t *testing.T) {
 	if len(paths) != 1 {
 		t.Fatalf("snapshot with extreme errors holds %d records, want 1", len(paths))
 	}
-	for _, fs := range paths[0].Families {
-		for _, e := range fs.Errors {
+	for i, errs := range paths[0].Errors {
+		for _, e := range errs {
 			if math.IsInf(e, 0) || math.IsNaN(e) {
-				t.Fatalf("family %s holds non-finite error %v", fs.Name, e)
+				t.Fatalf("family %d holds non-finite error %v", i, e)
 			}
 		}
 	}

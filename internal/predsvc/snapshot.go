@@ -16,17 +16,14 @@ import (
 // sessionsFormat names the payload of the record streams the service
 // writes, snapshot files and handoff bodies, whose records are the spill
 // log's: one per path, its data the binary predict.EnsembleState of the
-// path's session (the observation count, the FB measurements and their age,
-// so staleness flagging survives a restart, the path's one LSO window and
-// shift count, every family's error window and live predictor state, and
-// the coverage counters). Restoring installs that state into a fresh
-// ensemble — a copy, exact at any history length; no observation is
-// replayed. Versions 1–4 carried JSON PathSnapshot documents (version 3 one
-// document with a sha256 trailer line), version 5 one LSO window per HB
-// family, and version 6 the switcher, regression and ECM families as well;
-// the name is kept so that an older node reports another version rather
-// than another format. A stream of any other format or version is refused.
-const sessionsFormat = "predsvc.PathSnapshot/7"
+// path's session — the observation count, the FB measurements and their
+// age (so staleness flagging survives a restart), the coverage counters,
+// the path's one LSO window and shift count, and the paper's four
+// families' error windows in zoo order. No predictor state is stored:
+// restoring installs that state into a fresh ensemble and rebuilds the HB
+// trio from the window, exactly as it stood. A stream of any other format
+// or version is refused.
+const sessionsFormat = "predsvc.PathSnapshot/8"
 
 // WriteSnapshot streams every session to w as a record stream, coldest
 // first (see store.Store.Paths), so restoring it into an equally-sharded

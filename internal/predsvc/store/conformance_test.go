@@ -427,10 +427,10 @@ func testSnapshotRoundTrip(t *testing.T, f factory) {
 }
 
 // testLargePayload pushes entries whose encoded form runs to hundreds of
-// kilobytes through eviction and fault-back. The predictor-zoo sessions
-// serialize far more state than the original ensemble (per-family error
-// windows and predictor states), so the spill log's record framing must
-// survive payloads well past any small-buffer assumption, byte for byte.
+// kilobytes through eviction and fault-back. Sessions serialize more
+// state than a toy entry (per-family error windows and the LSO window),
+// so the spill log's record framing must survive payloads well past any
+// small-buffer assumption, byte for byte.
 func testLargePayload(t *testing.T, f factory) {
 	st := f.open(t, MemConfig{Shards: 1, Capacity: 2, New: newToy})
 	defer st.Close()

@@ -92,10 +92,10 @@ func TestCalibrationEndToEnd(t *testing.T) {
 // (a replayed observation history beside the families' error windows),
 // version 3 (one JSON document of live state), version 4 (a record stream
 // of JSON states), version 5 (binary states with an LSO window per HB
-// family) and version 6 (seven families) — even with an intact sha256
-// trailer, and neither
-// is a record stream of another version nor a current one holding state
-// the configuration refuses. Each must be refused as ErrCorruptSnapshot and
+// family), version 6 (seven families) and version 7 (the families' names
+// and predictor states beside their error windows) — even with an intact
+// sha256 trailer, and neither is a record stream of another version nor a
+// current one holding state the zoo refuses. Each must be refused as ErrCorruptSnapshot and
 // quarantined at boot — never half restored.
 func TestLegacyV1SnapshotRejected(t *testing.T) {
 	legacy := func(body string) []byte {
@@ -104,21 +104,14 @@ func TestLegacyV1SnapshotRejected(t *testing.T) {
 	}
 	okJSON := `{"path":"ok-path","observations":1,` +
 		`"families":[{"name":"10-MA-LSO","lso":{"window":[10e6],"inner":{"ma":{"ring":[10e6],"sum":10e6}}}}]}`
-	maState := func(ring ...float64) predict.EnsembleState {
-		var sum float64
-		for _, x := range ring {
-			sum += x
-		}
+	state := func(windows int) predict.EnsembleState {
 		return predict.EnsembleState{Observations: 1, LSO: predict.LSOState{Window: []float64{10e6}},
-			Families: []predict.FamilySnapshot{{
-				Name:           "10-MA-LSO",
-				PredictorState: predict.PredictorState{MA: &predict.MAState{Ring: ring, Sum: sum}},
-			}}}
+			Errors: make([][]float64, windows)}
 	}
-	okPath := encodeState(t, maState(10e6))
-	// The second path's MA ring is longer than the order: the first path
+	okPath := encodeState(t, state(4))
+	// The second path carries three families' error windows: the first path
 	// must not stay restored.
-	badPath := encodeState(t, maState(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11))
+	badPath := encodeState(t, state(3))
 	files := map[string][]byte{
 		"v1": legacy(`{"version":1,"paths":[{"path":"v1-path","observations":6,` +
 			`"history":[10e6,12e6,11e6,13e6,12e6,12.5e6],` +
@@ -134,7 +127,8 @@ func TestLegacyV1SnapshotRejected(t *testing.T) {
 		"v99 stream":   streamOf(t, "predsvc.PathSnapshot/99", record(t, "ok-path", okPath)),
 		"v5 stream":    streamOf(t, "predsvc.PathSnapshot/5", record(t, "ok-path", okPath)),
 		"v6 stream":    streamOf(t, "predsvc.PathSnapshot/6", record(t, "ok-path", okPath)),
-		"v7 malformed": streamOf(t, sessionsFormat, record(t, "ok-path", okPath), record(t, "bad-path", badPath)),
+		"v7 stream":    streamOf(t, "predsvc.PathSnapshot/7", record(t, "ok-path", okPath)),
+		"v8 malformed": streamOf(t, sessionsFormat, record(t, "ok-path", okPath), record(t, "bad-path", badPath)),
 	}
 	// The intact first record alone restores, so the malformed case fails
 	// on its second record.
@@ -180,10 +174,10 @@ func TestSnapshotZooFamiliesFinite(t *testing.T) {
 	if len(paths) != 1 {
 		t.Fatalf("zoo snapshot with extreme inputs holds %d records, want 1", len(paths))
 	}
-	for _, fs := range paths[0].Families {
-		for _, e := range fs.Errors {
+	for i, errs := range paths[0].Errors {
+		for _, e := range errs {
 			if math.IsInf(e, 0) || math.IsNaN(e) {
-				t.Fatalf("family %s window holds non-finite error %v", fs.Name, e)
+				t.Fatalf("family %d window holds non-finite error %v", i, e)
 			}
 		}
 	}

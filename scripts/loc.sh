@@ -43,3 +43,6 @@ echo "predsvc.Config settable values:   $(fields internal/predsvc/config.go Conf
 echo "exported identifiers, tcppred (facade): $(exported .)"
 echo "exported identifiers, predict:    $(exported internal/predict)"
 echo "exported identifiers, predsvc:    $(exported internal/predsvc)"
+# The daemon should link the service and what it serves with, not the
+# simulator behind the load generator and the experiments.
+echo "repro packages linked by predserverd: $(go list -deps ./cmd/predserverd | grep -c '^repro/')"
