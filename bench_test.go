@@ -57,11 +57,11 @@ func benchConfig(seed int64) testbed.RunConfig {
 func dataset(b *testing.B) *testbed.Dataset {
 	b.Helper()
 	benchOnce.Do(func() {
-		benchDS = testbed.Collect(benchConfig(1))
+		benchDS = collect(b, benchConfig(1))
 		cfg2 := benchConfig(2)
 		cfg2.TransferSec = 24
 		cfg2.Checkpoints = []float64{6, 12}
-		benchDS2 = testbed.Collect(cfg2)
+		benchDS2 = collect(b, cfg2)
 	})
 	return benchDS
 }
@@ -87,7 +87,7 @@ func BenchmarkEpoch(b *testing.B) {
 	cfg.Catalog.NumTrans = 0
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i + 1)
-		ds := testbed.Collect(cfg)
+		ds := collect(b, cfg)
 		if ds.Epochs() != 1 {
 			b.Fatal("epoch did not run")
 		}
@@ -103,7 +103,7 @@ func BenchmarkCollect(b *testing.B) {
 	cfg.EpochsPerTrace = 3
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i + 1)
-		testbed.Collect(cfg)
+		collect(b, cfg)
 	}
 }
 
@@ -405,21 +405,6 @@ func BenchmarkExtShortTransfers(b *testing.B) {
 		res := experiments.ExtShortTransfers(int64(i + 1))
 		if len(res.Tables) == 0 {
 			b.Fatal("no tables")
-		}
-	}
-}
-
-// BenchmarkARFit measures one AR(3) fit+forecast over a full window.
-func BenchmarkARFit(b *testing.B) {
-	a := predict.NewAR(3, 64)
-	rng := sim.NewRNG(1)
-	for i := 0; i < 64; i++ {
-		a.Observe(rng.Normal(5e6, 5e5))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := a.Predict(); !ok {
-			b.Fatal("no prediction")
 		}
 	}
 }

@@ -1,7 +1,6 @@
 // Command predload is the load generator for predserverd: it replays
-// per-path throughput traces — either testbed-simulated (a dataset JSON
-// written by cmd/repro / traceio, or simulated on the fly) or fast
-// synthetic series with the paper's level-shift/outlier structure —
+// per-path throughput traces — either a dataset written by cmd/ronsim or
+// fast synthetic series with the paper's level-shift/outlier structure —
 // against a running daemon, concurrently but strictly in order per path,
 // and reports achieved request rate, the accuracy of the daemon's "best"
 // forecasts (paper Eq. 4/5), and a determinism digest over every
@@ -10,8 +9,6 @@
 // Two runs with the same flags against fresh daemons must print the same
 // digest: that is the service's determinism contract, checkable from the
 // command line.
-//
-// Examples:
 //
 // With -chaos, predload additionally injects client-side faults from a
 // seeded plan — predict requests it aborts mid-flight, slowloris probes
@@ -24,8 +21,7 @@
 // Examples:
 //
 //	predload -addr http://127.0.0.1:8355 -paths 120 -epochs 150
-//	predload -dataset results/dataset.json -workers 32
-//	predload -testbed -seed 7     # simulate a small campaign, then replay it
+//	predload -dataset data/d1-seed1.json.gz -workers 32
 //	predload -chaos -chaos-seed 7 # fault-injected run; digest must still match
 //	predload -cluster 127.0.0.1:8355,127.0.0.1:8356 -batch
 //
@@ -59,10 +55,9 @@ func main() {
 		addr    = flag.String("addr", "http://127.0.0.1:8355", "base URL of predserverd")
 		paths   = flag.Int("paths", 120, "synthetic paths to generate")
 		epochs  = flag.Int("epochs", 150, "epochs per synthetic path")
-		seed    = flag.Int64("seed", 1, "seed for synthetic/testbed series")
+		seed    = flag.Int64("seed", 1, "seed for synthetic series")
 		workers = flag.Int("workers", 16, "concurrent client goroutines")
-		dataset = flag.String("dataset", "", "replay a dataset JSON instead of synthetic series")
-		useTb   = flag.Bool("testbed", false, "simulate a small testbed campaign and replay it")
+		dataset = flag.String("dataset", "", "replay a dataset written by ronsim instead of synthetic series")
 
 		clusterList = flag.String("cluster", "", "comma-separated base URLs of a multi-node deployment; each path is routed to its rendezvous-hash owner (overrides -addr)")
 		batchMode   = flag.Bool("batch", false, "group each epoch's observations into /v1/observe-batch requests per node instead of one /v1/observe per path")
@@ -100,14 +95,6 @@ func main() {
 		}
 		series = seriesFromDataset(ds)
 		log.Printf("predload: replaying %d traces from %s", len(series), *dataset)
-	case *useTb:
-		cfg := testbed.DefaultScaled(*seed)
-		log.Printf("predload: simulating a %d-path scaled campaign (this takes a while)...", cfg.Catalog.NumPaths)
-		ds, err := testbed.CollectContext(ctx, cfg)
-		if err != nil {
-			log.Fatalf("predload: campaign: %v", err)
-		}
-		series = seriesFromDataset(ds)
 	default:
 		series = predsvc.SyntheticSeries(*paths, *epochs, *seed)
 		log.Printf("predload: replaying %d synthetic paths × %d epochs", *paths, *epochs)

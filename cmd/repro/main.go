@@ -1,37 +1,29 @@
 // Command repro regenerates every figure and table of the paper's
-// evaluation. It loads datasets written by cmd/ronsim, collecting them on
-// the fly when absent.
+// evaluation from the datasets cmd/ronsim writes. It only reads them: a
+// missing or partial (interrupted) dataset is refused with the ronsim
+// command that writes it.
 //
 // Usage:
 //
 //	repro [-d1 data/d1-seed1.json.gz] [-d2 data/d2-seed1.json.gz]
-//	      [-seed 1] [-only fig2,fig19] [-full] [-progress bar|jsonl|off]
-//	      [-obs-addr :6060] [-obs-dump dir]
+//	      [-cc data/cc-seed1.json.gz] [-seed 1] [-only fig2,fig19]
+//	      [-full] [-csv dir]
 //
-// On-the-fly collection runs on the campaign runner with live progress on
-// stderr (-progress=jsonl for machine-readable JSON lines); Ctrl-C aborts
-// collection cleanly without writing a partial dataset file.
-//
-// -obs-addr serves the observability endpoints (/metrics, /debug/pprof/,
-// /debug/trace) while collections run; -obs-dump writes the telemetry to
-// files on a clean exit. Both collections share one registry, so the
-// campaign counters accumulate across d1 and d2.
+// -full says the datasets came from `ronsim -full`: it selects Fig. 11's
+// checkpoints and Fig. 23's interval labels for the paper's scale.
 package main
 
 import (
-	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"log"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
-	"repro/internal/campaign"
 	"repro/internal/experiments"
-	"repro/internal/obs"
 	"repro/internal/testbed"
 	"repro/internal/traceio"
 )
@@ -40,54 +32,14 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("repro: ")
 
-	seed := flag.Int64("seed", 1, "campaign seed for on-the-fly collection")
+	seed := flag.Int64("seed", 1, "seed of the datasets, for their default file names")
 	d1Path := flag.String("d1", "", "primary dataset path (default data/d1-seed<seed>.json.gz)")
 	d2Path := flag.String("d2", "", "second dataset path (default data/d2-seed<seed>.json.gz)")
 	ccPath := flag.String("cc", "", "scenario-matrix dataset path for ext-cc (default data/cc-seed<seed>.json.gz)")
 	only := flag.String("only", "", "comma-separated experiment IDs to run (e.g. fig2,fig19)")
-	full := flag.Bool("full", false, "collect at the paper's full scale when datasets are absent")
+	full := flag.Bool("full", false, "the datasets came from ronsim -full (the paper's scale)")
 	csvDir := flag.String("csv", "", "also export each experiment's tables/series as CSV into this directory")
-	progress := flag.String("progress", "bar", "collection progress: bar | jsonl | off")
-	obsAddr := flag.String("obs-addr", "", "serve live /metrics + /debug/pprof/ + /debug/trace on this address while collecting")
-	obsDump := flag.String("obs-dump", "", "write trace.json/trace.txt/metrics.prom artifacts to this directory at exit")
 	flag.Parse()
-
-	var prog campaign.Observer
-	switch *progress {
-	case "bar":
-		prog = campaign.NewProgress(os.Stderr)
-	case "jsonl":
-		prog = campaign.NewJSONL(os.Stderr)
-	case "off", "none", "":
-	default:
-		log.Fatalf("unknown -progress mode %q (want bar, jsonl or off)", *progress)
-	}
-
-	// One Obs covers both collections: the campaign metric families are
-	// registered idempotently, so d1's and d2's counters accumulate into
-	// the same series.
-	var telemetry *obs.Obs
-	if *obsAddr != "" || *obsDump != "" {
-		telemetry = obs.New(obs.DefaultSpanCapacity)
-	}
-
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-
-	if *obsAddr != "" {
-		go func() {
-			if err := telemetry.Serve(ctx, *obsAddr); err != nil {
-				log.Printf("obs endpoint: %v", err)
-			}
-		}()
-	}
-	if *obsDump != "" {
-		defer func() {
-			if err := telemetry.WriteFiles(*obsDump); err != nil {
-				log.Printf("obs dump: %v", err)
-			}
-		}()
-	}
 
 	if *d1Path == "" {
 		*d1Path = fmt.Sprintf("data/d1-seed%d.json.gz", *seed)
@@ -100,15 +52,12 @@ func main() {
 	}
 
 	cfg1 := testbed.DefaultScaled(*seed)
-	cfg2 := testbed.SecondSet(*seed, true)
+	cfg2 := testbed.SecondSet(*seed, !*full)
+	scale := ""
 	if *full {
 		cfg1 = testbed.PaperScale(*seed)
-		cfg2 = testbed.SecondSet(*seed, false)
+		scale = " -full"
 	}
-	cfg1.Observer = prog
-	cfg2.Observer = prog
-	cfg1.Obs = telemetry
-	cfg2.Obs = telemetry
 
 	want := map[string]bool{}
 	for _, id := range strings.Split(*only, ",") {
@@ -129,28 +78,30 @@ func main() {
 			}
 		}
 	}
+	load := func(name, path, flags string) *testbed.Dataset {
+		start := time.Now()
+		ds, err := loadDataset(path, fmt.Sprintf("ronsim -seed %d%s", *seed, flags))
+		if err != nil {
+			log.Fatalf("%s: %v", name, err)
+		}
+		log.Printf("%s: %d traces / %d epochs (%v)", name, len(ds.Traces), ds.Epochs(), time.Since(start).Round(time.Second))
+		return ds
+	}
 
-	// Every experiment except ext-cc reads the primary dataset; when the
-	// selection is ext-cc only, skip d1 entirely so CI's scenario gate
-	// never pays for (or accidentally collects) the primary campaign.
+	// Every experiment except ext-cc and fig11 reads the primary dataset;
+	// when the selection is only those, skip d1 entirely so CI's scenario
+	// gate never needs the primary campaign.
 	needD1 := len(want) == 0
 	for id := range want {
-		if id != "ext-cc" {
+		if id != "ext-cc" && id != "fig11" {
 			needD1 = true
 		}
 	}
 	if needD1 {
-		start := time.Now()
-		ds1, err := traceio.LoadOrCollectContext(ctx, *d1Path, cfg1)
-		if err != nil {
-			log.Fatalf("dataset 1: %v", err)
-		}
-		log.Printf("dataset 1: %d traces / %d epochs (%v)", len(ds1.Traces), ds1.Epochs(), time.Since(start).Round(time.Second))
-
+		ds1 := load("dataset 1", *d1Path, scale)
 		// The base transfer interval (for Fig 23's axis labels) follows
 		// from the epoch structure; the paper's is ~3 min.
-		baseIntervalMin := epochMinutes(cfg1)
-		for _, res := range experiments.All(ds1, baseIntervalMin) {
+		for _, res := range experiments.All(ds1, epochMinutes(cfg1)) {
 			emit(res)
 		}
 		for _, res := range experiments.Extensions(ds1) {
@@ -159,29 +110,30 @@ func main() {
 	}
 
 	if selected("ext-cc") {
-		start := time.Now()
-		cfgCC := testbed.ScenarioScaled(*seed, testbed.ScenarioConfig{})
-		cfgCC.Observer = prog
-		cfgCC.Obs = telemetry
-		dsCC, err := traceio.LoadOrCollectContext(ctx, *ccPath, cfgCC)
-		if err != nil {
-			log.Fatalf("scenario dataset: %v", err)
-		}
-		log.Printf("scenario dataset: %d traces / %d epochs (%v)", len(dsCC.Traces), dsCC.Epochs(), time.Since(start).Round(time.Second))
-		emit(experiments.ExtCC(dsCC))
+		emit(experiments.ExtCC(load("scenario dataset", *ccPath, " -scenarios")))
 	}
 
 	if selected("fig11") {
-		start := time.Now()
-		ds2, err := traceio.LoadOrCollectContext(ctx, *d2Path, cfg2)
-		if err != nil {
-			log.Fatalf("dataset 2: %v", err)
-		}
-		log.Printf("dataset 2: %d traces / %d epochs (%v)", len(ds2.Traces), ds2.Epochs(), time.Since(start).Round(time.Second))
+		ds2 := load("dataset 2", *d2Path, " -second"+scale)
 		emit(experiments.Fig11(ds2, cfg2.Checkpoints, cfg2.TransferSec))
 	}
 }
 
+// loadDataset reads the dataset at path. repro never collects: a missing
+// file, or one an interrupted campaign declared partial, is refused with
+// the ronsim command (writer, plus -out) that writes it.
+func loadDataset(path, writer string) (*testbed.Dataset, error) {
+	ds, err := traceio.Load(path)
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
+		return nil, fmt.Errorf("%s does not exist; write it with: %s -out %s", path, writer, path)
+	case errors.Is(err, traceio.ErrPartial):
+		return nil, fmt.Errorf("%s is a partial dataset (interrupted campaign); rewrite it with: %s -out %s", path, writer, path)
+	}
+	return ds, err
+}
+
+// epochMinutes is the length of one Fig.-1 epoch under cfg, in minutes.
 func epochMinutes(cfg testbed.RunConfig) float64 {
 	ping := cfg.PingDuration
 	if ping == 0 {
@@ -195,9 +147,11 @@ func epochMinutes(cfg testbed.RunConfig) float64 {
 	if gap == 0 {
 		gap = 20
 	}
+	// RunConfig.defaults runs the companion transfer as long as the
+	// target one unless told otherwise.
 	small := cfg.SmallTransferSec
 	if cfg.SmallWindowBytes > 0 && small == 0 {
-		small = transfer / 2
+		small = transfer
 	}
 	// ~15 s for pathload on average.
 	return (15 + ping + transfer + small + gap) / 60

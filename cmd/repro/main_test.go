@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/experiments"
@@ -76,5 +77,59 @@ func TestResultsGolden(t *testing.T) {
 				t.Errorf("%s: got %d lines, want %d", name, len(gl), len(wl))
 			}
 		}
+	}
+}
+
+// TestEpochMinutes pins Fig. 23's interval label: at the paper's scale an
+// epoch is 15 s of pathload, 60 s of ping, the 50 s transfer, the 50 s
+// window-limited transfer and a 20 s gap.
+func TestEpochMinutes(t *testing.T) {
+	if got := epochMinutes(testbed.PaperScale(1)); got != 3.25 {
+		t.Errorf("epochMinutes(PaperScale) = %v, want 3.25", got)
+	}
+	if got, want := epochMinutes(testbed.DefaultScaled(1)), 113.0/60; got != want {
+		t.Errorf("epochMinutes(DefaultScaled) = %v, want %v", got, want)
+	}
+}
+
+// TestLoadDatasetRefuses checks that repro only reads: a missing or
+// declared-partial dataset is refused with an error naming the ronsim
+// command that writes it, and nothing is written.
+func TestLoadDatasetRefuses(t *testing.T) {
+	dir := t.TempDir()
+	const writer = "ronsim -seed 3 -second"
+
+	missing := filepath.Join(dir, "d2-seed3.json.gz")
+	if _, err := loadDataset(missing, writer); err == nil || !strings.Contains(err.Error(), writer+" -out "+missing) {
+		t.Errorf("missing dataset: err = %v, want one naming %q", err, writer)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Fatalf("refusing a missing dataset wrote %d files", len(entries))
+	}
+
+	partial := filepath.Join(dir, "partial.json.gz")
+	w, err := traceio.NewWriter(partial, "seed3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteTrace(testbed.Trace{Path: "p0", Records: []testbed.EpochRecord{{Throughput: 1e6}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.ClosePartial(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(partial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loadDataset(partial, writer); err == nil || !strings.Contains(err.Error(), writer) {
+		t.Errorf("partial dataset: err = %v, want one naming %q", err, writer)
+	}
+	after, err := os.ReadFile(partial)
+	if err != nil || !bytes.Equal(before, after) {
+		t.Errorf("refusing a partial dataset rewrote it (err %v)", err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Errorf("refusing a partial dataset left %d files, want 1", len(entries))
 	}
 }

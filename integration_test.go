@@ -1,6 +1,7 @@
 package tcppred_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/availbw"
@@ -9,6 +10,16 @@ import (
 	"repro/internal/stats"
 	"repro/internal/testbed"
 )
+
+// collect runs the campaign described by cfg and fails tb on any error.
+func collect(tb testing.TB, cfg testbed.RunConfig) *testbed.Dataset {
+	tb.Helper()
+	ds, err := testbed.CollectContext(context.Background(), cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ds
+}
 
 // integrationConfig is sized for CI: ~8 s of wall time, enough epochs for
 // the shape assertions below to be stable.
@@ -40,7 +51,7 @@ func TestEndToEndShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full campaign; skipped in -short mode")
 	}
-	ds := testbed.Collect(integrationConfig(20050822))
+	ds := collect(t, integrationConfig(20050822))
 	if ds.Epochs() != 5*12 {
 		t.Fatalf("epochs = %d", ds.Epochs())
 	}
@@ -118,8 +129,8 @@ func TestEndToEndDeterminism(t *testing.T) {
 	cfg := integrationConfig(7)
 	cfg.Catalog.NumPaths = 2
 	cfg.EpochsPerTrace = 4
-	a := testbed.Collect(cfg)
-	b := testbed.Collect(cfg)
+	a := collect(t, cfg)
+	b := collect(t, cfg)
 	ra, rb := a.AllRecords(), b.AllRecords()
 	if len(ra) != len(rb) {
 		t.Fatal("different epoch counts")

@@ -9,7 +9,7 @@
 // an import cycle, and future backends (sharded campaigns, remote
 // collection) can reuse the same scheduling and observability machinery.
 //
-// Determinism contract: results are assembled by job index, never by
+// Determinism contract: results are delivered by job index, never by
 // completion order, so for jobs that are themselves deterministic in
 // (Job, seed) the output is byte-identical regardless of Parallelism.
 package campaign
@@ -24,11 +24,11 @@ import (
 )
 
 // Job identifies one schedulable unit of a campaign — typically one trace
-// on one path. Index is the job's slot in the result slice; Seed is the
+// on one path. Index is the job's position in delivery order; Seed is the
 // job's private RNG seed (retries reuse it, so a retried job replays the
 // exact same simulation).
 type Job struct {
-	Index  int    // position in the campaign's job list and result slice
+	Index  int    // position in the campaign's job list and delivery order
 	Path   string // path name, for labelling and observers
 	Trace  int    // trace index on the path
 	Seed   int64  // private seed; identical across retries
@@ -94,10 +94,8 @@ type Runner[T any] struct {
 	// goroutines; the observers in this package serialize internally.
 	Observer Observer
 
-	// Sink, when non-nil, switches the runner to streaming delivery:
-	// every Result is handed to Sink exactly once, in strict job-index
-	// order, and the slice Run returns carries the same Results with
-	// their Values zeroed — the sink is the only holder of job payloads,
+	// Sink receives every Result exactly once, in strict job-index
+	// order; nil discards them. It is the only holder of job payloads,
 	// which is what keeps a 10k-job campaign at constant RSS. The reorder
 	// buffer applies backpressure: a worker whose result is more than
 	// ~2×Parallelism jobs ahead of the delivery cursor blocks until the
@@ -148,15 +146,14 @@ func (ro *reorder[T]) deliver(idx int, res Result[T]) {
 	}
 }
 
-// Run executes all jobs and returns one Result per job, in job order
-// (not completion order). Individual job failures do not fail the run;
-// they are recorded in their Result and reported to the Observer. The
-// returned error is non-nil only when ctx was cancelled or its deadline
-// exceeded, in which case results for already-completed jobs are still
-// returned (partial-campaign semantics). With a Sink set, results are
-// additionally streamed to it in job order and the returned slice keeps
-// only the metadata (Values zeroed).
-func (r *Runner[T]) Run(ctx context.Context, jobs []Job, fn Func[T]) ([]Result[T], error) {
+// Run executes all jobs and hands each one's Result to Sink, in job
+// order (not completion order). Individual job failures do not fail the
+// run; they are recorded in their Result and reported to the Observer.
+// The returned error is non-nil only when ctx was cancelled or its
+// deadline exceeded, in which case completed jobs are still delivered
+// and the rest arrive carrying the context's error (partial-campaign
+// semantics).
+func (r *Runner[T]) Run(ctx context.Context, jobs []Job, fn Func[T]) error {
 	workers := r.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -175,12 +172,28 @@ func (r *Runner[T]) Run(ctx context.Context, jobs []Job, fn Func[T]) ([]Result[T
 	}
 	obs.CampaignStarted(len(jobs), totalEpochs)
 
-	var ro *reorder[T]
-	if r.Sink != nil {
-		ro = newReorder(2*workers+1, r.Sink)
-	}
+	// The summary is tallied as results are delivered, under the reorder
+	// lock, so it counts exactly what the sink saw.
+	sum := Summary{Jobs: len(jobs)}
+	ro := newReorder(2*workers+1, func(res Result[T]) {
+		switch {
+		case res.Attempts == 0:
+			sum.Skipped++
+		case res.Err != nil:
+			sum.Failed++
+		default:
+			sum.Completed++
+		}
+		if res.Attempts > 1 {
+			sum.Retried++
+		}
+		sum.Events += res.Events
+		sum.VirtualS += res.VirtualS
+		if r.Sink != nil {
+			r.Sink(res)
+		}
+	})
 
-	results := make([]Result[T], len(jobs))
 	feed := make(chan int)
 	start := time.Now()
 
@@ -190,13 +203,7 @@ func (r *Runner[T]) Run(ctx context.Context, jobs []Job, fn Func[T]) ([]Result[T
 		go func() {
 			defer wg.Done()
 			for idx := range feed {
-				res := r.runJob(ctx, jobs[idx], fn, obs)
-				if ro != nil {
-					ro.deliver(idx, res)
-					var zero T
-					res.Value = zero // the sink owns the payload
-				}
-				results[idx] = res
+				ro.deliver(idx, r.runJob(ctx, jobs[idx], fn, obs))
 			}
 		}()
 	}
@@ -215,38 +222,17 @@ dispatch:
 	wg.Wait()
 
 	// Jobs never dispatched carry the context error so callers can tell
-	// them apart from completed work; in sink mode they flow through the
-	// reorder buffer too, keeping the exactly-once-in-order contract.
-	if err := ctx.Err(); err != nil {
-		for i := sent; i < len(jobs); i++ {
-			res := Result[T]{Job: jobs[i], Err: err}
-			if ro != nil {
-				ro.deliver(i, res)
-			}
-			results[i] = res
-		}
-		// Dispatched jobs that aborted before their first attempt were
-		// already recorded (and delivered) by runJob with Attempts == 0.
+	// them apart from completed work; they flow through the reorder
+	// buffer too, keeping the exactly-once-in-order contract. Dispatched
+	// jobs that aborted before their first attempt were already delivered
+	// by runJob with Attempts == 0.
+	for i := sent; i < len(jobs); i++ {
+		ro.deliver(i, Result[T]{Job: jobs[i], Err: ctx.Err()})
 	}
 
-	sum := Summary{Jobs: len(jobs), Wall: time.Since(start)}
-	for _, res := range results {
-		switch {
-		case res.Attempts == 0:
-			sum.Skipped++
-		case res.Err != nil:
-			sum.Failed++
-		default:
-			sum.Completed++
-		}
-		if res.Attempts > 1 {
-			sum.Retried++
-		}
-		sum.Events += res.Events
-		sum.VirtualS += res.VirtualS
-	}
+	sum.Wall = time.Since(start)
 	obs.CampaignFinished(sum)
-	return results, ctx.Err()
+	return ctx.Err()
 }
 
 // runJob executes one job with panic isolation and retries.

@@ -21,16 +21,28 @@ func makeJobs(n int) []Job {
 	return jobs
 }
 
+// collect runs r with a sink that gathers every delivered result, in
+// delivery order.
+func collect[T any](ctx context.Context, r *Runner[T], jobs []Job, fn Func[T]) ([]Result[T], error) {
+	var got []Result[T]
+	r.Sink = func(res Result[T]) { got = append(got, res) }
+	err := r.Run(ctx, jobs, fn)
+	return got, err
+}
+
 func TestRunnerAssemblesInJobOrder(t *testing.T) {
 	jobs := makeJobs(20)
 	r := &Runner[int]{Parallelism: 7}
-	results, err := r.Run(context.Background(), jobs, func(ctx context.Context, job Job, rep *Reporter) (int, error) {
+	results, err := collect(context.Background(), r, jobs, func(ctx context.Context, job Job, rep *Reporter) (int, error) {
 		// Vary the work so completion order differs from job order.
 		time.Sleep(time.Duration(19-job.Index) * time.Millisecond)
 		return job.Index * 10, nil
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
+	}
+	if len(results) != len(jobs) {
+		t.Fatalf("sink saw %d results, want %d", len(results), len(jobs))
 	}
 	for i, res := range results {
 		if res.Err != nil || res.Value != i*10 {
@@ -45,7 +57,7 @@ func TestRunnerAssemblesInJobOrder(t *testing.T) {
 func TestRunnerPanicIsolation(t *testing.T) {
 	jobs := makeJobs(6)
 	r := &Runner[string]{Parallelism: 3}
-	results, err := r.Run(context.Background(), jobs, func(ctx context.Context, job Job, rep *Reporter) (string, error) {
+	results, err := collect(context.Background(), r, jobs, func(ctx context.Context, job Job, rep *Reporter) (string, error) {
 		if job.Index == 2 {
 			panic("engine blew up")
 		}
@@ -86,7 +98,7 @@ func TestRunnerRetrySameSeed(t *testing.T) {
 	var mu sync.Mutex
 	seen := map[int][]int64{} // job index -> seeds per attempt
 	r := &Runner[int]{Parallelism: 2, Retries: 1}
-	results, err := r.Run(context.Background(), jobs, func(ctx context.Context, job Job, rep *Reporter) (int, error) {
+	results, err := collect(context.Background(), r, jobs, func(ctx context.Context, job Job, rep *Reporter) (int, error) {
 		mu.Lock()
 		seen[job.Index] = append(seen[job.Index], job.Seed)
 		attempt := len(seen[job.Index])
@@ -114,7 +126,7 @@ func TestRunnerRetryExhaustion(t *testing.T) {
 	jobs := makeJobs(1)
 	calls := 0
 	r := &Runner[int]{Parallelism: 1, Retries: 2}
-	results, err := r.Run(context.Background(), jobs, func(ctx context.Context, job Job, rep *Reporter) (int, error) {
+	results, err := collect(context.Background(), r, jobs, func(ctx context.Context, job Job, rep *Reporter) (int, error) {
 		calls++
 		return 0, fmt.Errorf("persistent failure")
 	})
@@ -134,7 +146,7 @@ func TestRunnerCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var started atomic.Int32
 	r := &Runner[int]{Parallelism: 2}
-	results, err := r.Run(ctx, jobs, func(ctx context.Context, job Job, rep *Reporter) (int, error) {
+	results, err := collect(ctx, r, jobs, func(ctx context.Context, job Job, rep *Reporter) (int, error) {
 		n := started.Add(1)
 		if n == 4 {
 			cancel()
@@ -176,7 +188,7 @@ func TestRunnerContextErrorNotRetried(t *testing.T) {
 	jobs := makeJobs(1)
 	calls := 0
 	r := &Runner[int]{Parallelism: 1, Retries: 5}
-	_, _ = r.Run(context.Background(), jobs, func(ctx context.Context, job Job, rep *Reporter) (int, error) {
+	_ = r.Run(context.Background(), jobs, func(ctx context.Context, job Job, rep *Reporter) (int, error) {
 		calls++
 		return 0, fmt.Errorf("trace aborted: %w", context.Canceled)
 	})
@@ -228,7 +240,7 @@ func TestObserverSeesEpochsAndSummary(t *testing.T) {
 	jobs := makeJobs(4)
 	obs := &countingObserver{}
 	r := &Runner[int]{Parallelism: 4, Observer: obs}
-	_, err := r.Run(context.Background(), jobs, func(ctx context.Context, job Job, rep *Reporter) (int, error) {
+	err := r.Run(context.Background(), jobs, func(ctx context.Context, job Job, rep *Reporter) (int, error) {
 		for ep := 0; ep < job.Epochs; ep++ {
 			rep.Epoch(ep, float64(ep+1)*10, 100)
 		}
@@ -252,7 +264,7 @@ func TestProgressOutput(t *testing.T) {
 	var buf bytes.Buffer
 	jobs := makeJobs(2)
 	r := &Runner[int]{Parallelism: 1, Observer: &Progress{W: &buf, MinInterval: 0}}
-	_, err := r.Run(context.Background(), jobs, func(ctx context.Context, job Job, rep *Reporter) (int, error) {
+	err := r.Run(context.Background(), jobs, func(ctx context.Context, job Job, rep *Reporter) (int, error) {
 		rep.Epoch(0, 5, 42)
 		return 0, nil
 	})
@@ -269,7 +281,7 @@ func TestJSONLOutput(t *testing.T) {
 	var buf bytes.Buffer
 	jobs := makeJobs(2)
 	r := &Runner[int]{Parallelism: 1, Observer: NewJSONL(&buf)}
-	_, err := r.Run(context.Background(), jobs, func(ctx context.Context, job Job, rep *Reporter) (int, error) {
+	err := r.Run(context.Background(), jobs, func(ctx context.Context, job Job, rep *Reporter) (int, error) {
 		rep.Epoch(0, 2.5, 7)
 		if job.Index == 1 {
 			return 0, fmt.Errorf("boom")

@@ -8,9 +8,9 @@ import (
 	"time"
 )
 
-// TestRunnerSinkOrdered: with a Sink set, every result arrives exactly
-// once, in strict job-index order, even when completion order is
-// scrambled — and the returned slice keeps metadata but not Values.
+// TestRunnerSinkOrdered: every result arrives at the Sink exactly once,
+// in strict job-index order, with its value and metadata, even when
+// completion order is scrambled.
 func TestRunnerSinkOrdered(t *testing.T) {
 	jobs := makeJobs(24)
 	var got []Result[int]
@@ -18,7 +18,7 @@ func TestRunnerSinkOrdered(t *testing.T) {
 		Parallelism: 6,
 		Sink:        func(res Result[int]) { got = append(got, res) },
 	}
-	results, err := r.Run(context.Background(), jobs, func(ctx context.Context, job Job, rep *Reporter) (int, error) {
+	err := r.Run(context.Background(), jobs, func(ctx context.Context, job Job, rep *Reporter) (int, error) {
 		// Vary the work so completion order differs from job order.
 		time.Sleep(time.Duration((23-job.Index)%5) * time.Millisecond)
 		return job.Index*10 + 1, nil
@@ -33,33 +33,28 @@ func TestRunnerSinkOrdered(t *testing.T) {
 		if res.Job.Index != i {
 			t.Fatalf("sink result %d carries job %d: delivery out of order", i, res.Job.Index)
 		}
-		if res.Value != i*10+1 || res.Err != nil {
-			t.Errorf("sink result %d = (%d, %v), want (%d, nil)", i, res.Value, res.Err, i*10+1)
-		}
-	}
-	for i, res := range results {
-		if res.Value != 0 {
-			t.Errorf("returned result %d retains Value %d; sink mode must strip payloads", i, res.Value)
-		}
-		if res.Job.Index != i || res.Attempts != 1 {
-			t.Errorf("returned result %d lost its metadata: %+v", i, res)
+		if res.Value != i*10+1 || res.Err != nil || res.Attempts != 1 {
+			t.Errorf("sink result %d = (%d, %v, %d attempts), want (%d, nil, 1)", i, res.Value, res.Err, res.Attempts, i*10+1)
 		}
 	}
 }
 
 // TestRunnerSinkCancelled: cancelling mid-campaign still delivers every
 // job to the sink exactly once and in order — completed ones with their
-// values, undispatched ones with the context error.
+// values, undispatched ones with the context error — and the Summary the
+// observer receives counts exactly what was delivered.
 func TestRunnerSinkCancelled(t *testing.T) {
 	jobs := makeJobs(40)
 	ctx, cancel := context.WithCancel(context.Background())
 	var delivered []Result[int]
 	var ran atomic.Int32
+	obs := &countingObserver{}
 	r := &Runner[int]{
 		Parallelism: 4,
+		Observer:    obs,
 		Sink:        func(res Result[int]) { delivered = append(delivered, res) },
 	}
-	_, err := r.Run(ctx, jobs, func(ctx context.Context, job Job, rep *Reporter) (int, error) {
+	err := r.Run(ctx, jobs, func(ctx context.Context, job Job, rep *Reporter) (int, error) {
 		if ran.Add(1) == 8 {
 			cancel()
 		}
@@ -76,7 +71,7 @@ func TestRunnerSinkCancelled(t *testing.T) {
 	if len(delivered) != len(jobs) {
 		t.Fatalf("sink saw %d results, want %d (exactly once per job)", len(delivered), len(jobs))
 	}
-	completed, skipped := 0, 0
+	completed, skipped, failed := 0, 0, 0
 	for i, res := range delivered {
 		if res.Job.Index != i {
 			t.Fatalf("sink result %d carries job %d: delivery out of order", i, res.Job.Index)
@@ -88,11 +83,17 @@ func TestRunnerSinkCancelled(t *testing.T) {
 			skipped++
 		case isContextErr(res.Err):
 			// Dispatched but aborted mid-run: also fine.
+			failed++
 		default:
 			t.Errorf("unexpected result %d: %+v", i, res)
 		}
 	}
 	if completed == 0 || skipped == 0 {
 		t.Errorf("want a mix of completed (%d) and skipped (%d) jobs", completed, skipped)
+	}
+	sum := obs.sum
+	if sum.Jobs != len(jobs) || sum.Completed != completed || sum.Skipped != skipped || sum.Failed != failed {
+		t.Errorf("observer summary %d jobs, %d/%d/%d completed/skipped/failed; delivered %d, %d/%d/%d",
+			sum.Jobs, sum.Completed, sum.Skipped, sum.Failed, len(delivered), completed, skipped, failed)
 	}
 }

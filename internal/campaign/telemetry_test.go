@@ -23,7 +23,7 @@ func TestTelemetryObserver(t *testing.T) {
 	}
 	failedOnce := false
 	r := &Runner[int]{Parallelism: 2, Retries: 1, Observer: tel}
-	results, err := r.Run(context.Background(), jobs, func(ctx context.Context, job Job, rep *Reporter) (int, error) {
+	results, err := collect(context.Background(), r, jobs, func(ctx context.Context, job Job, rep *Reporter) (int, error) {
 		if job.Index == 2 && !failedOnce {
 			failedOnce = true
 			return 0, errors.New("transient")
@@ -94,7 +94,7 @@ func TestTelemetryNilObs(t *testing.T) {
 	tel := NewTelemetry(nil)
 	jobs := []Job{{Index: 0, Path: "p", Seed: 1, Epochs: 1}}
 	r := &Runner[int]{Observer: tel}
-	if _, err := r.Run(context.Background(), jobs, func(ctx context.Context, job Job, rep *Reporter) (int, error) {
+	if err := r.Run(context.Background(), jobs, func(ctx context.Context, job Job, rep *Reporter) (int, error) {
 		rep.Epoch(0, 1, 1)
 		return 0, nil
 	}); err != nil {

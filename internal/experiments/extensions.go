@@ -43,10 +43,10 @@ func ExtAR(ds *testbed.Dataset) Result {
 		{"0.8-HW-LSO", func() predict.HB {
 			return predict.NewLSO(predict.NewHoltWinters(0.8, 0.2), predict.DefaultLSOConfig())
 		}},
-		{"AR(1)", func() predict.HB { return predict.NewAR(1, 0) }},
-		{"AR(3)", func() predict.HB { return predict.NewAR(3, 0) }},
+		{"AR(1)", func() predict.HB { return newAR(1, 0) }},
+		{"AR(3)", func() predict.HB { return newAR(3, 0) }},
 		{"AR(3)-LSO", func() predict.HB {
-			return predict.NewLSO(predict.NewAR(3, 0), predict.DefaultLSOConfig())
+			return predict.NewLSO(newAR(3, 0), predict.DefaultLSOConfig())
 		}},
 	}
 	names := make([]string, len(variants))
@@ -73,7 +73,7 @@ func ExtHybrid(ds *testbed.Dataset) Result {
 	var fbR, hyR, hbR []float64
 	for _, tr := range ds.Traces {
 		fb := predict.NewFB(predict.FBConfig{Model: predict.ModelPFTK})
-		hy := predict.NewHybrid(predict.FBConfig{Model: predict.ModelPFTK}, 0.5)
+		hy := newHybrid(predict.FBConfig{Model: predict.ModelPFTK}, 0.5)
 		hb := predict.NewLSO(predict.NewHoltWinters(0.8, 0.2), predict.DefaultLSOConfig())
 		var fbE, hyE, hbE []float64
 		for _, rec := range tr.Records {

@@ -29,23 +29,6 @@ func hbPerTraceRMSRE(ds *testbed.Dataset, mk func() predict.HB, small bool) []fl
 	return out
 }
 
-// hbMakers returns the predictor constructors for a standard comparison
-// set.
-func hbMakers() (names []string, mks []func() predict.HB) {
-	add := func(n string, mk func() predict.HB) {
-		names = append(names, n)
-		mks = append(mks, mk)
-	}
-	lso := predict.DefaultLSOConfig()
-	add("1-MA", func() predict.HB { return predict.NewMA(1) })
-	add("10-MA", func() predict.HB { return predict.NewMA(10) })
-	add("10-MA-LSO", func() predict.HB { return predict.NewLSO(predict.NewMA(10), lso) })
-	add("0.8-EWMA", func() predict.HB { return predict.NewEWMA(0.8) })
-	add("0.8-HW", func() predict.HB { return predict.NewHoltWinters(0.8, 0.2) })
-	add("0.8-HW-LSO", func() predict.HB { return predict.NewLSO(predict.NewHoltWinters(0.8, 0.2), lso) })
-	return names, mks
-}
-
 // Fig15 — synthetic pathology traces (level shift; trend+shift+outliers;
 // shift+outliers) and the RMSRE of the predictor family on each. Paper:
 // LSO slashes the error on pathological traces and makes the predictor
@@ -294,14 +277,9 @@ func segmentedCoV(series []float64) float64 {
 	return stats.SegmentedCoV(series, boundaries)
 }
 
-// Fig21 — the four path-predictability classes: per-trace RMSRE bars for
-// representative predictors on each path, and a classification summary.
+// Fig21 — the four path-predictability classes: the spread of HW-LSO's
+// per-trace RMSRE on each path, and a classification summary.
 func Fig21(ds *testbed.Dataset) Result {
-	names, mks := hbMakers()
-	_ = names
-	type pathAgg struct {
-		perTrace [][]float64 // [predictor][trace]
-	}
 	paths := ds.PathNames()
 	t := Table{
 		Title:   "per-path mean and spread of per-trace RMSRE (HW-LSO)",
@@ -309,17 +287,13 @@ func Fig21(ds *testbed.Dataset) Result {
 	}
 	classCount := map[string]int{}
 	for _, p := range paths {
-		traces := ds.TracesForPath(p)
-		agg := pathAgg{perTrace: make([][]float64, len(mks))}
+		var hwlso []float64
 		var class string
-		for _, tr := range traces {
+		for _, tr := range ds.TracesForPath(p) {
 			class = tr.Class
-			for i, mk := range mks {
-				res := predict.Evaluate(mk(), tr.Throughputs())
-				agg.perTrace[i] = append(agg.perTrace[i], stats.RMSRE(res.Errors))
-			}
+			hw := predict.NewLSO(predict.NewHoltWinters(0.8, 0.2), predict.DefaultLSOConfig())
+			hwlso = append(hwlso, stats.RMSRE(predict.Evaluate(hw, tr.Throughputs()).Errors))
 		}
-		hwlso := agg.perTrace[len(mks)-1] // HW-LSO is last in hbMakers
 		mean := stats.Mean(hwlso)
 		lo, hi := minmax(hwlso)
 		cat := classifyPath(mean, hi-lo)

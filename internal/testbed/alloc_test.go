@@ -19,7 +19,7 @@ func TestEpochAllocCeiling(t *testing.T) {
 	cfg.EpochsPerTrace = 1
 	const ceiling = 9000
 	got := testing.AllocsPerRun(3, func() {
-		if ds := Collect(cfg); ds.Epochs() != 1 {
+		if ds := collect(t, cfg); ds.Epochs() != 1 {
 			t.Fatal("epoch did not run")
 		}
 	})

@@ -73,7 +73,7 @@ func TestPanicRetryReplaysSameTrace(t *testing.T) {
 		t.Skip("multi-second campaign; skipped in -short mode")
 	}
 	cfg := TinyConfig(13)
-	want := Collect(cfg) // no hook: the reference campaign
+	want := collect(t, cfg) // no hook: the reference campaign
 
 	var mu sync.Mutex
 	tripped := map[string]bool{}
@@ -172,8 +172,8 @@ func TestCollectSeedZero(t *testing.T) {
 	}
 	cfg := TinyConfig(0)
 	cfg.Catalog.Seed = 0 // let defaults derive it from Seed == 0
-	a := Collect(cfg)
-	b := Collect(cfg)
+	a := collect(t, cfg)
+	b := collect(t, cfg)
 	aj, _ := json.Marshal(a)
 	bj, _ := json.Marshal(b)
 	if string(aj) != string(bj) {
@@ -181,7 +181,7 @@ func TestCollectSeedZero(t *testing.T) {
 	}
 	cfg1 := TinyConfig(1)
 	cfg1.Catalog.Seed = 0
-	c := Collect(cfg1)
+	c := collect(t, cfg1)
 	cj, _ := json.Marshal(c)
 	if string(aj) == string(cj) {
 		t.Error("seed 0 and seed 1 produced identical datasets")

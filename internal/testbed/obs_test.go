@@ -111,9 +111,9 @@ func TestCollectObsOff(t *testing.T) {
 	cfg.Catalog.NumTrans = 0
 	cfg.EpochsPerTrace = 2
 
-	plain := Collect(cfg)
+	plain := collect(t, cfg)
 	cfg.Obs = obs.New(64) // tiny ring: spans drop, results must not care
-	instrumented := Collect(cfg)
+	instrumented := collect(t, cfg)
 
 	if len(plain.Traces) != len(instrumented.Traces) {
 		t.Fatalf("trace counts differ: %d vs %d", len(plain.Traces), len(instrumented.Traces))

@@ -201,67 +201,38 @@ func SecondSet(seed int64, scaled bool) RunConfig {
 // to inject faults (panics) and cancellations into specific traces.
 var testHookPreEpoch func(job campaign.Job, epoch int)
 
-// Collect runs the full campaign described by cfg and returns the dataset.
-// It is a compatibility wrapper over CollectContext for callers that need
-// neither cancellation nor error reporting.
-func Collect(cfg RunConfig) *Dataset {
-	ds, _ := CollectContext(context.Background(), cfg)
-	return ds
-}
-
-// CollectContext runs the campaign on the campaign runner: trace jobs
-// execute in parallel (each owns a private engine), faults in one trace
-// are isolated and retried with the same seed, and progress flows to
-// cfg.Observer.
+// CollectContext runs the campaign and materializes it: CollectStream
+// with a sink that appends every delivered trace to the dataset.
 //
-// Results are assembled in job order regardless of Parallelism, so equal
-// configurations yield byte-identical datasets. Cancelling ctx stops the
-// campaign at the next epoch boundary of each running trace; completed
-// traces are returned as a partial dataset alongside ctx.Err(). Traces
-// that failed after all retries are omitted from the dataset and reported
-// joined into the returned error.
+// Equal configurations yield byte-identical datasets whatever the
+// Parallelism. Cancelling ctx stops the campaign at the next epoch
+// boundary of each running trace; completed traces are returned as a
+// partial dataset alongside ctx.Err(). Traces that failed after all
+// retries are omitted from the dataset and reported joined into the
+// returned error.
 func CollectContext(ctx context.Context, cfg RunConfig) (*Dataset, error) {
-	cfg = cfg.defaults()
-	jobs, pcs := campaignJobs(cfg)
-	hooks := newObsHooks(cfg.Obs)
-	runner := &campaign.Runner[Trace]{
-		Parallelism: cfg.Parallelism,
-		Retries:     max(cfg.Retries, 0),
-		Observer:    hooks.observer(cfg.Observer),
-	}
-	results, ctxErr := runner.Run(ctx, jobs, func(ctx context.Context, job campaign.Job, rep *campaign.Reporter) (Trace, error) {
-		return runTrace(ctx, cfg, pcs[job.Index], job, rep, hooks)
-	})
-
 	ds := &Dataset{Label: cfg.DatasetLabel()}
-	var errs []error
-	for _, res := range results {
-		switch {
-		case res.Err == nil:
-			ds.Traces = append(ds.Traces, res.Value)
-		case res.Attempts > 0 && !isContextErr(res.Err):
-			errs = append(errs, res.Err)
-		}
-	}
-	if ctxErr != nil {
-		errs = append(errs, ctxErr)
-	}
-	return ds, joinErrs(errs)
+	err := CollectStream(ctx, cfg, func(tr Trace) error {
+		ds.Traces = append(ds.Traces, tr)
+		return nil
+	})
+	return ds, err
 }
 
-// CollectStream runs the same campaign as CollectContext but streams
-// each completed trace to sink in job order instead of materializing the
-// whole dataset: at any moment only the in-flight traces (one per
-// worker, plus the reorder buffer) are in memory, so a 10k-path campaign
-// runs in constant RSS when the sink writes traces straight to a
-// traceio.Writer. The stream is order-deterministic: equal configs feed
-// the sink the identical trace sequence regardless of Parallelism.
+// CollectStream runs the campaign on the campaign runner and streams
+// each completed trace to sink in job order: trace jobs execute in
+// parallel (each owns a private engine), faults in one trace are
+// isolated and retried with the same seed, and progress flows to
+// cfg.Observer. At any moment only the in-flight traces (one per worker,
+// plus the reorder buffer) are in memory, so a 10k-path campaign runs in
+// constant RSS when the sink writes traces straight to a traceio.Writer.
+// The stream is order-deterministic: equal configs feed the sink the
+// identical trace sequence regardless of Parallelism.
 //
 // A sink error cancels the campaign and is returned. Traces that failed
 // after all retries are skipped (never handed to the sink) and reported
-// joined in the returned error, like CollectContext; cancelling ctx
-// returns ctx.Err() after the traces already completed have been
-// delivered.
+// joined in the returned error; cancelling ctx returns ctx.Err() after
+// the traces already completed have been delivered.
 func CollectStream(ctx context.Context, cfg RunConfig, sink func(Trace) error) error {
 	cfg = cfg.defaults()
 	jobs, pcs := campaignJobs(cfg)
@@ -269,31 +240,31 @@ func CollectStream(ctx context.Context, cfg RunConfig, sink func(Trace) error) e
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	var sinkErr error // written under the runner's delivery lock, read after Run
+	// Both are written under the runner's delivery lock and read after Run.
+	var errs []error // traces that failed after all retries
+	var sinkErr error
 	runner := &campaign.Runner[Trace]{
 		Parallelism: cfg.Parallelism,
 		Retries:     max(cfg.Retries, 0),
 		Observer:    hooks.observer(cfg.Observer),
 		Sink: func(res campaign.Result[Trace]) {
-			if sinkErr != nil || res.Err != nil {
-				return
-			}
-			if err := sink(res.Value); err != nil {
-				sinkErr = err
-				cancel()
+			switch {
+			case res.Err != nil:
+				if res.Attempts > 0 && !isContextErr(res.Err) {
+					errs = append(errs, res.Err)
+				}
+			case sinkErr == nil:
+				if err := sink(res.Value); err != nil {
+					sinkErr = err
+					cancel()
+				}
 			}
 		},
 	}
-	results, ctxErr := runner.Run(ctx, jobs, func(ctx context.Context, job campaign.Job, rep *campaign.Reporter) (Trace, error) {
+	ctxErr := runner.Run(ctx, jobs, func(ctx context.Context, job campaign.Job, rep *campaign.Reporter) (Trace, error) {
 		return runTrace(ctx, cfg, pcs[job.Index], job, rep, hooks)
 	})
 
-	var errs []error
-	for _, res := range results {
-		if res.Err != nil && res.Attempts > 0 && !isContextErr(res.Err) {
-			errs = append(errs, res.Err)
-		}
-	}
 	switch {
 	case sinkErr != nil:
 		// The context error is our own cancel; the sink failure is the cause.
@@ -301,10 +272,10 @@ func CollectStream(ctx context.Context, cfg RunConfig, sink func(Trace) error) e
 	case ctxErr != nil:
 		errs = append(errs, ctxErr)
 	}
-	return joinErrs(errs)
+	return errors.Join(errs...)
 }
 
-// DatasetLabel is the label Collect stamps on the dataset for this
+// DatasetLabel is the label CollectContext stamps on the dataset for this
 // config, exposed so streaming writers can put it in their header.
 func (cfg RunConfig) DatasetLabel() string { return fmt.Sprintf("seed%d", cfg.Seed) }
 
@@ -442,13 +413,6 @@ func runTrace(ctx context.Context, cfg RunConfig, pc PathConfig, job campaign.Jo
 
 func isContextErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-func joinErrs(errs []error) error {
-	if len(errs) == 0 {
-		return nil
-	}
-	return errors.Join(errs...)
 }
 
 // ambient bundles a trace's cross-traffic machinery.

@@ -87,7 +87,7 @@ func TestScenarioScaledRuns(t *testing.T) {
 	})
 	cfg.TracesPerPath = 1
 	cfg.EpochsPerTrace = 3
-	ds := Collect(cfg)
+	ds := collect(t, cfg)
 	if len(ds.Traces) != 4 {
 		t.Fatalf("collected %d traces, want 4", len(ds.Traces))
 	}

@@ -39,7 +39,7 @@ func TestCollectSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second campaign; skipped in -short mode")
 	}
-	ds := Collect(TinyConfig(42))
+	ds := collect(t, TinyConfig(42))
 	if got := len(ds.Traces); got != 3 {
 		t.Fatalf("traces = %d, want 3", got)
 	}

@@ -1,9 +1,20 @@
 package testbed
 
 import (
+	"context"
 	"reflect"
 	"testing"
 )
+
+// collect runs the campaign described by cfg and fails tb on any error.
+func collect(tb testing.TB, cfg RunConfig) *Dataset {
+	tb.Helper()
+	ds, err := CollectContext(context.Background(), cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ds
+}
 
 func TestCatalogComposition(t *testing.T) {
 	cfg := CatalogConfig{Seed: 1}
@@ -70,15 +81,15 @@ func TestCollectDeterministic(t *testing.T) {
 	}
 	cfg := TinyConfig(5)
 	cfg.Parallelism = 2
-	a := Collect(cfg)
-	b := Collect(cfg)
+	a := collect(t, cfg)
+	b := collect(t, cfg)
 	if !reflect.DeepEqual(a, b) {
 		t.Error("same-seed campaigns differ (parallelism must not affect results)")
 	}
 }
 
 func TestCollectRecordsComplete(t *testing.T) {
-	ds := Collect(TinyConfig(8))
+	ds := collect(t, TinyConfig(8))
 	for _, tr := range ds.Traces {
 		for i, r := range tr.Records {
 			if r.Epoch != i {
@@ -113,7 +124,7 @@ func TestCollectEpochTimesIncrease(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second campaign; skipped in -short mode")
 	}
-	ds := Collect(TinyConfig(2))
+	ds := collect(t, TinyConfig(2))
 	for _, tr := range ds.Traces {
 		for i := 1; i < len(tr.Records); i++ {
 			if tr.Records[i].StartTime <= tr.Records[i-1].StartTime {
@@ -130,7 +141,7 @@ func TestSecondSetHasCheckpoints(t *testing.T) {
 	cfg.TransferSec = 20
 	cfg.Checkpoints = []float64{5, 10}
 	cfg.PingDuration = 10
-	ds := Collect(cfg)
+	ds := collect(t, cfg)
 	for _, tr := range ds.Traces {
 		for _, r := range tr.Records {
 			if len(r.Checkpoints) != 2 {

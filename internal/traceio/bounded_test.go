@@ -89,7 +89,7 @@ func TestStreamingCampaignBoundedRSS(t *testing.T) {
 			}
 		},
 	}
-	if _, err := r.Run(context.Background(), jobs, func(ctx context.Context, job campaign.Job, rep *campaign.Reporter) (testbed.Trace, error) {
+	if err := r.Run(context.Background(), jobs, func(ctx context.Context, job campaign.Job, rep *campaign.Reporter) (testbed.Trace, error) {
 		return fabricateTrace(job, epochs), nil
 	}); err != nil {
 		t.Fatal(err)

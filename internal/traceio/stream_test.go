@@ -1,7 +1,6 @@
 package traceio_test
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -77,8 +76,7 @@ func TestStreamRoundTrip(t *testing.T) {
 }
 
 // TestStreamPartial: ClosePartial yields a readable file that Load and
-// Reader both flag with ErrPartial — and LoadOrCollectContext must
-// re-collect rather than reuse it.
+// Reader both flag with ErrPartial, alongside the decoded prefix.
 func TestStreamPartial(t *testing.T) {
 	file := filepath.Join(t.TempDir(), "partial.json")
 	ds := sampleDataset()
@@ -115,27 +113,6 @@ func TestStreamPartial(t *testing.T) {
 	if trl, ok := r.Trailer(); !ok || !trl.Partial {
 		t.Errorf("trailer = %+v ok=%v, want partial", trl, ok)
 	}
-
-	// A partial file must not satisfy LoadOrCollectContext's reuse check.
-	cfg := testbed.RunConfig{
-		Seed:           7,
-		Catalog:        testbed.CatalogConfig{NumPaths: 1, MinCapBps: 3e6, MaxCapBps: 10e6},
-		TracesPerPath:  1,
-		EpochsPerTrace: 1,
-		PingDuration:   5,
-		TransferSec:    5,
-		EpochGap:       2,
-	}
-	re, err := traceio.LoadOrCollectContext(context.Background(), file, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re.Label != "seed7" {
-		t.Errorf("label %q: partial file was reused instead of re-collected", re.Label)
-	}
-	if got, err := traceio.Load(file); err != nil || got.Label != "seed7" {
-		t.Errorf("re-collected dataset not saved over the partial one (label %v, err %v)", got, err)
-	}
 }
 
 // TestStreamTruncated: a stream cut before its trailer is reported as
@@ -143,7 +120,7 @@ func TestStreamPartial(t *testing.T) {
 func TestStreamTruncated(t *testing.T) {
 	dir := t.TempDir()
 	file := filepath.Join(dir, "full.json")
-	if err := traceio.SaveStream(file, sampleDataset()); err != nil {
+	if err := saveStream(file, sampleDataset()); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(file)
@@ -184,13 +161,13 @@ func TestStreamTruncated(t *testing.T) {
 }
 
 // TestSaveAtomicUnderFault: with a fault injected at the write seam,
-// both SaveStream and Writer.Close must fail without disturbing the
+// both saveStream and Writer.Close must fail without disturbing the
 // previously saved dataset, and must leave no temp litter behind.
 func TestSaveAtomicUnderFault(t *testing.T) {
 	dir := t.TempDir()
 	file := filepath.Join(dir, "ds.json")
 	ds := sampleDataset()
-	if err := traceio.SaveStream(file, ds); err != nil {
+	if err := saveStream(file, ds); err != nil {
 		t.Fatal(err)
 	}
 
@@ -199,8 +176,8 @@ func TestSaveAtomicUnderFault(t *testing.T) {
 
 	mutated := sampleDataset()
 	mutated.Label = "must-not-land"
-	if err := traceio.SaveStream(file, mutated); !errors.Is(err, faultinject.ErrInjected) {
-		t.Fatalf("SaveStream under fault err = %v, want ErrInjected", err)
+	if err := saveStream(file, mutated); !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("saveStream under fault err = %v, want ErrInjected", err)
 	}
 
 	w, err := traceio.NewWriter(file, mutated.Label)
@@ -236,7 +213,7 @@ func TestSaveAtomicUnderFault(t *testing.T) {
 func TestWriterAbort(t *testing.T) {
 	dir := t.TempDir()
 	file := filepath.Join(dir, "ds.json")
-	if err := traceio.SaveStream(file, sampleDataset()); err != nil {
+	if err := saveStream(file, sampleDataset()); err != nil {
 		t.Fatal(err)
 	}
 	w, err := traceio.NewWriter(file, "abandoned")

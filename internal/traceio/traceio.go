@@ -14,7 +14,6 @@ package traceio
 import (
 	"bufio"
 	"compress/gzip"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -53,30 +52,13 @@ func checkFault(site string) error {
 // ErrPartial marks a stream whose trailer declares it deliberately
 // incomplete — an interrupted campaign that flushed what it had. Load
 // and Reader surface it alongside the decoded prefix, so callers choose:
-// analysis tools may proceed on the partial data, reuse logic must not
-// mistake it for the full campaign.
+// a tool may proceed on the partial data, or refuse it as cmd/repro does
+// rather than mistake it for the full campaign.
 var ErrPartial = errors.New("traceio: partial dataset (interrupted campaign)")
 
 // ErrTruncated marks a stream that ends without its trailer — a crashed
 // writer or a torn copy, as opposed to a declared-partial one.
 var ErrTruncated = errors.New("traceio: truncated stream (missing trailer)")
-
-// SaveStream writes the dataset to path (creating parent directories):
-// a Writer fed every trace, so the target is replaced atomically or not
-// at all.
-func SaveStream(path string, ds *testbed.Dataset) error {
-	w, err := NewWriter(path, ds.Label)
-	if err != nil {
-		return err
-	}
-	for _, tr := range ds.Traces {
-		if err := w.WriteTrace(tr); err != nil {
-			w.Abort()
-			return err
-		}
-	}
-	return w.Close()
-}
 
 // syncDir fsyncs a directory so a just-renamed file's entry is durable.
 // Filesystems that refuse to sync directories are tolerated: the rename
@@ -197,7 +179,7 @@ func (w *Writer) Close() error { return w.finalize(false) }
 
 // ClosePartial is Close with the trailer's partial flag set: the file
 // is valid and readable, but declared incomplete — Load reports
-// ErrPartial alongside the data, and reuse logic re-collects.
+// ErrPartial alongside the data.
 func (w *Writer) ClosePartial() error { return w.finalize(true) }
 
 func (w *Writer) finalize(partial bool) error {
@@ -410,7 +392,7 @@ func (r *Reader) Close() error {
 	return r.f.Close()
 }
 
-// Load reads a whole dataset written by SaveStream or a Writer. For a
+// Load reads a whole dataset written by a Writer. For a
 // declared-partial stream it returns the decoded prefix alongside
 // ErrPartial (see ErrPartial for the contract).
 func Load(path string) (*testbed.Dataset, error) {
@@ -425,38 +407,6 @@ func Load(path string) (*testbed.Dataset, error) {
 	}
 	if err != nil {
 		return nil, fmt.Errorf("traceio: decode %s: %w", path, err)
-	}
-	return ds, nil
-}
-
-// LoadOrCollectContext loads the dataset at path if it exists; otherwise
-// it collects one with the given config and saves it to path (when path
-// is non-empty). Cancelling ctx aborts a collection in progress at the
-// next epoch boundaries and the partial dataset is returned (but not
-// saved) alongside ctx.Err(). Campaign progress flows to cfg.Observer. An
-// existing but declared-partial stream at path is not reused: it is
-// re-collected like a missing file.
-func LoadOrCollectContext(ctx context.Context, path string, cfg testbed.RunConfig) (*testbed.Dataset, error) {
-	if path != "" {
-		if _, err := os.Stat(path); err == nil {
-			ds, err := Load(path)
-			if !errors.Is(err, ErrPartial) {
-				return ds, err
-			}
-			// Partial dataset on disk: fall through and re-collect.
-		}
-	}
-	ds, err := testbed.CollectContext(ctx, cfg)
-	if err != nil {
-		// Partial or faulted campaigns are returned for inspection but
-		// never persisted: a later run must not mistake them for the
-		// complete dataset.
-		return ds, err
-	}
-	if path != "" {
-		if err := SaveStream(path, ds); err != nil {
-			return nil, err
-		}
 	}
 	return ds, nil
 }

@@ -1,8 +1,6 @@
 package traceio_test
 
 import (
-	"context"
-	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -37,11 +35,27 @@ func sampleDataset() *testbed.Dataset {
 	}
 }
 
+// saveStream writes ds to path through a Writer fed every trace, so the
+// target is replaced atomically or not at all.
+func saveStream(path string, ds *testbed.Dataset) error {
+	w, err := traceio.NewWriter(path, ds.Label)
+	if err != nil {
+		return err
+	}
+	for _, tr := range ds.Traces {
+		if err := w.WriteTrace(tr); err != nil {
+			w.Abort()
+			return err
+		}
+	}
+	return w.Close()
+}
+
 func TestSaveLoadRoundTripJSON(t *testing.T) {
 	dir := t.TempDir()
 	file := filepath.Join(dir, "ds.json")
 	ds := sampleDataset()
-	if err := traceio.SaveStream(file, ds); err != nil {
+	if err := saveStream(file, ds); err != nil {
 		t.Fatal(err)
 	}
 	got, err := traceio.Load(file)
@@ -57,7 +71,7 @@ func TestSaveLoadRoundTripGzip(t *testing.T) {
 	dir := t.TempDir()
 	file := filepath.Join(dir, "ds.json.gz")
 	ds := sampleDataset()
-	if err := traceio.SaveStream(file, ds); err != nil {
+	if err := saveStream(file, ds); err != nil {
 		t.Fatal(err)
 	}
 	got, err := traceio.Load(file)
@@ -72,7 +86,7 @@ func TestSaveLoadRoundTripGzip(t *testing.T) {
 func TestSaveCreatesParentDirs(t *testing.T) {
 	dir := t.TempDir()
 	file := filepath.Join(dir, "a", "b", "ds.json")
-	if err := traceio.SaveStream(file, sampleDataset()); err != nil {
+	if err := saveStream(file, sampleDataset()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(file); err != nil {
@@ -96,53 +110,6 @@ func TestLoadCorruptFile(t *testing.T) {
 	os.WriteFile(gz, []byte("not gzip"), 0o644)
 	if _, err := traceio.Load(gz); err == nil {
 		t.Error("loading corrupt gzip should fail")
-	}
-}
-
-func TestLoadOrCollectUsesExisting(t *testing.T) {
-	dir := t.TempDir()
-	file := filepath.Join(dir, "ds.json")
-	ds := sampleDataset()
-	if err := traceio.SaveStream(file, ds); err != nil {
-		t.Fatal(err)
-	}
-	// Config would produce something different; existing file must win.
-	got, err := traceio.LoadOrCollectContext(context.Background(), file, testbed.RunConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ds, got) {
-		t.Error("LoadOrCollectContext did not load the existing dataset")
-	}
-}
-
-// TestLoadOrCollectContextCancelledDoesNotSave checks that a cancelled
-// collection never persists its partial dataset: the next run must
-// re-collect, not load a truncated file.
-func TestLoadOrCollectContextCancelledDoesNotSave(t *testing.T) {
-	dir := t.TempDir()
-	file := filepath.Join(dir, "ds.json")
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // already cancelled: collection aborts immediately
-
-	cfg := testbed.RunConfig{
-		Seed:           1,
-		Catalog:        testbed.CatalogConfig{NumPaths: 2, MinCapBps: 3e6, MaxCapBps: 10e6},
-		TracesPerPath:  1,
-		EpochsPerTrace: 2,
-		PingDuration:   5,
-		TransferSec:    5,
-		EpochGap:       2,
-	}
-	ds, err := traceio.LoadOrCollectContext(ctx, file, cfg)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if ds == nil {
-		t.Fatal("no (possibly empty) partial dataset returned")
-	}
-	if _, statErr := os.Stat(file); !os.IsNotExist(statErr) {
-		t.Error("cancelled collection saved a partial dataset")
 	}
 }
 

@@ -35,6 +35,8 @@ echo "non-test Go LOC (outside bench/): $(loc -not -name '*_test.go')"
 echo "test Go LOC (outside bench/):     $(loc -name '*_test.go')"
 echo "predserverd flags:                $(flags cmd/predserverd/main.go)"
 echo "ronsim flags:                     $(flags cmd/ronsim/main.go)"
+echo "repro flags:                      $(flags cmd/repro/main.go)"
+echo "predload flags:                   $(flags cmd/predload/main.go)"
 # Everything a predsvc.Config literal can set. The predictor zoo has no
 # settings: every path runs the paper's configuration.
 echo "predsvc.Config settable values:   $(fields internal/predsvc/config.go Config)"

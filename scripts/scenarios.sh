@@ -49,7 +49,7 @@ if [ "$dig_a" != "$dig_b" ]; then
 fi
 
 echo "==> repro -only ext-cc"
-"$tmp/repro" -only ext-cc -cc "$tmp/cc-a.json" -progress off >"$tmp/ext-cc.txt"
+"$tmp/repro" -only ext-cc -cc "$tmp/cc-a.json" >"$tmp/ext-cc.txt"
 grep -q "== ext-cc:" "$tmp/ext-cc.txt" || {
     echo "FAIL: ext-cc experiment did not run" >&2
     cat "$tmp/ext-cc.txt" >&2

@@ -81,23 +81,6 @@ func NewHoltWinters(alpha, beta float64) HBPredictor {
 	return predict.NewHoltWinters(alpha, beta)
 }
 
-// NewAR returns an autoregressive AR(p) predictor fitted online over a
-// sliding window (an extension in the direction of the paper's ARIMA
-// future work; window 0 picks a default).
-func NewAR(order, window int) HBPredictor { return predict.NewAR(order, window) }
-
-// Hybrid combines the FB formula with history: it learns the formula's
-// multiplicative bias on a path from observed transfers (paper §7 future
-// work). Use Predict with fresh measurements, then Observe the achieved
-// throughput.
-type Hybrid = predict.Hybrid
-
-// NewHybrid returns a hybrid FB×history predictor; alpha is the EWMA
-// weight of the learned bias (0 picks the default 0.5).
-func NewHybrid(cfg FBConfig, alpha float64) *Hybrid {
-	return predict.NewHybrid(cfg, alpha)
-}
-
 // ShortTransferThroughput predicts the average throughput (bits/s) of a
 // transfer of n bytes using the slow-start-aware latency model (Cardwell
 // et al.; paper §4.2.7), given a-priori RTT and loss rate. Use this

@@ -110,31 +110,6 @@ func TestPublicAPIPredictorNames(t *testing.T) {
 	}
 }
 
-func TestPublicAPIHybridAndAR(t *testing.T) {
-	path := tcppred.NewTestbedPath(demoSpec(10e6, 0.05), 0.3, 9)
-	hy := tcppred.NewHybrid(tcppred.FBConfig{Model: tcppred.PFTK}, 0)
-	ar := tcppred.NewAR(2, 0)
-	var lastActual float64
-	for i := 0; i < 5; i++ {
-		m := path.Measure(10)
-		hy.Predict(m.FBInputs())
-		actual := path.Transfer(10, 1<<20)
-		hy.Observe(actual)
-		ar.Observe(actual)
-		lastActual = actual
-	}
-	if hy.Samples() != 5 {
-		t.Errorf("hybrid samples = %d", hy.Samples())
-	}
-	pred, ok := ar.Predict()
-	if !ok || pred <= 0 {
-		t.Fatalf("AR prediction = %v,%v", pred, ok)
-	}
-	if pred > lastActual*3 || pred < lastActual/3 {
-		t.Errorf("AR prediction %v far from recent throughput %v", pred, lastActual)
-	}
-}
-
 func TestPublicAPIShortTransferThroughput(t *testing.T) {
 	small := tcppred.ShortTransferThroughput(16<<10, 0.08, 0.005, 1<<20)
 	big := tcppred.ShortTransferThroughput(64<<20, 0.08, 0.005, 1<<20)
