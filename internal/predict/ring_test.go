@@ -26,7 +26,7 @@ func insertionSort(xs []float64) {
 // oracleQuantiles derives throughput quantiles for a forecast from errs, in
 // any order, by sorting a copy of them.
 func oracleQuantiles(forecast float64, errs []float64) (Quantiles, bool) {
-	if len(errs) < residualMinSamples || !isFinitePositive(forecast) {
+	if len(errs) < residualIntervalSamples || !isFinitePositive(forecast) {
 		return Quantiles{}, false
 	}
 	s := append([]float64(nil), errs...)

@@ -10,8 +10,9 @@ import (
 
 func TestResidualWindowQuantileInversion(t *testing.T) {
 	w := NewResidualWindow(50)
-	// A known symmetric error distribution around zero.
-	for _, e := range []float64{-0.5, -0.25, 0, 0.25, 0.5} {
+	// A known symmetric error distribution around zero, nine errors: the
+	// fewest that calibrate an interval.
+	for _, e := range []float64{-0.5, -0.375, -0.25, -0.125, 0, 0.125, 0.25, 0.375, 0.5} {
 		w.Push(e)
 	}
 	q, ok := w.QuantilesFor(100)
@@ -25,11 +26,12 @@ func TestResidualWindowQuantileInversion(t *testing.T) {
 	if q.P50 != 100 {
 		t.Fatalf("P50 = %v, want 100", q.P50)
 	}
-	// E=+0.4 (P90 of errors by interpolation) → X = 100/1.4; E=-0.4 → X = 140.
-	if want := 100 / 1.4; math.Abs(q.P10-want) > 1e-9 {
+	// The (n+1)·p positions 9 and 1 of 9 are the extreme errors: E=+0.5 →
+	// X = 100/1.5; E=-0.5 → X = 150.
+	if want := 100 / 1.5; math.Abs(q.P10-want) > 1e-9 {
 		t.Fatalf("P10 = %v, want %v", q.P10, want)
 	}
-	if want := 140.0; math.Abs(q.P90-want) > 1e-9 {
+	if want := 150.0; math.Abs(q.P90-want) > 1e-9 {
 		t.Fatalf("P90 = %v, want %v", q.P90, want)
 	}
 }

@@ -88,8 +88,10 @@ func TestServedBytesGolden(t *testing.T) {
 // recorded in version 7 from the same replay. The version-8 record at each
 // position must be the version-7 record, byte for byte, with every name
 // and predictor state removed — so the counters, the measurement, the LSO
-// window and the error windows did not move. The legacy file itself is
-// refused.
+// window and the error windows did not move. The two interval-coverage
+// counters are left out of both: intervals moved to the (n+1)·p position
+// after version 8, which changed which observations they count and
+// nothing else in the record. The legacy file itself is refused.
 func TestServedSnapshotPayloadParity(t *testing.T) {
 	stream := func(name, format string) *store.StreamReader {
 		data, err := os.ReadFile(filepath.Join("testdata", name))
@@ -120,7 +122,10 @@ func TestServedSnapshotPayloadParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("record %d (%s): %v", i, rec7.Path(), err)
 		}
-		if rec8.Path() != rec7.Path() || !bytes.Equal(rec8.Data(), want) {
+		got := v7walk{b: rec8.Data()}
+		got.header()
+		got.copy(len(got.b))
+		if rec8.Path() != rec7.Path() || !bytes.Equal(got.out, want) {
 			t.Fatalf("record %d (%s) differs from version 7's (%s)", i, rec8.Path(), rec7.Path())
 		}
 	}
@@ -133,18 +138,12 @@ func TestServedSnapshotPayloadParity(t *testing.T) {
 	}
 }
 
-// v7ToV8 rewrites a version-7 payload in the version-8 layout: each
-// family's entry keeps its error window and loses its name and its
-// predictor state (a kind byte, then that kind's fields).
+// v7ToV8 rewrites a version-7 payload in the version-8 layout, less the
+// coverage counters: each family's entry keeps its error window and loses
+// its name and its predictor state (a kind byte, then that kind's fields).
 func v7ToV8(data []byte) ([]byte, error) {
 	w := v7walk{b: data}
-	w.uvarint() // observations
-	if w.copy(1); len(w.out) > 0 && w.out[len(w.out)-1] == 1 {
-		w.copy(24) // the measurement
-	}
-	w.uvarint() // measurement age
-	w.uvarint() // coverage
-	w.uvarint()
+	w.header()
 	w.floats()  // LSO window
 	w.uvarint() // shift count
 	for n := w.uvarint(); n > 0 && w.err == nil; n-- {
@@ -187,6 +186,17 @@ func (w *v7walk) uvarint() uint64 {
 	}
 	w.copy(n)
 	return v
+}
+
+// header copies what versions 7 and 8 share ahead of the LSO window, and
+// drops the two coverage counters.
+func (w *v7walk) header() {
+	w.uvarint() // observations
+	if w.copy(1); len(w.out) > 0 && w.out[len(w.out)-1] == 1 {
+		w.copy(24) // the measurement
+	}
+	w.uvarint() // measurement age
+	w.drop(func() { w.uvarint(); w.uvarint() })
 }
 
 func (w *v7walk) floats() { w.copy(8 * int(w.uvarint())) }
