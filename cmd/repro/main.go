@@ -133,26 +133,14 @@ func loadDataset(path, writer string) (*testbed.Dataset, error) {
 	return ds, err
 }
 
-// epochMinutes is the length of one Fig.-1 epoch under cfg, in minutes.
+// epochMinutes is the length of one Fig.-1 epoch under cfg, in minutes:
+// the phases a campaign runs with (RunConfig.Defaults), plus ~15 s for
+// pathload on average.
 func epochMinutes(cfg testbed.RunConfig) float64 {
-	ping := cfg.PingDuration
-	if ping == 0 {
-		ping = 60
+	cfg = cfg.Defaults()
+	small := 0.0
+	if cfg.SmallWindowBytes > 0 {
+		small = cfg.SmallTransferSec
 	}
-	transfer := cfg.TransferSec
-	if transfer == 0 {
-		transfer = 50
-	}
-	gap := cfg.EpochGap
-	if gap == 0 {
-		gap = 20
-	}
-	// RunConfig.defaults runs the companion transfer as long as the
-	// target one unless told otherwise.
-	small := cfg.SmallTransferSec
-	if cfg.SmallWindowBytes > 0 && small == 0 {
-		small = transfer
-	}
-	// ~15 s for pathload on average.
-	return (15 + ping + transfer + small + gap) / 60
+	return (15 + cfg.PingDuration + cfg.TransferSec + small + cfg.EpochGap) / 60
 }

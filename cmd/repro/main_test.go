@@ -20,8 +20,8 @@ var update = flag.Bool("update", false, "rewrite results/*-seed1.txt from the co
 // change to the simulator's analysis, the experiments or the predictors
 // that moves any printed number fails here and names the line. It is what
 // `repro -seed 1` prints, split the way results/ archives it:
-// figures-seed1.txt is every experiment except ext-cc, ext-cc-seed1.txt is
-// the scenario matrix, and ext-zoo-seed1.txt repeats the ext-zoo section.
+// figures-seed1.txt is every experiment except ext-cc, and ext-cc-seed1.txt
+// is the scenario matrix.
 //
 // Re-record with: go test ./cmd/repro -run TestResultsGolden -update
 func TestResultsGolden(t *testing.T) {
@@ -35,15 +35,12 @@ func TestResultsGolden(t *testing.T) {
 	}
 	d1, d2, cc := load("d1-seed1.json.gz"), load("d2-seed1.json.gz"), load("cc-seed1.json.gz")
 
-	var figures, zoo, ext bytes.Buffer
+	var figures, ext bytes.Buffer
 	for _, res := range experiments.All(d1, epochMinutes(testbed.DefaultScaled(1))) {
 		res.Format(&figures)
 	}
 	for _, res := range experiments.Extensions(d1) {
 		res.Format(&figures)
-		if res.ID == "ext-zoo" {
-			res.Format(&zoo)
-		}
 	}
 	cfg2 := testbed.SecondSet(1, true)
 	experiments.Fig11(d2, cfg2.Checkpoints, cfg2.TransferSec).Format(&figures)
@@ -51,7 +48,6 @@ func TestResultsGolden(t *testing.T) {
 
 	for name, got := range map[string][]byte{
 		"figures-seed1.txt": figures.Bytes(),
-		"ext-zoo-seed1.txt": zoo.Bytes(),
 		"ext-cc-seed1.txt":  ext.Bytes(),
 	} {
 		file := filepath.Join("..", "..", "results", name)

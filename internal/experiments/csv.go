@@ -3,7 +3,6 @@ package experiments
 import (
 	"encoding/csv"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -29,16 +28,6 @@ func WriteCSV(dir string, res Result) error {
 	for _, s := range res.Series {
 		name := fmt.Sprintf("%s-series-%s.csv", res.ID, sanitize(s.Name))
 		if err := writeSeriesCSV(filepath.Join(dir, name), s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteAllCSV exports every result.
-func WriteAllCSV(dir string, results []Result) error {
-	for _, res := range results {
-		if err := WriteCSV(dir, res); err != nil {
 			return err
 		}
 	}
@@ -107,11 +96,4 @@ func sanitize(name string) string {
 		}
 	}
 	return string(out)
-}
-
-// WriteTo renders every result to one writer (convenience for logs).
-func WriteTo(w io.Writer, results []Result) {
-	for _, res := range results {
-		res.Format(w)
-	}
 }

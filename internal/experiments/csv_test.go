@@ -52,19 +52,6 @@ func TestWriteCSVTable(t *testing.T) {
 	}
 }
 
-func TestWriteAllCSV(t *testing.T) {
-	dir := t.TempDir()
-	ds := synthDataset()
-	if err := WriteAllCSV(dir, []Result{Fig2(ds), Fig20(ds)}); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"fig2.csv", "fig20.csv"} {
-		if _, err := os.Stat(filepath.Join(dir, want)); err != nil {
-			t.Errorf("%s missing", want)
-		}
-	}
-}
-
 func TestSanitize(t *testing.T) {
 	if got := sanitize("a b/c:d"); got != "a_b_c_d" {
 		t.Errorf("sanitize = %q", got)

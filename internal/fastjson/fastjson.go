@@ -14,41 +14,9 @@
 // tests in this package hold the two byte-identical on generated
 // payloads, and predsvc's digest gates hold them identical end to end.
 //
-// Ownership rules: Buf values come from a sync.Pool via GetBuf/PutBuf;
-// the caller that gets a Buf puts it back exactly once, after the bytes
-// have been written out. Dec never allocates in steady state — strings it
-// returns are views into the input or into an internal scratch buffer,
-// valid only until the next decoding call.
+// Ownership: the package keeps no buffers of its own. Encoders append to
+// the caller's slice, and predsvc's wire handlers pool those slices per
+// request (wirePool in wire.go). Dec never allocates in steady state —
+// strings it returns are views into the input or into an internal scratch
+// buffer, valid only until the next decoding call.
 package fastjson
-
-import "sync"
-
-// A Buf is a pooled byte buffer for wire encoding and request-body
-// reads. B always has len(B) == 0 when handed out by GetBuf.
-type Buf struct {
-	B []byte
-}
-
-// maxRetained caps the capacity of buffers returned to the pool, so a
-// few oversized request bodies do not pin megabytes for the life of the
-// process.
-const maxRetained = 1 << 20
-
-var bufPool = sync.Pool{
-	New: func() any { return &Buf{B: make([]byte, 0, 4096)} },
-}
-
-// GetBuf returns an empty pooled buffer.
-func GetBuf() *Buf {
-	b := bufPool.Get().(*Buf)
-	b.B = b.B[:0]
-	return b
-}
-
-// PutBuf returns a buffer to the pool. Oversized buffers are dropped.
-func PutBuf(b *Buf) {
-	if b == nil || cap(b.B) > maxRetained {
-		return
-	}
-	bufPool.Put(b)
-}

@@ -6,8 +6,7 @@ import (
 	"repro/internal/sim"
 )
 
-// QueueStats counts what happened at a queue since creation or the last
-// ResetStats.
+// QueueStats counts what happened at a queue since its creation.
 type QueueStats struct {
 	Arrivals   int64 // packets offered
 	Departures int64 // packets fully transmitted
@@ -130,9 +129,6 @@ func (q *Queue) SetMonitor(fn func(QueueEvent)) { q.monitor = fn }
 
 // Stats returns a copy of the queue counters.
 func (q *Queue) Stats() QueueStats { return q.stats }
-
-// ResetStats zeroes the counters (the backlog is untouched).
-func (q *Queue) ResetStats() { q.stats = QueueStats{} }
 
 // Backlog returns the current queue occupancy in bytes (excluding the
 // packet in transmission).

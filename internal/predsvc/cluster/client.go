@@ -126,10 +126,6 @@ func (c *Client) Node(path string) string { return c.m.Node(path) }
 // Nodes returns the node list.
 func (c *Client) Nodes() []string { return c.m.Nodes() }
 
-// HTTPClient returns the underlying http.Client (for traffic that must
-// bypass the retry discipline, like chaos probes).
-func (c *Client) HTTPClient() *http.Client { return c.cfg.HTTP }
-
 // Stats snapshots the retry accounting.
 func (c *Client) Stats() ClientStats {
 	s := ClientStats{

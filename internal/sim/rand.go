@@ -47,9 +47,6 @@ func (g *RNG) Float64() float64 { return g.r.Float64() }
 // Intn returns a uniform sample in [0, n).
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 
-// Int63 returns a non-negative uniform 63-bit integer.
-func (g *RNG) Int63() int64 { return g.r.Int63() }
-
 // Uniform returns a uniform sample in [lo, hi).
 func (g *RNG) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*g.r.Float64()

@@ -47,9 +47,6 @@ func (r *Receiver) Stop() {
 	r.delayTimer.Cancel()
 }
 
-// NextExpected returns the next expected segment number.
-func (r *Receiver) NextExpected() int64 { return r.cumAck }
-
 // BytesDelivered returns the in-order payload bytes delivered so far.
 func (r *Receiver) BytesDelivered() int64 { return r.cumAck * int64(r.cfg.MSS) }
 

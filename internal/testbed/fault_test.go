@@ -28,7 +28,7 @@ func setEpochHook(t *testing.T, hook func(job campaign.Job, epoch int)) {
 func TestPanicFailsOnlyThatTrace(t *testing.T) {
 	cfg := TinyConfig(11)
 	cfg.Retries = -1 // isolate the fault path; retries are tested below
-	paths := Catalog(cfg.defaults().Catalog)
+	paths := Catalog(cfg.Defaults().Catalog)
 	victim := paths[1].Name
 
 	setEpochHook(t, func(job campaign.Job, epoch int) {
@@ -77,7 +77,7 @@ func TestPanicRetryReplaysSameTrace(t *testing.T) {
 
 	var mu sync.Mutex
 	tripped := map[string]bool{}
-	paths := Catalog(cfg.defaults().Catalog)
+	paths := Catalog(cfg.Defaults().Catalog)
 	victim := paths[0].Name
 	setEpochHook(t, func(job campaign.Job, epoch int) {
 		if job.Path != victim || epoch != 1 {
@@ -138,11 +138,11 @@ func TestCancelMidTraceReturnsPartialDataset(t *testing.T) {
 // TestSeedDerivation pins the satellite fix: seed 0 must not degenerate,
 // and catalog/trace seed streams must never collide.
 func TestSeedDerivation(t *testing.T) {
-	zero := RunConfig{}.defaults()
+	zero := RunConfig{}.Defaults()
 	if zero.Catalog.Seed == 7777 || zero.Catalog.Seed == 0 {
 		t.Errorf("seed-0 catalog seed = %d; still the degenerate constant", zero.Catalog.Seed)
 	}
-	one := RunConfig{Seed: 1}.defaults()
+	one := RunConfig{Seed: 1}.Defaults()
 	if zero.Catalog.Seed == one.Catalog.Seed {
 		t.Error("seed 0 and seed 1 derive the same catalog seed")
 	}
@@ -150,7 +150,7 @@ func TestSeedDerivation(t *testing.T) {
 	// All trace seeds and the catalog seed must be pairwise distinct, at
 	// paper scale and beyond.
 	for _, base := range []int64{0, 1, 42} {
-		cfg := RunConfig{Seed: base}.defaults()
+		cfg := RunConfig{Seed: base}.Defaults()
 		seen := map[int64]string{cfg.Catalog.Seed: "catalog"}
 		for p := 0; p < 40; p++ {
 			for tr := 0; tr < 10; tr++ {

@@ -87,7 +87,11 @@ type RunConfig struct {
 	Obs *obs.Obs
 }
 
-func (c RunConfig) defaults() RunConfig {
+// Defaults returns c with every zero field set to the value a campaign
+// runs with: 7 traces of 150 epochs per path, 60 s of ping, a 50 s
+// transfer and a 20 s gap, the companion small-window transfer as long as
+// the target one, a 1 MiB large window, GOMAXPROCS workers and one retry.
+func (c RunConfig) Defaults() RunConfig {
 	if c.TracesPerPath == 0 {
 		c.TracesPerPath = 7
 	}
@@ -234,7 +238,7 @@ func CollectContext(ctx context.Context, cfg RunConfig) (*Dataset, error) {
 // joined in the returned error; cancelling ctx returns ctx.Err() after
 // the traces already completed have been delivered.
 func CollectStream(ctx context.Context, cfg RunConfig, sink func(Trace) error) error {
-	cfg = cfg.defaults()
+	cfg = cfg.Defaults()
 	jobs, pcs := campaignJobs(cfg)
 	hooks := newObsHooks(cfg.Obs)
 	ctx, cancel := context.WithCancel(ctx)

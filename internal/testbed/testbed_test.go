@@ -155,7 +155,7 @@ func TestSecondSetHasCheckpoints(t *testing.T) {
 }
 
 func TestRunConfigDefaults(t *testing.T) {
-	cfg := RunConfig{}.defaults()
+	cfg := RunConfig{}.Defaults()
 	if cfg.TracesPerPath != 7 || cfg.EpochsPerTrace != 150 {
 		t.Errorf("paper-scale defaults wrong: %+v", cfg)
 	}
@@ -171,7 +171,7 @@ func TestRunConfigDefaults(t *testing.T) {
 }
 
 func TestPaperScaleMatchesPaper(t *testing.T) {
-	cfg := PaperScale(1).defaults()
+	cfg := PaperScale(1).Defaults()
 	if cfg.Catalog.defaults().NumPaths != 35 {
 		t.Error("paper scale should have 35 paths")
 	}
