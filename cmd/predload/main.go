@@ -2,7 +2,7 @@
 // per-path throughput traces — either a dataset written by cmd/ronsim or
 // fast synthetic series with the paper's level-shift/outlier structure —
 // against a running daemon, concurrently but strictly in order per path,
-// and reports achieved request rate, the accuracy of the daemon's "best"
+// and reports achieved request rate, the accuracy of the selected family's
 // forecasts (paper Eq. 4/5), and a determinism digest over every
 // /v1/predict response body.
 //

@@ -60,9 +60,15 @@ func main() {
 			"path": "svc-demo", "throughput_bps": actual,
 		})
 
-		if pred.Best != "" {
+		if pred.Family != "" {
+			var forecast float64
+			for _, f := range pred.Families {
+				if f.Name == pred.Family {
+					forecast = f.ForecastBps
+				}
+			}
 			fmt.Printf("epoch %d: best=%s forecast %.2f Mbps, actual %.2f Mbps\n",
-				epoch, pred.Best, pred.BestForecastBps/1e6, actual/1e6)
+				epoch, pred.Family, forecast/1e6, actual/1e6)
 		} else {
 			fmt.Printf("epoch %d: warming up, actual %.2f Mbps\n", epoch, actual/1e6)
 		}
@@ -72,7 +78,7 @@ func main() {
 	// Ask once more with full history, then shut down.
 	var final tcppred.Prediction
 	get(base+"/v1/predict?path=svc-demo", &final)
-	fmt.Printf("final: best=%s (rolling RMSRE per predictor:", final.Best)
+	fmt.Printf("final: best=%s (rolling RMSRE per predictor:", final.Family)
 	for _, st := range final.Families {
 		fmt.Printf(" %s=%.3f", st.Name, st.RMSRE)
 	}

@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"repro/internal/predict"
 )
 
 // FuzzObserveBatch holds POST /v1/observe-batch's decoder to
@@ -45,6 +47,46 @@ func FuzzObserveBatch(f *testing.F) {
 		}
 		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil || got != want {
 			t.Fatalf("served %s (err %v), applying encoding/json's items gives %+v", rec.Body.Bytes(), err, want)
+		}
+	})
+}
+
+// FuzzPredictBatch holds POST /v1/predict-batch's decoder to the
+// encoding/json oracle handler on arbitrary bodies up to maxBodyBytes, on
+// a server that knows the paths "a", "b" and "aé\n". It must never panic,
+// must answer with the oracle's status, and when that is 200 with the
+// oracle's bytes: the same predictions in the same order and the same
+// missing paths. Predicting changes no session, so both handlers serve
+// the same state. The seeds are the committed corpus in testdata/fuzz.
+//
+// Run with: go test ./internal/predsvc -run '^$' -fuzz FuzzPredictBatch -fuzztime 10s
+func FuzzPredictBatch(f *testing.F) {
+	s, err := Open(Config{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer s.Close()
+	for i, path := range []string{"a", "b", "a\u00e9\n"} {
+		s.reg.GetOrCreate(path).SetMeasurement(predict.FBInputs{RTT: 0.05, LossRate: 0.001 * float64(i+1), AvailBw: 2e7})
+		for k := 0; k < 12; k++ {
+			s.reg.GetOrCreate(path).Observe(1e7 * float64(1+(i+k)%4))
+		}
+	}
+	serve := func(h func(http.ResponseWriter, *http.Request) int, body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h(rec, httptest.NewRequest(http.MethodPost, "/v1/predict-batch", bytes.NewReader(body)))
+		return rec
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if len(body) > maxBodyBytes {
+			return
+		}
+		got, want := serve(s.handlePredictBatchFast, body), serve(s.handlePredictBatch, body)
+		if got.Code != want.Code {
+			t.Fatalf("status %d, oracle %d\nserved: %s\noracle: %s", got.Code, want.Code, got.Body.Bytes(), want.Body.Bytes())
+		}
+		if got.Code == http.StatusOK && !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+			t.Fatalf("served bytes differ from the oracle's\nserved: %s\noracle: %s", got.Body.Bytes(), want.Body.Bytes())
 		}
 	})
 }

@@ -181,7 +181,7 @@ type LoadReport struct {
 	LatencyP50Usec uint64
 	LatencyP99Usec uint64
 
-	// Accuracy of the service's "best" forecast against the next actual
+	// Accuracy of the selected family's forecast against the next actual
 	// throughput, scored client-side with the paper's Eq. 4/5.
 	Predictions  int
 	RMSRE        float64
@@ -531,8 +531,10 @@ func (lw *loadWorker) epoch(ctx context.Context, ps PathSeries, e int) {
 			prev := lw.digests[ps.Path]
 			sum := sha256.Sum256(append([]byte(prev), body...))
 			lw.digests[ps.Path] = hex.EncodeToString(sum[:])
-			if pred.Best != "" && pred.BestForecastBps > 0 {
-				lw.scored = append(lw.scored, stats.RelativeError(pred.BestForecastBps, actual))
+			for _, f := range pred.Families {
+				if f.Name == pred.Family && f.ForecastBps > 0 {
+					lw.scored = append(lw.scored, stats.RelativeError(f.ForecastBps, actual))
+				}
 			}
 			if pred.P10Bps > 0 && pred.P90Bps >= pred.P10Bps {
 				lw.covTotal++

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"sort"
 	"sync"
+	"unsafe"
 
 	"repro/internal/predict"
 	"repro/internal/predsvc/store"
@@ -102,60 +103,50 @@ func (r *Registry) Capacity() int { return r.st.Capacity() }
 // evicting — or, on a spill store, demoting — another) if absent. The
 // returned session is marked most recently used.
 //
-// GetOrCreate is not eviction-safe under concurrency: once it returns,
-// another request may evict the session, and on a spill store an update
-// made after that lands on a copy the log no longer reflects — it is lost
-// when the path faults back in. Concurrent callers that mutate sessions
-// use With or WithBytes.
+// GetOrCreate pins the session and unpins it before returning, so it is
+// not eviction-safe under concurrency: another request may then evict the
+// session, and on a spill store an update made after that lands on a copy
+// the log no longer reflects — it is lost when the path faults back in.
+// Concurrent callers that mutate sessions use WithBytes.
 func (r *Registry) GetOrCreate(path string) *Session {
-	return r.st.GetOrCreate(path).(*Session)
+	e, _ := r.st.Pin(pathBytes(path), true)
+	r.st.Unpin()
+	return e.(*Session)
 }
 
-// WithBytes runs fn on path's session while no other request can evict
-// it — the entry point of every handler that reads or updates a session,
-// keyed by a byte-slice view of the path so a hot hit costs no allocation.
-// With create set an absent path is created; otherwise fn runs only when
-// path is present. It reports whether fn ran. On a store.Pinner (the
-// spill store) fn runs with the entry pinned; on the in-memory store an
-// evicted session is discarded by design, so fn runs on the session the
-// lookup returned. fn must not call back into the registry.
+// WithBytes runs fn on path's session while the session is pinned (see
+// store.Store.Pin), so no concurrent eviction can lose an update fn makes
+// — the entry point of every handler that reads or updates a session,
+// keyed by a byte-slice view of the path so a hot hit costs no
+// allocation. With create set an absent path is created; otherwise fn
+// runs only when path is present. It reports whether fn ran. fn must not
+// call back into the registry.
 func (r *Registry) WithBytes(path []byte, create bool, fn func(*Session)) bool {
-	var e store.Entry
-	ok := true
-	switch st := r.st.(type) {
-	case store.Pinner:
-		if e, ok = st.Pin(path, create); !ok {
-			return false
-		}
-		defer st.Unpin()
-	case *store.MemStore:
-		if create {
-			e = st.GetOrCreateBytes(path)
-		} else {
-			e, ok = st.LookupBytes(path)
-		}
+	e, ok := r.st.Pin(path, create)
+	if !ok {
+		return false
 	}
-	if ok {
-		fn(e.(*Session))
-	}
-	return ok
-}
-
-// With is WithBytes keyed by a string.
-func (r *Registry) With(path string, create bool, fn func(*Session)) bool {
-	return r.WithBytes([]byte(path), create, fn)
+	defer r.st.Unpin()
+	fn(e.(*Session))
+	return true
 }
 
 // Lookup returns the session for path if present, marking it most
 // recently used (a spill store promotes a cold session back into
-// memory).
+// memory). Like GetOrCreate it unpins the session before returning.
 func (r *Registry) Lookup(path string) (*Session, bool) {
-	e, ok := r.st.Lookup(path)
+	e, ok := r.st.Pin(pathBytes(path), false)
 	if !ok {
 		return nil, false
 	}
+	r.st.Unpin()
 	return e.(*Session), true
 }
+
+// pathBytes views path as the byte slice Pin takes, without the copy that
+// []byte(path) makes for an argument passed through an interface: Pin
+// never writes to or retains its argument.
+func pathBytes(path string) []byte { return unsafe.Slice(unsafe.StringData(path), len(path)) }
 
 // Peek returns the session for path without touching recency — for stats,
 // metrics and handoff's last-writer-wins check. On a spill store a cold
@@ -181,7 +172,7 @@ func (r *Registry) Delete(path string) bool { return r.st.Delete(path) }
 // so a retried import lands in the same state.
 func (r *Registry) install(path string, ens *predict.Ensemble) {
 	r.st.Delete(path)
-	r.With(path, true, func(s *Session) { s.install(ens) })
+	r.WithBytes(pathBytes(path), true, func(s *Session) { s.install(ens) })
 }
 
 // Len returns the number of registered paths across all tiers.

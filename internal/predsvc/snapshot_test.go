@@ -177,7 +177,7 @@ func TestSnapshotDoesNotStopTheNode(t *testing.T) {
 	defer reg.Close()
 	const paths = 68
 	for i := 0; i < paths; i++ {
-		reg.With(fmt.Sprintf("p%03d", i), true, func(s *Session) { s.Observe(1e7) })
+		reg.WithBytes(fmt.Appendf(nil, "p%03d", i), true, func(s *Session) { s.Observe(1e7) })
 	}
 	if st := reg.TierStats(); st.ColdPaths < 64 {
 		t.Fatalf("tier stats %+v, want ≥ 64 cold paths", st)
@@ -191,11 +191,11 @@ func TestSnapshotDoesNotStopTheNode(t *testing.T) {
 	<-w.blocked
 	for _, p := range []string{hot, cold} {
 		served := make(chan bool, 1)
-		go func() { served <- reg.With(p, false, func(s *Session) { s.Observe(2e7) }) }()
+		go func() { served <- reg.WithBytes([]byte(p), false, func(s *Session) { s.Observe(2e7) }) }()
 		select {
 		case ok := <-served:
 			if !ok {
-				t.Fatalf("With(%s) found no session", p)
+				t.Fatalf("WithBytes(%s) found no session", p)
 			}
 		case <-time.After(10 * time.Second):
 			t.Fatalf("With(%s) blocked behind a stalled snapshot writer", p)

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 )
 
 // toyEntry is the payload-independent entry the conformance suite runs
@@ -91,6 +92,22 @@ func factories() []factory {
 	}
 }
 
+// getOrCreate and lookup reach path's entry the way single-goroutine
+// callers do: Pin it, creating it or not, and Unpin at once.
+func getOrCreate(st Store, path string) Entry {
+	e, _ := st.Pin([]byte(path), true)
+	st.Unpin()
+	return e
+}
+
+func lookup(st Store, path string) (Entry, bool) {
+	e, ok := st.Pin([]byte(path), false)
+	if ok {
+		st.Unpin()
+	}
+	return e, ok
+}
+
 // TestStoreConformance runs the full contract against every Store
 // implementation through one shared harness: a behavior added here is a
 // behavior every present and future store must honor.
@@ -99,6 +116,7 @@ func TestStoreConformance(t *testing.T) {
 		f := f
 		t.Run(f.name, func(t *testing.T) {
 			t.Run("CreateLookupPeek", func(t *testing.T) { testCreateLookupPeek(t, f) })
+			t.Run("Pin", func(t *testing.T) { testPin(t, f) })
 			t.Run("Eviction", func(t *testing.T) { testEviction(t, f) })
 			t.Run("RecencyProtects", func(t *testing.T) { testRecencyProtects(t, f) })
 			t.Run("Paths", func(t *testing.T) { testPaths(t, f) })
@@ -115,20 +133,20 @@ func testCreateLookupPeek(t *testing.T, f factory) {
 	st := f.open(t, MemConfig{Shards: 4, Capacity: 64, New: newToy})
 	defer st.Close()
 
-	if _, ok := st.Lookup("a"); ok {
+	if _, ok := lookup(st, "a"); ok {
 		t.Fatal("Lookup on empty store reported a hit")
 	}
 	if _, ok := st.Peek("a"); ok {
 		t.Fatal("Peek on empty store reported a hit")
 	}
-	e := st.GetOrCreate("a")
+	e := getOrCreate(st, "a")
 	if e.Path() != "a" {
 		t.Fatalf("created entry path %q, want a", e.Path())
 	}
-	if again := st.GetOrCreate("a"); again != e {
+	if again := getOrCreate(st, "a"); again != e {
 		t.Fatal("second GetOrCreate returned a different entry")
 	}
-	got, ok := st.Lookup("a")
+	got, ok := lookup(st, "a")
 	if !ok || got != e {
 		t.Fatalf("Lookup(a) = %v, %v; want the created entry", got, ok)
 	}
@@ -146,12 +164,82 @@ func testCreateLookupPeek(t *testing.T, f factory) {
 	}
 }
 
+// testPin pins the access method's contract: a hit allocates nothing, a
+// miss without create holds nothing, and a Pin, with or without create,
+// marks the entry most recently used.
+func testPin(t *testing.T, f factory) {
+	st := f.open(t, MemConfig{Shards: 1, Capacity: 3, New: newToy})
+	defer st.Close()
+
+	// a is longer than the 32 bytes a conversion that does not escape gets
+	// on the stack, so a hit that copied the key would allocate.
+	a := []byte("a-path-name-longer-than-32-bytes!")
+	b, c, d, ghost := []byte("b"), []byte("c"), []byte("d"), []byte("ghost")
+	for _, p := range [][]byte{a, b, c} {
+		if _, ok := st.Pin(p, true); !ok {
+			t.Fatalf("Pin(%s, create) reported false", p)
+		}
+		st.Unpin()
+	}
+	for _, create := range []bool{false, true} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, ok := st.Pin(a, create); ok {
+				st.Unpin()
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("Pin hit (create %v) allocates %v objects, want 0", create, allocs)
+		}
+	}
+
+	if e, ok := st.Pin(ghost, false); ok || e != nil {
+		t.Fatalf("Pin(ghost) = %v, %v on a miss without create", e, ok)
+	}
+	done := make(chan bool, 1)
+	go func() {
+		_, ok := st.Pin(a, false)
+		if ok {
+			st.Unpin()
+		}
+		done <- ok
+	}()
+	select {
+	case ok := <-done:
+		if !ok {
+			t.Fatal("Pin(a) from another goroutine missed")
+		}
+	case <-time.After(5 * time.Second):
+		st.Unpin() // release what the missed Pin held, so Close can run
+		t.Fatal("a missed Pin left the store held: Pin from another goroutine blocked")
+	}
+
+	// Pin(c) without create, then Pin(a) with create on a hit, each
+	// moves the entry to the front; b is left least recently used.
+	for _, pin := range []struct {
+		path   []byte
+		create bool
+	}{{c, false}, {a, true}} {
+		if _, ok := st.Pin(pin.path, pin.create); !ok {
+			t.Fatalf("Pin(%s) missed", pin.path)
+		}
+		st.Unpin()
+		if got := st.Recent(1)[0].Path(); got != string(pin.path) {
+			t.Fatalf("most recent after Pin(%s, %v) = %s", pin.path, pin.create, got)
+		}
+	}
+	getOrCreate(st, string(d)) // evicts the least recently used entry
+	want := fmt.Sprint([]string{"c", string(a), "d"})
+	if got := fmt.Sprint(st.Paths()[st.Stats().ColdPaths:]); got != want {
+		t.Fatalf("hot paths after pinning c, a and inserting d = %s, want b evicted: %s", got, want)
+	}
+}
+
 func testEviction(t *testing.T, f factory) {
 	st := f.open(t, MemConfig{Shards: 1, Capacity: 3, New: newToy})
 	defer st.Close()
 
 	for _, p := range []string{"a", "b", "c", "d"} {
-		st.GetOrCreate(p)
+		getOrCreate(st, p)
 	}
 	if got := st.Evictions(); got != 1 {
 		t.Fatalf("Evictions = %d, want 1", got)
@@ -160,7 +248,7 @@ func testEviction(t *testing.T, f factory) {
 	if stats.HotPaths != 3 {
 		t.Fatalf("HotPaths = %d, want 3", stats.HotPaths)
 	}
-	_, ok := st.Lookup("a")
+	_, ok := lookup(st, "a")
 	if f.retainsEvicted {
 		if !ok {
 			t.Fatal("evicted entry lost by a retaining store")
@@ -182,14 +270,14 @@ func testRecencyProtects(t *testing.T, f factory) {
 	st := f.open(t, MemConfig{Shards: 1, Capacity: 3, New: newToy})
 	defer st.Close()
 
-	st.GetOrCreate("a")
-	st.GetOrCreate("b")
-	st.GetOrCreate("c")
+	getOrCreate(st, "a")
+	getOrCreate(st, "b")
+	getOrCreate(st, "c")
 	// Touch a: b becomes the LRU victim of the next insert.
-	if _, ok := st.Lookup("a"); !ok {
+	if _, ok := lookup(st, "a"); !ok {
 		t.Fatal("Lookup(a) missed")
 	}
-	st.GetOrCreate("d")
+	getOrCreate(st, "d")
 	hot := make(map[string]bool)
 	for _, e := range st.Recent(10) {
 		hot[e.Path()] = true
@@ -201,10 +289,10 @@ func testRecencyProtects(t *testing.T, f factory) {
 	// when c is the LRU. Rebuild the scenario to pin it down.
 	st2 := f.open(t, MemConfig{Shards: 1, Capacity: 2, New: newToy})
 	defer st2.Close()
-	st2.GetOrCreate("x")
-	st2.GetOrCreate("y")
+	getOrCreate(st2, "x")
+	getOrCreate(st2, "y")
 	st2.Peek("x") // no recency touch
-	st2.GetOrCreate("z")
+	getOrCreate(st2, "z")
 	hot2 := make(map[string]bool)
 	for _, e := range st2.Recent(10) {
 		hot2[e.Path()] = true
@@ -224,7 +312,7 @@ func testPaths(t *testing.T, f factory) {
 	want := map[string]bool{}
 	for i := 0; i < 8; i++ { // half spill (or vanish) past capacity 4
 		p := fmt.Sprintf("p%02d", i)
-		st.GetOrCreate(p)
+		getOrCreate(st, p)
 		want[p] = true
 	}
 	paths := st.Paths()
@@ -251,9 +339,9 @@ func testPaths(t *testing.T, f factory) {
 	lru := f.open(t, MemConfig{Shards: 1, Capacity: 3, New: newToy})
 	defer lru.Close()
 	for _, p := range []string{"a", "b", "c"} {
-		lru.GetOrCreate(p)
+		getOrCreate(lru, p)
 	}
-	lru.Lookup("a")
+	lookup(lru, "a")
 	if got := fmt.Sprint(lru.Paths()); got != "[b c a]" {
 		t.Fatalf("Paths after touching a = %s, want least recently used first [b c a]", got)
 	}
@@ -264,12 +352,12 @@ func testRecent(t *testing.T, f factory) {
 	defer st.Close()
 
 	for i := 0; i < 10; i++ {
-		st.GetOrCreate(fmt.Sprintf("p%d", i))
+		getOrCreate(st, fmt.Sprintf("p%d", i))
 	}
 	// Touch three in a known order; they must lead Recent, newest first.
-	st.Lookup("p2")
-	st.Lookup("p7")
-	st.Lookup("p4")
+	lookup(st, "p2")
+	lookup(st, "p7")
+	lookup(st, "p4")
 	recent := st.Recent(3)
 	if len(recent) != 3 {
 		t.Fatalf("Recent(3) returned %d entries", len(recent))
@@ -301,9 +389,9 @@ func testDelete(t *testing.T, f factory) {
 	}
 	// a, b fill the hot tier; c evicts a (to the cold tier on a retaining
 	// store, to oblivion otherwise).
-	st.GetOrCreate("a").(*toyEntry).add(1)
-	st.GetOrCreate("b").(*toyEntry).add(2)
-	st.GetOrCreate("c").(*toyEntry).add(3)
+	getOrCreate(st, "a").(*toyEntry).add(1)
+	getOrCreate(st, "b").(*toyEntry).add(2)
+	getOrCreate(st, "c").(*toyEntry).add(3)
 
 	// Hot delete.
 	if !st.Delete("b") {
@@ -320,7 +408,7 @@ func testDelete(t *testing.T, f factory) {
 		if !st.Delete("a") {
 			t.Fatal("Delete(a) missed a cold entry")
 		}
-		if _, ok := st.Lookup("a"); ok {
+		if _, ok := lookup(st, "a"); ok {
 			t.Fatal("deleted cold entry still reachable")
 		}
 		if st.Delete("a") {
@@ -332,7 +420,7 @@ func testDelete(t *testing.T, f factory) {
 		t.Fatalf("Len after deletes = %d, want %d", got, want)
 	}
 	// Deleted paths come back fresh, not with their old state.
-	if e := st.GetOrCreate("b").(*toyEntry); e.sum() != 0 {
+	if e := getOrCreate(st, "b").(*toyEntry); e.sum() != 0 {
 		t.Fatalf("recreated b carries old state (sum %v)", e.sum())
 	}
 	// A delete is not an eviction: the counter must not move.
@@ -354,7 +442,7 @@ func testSnapshotRoundTrip(t *testing.T, f factory) {
 	wantSum := map[string]float64{}
 	for i := 0; i < 8; i++ {
 		p := fmt.Sprintf("p%02d", i)
-		e := st.GetOrCreate(p).(*toyEntry)
+		e := getOrCreate(st, p).(*toyEntry)
 		for j := 0; j <= i; j++ {
 			e.add(float64(j + 1))
 		}
@@ -407,7 +495,7 @@ func testSnapshotRoundTrip(t *testing.T, f factory) {
 		if err != nil {
 			t.Fatalf("Decode(%s): %v", rec.Path(), err)
 		}
-		dst := fresh.GetOrCreate(rec.Path()).(*toyEntry)
+		dst := getOrCreate(fresh, rec.Path()).(*toyEntry)
 		for _, v := range e.(*toyEntry).vals {
 			dst.add(v)
 		}
@@ -438,7 +526,7 @@ func testLargePayload(t *testing.T, f factory) {
 	const vals = 40000 // ≳ 300 KiB of JSON per entry
 	want := map[string]float64{}
 	for _, p := range []string{"big-a", "big-b", "big-c", "big-d"} {
-		e := st.GetOrCreate(p).(*toyEntry)
+		e := getOrCreate(st, p).(*toyEntry)
 		for j := 0; j < vals; j++ {
 			e.add(float64(j%977) + 0.5)
 		}
@@ -447,7 +535,7 @@ func testLargePayload(t *testing.T, f factory) {
 	// Capacity 2 on one shard: two entries were evicted with their full
 	// payloads. A retaining store must fault them back intact.
 	for p, sum := range want {
-		e, ok := st.Lookup(p)
+		e, ok := lookup(st, p)
 		if !f.retainsEvicted {
 			continue
 		}
@@ -482,9 +570,9 @@ func testHammer(t *testing.T, f factory) {
 				p := fmt.Sprintf("path-%d", (g*7+i)%64)
 				switch i % 5 {
 				case 0, 1:
-					st.GetOrCreate(p).(*toyEntry).add(1)
+					getOrCreate(st, p).(*toyEntry).add(1)
 				case 2:
-					if e, ok := st.Lookup(p); ok {
+					if e, ok := lookup(st, p); ok {
 						e.(*toyEntry).add(1)
 					}
 				case 3:

@@ -103,92 +103,55 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-func fnv64aString(s string) uint64 {
+func fnv64a[K string | []byte](k K) uint64 {
 	h := uint64(fnvOffset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
+	for i := 0; i < len(k); i++ {
+		h ^= uint64(k[i])
 		h *= fnvPrime64
 	}
 	return h
 }
 
-func fnv64aBytes(b []byte) uint64 {
-	h := uint64(fnvOffset64)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= fnvPrime64
-	}
-	return h
+// shardFor returns the shard path hashes onto. It takes a string or a
+// byte-slice view of the path, so wire decoders that never materialize a
+// string hash the same way.
+func shardFor[K string | []byte](m *MemStore, path K) *shard {
+	return m.shards[fnv64a(path)&m.mask]
 }
 
-func (m *MemStore) shardFor(path string) *shard {
-	return m.shards[fnv64aString(path)&m.mask]
-}
-
-func (m *MemStore) shardForBytes(path []byte) *shard {
-	return m.shards[fnv64aBytes(path)&m.mask]
-}
-
-// GetOrCreate returns the entry for path, creating it (and possibly
-// evicting the shard's least-recently-used entry) if absent. The returned
-// entry is marked most recently used.
-func (m *MemStore) GetOrCreate(path string) Entry {
-	sh := m.shardFor(path)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if e, ok := sh.elems[path]; ok {
-		sh.lru.MoveToFront(e)
-		n := e.Value.(*memNode)
-		n.touch = m.touch.Add(1)
-		return n.e
-	}
-	entry := m.cfg.New(path)
-	m.putLocked(sh, path, entry)
-	return entry
-}
-
-// GetOrCreateBytes is GetOrCreate keyed by a byte-slice view of the
-// path, for wire decoders that never materialize a string: a hit costs
-// no allocation (the map lookup through string(path) is recognized by
-// the compiler), and only the miss path clones the key for insertion. The
-// slice is never retained.
-func (m *MemStore) GetOrCreateBytes(path []byte) Entry {
-	sh := m.shardForBytes(path)
+// Pin returns the entry for path, marking it most recently used; with
+// create set an absent path gets a fresh entry (possibly evicting the
+// shard's least-recently-used one). A hit costs no allocation (the map
+// lookup through string(path) is recognized by the compiler), and only an
+// insertion clones the key. The slice is never retained.
+func (m *MemStore) Pin(path []byte, create bool) (Entry, bool) {
+	sh := shardFor(m, path)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if e, ok := sh.elems[string(path)]; ok {
 		sh.lru.MoveToFront(e)
 		n := e.Value.(*memNode)
 		n.touch = m.touch.Add(1)
-		return n.e
+		return n.e, true
+	}
+	if !create {
+		return nil, false
 	}
 	key := string(path)
 	entry := m.cfg.New(key)
 	m.putLocked(sh, key, entry)
-	return entry
+	return entry, true
 }
 
-// LookupBytes is Lookup keyed by a byte-slice view of the path; a hit
-// costs no allocation.
-func (m *MemStore) LookupBytes(path []byte) (Entry, bool) {
-	sh := m.shardForBytes(path)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := sh.elems[string(path)]
-	if !ok {
-		return nil, false
-	}
-	sh.lru.MoveToFront(e)
-	n := e.Value.(*memNode)
-	n.touch = m.touch.Add(1)
-	return n.e, true
-}
+// Unpin does nothing: an entry the MemStore evicts is dropped, not
+// copied, so there is no copy an update made after Pin could miss.
+func (m *MemStore) Unpin() {}
 
 // put inserts (or replaces) path's entry as most recently used, evicting
 // as needed — how SpillStore promotes a faulted-in entry back to the hot
 // tier.
 func (m *MemStore) put(path string, e Entry) {
-	sh := m.shardFor(path)
+	sh := shardFor(m, path)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if old, ok := sh.elems[path]; ok {
@@ -215,26 +178,10 @@ func (m *MemStore) putLocked(sh *shard, path string, e Entry) {
 	sh.elems[path] = sh.lru.PushFront(&memNode{e: e, touch: m.touch.Add(1)})
 }
 
-// Lookup returns the entry for path if present, marking it most recently
-// used.
-func (m *MemStore) Lookup(path string) (Entry, bool) {
-	sh := m.shardFor(path)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := sh.elems[path]
-	if !ok {
-		return nil, false
-	}
-	sh.lru.MoveToFront(e)
-	n := e.Value.(*memNode)
-	n.touch = m.touch.Add(1)
-	return n.e, true
-}
-
 // Peek returns the entry for path without touching recency (shared lock
 // only) — for stats.
 func (m *MemStore) Peek(path string) (Entry, bool) {
-	sh := m.shardFor(path)
+	sh := shardFor(m, path)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	e, ok := sh.elems[path]
@@ -248,7 +195,7 @@ func (m *MemStore) Peek(path string) (Entry, bool) {
 // evict hook does not run: a delete relinquishes the entry (shard
 // handoff), it does not demote it.
 func (m *MemStore) Delete(path string) bool {
-	sh := m.shardFor(path)
+	sh := shardFor(m, path)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	e, ok := sh.elems[path]

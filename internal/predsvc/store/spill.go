@@ -117,9 +117,8 @@ func (s *SpillStore) spill(e Entry) {
 
 // Interface conformance, checked at compile time.
 var (
-	_ Store  = (*MemStore)(nil)
-	_ Store  = (*SpillStore)(nil)
-	_ Pinner = (*SpillStore)(nil)
+	_ Store = (*MemStore)(nil)
+	_ Store = (*SpillStore)(nil)
 )
 
 // dropCold forgets path's cold record, accounting its bytes as dead.
@@ -168,32 +167,15 @@ func (s *SpillStore) faultIn(path string, ref recordRef, promote bool) (Entry, b
 	return e, true
 }
 
-// GetOrCreate returns the entry for path: hot hit, cold fault-in
-// (promoting it back to the hot tier, possibly spilling another entry),
-// or a fresh entry.
-func (s *SpillStore) GetOrCreate(path string) Entry {
-	e, _ := s.Pin([]byte(path), true)
-	s.Unpin()
-	return e
-}
-
-// Lookup returns the entry for path if present in either tier, promoting
-// a cold entry back to the hot tier.
-func (s *SpillStore) Lookup(path string) (Entry, bool) {
-	e, ok := s.Pin([]byte(path), false)
-	if ok {
-		s.Unpin()
-	}
-	return e, ok
-}
-
-// Pin implements Pinner by holding the store mutex until Unpin: every
+// Pin returns the entry for path: a hot hit, a cold fault-in (promoting
+// it back to the hot tier, possibly spilling another entry), or with
+// create set a fresh entry. It holds the store mutex until Unpin: every
 // eviction happens under it, so nothing can be spilled meanwhile. A
 // hot-tier hit costs no allocation; the cold and create paths clone the
 // key (they do I/O or construct an entry anyway).
 func (s *SpillStore) Pin(path []byte, create bool) (Entry, bool) {
 	s.mu.Lock()
-	if e, ok := s.hot.LookupBytes(path); ok {
+	if e, ok := s.hot.Pin(path, false); ok {
 		return e, true
 	}
 	if ref, ok := s.cold[string(path)]; ok {
@@ -204,7 +186,7 @@ func (s *SpillStore) Pin(path []byte, create bool) (Entry, bool) {
 		}
 	}
 	if create {
-		return s.hot.GetOrCreate(string(path)), true
+		return s.hot.Pin(path, true)
 	}
 	s.mu.Unlock()
 	return nil, false

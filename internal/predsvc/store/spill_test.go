@@ -30,7 +30,7 @@ func TestSpillHoldsManyPathsBoundedHot(t *testing.T) {
 	s, _ := openSpillT(t, MemConfig{Shards: 4, Capacity: hotCap, New: newToy}, 0)
 
 	for i := 0; i < paths; i++ {
-		e := s.GetOrCreate(fmt.Sprintf("path-%06d", i)).(*toyEntry)
+		e := getOrCreate(s, fmt.Sprintf("path-%06d", i)).(*toyEntry)
 		e.add(float64(i))
 	}
 	if got := s.Len(); got != paths {
@@ -49,7 +49,7 @@ func TestSpillHoldsManyPathsBoundedHot(t *testing.T) {
 	// Old cold paths fault back with their state intact.
 	for _, i := range []int{0, 1, 137, 5_000, 50_000, paths - 1} {
 		p := fmt.Sprintf("path-%06d", i)
-		e, ok := s.Lookup(p)
+		e, ok := lookup(s, p)
 		if !ok {
 			t.Fatalf("Lookup(%s) missed", p)
 		}
@@ -67,14 +67,14 @@ func TestSpillHoldsManyPathsBoundedHot(t *testing.T) {
 func TestSpillFaultPreservesState(t *testing.T) {
 	s, _ := openSpillT(t, MemConfig{Shards: 1, Capacity: 1, New: newToy}, 0)
 
-	a := s.GetOrCreate("a").(*toyEntry)
+	a := getOrCreate(s, "a").(*toyEntry)
 	a.add(3)
 	a.add(4)
-	s.GetOrCreate("b") // evicts + spills a
+	getOrCreate(s, "b") // evicts + spills a
 	if st := s.Stats(); st.Spills != 1 || st.ColdPaths != 1 {
 		t.Fatalf("after eviction: %+v, want 1 spill / 1 cold", st)
 	}
-	back, ok := s.Lookup("a")
+	back, ok := lookup(s, "a")
 	if !ok {
 		t.Fatal("cold entry not found")
 	}
@@ -85,7 +85,7 @@ func TestSpillFaultPreservesState(t *testing.T) {
 		t.Fatalf("Faults = %d, want 1", st.Faults)
 	}
 	// The promotion evicted b; a is hot again and must not re-fault.
-	if _, ok := s.Lookup("a"); !ok {
+	if _, ok := lookup(s, "a"); !ok {
 		t.Fatal("promoted entry lost")
 	}
 	if st := s.Stats(); st.Faults != 1 {
@@ -106,7 +106,7 @@ func TestSpillPin(t *testing.T) {
 	}
 	e.(*toyEntry).add(5)
 	s.Unpin()
-	s.GetOrCreate("b") // spills a
+	getOrCreate(s, "b") // spills a
 	e, ok = s.Pin([]byte("a"), false)
 	if !ok || e.(*toyEntry).sum() != 5 {
 		t.Fatalf("Pin of a cold entry = %v, %v; want it faulted in with sum 5", e, ok)
@@ -114,7 +114,7 @@ func TestSpillPin(t *testing.T) {
 	// While a is pinned no other operation can run, so none can evict it.
 	done := make(chan struct{})
 	go func() {
-		s.GetOrCreate("c")
+		getOrCreate(s, "c")
 		close(done)
 	}()
 	select {
@@ -134,9 +134,9 @@ func TestSpillPin(t *testing.T) {
 func TestSpillCorruptRecordDropped(t *testing.T) {
 	s, dir := openSpillT(t, MemConfig{Shards: 1, Capacity: 1, New: newToy}, 0)
 
-	a := s.GetOrCreate("aa").(*toyEntry)
+	a := getOrCreate(s, "aa").(*toyEntry)
 	a.add(42)
-	s.GetOrCreate("bb") // spills aa at offset 0
+	getOrCreate(s, "bb") // spills aa at offset 0
 
 	// Flip a byte inside the record payload (past the 8-byte header).
 	log := filepath.Join(dir, spillLogName)
@@ -149,14 +149,14 @@ func TestSpillCorruptRecordDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, ok := s.Lookup("aa"); ok {
+	if _, ok := lookup(s, "aa"); ok {
 		t.Fatal("corrupt record served as a live entry")
 	}
 	if st := s.Stats(); st.Errors != 1 || st.ColdPaths != 0 {
 		t.Fatalf("after corrupt fault-in: %+v, want 1 error / 0 cold", st)
 	}
 	// The path starts over fresh rather than carrying garbage.
-	if got := s.GetOrCreate("aa").(*toyEntry).sum(); got != 0 {
+	if got := getOrCreate(s, "aa").(*toyEntry).sum(); got != 0 {
 		t.Fatalf("recreated entry sum = %v, want 0 (fresh)", got)
 	}
 }
@@ -169,15 +169,15 @@ func TestSpillCompaction(t *testing.T) {
 
 	// A large record for a (spilled, then promoted → dead), a small one
 	// for b: dead > live and past the 1-byte floor triggers compaction.
-	a := s.GetOrCreate("a").(*toyEntry)
+	a := getOrCreate(s, "a").(*toyEntry)
 	for i := 0; i < 64; i++ {
 		a.add(float64(i))
 	}
-	s.GetOrCreate("b") // spills big a
+	getOrCreate(s, "b") // spills big a
 	if s.deadBytes != 0 {
 		t.Fatalf("deadBytes = %d before any promotion", s.deadBytes)
 	}
-	if _, ok := s.Lookup("a"); !ok { // promotes a (dead bytes), spills b
+	if _, ok := lookup(s, "a"); !ok { // promotes a (dead bytes), spills b
 		t.Fatal("Lookup(a) missed")
 	}
 	s.mu.Lock()
@@ -190,7 +190,7 @@ func TestSpillCompaction(t *testing.T) {
 		t.Fatalf("compacted log offset %d != live bytes %d", off, live)
 	}
 	// b survived compaction with its record intact.
-	if _, ok := s.Lookup("b"); !ok {
+	if _, ok := lookup(s, "b"); !ok {
 		t.Fatal("b lost in compaction")
 	}
 	if st := s.Stats(); st.Errors != 0 {

@@ -51,16 +51,24 @@ type TierStats struct {
 }
 
 // Store is the session-storage contract the prediction service builds on.
-// All methods are goroutine-safe. Recency: GetOrCreate and Lookup mark
-// the entry most recently used; Peek and Record never touch recency.
+// All methods are goroutine-safe. Recency: Pin marks the entry most
+// recently used; Peek and Record never touch recency.
 type Store interface {
-	// GetOrCreate returns the entry for path, creating it (possibly
-	// evicting another) when absent anywhere in the store.
-	GetOrCreate(path string) Entry
-	// Lookup returns the entry for path if present, marking it most
-	// recently used. A SpillStore promotes a cold entry back to the hot
-	// tier here.
-	Lookup(path string) (Entry, bool)
+	// Pin returns the entry for path, a byte-slice view the store never
+	// retains, and marks it most recently used; a SpillStore promotes a
+	// cold entry back to the hot tier here. With create set an absent path
+	// gets a fresh entry (possibly evicting another); otherwise Pin
+	// reports false. A hot-tier hit costs no allocation.
+	//
+	// Until the paired Unpin no update made to the returned entry can be
+	// lost to an eviction: a SpillStore holds every entry resident, and a
+	// MemStore drops what it evicts, so it has no copy that could go
+	// stale. When Pin reports false nothing is pinned and Unpin must not
+	// be called. The caller must not call back into the store while an
+	// entry is pinned.
+	Pin(path []byte, create bool) (Entry, bool)
+	// Unpin releases the entry the last successful Pin returned.
+	Unpin()
 	// Peek returns the entry for path without touching recency — for
 	// stats. A SpillStore serves cold entries as transient decoded copies:
 	// reads are accurate, mutations are lost.
@@ -99,19 +107,6 @@ type Store interface {
 	Stats() TierStats
 	// Close releases disk resources. The store must not be used after.
 	Close() error
-}
-
-// Pinner is the optional interface of stores that can evict an entry
-// after GetOrCreate has returned it and before the caller is done with it:
-// on a SpillStore an update made to the evicted copy is lost, because the
-// log already holds the entry as it was. Pin resolves a byte-slice view of
-// path like Lookup, or like GetOrCreate when create is set, and holds
-// every entry resident until the paired Unpin. When it reports false
-// nothing is pinned and Unpin must not be called. The caller must not call
-// back into the store while an entry is pinned.
-type Pinner interface {
-	Pin(path []byte, create bool) (Entry, bool)
-	Unpin()
 }
 
 // nextPow2 returns the smallest power of two ≥ n (n ≥ 1).

@@ -473,7 +473,7 @@ func (r *Server) handlePredictBatchFast(w http.ResponseWriter, req *http.Request
 	d := &wc.dec
 	d.Reset(wc.body)
 	// Pass 1: validate and count (see handleObserveBatchFast).
-	count, arrStart := 0, -1
+	count, arrStart, arrays := 0, -1, 0
 	err := d.Object(func(key []byte) error {
 		if !fastjson.KeyMatches(key, "paths") {
 			return d.Skip()
@@ -490,7 +490,7 @@ func (r *Server) handlePredictBatchFast(w http.ResponseWriter, req *http.Request
 		}); err != nil {
 			return err
 		}
-		count, arrStart = n, start
+		count, arrStart, arrays = n, start, arrays+1
 		return nil
 	})
 	if err != nil {
@@ -505,7 +505,44 @@ func (r *Server) handlePredictBatchFast(w http.ResponseWriter, req *http.Request
 	e.raw(`{"predictions":`)
 	npred, nmiss := 0, 0
 	wc.miss = wc.miss[:0]
-	if arrStart >= 0 {
+	predict := func(path []byte) {
+		if !r.reg.WithBytes(path, false, func(s *Session) { s.PredictInto(&wc.pred, &wc.fb) }) {
+			if nmiss > 0 {
+				wc.miss = append(wc.miss, ',')
+			}
+			wc.miss = fastjson.AppendStringBytes(wc.miss, path)
+			nmiss++
+			return
+		}
+		r.metrics.predictions.Add(1)
+		p := &wc.pred
+		if p.FB != nil && p.FB.Stale {
+			r.metrics.stalePredictions.Add(1)
+		}
+		if p.Family != "" {
+			r.metrics.recordSelection(p.Family)
+		}
+		if npred == 0 {
+			e.raw("[")
+		} else {
+			e.raw(",")
+		}
+		appendPrediction(&e, p)
+		npred++
+	}
+	if arrays > 1 {
+		// encoding/json decodes a repeated paths array into the slice the
+		// one before left, so a null keeps the path at its index there
+		// (see handleObserveBatchFast). Only json itself gives the same
+		// paths.
+		var body PredictBatchRequest
+		if err := json.NewDecoder(bytes.NewReader(wc.body)).Decode(&body); err != nil {
+			return writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		}
+		for _, path := range body.Paths {
+			predict([]byte(path))
+		}
+	} else if arrStart >= 0 {
 		d.Seek(arrStart)
 		if err := d.Array(func() error {
 			wc.path = wc.path[:0]
@@ -516,29 +553,7 @@ func (r *Server) handlePredictBatchFast(w http.ResponseWriter, req *http.Request
 				}
 				wc.setPath(s)
 			}
-			if !r.reg.WithBytes(wc.path, false, func(s *Session) { s.PredictInto(&wc.pred, &wc.fb) }) {
-				if nmiss > 0 {
-					wc.miss = append(wc.miss, ',')
-				}
-				wc.miss = fastjson.AppendStringBytes(wc.miss, wc.path)
-				nmiss++
-				return nil
-			}
-			r.metrics.predictions.Add(1)
-			p := &wc.pred
-			if p.FB != nil && p.FB.Stale {
-				r.metrics.stalePredictions.Add(1)
-			}
-			if p.Family != "" {
-				r.metrics.recordSelection(p.Family)
-			}
-			if npred == 0 {
-				e.raw("[")
-			} else {
-				e.raw(",")
-			}
-			appendPrediction(&e, p)
-			npred++
+			predict(wc.path)
 			return nil
 		}); err != nil {
 			return writeError(w, http.StatusBadRequest, "bad request body: %v", err)

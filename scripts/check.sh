@@ -26,12 +26,12 @@ go test -race -short ./...
 
 # Fuzzing: the record-stream reader (the one framing of the spill log,
 # snapshot files and handoff bodies), the record-payload decoder and the
-# observe-batch request decoder must never panic on untrusted bytes; the
-# reader must never hand out a record past its cap and must re-write what
-# it accepts byte for byte, the payload decoder must re-encode what it
-# accepts to a fixed point, and the request decoder must accept, and
-# count, exactly what encoding/json does. Every `go test`
-# replays the committed corpora (testdata/fuzz in internal/predsvc/store
+# observe-batch and predict-batch request decoders must never panic on
+# untrusted bytes; the reader must never hand out a record past its cap
+# and must re-write what it accepts byte for byte, the payload decoder
+# must re-encode what it accepts to a fixed point, and the request
+# decoders must accept, and apply, exactly what encoding/json does. Every
+# `go test` replays the committed corpora (testdata/fuzz in internal/predsvc/store
 # and internal/predsvc); these steps search for new inputs, and a failure
 # they find is written into that corpus.
 echo "==> fuzz FuzzRecordStream (10s)"
@@ -40,6 +40,8 @@ echo "==> fuzz FuzzPathSnapshotRestore (10s)"
 go test ./internal/predsvc -run '^$' -fuzz '^FuzzPathSnapshotRestore$' -fuzztime 10s -fuzzminimizetime 2s
 echo "==> fuzz FuzzObserveBatch (10s)"
 go test ./internal/predsvc -run '^$' -fuzz '^FuzzObserveBatch$' -fuzztime 10s -fuzzminimizetime 2s
+echo "==> fuzz FuzzPredictBatch (10s)"
+go test ./internal/predsvc -run '^$' -fuzz '^FuzzPredictBatch$' -fuzztime 10s -fuzzminimizetime 2s
 
 # The benchmark harness is its own module and is not part of ./...: its
 # unit tests also compile it against the predsvc API it drives.

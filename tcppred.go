@@ -21,10 +21,11 @@
 // isolation and progress observers, and NewPredictionServer embeds the
 // online prediction service.
 //
-// The facade carries what the programs under examples/ and cmd/ name and
-// nothing more. The paper's figure set lives in cmd/ronsim and cmd/repro;
-// the service's cluster, storage tiers and telemetry are run through
-// cmd/predserverd, cmd/predload and cmd/predctl.
+// The facade carries only what the programs under examples/ and cmd/ and
+// the root package's tests name, plus the types its functions return. The
+// paper's figure set lives in cmd/ronsim and cmd/repro; the service's
+// cluster, storage tiers and telemetry are run through cmd/predserverd,
+// cmd/predload and cmd/predctl.
 package tcppred
 
 import (
