@@ -43,6 +43,7 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
+	"time"
 
 	"repro/internal/predict"
 	"repro/internal/predsvc"
@@ -127,7 +128,7 @@ func main() {
 	fmt.Println(rep)
 	if *chaosMode {
 		for _, n := range nodes {
-			reportServerResilience(n)
+			reportServerResilience(ctx, n)
 		}
 	}
 	if rep.Errors > 0 {
@@ -143,10 +144,17 @@ func normalizeURL(s string) string {
 	return s
 }
 
-// fetchStats reads one node's /v1/stats.
-func fetchStats(base string) (predsvc.StatsResponse, error) {
+// fetchStats reads one node's /v1/stats. A wedged node gets 5 s, as in
+// predctl, before the fetch gives up.
+func fetchStats(ctx context.Context, base string) (predsvc.StatsResponse, error) {
 	var st predsvc.StatsResponse
-	resp, err := http.Get(base + "/v1/stats")
+	ctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/stats", nil)
+	if err != nil {
+		return st, err
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return st, err
 	}
@@ -160,8 +168,8 @@ func fetchStats(base string) (predsvc.StatsResponse, error) {
 // reportServerResilience prints the daemon's resilience counters after a
 // chaos run — the acceptance signal that the injected faults were absorbed
 // (panics recovered, load shed, snapshot writes retried) without a crash.
-func reportServerResilience(base string) {
-	st, err := fetchStats(base)
+func reportServerResilience(ctx context.Context, base string) {
+	st, err := fetchStats(ctx, base)
 	if err != nil {
 		log.Printf("predload: could not fetch server stats after chaos run: %v", err)
 		return

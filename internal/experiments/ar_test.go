@@ -125,8 +125,8 @@ func TestHybridStartsAsFB(t *testing.T) {
 	if h.Predict(in) != fb.Predict(in) {
 		t.Error("untrained hybrid must equal pure FB")
 	}
-	if h.Bias() != 1 {
-		t.Errorf("untrained bias %v, want 1", h.Bias())
+	if h.n != 0 || h.logBias != 0 {
+		t.Errorf("untrained hybrid holds a bias: n=%d log-bias %v", h.n, h.logBias)
 	}
 }
 
@@ -143,8 +143,8 @@ func TestHybridLearnsBias(t *testing.T) {
 	if math.Abs(corrected-raw/2) > raw*0.05 {
 		t.Errorf("hybrid after training = %v, want ≈%v", corrected, raw/2)
 	}
-	if h.Samples() != 10 {
-		t.Errorf("samples = %d", h.Samples())
+	if h.n != 10 {
+		t.Errorf("samples = %d", h.n)
 	}
 }
 
@@ -156,26 +156,15 @@ func TestHybridBiasClamped(t *testing.T) {
 		h.Predict(in)
 		h.Observe(raw * 1e6) // absurd outcome
 	}
-	if h.Bias() > math.Exp(3)+1e-9 {
-		t.Errorf("bias %v exceeds clamp e³", h.Bias())
-	}
-}
-
-func TestHybridReset(t *testing.T) {
-	h := newHybrid(predict.FBConfig{}, 0.5)
-	in := predict.FBInputs{RTT: 0.1, LossRate: 0.01}
-	h.Predict(in)
-	h.Observe(1e6)
-	h.Reset()
-	if h.Bias() != 1 || h.Samples() != 0 {
-		t.Error("reset did not clear bias")
+	if h.logBias > 3+1e-9 {
+		t.Errorf("bias %v exceeds clamp e³", math.Exp(h.logBias))
 	}
 }
 
 func TestHybridIgnoresObserveWithoutPredict(t *testing.T) {
 	h := newHybrid(predict.FBConfig{}, 0.5)
 	h.Observe(5e6)
-	if h.Samples() != 0 {
+	if h.n != 0 {
 		t.Error("observe without a preceding predict should be ignored")
 	}
 }

@@ -84,15 +84,13 @@ type FBSource int
 
 // FB input sources.
 const (
-	SourcePre      FBSource = iota // T̂, p̂, Â — measured before the flow (Eq. 3)
-	SourceDuring                   // T̃, p̃ — periodic probing during the flow (§4.2.3)
-	SourceFlow                     // T, p — what the flow itself experienced
-	SourceFlowCER                  // T, p′ — flow RTT and congestion-event rate
-	SourceSmoothed                 // MA(10)-smoothed T̂, p̂ (§4.2.10)
+	SourcePre     FBSource = iota // T̂, p̂, Â — measured before the flow (Eq. 3)
+	SourceDuring                  // T̃, p̃ — periodic probing during the flow (§4.2.3)
+	SourceFlow                    // T, p — what the flow itself experienced
+	SourceFlowCER                 // T, p′ — flow RTT and congestion-event rate
 )
 
-// fbInputs extracts the inputs for a record. For SourceSmoothed the caller
-// must provide pre-smoothed values via the history maps.
+// fbInputs extracts the inputs for a record.
 func fbInputs(rec testbed.EpochRecord, src FBSource) predict.FBInputs {
 	switch src {
 	case SourceDuring:

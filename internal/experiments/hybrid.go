@@ -71,24 +71,6 @@ func (h *hybrid) Observe(actualBps float64) {
 	h.n++
 }
 
-// Reset clears the learned bias.
-func (h *hybrid) Reset() {
-	h.logBias = 0
-	h.n = 0
-	h.havePred = false
-}
-
-// Bias returns the current multiplicative correction (1.0 when untrained).
-func (h *hybrid) Bias() float64 {
-	if h.n == 0 {
-		return 1
-	}
-	return math.Exp(h.logBias)
-}
-
-// Samples returns how many observations trained the bias.
-func (h *hybrid) Samples() int { return h.n }
-
 // clampedLog is ln x clamped to [-3, 3], keeping the bias in a sane band:
 // the correction should fix model bias, not substitute for the model
 // entirely.

@@ -30,7 +30,8 @@ func TestZooLoopServesWhatSessionServes(t *testing.T) {
 			families, _ := replayZoo(tr, func(k int, v predict.View, actual float64) {
 				rec := tr.Records[k]
 				sess.SetMeasurement(predict.FBInputs{RTT: rec.PreRTT, LossRate: rec.PreLoss, AvailBw: rec.AvailBw})
-				p := sess.Predict()
+				var p predsvc.Prediction
+				sess.PredictInto(&p, &predsvc.FBState{})
 				if len(p.Families) != len(v.Families) {
 					t.Fatalf("session serves %d families, the zoo loop runs %d", len(p.Families), len(v.Families))
 				}
@@ -50,7 +51,9 @@ func TestZooLoopServesWhatSessionServes(t *testing.T) {
 			if n := int(sess.Observations()); n != len(tr.Records) || n < 20 {
 				t.Fatalf("%s %s: compared %d epochs of a %d-epoch trace", file, tr.Path, n, len(tr.Records))
 			}
-			for i, got := range sess.Predict().Families {
+			var p predsvc.Prediction
+			sess.PredictInto(&p, &predsvc.FBState{})
+			for i, got := range p.Families {
 				want := stats.RMSRE(families[i].errs)
 				if got.ErrorCount != len(families[i].errs) || math.Float64bits(got.RMSRE) != math.Float64bits(want) {
 					t.Errorf("%s %s, %s: session serves rmsre %v over %d errors, the zoo loop scores %v over %d",

@@ -120,30 +120,6 @@ func (in *Injector) Check(site string) error {
 	return err
 }
 
-// Fires returns the total number of fires recorded at site.
-func (in *Injector) Fires(site string) uint64 {
-	if in == nil {
-		return 0
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	var n uint64
-	for _, rs := range in.sites[site] {
-		n += rs.fires
-	}
-	return n
-}
-
-// Calls returns the number of Check evaluations recorded at site.
-func (in *Injector) Calls(site string) uint64 {
-	if in == nil {
-		return 0
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.calls[site]
-}
-
 // Stats returns per-site counters for every site that has rules or has
 // been evaluated, keyed by site name.
 func (in *Injector) Stats() map[string]SiteStats {

@@ -12,7 +12,7 @@ func TestNilInjectorIsInert(t *testing.T) {
 	if err := in.Check("anything"); err != nil {
 		t.Errorf("nil injector Check = %v, want nil", err)
 	}
-	if in.Fires("x") != 0 || in.Calls("x") != 0 || in.Stats() != nil {
+	if in.Stats() != nil {
 		t.Error("nil injector reported activity")
 	}
 }
@@ -28,8 +28,8 @@ func TestEveryCadence(t *testing.T) {
 	if fires != 3 {
 		t.Errorf("Every:3 over 9 calls fired %d times, want 3", fires)
 	}
-	if in.Fires("s") != 3 || in.Calls("s") != 9 {
-		t.Errorf("counters: fires %d calls %d, want 3/9", in.Fires("s"), in.Calls("s"))
+	if st := in.Stats()["s"]; st.Fires != 3 || st.Calls != 9 {
+		t.Errorf("counters: fires %d calls %d, want 3/9", st.Fires, st.Calls)
 	}
 }
 
@@ -61,7 +61,7 @@ func TestProbabilityDeterministicInAggregate(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		return in.Fires("s")
+		return in.Stats()["s"].Fires
 	}
 	f1, f2 := run(), run()
 	if f1 != f2 {

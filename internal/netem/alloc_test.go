@@ -113,29 +113,28 @@ func TestDelayReceiverAllocFree(t *testing.T) {
 func TestSourcesAllocFree(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
-		start func(eng *sim.Engine, out Receiver) Source
+		start func(eng *sim.Engine, out Receiver)
 	}{
-		{"poisson", func(eng *sim.Engine, out Receiver) Source {
-			return NewPoissonSource(eng, sim.NewRNG(6), 11, 4e6, 1000, nil, out)
+		{"poisson", func(eng *sim.Engine, out Receiver) {
+			NewPoissonSource(eng, sim.NewRNG(6), 11, 4e6, 1000, nil, out).Start()
 		}},
-		{"pareto", func(eng *sim.Engine, out Receiver) Source {
-			return NewParetoOnOffSource(eng, sim.NewRNG(6), 12, 8e6, 1000, 0.05, 0.05, 1.5, nil, out)
+		{"pareto", func(eng *sim.Engine, out Receiver) {
+			NewParetoOnOffSource(eng, sim.NewRNG(6), 12, 8e6, 1000, 0.05, 0.05, 1.5, nil, out).Start()
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := sim.NewEngine()
 			p := NewPath(eng, sim.NewRNG(5), onePathHop())
-			src := tc.start(eng, p.Fwd[0])
-			src.Start()
+			tc.start(eng, p.Fwd[0])
 			eng.RunUntil(5) // warm-up
-			before := src.BytesSent()
+			before := p.Fwd[0].Stats().Arrivals
 			// Each run is one simulated second: hundreds of packets and,
 			// for Pareto, several ON/OFF cycles.
 			got := testing.AllocsPerRun(20, func() { eng.RunUntil(eng.Now() + 1) })
 			if got != 0 {
 				t.Errorf("%v allocs per simulated second of cross traffic, want 0", got)
 			}
-			if sent := (src.BytesSent() - before) / 1000; sent < 2000 {
+			if sent := p.Fwd[0].Stats().Arrivals - before; sent < 2000 {
 				t.Errorf("only %d packets emitted while measuring", sent)
 			}
 		})

@@ -149,9 +149,6 @@ func (lp *LoadProcess) At(t float64) float64 {
 	return v
 }
 
-// Segments returns the number of piecewise segments (for tests).
-func (lp *LoadProcess) Segments() int { return len(lp.segs) }
-
 func clamp(v, lo, hi float64) float64 {
 	if v < lo {
 		return lo

@@ -77,7 +77,3 @@ type ReceiverFunc func(pkt *Packet)
 
 // Receive implements Receiver.
 func (f ReceiverFunc) Receive(pkt *Packet) { f(pkt) }
-
-// Drop is a Receiver that discards everything, for terminating chains in
-// tests.
-var Drop Receiver = ReceiverFunc(func(*Packet) {})

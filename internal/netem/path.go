@@ -100,17 +100,6 @@ func (p *Path) Bottleneck() *Queue {
 	return best
 }
 
-// BottleneckIndex returns the index of Bottleneck within Fwd.
-func (p *Path) BottleneckIndex() int {
-	idx := 0
-	for i, q := range p.Fwd {
-		if q.CapacityBps < p.Fwd[idx].CapacityBps {
-			idx = i
-		}
-	}
-	return idx
-}
-
 // BaseRTT returns the two-way propagation plus per-hop transmission delay
 // for a packet of the given size, with empty queues.
 func (p *Path) BaseRTT(size int) float64 {
@@ -133,21 +122,13 @@ type Endpoint struct {
 	out      Receiver
 	pool     *PacketPool
 	handlers map[FlowID]Receiver
-	fallback Receiver
-	// fallbackIsDrop tracks whether fallback is the default discard sink.
-	// Receiver values are not comparable (they may be func types), so a
-	// flag — not an interface comparison — gates the pool release of
-	// packets for unregistered flows.
-	fallbackIsDrop bool
 }
 
 func newEndpoint(eng *sim.Engine, name string) *Endpoint {
 	return &Endpoint{
-		Name:           name,
-		eng:            eng,
-		handlers:       make(map[FlowID]Receiver),
-		fallback:       Drop,
-		fallbackIsDrop: true,
+		Name:     name,
+		eng:      eng,
+		handlers: make(map[FlowID]Receiver),
 	}
 }
 
@@ -186,30 +167,15 @@ func (ep *Endpoint) Handler(flow FlowID) Receiver {
 	return ep.handlers[flow]
 }
 
-// SetFallback installs the handler for packets whose flow is unregistered.
-// A custom fallback takes ownership of the packets it receives; passing nil
-// restores the default discard sink, which recycles them.
-func (ep *Endpoint) SetFallback(h Receiver) {
-	ep.fallbackIsDrop = h == nil
-	if h == nil {
-		h = Drop
-	}
-	ep.fallback = h
-}
-
 // Receive implements Receiver by dispatching on the packet's flow.
 func (ep *Endpoint) Receive(pkt *Packet) {
 	if h, ok := ep.handlers[pkt.Flow]; ok {
 		h.Receive(pkt)
 		return
 	}
-	if ep.fallbackIsDrop {
-		// Unregistered flow, default sink: the demux is the terminal
-		// consumer, so it recycles the packet instead of leaking it to GC.
-		ep.pool.Put(pkt)
-		return
-	}
-	ep.fallback.Receive(pkt)
+	// Unregistered flow: the demux is the terminal consumer, so it
+	// recycles the packet instead of leaking it to GC.
+	ep.pool.Put(pkt)
 }
 
 // DelayReceiver forwards packets to Next after a fixed extra delay. It is

@@ -45,8 +45,8 @@ func TestPathBottleneck(t *testing.T) {
 	if p.Bottleneck().CapacityBps != 2e6 {
 		t.Errorf("bottleneck capacity %v, want 2e6", p.Bottleneck().CapacityBps)
 	}
-	if p.BottleneckIndex() != 1 {
-		t.Errorf("bottleneck index %d, want 1", p.BottleneckIndex())
+	if p.Bottleneck() != p.Fwd[1] {
+		t.Error("bottleneck is not the second forward hop")
 	}
 }
 
@@ -77,15 +77,22 @@ func TestPathMeasuredRTTMatchesBaseRTT(t *testing.T) {
 	}
 }
 
+// TestEndpointFallback: a packet for an unregistered flow reaches no
+// other flow's handler and goes back to the path's pool.
 func TestEndpointFallback(t *testing.T) {
 	eng := sim.NewEngine()
 	p := NewPath(eng, sim.NewRNG(1), twoHopSpec())
-	var fallback int
-	p.B.SetFallback(ReceiverFunc(func(*Packet) { fallback++ }))
-	p.A.Send(&Packet{Flow: 99, Size: 100})
+	var other int
+	p.B.Register(5, ReceiverFunc(func(*Packet) { other++ }))
+	pkt := p.A.NewPacket()
+	pkt.Flow, pkt.Size = 99, 100
+	p.A.Send(pkt)
 	eng.Run()
-	if fallback != 1 {
-		t.Errorf("fallback received %d, want 1", fallback)
+	if other != 0 {
+		t.Errorf("flow 5's handler received %d packets of flow 0", other)
+	}
+	if p.Pool.Puts != 1 {
+		t.Errorf("pool Puts = %d, want 1", p.Pool.Puts)
 	}
 }
 

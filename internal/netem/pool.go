@@ -18,7 +18,7 @@ package netem
 //     hand the same node to an unrelated sender.
 //   - Exactly one party releases each packet: the terminal consumer (the
 //     protocol handler that extracts the packet's information), or the
-//     drop site (queue loss/overflow/RED, endpoint default-Drop fallback).
+//     drop site (queue loss/overflow/RED, an endpoint's unregistered flow).
 //   - Pass-through elements (queues in transit, DelayReceiver, fault
 //     injection wrappers) never Put.
 //   - Failing to Put is benign — the packet falls to the garbage
@@ -71,12 +71,4 @@ func (p *PacketPool) Put(pkt *Packet) {
 	pkt.Meta = nil // drop protocol payloads so the pool retains nothing
 	p.Puts++
 	p.free = append(p.free, pkt)
-}
-
-// Len reports how many released packets are available for reuse.
-func (p *PacketPool) Len() int {
-	if p == nil {
-		return 0
-	}
-	return len(p.free)
 }

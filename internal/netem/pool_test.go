@@ -14,8 +14,7 @@ func onePathHop() PathSpec {
 }
 
 // TestPoolRecyclesThroughPath: a packet sent to an unregistered flow is
-// recycled by the endpoint's default Drop fallback and handed back to the
-// next sender.
+// recycled by the far endpoint's demux and handed back to the next sender.
 func TestPoolRecyclesThroughPath(t *testing.T) {
 	eng := sim.NewEngine()
 	p := NewPath(eng, sim.NewRNG(1), onePathHop())
@@ -25,8 +24,8 @@ func TestPoolRecyclesThroughPath(t *testing.T) {
 	pkt.Size = 1000
 	p.A.Send(pkt)
 	eng.Run()
-	if p.Pool.Len() != 1 {
-		t.Fatalf("pool holds %d packets after drop at demux, want 1", p.Pool.Len())
+	if len(p.Pool.free) != 1 {
+		t.Fatalf("pool holds %d packets after drop at demux, want 1", len(p.Pool.free))
 	}
 	if got := p.A.NewPacket(); got != pkt {
 		t.Error("recycled packet not reused by next sender")
@@ -96,40 +95,6 @@ func TestPoolNilSafe(t *testing.T) {
 		t.Fatal("nil pool Get returned nil")
 	}
 	pool.Put(pkt) // no-op
-	if pool.Len() != 0 {
-		t.Error("nil pool Len non-zero")
-	}
-}
-
-// TestCustomFallbackOwnsPackets: installing a fallback hands packet
-// ownership to it — the endpoint must not recycle behind its back.
-func TestCustomFallbackOwnsPackets(t *testing.T) {
-	eng := sim.NewEngine()
-	p := NewPath(eng, sim.NewRNG(1), onePathHop())
-	var got *Packet
-	p.B.SetFallback(ReceiverFunc(func(pkt *Packet) { got = pkt }))
-
-	pkt := p.A.NewPacket()
-	pkt.Flow = 3
-	pkt.Size = 500
-	p.A.Send(pkt)
-	eng.Run()
-	if got != pkt {
-		t.Fatal("fallback did not receive the packet")
-	}
-	if p.Pool.Len() != 0 {
-		t.Error("endpoint recycled a packet owned by a custom fallback")
-	}
-	// Restoring the default sink restores recycling.
-	p.B.SetFallback(nil)
-	pkt2 := p.A.NewPacket()
-	pkt2.Flow = 3
-	pkt2.Size = 500
-	p.A.Send(pkt2)
-	eng.Run()
-	if p.Pool.Len() != 1 {
-		t.Error("default fallback no longer recycles after SetFallback(nil)")
-	}
 }
 
 // TestSourcesDrawFromPathPool: a source aimed at a path queue discovers the
@@ -142,10 +107,10 @@ func TestSourcesDrawFromPathPool(t *testing.T) {
 	eng.RunUntil(2)
 	src.Stop()
 	eng.RunUntil(3)
-	if src.BytesSent() == 0 {
+	sent := p.Fwd[0].Stats().Arrivals
+	if sent == 0 {
 		t.Fatal("source sent nothing")
 	}
-	sent := src.BytesSent() / 1000
 	pool := p.Pool
 	if pool.Puts != sent {
 		t.Errorf("Puts = %d, want %d (cross packets not recycled at demux)", pool.Puts, sent)

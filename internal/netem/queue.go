@@ -16,14 +16,6 @@ type QueueStats struct {
 	BytesOut   int64
 }
 
-// LossRate returns the fraction of offered packets that were dropped.
-func (s QueueStats) LossRate() float64 {
-	if s.Arrivals == 0 {
-		return 0
-	}
-	return float64(s.Drops) / float64(s.Arrivals)
-}
-
 // Queue is a droptail FIFO in front of a fixed-capacity link with
 // propagation delay. It transmits one packet at a time at CapacityBps and
 // delivers each packet to Next after the transmission time plus PropDelay.
@@ -72,35 +64,13 @@ type Queue struct {
 	// each would allocate a method value per packet.
 	txDoneFn, deliverFn func(any)
 
-	fifo    []*Packet
-	head    int
-	qBytes  int
-	avgQ    float64 // EWMA of occupancy (bytes) for RED
-	busy    bool
-	stats   QueueStats
-	monitor func(evt QueueEvent)
+	fifo   []*Packet
+	head   int
+	qBytes int
+	avgQ   float64 // EWMA of occupancy (bytes) for RED
+	busy   bool
+	stats  QueueStats
 }
-
-// QueueEvent describes a packet-level event at a queue, for tracing and
-// utilization accounting. Monitors must read Pkt synchronously and not
-// retain it: dropped packets are recycled into the path's pool immediately
-// after the EvDrop callback returns.
-type QueueEvent struct {
-	Time    float64
-	Kind    QueueEventKind
-	Pkt     *Packet
-	Backlog int // queue backlog in bytes after the event
-}
-
-// QueueEventKind enumerates queue trace events.
-type QueueEventKind uint8
-
-// Queue event kinds.
-const (
-	EvEnqueue QueueEventKind = iota
-	EvDequeue
-	EvDrop
-)
 
 // NewQueue constructs a queue bound to the engine. rng may be nil when
 // LossProb is zero.
@@ -124,15 +94,8 @@ func NewQueue(eng *sim.Engine, rng *sim.RNG, name string, capacityBps, propDelay
 	return q
 }
 
-// SetMonitor installs a callback invoked on every enqueue/dequeue/drop.
-func (q *Queue) SetMonitor(fn func(QueueEvent)) { q.monitor = fn }
-
 // Stats returns a copy of the queue counters.
 func (q *Queue) Stats() QueueStats { return q.stats }
-
-// Backlog returns the current queue occupancy in bytes (excluding the
-// packet in transmission).
-func (q *Queue) Backlog() int { return q.qBytes }
 
 // TransmissionTime returns the time to serialize a packet of size bytes.
 func (q *Queue) TransmissionTime(size int) float64 {
@@ -144,30 +107,26 @@ func (q *Queue) Receive(pkt *Packet) {
 	q.stats.Arrivals++
 	q.stats.BytesIn += int64(pkt.Size)
 	// Drop sites release the packet to the pool: a dropped packet's journey
-	// ends here, and the monitor (emit) has already seen it synchronously.
+	// ends here.
 	if q.LossProb > 0 && q.rng != nil && q.rng.Bool(q.LossProb) {
 		q.stats.Drops++
 		q.stats.RandomLoss++
-		q.emit(EvDrop, pkt)
 		q.pool.Put(pkt)
 		return
 	}
 	if q.qBytes+pkt.Size > q.BufferBytes ||
 		(q.BufferPackets > 0 && len(q.fifo)-q.head >= q.BufferPackets) {
 		q.stats.Drops++
-		q.emit(EvDrop, pkt)
 		q.pool.Put(pkt)
 		return
 	}
 	if q.RED && q.redDrop(pkt) {
 		q.stats.Drops++
-		q.emit(EvDrop, pkt)
 		q.pool.Put(pkt)
 		return
 	}
 	q.fifo = append(q.fifo, pkt)
 	q.qBytes += pkt.Size
-	q.emit(EvEnqueue, pkt)
 	if !q.busy {
 		q.transmitNext()
 	}
@@ -234,7 +193,6 @@ func (q *Queue) txDone(a any) {
 	pkt := a.(*Packet)
 	q.stats.Departures++
 	q.stats.BytesOut += int64(pkt.Size)
-	q.emit(EvDequeue, pkt)
 	delay := q.PropDelay
 	if q.ReorderProb > 0 && q.rng != nil && q.rng.Bool(q.ReorderProb) {
 		extra := q.ReorderDelay
@@ -249,9 +207,3 @@ func (q *Queue) txDone(a any) {
 
 // deliver fires when a packet's propagation ends.
 func (q *Queue) deliver(a any) { q.Next.Receive(a.(*Packet)) }
-
-func (q *Queue) emit(kind QueueEventKind, pkt *Packet) {
-	if q.monitor != nil {
-		q.monitor(QueueEvent{Time: q.eng.Now(), Kind: kind, Pkt: pkt, Backlog: q.qBytes})
-	}
-}

@@ -7,6 +7,9 @@ import (
 	"repro/internal/sim"
 )
 
+// drop is a Receiver that discards everything.
+var drop Receiver = ReceiverFunc(func(*Packet) {})
+
 func collector(got *[]*Packet) Receiver {
 	return ReceiverFunc(func(p *Packet) { *got = append(*got, p) })
 }
@@ -123,16 +126,13 @@ func TestQueueRandomLoss(t *testing.T) {
 	if math.Abs(rate-0.1) > 0.01 {
 		t.Errorf("random loss rate %.3f, want ≈0.1", rate)
 	}
-	if st.LossRate() != float64(st.Drops)/float64(st.Arrivals) {
-		t.Error("LossRate inconsistent with counters")
-	}
 }
 
 func TestQueueREDDropsRiseWithOccupancy(t *testing.T) {
 	eng := sim.NewEngine()
 	mk := func(arrivalGap float64) float64 {
 		e := sim.NewEngine()
-		q := NewQueue(e, sim.NewRNG(9), "q", 8e6, 0, 100*1000, Drop)
+		q := NewQueue(e, sim.NewRNG(9), "q", 8e6, 0, 100*1000, drop)
 		q.RED = true
 		n := 0
 		var send func()
@@ -146,7 +146,8 @@ func TestQueueREDDropsRiseWithOccupancy(t *testing.T) {
 		}
 		send()
 		e.Run()
-		return q.Stats().LossRate()
+		st := q.Stats()
+		return float64(st.Drops) / float64(st.Arrivals)
 	}
 	_ = eng
 	light := mk(0.002)  // 0.5× capacity
@@ -161,41 +162,31 @@ func TestQueueREDDropsRiseWithOccupancy(t *testing.T) {
 
 func TestQueueBacklogTracksBytes(t *testing.T) {
 	eng := sim.NewEngine()
-	q := NewQueue(eng, nil, "q", 8e6, 0, 1<<20, Drop)
+	q := NewQueue(eng, nil, "q", 8e6, 0, 1<<20, drop)
 	q.Receive(&Packet{Size: 1000})
 	q.Receive(&Packet{Size: 500})
 	// First packet immediately starts transmitting (leaves the backlog).
-	if q.Backlog() != 500 {
-		t.Errorf("backlog %d, want 500", q.Backlog())
+	if q.qBytes != 500 {
+		t.Errorf("backlog %d, want 500", q.qBytes)
 	}
 	eng.Run()
-	if q.Backlog() != 0 {
-		t.Errorf("backlog %d after drain, want 0", q.Backlog())
+	if q.qBytes != 0 {
+		t.Errorf("backlog %d after drain, want 0", q.qBytes)
 	}
 }
 
-func TestQueueMonitor(t *testing.T) {
+// TestQueueStatsCountEveryEvent: the counters see every arrival,
+// departure and drop.
+func TestQueueStatsCountEveryEvent(t *testing.T) {
 	eng := sim.NewEngine()
-	q := NewQueue(eng, nil, "q", 8e6, 0, 1500, Drop)
-	var events []QueueEventKind
-	q.SetMonitor(func(ev QueueEvent) { events = append(events, ev.Kind) })
+	q := NewQueue(eng, nil, "q", 8e6, 0, 1500, drop)
 	q.Receive(&Packet{Size: 1000})
 	q.Receive(&Packet{Size: 1000})
 	q.Receive(&Packet{Size: 1000}) // drop: 1000 in service + 1000 waiting
 	eng.Run()
-	var enq, deq, drop int
-	for _, k := range events {
-		switch k {
-		case EvEnqueue:
-			enq++
-		case EvDequeue:
-			deq++
-		case EvDrop:
-			drop++
-		}
-	}
-	if enq != 2 || deq != 2 || drop != 1 {
-		t.Errorf("events enq=%d deq=%d drop=%d, want 2/2/1", enq, deq, drop)
+	want := QueueStats{Arrivals: 3, Departures: 2, Drops: 1, BytesIn: 3000, BytesOut: 2000}
+	if got := q.Stats(); got != want {
+		t.Errorf("stats %+v, want %+v", got, want)
 	}
 }
 
@@ -211,7 +202,7 @@ func TestQueueInvalidConfigPanics(t *testing.T) {
 					t.Errorf("NewQueue(cap=%v,buf=%d) did not panic", tc.cap, tc.buf)
 				}
 			}()
-			NewQueue(eng, nil, "bad", tc.cap, 0, tc.buf, Drop)
+			NewQueue(eng, nil, "bad", tc.cap, 0, tc.buf, drop)
 		}()
 	}
 }

@@ -41,36 +41,3 @@ func (r *RateSchedule) At(t float64) float64 {
 	}
 	return m
 }
-
-// Mean returns the time-average multiplier over [0, horizon] — what a
-// long transfer would see, useful for sizing buffers and validating
-// generated trajectories.
-func (r *RateSchedule) Mean(horizon float64) float64 {
-	if r == nil || len(r.Steps) == 0 || horizon <= 0 {
-		return 1
-	}
-	var area, prevT float64
-	prevM := 1.0
-	for _, s := range r.Steps {
-		t := s.T
-		if t > horizon {
-			t = horizon
-		}
-		if t > prevT {
-			area += prevM * (t - prevT)
-			prevT = t
-		}
-		m := s.Mult
-		if m < rateFloor {
-			m = rateFloor
-		}
-		prevM = m
-		if s.T >= horizon {
-			break
-		}
-	}
-	if prevT < horizon {
-		area += prevM * (horizon - prevT)
-	}
-	return area / horizon
-}

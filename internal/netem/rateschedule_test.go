@@ -1,7 +1,6 @@
 package netem
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/sim"
@@ -35,18 +34,6 @@ func TestRateScheduleFloor(t *testing.T) {
 	s := &RateSchedule{Steps: []RateStep{{T: 1, Mult: 0}}}
 	if got := s.At(2); got <= 0 {
 		t.Errorf("At over a zero step = %v, want a positive floor", got)
-	}
-}
-
-func TestRateScheduleMean(t *testing.T) {
-	s := &RateSchedule{Steps: []RateStep{{T: 2, Mult: 0.5}}}
-	// [0,2) at 1.0, [2,4) at 0.5 -> mean 0.75 over 4 s.
-	if got, want := s.Mean(4), 0.75; math.Abs(got-want) > 1e-9 {
-		t.Errorf("Mean(4) = %v, want %v", got, want)
-	}
-	var nilSched *RateSchedule
-	if got := nilSched.Mean(10); got != 1 {
-		t.Errorf("nil schedule Mean = %v, want 1", got)
 	}
 }
 

@@ -8,10 +8,7 @@ import (
 // queue of a path). Sources are started once and run until the engine stops
 // scheduling them or Stop is called.
 type Source interface {
-	Start()
 	Stop()
-	// BytesSent returns the total bytes offered so far.
-	BytesSent() int64
 }
 
 // PoissonSource emits fixed-size packets with exponential interarrivals at
@@ -27,7 +24,6 @@ type PoissonSource struct {
 	rng     *sim.RNG
 	pool    *PacketPool
 	stopped bool
-	sent    int64
 	emitFn  func() // s.emit, bound once: a fresh method value allocates per packet
 }
 
@@ -53,7 +49,7 @@ func (s *PoissonSource) Start() {
 
 // poolOf discovers the packet pool behind a source's output receiver.
 // Cross-traffic sources are normally pointed at a path queue; emitting from
-// that path's pool lets the endpoint's default-Drop fallback recycle the
+// that path's pool lets the far endpoint's demux recycle the
 // packets. Any other receiver gets plain allocations (nil pool).
 func poolOf(out Receiver) *PacketPool {
 	if q, ok := out.(*Queue); ok {
@@ -64,9 +60,6 @@ func poolOf(out Receiver) *PacketPool {
 
 // Stop halts generation after any in-flight event.
 func (s *PoissonSource) Stop() { s.stopped = true }
-
-// BytesSent implements Source.
-func (s *PoissonSource) BytesSent() int64 { return s.sent }
 
 func (s *PoissonSource) scheduleNext() {
 	if s.stopped {
@@ -86,7 +79,6 @@ func (s *PoissonSource) emit() {
 	if s.stopped {
 		return
 	}
-	s.sent += int64(s.Size)
 	pkt := s.pool.Get()
 	pkt.Flow = s.Flow
 	pkt.Kind = KindCross
@@ -115,7 +107,6 @@ type ParetoOnOffSource struct {
 	rng     *sim.RNG
 	pool    *PacketPool
 	stopped bool
-	sent    int64
 	on      bool
 	onEnds  float64
 	// s.emit and s.startOn, bound once (see PoissonSource).
@@ -147,9 +138,6 @@ func (s *ParetoOnOffSource) Start() {
 
 // Stop halts generation.
 func (s *ParetoOnOffSource) Stop() { s.stopped = true }
-
-// BytesSent implements Source.
-func (s *ParetoOnOffSource) BytesSent() int64 { return s.sent }
 
 // paretoDuration draws a Pareto sample with the requested mean: for shape a,
 // mean = xm*a/(a-1), so xm = mean*(a-1)/a.
@@ -199,7 +187,6 @@ func (s *ParetoOnOffSource) emit() {
 		s.startOff()
 		return
 	}
-	s.sent += int64(s.Size)
 	pkt := s.pool.Get()
 	pkt.Flow = s.Flow
 	pkt.Kind = KindCross

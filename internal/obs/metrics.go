@@ -13,7 +13,7 @@ import (
 
 // Registry holds metrics and renders them in the Prometheus text
 // exposition format (version 0.0.4). Registration takes a lock and may
-// allocate; the record paths (Counter.Add, Gauge.Set, Histogram.Observe)
+// allocate; the record paths (Counter.Add, Gauge.Add, Histogram.Observe)
 // are lock-free atomics and perform no heap allocation.
 //
 // Metric names follow the Prometheus conventions: snake_case, a
@@ -148,9 +148,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return g
 }
 
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
 // Add adds delta (atomic read-modify-write loop).
 func (g *Gauge) Add(delta float64) {
 	for {
@@ -230,15 +227,6 @@ func (h *Histogram) Observe(v float64) {
 			return
 		}
 	}
-}
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	var n uint64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
 }
 
 // Snapshot reads the histogram's current state. Buckets are read one by

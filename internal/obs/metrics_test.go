@@ -23,7 +23,6 @@ func TestMetricsAllocFree(t *testing.T) {
 	}{
 		{"Counter.Add", func() { c.Add(3) }},
 		{"Counter.Inc", func() { c.Inc() }},
-		{"Gauge.Set", func() { g.Set(42.5) }},
 		{"Gauge.Add", func() { g.Add(-1.5) }},
 		{"Histogram.Observe", func() { h.Observe(0.0042) }},
 	}
@@ -42,15 +41,15 @@ func TestDetachedMetricsOnNilRegistry(t *testing.T) {
 		t.Errorf("detached counter = %d, want 7", c.Value())
 	}
 	g := r.Gauge("x", "")
-	g.Set(1.5)
+	g.Add(1.5)
 	g.Add(1)
 	if g.Value() != 2.5 {
 		t.Errorf("detached gauge = %v, want 2.5", g.Value())
 	}
 	h := r.Histogram("x_seconds", "", []float64{1})
 	h.Observe(0.5)
-	if h.Count() != 1 {
-		t.Errorf("detached histogram count = %d, want 1", h.Count())
+	if n := h.Snapshot().Total(); n != 1 {
+		t.Errorf("detached histogram count = %d, want 1", n)
 	}
 	r.GaugeFunc("y", "", func() float64 { return 0 })
 	r.CounterFunc("y_total", "", func() uint64 { return 0 })
@@ -64,7 +63,7 @@ func TestExpositionFormat(t *testing.T) {
 	r := NewRegistry()
 	r.Counter(`req_total{endpoint="observe"}`, "requests served").Add(10)
 	r.Counter(`req_total{endpoint="predict"}`, "requests served").Add(4)
-	r.Gauge("paths", "registered paths").Set(3)
+	r.Gauge("paths", "registered paths").Add(3)
 	r.GaugeFunc("uptime_seconds", "uptime", func() float64 { return 12.25 })
 	h := r.Histogram(`lat_seconds{endpoint="observe"}`, "latency", []float64{0.001, 0.1})
 	h.Observe(0.0005)
@@ -220,8 +219,8 @@ func TestHistogramQuantileMean(t *testing.T) {
 			sum += v
 		}
 		s := h.Snapshot()
-		if s.Total() != tc.total || h.Count() != tc.total || s.Sum != sum {
-			t.Errorf("%s: total %d count %d sum %v, want %d / %v", tc.name, s.Total(), h.Count(), s.Sum, tc.total, sum)
+		if s.Total() != tc.total || s.Sum != sum {
+			t.Errorf("%s: total %d sum %v, want %d / %v", tc.name, s.Total(), s.Sum, tc.total, sum)
 		}
 		if got := s.Quantile(0.5); got != tc.p50 {
 			t.Errorf("%s: p50 = %v, want %v", tc.name, got, tc.p50)

@@ -15,7 +15,7 @@
 //     telemetry can stay compiled into the hot paths that PR 4 made
 //     allocation-free without costing them anything when disabled.
 //
-//  3. Allocation-free when on (metrics). Counter.Add, Gauge.Set and
+//  3. Allocation-free when on (metrics). Counter.Add, Gauge.Add and
 //     Histogram.Observe perform no heap allocation — they are plain
 //     atomics — so a scrape-heavy deployment never sees telemetry in an
 //     allocation profile. TestMetricsAllocFree pins this down. (Spans DO

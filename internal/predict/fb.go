@@ -138,13 +138,3 @@ func (f *FB) Predict(in FBInputs) float64 {
 	}
 	return bytesPerSec * 8
 }
-
-// WindowLimited reports whether a transfer with the predictor's window
-// would be window-limited on a path with the given measurements, i.e.
-// W/T̂ < Â (paper §3.1).
-func (f *FB) WindowLimited(in FBInputs) bool {
-	if in.RTT <= 0 || in.AvailBw <= 0 {
-		return false
-	}
-	return float64(f.cfg.MaxWindowBytes)*8/in.RTT < in.AvailBw
-}

@@ -90,9 +90,6 @@ func (m *MA) Reset() {
 // Name implements HB.
 func (m *MA) Name() string { return m.name }
 
-// Order returns n.
-func (m *MA) Order() int { return m.n }
-
 // EWMA is the exponentially weighted moving average predictor (paper
 // §5.1.2): X̂_{i+1} = α·X_i + (1-α)·X̂_i.
 type EWMA struct {

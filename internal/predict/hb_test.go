@@ -60,7 +60,7 @@ func TestMAName(t *testing.T) {
 	if NewMA(10).Name() != "10-MA" {
 		t.Errorf("name = %q", NewMA(10).Name())
 	}
-	if NewMA(0).Order() != 1 {
+	if NewMA(0).n != 1 {
 		t.Error("order <1 should clamp to 1")
 	}
 }

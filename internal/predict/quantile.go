@@ -47,13 +47,8 @@ type ResidualWindow struct {
 	}
 }
 
-// NewResidualWindow returns a window retaining the last n errors (at
+// newResidualWindow returns a window retaining the last n errors (at
 // least one).
-func NewResidualWindow(n int) *ResidualWindow {
-	w := newResidualWindow(n)
-	return &w
-}
-
 func newResidualWindow(n int) ResidualWindow {
 	return ResidualWindow{ring: newOrderedRing(max(n, 1))}
 }

@@ -98,7 +98,7 @@ func TestOrderedRingMatchesOracle(t *testing.T) {
 	forecasts := []float64{1, 3.7e6, 1e9, 0, -1, math.Inf(1)}
 	for _, n := range []int{1, 2, 3, 50, 64, 128} {
 		rng := rand.New(rand.NewSource(int64(n)))
-		w := NewResidualWindow(n)
+		w := newResidualWindow(n)
 		for step := 0; step < 20*n+200; step++ {
 			switch r := rng.Intn(100); {
 			case r == 0:

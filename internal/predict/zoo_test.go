@@ -9,7 +9,7 @@ import (
 )
 
 func TestResidualWindowQuantileInversion(t *testing.T) {
-	w := NewResidualWindow(50)
+	w := newResidualWindow(50)
 	// A known symmetric error distribution around zero, nine errors: the
 	// fewest that calibrate an interval.
 	for _, e := range []float64{-0.5, -0.375, -0.25, -0.125, 0, 0.125, 0.25, 0.375, 0.5} {
@@ -37,7 +37,7 @@ func TestResidualWindowQuantileInversion(t *testing.T) {
 }
 
 func TestResidualWindowClampsAndStaysFinite(t *testing.T) {
-	w := NewResidualWindow(8)
+	w := newResidualWindow(8)
 	w.Score(0, 5e6)           // non-positive forecast → +clamp, not -Inf
 	w.Score(math.Inf(1), 5e6) // non-finite forecast
 	w.Score(5e6, 0)           // degenerate actual → +Inf, clamped
@@ -54,7 +54,7 @@ func TestResidualWindowClampsAndStaysFinite(t *testing.T) {
 }
 
 func TestResidualWindowErrorsRoundTrip(t *testing.T) {
-	w := NewResidualWindow(4)
+	w := newResidualWindow(4)
 	for _, e := range []float64{1, 2, 3, 4, 5, 6} { // wraps: keeps 3,4,5,6
 		w.Push(e)
 	}
@@ -68,7 +68,7 @@ func TestResidualWindowErrorsRoundTrip(t *testing.T) {
 			t.Fatalf("Errors = %v, want %v", got, want)
 		}
 	}
-	w2 := NewResidualWindow(4)
+	w2 := newResidualWindow(4)
 	w2.SetErrors(got)
 	got2 := w2.Errors(nil)
 	for i := range want {
@@ -83,7 +83,7 @@ func TestResidualWindowErrorsRoundTrip(t *testing.T) {
 // roughly 80% of actuals land inside the [P10, P90] it derives.
 func TestResidualQuantileCoverage(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	p, win := NewEWMA(0.8), NewResidualWindow(50)
+	p, win := NewEWMA(0.8), newResidualWindow(50)
 	in, total := 0, 0
 	for i := 0; i < 2000; i++ {
 		x := 10e6 * (1 + 0.3*rng.NormFloat64())

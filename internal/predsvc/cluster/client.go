@@ -120,12 +120,6 @@ func NewClient(cfg ClientConfig) *Client {
 // Map returns the rendezvous map the client routes with.
 func (c *Client) Map() *Map { return c.m }
 
-// Node returns the base URL of the node owning path.
-func (c *Client) Node(path string) string { return c.m.Node(path) }
-
-// Nodes returns the node list.
-func (c *Client) Nodes() []string { return c.m.Nodes() }
-
 // Stats snapshots the retry accounting.
 func (c *Client) Stats() ClientStats {
 	s := ClientStats{

@@ -32,12 +32,6 @@ func New(nodes ...string) *Map {
 	return m
 }
 
-// Nodes returns the node list the map routes over.
-func (m *Map) Nodes() []string { return append([]string(nil), m.nodes...) }
-
-// Len returns the number of nodes.
-func (m *Map) Len() int { return len(m.nodes) }
-
 // Owner returns the index of the node owning path, or -1 for an empty
 // map: the node whose (node, path) hash scores highest.
 func (m *Map) Owner(path string) int {

@@ -155,8 +155,8 @@ func TestEmptyAndSingle(t *testing.T) {
 	if got := empty.Node("x"); got != "" {
 		t.Fatalf("empty map Node = %q, want empty", got)
 	}
-	if empty.Len() != 0 {
-		t.Fatalf("empty map Len = %d", empty.Len())
+	if len(empty.nodes) != 0 {
+		t.Fatalf("empty map has %d nodes", len(empty.nodes))
 	}
 	one := New("solo")
 	for _, p := range []string{"a", "b", "c"} {
@@ -164,7 +164,7 @@ func TestEmptyAndSingle(t *testing.T) {
 			t.Fatalf("single-node map routed %s to %q", p, got)
 		}
 	}
-	if got := one.Nodes(); len(got) != 1 || got[0] != "solo" {
+	if got := one.nodes; len(got) != 1 || got[0] != "solo" {
 		t.Fatalf("Nodes = %v", got)
 	}
 }

@@ -9,9 +9,36 @@ import (
 // The reflection-based encoding/json handlers for the five hot endpoints:
 // the reference implementation the wire fastpath (wire.go) is held
 // byte-identical to by wire_compat_test, wire_digest_test and
-// wire_bench_test. They share the request/response types, validation
-// helpers and accounting with the production handlers and differ only in
-// how bytes become values and back.
+// wire_bench_test. They share the request types, validation helpers and
+// accounting with the production handlers and differ only in how bytes
+// become values and back.
+
+// ObserveResponse acknowledges an observation.
+type ObserveResponse struct {
+	Path         string `json:"path"`
+	Observations uint64 `json:"observations"`
+}
+
+// MeasureResponse returns the FB forecast for the installed measurements.
+type MeasureResponse struct {
+	Path        string  `json:"path"`
+	ForecastBps float64 `json:"forecast_bps"`
+}
+
+// PredictBatchResponse carries one Prediction per known path, in request
+// order, with unknown paths listed separately (a batch is not failed by
+// a 404-worthy member).
+type PredictBatchResponse struct {
+	Predictions []Prediction `json:"predictions"`
+	Missing     []string     `json:"missing,omitempty"`
+}
+
+// Predict is PredictInto into fresh memory.
+func (s *Session) Predict() Prediction {
+	var p Prediction
+	s.PredictInto(&p, &FBState{})
+	return p
+}
 
 // openOracle builds a server whose hot endpoints are served by the
 // oracle handlers; every other route falls through to the production

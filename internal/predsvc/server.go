@@ -530,24 +530,12 @@ type ObserveRequest struct {
 	ThroughputBps float64 `json:"throughput_bps"`
 }
 
-// ObserveResponse acknowledges an observation.
-type ObserveResponse struct {
-	Path         string `json:"path"`
-	Observations uint64 `json:"observations"`
-}
-
 // MeasureRequest installs fresh a-priori measurements for a path.
 type MeasureRequest struct {
 	Path       string  `json:"path"`
 	RTTSeconds float64 `json:"rtt_s"`
 	LossRate   float64 `json:"loss_rate"`
 	AvailBwBps float64 `json:"avail_bw_bps"`
-}
-
-// MeasureResponse returns the FB forecast for the installed measurements.
-type MeasureResponse struct {
-	Path        string  `json:"path"`
-	ForecastBps float64 `json:"forecast_bps"`
 }
 
 // DefaultStatsLimit is how many recent paths /v1/stats lists when the
@@ -631,12 +619,4 @@ type ObserveBatchResponse struct {
 // PredictBatchRequest asks for predictions on many paths in one request.
 type PredictBatchRequest struct {
 	Paths []string `json:"paths"`
-}
-
-// PredictBatchResponse carries one Prediction per known path, in request
-// order, with unknown paths listed separately (a batch is not failed by
-// a 404-worthy member).
-type PredictBatchResponse struct {
-	Predictions []Prediction `json:"predictions"`
-	Missing     []string     `json:"missing,omitempty"`
 }

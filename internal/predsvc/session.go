@@ -141,21 +141,14 @@ type Prediction struct {
 	Families []FamilyState `json:"families,omitempty"`
 }
 
-// Predict returns the current forecasts and accuracy for the path. It is
-// deterministic: the response depends only on the sequence of Observe and
-// SetMeasurement calls the session has absorbed.
-func (s *Session) Predict() Prediction {
-	var p Prediction
-	s.PredictInto(&p, &FBState{})
-	return p
-}
-
-// PredictInto is Predict for callers that recycle response memory (the
-// wire fastpath keeps a pooled Prediction + FBState per request): the
-// Families slice is truncated and refilled in place, and fb — which must
-// be non-nil — is overwritten and installed as p.FB when the session has
-// standing measurements. Every field of *p is reassigned, so a recycled
-// value never leaks state between paths.
+// PredictInto fills p with the current forecasts and accuracy for the
+// path. It is deterministic: the response depends only on the sequence of
+// Observe and SetMeasurement calls the session has absorbed. It recycles
+// response memory (the wire fastpath keeps a pooled Prediction + FBState
+// per request): the Families slice is truncated and refilled in place,
+// and fb — which must be non-nil — is overwritten and installed as p.FB
+// when the session has standing measurements. Every field of *p is
+// reassigned, so a recycled value never leaks state between paths.
 func (s *Session) PredictInto(p *Prediction, fb *FBState) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -124,9 +124,6 @@ func (p *Prober) Stop() {
 	p.tickTimer.Cancel()
 }
 
-// Running reports whether the prober is active.
-func (p *Prober) Running() bool { return p.running }
-
 func (p *Prober) tick() {
 	if !p.running {
 		return

@@ -22,7 +22,7 @@ import (
 	"repro/internal/obs"
 )
 
-// Timer is a handle to a scheduled event, returned by value: it is three
+// Timer is a handle to a scheduled event, returned by value: it is two
 // words and allocation-free to create, copy, and discard. The zero Timer
 // is valid and inert — Cancel and Pending on it report false — so struct
 // fields of type Timer need no "is there a timer?" sentinel.
@@ -34,21 +34,15 @@ import (
 // than touching whichever new timer now occupies the slot.
 type Timer struct {
 	eng  *Engine
-	at   float64
 	node int32 // arena index + 1; 0 marks the zero (inert) handle
 	gen  uint32
 }
-
-// Time returns the virtual time at which the timer was scheduled to fire.
-// It remains readable after the timer fires or is cancelled.
-func (t Timer) Time() float64 { return t.at }
 
 // Cancel prevents the timer from firing. It reports whether the timer was
 // still pending (and is now cancelled). Cancelling an already-fired,
 // already-cancelled, or zero timer is a no-op that reports false.
 // Cancelled timers stay in the event heap until popped or compacted; the
-// engine tracks them so that Pending stays exact and the heap cannot fill
-// up with dead entries.
+// engine counts them so that the heap cannot fill up with dead entries.
 func (t Timer) Cancel() bool {
 	if !t.Pending() {
 		return false
@@ -140,10 +134,6 @@ func (e *Engine) Processed() uint64 { return e.processed }
 // having to know about segment boundaries.
 func (e *Engine) ProcessedSince(mark uint64) uint64 { return e.processed - mark }
 
-// Pending returns the number of live events currently scheduled.
-// Cancelled timers awaiting removal from the heap are not counted.
-func (e *Engine) Pending() int { return len(e.heap) - e.canceled }
-
 // Schedule runs fn after delay seconds of virtual time. A negative delay is
 // treated as zero. It returns a Timer that may be cancelled.
 func (e *Engine) Schedule(delay float64, fn func()) Timer {
@@ -203,7 +193,7 @@ func (e *Engine) at(t float64, fn func(any), arg any) Timer {
 	nd.fn, nd.arg = fn, arg
 	nd.canceled = false
 	e.heapPush(heapEntry{at: t, seq: e.seq, node: idx})
-	return Timer{eng: e, at: t, node: idx + 1, gen: nd.gen}
+	return Timer{eng: e, node: idx + 1, gen: nd.gen}
 }
 
 // Step executes the next pending event, advancing the clock to its time.

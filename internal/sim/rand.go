@@ -41,9 +41,6 @@ func (g *RNG) Fork() *RNG {
 	return NewRNG(g.r.Int63())
 }
 
-// Float64 returns a uniform sample in [0, 1).
-func (g *RNG) Float64() float64 { return g.r.Float64() }
-
 // Intn returns a uniform sample in [0, n).
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 

@@ -216,27 +216,6 @@ func NewCDF(samples []float64) *CDF {
 	return &CDF{sorted: s}
 }
 
-// N returns the sample count.
-func (c *CDF) N() int { return len(c.sorted) }
-
-// At returns P(X ≤ x).
-func (c *CDF) At(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	// Upper bound: first index with value > x.
-	i := sort.Search(len(c.sorted), func(i int) bool { return c.sorted[i] > x })
-	return float64(i) / float64(len(c.sorted))
-}
-
-// Quantile returns the q-th quantile for q in [0,1].
-func (c *CDF) Quantile(q float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	return sortedPercentile(c.sorted, q*100)
-}
-
 // Points returns up to n evenly spaced (x, P(X≤x)) pairs for printing a
 // CDF curve.
 func (c *CDF) Points(n int) [][2]float64 {

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -296,19 +297,17 @@ func TestPearsonBounds(t *testing.T) {
 	}
 }
 
+// TestCDF: NewCDF sorts a copy of its samples, infinities at the ends,
+// and each point's y is P(X ≤ x).
 func TestCDF(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 3, 4})
-	cases := map[float64]float64{0.5: 0, 1: 0.25, 2.5: 0.5, 4: 1, 10: 1}
-	for x, want := range cases {
-		if got := c.At(x); math.Abs(got-want) > 1e-12 {
-			t.Errorf("CDF.At(%v) = %v, want %v", x, got, want)
-		}
+	in := []float64{4, math.Inf(1), 2, 1, math.Inf(-1)}
+	c := NewCDF(in)
+	want := [][2]float64{{math.Inf(-1), 0.2}, {1, 0.4}, {2, 0.6}, {4, 0.8}, {math.Inf(1), 1}}
+	if got := c.Points(5); !reflect.DeepEqual(got, want) {
+		t.Errorf("points %v, want %v", got, want)
 	}
-	if c.N() != 4 {
-		t.Errorf("N = %d, want 4", c.N())
-	}
-	if got := c.Quantile(0.5); got != 2.5 {
-		t.Errorf("Quantile(0.5) = %v, want 2.5", got)
+	if in[0] != 4 {
+		t.Error("NewCDF reordered its input")
 	}
 }
 

@@ -144,13 +144,3 @@ func SlowStartSegments(p float64, d int64) float64 {
 	}
 	return (1-math.Pow(1-p, float64(d)))*(1-p)/p + 1
 }
-
-// SlowStartNegligible reports whether a transfer of d segments is long
-// enough that the initial slow start contributes less than frac of the
-// segments (e.g. frac = 0.05 for "under 5%").
-func SlowStartNegligible(p float64, d int64, frac float64) bool {
-	if d <= 0 {
-		return false
-	}
-	return SlowStartSegments(p, d)/float64(d) < frac
-}

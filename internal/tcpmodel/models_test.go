@@ -157,12 +157,12 @@ func TestSlowStartSegments(t *testing.T) {
 
 func TestSlowStartNegligible(t *testing.T) {
 	// 100-segment transfer at p=0.01: E[dss]≈63 → not negligible.
-	if SlowStartNegligible(0.01, 100, 0.05) {
-		t.Error("slow start should dominate a 100-segment transfer at p=0.01")
+	if f := SlowStartSegments(0.01, 100) / 100; f < 0.05 {
+		t.Errorf("slow start is %.3f of a 100-segment transfer at p=0.01, want it to dominate", f)
 	}
 	// 1e6-segment transfer: E[dss]≈100 → below 5%.
-	if !SlowStartNegligible(0.01, 1e6, 0.05) {
-		t.Error("slow start should be negligible for a 1M-segment transfer")
+	if f := SlowStartSegments(0.01, 1e6) / 1e6; f >= 0.05 {
+		t.Errorf("slow start is %.3f of a 1M-segment transfer, want under 0.05", f)
 	}
 }
 

@@ -109,10 +109,6 @@ func (b *bbrCC) Window() float64 {
 	return b.window
 }
 
-// Ssthresh is undefined for a model-based control; +Inf keeps "cwnd <
-// ssthresh" style consumers (and the paper's slow-start heuristics) inert.
-func (b *bbrCC) Ssthresh() float64 { return math.Inf(1) }
-
 // btlBwEst returns the filtered bottleneck bandwidth in segments/sec.
 func (b *bbrCC) btlBwEst() float64 { return b.btlBw[0].v }
 

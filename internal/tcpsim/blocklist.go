@@ -5,9 +5,6 @@ type Block struct {
 	Start, End int64
 }
 
-// Len returns the number of segments the block covers.
-func (b Block) Len() int64 { return b.End - b.Start }
-
 // blockList is a sorted list of disjoint, non-adjacent half-open ranges.
 // It backs both the receiver's out-of-order buffer and the sender's SACK
 // scoreboard.
@@ -63,19 +60,6 @@ func (l *blockList) Add(start, end int64) {
 	l.blocks = bs
 }
 
-// Contains reports whether seq is covered.
-func (l *blockList) Contains(seq int64) bool {
-	for _, b := range l.blocks {
-		if seq < b.Start {
-			return false
-		}
-		if seq < b.End {
-			return true
-		}
-	}
-	return false
-}
-
 // TrimBelow removes coverage of all segments below seq.
 func (l *blockList) TrimBelow(seq int64) {
 	bs := l.blocks
@@ -96,14 +80,6 @@ func (l *blockList) Max() int64 {
 		return 0
 	}
 	return l.blocks[len(l.blocks)-1].End
-}
-
-// First returns the lowest block and whether one exists.
-func (l *blockList) First() (Block, bool) {
-	if len(l.blocks) == 0 {
-		return Block{}, false
-	}
-	return l.blocks[0], true
 }
 
 // PopFirstIfStartsAt removes and returns the first block when it starts
@@ -155,12 +131,3 @@ func (l *blockList) Subtract(out []Block, start, end int64) []Block {
 
 // Count returns the number of blocks.
 func (l *blockList) Count() int { return len(l.blocks) }
-
-// Covered returns the total number of covered segments.
-func (l *blockList) Covered() int64 {
-	var n int64
-	for _, b := range l.blocks {
-		n += b.Len()
-	}
-	return n
-}

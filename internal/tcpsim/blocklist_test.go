@@ -49,17 +49,20 @@ func TestBlockListDisjoint(t *testing.T) {
 	if !blocksEqual(l.Snapshot(), want) {
 		t.Errorf("blocks = %v, want %v", l.Snapshot(), want)
 	}
-	if l.Count() != 3 || l.Covered() != 6 {
-		t.Errorf("count=%d covered=%d", l.Count(), l.Covered())
+	if l.Count() != 3 {
+		t.Errorf("count=%d", l.Count())
 	}
 }
+
+// covers reports whether the list covers seq.
+func covers(l *blockList, seq int64) bool { return len(l.Subtract(nil, seq, seq+1)) == 0 }
 
 func TestBlockListContains(t *testing.T) {
 	var l blockList
 	l.Add(5, 8)
 	for seq, want := range map[int64]bool{4: false, 5: true, 7: true, 8: false} {
-		if l.Contains(seq) != want {
-			t.Errorf("Contains(%d) = %v, want %v", seq, !want, want)
+		if covers(&l, seq) != want {
+			t.Errorf("covers(%d) = %v, want %v", seq, !want, want)
 		}
 	}
 }
@@ -84,16 +87,16 @@ func TestBlockListMaxAndFirst(t *testing.T) {
 	if l.Max() != 0 {
 		t.Error("empty Max should be 0")
 	}
-	if _, ok := l.First(); ok {
-		t.Error("empty First should report false")
+	if len(l.blocks) != 0 {
+		t.Error("empty list holds a block")
 	}
 	l.Add(3, 6)
 	l.Add(10, 11)
 	if l.Max() != 11 {
 		t.Errorf("Max = %d, want 11", l.Max())
 	}
-	if b, _ := l.First(); b != (Block{3, 6}) {
-		t.Errorf("First = %v", b)
+	if b := l.blocks[0]; b != (Block{3, 6}) {
+		t.Errorf("first block = %v", b)
 	}
 }
 
@@ -147,7 +150,7 @@ func TestBlockListMatchesSet(t *testing.T) {
 		}
 		// Coverage must agree everywhere.
 		for q := int64(0); q < 300; q++ {
-			if l.Contains(q) != set[q] {
+			if covers(&l, q) != set[q] {
 				return false
 			}
 		}
@@ -166,7 +169,7 @@ func TestBlockListMatchesSet(t *testing.T) {
 			if b.End <= b.Start {
 				return false
 			}
-			covered += b.Len()
+			covered += b.End - b.Start
 		}
 		return covered == int64(len(set))
 	}

@@ -46,9 +46,6 @@ type CongestionControl interface {
 	// Window returns the current congestion window in segments. The
 	// sender sends while its pipe estimate is below it.
 	Window() float64
-	// Ssthresh returns the slow-start threshold in segments (+Inf for
-	// algorithms without one, e.g. BBR).
-	Ssthresh() float64
 	// OnAck runs once per arriving ACK, after the sender updated its
 	// pipe and scoreboard. Growth decisions live here.
 	OnAck(info AckInfo)
@@ -94,9 +91,8 @@ func newReno(cfg Config) *renoCC {
 	return &renoCC{cwnd: cfg.InitialCwnd, ssthresh: cfg.InitialSsthresh}
 }
 
-func (r *renoCC) Name() Congestion  { return CCReno }
-func (r *renoCC) Window() float64   { return r.cwnd }
-func (r *renoCC) Ssthresh() float64 { return r.ssthresh }
+func (r *renoCC) Name() Congestion { return CCReno }
+func (r *renoCC) Window() float64  { return r.cwnd }
 
 func (r *renoCC) OnAck(info AckInfo) {
 	if info.Acked == 0 || info.InRecovery {

@@ -208,7 +208,7 @@ func goldenCCTrace(sc struct {
 		eng.RunUntil(float64(i) * 0.25)
 		st := conn.Sender.Stats()
 		fmt.Fprintf(&b, "%.2f %d %d %.17g\n",
-			eng.Now(), st.BytesAcked, st.SegmentsSent, conn.Sender.Cwnd())
+			eng.Now(), st.BytesAcked, st.SegmentsSent, conn.Sender.SenderStats().WindowSegments)
 	}
 	st := conn.Sender.Stats()
 	fmt.Fprintf(&b, "end rtx=%d timeouts=%d events=%d\n", st.Retransmits, st.Timeouts, st.LossEvents)

@@ -38,9 +38,8 @@ func newCubic(cfg Config) *cubicCC {
 	}
 }
 
-func (c *cubicCC) Name() Congestion  { return CCCubic }
-func (c *cubicCC) Window() float64   { return c.cwnd }
-func (c *cubicCC) Ssthresh() float64 { return c.ssthresh }
+func (c *cubicCC) Name() Congestion { return CCCubic }
+func (c *cubicCC) Window() float64  { return c.cwnd }
 
 func (c *cubicCC) OnAck(info AckInfo) {
 	if info.Acked == 0 || info.InRecovery {

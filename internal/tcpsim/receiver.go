@@ -47,9 +47,6 @@ func (r *Receiver) Stop() {
 	r.delayTimer.Cancel()
 }
 
-// BytesDelivered returns the in-order payload bytes delivered so far.
-func (r *Receiver) BytesDelivered() int64 { return r.cumAck * int64(r.cfg.MSS) }
-
 func (r *Receiver) onData(pkt *netem.Packet) {
 	if pkt.Kind != netem.KindData {
 		r.out.ReleasePacket(pkt)

@@ -71,15 +71,6 @@ func (c Config) Defaults() Config {
 	return c
 }
 
-// BPerACK returns the b parameter of the throughput formulas implied by the
-// ACK policy: 2 with delayed ACKs, 1 without.
-func (c Config) BPerACK() int {
-	if c.DelayedAck {
-		return 2
-	}
-	return 1
-}
-
 // Stats aggregates what a connection did and observed.
 type Stats struct {
 	Start           float64 // virtual time the connection started
@@ -95,7 +86,6 @@ type Stats struct {
 	RTTSamples int64
 	rttSum     float64
 	rttMin     float64
-	rttMax     float64
 }
 
 // MeanRTT returns the average of the connection's RTT samples, in seconds
@@ -114,9 +104,6 @@ func (s *Stats) MinRTT() float64 {
 	}
 	return s.rttMin
 }
-
-// MaxRTT returns the largest RTT sample (0 if none).
-func (s *Stats) MaxRTT() float64 { return s.rttMax }
 
 // LossRate returns p: the fraction of transmitted data segments that were
 // lost, estimated from retransmissions.
@@ -274,30 +261,12 @@ func (s *Sender) Stats() *Stats { return &s.stats }
 // BytesAcked returns payload bytes cumulatively acknowledged so far.
 func (s *Sender) BytesAcked() int64 { return s.stats.BytesAcked }
 
-// Cwnd returns the current congestion window in segments.
-func (s *Sender) Cwnd() float64 { return s.cc.Window() }
-
-// Ssthresh returns the current slow-start threshold in segments (+Inf for
-// controls without one).
-func (s *Sender) Ssthresh() float64 { return s.cc.Ssthresh() }
-
-// InRecovery reports whether the sender is in loss recovery.
-func (s *Sender) InRecovery() bool { return s.inRecovery }
-
-// RTO returns the current retransmission timeout in seconds.
-func (s *Sender) RTO() float64 { return s.rto }
-
-// SRTT returns the smoothed RTT estimate in seconds (0 before any sample).
-func (s *Sender) SRTT() float64 { return s.srtt }
-
-// Pipe returns the current in-flight estimate in segments.
-func (s *Sender) Pipe() int { return s.pipe }
-
 // SenderStats is a congestion-control-agnostic snapshot of a sender's
-// rate state. Unlike Cwnd/Ssthresh — whose meaning is Reno-specific and
-// degenerate under other controls (BBR has no ssthresh) — these fields
-// are defined for every algorithm, so testbed epochs and obs metrics can
-// record them without knowing which variant ran.
+// rate state. Unlike a congestion window and ssthresh — whose meaning is
+// Reno-specific and degenerate under other controls (BBR has no
+// ssthresh) — these fields are defined for every algorithm, so testbed
+// epochs and obs metrics can record them without knowing which variant
+// ran.
 type SenderStats struct {
 	CC               Congestion // algorithm that produced these numbers
 	WindowSegments   float64    // current send window, segments
@@ -474,9 +443,6 @@ func (s *Sender) recordRTT(rtt float64) {
 	s.stats.rttSum += rtt
 	if s.stats.rttMin == 0 || rtt < s.stats.rttMin {
 		s.stats.rttMin = rtt
-	}
-	if rtt > s.stats.rttMax {
-		s.stats.rttMax = rtt
 	}
 	if s.stats.RTTSamples == 1 {
 		s.srtt = rtt

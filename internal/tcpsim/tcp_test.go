@@ -267,11 +267,4 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.MinRTO != 1.0 || cfg.MaxRTO != 60.0 || cfg.DelAckTimeout != 0.2 {
 		t.Errorf("timer defaults wrong: %+v", cfg)
 	}
-	if cfg.BPerACK() != 1 {
-		t.Error("b should be 1 without delayed ACKs")
-	}
-	cfg.DelayedAck = true
-	if cfg.BPerACK() != 2 {
-		t.Error("b should be 2 with delayed ACKs")
-	}
 }

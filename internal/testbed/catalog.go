@@ -46,17 +46,6 @@ type PathConfig struct {
 	TargetWindowBytes int               // per-path override of the target transfer's window
 }
 
-// BottleneckBps returns the configured bottleneck capacity.
-func (pc PathConfig) BottleneckBps() float64 {
-	min := pc.Spec.Forward[0].CapacityBps
-	for _, h := range pc.Spec.Forward[1:] {
-		if h.CapacityBps < min {
-			min = h.CapacityBps
-		}
-	}
-	return min
-}
-
 // CatalogConfig controls catalog generation.
 type CatalogConfig struct {
 	Seed      int64

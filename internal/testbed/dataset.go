@@ -48,10 +48,6 @@ type EpochRecord struct {
 	SmallWindowLimited bool    `json:"small_window_limited,omitempty"`
 }
 
-// Lossy reports whether the pre-flow probing saw any loss, selecting the
-// PFTK branch of the FB predictor (paper Eq. 3).
-func (r EpochRecord) Lossy() bool { return r.PreLoss > 0 }
-
 // Trace is one contiguous measurement session on one path.
 type Trace struct {
 	Path    string        `json:"path"`

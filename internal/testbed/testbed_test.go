@@ -2,6 +2,7 @@ package testbed
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -48,7 +49,10 @@ func TestCatalogDeterministic(t *testing.T) {
 
 func TestCatalogPathProperties(t *testing.T) {
 	for _, pc := range Catalog(CatalogConfig{Seed: 3}) {
-		bn := pc.BottleneckBps()
+		bn := math.Inf(1)
+		for _, h := range pc.Spec.Forward {
+			bn = math.Min(bn, h.CapacityBps)
+		}
 		switch pc.Class {
 		case ClassDSL:
 			if bn < 0.5e6 || bn > 2e6 {

@@ -31,16 +31,14 @@ import (
 const StreamFormat = "tcppred-epochs/1"
 
 // SiteWrite is the fault-injection site checked before any dataset
-// write reaches disk (see SetFaults); a rule here makes Writer.Close
-// fail after the temp file exists, proving the previous file survives.
+// write reaches disk (tests arm it through faults); a rule here makes
+// Writer.Close fail after the temp file exists, proving the previous
+// file survives.
 const SiteWrite = "traceio.write"
 
-// faults is the package fault-injection seam, nil outside tests.
+// faults is the package fault-injection seam, nil outside tests (which
+// set it through SetFaults in export_test.go).
 var faults *faultinject.Injector
-
-// SetFaults installs (or, with nil, removes) the package's fault
-// injector. Test-only: not synchronized with in-flight writes.
-func SetFaults(in *faultinject.Injector) { faults = in }
 
 func checkFault(site string) error {
 	if faults == nil {
@@ -287,18 +285,6 @@ func NewReader(path string) (*Reader, error) {
 	}
 	r.label = h.Label
 	return r, nil
-}
-
-// Label returns the dataset label from the stream header.
-func (r *Reader) Label() string { return r.label }
-
-// Trailer returns the stream trailer once the reader has consumed it
-// (after Next has returned io.EOF or ErrPartial).
-func (r *Reader) Trailer() (Trailer, bool) {
-	if r.trailer == nil {
-		return Trailer{}, false
-	}
-	return *r.trailer, true
 }
 
 // Next returns the next trace. At end of stream it returns io.EOF for a

@@ -135,7 +135,4 @@ func TestDatasetAccessors(t *testing.T) {
 	if th := tr.SmallThroughputs(); th[0] != 1e6 {
 		t.Errorf("SmallThroughputs = %v", th)
 	}
-	if !tr.Records[0].Lossy() || tr.Records[1].Lossy() {
-		t.Error("Lossy() classification wrong")
-	}
 }

@@ -45,6 +45,15 @@ echo "predsvc.Config settable values:   $(fields internal/predsvc/config.go Conf
 echo "exported identifiers, tcppred (facade): $(exported .)"
 echo "exported identifiers, predict:    $(exported internal/predict)"
 echo "exported identifiers, predsvc:    $(exported internal/predsvc)"
+# Every exported identifier under internal/, and the allowlist of those
+# only tests name (test oracles and seams), which may only shrink:
+# go test ./internal/treecheck fails on any other export no program names.
+total=0
+for d in $(find internal -name '*.go' -not -name '*_test.go' -exec dirname {} + | sort -u); do
+    total=$((total + $(exported "$d")))
+done
+echo "exported identifiers, internal/:  $total"
+echo "treecheck allowlist entries:      $(grep -cv '^#\|^$' internal/treecheck/testdata/allowlist.txt)"
 # The daemon should link the service and what it serves with, not the
 # simulator behind the load generator and the experiments.
 echo "repro packages linked by predserverd: $(go list -deps ./cmd/predserverd | grep -c '^repro/')"
