@@ -133,7 +133,7 @@ func main() {
 		// continuing → report before/during comparison.
 		runPathload()
 		pre := runPing(*dur)
-		prober := probe.NewProber(eng, path.A, 2, probe.Config{})
+		prober := probe.NewProber(eng, path.A, 2)
 		prober.Start()
 		rep := runIperf(*dur)
 		during := prober.Window()

@@ -66,9 +66,8 @@ func main() {
 		chaosMode = flag.Bool("chaos", false, "inject client-side faults (aborted predicts, slowloris probes, forced-panic probes); digest covers only the fault-free replay")
 		chaosSeed = flag.Int64("chaos-seed", 1, "fault-injection seed for -chaos")
 
-		startEpoch    = flag.Int("start-epoch", 0, "replay only epoch indices >= this (phase-split runs around a resize)")
-		pace          = flag.Duration("pace", 0, "pause per worker between epoch rounds, stretching the replay so restarts land mid-load")
-		retryDeadline = flag.Duration("retry-deadline", 0, "how long one request retries through 429/5xx/connection-refused before failing the run (default 30s)")
+		startEpoch = flag.Int("start-epoch", 0, "replay only epoch indices >= this (phase-split runs around a resize)")
+		pace       = flag.Duration("pace", 0, "pause per worker between epoch rounds, stretching the replay so restarts land mid-load")
 	)
 	flag.Parse()
 
@@ -102,12 +101,11 @@ func main() {
 	}
 
 	lcfg := predsvc.LoadConfig{
-		Nodes:         nodes,
-		BatchObserve:  *batchMode,
-		Workers:       *workers,
-		StartEpoch:    *startEpoch,
-		EpochPause:    *pace,
-		RetryDeadline: *retryDeadline,
+		Nodes:        nodes,
+		BatchObserve: *batchMode,
+		Workers:      *workers,
+		StartEpoch:   *startEpoch,
+		EpochPause:   *pace,
 	}
 	if len(nodes) > 1 {
 		log.Printf("predload: routing paths across %d nodes by rendezvous hash", len(nodes))

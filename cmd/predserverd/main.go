@@ -73,13 +73,11 @@ func main() {
 		chaosSeed   = flag.Int64("chaos-seed", 1, "fault-injection seed for -chaos")
 		chaosHand   = flag.Bool("chaos-handoff", false, "kill the first session handoff mid-transfer: the 6th exported record aborts the stream and the 6th imported record 500s, so only a retried pass can complete")
 		drainDelay  = flag.Duration("drain-delay", 0, "extra time /readyz advertises draining before connections close on shutdown (lets cluster clients re-probe)")
-
-		obsSpans = flag.Int("obs-spans", obs.DefaultSpanCapacity, "completed request spans retained for /debug/trace")
 	)
 	flag.Parse()
 
 	cfg := predsvc.Config{
-		Obs:               obs.New(*obsSpans),
+		Obs:               obs.New(obs.DefaultSpanCapacity),
 		Shards:            *shards,
 		Capacity:          *capacity,
 		MaxInFlight:       *maxInflight,

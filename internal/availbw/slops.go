@@ -18,17 +18,21 @@ import (
 	"repro/internal/sim"
 )
 
+// The probing constants of pathload's defaults.
+const (
+	packetSize     = 800  // bytes per probe packet
+	interStreamGap = 0.3  // idle time between streams, seconds
+	initialRate    = 1e6  // first probed rate, bps
+	maxRate        = 1e9  // upper bound on probing, bps
+	resolution     = 0.08 // stop when (hi-lo)/hi is below this
+	streamTimeout  = 5.0  // per-stream receive timeout, seconds
+)
+
 // Config tunes the estimator. Zero fields are defaulted.
 type Config struct {
-	StreamLength   int     // packets per stream (default 100)
-	PacketSize     int     // bytes (default 800)
-	StreamsPerRate int     // streams per probed rate, majority vote (default 2)
-	InterStreamGap float64 // idle time between streams, seconds (default 0.3)
-	InitialRate    float64 // first probed rate, bps (default 1 Mbps)
-	MaxRate        float64 // upper bound on probing, bps (default 1 Gbps)
-	Resolution     float64 // stop when (hi-lo)/hi below this (default 0.08)
-	MaxIterations  int     // rate-adjustment iterations (default 14)
-	Timeout        float64 // per-stream receive timeout, seconds (default 5)
+	StreamLength   int // packets per stream (default 100)
+	StreamsPerRate int // streams per probed rate, majority vote (default 2)
+	MaxIterations  int // rate-adjustment iterations (default 14)
 }
 
 // Defaults fills unset fields.
@@ -36,29 +40,11 @@ func (c Config) Defaults() Config {
 	if c.StreamLength == 0 {
 		c.StreamLength = 100
 	}
-	if c.PacketSize == 0 {
-		c.PacketSize = 800
-	}
 	if c.StreamsPerRate == 0 {
 		c.StreamsPerRate = 2
 	}
-	if c.InterStreamGap == 0 {
-		c.InterStreamGap = 0.3
-	}
-	if c.InitialRate == 0 {
-		c.InitialRate = 1e6
-	}
-	if c.MaxRate == 0 {
-		c.MaxRate = 1e9
-	}
-	if c.Resolution == 0 {
-		c.Resolution = 0.08
-	}
 	if c.MaxIterations == 0 {
 		c.MaxIterations = 14
-	}
-	if c.Timeout == 0 {
-		c.Timeout = 5
 	}
 	return c
 }
@@ -208,12 +194,12 @@ func (e *Estimator) sendStream(rate float64) []float64 {
 
 	// The chirps fire in index order (increasing delays, ties broken by
 	// scheduling order), so a counter stands in for a per-chirp closure.
-	gap := float64(e.cfg.PacketSize) * 8 / rate
+	gap := float64(packetSize) * 8 / rate
 	e.nextSeq = 0
 	for i := 0; i < e.cfg.StreamLength; i++ {
 		e.eng.Schedule(float64(i)*gap, e.chirpFn)
 	}
-	streamTime := float64(e.cfg.StreamLength)*gap + e.cfg.Timeout
+	streamTime := float64(e.cfg.StreamLength)*gap + streamTimeout
 	deadline := e.eng.Now() + streamTime
 	// Run until all packets arrived or the timeout hits.
 	for e.eng.Now() < deadline && len(e.arrivals) < e.expected {
@@ -226,7 +212,7 @@ func (e *Estimator) sendChirp() {
 	pkt := e.path.A.NewPacket()
 	pkt.Flow = e.flow
 	pkt.Kind = netem.KindChirp
-	pkt.Size = e.cfg.PacketSize
+	pkt.Size = packetSize
 	pkt.Seq = e.nextSeq
 	e.nextSeq++
 	e.path.A.Send(pkt)
@@ -261,7 +247,7 @@ func (e *Estimator) probeRate(rate float64) Trend {
 		case TrendNone:
 			none++
 		}
-		e.eng.RunUntil(e.eng.Now() + e.cfg.InterStreamGap)
+		e.eng.RunUntil(e.eng.Now() + interStreamGap)
 	}
 	switch {
 	case incr > none:
@@ -279,7 +265,7 @@ func (e *Estimator) Estimate() Result {
 	cfg := e.cfg
 
 	lo, hi := 0.0, 0.0
-	rate := cfg.InitialRate
+	rate := initialRate
 	streams := 0
 
 	// Phase 1: exponential growth until a trend appears (upper bound).
@@ -293,13 +279,13 @@ func (e *Estimator) Estimate() Result {
 		if t == TrendNone {
 			lo = rate
 		}
-		if rate >= cfg.MaxRate {
-			hi = cfg.MaxRate
+		if rate >= maxRate {
+			hi = maxRate
 			break
 		}
 		rate *= 2
-		if rate > cfg.MaxRate {
-			rate = cfg.MaxRate
+		if rate > maxRate {
+			rate = maxRate
 		}
 	}
 	if hi == 0 {
@@ -308,7 +294,7 @@ func (e *Estimator) Estimate() Result {
 
 	// Phase 2: binary search within [lo, hi].
 	for iter := 0; iter < cfg.MaxIterations; iter++ {
-		if hi-lo <= cfg.Resolution*hi {
+		if hi-lo <= resolution*hi {
 			break
 		}
 		mid := (lo + hi) / 2

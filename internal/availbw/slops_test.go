@@ -124,7 +124,7 @@ func TestTrendString(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	cfg := availbw.Config{}.Defaults()
-	if cfg.StreamLength != 100 || cfg.PacketSize != 800 || cfg.MaxIterations != 14 {
+	if cfg.StreamLength != 100 || cfg.StreamsPerRate != 2 || cfg.MaxIterations != 14 {
 		t.Errorf("defaults = %+v", cfg)
 	}
 }

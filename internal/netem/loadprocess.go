@@ -23,29 +23,35 @@ type loadSeg struct {
 	slope float64 // multiplier change per second (trend)
 }
 
-// LoadConfig tunes the generated load process. Zero values disable the
-// corresponding feature.
+// The shapes of the load process's pathologies: a level shift multiplies
+// the level by a factor uniform in [shiftLo, shiftHi] (inverted with
+// probability 0.5), and the level is clamped from below at minLevel; a
+// burst multiplies it by burstFactor for a duration uniform in [burstMin,
+// burstMax] seconds; a trend drifts by up to ±trendMaxSlope (fraction of
+// level per second).
+const (
+	shiftLo, shiftHi   = 1.3, 2.2
+	minLevel           = 0.25
+	burstFactor        = 2.8
+	burstMin, burstMax = 60, 180
+	trendMaxSlope      = 1.0 / 7200 // drift up to 100% over 2 h
+)
+
+// LoadConfig tunes the generated load process. A zero mean interval or
+// probability disables the corresponding feature.
 type LoadConfig struct {
 	Horizon float64 // duration to generate for, seconds
 
-	// Level shifts: Poisson arrivals with the given mean interval; at each
-	// shift the level is multiplied by a factor drawn uniformly from
-	// [ShiftLo, ShiftHi] (and inverted with probability 0.5), clamped to
-	// [MinLevel, MaxLevel].
-	ShiftMeanInterval  float64
-	ShiftLo, ShiftHi   float64
-	MinLevel, MaxLevel float64
+	// Level shifts: Poisson arrivals with the given mean interval, the
+	// level clamped from above at MaxLevel.
+	ShiftMeanInterval float64
+	MaxLevel          float64
 
-	// Outlier bursts: Poisson arrivals; each burst multiplies the level by
-	// BurstFactor for a duration uniform in [BurstMin, BurstMax] seconds.
-	BurstMeanInterval  float64
-	BurstFactor        float64
-	BurstMin, BurstMax float64
+	// Outlier bursts: Poisson arrivals with the given mean interval.
+	BurstMeanInterval float64
 
-	// Trend: with probability TrendProb each inter-shift segment drifts
-	// linearly by up to ±TrendMaxSlope (fraction of level per second).
-	TrendProb     float64
-	TrendMaxSlope float64
+	// Trend: with probability TrendProb each inter-shift segment drifts.
+	TrendProb float64
 }
 
 // DefaultLoadConfig returns a configuration that produces the mix of
@@ -54,16 +60,9 @@ func DefaultLoadConfig(horizon float64) LoadConfig {
 	return LoadConfig{
 		Horizon:           horizon,
 		ShiftMeanInterval: 2400, // a level shift every ~40 min on average
-		ShiftLo:           1.3,
-		ShiftHi:           2.2,
-		MinLevel:          0.25,
 		MaxLevel:          1.9,
 		BurstMeanInterval: 1800,
-		BurstFactor:       2.8,
-		BurstMin:          60,
-		BurstMax:          180,
 		TrendProb:         0.25,
-		TrendMaxSlope:     1.0 / 7200, // drift up to 100% over 2 h
 	}
 }
 
@@ -85,7 +84,7 @@ func GenerateLoad(rng *sim.RNG, cfg LoadConfig) *LoadProcess {
 	var changes []change
 	if cfg.ShiftMeanInterval > 0 {
 		for t := rng.Exp(cfg.ShiftMeanInterval); t < cfg.Horizon; t += rng.Exp(cfg.ShiftMeanInterval) {
-			f := rng.Uniform(cfg.ShiftLo, cfg.ShiftHi)
+			f := rng.Uniform(shiftLo, shiftHi)
 			if rng.Bool(0.5) {
 				f = 1 / f
 			}
@@ -94,8 +93,8 @@ func GenerateLoad(rng *sim.RNG, cfg LoadConfig) *LoadProcess {
 	}
 	if cfg.BurstMeanInterval > 0 {
 		for t := rng.Exp(cfg.BurstMeanInterval); t < cfg.Horizon; t += rng.Exp(cfg.BurstMeanInterval) {
-			d := rng.Uniform(cfg.BurstMin, cfg.BurstMax)
-			changes = append(changes, change{at: t, factor: cfg.BurstFactor, burst: t + d})
+			d := rng.Uniform(burstMin, burstMax)
+			changes = append(changes, change{at: t, factor: burstFactor, burst: t + d})
 		}
 	}
 	sort.Slice(changes, func(i, j int) bool { return changes[i].at < changes[j].at })
@@ -105,7 +104,7 @@ func GenerateLoad(rng *sim.RNG, cfg LoadConfig) *LoadProcess {
 	push := func(t, lvl float64) {
 		slope := 0.0
 		if cfg.TrendProb > 0 && rng.Bool(cfg.TrendProb) {
-			slope = rng.Uniform(-cfg.TrendMaxSlope, cfg.TrendMaxSlope) * lvl
+			slope = rng.Uniform(-trendMaxSlope, trendMaxSlope) * lvl
 		}
 		lp.segs = append(lp.segs, loadSeg{start: t, level: lvl, slope: slope})
 	}
@@ -113,11 +112,11 @@ func GenerateLoad(rng *sim.RNG, cfg LoadConfig) *LoadProcess {
 	for _, c := range changes {
 		if c.burst > 0 {
 			// Burst: temporary elevation, then return to the pre-burst level.
-			lp.segs = append(lp.segs, loadSeg{start: c.at, level: clamp(level*c.factor, cfg.MinLevel, cfg.MaxLevel)})
+			lp.segs = append(lp.segs, loadSeg{start: c.at, level: clamp(level*c.factor, minLevel, cfg.MaxLevel)})
 			push(c.burst, level)
 			continue
 		}
-		level = clamp(level*c.factor, cfg.MinLevel, cfg.MaxLevel)
+		level = clamp(level*c.factor, minLevel, cfg.MaxLevel)
 		push(c.at, level)
 	}
 	return lp

@@ -105,7 +105,7 @@ func TestGenerateLoadBounds(t *testing.T) {
 		tm := float64(tRaw%21600) + float64(tRaw%1000)/1000
 		v := lp.At(tm)
 		// Bursts may exceed MaxLevel transiently up to MaxLevel (clamped),
-		// and trends may drift below MinLevel but never below zero.
+		// and trends may drift below minLevel but never below zero.
 		return v >= 0 && v <= cfg.MaxLevel*1.01+1
 	}
 	if err := quick.Check(f, nil); err != nil {

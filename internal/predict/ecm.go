@@ -4,25 +4,25 @@ import "math"
 
 // ECMConfig tunes the Empirical Conditional Method predictor.
 type ECMConfig struct {
-	// BucketCap bounds the samples retained per conditioning bucket
+	// bucketCap bounds the samples retained per conditioning bucket
 	// (default 64).
-	BucketCap int
-	// GlobalCap bounds the unconditional fallback ring (default 128).
-	GlobalCap int
-	// MinBucket is the minimum samples a bucket needs before it is
+	bucketCap int
+	// globalCap bounds the unconditional fallback ring (default 128).
+	globalCap int
+	// minBucket is the minimum samples a bucket needs before it is
 	// preferred over the global distribution (default 5).
-	MinBucket int
+	minBucket int
 }
 
 func (c ECMConfig) defaults() ECMConfig {
-	if c.BucketCap <= 0 {
-		c.BucketCap = 64
+	if c.bucketCap <= 0 {
+		c.bucketCap = 64
 	}
-	if c.GlobalCap <= 0 {
-		c.GlobalCap = 128
+	if c.globalCap <= 0 {
+		c.globalCap = 128
 	}
-	if c.MinBucket <= 0 {
-		c.MinBucket = 5
+	if c.minBucket <= 0 {
+		c.minBucket = 5
 	}
 	return c
 }
@@ -61,7 +61,7 @@ func NewECM(cfg ECMConfig) *ECM {
 	return &ECM{
 		cfg:     cfg,
 		buckets: make(map[ecmKey]*orderedRing),
-		global:  newOrderedRing(cfg.GlobalCap),
+		global:  newOrderedRing(cfg.globalCap),
 	}
 }
 
@@ -87,7 +87,7 @@ func (e *ECM) Observe(x float64) {
 	}
 	r := e.buckets[e.cond]
 	if r == nil {
-		nr := newOrderedRing(e.cfg.BucketCap)
+		nr := newOrderedRing(e.cfg.bucketCap)
 		r = &nr
 		e.buckets[e.cond] = r
 	}
@@ -98,7 +98,7 @@ func (e *ECM) Observe(x float64) {
 // bucket when it has enough mass, else the global fallback.
 func (e *ECM) ring() *orderedRing {
 	if e.hasCond {
-		if r := e.buckets[e.cond]; r != nil && r.count() >= e.cfg.MinBucket {
+		if r := e.buckets[e.cond]; r != nil && r.count() >= e.cfg.minBucket {
 			return r
 		}
 	}

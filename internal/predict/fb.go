@@ -60,18 +60,17 @@ type FBInputs struct {
 	AvailBw  float64 `json:"avail_bw_bps"` // Â: available bandwidth estimate before the flow, bits/s
 }
 
+// fbMSS is the segment size of the predicted transfer, bytes.
+const fbMSS = 1460
+
 // FBConfig describes the transfer whose throughput is being predicted.
 type FBConfig struct {
 	Model          Model
-	MSS            int // segment size, bytes (default 1460)
 	MaxWindowBytes int // W, bytes (default 1 MB)
 	B              int // segments per ACK (default 2: delayed ACKs)
 }
 
 func (c FBConfig) defaults() FBConfig {
-	if c.MSS == 0 {
-		c.MSS = 1460
-	}
 	if c.MaxWindowBytes == 0 {
 		c.MaxWindowBytes = 1 << 20
 	}
@@ -115,12 +114,12 @@ func (f *FB) Predict(in FBInputs) float64 {
 	}
 
 	params := tcpmodel.Params{
-		MSS:  f.cfg.MSS,
+		MSS:  fbMSS,
 		RTT:  in.RTT,
 		Loss: in.LossRate,
 		B:    f.cfg.B,
 		RTO:  RTO(in.RTT),
-		Wmax: w / float64(f.cfg.MSS),
+		Wmax: w / fbMSS,
 	}
 	var bytesPerSec float64
 	switch f.cfg.Model {

@@ -127,7 +127,7 @@ func TestModelString(t *testing.T) {
 
 func TestFBDefaultsApplied(t *testing.T) {
 	fb := NewFB(FBConfig{})
-	if fb.cfg.MSS != 1460 || fb.cfg.MaxWindowBytes != 1<<20 || fb.cfg.B != 2 {
+	if fb.cfg.MaxWindowBytes != 1<<20 || fb.cfg.B != 2 {
 		t.Errorf("defaults not applied: %+v", fb.cfg)
 	}
 }

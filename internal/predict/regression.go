@@ -9,28 +9,28 @@ const regDim = 6
 
 // RegressionConfig tunes the online least-squares predictor.
 type RegressionConfig struct {
-	// Forget is the exponential forgetting factor β applied to the
+	// forget is the exponential forgetting factor β applied to the
 	// accumulated normal equations per observation (0 < β ≤ 1, default
 	// 0.97 ≈ a ~30-sample memory).
-	Forget float64
-	// Ridge is the Tikhonov regularizer λ added to the normal matrix
+	forget float64
+	// ridge is the Tikhonov regularizer λ added to the normal matrix
 	// diagonal at solve time (default 1e-3), which keeps the solve
 	// stable while features are still collinear early in a path's life.
-	Ridge float64
-	// LastK is how many recent throughputs feed the history features
+	ridge float64
+	// lastK is how many recent throughputs feed the history features
 	// (default 8).
-	LastK int
+	lastK int
 }
 
 func (c RegressionConfig) defaults() RegressionConfig {
-	if c.Forget <= 0 || c.Forget > 1 {
-		c.Forget = 0.97
+	if c.forget <= 0 || c.forget > 1 {
+		c.forget = 0.97
 	}
-	if c.Ridge <= 0 {
-		c.Ridge = 1e-3
+	if c.ridge <= 0 {
+		c.ridge = 1e-3
 	}
-	if c.LastK <= 0 {
-		c.LastK = 8
+	if c.lastK <= 0 {
+		c.lastK = 8
 	}
 	return c
 }
@@ -73,7 +73,7 @@ type Regression struct {
 // NewRegression returns an online least-squares predictor.
 func NewRegression(cfg RegressionConfig) *Regression {
 	cfg = cfg.defaults()
-	return &Regression{cfg: cfg, hist: make([]float64, 0, cfg.LastK)}
+	return &Regression{cfg: cfg, hist: make([]float64, 0, cfg.lastK)}
 }
 
 // Name implements HB.
@@ -95,7 +95,7 @@ func (r *Regression) Observe(x float64) {
 	var z [regDim]float64
 	r.features(&z)
 	y := x / 1e6
-	beta := r.cfg.Forget
+	beta := r.cfg.forget
 	k := 0
 	for i := 0; i < regDim; i++ {
 		for j := i; j < regDim; j++ {
@@ -244,7 +244,7 @@ func (r *Regression) solveDot(z *[regDim]float64) (float64, bool) {
 		trace += r.a[k]
 		k += regDim - i
 	}
-	lam := r.cfg.Ridge * (1 + trace/regDim)
+	lam := r.cfg.ridge * (1 + trace/regDim)
 	k = 0
 	for i := 0; i < regDim; i++ {
 		for j := i; j < regDim; j++ {

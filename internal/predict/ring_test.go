@@ -142,8 +142,8 @@ func TestECMRingsMatchOracle(t *testing.T) {
 		{RTT: 0.1, LossRate: 0.02, AvailBw: 50e6},
 		{RTT: 0.4},
 	}
-	for _, cfg := range []ECMConfig{{BucketCap: 1, GlobalCap: 2}, {BucketCap: 3, GlobalCap: 50, MinBucket: 2}, {}} {
-		rng := rand.New(rand.NewSource(int64(cfg.GlobalCap)))
+	for _, cfg := range []ECMConfig{{bucketCap: 1, globalCap: 2}, {bucketCap: 3, globalCap: 50, minBucket: 2}, {}} {
+		rng := rand.New(rand.NewSource(int64(cfg.globalCap)))
 		e := NewECM(cfg)
 		for step := 0; step < 3000; step++ {
 			switch r := rng.Intn(100); {

@@ -4,22 +4,22 @@ import "math"
 
 // SwitcherConfig tunes the stability-aware hybrid switcher.
 type SwitcherConfig struct {
-	// Window is the number of recent samples the stability statistic is
+	// window is the number of recent samples the stability statistic is
 	// computed over (default 16).
-	Window int
-	// CoVThreshold is the coefficient-of-variation boundary between the
+	window int
+	// covThreshold is the coefficient-of-variation boundary between the
 	// "stable" and "volatile" regimes (default 0.25, per Sun et al.'s
 	// observation that throughput is highly predictable below ~25%
 	// relative variation).
-	CoVThreshold float64
+	covThreshold float64
 }
 
 func (c SwitcherConfig) defaults() SwitcherConfig {
-	if c.Window <= 0 {
-		c.Window = 16
+	if c.window <= 0 {
+		c.window = 16
 	}
-	if c.CoVThreshold <= 0 {
-		c.CoVThreshold = 0.25
+	if c.covThreshold <= 0 {
+		c.covThreshold = 0.25
 	}
 	return c
 }
@@ -48,7 +48,7 @@ func NewStabilitySwitcher(stable, volatile HB, cfg SwitcherConfig) *StabilitySwi
 		cfg:      cfg,
 		stable:   stable,
 		volatile: volatile,
-		ring:     make([]float64, 0, cfg.Window),
+		ring:     make([]float64, 0, cfg.window),
 	}
 }
 
@@ -58,7 +58,7 @@ func (s *StabilitySwitcher) Name() string { return "switcher" }
 // Volatile reports whether the current regime is volatile (for tests
 // and diagnostics).
 func (s *StabilitySwitcher) Volatile() bool {
-	return s.cov() > s.cfg.CoVThreshold
+	return s.cov() > s.cfg.covThreshold
 }
 
 // cov returns the coefficient of variation of the retained window

@@ -205,7 +205,7 @@ func TestECMConditionalBeatsGlobal(t *testing.T) {
 }
 
 func TestECMGlobalFallback(t *testing.T) {
-	e := NewECM(ECMConfig{MinBucket: 5})
+	e := NewECM(ECMConfig{minBucket: 5})
 	for i := 0; i < 10; i++ {
 		e.Observe(10e6) // no conditions set: global only
 	}
@@ -241,7 +241,7 @@ func TestECMForecastGuards(t *testing.T) {
 func TestStabilitySwitcherRegimes(t *testing.T) {
 	stable := NewEWMA(0.8)
 	volatile := NewMA(10)
-	s := NewStabilitySwitcher(stable, volatile, SwitcherConfig{Window: 8, CoVThreshold: 0.25})
+	s := NewStabilitySwitcher(stable, volatile, SwitcherConfig{window: 8, covThreshold: 0.25})
 	for i := 0; i < 20; i++ {
 		s.Observe(10e6 * (1 + 0.01*float64(i%2)))
 	}

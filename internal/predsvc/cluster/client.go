@@ -19,20 +19,20 @@ type ClientConfig struct {
 	// HTTP overrides the underlying http.Client (default: a fresh client
 	// with a modestly sized keep-alive pool).
 	HTTP *http.Client
-	// BackoffMin/Max bound the capped exponential backoff between
+	// backoffMin/Max bound the capped exponential backoff between
 	// retries, with up to 50% jitter added so many clients recovering
 	// from the same node restart do not retry in lockstep (defaults
-	// 5ms / 500ms).
-	BackoffMin time.Duration
-	BackoffMax time.Duration
+	// 5ms / 500ms; tests shorten them).
+	backoffMin time.Duration
+	backoffMax time.Duration
 	// RetryDeadline bounds how long one request keeps retrying through
 	// 429s, 5xxs and connection errors before giving up — the window a
 	// node restart must fit into (default 30s; negative disables
 	// retrying entirely).
 	RetryDeadline time.Duration
-	// ProbeInterval is the /readyz polling cadence while a node is down
-	// (default 25ms).
-	ProbeInterval time.Duration
+	// probeInterval is the /readyz polling cadence while a node is down
+	// (default 25ms; tests shorten it).
+	probeInterval time.Duration
 }
 
 func (c ClientConfig) withDefaults() ClientConfig {
@@ -41,17 +41,17 @@ func (c ClientConfig) withDefaults() ClientConfig {
 			Transport: &http.Transport{MaxIdleConns: 16, MaxIdleConnsPerHost: 16},
 		}
 	}
-	if c.BackoffMin <= 0 {
-		c.BackoffMin = 5 * time.Millisecond
+	if c.backoffMin <= 0 {
+		c.backoffMin = 5 * time.Millisecond
 	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 500 * time.Millisecond
+	if c.backoffMax <= 0 {
+		c.backoffMax = 500 * time.Millisecond
 	}
 	if c.RetryDeadline == 0 {
 		c.RetryDeadline = 30 * time.Second
 	}
-	if c.ProbeInterval <= 0 {
-		c.ProbeInterval = 25 * time.Millisecond
+	if c.probeInterval <= 0 {
+		c.probeInterval = 25 * time.Millisecond
 	}
 	return c
 }
@@ -173,7 +173,7 @@ func (c *Client) WaitReady(ctx context.Context, node string, deadline time.Durat
 		select {
 		case <-ctx.Done():
 			return fmt.Errorf("cluster: node %s not ready: %w", node, ctx.Err())
-		case <-time.After(c.cfg.ProbeInterval):
+		case <-time.After(c.cfg.probeInterval):
 		}
 	}
 }
@@ -198,7 +198,7 @@ func (c *Client) Do(ctx context.Context, method, node, path string, body []byte)
 		retryCtx, cancel = context.WithTimeout(ctx, c.cfg.RetryDeadline)
 		defer cancel()
 	}
-	backoff := c.cfg.BackoffMin
+	backoff := c.cfg.backoffMin
 	sawTransportErr := false
 	for {
 		var rd io.Reader
@@ -257,8 +257,8 @@ func (c *Client) Do(ctx context.Context, method, node, path string, body []byte)
 			return 0, nil, err
 		case <-time.After(sleep):
 		}
-		if backoff *= 2; backoff > c.cfg.BackoffMax {
-			backoff = c.cfg.BackoffMax
+		if backoff *= 2; backoff > c.cfg.backoffMax {
+			backoff = c.cfg.backoffMax
 		}
 	}
 }

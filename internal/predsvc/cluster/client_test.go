@@ -14,10 +14,10 @@ func testClient(t *testing.T, nodes ...string) *Client {
 	t.Helper()
 	return NewClient(ClientConfig{
 		Nodes:         nodes,
-		BackoffMin:    time.Millisecond,
-		BackoffMax:    5 * time.Millisecond,
+		backoffMin:    time.Millisecond,
+		backoffMax:    5 * time.Millisecond,
 		RetryDeadline: 5 * time.Second,
-		ProbeInterval: 2 * time.Millisecond,
+		probeInterval: 2 * time.Millisecond,
 	})
 }
 
@@ -87,8 +87,8 @@ func TestDoRetryDeadline(t *testing.T) {
 
 	c := NewClient(ClientConfig{
 		Nodes:         []string{ts.URL},
-		BackoffMin:    time.Millisecond,
-		BackoffMax:    2 * time.Millisecond,
+		backoffMin:    time.Millisecond,
+		backoffMax:    2 * time.Millisecond,
 		RetryDeadline: 50 * time.Millisecond,
 	})
 	start := time.Now()

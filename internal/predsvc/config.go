@@ -70,10 +70,11 @@ type Config struct {
 	// short delay).
 	DrainDelay time.Duration
 
-	// SnapshotRetryMin/Max bound the exponential backoff between retries
-	// of a failed snapshot write (defaults 250ms / 15s).
-	SnapshotRetryMin time.Duration
-	SnapshotRetryMax time.Duration
+	// snapshotRetryMin/Max bound the exponential backoff between retries
+	// of a failed snapshot write (defaults 250ms / 15s; tests shorten
+	// them).
+	snapshotRetryMin time.Duration
+	snapshotRetryMax time.Duration
 
 	// Faults is an optional deterministic fault injector; sites are the
 	// Site* constants in this package. Nil injects nothing.
@@ -107,11 +108,11 @@ func (c Config) withDefaults() Config {
 	if c.MaxInFlight == 0 {
 		c.MaxInFlight = 1024
 	}
-	if c.SnapshotRetryMin <= 0 {
-		c.SnapshotRetryMin = 250 * time.Millisecond
+	if c.snapshotRetryMin <= 0 {
+		c.snapshotRetryMin = 250 * time.Millisecond
 	}
-	if c.SnapshotRetryMax <= 0 {
-		c.SnapshotRetryMax = 15 * time.Second
+	if c.snapshotRetryMax <= 0 {
+		c.snapshotRetryMax = 15 * time.Second
 	}
 	return c
 }

@@ -106,10 +106,6 @@ type LoadConfig struct {
 	// replay's wall-clock so external events (rolling restarts) genuinely
 	// overlap the load (default 0: flat out).
 	EpochPause time.Duration
-	// RetryDeadline bounds how long one request retries through 429s,
-	// 5xxs and connection-refused before the replay fails (default 30s —
-	// long enough to ride out a node restart; negative disables retries).
-	RetryDeadline time.Duration
 	// Chaos enables deterministic client-side fault injection: aborted
 	// predict requests, slowloris probes, and forced-panic probes. All
 	// chaos traffic is read-only or rejected by the server, so the predict
@@ -130,37 +126,41 @@ const (
 type ChaosConfig struct {
 	// Seed for the fault-injection draws.
 	Seed int64
-	// AbortProb is the per-epoch probability of an extra predict request
+
+	// Every program runs the values below at their defaults; the chaos
+	// tests change them.
+
+	// abortProb is the per-epoch probability of an extra predict request
 	// that the client abandons mid-flight — a client disconnect (default
 	// 0.05; negative disables).
-	AbortProb float64
-	// SlowProb is the per-epoch probability of a slowloris probe: a raw
+	abortProb float64
+	// slowProb is the per-epoch probability of a slowloris probe: a raw
 	// connection that sends a partial request line and stalls until the
 	// server's ReadHeaderTimeout closes it (default 0.02; negative
 	// disables).
-	SlowProb float64
-	// SlowHold caps how long a slowloris probe waits for the server to
+	slowProb float64
+	// slowHold caps how long a slowloris probe waits for the server to
 	// hang up before giving up (default 2s).
-	SlowHold time.Duration
-	// Panics is the number of ChaosPanicHeader predict probes sent after
+	slowHold time.Duration
+	// panics is the number of ChaosPanicHeader predict probes sent after
 	// the replay (default 1; negative disables). A daemon running with
 	// fault injection at SiteHandlerPanic panics on each and must convert
 	// it into a 500 via its recovery middleware.
-	Panics int
+	panics int
 }
 
 func (c ChaosConfig) withDefaults() ChaosConfig {
-	if c.AbortProb == 0 {
-		c.AbortProb = 0.05
+	if c.abortProb == 0 {
+		c.abortProb = 0.05
 	}
-	if c.SlowProb == 0 {
-		c.SlowProb = 0.02
+	if c.slowProb == 0 {
+		c.slowProb = 0.02
 	}
-	if c.SlowHold <= 0 {
-		c.SlowHold = 2 * time.Second
+	if c.slowHold <= 0 {
+		c.slowHold = 2 * time.Second
 	}
-	if c.Panics == 0 {
-		c.Panics = 1
+	if c.panics == 0 {
+		c.panics = 1
 	}
 	return c
 }
@@ -290,11 +290,7 @@ func Replay(ctx context.Context, cfg LoadConfig, series []PathSeries) (*LoadRepo
 	if len(cfg.Nodes) == 0 {
 		return nil, errors.New("predsvc: LoadConfig.Nodes is empty")
 	}
-	cc := cluster.NewClient(cluster.ClientConfig{
-		Nodes:         cfg.Nodes,
-		HTTP:          client,
-		RetryDeadline: cfg.RetryDeadline,
-	})
+	cc := cluster.NewClient(cluster.ClientConfig{Nodes: cfg.Nodes, HTTP: client})
 	router := cc.Map()
 
 	// Chaos mode: one shared seeded injector across workers. Each
@@ -307,8 +303,8 @@ func Replay(ctx context.Context, cfg LoadConfig, series []PathSeries) (*LoadRepo
 	if cfg.Chaos != nil {
 		chaosCfg = cfg.Chaos.withDefaults()
 		chaos = faultinject.New(chaosCfg.Seed,
-			faultinject.Rule{Site: siteClientAbort, Probability: chaosCfg.AbortProb},
-			faultinject.Rule{Site: siteClientSlow, Probability: chaosCfg.SlowProb},
+			faultinject.Rule{Site: siteClientAbort, Probability: chaosCfg.abortProb},
+			faultinject.Rule{Site: siteClientSlow, Probability: chaosCfg.slowProb},
 		)
 		if u, err := url.Parse(cfg.Nodes[0]); err == nil {
 			host = u.Host
@@ -416,7 +412,7 @@ func Replay(ctx context.Context, cfg LoadConfig, series []PathSeries) (*LoadRepo
 	// way the response stays out of the digest.
 	if cfg.Chaos != nil && len(series) > 0 && ctx.Err() == nil {
 		probe := router.Node(series[0].Path) + "/v1/predict?path=" + url.QueryEscape(series[0].Path)
-		for i := 0; i < chaosCfg.Panics; i++ {
+		for i := 0; i < chaosCfg.panics; i++ {
 			rep.ChaosRequests++
 			req, err := http.NewRequestWithContext(ctx, http.MethodGet, probe, nil)
 			if err != nil {
@@ -622,7 +618,7 @@ func (lw *loadWorker) chaosSlowloris() {
 	}
 	defer c.Close()
 	fmt.Fprintf(c, "GET /v1/predict?path=chaos HTTP/1.1\r\nHost: %s\r\n", lw.host)
-	c.SetReadDeadline(time.Now().Add(lw.chaosCfg.SlowHold))
+	c.SetReadDeadline(time.Now().Add(lw.chaosCfg.slowHold))
 	buf := make([]byte, 256)
 	_, err = c.Read(buf)
 	var nerr net.Error

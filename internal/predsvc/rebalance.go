@@ -22,8 +22,6 @@ type RebalanceConfig struct {
 	From []string
 	// To is the new membership the cluster is resizing to. Required.
 	To []string
-	// HTTP overrides the HTTP client (default: a fresh one).
-	HTTP *http.Client
 	// Attempts caps how many times one source node's handoff pass
 	// (export → import → drop) is retried before Rebalance fails
 	// (default 5). Retries are idempotent: import is last-writer-wins,
@@ -70,9 +68,6 @@ func Rebalance(ctx context.Context, cfg RebalanceConfig) (*RebalanceReport, erro
 	if len(cfg.From) == 0 || len(cfg.To) == 0 {
 		return nil, errors.New("predsvc: rebalance needs both the old (From) and new (To) membership")
 	}
-	if cfg.HTTP == nil {
-		cfg.HTTP = &http.Client{}
-	}
 	if cfg.Attempts <= 0 {
 		cfg.Attempts = 5
 	}
@@ -95,7 +90,7 @@ func Rebalance(ctx context.Context, cfg RebalanceConfig) (*RebalanceReport, erro
 				case <-time.After(time.Duration(attempt) * 100 * time.Millisecond):
 				}
 			}
-			moved, imported, skipped, dropped, err := rebalanceOne(ctx, cfg.HTTP, src, cfg.To, newMap, logf)
+			moved, imported, skipped, dropped, err := rebalanceOne(ctx, http.DefaultClient, src, cfg.To, newMap, logf)
 			if err != nil {
 				lastErr = err
 				continue

@@ -84,8 +84,8 @@ func TestEndToEndChaos(t *testing.T) {
 		Shards: 4, Capacity: 64,
 		MaxInFlight:       2,
 		ReadHeaderTimeout: 100 * time.Millisecond,
-		SnapshotRetryMin:  time.Millisecond,
-		SnapshotRetryMax:  4 * time.Millisecond,
+		snapshotRetryMin:  time.Millisecond,
+		snapshotRetryMax:  4 * time.Millisecond,
 		Faults:            inj,
 	}
 	snapPath := t.TempDir() + "/chaos-snap.json"
@@ -97,10 +97,10 @@ func TestEndToEndChaos(t *testing.T) {
 		Workers: 8,
 		Chaos: &ChaosConfig{
 			Seed:      7,
-			AbortProb: 0.15,
-			SlowProb:  0.05,
-			SlowHold:  time.Second,
-			Panics:    2,
+			abortProb: 0.15,
+			slowProb:  0.05,
+			slowHold:  time.Second,
+			panics:    2,
 		},
 	}, series)
 	if err != nil {
@@ -264,8 +264,8 @@ func TestSnapshotChecksumRoundTrip(t *testing.T) {
 func TestSnapshotLoopRetriesTransientFailures(t *testing.T) {
 	inj := faultinject.New(3, faultinject.Rule{Site: SiteSnapshotWrite, Every: 1, Times: 2})
 	srv := NewServer(Config{
-		SnapshotRetryMin: time.Millisecond,
-		SnapshotRetryMax: 2 * time.Millisecond,
+		snapshotRetryMin: time.Millisecond,
+		snapshotRetryMax: 2 * time.Millisecond,
 		Faults:           inj,
 	})
 	srv.Registry().GetOrCreate("p").Observe(1e6)

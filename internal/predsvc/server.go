@@ -337,13 +337,13 @@ const snapshotRetries = 8
 
 // WriteSnapshotRetry writes a snapshot, retrying failures up to
 // snapshotRetries times with exponential backoff between
-// SnapshotRetryMin and SnapshotRetryMax plus up to 50% jitter (so many
+// snapshotRetryMin and snapshotRetryMax plus up to 50% jitter (so many
 // daemons recovering from a shared-disk hiccup do not retry in lockstep).
 // Each failed attempt ticks snapshot_failures, each backoff sleep ticks
 // snapshot_retries. The last error is returned if every attempt failed;
 // ctx cancellation aborts the backoff.
 func (r *Server) WriteSnapshotRetry(ctx context.Context, path string) error {
-	backoff := r.cfg.SnapshotRetryMin
+	backoff := r.cfg.snapshotRetryMin
 	var err error
 	for attempt := 0; attempt <= snapshotRetries; attempt++ {
 		if attempt > 0 {
@@ -354,8 +354,8 @@ func (r *Server) WriteSnapshotRetry(ctx context.Context, path string) error {
 				return ctx.Err()
 			case <-time.After(sleep):
 			}
-			if backoff *= 2; backoff > r.cfg.SnapshotRetryMax {
-				backoff = r.cfg.SnapshotRetryMax
+			if backoff *= 2; backoff > r.cfg.snapshotRetryMax {
+				backoff = r.cfg.snapshotRetryMax
 			}
 		}
 		if err = r.WriteSnapshot(path); err == nil {

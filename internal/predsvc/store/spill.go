@@ -18,10 +18,10 @@ type SpillConfig struct {
 	// log is truncated on open: it is a cache extension, not a durability
 	// mechanism — snapshots remain the restart story.
 	Dir string
-	// CompactMinBytes is the dead-byte threshold below which the log is
-	// never compacted (default 1 MiB). Compaction triggers when dead bytes
+	// compactMinBytes is the dead-byte threshold below which the log is
+	// never compacted (default 1 MiB; tests lower it). Compaction triggers when dead bytes
 	// exceed both this and the live bytes.
-	CompactMinBytes int64
+	compactMinBytes int64
 }
 
 // SpillStore is the two-tier implementation: a MemStore holds the hot
@@ -64,8 +64,8 @@ func OpenSpill(cfg SpillConfig) (*SpillStore, error) {
 	if cfg.Mem.Codec.Encode == nil || cfg.Mem.Codec.Decode == nil {
 		panic("store: SpillConfig.Mem.Codec is required")
 	}
-	if cfg.CompactMinBytes <= 0 {
-		cfg.CompactMinBytes = 1 << 20
+	if cfg.compactMinBytes <= 0 {
+		cfg.compactMinBytes = 1 << 20
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: spill dir: %w", err)
@@ -78,7 +78,7 @@ func OpenSpill(cfg SpillConfig) (*SpillStore, error) {
 		dir:        cfg.Dir,
 		f:          f,
 		cold:       make(map[string]recordRef),
-		compactMin: cfg.CompactMinBytes,
+		compactMin: cfg.compactMinBytes,
 	}
 	mem := cfg.Mem
 	userEvict := mem.OnEvict

@@ -12,7 +12,7 @@ func openSpillT(t *testing.T, mem MemConfig, compactMin int64) (*SpillStore, str
 	t.Helper()
 	dir := t.TempDir()
 	mem.Codec = toyCodec()
-	s, err := OpenSpill(SpillConfig{Mem: mem, Dir: dir, CompactMinBytes: compactMin})
+	s, err := OpenSpill(SpillConfig{Mem: mem, Dir: dir, compactMinBytes: compactMin})
 	if err != nil {
 		t.Fatalf("OpenSpill: %v", err)
 	}

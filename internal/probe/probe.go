@@ -21,27 +21,16 @@ type Result struct {
 	LossRate float64 // fraction of probes with no echo
 }
 
-// Config tunes the prober. Zero fields are defaulted to the paper's values:
-// a 41-byte probe every 100 ms, with a 2 s loss timeout.
-type Config struct {
-	Interval    float64 // seconds between probes
-	ProbeSize   int     // bytes
-	LossTimeout float64 // how long to wait for an echo before declaring loss
-}
+// The paper's probe: 41 bytes every 100 ms, lost when no echo returns
+// within 2 s.
+const (
+	interval    = 0.1 // seconds between probes
+	probeSize   = 41  // bytes
+	lossTimeout = 2.0 // seconds to wait for an echo before declaring loss
+)
 
-// Defaults fills unset fields.
-func (c Config) Defaults() Config {
-	if c.Interval == 0 {
-		c.Interval = 0.1
-	}
-	if c.ProbeSize == 0 {
-		c.ProbeSize = 41
-	}
-	if c.LossTimeout == 0 {
-		c.LossTimeout = 2.0
-	}
-	return c
-}
+// Config is empty; Measure still takes one because bench/ passes probe.Config{}.
+type Config struct{}
 
 // Responder echoes probe packets back through its endpoint. Install one on
 // the far endpoint of the path for each probe flow.
@@ -74,7 +63,6 @@ func (r *Responder) onProbe(pkt *netem.Packet) {
 // counters, which is how the testbed obtains back-to-back before/during
 // estimates.
 type Prober struct {
-	cfg  Config
 	eng  *sim.Engine
 	out  *netem.Endpoint
 	flow netem.FlowID
@@ -93,10 +81,8 @@ type Prober struct {
 
 // NewProber creates a prober for flow on endpoint ep. The far endpoint
 // needs a Responder registered for the same flow.
-func NewProber(eng *sim.Engine, ep *netem.Endpoint, flow netem.FlowID, cfg Config) *Prober {
-	cfg = cfg.Defaults()
+func NewProber(eng *sim.Engine, ep *netem.Endpoint, flow netem.FlowID) *Prober {
 	p := &Prober{
-		cfg:     cfg,
 		eng:     eng,
 		out:     ep,
 		flow:    flow,
@@ -134,15 +120,15 @@ func (p *Prober) tick() {
 	pkt := p.out.NewPacket()
 	pkt.Flow = p.flow
 	pkt.Kind = netem.KindProbe
-	pkt.Size = p.cfg.ProbeSize
+	pkt.Size = probeSize
 	pkt.Seq = seq
 	p.out.Send(pkt)
-	p.pending[seq] = p.eng.Schedule(p.cfg.LossTimeout, func() {
+	p.pending[seq] = p.eng.Schedule(lossTimeout, func() {
 		// Timeout: the probe (or its echo) was lost. The counter already
 		// includes it in sent; removing it from pending marks the loss.
 		delete(p.pending, seq)
 	})
-	p.tickTimer = p.eng.Schedule(p.cfg.Interval, p.tickFn)
+	p.tickTimer = p.eng.Schedule(interval, p.tickFn)
 }
 
 func (p *Prober) onEcho(pkt *netem.Packet) {
@@ -198,13 +184,13 @@ func (p *Prober) Window() Result {
 // Measure runs a fresh prober for duration seconds and returns the window.
 // It is a convenience for one-shot measurements; the prober is stopped and
 // deregistered afterwards (the responder for the flow must already exist).
-func Measure(eng *sim.Engine, ep *netem.Endpoint, flow netem.FlowID, cfg Config, duration float64) Result {
-	p := NewProber(eng, ep, flow, cfg)
+func Measure(eng *sim.Engine, ep *netem.Endpoint, flow netem.FlowID, _ Config, duration float64) Result {
+	p := NewProber(eng, ep, flow)
 	p.Start()
 	eng.RunUntil(eng.Now() + duration)
 	p.Stop()
 	// Let stragglers resolve so the loss rate is well-defined.
-	eng.RunUntil(eng.Now() + cfg.Defaults().LossTimeout + 0.001)
+	eng.RunUntil(eng.Now() + lossTimeout + 0.001)
 	res := p.Window()
 	ep.Register(flow, nil)
 	return res

@@ -75,7 +75,7 @@ func TestProberWindowResets(t *testing.T) {
 	eng := sim.NewEngine()
 	path := probePath(eng, 0)
 	probe.NewResponder(path.B, 2)
-	p := probe.NewProber(eng, path.A, 2, probe.Config{})
+	p := probe.NewProber(eng, path.A, 2)
 	p.Start()
 	eng.RunUntil(5)
 	w1 := p.Window()
@@ -95,7 +95,7 @@ func TestProberStops(t *testing.T) {
 	eng := sim.NewEngine()
 	path := probePath(eng, 0)
 	probe.NewResponder(path.B, 2)
-	p := probe.NewProber(eng, path.A, 2, probe.Config{})
+	p := probe.NewProber(eng, path.A, 2)
 	p.Start()
 	eng.RunUntil(2)
 	p.Stop()
@@ -103,13 +103,6 @@ func TestProberStops(t *testing.T) {
 	w := p.Window()
 	if w.Sent > 25 {
 		t.Errorf("probes kept flowing after Stop: %d", w.Sent)
-	}
-}
-
-func TestProbeConfigDefaults(t *testing.T) {
-	cfg := probe.Config{}.Defaults()
-	if cfg.Interval != 0.1 || cfg.ProbeSize != 41 || cfg.LossTimeout != 2.0 {
-		t.Errorf("defaults = %+v, want paper's 41B @ 100ms", cfg)
 	}
 }
 

@@ -113,7 +113,6 @@ type Engine struct {
 	free      []int32
 	processed uint64
 	canceled  int // cancelled timers still sitting in the heap
-	stopped   bool
 	span      *obs.Span
 }
 
@@ -247,17 +246,14 @@ func (e *Engine) endRunSpan(sp *obs.Span, mark uint64) {
 	sp.End()
 }
 
-// RunUntil executes events in order until the clock would pass t, no
-// events remain, or Stop is called. The clock ends at exactly t when the
-// next event lies beyond t or the queue runs empty; after Stop it stays at
-// the last executed event, because earlier events may still be pending.
-// (It also stays put when only cancelled timers were left; pinned outputs
+// RunUntil executes events in order until the clock would pass t or no
+// events remain. The clock then ends at exactly t, unless t is already
+// past. (It stays put when only cancelled timers were left; pinned outputs
 // depend on that.)
 func (e *Engine) RunUntil(t float64) {
 	sp, mark := e.runSpan()
 	defer e.endRunSpan(sp, mark)
-	e.stopped = false
-	for len(e.heap) > 0 && !e.stopped {
+	for len(e.heap) > 0 {
 		next, ok := e.peek()
 		if !ok {
 			return
@@ -267,22 +263,18 @@ func (e *Engine) RunUntil(t float64) {
 		}
 		e.Step()
 	}
-	if e.now < t && !e.stopped {
+	if e.now < t {
 		e.now = t
 	}
 }
 
-// Run executes all pending events until none remain or Stop is called.
+// Run executes all pending events until none remain.
 func (e *Engine) Run() {
 	sp, mark := e.runSpan()
-	e.stopped = false
-	for !e.stopped && e.Step() {
+	for e.Step() {
 	}
 	e.endRunSpan(sp, mark)
 }
-
-// Stop halts Run/RunUntil after the current event completes.
-func (e *Engine) Stop() { e.stopped = true }
 
 // peek returns the next live (non-cancelled) entry without executing it,
 // discarding dead entries from the top of the heap along the way.

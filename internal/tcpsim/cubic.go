@@ -30,10 +30,10 @@ type cubicCC struct {
 	wEstRTT    float64 // SRTT mirror for the TCP-friendly estimate
 }
 
-func newCubic(cfg Config) *cubicCC {
+func newCubic() *cubicCC {
 	return &cubicCC{
-		cwnd:       cfg.InitialCwnd,
-		ssthresh:   cfg.InitialSsthresh,
+		cwnd:       initialCwnd,
+		ssthresh:   math.Inf(1),
 		epochStart: -1,
 	}
 }

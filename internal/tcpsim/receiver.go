@@ -73,7 +73,7 @@ func (r *Receiver) onData(pkt *netem.Packet) {
 		if !r.cfg.DelayedAck || r.unacked >= 2 {
 			r.sendAck()
 		} else if !r.delayTimer.Pending() {
-			r.delayTimer = r.eng.Schedule(r.cfg.DelAckTimeout, r.delayFn)
+			r.delayTimer = r.eng.Schedule(delAckTimeout, r.delayFn)
 		}
 	case seq > r.cumAck:
 		// Out of order: buffer and send an immediate duplicate ACK with
@@ -98,9 +98,9 @@ func (r *Receiver) sendAck() {
 	pkt := r.out.NewPacket()
 	pkt.Flow = r.flow
 	pkt.Kind = netem.KindAck
-	pkt.Size = r.cfg.HeaderBytes
+	pkt.Size = headerBytes
 	pkt.Ack = r.cumAck
-	if !r.cfg.NoSACK && r.ooo.Count() > 0 {
+	if !r.cfg.noSACK && r.ooo.Count() > 0 {
 		pkt.Meta = r.ooo.Snapshot()
 	}
 	r.out.Send(pkt)

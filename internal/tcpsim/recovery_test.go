@@ -47,7 +47,7 @@ func runBurstLoss(t *testing.T, noSACK bool, burstLen, period int) (tputBps floa
 			{CapacityBps: 10e6, PropDelay: 0.03, BufferBytes: 1 << 20},
 		},
 	})
-	conn := tcpsim.Dial(eng, path, 1, tcpsim.Config{NoSACK: noSACK})
+	conn := tcpsim.Dial(eng, path, 1, tcpsim.WithNoSACK(tcpsim.Config{}, noSACK))
 	// Interpose the dropper in front of the receiver's registered handler.
 	d := &dropper{next: path.B.Handler(1), period: period, burstLen: burstLen}
 	path.B.Register(1, d)

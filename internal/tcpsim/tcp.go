@@ -1,12 +1,13 @@
 // Package tcpsim implements a packet-level TCP sender and receiver over
 // netem paths, modelled on the Linux TCP of the paper's era: slow start,
 // congestion avoidance, SACK-based loss recovery with a pipe (conservation
-// of packets) algorithm, NewReno-style recovery when SACK is disabled,
-// RFC 6298 retransmission timeouts with exponential backoff and a 1 s
-// minimum, go-back-N style retransmission of the outstanding window after a
-// timeout, Karn-correct timed-segment RTT sampling, delayed ACKs, and an
-// advertised-window cap (the "socket buffer" knob the paper controls
-// through IPerf's -w).
+// of packets) algorithm, RFC 6298 retransmission timeouts with exponential
+// backoff and a 1 s minimum, go-back-N style retransmission of the
+// outstanding window after a timeout, Karn-correct timed-segment RTT
+// sampling, delayed ACKs, and an advertised-window cap (the "socket
+// buffer" knob the paper controls through IPerf's -w). NewReno-style
+// recovery without SACK is kept only as the reference the recovery tests
+// compare SACK against.
 //
 // Besides moving bytes, connections export the quantities the paper's
 // analysis needs: the average RTT the flow experienced (T), the packet loss
@@ -20,50 +21,37 @@ import (
 	"repro/internal/sim"
 )
 
+// The connection constants of the paper's Linux TCP; the initial
+// slow-start threshold is +Inf. Only the advertised window, delayed ACKs
+// and the congestion control vary between flows.
+const (
+	mss           = 1460 // segment payload bytes
+	headerBytes   = 40   // TCP/IP header overhead per packet
+	initialCwnd   = 2    // initial congestion window, segments
+	delAckTimeout = 0.2  // delayed-ACK timer, seconds
+	minRTO        = 1.0  // minimum RTO, seconds (RFC 6298)
+	maxRTO        = 60.0 // maximum RTO, seconds
+)
+
 // Config sets connection parameters. The zero value is completed by
 // Defaults.
 type Config struct {
-	MSS             int     // segment payload bytes (default 1460)
-	HeaderBytes     int     // TCP/IP header overhead per packet (default 40)
-	MaxWindowBytes  int     // advertised window W / socket buffer (default 1 MB)
-	InitialCwnd     float64 // initial congestion window, segments (default 2)
-	InitialSsthresh float64 // initial slow-start threshold, segments (default +inf)
-	DelayedAck      bool    // ACK every other in-order segment
-	DelAckTimeout   float64 // delayed-ACK timer (default 0.2 s)
-	MinRTO          float64 // minimum RTO (default 1 s, per RFC 6298)
-	MaxRTO          float64 // maximum RTO (default 60 s)
-	NoSACK          bool    // disable SACK; fall back to NewReno recovery
+	MaxWindowBytes int  // advertised window W / socket buffer (default 1 MB)
+	DelayedAck     bool // ACK every other in-order segment
 
 	// Congestion selects the congestion-control algorithm (CCReno,
 	// CCCubic, CCBBR). Empty means CCReno, the paper-era default.
 	Congestion Congestion
+
+	// noSACK disables SACK and falls back to NewReno recovery: the
+	// reference the recovery tests compare SACK against.
+	noSACK bool
 }
 
 // Defaults fills unset fields with standard values and returns the result.
 func (c Config) Defaults() Config {
-	if c.MSS == 0 {
-		c.MSS = 1460
-	}
-	if c.HeaderBytes == 0 {
-		c.HeaderBytes = 40
-	}
 	if c.MaxWindowBytes == 0 {
 		c.MaxWindowBytes = 1 << 20
-	}
-	if c.InitialCwnd == 0 {
-		c.InitialCwnd = 2
-	}
-	if c.InitialSsthresh == 0 {
-		c.InitialSsthresh = math.Inf(1)
-	}
-	if c.DelAckTimeout == 0 {
-		c.DelAckTimeout = 0.2
-	}
-	if c.MinRTO == 0 {
-		c.MinRTO = 1.0
-	}
-	if c.MaxRTO == 0 {
-		c.MaxRTO = 60.0
 	}
 	if c.Congestion == "" {
 		c.Congestion = CCReno
@@ -73,13 +61,12 @@ func (c Config) Defaults() Config {
 
 // Stats aggregates what a connection did and observed.
 type Stats struct {
-	Start           float64 // virtual time the connection started
-	SegmentsSent    int64   // data segments transmitted, including retransmits
-	Retransmits     int64   // retransmitted segments
-	FastRetransmits int64   // loss-recovery (non-timeout) retransmits
-	Timeouts        int64   // RTO expirations
-	LossEvents      int64   // congestion events (recovery episodes + timeouts)
-	BytesAcked      int64   // payload bytes cumulatively acknowledged
+	SegmentsSent    int64 // data segments transmitted, including retransmits
+	Retransmits     int64 // retransmitted segments
+	FastRetransmits int64 // loss-recovery (non-timeout) retransmits
+	Timeouts        int64 // RTO expirations
+	LossEvents      int64 // congestion events (recovery episodes + timeouts)
+	BytesAcked      int64 // payload bytes cumulatively acknowledged
 	AcksReceived    int64
 	DupAcks         int64
 
@@ -95,14 +82,6 @@ func (s *Stats) MeanRTT() float64 {
 		return 0
 	}
 	return s.rttSum / float64(s.RTTSamples)
-}
-
-// MinRTT returns the smallest RTT sample (0 if none).
-func (s *Stats) MinRTT() float64 {
-	if s.RTTSamples == 0 {
-		return 0
-	}
-	return s.rttMin
 }
 
 // LossRate returns p: the fraction of transmitted data segments that were
@@ -233,14 +212,13 @@ func (s *Sender) SetLimit(n int64, done func()) {
 	if n <= 0 {
 		s.limitSegments = 0
 	} else {
-		s.limitSegments = (n + int64(s.cfg.MSS) - 1) / int64(s.cfg.MSS)
+		s.limitSegments = (n + mss - 1) / mss
 	}
 	s.done = done
 }
 
 // Start begins transmitting.
 func (s *Sender) Start() {
-	s.stats.Start = s.eng.Now()
 	s.drMarkStamp = s.eng.Now()
 	s.trySend()
 }
@@ -273,9 +251,6 @@ type SenderStats struct {
 	PacingRateBps    float64    // window/SRTT in payload bits/sec (0 before an RTT sample)
 	DeliveryRateBps  float64    // most recent measured delivery rate, payload bits/sec
 	RecoveryEpisodes int64      // fast-recovery episodes entered
-	Timeouts         int64      // RTO expirations
-	SRTT             float64    // smoothed RTT, seconds
-	MinRTT           float64    // lowest RTT sample, seconds
 }
 
 // SenderStats snapshots the sender's CC-agnostic rate state.
@@ -285,18 +260,15 @@ func (s *Sender) SenderStats() SenderStats {
 		WindowSegments:   s.cc.Window(),
 		DeliveryRateBps:  s.deliveryRate,
 		RecoveryEpisodes: s.stats.FastRetransmits,
-		Timeouts:         s.stats.Timeouts,
-		SRTT:             s.srtt,
-		MinRTT:           s.stats.MinRTT(),
 	}
 	if s.srtt > 0 {
-		st.PacingRateBps = st.WindowSegments * float64(s.cfg.MSS) * 8 / s.srtt
+		st.PacingRateBps = st.WindowSegments * mss * 8 / s.srtt
 	}
 	return st
 }
 
 func (s *Sender) maxWindowSegs() int64 {
-	w := int64(s.cfg.MaxWindowBytes) / int64(s.cfg.MSS)
+	w := int64(s.cfg.MaxWindowBytes) / mss
 	if w < 1 {
 		w = 1
 	}
@@ -385,7 +357,7 @@ func (s *Sender) transmit(seq int64, isRetransmit bool) {
 	pkt := s.out.NewPacket()
 	pkt.Flow = s.flow
 	pkt.Kind = netem.KindData
-	pkt.Size = s.cfg.MSS + s.cfg.HeaderBytes
+	pkt.Size = mss + headerBytes
 	pkt.Seq = seq
 	s.out.Send(pkt)
 	if !s.rtoTimer.Pending() {
@@ -396,8 +368,8 @@ func (s *Sender) transmit(seq int64, isRetransmit bool) {
 func (s *Sender) armRTO() {
 	s.rtoTimer.Cancel()
 	d := s.rto * float64(int64(1)<<uint(s.backoff))
-	if d > s.cfg.MaxRTO {
-		d = s.cfg.MaxRTO
+	if d > maxRTO {
+		d = maxRTO
 	}
 	s.rtoTimer = s.eng.Schedule(d, s.rtoFn)
 }
@@ -453,11 +425,11 @@ func (s *Sender) recordRTT(rtt float64) {
 		s.srtt = (1-alpha)*s.srtt + alpha*rtt
 	}
 	s.rto = s.srtt + 4*s.rttvar
-	if s.rto < s.cfg.MinRTO {
-		s.rto = s.cfg.MinRTO
+	if s.rto < minRTO {
+		s.rto = minRTO
 	}
-	if s.rto > s.cfg.MaxRTO {
-		s.rto = s.cfg.MaxRTO
+	if s.rto > maxRTO {
+		s.rto = maxRTO
 	}
 	s.cc.OnRTT(rtt, s.eng.Now())
 }
@@ -469,7 +441,7 @@ func (s *Sender) onAck(pkt *netem.Packet) {
 	}
 	s.stats.AcksReceived++
 	s.sackedNow = 0
-	if !s.cfg.NoSACK {
+	if !s.cfg.noSACK {
 		if blocks, ok := pkt.Meta.([]Block); ok {
 			s.processSACK(blocks)
 		}
@@ -502,7 +474,7 @@ func (s *Sender) sampleDeliveryRate(now float64) {
 		return
 	}
 	if n := s.delivered - s.drMarkDeliv; n > 0 {
-		s.deliveryRate = float64(n) * float64(s.cfg.MSS) * 8 / elapsed
+		s.deliveryRate = float64(n) * mss * 8 / elapsed
 	}
 	s.drMarkDeliv = s.delivered
 	s.drMarkStamp = now
@@ -549,7 +521,7 @@ func (s *Sender) processSACK(blocks []Block) {
 // declareLosses applies the FACK-style rule: an unsacked segment with the
 // highest sacked sequence more than dupThresh ahead is declared lost.
 func (s *Sender) declareLosses() {
-	if s.cfg.NoSACK || s.highSacked == 0 {
+	if s.cfg.noSACK || s.highSacked == 0 {
 		return
 	}
 	if s.lossScan < s.highestAck {
@@ -584,7 +556,7 @@ func (s *Sender) maybeEnterRecovery() {
 		return
 	}
 	lossDetected := s.dupAcks >= dupThresh
-	if !s.cfg.NoSACK && s.highSacked-s.highestAck > dupThresh {
+	if !s.cfg.noSACK && s.highSacked-s.highestAck > dupThresh {
 		lossDetected = true
 	}
 	if !lossDetected {
@@ -608,7 +580,7 @@ func (s *Sender) maybeEnterRecovery() {
 	if s.rtxCursor > s.highestAck {
 		s.rtxCursor = s.highestAck
 	}
-	if s.cfg.NoSACK {
+	if s.cfg.noSACK {
 		// The dupThresh duplicate ACKs that triggered recovery each
 		// signalled a delivered post-hole segment.
 		s.vackCursor = s.highestAck + 1
@@ -676,7 +648,7 @@ func (s *Sender) onNewAck(ack int64) {
 			s.inRecovery = false
 			s.cc.OnExitRecovery(s.eng.Now())
 			s.dupAcks = 0
-		} else if s.cfg.NoSACK {
+		} else if s.cfg.noSACK {
 			// NewReno partial ACK: the next hole is the segment at the new
 			// left edge; mark it lost so trySend retransmits it.
 			st := s.seg(ack)
@@ -712,9 +684,9 @@ func (s *Sender) onNewAck(ack int64) {
 }
 
 func (s *Sender) finishAck() {
-	s.stats.BytesAcked = s.highestAck * int64(s.cfg.MSS)
+	s.stats.BytesAcked = s.highestAck * mss
 	if s.limitSegments > 0 && s.highestAck >= s.limitSegments {
-		s.stats.BytesAcked = s.limitSegments * int64(s.cfg.MSS)
+		s.stats.BytesAcked = s.limitSegments * mss
 		s.rtoTimer.Cancel()
 		if s.done != nil {
 			done := s.done
@@ -730,13 +702,13 @@ func (s *Sender) onDupAck() {
 	}
 	s.stats.DupAcks++
 	s.dupAcks++
-	if s.cfg.NoSACK && s.inRecovery {
+	if s.cfg.noSACK && s.inRecovery {
 		// A dup ACK proves one more post-hole segment was delivered;
 		// retire its in-flight copy via the virtual-ACK cursor so the
 		// later cumulative ACK does not retire it a second time.
 		s.virtualDeliver()
 	}
-	if s.cfg.NoSACK && !s.inRecovery && s.dupAcks >= dupThresh {
+	if s.cfg.noSACK && !s.inRecovery && s.dupAcks >= dupThresh {
 		// Loss of the left edge; maybeEnterRecovery (called by onAck)
 		// performs the actual state change.
 		st := s.seg(s.highestAck)

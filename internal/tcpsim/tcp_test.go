@@ -78,7 +78,7 @@ func TestNoSACKStillWorks(t *testing.T) {
 	path := lossyPath(eng, 0.005, 11)
 	rep := iperf.Run(eng, path, 1, iperf.Config{
 		Duration: 60,
-		TCP:      tcpsim.Config{NoSACK: true},
+		TCP:      tcpsim.WithNoSACK(tcpsim.Config{}, true),
 	})
 	t.Logf("NewReno: throughput=%.2f Mbps timeouts=%d", rep.ThroughputBps/1e6, rep.Timeouts)
 	if rep.ThroughputBps < 0.5e6 {
@@ -261,10 +261,7 @@ func TestStatsRates(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	cfg := tcpsim.Config{}.Defaults()
-	if cfg.MSS != 1460 || cfg.HeaderBytes != 40 || cfg.MaxWindowBytes != 1<<20 {
+	if cfg.MaxWindowBytes != 1<<20 || cfg.Congestion != tcpsim.CCReno {
 		t.Errorf("defaults wrong: %+v", cfg)
-	}
-	if cfg.MinRTO != 1.0 || cfg.MaxRTO != 60.0 || cfg.DelAckTimeout != 0.2 {
-		t.Errorf("timer defaults wrong: %+v", cfg)
 	}
 }

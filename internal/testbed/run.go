@@ -42,6 +42,10 @@ const (
 	flowCross0   netem.FlowID = 200
 )
 
+// largeWindowBytes is W of the target transfer, the paper's 1 MB; a
+// scenario path may set its own (PathConfig.TargetWindowBytes).
+const largeWindowBytes = 1 << 20
+
 // RunConfig controls a measurement campaign. Zero fields take the paper's
 // values via defaults().
 type RunConfig struct {
@@ -56,14 +60,12 @@ type RunConfig struct {
 	TransferSec    float64 // paper: 50 s (120 s in the second set)
 	EpochGap       float64 // idle between epochs, seconds
 
-	LargeWindowBytes int // W of the target transfer (paper: 1 MB)
 	SmallWindowBytes int // W of the companion transfer (paper: 20 KB); 0 disables
 	SmallTransferSec float64
 
 	Checkpoints []float64 // prefix durations for Fig. 11 (e.g. 30, 60)
 
 	Pathload availbw.Config
-	Ping     probe.Config
 
 	Parallelism int // worker goroutines; 0 = GOMAXPROCS
 
@@ -106,9 +108,6 @@ func (c RunConfig) Defaults() RunConfig {
 	}
 	if c.EpochGap == 0 {
 		c.EpochGap = 20
-	}
-	if c.LargeWindowBytes == 0 {
-		c.LargeWindowBytes = 1 << 20
 	}
 	if c.SmallTransferSec == 0 {
 		c.SmallTransferSec = c.TransferSec
@@ -373,7 +372,7 @@ func runTrace(ctx context.Context, cfg RunConfig, pc PathConfig, job campaign.Jo
 	env := startAmbient(eng, rng, path, pc, cfg)
 
 	probe.NewResponder(path.B, flowProbe)
-	prober := probe.NewProber(eng, path.A, flowProbe, cfg.Ping)
+	prober := probe.NewProber(eng, path.A, flowProbe)
 
 	// The campaign span for this job (nil when telemetry is off) roots
 	// the trace's epoch/phase tree; the engine hangs its sim.run
@@ -539,7 +538,7 @@ func runEpoch(cfg RunConfig, pc PathConfig, eng *sim.Engine, path *netem.Path, p
 	// Scenario paths can override the sender's congestion control and
 	// advertised window; the paper's catalog leaves both at the defaults.
 	sp = phase("transfer")
-	window := cfg.LargeWindowBytes
+	window := largeWindowBytes
 	if pc.TargetWindowBytes > 0 {
 		window = pc.TargetWindowBytes
 	}

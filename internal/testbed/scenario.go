@@ -55,18 +55,21 @@ func DefaultLinks() []LinkType {
 // ScenarioConfig controls ScenarioCatalog generation.
 type ScenarioConfig struct {
 	Seed             int64
-	Senders          []tcpsim.Congestion // default: reno, cubic, bbr
-	Links            []LinkType          // default: all four link types
-	PathsPerScenario int                 // paths per (sender × link) cell (default 1)
-	Horizon          float64             // trace duration for load/rate trajectories
+	PathsPerScenario int     // paths per (sender × link) cell (default 1)
+	Horizon          float64 // trace duration for load/rate trajectories
+
+	// senders and links narrow the matrix for tests; every program runs
+	// the full one.
+	senders []tcpsim.Congestion // default: reno, cubic, bbr
+	links   []LinkType          // default: all four link types
 }
 
 func (c ScenarioConfig) defaults() ScenarioConfig {
-	if len(c.Senders) == 0 {
-		c.Senders = DefaultSenders()
+	if len(c.senders) == 0 {
+		c.senders = DefaultSenders()
 	}
-	if len(c.Links) == 0 {
-		c.Links = DefaultLinks()
+	if len(c.links) == 0 {
+		c.links = DefaultLinks()
 	}
 	if c.PathsPerScenario == 0 {
 		c.PathsPerScenario = 1
@@ -84,13 +87,13 @@ func (c ScenarioConfig) defaults() ScenarioConfig {
 // control. Paths are named cc-<sender>-<link>-p<i>.
 func ScenarioCatalog(cfg ScenarioConfig) []PathConfig {
 	cfg = cfg.defaults()
-	out := make([]PathConfig, 0, len(cfg.Senders)*len(cfg.Links)*cfg.PathsPerScenario)
-	for li, link := range cfg.Links {
+	out := make([]PathConfig, 0, len(cfg.senders)*len(cfg.links)*cfg.PathsPerScenario)
+	for li, link := range cfg.links {
 		for i := 0; i < cfg.PathsPerScenario; i++ {
 			// One RNG per (link, instance): identical across senders.
 			stream := seedStreamScenario ^ uint64(li+1)<<8 ^ uint64(i)
 			base := scenarioPath(sim.NewRNG(sim.DeriveSeed(cfg.Seed, stream)), link, i, cfg.Horizon)
-			for _, cc := range cfg.Senders {
+			for _, cc := range cfg.senders {
 				pc := base
 				pc.Name = fmt.Sprintf("cc-%s-%s-p%d", cc, link, i)
 				pc.CC = cc

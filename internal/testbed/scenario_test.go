@@ -82,8 +82,8 @@ func TestScenarioScaledRuns(t *testing.T) {
 		t.Skip("collects a small campaign")
 	}
 	cfg := ScenarioScaled(5, ScenarioConfig{
-		Senders: []tcpsim.Congestion{tcpsim.CCReno, tcpsim.CCBBR},
-		Links:   []LinkType{LinkRandomDrop, LinkRwndLimited},
+		senders: []tcpsim.Congestion{tcpsim.CCReno, tcpsim.CCBBR},
+		links:   []LinkType{LinkRandomDrop, LinkRwndLimited},
 	})
 	cfg.TracesPerPath = 1
 	cfg.EpochsPerTrace = 3

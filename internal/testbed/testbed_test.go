@@ -166,9 +166,6 @@ func TestRunConfigDefaults(t *testing.T) {
 	if cfg.PingDuration != 60 || cfg.TransferSec != 50 {
 		t.Errorf("paper durations wrong: %+v", cfg)
 	}
-	if cfg.LargeWindowBytes != 1<<20 {
-		t.Errorf("W default %d, want 1 MB", cfg.LargeWindowBytes)
-	}
 	if cfg.Catalog.Horizon <= 0 {
 		t.Error("horizon not derived")
 	}

@@ -1,11 +1,15 @@
 // Package treecheck holds no program code, only tests that read the whole
 // tree. They type-check the module's non-test Go files together with the
 // benchmark harness in bench/ (its own module, which names the service API
-// it drives) and hold two rules:
+// it drives) and hold three rules:
 //
 //   - every exported identifier under internal/ is named by some non-test
 //     code, or is a test oracle or test seam listed with its reason in
 //     testdata/allowlist.txt;
+//   - every exported field of a Config (or ...Config) struct under
+//     internal/ is set by some non-test code outside its type's defaults
+//     method: a value every program leaves alone is a constant, and one
+//     only tests set is an unexported field;
 //   - every Go identifier and command flag that README.md, DESIGN.md and
 //     EXPERIMENTS.md write in backticks exists.
 //
