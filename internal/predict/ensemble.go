@@ -3,6 +3,7 @@ package predict
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/stats"
 )
@@ -20,13 +21,18 @@ import (
 // E = (X̂-X)/min(X̂,X) before X reaches any predictor. The same windows
 // calibrate the quantiles and carry the regret bookkeeping.
 //
-// An Ensemble is not goroutine-safe.
+// An Ensemble is not goroutine-safe, and it is one allocation: its
+// predictors, windows and scratch point into its own storage, so it must
+// not be copied.
 type Ensemble struct {
-	families []family
-	fbIdx    int
-	det      *Detector // the §5.2 detector the HB trio reads
+	families [zooFamilies]family
+	views    [zooFamilies]FamilyView // View's backing store, reused across calls
+	det      Detector                // the §5.2 detector the HB trio reads
 
-	fb *FB
+	ma   MA
+	ewma EWMA
+	hw   HoltWinters
+	fb   FB
 
 	fbIn  FBInputs
 	hasFB bool
@@ -40,7 +46,10 @@ type Ensemble struct {
 	// those that landed inside it.
 	covIn, covTotal uint64
 
-	views []FamilyView // View's backing store, reused across calls
+	// floats and flags back every slice above: the error rings, MA's
+	// buffer and the detector's window and scratch.
+	floats [zooFamilies*2*zooErrorWindow + zooMAOrder + detectorFloats*zooLSOWindow]float64
+	flags  [detectorFlags * zooLSOWindow]bool
 }
 
 // family is one tournament entrant: one of the HB trio, which reads the
@@ -55,9 +64,14 @@ type family struct {
 // Records do not carry them, so every node of a cluster serves the same
 // zoo and any node can restore any record.
 const (
+	// zooFamilies is the number of families: the HB trio, then FB at
+	// index zooFB.
+	zooFamilies, zooFB = 4, 3
 	// zooErrorWindow is the number of most recent relative errors (Eq. 4)
 	// each family keeps for its rolling RMSRE and quantiles.
 	zooErrorWindow = 50
+	// zooLSOWindow is the detector's window, LSOConfig's default.
+	zooLSOWindow = 32
 	// zooMAOrder is the moving-average order, the paper's sweet spot for
 	// stationary paths.
 	zooMAOrder = 10
@@ -72,25 +86,30 @@ const (
 	zooStaleAfter = 30
 )
 
+// The HB trio as NewEnsemble copies it (all but MA's buffer), and the
+// family names in zoo order, built once so that an ensemble allocates no
+// name strings.
+var (
+	zooMA, zooEWMA, zooHW = *NewMA(zooMAOrder), *NewEWMA(zooEWMAAlpha), *NewHoltWinters(zooHWAlpha, zooHWBeta)
+	zooNames              = [zooFamilies]string{zooMA.Name() + "-LSO", zooEWMA.Name() + "-LSO", zooHW.Name() + "-LSO", "FB"}
+)
+
 // NewEnsemble builds the zoo: the HB trio behind one detector with the
 // paper's thresholds (its best configurations), then FB for the paper's
 // target flow (PFTK, 1460 B MSS, 1 MB window, delayed ACKs).
 func NewEnsemble() *Ensemble {
-	members := []HB{NewMA(zooMAOrder), NewEWMA(zooEWMAAlpha), NewHoltWinters(zooHWAlpha, zooHWBeta), nil}
-	e := &Ensemble{
-		fb:       NewFB(FBConfig{}),
-		det:      NewDetector(LSOConfig{}),
-		fbIdx:    len(members) - 1,
-		families: make([]family, len(members)),
-		views:    make([]FamilyView, len(members)),
+	e := &Ensemble{ma: zooMA, ewma: zooEWMA, hw: zooHW, fb: FB{cfg: FBConfig{}.defaults()}}
+	floats := e.floats[:]
+	take := func(n int) []float64 {
+		b := floats[:n:n]
+		floats = floats[n:]
+		return b
 	}
-	for i, hb := range members {
-		e.families[i] = family{hb: hb, win: newResidualWindow(zooErrorWindow)}
-		if hb == nil {
-			e.views[i].Name = "FB"
-		} else {
-			e.views[i].Name = hb.Name() + "-LSO"
-		}
+	e.ma.buf = take(zooMAOrder)[:0]
+	e.det.init(LSOConfig{MaxHistory: zooLSOWindow}, take(detectorFloats*zooLSOWindow), e.flags[:])
+	for i, hb := range [zooFamilies]HB{&e.ma, &e.ewma, &e.hw, nil} {
+		e.families[i] = family{hb: hb, win: ResidualWindow{ring: orderedRingOver(take(2 * zooErrorWindow))}}
+		e.views[i].Name = zooNames[i]
 	}
 	return e
 }
@@ -195,7 +214,7 @@ type View struct {
 // quantiles — and runs the selection over the result.
 func (e *Ensemble) View() View {
 	e.fill(true)
-	return View{Families: e.views, Selected: e.pick(), FB: e.fbIdx}
+	return View{Families: e.views[:], Selected: e.pick(), FB: zooFB}
 }
 
 // FamilyRMSRE returns family i's rolling RMSRE; ok is false while its
@@ -253,7 +272,7 @@ func (e *Ensemble) fill(quantiles bool) {
 	for i := range e.families {
 		v := &e.views[i]
 		v.Forecast, v.Ready = e.forecast(i)
-		v.Stale = i == e.fbIdx && stale
+		v.Stale = i == zooFB && stale
 		v.Quantiles, v.Calibrated = Quantiles{}, false
 		if quantiles {
 			v.Quantiles, v.Calibrated = e.families[i].win.QuantilesFor(v.Forecast)
@@ -308,6 +327,10 @@ func (e *Ensemble) pick() int {
 // detector's clean series, so SetState rebuilds them from the window. Its
 // binary form (AppendBinary) is what the prediction service persists per
 // path.
+//
+// State and UnmarshalBinary fill an EnsembleState in its own storage,
+// reused from one fill to the next: FB then points into st, and the
+// windows share one backing array, valid until st is next filled.
 type EnsembleState struct {
 	Observations uint64
 	FB           *FBInputs
@@ -318,21 +341,48 @@ type EnsembleState struct {
 	Errors   [][]float64
 	CovIn    uint64
 	CovTotal uint64
+
+	fb     FBInputs  // FB's storage
+	floats []float64 // the windows' backing array
 }
 
-// State captures the ensemble. SetState on a fresh ensemble reproduces it
-// exactly, at any history length.
-func (e *Ensemble) State() EnsembleState {
-	st := EnsembleState{Observations: e.observations, LSO: e.det.state(), CovIn: e.covIn, CovTotal: e.covTotal}
-	if e.hasFB {
-		in := e.fbIn
-		st.FB, st.FBAge = &in, e.observations-e.fbSetAtObs
+// reuse zeroes st but keeps its storage, the list of error windows emptied
+// and the backing array with room for n floats.
+func (st *EnsembleState) reuse(n int) {
+	floats, errs := st.floats[:0], st.Errors[:0]
+	if cap(floats) < n {
+		floats = make([]float64, 0, n)
 	}
-	st.Errors = make([][]float64, len(e.families))
+	*st = EnsembleState{floats: floats, Errors: errs}
+}
+
+// since returns the floats appended to the backing array from start on,
+// capped so that an append to them cannot reach the next window.
+func (st *EnsembleState) since(start int) []float64 {
+	n := len(st.floats)
+	return st.floats[start:n:n]
+}
+
+// State captures the ensemble into st, reusing st's storage. SetState on a
+// fresh ensemble reproduces it exactly, at any history length.
+func (e *Ensemble) State(st *EnsembleState) {
+	n := len(e.det.history)
 	for i := range e.families {
-		st.Errors[i] = e.families[i].win.Errors(nil)
+		n += e.families[i].win.Count()
 	}
-	return st
+	st.reuse(n)
+	st.Observations, st.CovIn, st.CovTotal = e.observations, e.covIn, e.covTotal
+	if e.hasFB {
+		st.fb, st.FB, st.FBAge = e.fbIn, &st.fb, e.observations-e.fbSetAtObs
+	}
+	st.floats = append(st.floats, e.det.history...)
+	st.LSO = LSOState{Window: st.since(0), Shifts: e.det.Shifts}
+	st.Errors = slices.Grow(st.Errors, zooFamilies)[:zooFamilies]
+	for i := range e.families {
+		start := len(st.floats)
+		st.floats = e.families[i].win.Errors(st.floats)
+		st.Errors[i] = st.since(start)
+	}
 }
 
 // SetState installs st into a fresh ensemble: the detector's window, the

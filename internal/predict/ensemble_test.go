@@ -249,7 +249,8 @@ func TestEnsembleStateRoundTrip(t *testing.T) {
 // fresh ensemble and requires the result to re-encode to the same bytes.
 func restoreEnsemble(t *testing.T, live *Ensemble) *Ensemble {
 	t.Helper()
-	st := live.State()
+	var st EnsembleState
+	live.State(&st)
 	data, err := st.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -262,7 +263,8 @@ func restoreEnsemble(t *testing.T, live *Ensemble) *Ensemble {
 	if err := restored.SetState(decoded); err != nil {
 		t.Fatalf("after %d observations: SetState: %v", live.Observations(), err)
 	}
-	again := restored.State()
+	var again EnsembleState
+	restored.State(&again)
 	if got, err := again.AppendBinary(nil); err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("after %d observations: restored state re-encodes differently (err %v):\nlive     %x\nrestored %x",
 			live.Observations(), err, data, got)
@@ -310,7 +312,8 @@ func TestEnsembleSetStateRejectsMalformed(t *testing.T) {
 		live.SetMeasurement(ins[k])
 		live.Observe(x)
 	}
-	st := live.State()
+	var st EnsembleState
+	live.State(&st)
 	good, err := st.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -396,7 +399,8 @@ func TestEnsembleStateBinaryRefuses(t *testing.T) {
 		live.SetMeasurement(ins[k])
 		live.Observe(x)
 	}
-	st := live.State()
+	var st EnsembleState
+	live.State(&st)
 	good, err := st.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)

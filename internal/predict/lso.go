@@ -87,8 +87,29 @@ type Detector struct {
 
 // NewDetector returns a detector with no history.
 func NewDetector(cfg LSOConfig) *Detector {
+	n := cfg.defaults().MaxHistory
+	d := new(Detector)
+	d.init(cfg, make([]float64, detectorFloats*n), make([]bool, detectorFlags*n))
+	return d
+}
+
+// A detector's window and scratch take detectorFloats float slices and
+// detectorFlags bool slices of MaxHistory entries each; none ever holds
+// more, so carved once they never grow.
+const detectorFloats, detectorFlags = 5, 2
+
+// init makes d a detector with no history whose window and scratch are
+// carved from floats and flags, detectorFloats and detectorFlags times
+// cfg's MaxHistory long.
+func (d *Detector) init(cfg LSOConfig, floats []float64, flags []bool) {
 	cfg = cfg.defaults()
-	return &Detector{cfg: cfg, history: make([]float64, 0, cfg.MaxHistory)}
+	n := cfg.MaxHistory
+	carve := func(i int) []float64 { return floats[i*n : i*n : (i+1)*n] }
+	*d = Detector{
+		cfg:     cfg,
+		history: carve(0), sorted: carve(1), clean: carve(2), lastClean: carve(3), cleanSorted: carve(4),
+		mask: flags[:0:n], deviant: flags[n : n : 2*n],
+	}
 }
 
 // LSOState is a path's detector state: the raw window since the last level
@@ -98,10 +119,6 @@ func NewDetector(cfg LSOConfig) *Detector {
 type LSOState struct {
 	Window []float64
 	Shifts int
-}
-
-func (d *Detector) state() LSOState {
-	return LSOState{Window: append([]float64(nil), d.history...), Shifts: d.Shifts}
 }
 
 // setState installs st. After it the clean series counts as relabelled, so

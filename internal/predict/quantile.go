@@ -47,12 +47,6 @@ type ResidualWindow struct {
 	}
 }
 
-// newResidualWindow returns a window retaining the last n errors (at
-// least one).
-func newResidualWindow(n int) ResidualWindow {
-	return ResidualWindow{ring: newOrderedRing(max(n, 1))}
-}
-
 // Score records the Eq.-4 error of one (forecast, actual) pair. Pairs
 // with a non-positive or non-finite forecast are scored as a maximal
 // overprediction (+stats.ErrClamp) rather than skipped, so a

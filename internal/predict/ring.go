@@ -18,8 +18,12 @@ type orderedRing struct {
 }
 
 // newOrderedRing returns a ring that retains the last n samples (n ≥ 1).
-func newOrderedRing(n int) orderedRing {
-	b := make([]float64, 2*n)
+func newOrderedRing(n int) orderedRing { return orderedRingOver(make([]float64, 2*n)) }
+
+// orderedRingOver returns a ring that retains the last len(b)/2 samples,
+// carved from b (len(b) even, at least 2).
+func orderedRingOver(b []float64) orderedRing {
+	n := len(b) / 2
 	return orderedRing{buf: b[:0:n], sorted: b[n : n : 2*n]}
 }
 

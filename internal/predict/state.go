@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // finite reports whether every value is neither infinite nor NaN.
@@ -55,28 +56,29 @@ func (st *EnsembleState) AppendBinary(b []byte) ([]byte, error) {
 	return w.b, nil
 }
 
-// UnmarshalBinary decodes an AppendBinary form into st. The bytes are
+// UnmarshalBinary decodes an AppendBinary form into st, reusing st's
+// storage; every field the form does not set is reset. The bytes are
 // untrusted: every declared length is checked against the bytes that remain
 // before anything is allocated for it, and a truncation, a bool byte other
 // than 0 or 1 or a trailing byte is an error. It checks structure only;
 // SetState checks the values. The decoded slices do not alias data. On
 // error st is partly overwritten.
 func (st *EnsembleState) UnmarshalBinary(data []byte) error {
-	// Every float takes 8 bytes of data, so one backing array of len/8
+	// Every float takes 8 bytes of data, so a backing array of len/8
 	// holds all of them.
-	r := stateReader{data: data, floats: make([]float64, 0, len(data)/8)}
-	*st = EnsembleState{Observations: r.uvarint()}
+	st.reuse(len(data) / 8)
+	r := stateReader{data: data, st: st}
+	st.Observations = r.uvarint()
 	if r.flag() {
-		st.FB = &FBInputs{RTT: r.float(), LossRate: r.float(), AvailBw: r.float()}
+		st.fb, st.FB = FBInputs{RTT: r.float(), LossRate: r.float(), AvailBw: r.float()}, &st.fb
 	}
 	st.FBAge, st.CovIn, st.CovTotal = r.uvarint(), r.uvarint(), r.uvarint()
 	st.LSO = LSOState{Window: r.floatSlice(), Shifts: int(r.uvarint())}
 	// An error window is at least its length.
-	if n := r.count(1); n > 0 {
-		st.Errors = make([][]float64, n)
-		for i := range st.Errors {
-			st.Errors[i] = r.floatSlice()
-		}
+	n := r.count(1)
+	st.Errors = slices.Grow(st.Errors, n)[:n]
+	for i := range st.Errors {
+		st.Errors[i] = r.floatSlice()
 	}
 	if r.err == nil && len(r.data) > 0 {
 		r.fail("%d trailing bytes", len(r.data))
@@ -124,9 +126,9 @@ func (w *stateWriter) floats(xs []float64) {
 // later read returns a zero value, so decoding runs to the end without
 // checks at each step and reports that error.
 type stateReader struct {
-	data   []byte
-	floats []float64 // backing array of every decoded float slice
-	err    error
+	data []byte
+	st   *EnsembleState // whose backing array holds every decoded float slice
+	err  error
 }
 
 func (r *stateReader) fail(format string, args ...any) {
@@ -195,16 +197,16 @@ func (r *stateReader) count(size int) int {
 	return int(n)
 }
 
-// floatSlice reads a float list into the backing array, capped so that an
-// append to one slice cannot overwrite the next. An empty list is nil.
+// floatSlice reads a float list into the state's backing array. An empty
+// list is nil.
 func (r *stateReader) floatSlice() []float64 {
 	n := r.count(8)
 	if n == 0 {
 		return nil
 	}
-	start, b := len(r.floats), r.take(8*n)
+	start, b := len(r.st.floats), r.take(8*n)
 	for ; len(b) >= 8; b = b[8:] {
-		r.floats = append(r.floats, math.Float64frombits(binary.LittleEndian.Uint64(b)))
+		r.st.floats = append(r.st.floats, math.Float64frombits(binary.LittleEndian.Uint64(b)))
 	}
-	return r.floats[start:len(r.floats):len(r.floats)]
+	return r.st.since(start)
 }

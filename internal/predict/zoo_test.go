@@ -8,6 +8,12 @@ import (
 	"repro/internal/stats"
 )
 
+// newResidualWindow returns a window retaining the last n errors (at
+// least one).
+func newResidualWindow(n int) ResidualWindow {
+	return ResidualWindow{ring: newOrderedRing(max(n, 1))}
+}
+
 func TestResidualWindowQuantileInversion(t *testing.T) {
 	w := newResidualWindow(50)
 	// A known symmetric error distribution around zero, nine errors: the

@@ -100,15 +100,21 @@ func FuzzPredictBatch(f *testing.F) {
 // serve and absorb an observation. Seeds are real records at several
 // lifetimes plus the committed corpus in testdata/fuzz.
 //
+// The codec decodes into a reused state, so each input is also decoded
+// twice by hand: into a fresh state, and into one that has just held a
+// full 112-observation record. Both must accept or refuse alike and
+// re-encode to the same bytes, or a field leaked from the earlier record
+// (a measurement the input does not carry, a longer error window).
+//
 // Run with: go test ./internal/predsvc -run '^$' -fuzz FuzzPathSnapshotRestore -fuzztime 10s
 func FuzzPathSnapshotRestore(f *testing.F) {
 	codec := sessionCodec()
-	series := SyntheticSeries(1, 40, 13)[0]
+	series := SyntheticSeries(1, 112, 13)[0]
 	s := newSession(series.Path)
 	for k := 0; k < len(series.Throughputs); k++ {
 		switch k {
 		case 0, 3, 12, 39:
-			data, err := codec.Encode(s)
+			data, err := codec.Encode(nil, s)
 			if err != nil {
 				f.Fatal(err)
 			}
@@ -119,13 +125,37 @@ func FuzzPathSnapshotRestore(f *testing.F) {
 		}
 		s.Observe(series.Throughputs[k])
 	}
+	full, err := codec.Encode(nil, s)
+	if err != nil {
+		f.Fatal(err)
+	}
+	// accept decodes data into st and installs it, as the codec's Decode
+	// does, and returns st's binary form when both succeed.
+	accept := func(st *predict.EnsembleState, data []byte) ([]byte, error) {
+		if err := st.UnmarshalBinary(data); err != nil {
+			return nil, err
+		}
+		if err := predict.NewEnsemble().SetState(*st); err != nil {
+			return nil, err
+		}
+		return st.AppendBinary(nil)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var fresh, reused predict.EnsembleState
+		if err := reused.UnmarshalBinary(full); err != nil {
+			t.Fatal(err)
+		}
+		bf, errF := accept(&fresh, data)
+		br, errR := accept(&reused, data)
+		if (errF == nil) != (errR == nil) || !bytes.Equal(bf, br) {
+			t.Fatalf("a reused state decodes differently from a fresh one:\nfresh  %x (%v)\nreused %x (%v)", bf, errF, br, errR)
+		}
 		// The payload does not name its path; the record frame does.
 		e, err := codec.Decode(series.Path, data)
 		if err != nil {
 			return
 		}
-		b1, err := codec.Encode(e)
+		b1, err := codec.Encode(nil, e)
 		if err != nil {
 			t.Fatalf("accepted record does not re-encode: %v", err)
 		}
@@ -133,7 +163,7 @@ func FuzzPathSnapshotRestore(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded record refused: %v\n%x", err, b1)
 		}
-		b2, err := codec.Encode(e2)
+		b2, err := codec.Encode(nil, e2)
 		if err != nil || !bytes.Equal(b1, b2) {
 			t.Fatalf("re-encoding is not a fixed point (err %v):\n%x\n%x", err, b1, b2)
 		}

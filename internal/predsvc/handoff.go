@@ -171,7 +171,7 @@ func (r *Server) handleSessionsImport(w http.ResponseWriter, req *http.Request) 
 		// The state is decoded before last-writer-wins looks at it, so a
 		// malformed record fails the stream even when it would be skipped.
 		path, index := rec.Path(), resp.Imported+resp.Skipped
-		s, err := decodeSession(path, rec.Data())
+		s, err := r.reg.decode(path, rec.Data())
 		if err != nil {
 			return writeError(w, http.StatusBadRequest, "handoff record %d (%s): bad state: %v", index, path, err)
 		}

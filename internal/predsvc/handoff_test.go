@@ -179,7 +179,7 @@ func TestImportLastWriterWins(t *testing.T) {
 		for i := 0; i < obs; i++ {
 			sess.Observe(2e7)
 		}
-		return streamOf(t, sessionsFormat, record(t, "p", encodeState(t, sess.state())))
+		return streamOf(t, sessionsFormat, record(t, "p", encodeState(t, stateOf(sess))))
 	}
 	hc := &http.Client{}
 	for _, tc := range []struct {
@@ -214,7 +214,7 @@ func TestImportRejectsCorruptStreams(t *testing.T) {
 	donor := NewServer(Config{})
 	sess := donor.Registry().GetOrCreate("q")
 	sess.Observe(1e7)
-	state := encodeState(t, sess.state())
+	state := encodeState(t, stateOf(sess))
 	rec := record(t, "q", state)
 	good := streamOf(t, sessionsFormat, rec)
 	trailerAt := len(good) - 40 // u32 mark, u32 count, sha256 chain
@@ -281,7 +281,7 @@ func TestImportRejectsMalformedState(t *testing.T) {
 			sess.SetMeasurement(ps.Inputs[k])
 			sess.Observe(x)
 		}
-		states[i] = sess.state()
+		states[i] = stateOf(sess)
 	}
 	// stream frames records for the given states under the series' paths.
 	stream := func(data ...[]byte) string {
@@ -493,4 +493,11 @@ func TestResizeMidLoadDigestEquality(t *testing.T) {
 	if srvs[2].Registry().Len() == 0 {
 		t.Fatal("the joining node received no paths")
 	}
+}
+
+// stateOf captures sess's tournament in a state of its own.
+func stateOf(sess *Session) predict.EnsembleState {
+	var st predict.EnsembleState
+	sess.state(&st)
+	return st
 }

@@ -1,7 +1,6 @@
 package predsvc
 
 import (
-	"bytes"
 	"sort"
 	"sync"
 	"unsafe"
@@ -22,6 +21,9 @@ import (
 type Registry struct {
 	cfg Config
 	st  store.Store
+	// codec is the store's codec, which snapshot restore and handoff
+	// import decode records through too.
+	codec store.Codec
 }
 
 // NewRegistry builds an in-memory registry from cfg (zero value:
@@ -29,33 +31,37 @@ type Registry struct {
 // registry that may need disk resources.
 func NewRegistry(cfg Config) *Registry {
 	cfg = cfg.withDefaults()
-	return &Registry{cfg: cfg, st: store.NewMem(memConfig(cfg))}
+	r := &Registry{cfg: cfg, codec: sessionCodec()}
+	r.st = store.NewMem(r.memConfig())
+	return r
 }
 
 // OpenRegistry builds a registry honoring cfg.SpillDir: empty gives the
 // in-memory store, non-empty the disk-spilling two-tier store (whose log
 // directory must be creatable — the only error source).
 func OpenRegistry(cfg Config) (*Registry, error) {
-	cfg = cfg.withDefaults()
 	if cfg.SpillDir == "" {
-		return &Registry{cfg: cfg, st: store.NewMem(memConfig(cfg))}, nil
+		return NewRegistry(cfg), nil
 	}
-	st, err := store.OpenSpill(store.SpillConfig{Mem: memConfig(cfg), Dir: cfg.SpillDir})
+	cfg = cfg.withDefaults()
+	r := &Registry{cfg: cfg, codec: sessionCodec()}
+	st, err := store.OpenSpill(store.SpillConfig{Mem: r.memConfig(), Dir: cfg.SpillDir})
 	if err != nil {
 		return nil, err
 	}
-	return &Registry{cfg: cfg, st: st}, nil
+	r.st = st
+	return r, nil
 }
 
 // memConfig maps the service Config onto the hot tier's store config,
-// with the session constructor as the entry factory and sessionCodec as
-// the codec.
-func memConfig(cfg Config) store.MemConfig {
+// with the session constructor as the entry factory and the registry's
+// codec.
+func (r *Registry) memConfig() store.MemConfig {
 	return store.MemConfig{
-		Shards:   cfg.Shards,
-		Capacity: cfg.Capacity,
+		Shards:   r.cfg.Shards,
+		Capacity: r.cfg.Capacity,
 		New:      func(path string) store.Entry { return newSession(path) },
-		Codec:    sessionCodec(),
+		Codec:    r.codec,
 	}
 }
 
@@ -63,32 +69,49 @@ func memConfig(cfg Config) store.MemConfig {
 // predict.EnsembleState (see EnsembleState.AppendBinary), the payload of
 // every record the store writes. The path is not repeated in the payload:
 // the record frame carries it under the record's checksum. A decoded
-// session is a copy of the encoded one, exact at any history length. A
-// record whose state does not decode is an error: the spill store drops it
-// and counts it.
+// session is a copy of the encoded one, exact at any history length. The
+// record may come from disk or another node, so it is untrusted: one that
+// does not parse, or holds state the zoo refuses, is an error, which the
+// spill store counts as it drops the record.
+//
+// Both directions pass the session through one EnsembleState, reused under
+// a mutex (the spill store calls the codec under its own lock), so neither
+// allocates one.
 func sessionCodec() store.Codec {
+	var (
+		mu sync.Mutex
+		st predict.EnsembleState
+	)
 	return store.Codec{
-		Encode: func(e store.Entry) ([]byte, error) {
-			st := e.(*Session).state()
-			bp := encodeBufs.Get().(*[]byte)
-			defer encodeBufs.Put(bp)
-			b, err := st.AppendBinary((*bp)[:0])
-			if err != nil {
-				return nil, err
-			}
-			*bp = b
-			return bytes.Clone(b), nil
+		Encode: func(dst []byte, e store.Entry) ([]byte, error) {
+			mu.Lock()
+			defer mu.Unlock()
+			e.(*Session).state(&st)
+			return st.AppendBinary(dst)
 		},
 		Decode: func(path string, data []byte) (store.Entry, error) {
-			return decodeSession(path, data)
+			mu.Lock()
+			defer mu.Unlock()
+			if err := st.UnmarshalBinary(data); err != nil {
+				return nil, err
+			}
+			ens := predict.NewEnsemble()
+			if err := ens.SetState(st); err != nil {
+				return nil, err
+			}
+			return &Session{path: path, ens: ens}, nil
 		},
 	}
 }
 
-// encodeBufs holds sessionCodec's scratch buffers: a record is appended
-// into one and copied out at its exact size, rather than grown from empty
-// on every spill.
-var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
+// decode rebuilds path's session from a record's data through the codec.
+func (r *Registry) decode(path string, data []byte) (*Session, error) {
+	e, err := r.codec.Decode(path, data)
+	if err != nil {
+		return nil, err
+	}
+	return e.(*Session), nil
+}
 
 // Config returns the effective (defaulted) configuration.
 func (r *Registry) Config() Config { return r.cfg }

@@ -189,11 +189,11 @@ func (s *Session) PredictInto(p *Prediction, fb *FBState) {
 	}
 }
 
-// state captures the session's tournament.
-func (s *Session) state() predict.EnsembleState {
+// state captures the session's tournament into st.
+func (s *Session) state(st *predict.EnsembleState) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.ens.State()
+	s.ens.State(st)
 }
 
 // install replaces the session's tournament with a restored one.

@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/predict"
 	"repro/internal/predsvc/store"
 )
 
@@ -75,7 +74,7 @@ func (r *Registry) ReadSnapshot(rd io.Reader) (int, error) {
 			return fail(err)
 		}
 		path := rec.Path()
-		s, err := decodeSession(path, rec.Data())
+		s, err := r.decode(path, rec.Data())
 		if err != nil {
 			return fail(fmt.Errorf("%w: path %q: %v", ErrCorruptSnapshot, path, err))
 		}
@@ -90,21 +89,6 @@ func (r *Registry) ReadSnapshot(rd io.Reader) (int, error) {
 // disk, or a foreign file could produce. Callers match it with errors.Is
 // to distinguish "quarantine and boot empty" from real I/O failures.
 var ErrCorruptSnapshot = errors.New("predsvc: corrupt snapshot")
-
-// decodeSession rebuilds path's session from a record's data. The record
-// may come from disk or another node, so it is untrusted: an error means it
-// does not parse or holds state the zoo refuses.
-func decodeSession(path string, data []byte) (*Session, error) {
-	var st predict.EnsembleState
-	if err := st.UnmarshalBinary(data); err != nil {
-		return nil, err
-	}
-	ens := predict.NewEnsemble()
-	if err := ens.SetState(st); err != nil {
-		return nil, err
-	}
-	return &Session{path: path, ens: ens}, nil
-}
 
 // writeFileAtomic streams write's output into a temp file in the
 // destination directory, fsyncs it, and atomically renames it over path,

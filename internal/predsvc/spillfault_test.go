@@ -40,7 +40,7 @@ func TestSpillFaultMidstreamByteIdentity(t *testing.T) {
 	cuts := map[int]bool{60: true, 200: true, 500: true}
 	for k := 0; k < epochs; k++ {
 		if cuts[k] {
-			data, err := codec.Encode(live)
+			data, err := codec.Encode(nil, live)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,14 +64,12 @@ func TestSpillFaultMidstreamByteIdentity(t *testing.T) {
 	}
 }
 
-// TestSessionRecordCompact pins what a fault-in costs without timing it: a
-// session at svc-spill's warm depth (112 observations, measured every
-// epoch) encodes to at most 1 660 bytes, and decoding the record's state
-// allocates at most 3 objects: the float backing array, the measurement
-// and the list of error windows. Version 4's JSON record was ≈ 15 KB, and
-// json.Unmarshal of it allocated ≈ 163; version 6's seven families took
-// 5.35 KB and 19; version 7's family names and predictor states 1 768
-// bytes and 10.
+// TestSessionRecordCompact pins what a spill and a fault-in cost without
+// timing them: a session at svc-spill's warm depth (112 observations,
+// measured every epoch) encodes to at most 1 660 bytes, and neither
+// encoding it into a reused buffer, as the spill store does, nor decoding
+// the record's state into a reused EnsembleState, as the session codec
+// does, allocates.
 func TestSessionRecordCompact(t *testing.T) {
 	series := SyntheticSeries(1, 112, 5)[0]
 	s := newSession(series.Path)
@@ -79,52 +77,152 @@ func TestSessionRecordCompact(t *testing.T) {
 		s.SetMeasurement(series.Inputs[k])
 		s.Observe(x)
 	}
-	data, err := sessionCodec().Encode(s)
+	codec := sessionCodec()
+	data, err := codec.Encode(nil, s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(data) > 1660 {
 		t.Errorf("record of %d bytes, want ≤ 1 660", len(data))
 	}
-	var st predict.EnsembleState
+	var buf []byte // grown by AllocsPerRun's warm-up run
 	allocs := testing.AllocsPerRun(20, func() {
+		if buf, err = codec.Encode(buf[:0], s); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("encoding a session into a reused buffer allocates %.0f objects, want 0", allocs)
+	}
+	var st predict.EnsembleState
+	allocs = testing.AllocsPerRun(20, func() {
 		if err := st.UnmarshalBinary(data); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 3 {
-		t.Errorf("decoding a record allocates %.0f objects, want ≤ 3", allocs)
+	if allocs != 0 {
+		t.Errorf("decoding a record into a reused state allocates %.0f objects, want 0", allocs)
 	}
 }
 
 // TestFaultInAllocs pins what a cold request costs the allocator: decoding
 // a record at svc-spill's warm depth (112 observations) into a session and
-// absorbing its first observation allocates at most 37 objects. The
-// first Observe runs the LSO shift scan over a restored window, so
-// scratch that grows by append shows here: while records carried predictor
-// states the same cycle allocated 44, with the seven-family zoo 97, while
-// each of the HB trio ran its own detector 129, and while the scan built
-// prefix extrema arrays that way, 159.
+// absorbing its first observation allocates the session and its ensemble,
+// nothing more. The first Observe runs the LSO shift scan over a restored
+// window, so scratch that grew by append would show here.
 func TestFaultInAllocs(t *testing.T) {
-	const faultInAllocs = 37
+	const faultInAllocs = 2
 	series := SyntheticSeries(1, 113, 5)[0]
 	s := newSession(series.Path)
 	for k := 0; k < 112; k++ {
 		s.SetMeasurement(series.Inputs[k])
 		s.Observe(series.Throughputs[k])
 	}
-	data, err := sessionCodec().Encode(s)
+	codec := sessionCodec()
+	data, err := codec.Encode(nil, s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		f, err := decodeSession(series.Path, data)
+		f, err := codec.Decode(series.Path, data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f.Observe(series.Throughputs[112])
+		f.(*Session).Observe(series.Throughputs[112])
 	})
 	if allocs > faultInAllocs {
 		t.Errorf("fault-in + first Observe allocates %.0f objects, want ≤ %d", allocs, faultInAllocs)
+	}
+}
+
+// TestFaultInsDoNotShareState: the spill store decodes every fault-in
+// through the codec's one reused state and log buffer, so a session it has
+// handed out must own everything it serves. Three paths share one hot
+// slot; after each pair of back-to-back fault-ins the first session's
+// predict bytes are unchanged and equal a session that never left memory.
+func TestFaultInsDoNotShareState(t *testing.T) {
+	reg, err := OpenRegistry(Config{Shards: 1, Capacity: 1, SpillDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	all := SyntheticSeries(3, 112, 11)
+	ref := map[string]*Session{}
+	for _, series := range all {
+		ref[series.Path] = newSession(series.Path)
+		for k, x := range series.Throughputs {
+			for _, s := range []*Session{reg.GetOrCreate(series.Path), ref[series.Path]} {
+				s.SetMeasurement(series.Inputs[k])
+				s.Observe(x)
+			}
+		}
+	}
+	body := func(s *Session) string {
+		b, err := json.Marshal(s.Predict())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	for i := range 6 {
+		first, second := all[i%3].Path, all[(i+1)%3].Path
+		a, ok := reg.Lookup(first)
+		if !ok {
+			t.Fatalf("Lookup(%s) missed", first)
+		}
+		want := body(a)
+		if want != body(ref[first]) {
+			t.Fatalf("%s faulted in as\n%s\nwant\n%s", first, want, body(ref[first]))
+		}
+		if _, ok := reg.Lookup(second); !ok {
+			t.Fatalf("Lookup(%s) missed", second)
+		}
+		if got := body(a); got != want {
+			t.Fatalf("%s changed when %s faulted in after it:\n%s\nwant\n%s", first, second, got, want)
+		}
+	}
+	if st := reg.TierStats(); st.Faults < 6 || st.Errors != 0 {
+		t.Fatalf("tier stats %+v, want every lookup a fault", st)
+	}
+}
+
+// TestFailedDecodeLeavesNextCorrect: a record that fails to decode, or
+// decodes to a state the zoo refuses, leaves nothing in the codec's reused
+// state for the next decode to pick up.
+func TestFailedDecodeLeavesNextCorrect(t *testing.T) {
+	series := SyntheticSeries(1, 112, 5)[0]
+	live := newSession(series.Path)
+	for k, x := range series.Throughputs {
+		live.SetMeasurement(series.Inputs[k])
+		live.Observe(x)
+	}
+	codec := sessionCodec()
+	good, err := codec.Encode(nil, live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(live.Predict())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A fresh session's record declares three error windows: it decodes,
+	// and SetState refuses it.
+	var three predict.EnsembleState
+	three.Errors = make([][]float64, 3)
+	refused, err := three.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range [][]byte{good[:len(good)-3], append(good[:len(good):len(good)], 0), refused} {
+		if _, err := codec.Decode(series.Path, bad); err == nil {
+			t.Fatalf("a bad record of %d bytes decoded", len(bad))
+		}
+		s, err := codec.Decode(series.Path, good)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := json.Marshal(s.(*Session).Predict()); string(got) != string(want) {
+			t.Fatalf("after a failed decode the next one serves\n%s\nwant\n%s", got, want)
+		}
 	}
 }

@@ -42,11 +42,12 @@ func (t *toyEntry) sum() float64 {
 
 func toyCodec() Codec {
 	return Codec{
-		Encode: func(e Entry) ([]byte, error) {
+		Encode: func(dst []byte, e Entry) ([]byte, error) {
 			t := e.(*toyEntry)
 			t.mu.Lock()
 			defer t.mu.Unlock()
-			return json.Marshal(t.vals)
+			b, err := json.Marshal(t.vals)
+			return append(dst, b...), err
 		},
 		Decode: func(path string, data []byte) (Entry, error) {
 			t := &toyEntry{path: path}
@@ -123,6 +124,7 @@ func TestStoreConformance(t *testing.T) {
 			t.Run("Recent", func(t *testing.T) { testRecent(t, f) })
 			t.Run("Delete", func(t *testing.T) { testDelete(t, f) })
 			t.Run("SnapshotRoundTrip", func(t *testing.T) { testSnapshotRoundTrip(t, f) })
+			t.Run("RecordOwned", func(t *testing.T) { testRecordOwned(t, f) })
 			t.Run("LargePayload", func(t *testing.T) { testLargePayload(t, f) })
 			t.Run("Hammer", func(t *testing.T) { testHammer(t, f) })
 		})
@@ -510,6 +512,57 @@ func testSnapshotRoundTrip(t *testing.T, f factory) {
 		}
 		if got := e.(*toyEntry).sum(); got != want {
 			t.Fatalf("restored %s sum = %v, want %v", p, got, want)
+		}
+	}
+}
+
+// testRecordOwned: a Record is its caller's. No later store operation —
+// the spills and fault-ins that reuse the store's buffers among them —
+// changes one already returned, and scribbling over one changes no later
+// Record or fault-in.
+func testRecordOwned(t *testing.T, f factory) {
+	st := f.open(t, MemConfig{Shards: 1, Capacity: 2, New: newToy})
+	defer st.Close()
+	sums := map[string]float64{}
+	for i, p := range []string{"a", "b", "c"} {
+		e := getOrCreate(st, p).(*toyEntry)
+		e.add(float64(i + 1))
+		sums[p] = e.sum()
+	}
+	paths := st.Paths() // on a spill store a is cold, b and c hot
+	// churn cycles every path through the hot tier: on a spill store each
+	// lookup faults one in and spills another.
+	churn := func() {
+		for range 2 {
+			for _, p := range paths {
+				e, ok := lookup(st, p)
+				if !ok || e.(*toyEntry).sum() != sums[p] {
+					t.Fatalf("lookup(%s) = %v, %v, want sum %v", p, e, ok, sums[p])
+				}
+			}
+		}
+	}
+	recs, want := map[string]Record{}, map[string][]byte{}
+	for _, p := range paths {
+		rec, ok := st.Record(p)
+		if !ok {
+			t.Fatalf("Record(%s) missed", p)
+		}
+		recs[p], want[p] = rec, bytes.Clone(rec)
+	}
+	churn()
+	for _, p := range paths {
+		if !bytes.Equal(recs[p], want[p]) {
+			t.Fatalf("Record(%s) changed under later store operations", p)
+		}
+		for i := range recs[p] {
+			recs[p][i] = 0xff
+		}
+	}
+	churn()
+	for _, p := range paths {
+		if rec, ok := st.Record(p); !ok || !bytes.Equal(rec, want[p]) {
+			t.Fatalf("Record(%s) after scribbling over an earlier one = %x, %v; want %x", p, rec, ok, want[p])
 		}
 	}
 }

@@ -164,18 +164,25 @@ func (m *MemStore) put(path string, e Entry) {
 	m.putLocked(sh, path, e)
 }
 
+// putLocked inserts path's entry as most recently used. In a full shard the
+// least recently used entry is evicted, and its list element and node
+// carry the new entry.
 func (m *MemStore) putLocked(sh *shard, path string, e Entry) {
-	for sh.lru.Len() >= sh.capacity {
-		oldest := sh.lru.Back()
-		sh.lru.Remove(oldest)
-		victim := oldest.Value.(*memNode).e
-		delete(sh.elems, victim.Path())
-		m.evictions.Add(1)
-		if m.cfg.OnEvict != nil {
-			m.cfg.OnEvict(victim)
-		}
+	if sh.lru.Len() < sh.capacity {
+		sh.elems[path] = sh.lru.PushFront(&memNode{e: e, touch: m.touch.Add(1)})
+		return
 	}
-	sh.elems[path] = sh.lru.PushFront(&memNode{e: e, touch: m.touch.Add(1)})
+	el := sh.lru.Back()
+	n := el.Value.(*memNode)
+	victim := n.e
+	delete(sh.elems, victim.Path())
+	m.evictions.Add(1)
+	if m.cfg.OnEvict != nil {
+		m.cfg.OnEvict(victim)
+	}
+	n.e, n.touch = e, m.touch.Add(1)
+	sh.lru.MoveToFront(el)
+	sh.elems[path] = el
 }
 
 // Peek returns the entry for path without touching recency (shared lock
@@ -236,23 +243,25 @@ func (m *MemStore) Paths() []string {
 }
 
 // Record returns path's entry encoded through MemConfig.Codec, without
-// touching recency. The shard lock is released before encoding (entries
-// self-lock). An entry that fails to encode is reported absent.
+// touching recency, in bytes of its own. The shard lock is released before
+// encoding (entries self-lock). An entry that fails to encode is reported
+// absent.
 func (m *MemStore) Record(path string) (Record, bool) {
 	e, ok := m.Peek(path)
 	if !ok {
 		return nil, false
 	}
-	rec, err := m.encode(e)
+	rec, err := m.encode(nil, e)
 	return rec, err == nil
 }
 
-func (m *MemStore) encode(e Entry) (Record, error) {
-	data, err := m.cfg.Codec.Encode(e)
+// encode frames e's Record in buf's storage, growing it as needed.
+func (m *MemStore) encode(buf []byte, e Entry) (Record, error) {
+	rec, err := m.cfg.Codec.Encode(startRecord(buf[:0], e.Path()), e)
 	if err != nil {
 		return nil, err
 	}
-	return NewRecord(e.Path(), data)
+	return sealRecord(rec)
 }
 
 // Recent returns up to n entries, most recently used first across all

@@ -52,14 +52,29 @@ func corrupt(format string, args ...any) error {
 
 // NewRecord frames data under path.
 func NewRecord(path string, data []byte) (Record, error) {
-	if len(path)+len(data) > MaxRecordBytes {
-		return nil, fmt.Errorf("store: record for %q: %d bytes exceed the %d-byte cap", path, len(path)+len(data), MaxRecordBytes)
+	rec := make([]byte, 0, recordHeaderLen+len(path)+len(data)+recordSumLen)
+	return sealRecord(append(startRecord(rec, path), data...))
+}
+
+// startRecord appends a record's header and path to dst, which must be
+// empty; the caller appends the payload and seals the record with
+// sealRecord.
+func startRecord(dst []byte, path string) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(path)))
+	dst = append(dst, 0, 0, 0, 0) // the payload length, set by sealRecord
+	return append(dst, path...)
+}
+
+// sealRecord completes the record startRecord began: it sets the payload
+// length and appends the checksum. It refuses a record past
+// MaxRecordBytes.
+func sealRecord(rec []byte) (Record, error) {
+	pathLen := int(binary.BigEndian.Uint32(rec[0:4]))
+	if n := len(rec) - recordHeaderLen; n > MaxRecordBytes {
+		return nil, fmt.Errorf("store: record for %q: %d bytes exceed the %d-byte cap",
+			string(rec[recordHeaderLen:recordHeaderLen+pathLen]), n, MaxRecordBytes)
 	}
-	rec := make(Record, recordHeaderLen, recordHeaderLen+len(path)+len(data)+recordSumLen)
-	binary.BigEndian.PutUint32(rec[0:4], uint32(len(path)))
-	binary.BigEndian.PutUint32(rec[4:8], uint32(len(data)))
-	rec = append(rec, path...)
-	rec = append(rec, data...)
+	binary.BigEndian.PutUint32(rec[4:8], uint32(len(rec)-recordHeaderLen-pathLen))
 	sum := sha256.Sum256(rec[recordHeaderLen:])
 	return append(rec, sum[:]...), nil
 }
@@ -67,7 +82,9 @@ func NewRecord(path string, data []byte) (Record, error) {
 func (r Record) pathLen() int { return int(binary.BigEndian.Uint32(r[0:4])) }
 
 // Path returns the path the record is stored under.
-func (r Record) Path() string { return string(r[recordHeaderLen : recordHeaderLen+r.pathLen()]) }
+func (r Record) Path() string { return string(r.pathBytes()) }
+
+func (r Record) pathBytes() []byte { return r[recordHeaderLen : recordHeaderLen+r.pathLen()] }
 
 // Data returns the record's payload.
 func (r Record) Data() []byte { return r[recordHeaderLen+r.pathLen() : len(r)-recordSumLen] }

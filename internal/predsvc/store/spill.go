@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -44,12 +45,17 @@ type SpillStore struct {
 	liveBytes  int64
 	deadBytes  int64
 	compactMin int64
+	// wbuf frames the record a spill writes, and rbuf holds the record a
+	// fault-in or compaction reads; both are reused under mu.
+	wbuf, rbuf []byte
 
 	spills, faults, errs uint64
 }
 
-// recordRef locates one Record in the spill log.
+// recordRef locates one Record in the spill log. path is the cold index's
+// key, which a faulted-in entry is stored under again.
 type recordRef struct {
+	path      string
 	off, size int64
 }
 
@@ -97,8 +103,9 @@ func OpenSpill(cfg SpillConfig) (*SpillStore, error) {
 // encode is dropped and counted — eviction cannot be refused.
 func (s *SpillStore) spill(e Entry) {
 	path := e.Path()
-	rec, err := s.hot.encode(e)
+	rec, err := s.hot.encode(s.wbuf, e)
 	if err == nil {
+		s.wbuf = rec
 		_, err = s.f.WriteAt(rec, s.off)
 	}
 	if err != nil {
@@ -106,7 +113,7 @@ func (s *SpillStore) spill(e Entry) {
 		s.dropCold(path)
 		return
 	}
-	ref := recordRef{off: s.off, size: int64(len(rec))}
+	ref := recordRef{path: path, off: s.off, size: int64(len(rec))}
 	s.off += ref.size
 	s.dropCold(path) // a stale record for the same path becomes garbage
 	s.cold[path] = ref
@@ -130,38 +137,43 @@ func (s *SpillStore) dropCold(path string) {
 	}
 }
 
-// readRecord reads and verifies path's Record from the log.
-func (s *SpillStore) readRecord(path string, ref recordRef) (Record, error) {
-	buf := make([]byte, ref.size)
+// readRecord reads and verifies ref's Record from the log into buf, grown
+// as needed; on error it still returns the buffer for reuse.
+func (s *SpillStore) readRecord(buf []byte, ref recordRef) (Record, error) {
+	buf = slices.Grow(buf[:0], int(ref.size))[:ref.size]
 	if _, err := s.f.ReadAt(buf, ref.off); err != nil {
-		return nil, err
+		return buf, err
 	}
 	rec, err := checkRecord(buf)
-	if err == nil && rec.Path() != path {
-		err = fmt.Errorf("store: spill record for %q holds %q", path, rec.Path())
+	if err != nil {
+		return buf, err
 	}
-	return rec, err
+	if string(rec.pathBytes()) != ref.path {
+		return buf, fmt.Errorf("store: spill record for %q holds %q", ref.path, rec.Path())
+	}
+	return rec, nil
 }
 
 // faultIn decodes path's cold record. promote removes it from the cold
 // index (the caller inserts it into the hot tier); a transient read keeps
 // the record. Any read/verify/decode failure drops the record and counts
 // an error — the entry's state is lost, not silently corrupted.
-func (s *SpillStore) faultIn(path string, ref recordRef, promote bool) (Entry, bool) {
+func (s *SpillStore) faultIn(ref recordRef, promote bool) (Entry, bool) {
 	var e Entry
-	rec, err := s.readRecord(path, ref)
+	rec, err := s.readRecord(s.rbuf, ref)
+	s.rbuf = rec
 	if err == nil {
-		e, err = s.hot.cfg.Codec.Decode(path, rec.Data())
+		e, err = s.hot.cfg.Codec.Decode(ref.path, rec.Data())
 	}
 	if err != nil {
 		s.errs++
-		s.dropCold(path)
+		s.dropCold(ref.path)
 		s.maybeCompact()
 		return nil, false
 	}
 	if promote {
 		s.faults++
-		s.dropCold(path)
+		s.dropCold(ref.path)
 		s.maybeCompact()
 	}
 	return e, true
@@ -171,17 +183,17 @@ func (s *SpillStore) faultIn(path string, ref recordRef, promote bool) (Entry, b
 // it back to the hot tier, possibly spilling another entry), or with
 // create set a fresh entry. It holds the store mutex until Unpin: every
 // eviction happens under it, so nothing can be spilled meanwhile. A
-// hot-tier hit costs no allocation; the cold and create paths clone the
-// key (they do I/O or construct an entry anyway).
+// hot-tier hit costs no allocation, and a fault-in none beyond the codec's
+// Decode: it reuses the cold index's key and the log buffers, and the
+// victim it spills gives up its LRU node. The create path clones the key.
 func (s *SpillStore) Pin(path []byte, create bool) (Entry, bool) {
 	s.mu.Lock()
 	if e, ok := s.hot.Pin(path, false); ok {
 		return e, true
 	}
 	if ref, ok := s.cold[string(path)]; ok {
-		p := string(path)
-		if e, ok := s.faultIn(p, ref, true); ok {
-			s.hot.put(p, e)
+		if e, ok := s.faultIn(ref, true); ok {
+			s.hot.put(ref.path, e)
 			return e, true
 		}
 	}
@@ -205,30 +217,33 @@ func (s *SpillStore) Peek(path string) (Entry, bool) {
 		return e, true
 	}
 	if ref, ok := s.cold[path]; ok {
-		return s.faultIn(path, ref, false)
+		return s.faultIn(ref, false)
 	}
 	return nil, false
 }
 
-// Record returns path's Record without touching recency: a cold path's
-// log bytes, copied verbatim once their checksum verifies (a record that
-// fails is dropped and counted, like a failed fault-in), or a hot entry
-// encoded through the codec. The store mutex is held for this one call.
+// Record returns path's Record, in bytes of its own, without touching
+// recency: a cold path's log bytes, copied verbatim once their checksum
+// verifies (a record that fails is dropped and counted, like a failed
+// fault-in), or a hot entry encoded through the codec. The store mutex is
+// held for this one call.
 func (s *SpillStore) Record(path string) (Record, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e, ok := s.hot.Peek(path); ok {
-		rec, err := s.hot.encode(e)
+		rec, err := s.hot.encode(s.wbuf, e)
 		if err != nil {
 			s.errs++
+			return nil, false
 		}
-		return rec, err == nil
+		s.wbuf = rec
+		return slices.Clone(rec), true
 	}
 	ref, ok := s.cold[path]
 	if !ok {
 		return nil, false
 	}
-	rec, err := s.readRecord(path, ref)
+	rec, err := s.readRecord(nil, ref)
 	if err != nil {
 		s.errs++
 		s.dropCold(path)
@@ -326,7 +341,8 @@ func (s *SpillStore) maybeCompact() {
 	newCold := make(map[string]recordRef, len(s.cold))
 	var off int64
 	for path, ref := range s.cold {
-		rec, err := s.readRecord(path, ref)
+		rec, err := s.readRecord(s.rbuf, ref)
+		s.rbuf = rec
 		if err != nil {
 			s.errs++
 			continue
@@ -336,7 +352,7 @@ func (s *SpillStore) maybeCompact() {
 			os.Remove(tmpName)
 			return
 		}
-		newCold[path] = recordRef{off: off, size: ref.size}
+		newCold[path] = recordRef{path: path, off: off, size: ref.size}
 		off += ref.size
 	}
 	if err := os.Rename(tmpName, filepath.Join(s.dir, spillLogName)); err != nil {

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -221,5 +222,129 @@ func TestOpenSpillTruncates(t *testing.T) {
 	}
 	if s.Len() != 0 {
 		t.Fatalf("Len = %d on a fresh store", s.Len())
+	}
+}
+
+// countEntry is an entry whose codec allocates nothing to encode and one
+// object, the entry, to decode, so a test can see every allocation the
+// store itself makes around it.
+type countEntry struct {
+	path string
+	n    uint64
+}
+
+func (c *countEntry) Path() string { return c.path }
+
+// unluckyCount is a value countCodec refuses to decode.
+const unluckyCount = 13
+
+func countCodec() Codec {
+	return Codec{
+		Encode: func(dst []byte, e Entry) ([]byte, error) {
+			return binary.BigEndian.AppendUint64(dst, e.(*countEntry).n), nil
+		},
+		Decode: func(path string, data []byte) (Entry, error) {
+			if len(data) != 8 {
+				return nil, fmt.Errorf("count of %d bytes", len(data))
+			}
+			n := binary.BigEndian.Uint64(data)
+			if n == unluckyCount {
+				return nil, fmt.Errorf("unlucky count")
+			}
+			return &countEntry{path: path, n: n}, nil
+		},
+	}
+}
+
+// openCounts opens a one-shard spill store of countEntry values with room
+// for hot of them, and creates paths p0, p1, ... holding 100, 101, ...;
+// all but the last hot ones are cold.
+func openCounts(t *testing.T, hot, paths int) (*SpillStore, [][]byte, string) {
+	t.Helper()
+	dir := t.TempDir()
+	s, err := OpenSpill(SpillConfig{Dir: dir, Mem: MemConfig{
+		Shards: 1, Capacity: hot, Codec: countCodec(),
+		New: func(path string) Entry { return &countEntry{path: path} },
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	keys := make([][]byte, paths)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("p%d", i))
+		getOrCreate(s, string(keys[i])).(*countEntry).n = uint64(100 + i)
+	}
+	return s, keys, dir
+}
+
+// TestSpillFaultInAllocs: Pin of a cold path in a full spill store — the
+// fault-in, the victim's spill and the LRU reinsert — allocates nothing
+// beyond what the codec's Decode does. Cycling eight paths through four
+// hot slots makes every Pin one such cycle.
+func TestSpillFaultInAllocs(t *testing.T) {
+	s, keys, _ := openCounts(t, 4, 8)
+	codec := countCodec()
+	data := binary.BigEndian.AppendUint64(nil, 7)
+	decodeAllocs := testing.AllocsPerRun(100, func() {
+		if _, err := codec.Decode("p0", data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	faults0 := s.Stats().Faults
+	k := 0
+	const runs = 200
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, ok := s.Pin(keys[k%len(keys)], false); !ok {
+			t.Fatalf("Pin(%s) missed", keys[k%len(keys)])
+		}
+		s.Unpin()
+		k++
+	})
+	if st := s.Stats(); st.Faults-faults0 != runs+1 || st.Errors != 0 {
+		t.Fatalf("%d faults and %d errors in %d cycles, want every Pin a fault", st.Faults-faults0, st.Errors, runs+1)
+	}
+	if allocs > decodeAllocs {
+		t.Errorf("a fault + spill cycle allocates %.1f objects, the codec's Decode %.1f", allocs, decodeAllocs)
+	}
+}
+
+// TestSpillFailedFaultLeavesNextCorrect: a fault-in whose record fails its
+// checksum, or whose payload the codec refuses, leaves nothing behind in
+// the buffers the store reuses: the next fault-in is exact.
+func TestSpillFailedFaultLeavesNextCorrect(t *testing.T) {
+	s, keys, dir := openCounts(t, 1, 4) // p0, p1 and p2 cold, in log order
+	getOrCreate(s, "p3").(*countEntry).n = unluckyCount
+	getOrCreate(s, "p4") // spills p3
+
+	// Flip a byte of p0's payload, the log's first record.
+	f, err := os.OpenFile(filepath.Join(dir, spillLogName), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := int64(recordHeaderLen + len(keys[0]) + 7)
+	b := make([]byte, 1)
+	if _, err := f.ReadAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0xff
+	if _, err := f.WriteAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	for _, bad := range []string{"p0", "p3"} {
+		if _, ok := lookup(s, bad); ok {
+			t.Fatalf("%s: a record that fails its checksum or decode was served", bad)
+		}
+		for _, i := range []int{1, 2} {
+			e, ok := lookup(s, string(keys[i]))
+			if !ok || e.(*countEntry).n != uint64(100+i) {
+				t.Fatalf("after %s failed: fault-in of p%d = %v, %v, want %d", bad, i, e, ok, 100+i)
+			}
+		}
+	}
+	if st := s.Stats(); st.Errors != 2 {
+		t.Fatalf("Errors = %d, want 2", st.Errors)
 	}
 }

@@ -22,11 +22,12 @@ type Entry interface {
 	Path() string
 }
 
-// Codec serializes entries into Record payloads. Decode must rebuild an
-// entry that behaves exactly like the one Encode captured, and Encode must
-// be deterministic.
+// Codec serializes entries into Record payloads. Encode appends the
+// payload to dst and returns the extended slice, which the store frames in
+// place; it must be deterministic. Decode must rebuild an entry that
+// behaves exactly like the one Encode captured, without retaining data.
 type Codec struct {
-	Encode func(Entry) ([]byte, error)
+	Encode func(dst []byte, e Entry) ([]byte, error)
 	Decode func(path string, data []byte) (Entry, error)
 }
 
