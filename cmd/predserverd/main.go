@@ -68,7 +68,6 @@ func main() {
 
 		maxInflight = flag.Int("max-inflight", 0, "concurrent-request cap before shedding with 429 (0 = default 1024, negative = unlimited)")
 		readHdrTO   = flag.Duration("read-header-timeout", 0, "slowloris guard on request headers (0 = default 5s, negative = off)")
-		requestTO   = flag.Duration("request-timeout", 0, "per-request deadline (0 = default 15s, negative = off)")
 		chaosMode   = flag.Bool("chaos", false, "seeded fault injection: snapshot writes fail ~50% of the time, X-Chaos-Panic requests panic in-handler")
 		chaosSeed   = flag.Int64("chaos-seed", 1, "fault-injection seed for -chaos")
 		chaosHand   = flag.Bool("chaos-handoff", false, "kill the first session handoff mid-transfer: the 6th exported record aborts the stream and the 6th imported record 500s, so only a retried pass can complete")
@@ -82,7 +81,6 @@ func main() {
 		Capacity:          *capacity,
 		MaxInFlight:       *maxInflight,
 		ReadHeaderTimeout: *readHdrTO,
-		RequestTimeout:    *requestTO,
 		SpillDir:          *spillDir,
 		DrainDelay:        *drainDelay,
 	}

@@ -55,9 +55,6 @@ type Config struct {
 	// client to finish sending request headers — the slowloris guard
 	// (default 5s; negative disables).
 	ReadHeaderTimeout time.Duration
-	// RequestTimeout is the per-request context deadline installed by the
-	// hardening middleware (default 15s; negative disables).
-	RequestTimeout time.Duration
 	// MaxInFlight caps concurrently served requests; past it the server
 	// sheds load with 429 + Retry-After instead of queueing without bound
 	// (default 1024; negative disables shedding).
@@ -101,9 +98,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ReadHeaderTimeout == 0 {
 		c.ReadHeaderTimeout = 5 * time.Second
-	}
-	if c.RequestTimeout == 0 {
-		c.RequestTimeout = 15 * time.Second
 	}
 	if c.MaxInFlight == 0 {
 		c.MaxInFlight = 1024

@@ -1,0 +1,5 @@
+//go:build !race
+
+package predsvc
+
+const raceEnabled = false

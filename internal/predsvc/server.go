@@ -144,8 +144,9 @@ func Open(cfg Config) (*Server, error) {
 // harden wraps the mux with the resilience middleware, outermost first:
 // semaphore-based load shedding (429 + Retry-After past MaxInFlight
 // in-flight requests), panic recovery (a panicking handler produces a 500
-// and a panics_recovered tick, not a dead daemon), fault-injection seams,
-// and the per-request context deadline.
+// and a panics_recovered tick, not a dead daemon) and fault-injection
+// seams. It sets no per-request deadline: no handler reads the request
+// context; Serve's timeouts and the in-flight cap bound a request.
 func (r *Server) harden() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if r.sem != nil {
@@ -176,11 +177,6 @@ func (r *Server) harden() http.Handler {
 		if err := r.cfg.Faults.Check(SiteHandlerDelay); err != nil {
 			writeError(sw, http.StatusServiceUnavailable, "injected fault: %v", err)
 			return
-		}
-		if d := r.cfg.RequestTimeout; d > 0 {
-			ctx, cancel := context.WithTimeout(req.Context(), d)
-			defer cancel()
-			req = req.WithContext(ctx)
 		}
 		r.mux.ServeHTTP(sw, req)
 	})
@@ -459,16 +455,18 @@ func (r *Server) instrument(ep endpoint, h handlerFunc) http.Handler {
 	})
 }
 
+// jsonContentType is every JSON reply's Content-Type, shared: net/http
+// clones the handler header at WriteHeader, so the slice is never written.
+var jsonContentType = []string{"application/json"}
+
+func setJSON(w http.ResponseWriter) { w.Header()["Content-Type"] = jsonContentType }
+
 func writeJSON(w http.ResponseWriter, status int, v any) int {
 	data, err := json.Marshal(v)
 	if err != nil {
 		return writeEncodingFailure(w)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(data)
-	w.Write([]byte("\n"))
-	return status
+	return writeWire(w, status, data)
 }
 
 // writeEncodingFailure is the shared 500 for values json cannot encode
@@ -510,7 +508,7 @@ func preformatError(msg string) []byte {
 // writePre writes a preformatted JSON body (which already carries its
 // trailing newline) without any per-request allocation.
 func writePre(w http.ResponseWriter, status int, body []byte) int {
-	w.Header().Set("Content-Type", "application/json")
+	setJSON(w)
 	w.WriteHeader(status)
 	w.Write(body)
 	return status

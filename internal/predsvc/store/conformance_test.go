@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -42,12 +43,20 @@ func (t *toyEntry) sum() float64 {
 
 func toyCodec() Codec {
 	return Codec{
+		// Encode appends the values as a JSON array in dst's storage
+		// without allocating, so testRecordAllocs counts only the store.
 		Encode: func(dst []byte, e Entry) ([]byte, error) {
 			t := e.(*toyEntry)
 			t.mu.Lock()
 			defer t.mu.Unlock()
-			b, err := json.Marshal(t.vals)
-			return append(dst, b...), err
+			dst = append(dst, '[')
+			for i, v := range t.vals {
+				if i > 0 {
+					dst = append(dst, ',')
+				}
+				dst = strconv.AppendFloat(dst, v, 'g', -1, 64)
+			}
+			return append(dst, ']'), nil
 		},
 		Decode: func(path string, data []byte) (Entry, error) {
 			t := &toyEntry{path: path}
@@ -125,6 +134,7 @@ func TestStoreConformance(t *testing.T) {
 			t.Run("Delete", func(t *testing.T) { testDelete(t, f) })
 			t.Run("SnapshotRoundTrip", func(t *testing.T) { testSnapshotRoundTrip(t, f) })
 			t.Run("RecordOwned", func(t *testing.T) { testRecordOwned(t, f) })
+			t.Run("RecordAllocs", func(t *testing.T) { testRecordAllocs(t, f) })
 			t.Run("LargePayload", func(t *testing.T) { testLargePayload(t, f) })
 			t.Run("Hammer", func(t *testing.T) { testHammer(t, f) })
 		})
@@ -564,6 +574,26 @@ func testRecordOwned(t *testing.T, f factory) {
 		if rec, ok := st.Record(p); !ok || !bytes.Equal(rec, want[p]) {
 			t.Fatalf("Record(%s) after scribbling over an earlier one = %x, %v; want %x", p, rec, ok, want[p])
 		}
+	}
+}
+
+// testRecordAllocs: Record of a hot entry costs one allocation, the
+// caller's exact-size copy, however many times the record's framing grows
+// (a session-sized history of 112 values is ≈ 2 KiB). The codec here
+// allocates nothing, so every object counted is the store's.
+func testRecordAllocs(t *testing.T, f factory) {
+	st := f.open(t, MemConfig{Shards: 1, Capacity: 4, New: newToy})
+	defer st.Close()
+	e := getOrCreate(st, "hot").(*toyEntry)
+	for i := 0; i < 112; i++ {
+		e.add(5e7 * (1 + 0.01*float64(i%7)))
+	}
+	if got := testing.AllocsPerRun(20, func() {
+		if _, ok := st.Record("hot"); !ok {
+			t.Fatal("Record(hot) missed")
+		}
+	}); got != 1 {
+		t.Errorf("Record allocates %v objects, want 1", got)
 	}
 }
 

@@ -2,6 +2,7 @@ package store
 
 import (
 	"container/list"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -49,6 +50,8 @@ type MemStore struct {
 	mask      uint64
 	touch     atomic.Uint64 // global recency clock, for Recent
 	evictions atomic.Uint64
+	recMu     sync.Mutex // guards recBuf, the buffer Record frames into
+	recBuf    []byte
 }
 
 type shard struct {
@@ -244,15 +247,18 @@ func (m *MemStore) Paths() []string {
 
 // Record returns path's entry encoded through MemConfig.Codec, without
 // touching recency, in bytes of its own. The shard lock is released before
-// encoding (entries self-lock). An entry that fails to encode is reported
-// absent.
+// encoding (entries self-lock); the record is framed in a reused buffer
+// and cloned once. An entry that fails to encode is reported absent.
 func (m *MemStore) Record(path string) (Record, bool) {
 	e, ok := m.Peek(path)
 	if !ok {
 		return nil, false
 	}
-	rec, err := m.encode(nil, e)
-	return rec, err == nil
+	m.recMu.Lock()
+	defer m.recMu.Unlock()
+	rec, err := m.encode(m.recBuf, e)
+	m.recBuf = rec // nil on error, as is its clone
+	return slices.Clone(rec), err == nil
 }
 
 // encode frames e's Record in buf's storage, growing it as needed.

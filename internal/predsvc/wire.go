@@ -242,10 +242,10 @@ func decodeObserveFields(d *fastjson.Dec, wc *wireCtx) (tput float64, err error)
 	return tput, err
 }
 
-// writeWire writes a fastpath-encoded JSON body, with the same trailing
-// newline writeJSON emits.
+// writeWire writes a JSON body and the trailing newline every JSON reply
+// ends with.
 func writeWire(w http.ResponseWriter, status int, body []byte) int {
-	w.Header().Set("Content-Type", "application/json")
+	setJSON(w)
 	w.WriteHeader(status)
 	w.Write(body)
 	w.Write(wireNL)
