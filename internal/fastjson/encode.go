@@ -1,7 +1,6 @@
 package fastjson
 
 import (
-	"math"
 	"strconv"
 	"unicode/utf8"
 )
@@ -118,40 +117,6 @@ func appendEscapedByte(dst []byte, b byte) []byte {
 		// Remaining control characters and the HTML-unsafe <, >, &.
 		return append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
 	}
-}
-
-// AppendFloat64 appends f formatted exactly as json.Marshal formats a
-// float64: shortest 'f' form, switching to 'e' outside [1e-6, 1e21) with
-// the two-digit exponent shortened (1e-09 → 1e-9). ok is false — and dst
-// is returned unchanged — for NaN and ±Inf, which JSON cannot represent
-// (json.Marshal fails the whole document with an UnsupportedValueError;
-// callers mirror that by falling back to the oracle path).
-func AppendFloat64(dst []byte, f float64) (_ []byte, ok bool) {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
-		return dst, false
-	}
-	// Integral fast path: below 2^53 every float has a unit ulp or finer,
-	// so the exact integer digits are the shortest decimal that parses
-	// back — the same string the 'f'-format shortest rendering produces —
-	// and AppendInt is several times cheaper than shortest-float. -0 must
-	// fall through (json renders it "-0").
-	if i := int64(f); float64(i) == f && f >= -(1<<53) && f <= 1<<53 &&
-		!(f == 0 && math.Signbit(f)) {
-		return strconv.AppendInt(dst, i, 10), true
-	}
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
-		}
-	}
-	return dst, true
 }
 
 // AppendUint64 appends u in base 10.

@@ -46,10 +46,20 @@ func (r *orderedRing) reset() {
 	r.buf, r.sorted, r.next = r.buf[:0], r.sorted[:0], 0
 }
 
-// resort rebuilds the mirror from buf.
+// resort rebuilds the mirror from buf by insertion sort. Its one caller,
+// ResidualWindow.SetErrors, clamps every sample to ±stats.ErrClamp first,
+// so no NaN needs slices.Sort's ordering, and on a restored window of at
+// most a few dozen errors the plain loop is the cheaper sort.
 func (r *orderedRing) resort() {
-	r.sorted = append(r.sorted[:0], r.buf...)
-	slices.Sort(r.sorted)
+	s := append(r.sorted[:0], r.buf...)
+	for i := 1; i < len(s); i++ {
+		x, j := s[i], i
+		for ; j > 0 && s[j-1] > x; j-- {
+			s[j] = s[j-1]
+		}
+		s[j] = x
+	}
+	r.sorted = s
 }
 
 // chronological appends the samples oldest first to dst.

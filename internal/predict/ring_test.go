@@ -1,6 +1,7 @@
 package predict
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"slices"
@@ -127,6 +128,53 @@ func TestOrderedRingMatchesOracle(t *testing.T) {
 				if gok != wok || !sameBits(got, want) {
 					t.Fatalf("cap %d, step %d, forecast %v: quantiles %+v,%v, oracle %+v,%v", n, step, f, got, gok, want, wok)
 				}
+			}
+		}
+	}
+}
+
+// TestSetErrorsSortsMirror restores windows of every size up to twice a
+// 50-error capacity from sorted, reversed and random error lists rich in
+// duplicates, ±stats.ErrClamp and values the clamp saturates (NaN, ±Inf,
+// ±1e18): after each SetErrors the mirror must equal a slices.Sort of the
+// clamped errors the window keeps.
+func TestSetErrorsSortsMirror(t *testing.T) {
+	const n = 50
+	rng := rand.New(rand.NewSource(5))
+	draw := func() float64 {
+		switch r := rng.Intn(10); r {
+		case 0:
+			return stats.ErrClamp
+		case 1:
+			return -stats.ErrClamp
+		case 2:
+			return []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e18, -1e18}[rng.Intn(5)]
+		case 3, 4, 5:
+			return float64(rng.Intn(5)-2) / 2
+		default:
+			return rng.NormFloat64()
+		}
+	}
+	w := newResidualWindow(n)
+	for size := 0; size <= 2*n; size++ {
+		for order := 0; order < 3; order++ {
+			errs := make([]float64, size)
+			for i := range errs {
+				errs[i] = draw()
+			}
+			if order > 0 { // sorted as the window will hold them, up or down
+				slices.SortFunc(errs, func(a, b float64) int {
+					return (3 - 2*order) * cmp.Compare(stats.ClampError(a), stats.ClampError(b))
+				})
+			}
+			w.SetErrors(errs)
+			want := append([]float64(nil), errs[max(0, size-n):]...)
+			for i, e := range want {
+				want[i] = stats.ClampError(e)
+			}
+			slices.Sort(want)
+			if !slices.Equal(w.ring.sorted, want) {
+				t.Fatalf("size %d, order %d: mirror %v, want %v", size, order, w.ring.sorted, want)
 			}
 		}
 	}

@@ -32,10 +32,12 @@ go test -race -short ./...
 # byte, the payload decoder must re-encode what it accepts to a fixed
 # point, the request decoders must accept, and apply, exactly what
 # encoding/json does, and what the dataset reader accepts must write back
-# through traceio.Writer to the same traces. Every `go test` replays the
-# committed corpora (testdata/fuzz in internal/predsvc/store,
-# internal/predsvc and internal/traceio); these steps search for new
-# inputs, and a failure they find is written into that corpus.
+# through traceio.Writer to the same traces. The float encoder must render
+# every double byte for byte as strconv does for json.Marshal. Every
+# `go test` replays the committed corpora (testdata/fuzz in
+# internal/predsvc/store, internal/predsvc, internal/traceio and
+# internal/fastjson); these steps search for new inputs, and a failure
+# they find is written into that corpus.
 echo "==> fuzz FuzzRecordStream (10s)"
 go test ./internal/predsvc/store -run '^$' -fuzz '^FuzzRecordStream$' -fuzztime 10s -fuzzminimizetime 2s
 echo "==> fuzz FuzzPathSnapshotRestore (10s)"
@@ -46,6 +48,8 @@ echo "==> fuzz FuzzPredictBatch (10s)"
 go test ./internal/predsvc -run '^$' -fuzz '^FuzzPredictBatch$' -fuzztime 10s -fuzzminimizetime 2s
 echo "==> fuzz FuzzTraceReader (10s)"
 go test ./internal/traceio -run '^$' -fuzz '^FuzzTraceReader$' -fuzztime 10s -fuzzminimizetime 2s
+echo "==> fuzz FuzzAppendFloat64 (10s)"
+go test ./internal/fastjson -run '^$' -fuzz '^FuzzAppendFloat64$' -fuzztime 10s -fuzzminimizetime 2s
 
 # The benchmark harness is its own module and is not part of ./...: its
 # unit tests also compile it against the predsvc API it drives.
