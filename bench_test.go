@@ -254,7 +254,7 @@ func BenchmarkPacketPath(b *testing.B) {
 func BenchmarkQueueForwarding(b *testing.B) {
 	eng := sim.NewEngine()
 	pool := &netem.PacketPool{}
-	q := netem.NewQueue(eng, sim.NewRNG(1), "q", 1e12, 0, 1<<30, netem.ReceiverFunc(pool.Put))
+	q := netem.NewQueue(eng, sim.NewRNG(1), 1e12, 0, 1<<30, netem.ReceiverFunc(pool.Put))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pkt := pool.Get()

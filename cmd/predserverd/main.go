@@ -30,11 +30,11 @@
 // shard handoff; drive them with predctl rebalance.
 //
 // The listener also serves /metrics (Prometheus text exposition of every
-// service counter, latency histogram and accuracy gauge), /debug/pprof/
-// (standard Go profiles), and /debug/trace (recent request spans in Chrome
-// trace_event format; /debug/trace.txt for the plain-text tree). These
-// endpoints bypass the load-shedding middleware, so scrapes and profile
-// grabs keep working exactly when the API is refusing traffic.
+// service counter, latency histogram and accuracy gauge) and /debug/pprof/
+// (standard Go profiles). These endpoints bypass the load-shedding
+// middleware, so scrapes and profile grabs keep working exactly when the
+// API is refusing traffic. The daemon records no spans: per-request
+// timing is the latency histograms', and a profile answers the rest.
 //
 // Example:
 //
@@ -76,7 +76,7 @@ func main() {
 	flag.Parse()
 
 	cfg := predsvc.Config{
-		Obs:               obs.New(obs.DefaultSpanCapacity),
+		Obs:               obs.NewMetrics(),
 		Shards:            *shards,
 		Capacity:          *capacity,
 		MaxInFlight:       *maxInflight,
@@ -140,8 +140,8 @@ func main() {
 	}
 	log.Printf("predserverd: serving on http://%s (%d shards, capacity %d)",
 		ln.Addr(), srv.Registry().Shards(), srv.Registry().Capacity())
-	log.Printf("predserverd: observability on http://%s{%s,%s,%s}",
-		ln.Addr(), obs.PathMetrics, obs.PathPprof, obs.PathTrace)
+	log.Printf("predserverd: observability on http://%s{%s,%s}",
+		ln.Addr(), obs.PathMetrics, obs.PathPprof)
 
 	snapDone := make(chan error, 1)
 	if *snapshotPath != "" {

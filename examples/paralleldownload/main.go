@@ -17,7 +17,6 @@ import (
 )
 
 type mirror struct {
-	name string
 	path *tcppred.Path
 	hb   tcppred.HBPredictor
 }
@@ -43,7 +42,6 @@ func main() {
 			buf = 32 * 1500
 		}
 		mirrors[i] = &mirror{
-			name: s.name,
 			path: tcppred.NewTestbedPath(tcppred.PathSpec{
 				Name: s.name,
 				Forward: []tcppred.Hop{
@@ -71,17 +69,15 @@ func main() {
 			actual[i] = m.path.Transfer(10, 256*1024)
 		}
 
-		// HB selection: top-k by predicted throughput (falls back to
-		// round-robin while warming up).
+		// HB selection: top-k by predicted throughput.
 		type scored struct {
 			idx  int
 			pred float64
-			ok   bool
 		}
 		preds := make([]scored, len(mirrors))
 		for i, m := range mirrors {
-			p, ok := m.hb.Predict()
-			preds[i] = scored{i, p, ok}
+			p, _ := m.hb.Predict()
+			preds[i] = scored{i, p}
 		}
 		sort.Slice(preds, func(a, b int) bool { return preds[a].pred > preds[b].pred })
 		var hbSum float64

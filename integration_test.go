@@ -67,10 +67,9 @@ func TestEndToEndShapes(t *testing.T) {
 			fbE = append(fbE, stats.RelativeError(pred, rec.Throughput))
 		}
 		fbR = append(fbR, stats.RMSRE(fbE))
-		res := predict.Evaluate(
+		hbR = append(hbR, stats.RMSRE(predict.Evaluate(
 			predict.NewLSO(predict.NewHoltWinters(0.8, 0.2), predict.DefaultLSOConfig()),
-			tr.Throughputs())
-		hbR = append(hbR, stats.RMSRE(res.Errors))
+			tr.Throughputs())))
 	}
 	fbMed, hbMed := stats.Median(fbR), stats.Median(hbR)
 	t.Logf("median per-trace RMSRE: FB %.3f, HB %.3f", fbMed, hbMed)

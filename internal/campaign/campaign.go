@@ -39,8 +39,7 @@ func (j Job) String() string { return fmt.Sprintf("%s#%d", j.Path, j.Trace) }
 
 // PanicError is the error a recovered job panic is converted into.
 type PanicError struct {
-	Value any    // the value passed to panic
-	Stack []byte // stack trace captured at recovery
+	Value any // the value passed to panic
 }
 
 func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
@@ -67,9 +66,8 @@ type Result[T any] struct {
 	Value    T
 	Err      error
 	Attempts int
-	Wall     time.Duration // wall-clock time spent across all attempts
-	Events   uint64        // simulation events reported via Reporter.Epoch
-	VirtualS float64       // virtual seconds reported via Reporter.Epoch
+	Events   uint64  // simulation events reported via Reporter.Epoch
+	VirtualS float64 // virtual seconds reported via Reporter.Epoch
 }
 
 // Func executes one job. It must honour ctx (abort between epochs and
@@ -259,7 +257,6 @@ func (r *Runner[T]) runJob(ctx context.Context, job Job, fn Func[T], obs Observe
 			break
 		}
 	}
-	res.Wall = time.Since(start)
 	if res.Err != nil && res.Attempts > 0 && !isContextErr(res.Err) {
 		if _, ok := res.Err.(*JobError); !ok {
 			res.Err = &JobError{Job: job, Attempts: res.Attempts, Err: res.Err}
@@ -277,9 +274,7 @@ func isContextErr(err error) bool {
 func protect[T any](ctx context.Context, job Job, rep *Reporter, fn Func[T]) (val T, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			buf := make([]byte, 16<<10)
-			buf = buf[:runtime.Stack(buf, false)]
-			err = &PanicError{Value: p, Stack: buf}
+			err = &PanicError{Value: p}
 		}
 	}()
 	return fn(ctx, job, rep)

@@ -104,11 +104,10 @@ func fbInputs(rec testbed.EpochRecord, src FBSource) predict.FBInputs {
 	}
 }
 
-// FBEval is one epoch's FB prediction and error.
+// FBEval is one epoch's FB prediction error.
 type FBEval struct {
 	Rec   testbed.EpochRecord
-	Pred  float64 // R̂, bps
-	Err   float64 // E
+	Err   float64 // E of the prediction R̂
 	Lossy bool    // PFTK branch used (p̂ > 0)
 }
 
@@ -125,7 +124,6 @@ func EvalFB(ds *testbed.Dataset, model predict.Model, src FBSource, windowBytes 
 			pred := fb.Predict(in)
 			out = append(out, FBEval{
 				Rec:   rec,
-				Pred:  pred,
 				Err:   stats.RelativeError(pred, rec.Throughput),
 				Lossy: in.LossRate > 0,
 			})
@@ -155,7 +153,6 @@ func EvalFBSmoothed(ds *testbed.Dataset, model predict.Model, n int, windowBytes
 			pred := fb.Predict(in)
 			out = append(out, FBEval{
 				Rec:   rec,
-				Pred:  pred,
 				Err:   stats.RelativeError(pred, rec.Throughput),
 				Lossy: in.LossRate > 0,
 			})

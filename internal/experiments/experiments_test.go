@@ -75,10 +75,11 @@ func TestEvalFBSources(t *testing.T) {
 	pre := EvalFB(ds, predict.ModelPFTK, SourcePre, 0)
 	dur := EvalFB(ds, predict.ModelPFTK, SourceDuring, 0)
 	// DurLoss = 3×PreLoss, so lossy predictions from in-flow inputs must
-	// be lower (more pessimistic).
+	// be lower (more pessimistic). E is strictly increasing in R̂ for a
+	// fixed actual throughput, so the lower prediction has the lower E.
 	for i := range pre {
-		if pre[i].Lossy && dur[i].Pred >= pre[i].Pred {
-			t.Fatalf("in-flow input should predict less: %v vs %v", dur[i].Pred, pre[i].Pred)
+		if pre[i].Lossy && dur[i].Err >= pre[i].Err {
+			t.Fatalf("in-flow input should predict less: E %v vs %v", dur[i].Err, pre[i].Err)
 		}
 	}
 }

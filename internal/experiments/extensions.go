@@ -242,9 +242,8 @@ func ExtStationarity(ds *testbed.Dataset) Result {
 		if len(series) < 10 {
 			continue
 		}
-		res := predict.Evaluate(
-			predict.NewLSO(predict.NewHoltWinters(0.8, 0.2), predict.DefaultLSOConfig()), series)
-		rmsre := stats.RMSRE(res.Errors)
+		rmsre := stats.RMSRE(predict.Evaluate(
+			predict.NewLSO(predict.NewHoltWinters(0.8, 0.2), predict.DefaultLSOConfig()), series))
 		if stats.StationaryByRunTest(series) {
 			statR = append(statR, rmsre)
 		} else {

@@ -23,8 +23,7 @@ func hbPerTraceRMSRE(ds *testbed.Dataset, mk func() predict.HB, small bool) []fl
 		if len(series) == 0 {
 			continue
 		}
-		res := predict.Evaluate(mk(), series)
-		out = append(out, stats.RMSRE(res.Errors))
+		out = append(out, stats.RMSRE(predict.Evaluate(mk(), series)))
 	}
 	return out
 }
@@ -46,8 +45,7 @@ func Fig15() Result {
 	for i, name := range names {
 		row := []string{name}
 		for _, tn := range order {
-			res := predict.Evaluate(mks[i](), traces[tn])
-			row = append(row, fmt.Sprintf("%.3f", stats.RMSRE(res.Errors)))
+			row = append(row, fmt.Sprintf("%.3f", stats.RMSRE(predict.Evaluate(mks[i](), traces[tn]))))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -205,8 +203,7 @@ func Fig18(ds *testbed.Dataset) Result {
 		cfg := predict.LSOConfig{Gamma: c.gamma, Psi: c.psi, MaxHistory: 32}
 		var errs []float64
 		for _, tr := range ds.Traces {
-			res := predict.Evaluate(predict.NewLSO(predict.NewMA(5), cfg), tr.Throughputs())
-			for _, e := range res.Errors {
+			for _, e := range predict.Evaluate(predict.NewLSO(predict.NewMA(5), cfg), tr.Throughputs()) {
 				errs = append(errs, math.Abs(stats.ClampError(e)))
 			}
 		}
@@ -232,8 +229,7 @@ func Fig20(ds *testbed.Dataset) Result {
 			continue
 		}
 		p := predict.NewLSO(predict.NewHoltWinters(0.8, 0.2), predict.DefaultLSOConfig())
-		res := predict.Evaluate(p, series)
-		rmsres = append(rmsres, stats.RMSRE(res.Errors))
+		rmsres = append(rmsres, stats.RMSRE(predict.Evaluate(p, series)))
 		covs = append(covs, segmentedCoV(series))
 	}
 	r := stats.Pearson(covs, rmsres)
@@ -292,7 +288,7 @@ func Fig21(ds *testbed.Dataset) Result {
 		for _, tr := range ds.TracesForPath(p) {
 			class = tr.Class
 			hw := predict.NewLSO(predict.NewHoltWinters(0.8, 0.2), predict.DefaultLSOConfig())
-			hwlso = append(hwlso, stats.RMSRE(predict.Evaluate(hw, tr.Throughputs()).Errors))
+			hwlso = append(hwlso, stats.RMSRE(predict.Evaluate(hw, tr.Throughputs())))
 		}
 		mean := stats.Mean(hwlso)
 		lo, hi := minmax(hwlso)
@@ -370,10 +366,8 @@ func Fig22(ds *testbed.Dataset) Result {
 			if len(tr.Records) == 0 || tr.Records[0].SmallWindowBytes == 0 {
 				continue
 			}
-			resL := predict.Evaluate(mk(), tr.Throughputs())
-			resS := predict.Evaluate(mk(), tr.SmallThroughputs())
-			largeR = append(largeR, stats.RMSRE(resL.Errors))
-			smallR = append(smallR, stats.RMSRE(resS.Errors))
+			largeR = append(largeR, stats.RMSRE(predict.Evaluate(mk(), tr.Throughputs())))
+			smallR = append(smallR, stats.RMSRE(predict.Evaluate(mk(), tr.SmallThroughputs())))
 		}
 		if len(largeR) == 0 {
 			continue
@@ -419,8 +413,7 @@ func Fig23(ds *testbed.Dataset, baseIntervalMin float64) Result {
 				if len(down) < 3 {
 					continue
 				}
-				res := predict.Evaluate(mk(), down)
-				acc = append(acc, stats.RMSRE(res.Errors))
+				acc = append(acc, stats.RMSRE(predict.Evaluate(mk(), down)))
 			}
 			if len(acc) > 0 {
 				rmsres = append(rmsres, stats.Mean(acc))

@@ -76,7 +76,7 @@ func TestPathForwardingAllocFree(t *testing.T) {
 	t.Run("single-queue", func(t *testing.T) {
 		eng := sim.NewEngine()
 		pool := &PacketPool{}
-		q := NewQueue(eng, sim.NewRNG(1), "q", 1e12, 0, 1<<30, ReceiverFunc(pool.Put))
+		q := NewQueue(eng, sim.NewRNG(1), 1e12, 0, 1<<30, ReceiverFunc(pool.Put))
 		burst := func() {
 			for i := 0; i < 16; i++ {
 				pkt := pool.Get()

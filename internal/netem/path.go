@@ -41,8 +41,6 @@ type Path struct {
 	// endpoints and all queues share it; see PacketPool for the ownership
 	// protocol.
 	Pool *PacketPool
-
-	eng *sim.Engine
 }
 
 // NewPath builds the queues and endpoints for spec.
@@ -54,13 +52,13 @@ func NewPath(eng *sim.Engine, rng *sim.RNG, spec PathSpec) *Path {
 	if len(rev) == 0 {
 		rev = spec.Forward
 	}
-	p := &Path{Name: spec.Name, Pool: &PacketPool{}, eng: eng}
-	p.A = newEndpoint(eng, spec.Name+"/A")
-	p.B = newEndpoint(eng, spec.Name+"/B")
+	p := &Path{Name: spec.Name, Pool: &PacketPool{}}
+	p.A = newEndpoint(eng)
+	p.B = newEndpoint(eng)
 	p.A.pool = p.Pool
 	p.B.pool = p.Pool
-	p.Fwd = buildChain(eng, rng, spec.Name+"/fwd", spec.Forward, p.B)
-	p.Rev = buildChain(eng, rng, spec.Name+"/rev", rev, p.A)
+	p.Fwd = buildChain(eng, rng, spec.Forward, p.B)
+	p.Rev = buildChain(eng, rng, rev, p.A)
 	for _, q := range p.Fwd {
 		q.pool = p.Pool
 	}
@@ -72,12 +70,12 @@ func NewPath(eng *sim.Engine, rng *sim.RNG, spec PathSpec) *Path {
 	return p
 }
 
-func buildChain(eng *sim.Engine, rng *sim.RNG, prefix string, hops []Hop, sink Receiver) []*Queue {
+func buildChain(eng *sim.Engine, rng *sim.RNG, hops []Hop, sink Receiver) []*Queue {
 	queues := make([]*Queue, len(hops))
 	next := sink
 	for i := len(hops) - 1; i >= 0; i-- {
 		h := hops[i]
-		q := NewQueue(eng, rng.Fork(), fmt.Sprintf("%s[%d]", prefix, i), h.CapacityBps, h.PropDelay, h.BufferBytes, next)
+		q := NewQueue(eng, rng.Fork(), h.CapacityBps, h.PropDelay, h.BufferBytes, next)
 		q.LossProb = h.LossProb
 		q.BufferPackets = h.BufferPackets
 		q.RED = h.RED
@@ -116,17 +114,14 @@ func (p *Path) BaseRTT(size int) float64 {
 // Endpoint is a path terminus: it stamps and injects packets into its
 // direction's first queue and demultiplexes arriving packets by flow ID.
 type Endpoint struct {
-	Name string
-
 	eng      *sim.Engine
 	out      Receiver
 	pool     *PacketPool
 	handlers map[FlowID]Receiver
 }
 
-func newEndpoint(eng *sim.Engine, name string) *Endpoint {
+func newEndpoint(eng *sim.Engine) *Endpoint {
 	return &Endpoint{
-		Name:     name,
 		eng:      eng,
 		handlers: make(map[FlowID]Receiver),
 	}

@@ -12,8 +12,7 @@ type QueueStats struct {
 	Departures int64 // packets fully transmitted
 	Drops      int64 // packets dropped (buffer overflow or random loss)
 	RandomLoss int64 // subset of Drops caused by the random-loss process
-	BytesIn    int64
-	BytesOut   int64
+	BytesIn    int64 // bytes offered
 }
 
 // Queue is a droptail FIFO in front of a fixed-capacity link with
@@ -24,7 +23,6 @@ type QueueStats struct {
 // noisy DSL line): each arriving packet is independently discarded with
 // probability LossProb before it is enqueued.
 type Queue struct {
-	Name        string
 	CapacityBps float64 // link capacity in bits per second
 	PropDelay   float64 // one-way propagation delay in seconds
 	BufferBytes int     // byte buffer limit; packets beyond this are dropped
@@ -74,15 +72,14 @@ type Queue struct {
 
 // NewQueue constructs a queue bound to the engine. rng may be nil when
 // LossProb is zero.
-func NewQueue(eng *sim.Engine, rng *sim.RNG, name string, capacityBps, propDelay float64, bufferBytes int, next Receiver) *Queue {
+func NewQueue(eng *sim.Engine, rng *sim.RNG, capacityBps, propDelay float64, bufferBytes int, next Receiver) *Queue {
 	if capacityBps <= 0 {
-		panic(fmt.Sprintf("netem: queue %q: capacity must be positive", name))
+		panic(fmt.Sprintf("netem: queue capacity must be positive, got %v bps", capacityBps))
 	}
 	if bufferBytes <= 0 {
-		panic(fmt.Sprintf("netem: queue %q: buffer must be positive", name))
+		panic(fmt.Sprintf("netem: queue buffer must be positive, got %d bytes", bufferBytes))
 	}
 	q := &Queue{
-		Name:        name,
 		CapacityBps: capacityBps,
 		PropDelay:   propDelay,
 		BufferBytes: bufferBytes,
@@ -192,7 +189,6 @@ func (q *Queue) transmitNext() {
 func (q *Queue) txDone(a any) {
 	pkt := a.(*Packet)
 	q.stats.Departures++
-	q.stats.BytesOut += int64(pkt.Size)
 	delay := q.PropDelay
 	if q.ReorderProb > 0 && q.rng != nil && q.rng.Bool(q.ReorderProb) {
 		extra := q.ReorderDelay

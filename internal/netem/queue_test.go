@@ -18,7 +18,7 @@ func TestQueueTransmissionTime(t *testing.T) {
 	eng := sim.NewEngine()
 	var got []*Packet
 	var at []float64
-	q := NewQueue(eng, sim.NewRNG(1), "q", 8e6, 0, 1<<20, ReceiverFunc(func(p *Packet) {
+	q := NewQueue(eng, sim.NewRNG(1), 8e6, 0, 1<<20, ReceiverFunc(func(p *Packet) {
 		got = append(got, p)
 		at = append(at, eng.Now())
 	}))
@@ -36,7 +36,7 @@ func TestQueueTransmissionTime(t *testing.T) {
 func TestQueuePropDelay(t *testing.T) {
 	eng := sim.NewEngine()
 	var at float64
-	q := NewQueue(eng, nil, "q", 8e6, 0.05, 1<<20, ReceiverFunc(func(*Packet) { at = eng.Now() }))
+	q := NewQueue(eng, nil, 8e6, 0.05, 1<<20, ReceiverFunc(func(*Packet) { at = eng.Now() }))
 	q.Receive(&Packet{Size: 1000})
 	eng.Run()
 	want := 0.001 + 0.05
@@ -49,7 +49,7 @@ func TestQueueFIFOAndSerialization(t *testing.T) {
 	eng := sim.NewEngine()
 	var got []*Packet
 	var at []float64
-	q := NewQueue(eng, nil, "q", 8e6, 0, 1<<20, ReceiverFunc(func(p *Packet) {
+	q := NewQueue(eng, nil, 8e6, 0, 1<<20, ReceiverFunc(func(p *Packet) {
 		got = append(got, p)
 		at = append(at, eng.Now())
 	}))
@@ -76,7 +76,7 @@ func TestQueueDropTail(t *testing.T) {
 	var got []*Packet
 	// Buffer of exactly 2 waiting packets (the transmitting one leaves the
 	// buffer when transmission starts).
-	q := NewQueue(eng, nil, "q", 8e6, 0, 2000, collector(&got))
+	q := NewQueue(eng, nil, 8e6, 0, 2000, collector(&got))
 	for i := 0; i < 5; i++ {
 		q.Receive(&Packet{Size: 1000, Seq: int64(i)})
 	}
@@ -99,7 +99,7 @@ func TestQueueDropTail(t *testing.T) {
 func TestQueuePacketCountLimit(t *testing.T) {
 	eng := sim.NewEngine()
 	var got []*Packet
-	q := NewQueue(eng, nil, "q", 8e6, 0, 1<<20, collector(&got))
+	q := NewQueue(eng, nil, 8e6, 0, 1<<20, collector(&got))
 	q.BufferPackets = 2
 	// Small packets: byte buffer would accept all, packet limit drops.
 	for i := 0; i < 6; i++ {
@@ -114,7 +114,7 @@ func TestQueuePacketCountLimit(t *testing.T) {
 func TestQueueRandomLoss(t *testing.T) {
 	eng := sim.NewEngine()
 	var got []*Packet
-	q := NewQueue(eng, sim.NewRNG(1), "q", 80e6, 0, 1<<24, collector(&got))
+	q := NewQueue(eng, sim.NewRNG(1), 80e6, 0, 1<<24, collector(&got))
 	q.LossProb = 0.1
 	const n = 20000
 	for i := 0; i < n; i++ {
@@ -132,7 +132,7 @@ func TestQueueREDDropsRiseWithOccupancy(t *testing.T) {
 	eng := sim.NewEngine()
 	mk := func(arrivalGap float64) float64 {
 		e := sim.NewEngine()
-		q := NewQueue(e, sim.NewRNG(9), "q", 8e6, 0, 100*1000, drop)
+		q := NewQueue(e, sim.NewRNG(9), 8e6, 0, 100*1000, drop)
 		q.RED = true
 		n := 0
 		var send func()
@@ -162,7 +162,7 @@ func TestQueueREDDropsRiseWithOccupancy(t *testing.T) {
 
 func TestQueueBacklogTracksBytes(t *testing.T) {
 	eng := sim.NewEngine()
-	q := NewQueue(eng, nil, "q", 8e6, 0, 1<<20, drop)
+	q := NewQueue(eng, nil, 8e6, 0, 1<<20, drop)
 	q.Receive(&Packet{Size: 1000})
 	q.Receive(&Packet{Size: 500})
 	// First packet immediately starts transmitting (leaves the backlog).
@@ -179,12 +179,12 @@ func TestQueueBacklogTracksBytes(t *testing.T) {
 // departure and drop.
 func TestQueueStatsCountEveryEvent(t *testing.T) {
 	eng := sim.NewEngine()
-	q := NewQueue(eng, nil, "q", 8e6, 0, 1500, drop)
+	q := NewQueue(eng, nil, 8e6, 0, 1500, drop)
 	q.Receive(&Packet{Size: 1000})
 	q.Receive(&Packet{Size: 1000})
 	q.Receive(&Packet{Size: 1000}) // drop: 1000 in service + 1000 waiting
 	eng.Run()
-	want := QueueStats{Arrivals: 3, Departures: 2, Drops: 1, BytesIn: 3000, BytesOut: 2000}
+	want := QueueStats{Arrivals: 3, Departures: 2, Drops: 1, BytesIn: 3000}
 	if got := q.Stats(); got != want {
 		t.Errorf("stats %+v, want %+v", got, want)
 	}
@@ -202,7 +202,7 @@ func TestQueueInvalidConfigPanics(t *testing.T) {
 					t.Errorf("NewQueue(cap=%v,buf=%d) did not panic", tc.cap, tc.buf)
 				}
 			}()
-			NewQueue(eng, nil, "bad", tc.cap, 0, tc.buf, drop)
+			NewQueue(eng, nil, tc.cap, 0, tc.buf, drop)
 		}()
 	}
 }
@@ -213,7 +213,7 @@ func TestQueueConservation(t *testing.T) {
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(5)
 	var got []*Packet
-	q := NewQueue(eng, rng.Fork(), "q", 2e6, 0.01, 8000, collector(&got))
+	q := NewQueue(eng, rng.Fork(), 2e6, 0.01, 8000, collector(&got))
 	q.LossProb = 0.02
 	n := 0
 	var send func()
@@ -239,7 +239,7 @@ func TestQueueConservation(t *testing.T) {
 func TestQueueReordering(t *testing.T) {
 	eng := sim.NewEngine()
 	var seqs []int64
-	q := NewQueue(eng, sim.NewRNG(3), "q", 8e6, 0.01, 1<<20, ReceiverFunc(func(p *Packet) {
+	q := NewQueue(eng, sim.NewRNG(3), 8e6, 0.01, 1<<20, ReceiverFunc(func(p *Packet) {
 		seqs = append(seqs, p.Seq)
 	}))
 	q.ReorderProb = 0.2
@@ -263,7 +263,7 @@ func TestQueueReordering(t *testing.T) {
 	// Without reordering the same stream must arrive in order.
 	eng2 := sim.NewEngine()
 	var seqs2 []int64
-	q2 := NewQueue(eng2, sim.NewRNG(3), "q", 8e6, 0.01, 1<<20, ReceiverFunc(func(p *Packet) {
+	q2 := NewQueue(eng2, sim.NewRNG(3), 8e6, 0.01, 1<<20, ReceiverFunc(func(p *Packet) {
 		seqs2 = append(seqs2, p.Seq)
 	}))
 	for i := 0; i < 500; i++ {

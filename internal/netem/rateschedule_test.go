@@ -45,7 +45,7 @@ func TestQueueHonorsRateSchedule(t *testing.T) {
 	drained := func(rate *RateSchedule, until float64) int {
 		eng := sim.NewEngine()
 		delivered := 0
-		q := NewQueue(eng, nil, "q", 8e6, 0, 1<<30, ReceiverFunc(func(p *Packet) { delivered += p.Size }))
+		q := NewQueue(eng, nil, 8e6, 0, 1<<30, ReceiverFunc(func(p *Packet) { delivered += p.Size }))
 		q.Rate = rate
 		for i := 0; i < 4000; i++ {
 			q.Receive(&Packet{Size: 1000, Seq: int64(i)})

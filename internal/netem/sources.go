@@ -107,7 +107,6 @@ type ParetoOnOffSource struct {
 	rng     *sim.RNG
 	pool    *PacketPool
 	stopped bool
-	on      bool
 	onEnds  float64
 	// s.emit and s.startOn, bound once (see PoissonSource).
 	emitFn, startOnFn func()
@@ -158,7 +157,6 @@ func (s *ParetoOnOffSource) startOff() {
 	if s.stopped {
 		return
 	}
-	s.on = false
 	load := s.Load.At(s.eng.Now())
 	meanOff := s.MeanOff
 	if load > 0 {
@@ -174,7 +172,6 @@ func (s *ParetoOnOffSource) startOn() {
 	if s.stopped {
 		return
 	}
-	s.on = true
 	s.onEnds = s.eng.Now() + s.paretoDuration(s.MeanOn)
 	s.emit()
 }

@@ -32,6 +32,8 @@ func IsObsPath(path string) bool {
 //	GET /debug/pprof/...  the standard runtime profiles (heap, profile,
 //	                      goroutine, block, mutex, trace, ...)
 //
+// The two trace endpoints are mounted only when the Obs has a tracer.
+//
 // pprof handlers are mounted explicitly, not via the net/http/pprof
 // side-effect registration, so nothing leaks into http.DefaultServeMux
 // and several instrumented servers can coexist in one process.
@@ -41,14 +43,16 @@ func (o *Obs) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		o.M().WritePrometheus(w)
 	})
-	mux.HandleFunc("GET "+PathTrace, func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		o.T().WriteChromeTrace(w)
-	})
-	mux.HandleFunc("GET "+PathTraceTree, func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		o.T().WriteTree(w)
-	})
+	if tr := o.T(); tr != nil {
+		mux.HandleFunc("GET "+PathTrace, func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			tr.WriteChromeTrace(w)
+		})
+		mux.HandleFunc("GET "+PathTraceTree, func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+			tr.WriteTree(w)
+		})
+	}
 	mux.HandleFunc(PathPprof, pprof.Index)
 	mux.HandleFunc(PathPprof+"cmdline", pprof.Cmdline)
 	mux.HandleFunc(PathPprof+"profile", pprof.Profile)

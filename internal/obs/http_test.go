@@ -65,6 +65,29 @@ func TestHandlerEndpoints(t *testing.T) {
 	get(PathPprof + "goroutine")
 }
 
+// TestHandlerWithoutTracer: a metrics-only Obs serves /metrics and pprof
+// and has no trace endpoints.
+func TestHandlerWithoutTracer(t *testing.T) {
+	o := NewMetrics()
+	if o.T() != nil {
+		t.Fatal("NewMetrics has a tracer")
+	}
+	o.M().Counter("test_total", "a counter").Add(2)
+	h := o.Handler()
+	for path, want := range map[string]int{
+		PathMetrics:   http.StatusOK,
+		PathPprof:     http.StatusOK,
+		PathTrace:     http.StatusNotFound,
+		PathTraceTree: http.StatusNotFound,
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != want {
+			t.Errorf("GET %s: status %d, want %d", path, rec.Code, want)
+		}
+	}
+}
+
 func TestIsObsPath(t *testing.T) {
 	for _, p := range []string{PathMetrics, PathTrace, PathTraceTree, PathPprof, PathPprof + "heap"} {
 		if !IsObsPath(p) {

@@ -1,8 +1,8 @@
 // Package obs is the unified observability layer: a lightweight span
 // tracer, a Prometheus-text-exposition metrics registry, and the HTTP
 // endpoints (/metrics, /debug/pprof, /debug/trace) that expose both from
-// any process in the repository — the prediction daemon, the batch
-// collectors, or a test.
+// any process in the repository — the batch collectors, a test, or the
+// prediction daemon, which keeps metrics only (NewMetrics).
 //
 // The package has three design rules, in priority order:
 //
@@ -19,8 +19,8 @@
 //     Histogram.Observe perform no heap allocation — they are plain
 //     atomics — so a scrape-heavy deployment never sees telemetry in an
 //     allocation profile. TestMetricsAllocFree pins this down. (Spans DO
-//     allocate: they are coarse-grained — epochs, HTTP requests, engine
-//     run segments — never per-event.)
+//     allocate: they are coarse-grained — campaigns, traces, epochs,
+//     engine run segments — never per-event or per-request.)
 //
 // See DESIGN.md §11 for the span taxonomy and metric naming conventions.
 package obs
@@ -47,6 +47,13 @@ type Obs struct {
 // spanCapacity completed spans (0 = DefaultSpanCapacity).
 func New(spanCapacity int) *Obs {
 	return &Obs{tracer: NewTracer(spanCapacity), metrics: NewRegistry()}
+}
+
+// NewMetrics returns an Obs with a fresh registry and no tracer: T()
+// is nil, and Handler serves no trace endpoints. It is for a process
+// whose spans nothing reads, such as the prediction daemon.
+func NewMetrics() *Obs {
+	return &Obs{metrics: NewRegistry()}
 }
 
 // T returns the tracer, or nil on a nil Obs.

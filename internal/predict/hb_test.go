@@ -210,14 +210,14 @@ func TestEvaluate(t *testing.T) {
 	res := Evaluate(NewMA(1), []float64{10, 10, 20})
 	// Predictions start after the first observation: E for x=10 (pred 10,
 	// E=0) and x=20 (pred 10, E=-1).
-	if res.Predictions != 2 {
-		t.Fatalf("predictions = %d, want 2", res.Predictions)
+	if len(res) != 2 {
+		t.Fatalf("predictions = %d, want 2", len(res))
 	}
-	if res.Errors[0] != 0 {
-		t.Errorf("first error = %v, want 0", res.Errors[0])
+	if res[0] != 0 {
+		t.Errorf("first error = %v, want 0", res[0])
 	}
-	if math.Abs(res.Errors[1]+1) > 1e-12 {
-		t.Errorf("second error = %v, want -1", res.Errors[1])
+	if math.Abs(res[1]+1) > 1e-12 {
+		t.Errorf("second error = %v, want -1", res[1])
 	}
 }
 

@@ -386,25 +386,16 @@ func countTrue(mask []bool) int {
 	return n
 }
 
-// EvalResult summarizes running an HB predictor over a series.
-type EvalResult struct {
-	Name   string
-	Errors []float64 // relative error per predicted sample
-	// Predictions pairs each error with its forecast and actual value.
-	Predictions int
-}
-
-// Evaluate runs a fresh predictor over the series, collecting the relative
-// error E = (X̂-X)/min(X̂,X) for every sample where a forecast existed.
-// The predictor is left in its final state.
-func Evaluate(p HB, series []float64) EvalResult {
-	res := EvalResult{Name: p.Name()}
+// Evaluate runs a fresh predictor over the series and returns the relative
+// error E = (X̂-X)/min(X̂,X) of every sample where a forecast existed, in
+// series order. The predictor is left in its final state.
+func Evaluate(p HB, series []float64) []float64 {
+	var errs []float64
 	for _, x := range series {
 		if pred, ok := p.Predict(); ok {
-			res.Errors = append(res.Errors, stats.RelativeError(pred, x))
-			res.Predictions++
+			errs = append(errs, stats.RelativeError(pred, x))
 		}
 		p.Observe(x)
 	}
-	return res
+	return errs
 }

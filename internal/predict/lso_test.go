@@ -87,8 +87,8 @@ func TestLSOOutlierVsPlainMA(t *testing.T) {
 	}
 	// Prediction of the outlier itself is equally bad for both, but the
 	// post-outlier forecasts recover faster with LSO.
-	if rms(lso.Errors) >= rms(plain.Errors) {
-		t.Errorf("LSO RMS %v not better than plain %v", rms(lso.Errors), rms(plain.Errors))
+	if rms(lso) >= rms(plain) {
+		t.Errorf("LSO RMS %v not better than plain %v", rms(lso), rms(plain))
 	}
 }
 
@@ -143,12 +143,12 @@ func TestLSOPassthroughWhenClean(t *testing.T) {
 	series := []float64{5, 5.1, 4.9, 5.05, 4.95, 5}
 	bare := Evaluate(NewMA(3), append([]float64(nil), series...))
 	wrapped := Evaluate(NewLSO(NewMA(3), DefaultLSOConfig()), append([]float64(nil), series...))
-	if len(bare.Errors) != len(wrapped.Errors) {
+	if len(bare) != len(wrapped) {
 		t.Fatal("prediction counts differ")
 	}
-	for i := range bare.Errors {
-		if math.Abs(bare.Errors[i]-wrapped.Errors[i]) > 1e-9 {
-			t.Fatalf("clean-series divergence at %d: %v vs %v", i, bare.Errors[i], wrapped.Errors[i])
+	for i := range bare {
+		if math.Abs(bare[i]-wrapped[i]) > 1e-9 {
+			t.Fatalf("clean-series divergence at %d: %v vs %v", i, bare[i], wrapped[i])
 		}
 	}
 }
@@ -178,7 +178,7 @@ func TestLSOPaperTraceShapes(t *testing.T) {
 		var s float64
 		n := 0
 		for i := 73; i < 82; i++ {
-			e := res.Errors[i-1] // Errors[k] predicts series[k+1]
+			e := res[i-1] // Errors[k] predicts series[k+1]
 			s += e * e
 			n++
 		}
@@ -231,21 +231,21 @@ func TestMedianOf(t *testing.T) {
 func TestEvalResultRMSREGuard(t *testing.T) {
 	// Empty series: no forecast is ever made, so there are no errors and
 	// RMSRE reports 0 rather than dividing by zero.
-	if res := Evaluate(NewMA(5), nil); res.Predictions != 0 || stats.RMSRE(res.Errors) != 0 {
-		t.Errorf("empty series: got %d predictions, RMSRE %v, want 0, 0", res.Predictions, stats.RMSRE(res.Errors))
+	if errs := Evaluate(NewMA(5), nil); len(errs) != 0 || stats.RMSRE(errs) != 0 {
+		t.Errorf("empty series: got %d predictions, RMSRE %v, want 0, 0", len(errs), stats.RMSRE(errs))
 	}
 	// All-unready series: a single observation never yields a prediction.
-	if res := Evaluate(NewMA(5), []float64{4e6}); res.Predictions != 0 || stats.RMSRE(res.Errors) != 0 {
-		t.Errorf("all-unready series: got %d predictions, RMSRE %v, want 0, 0", res.Predictions, stats.RMSRE(res.Errors))
+	if errs := Evaluate(NewMA(5), []float64{4e6}); len(errs) != 0 || stats.RMSRE(errs) != 0 {
+		t.Errorf("all-unready series: got %d predictions, RMSRE %v, want 0, 0", len(errs), stats.RMSRE(errs))
 	}
 	// Non-degenerate case: errors are clamped and averaged under a sqrt.
 	res := Evaluate(NewMA(1), []float64{1e6, 2e6, 2e6})
-	if res.Predictions != 2 || len(res.Errors) != 2 {
-		t.Fatalf("got %d predictions, %d errors, want 2, 2", res.Predictions, len(res.Errors))
+	if len(res) != 2 {
+		t.Fatalf("got %d errors, want 2", len(res))
 	}
 	// Errors: (1e6-2e6)/1e6 = -1, (2e6-2e6) = 0 → RMSRE = sqrt(1/2).
 	want := math.Sqrt(0.5)
-	if r := stats.RMSRE(res.Errors); math.Abs(r-want) > 1e-12 {
+	if r := stats.RMSRE(res); math.Abs(r-want) > 1e-12 {
 		t.Errorf("RMSRE = %v, want %v", r, want)
 	}
 }

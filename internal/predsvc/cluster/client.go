@@ -58,9 +58,6 @@ func (c ClientConfig) withDefaults() ClientConfig {
 
 // ClientStats snapshots a Client's retry accounting.
 type ClientStats struct {
-	// Requests counts every attempt sent per node (including retried
-	// attempts), keyed by node base URL.
-	Requests map[string]uint64
 	// Completed counts requests that ultimately returned a response,
 	// keyed by node base URL — the per-node share of served traffic.
 	Completed map[string]uint64
@@ -90,7 +87,6 @@ type Client struct {
 	m   *Map
 
 	idx       map[string]int // node URL → counter index
-	requests  []atomic.Uint64
 	completed []atomic.Uint64
 	shed      atomic.Uint64
 	retries   atomic.Uint64
@@ -108,7 +104,6 @@ func NewClient(cfg ClientConfig) *Client {
 		cfg:       cfg,
 		m:         New(cfg.Nodes...),
 		idx:       make(map[string]int, len(cfg.Nodes)),
-		requests:  make([]atomic.Uint64, len(cfg.Nodes)),
 		completed: make([]atomic.Uint64, len(cfg.Nodes)),
 	}
 	for i, n := range cfg.Nodes {
@@ -123,14 +118,12 @@ func (c *Client) Map() *Map { return c.m }
 // Stats snapshots the retry accounting.
 func (c *Client) Stats() ClientStats {
 	s := ClientStats{
-		Requests:    make(map[string]uint64, len(c.cfg.Nodes)),
 		Completed:   make(map[string]uint64, len(c.cfg.Nodes)),
 		ShedRetries: c.shed.Load(),
 		Retries:     c.retries.Load(),
 		Failovers:   c.failovers.Load(),
 	}
 	for i, n := range c.cfg.Nodes {
-		s.Requests[n] = c.requests[i].Load()
 		s.Completed[n] = c.completed[i].Load()
 	}
 	return s
@@ -211,9 +204,6 @@ func (c *Client) Do(ctx context.Context, method, node, path string, body []byte)
 		}
 		if body != nil {
 			req.Header.Set("Content-Type", "application/json")
-		}
-		if i, ok := c.idx[node]; ok {
-			c.requests[i].Add(1)
 		}
 		resp, err := c.cfg.HTTP.Do(req)
 		if err == nil {

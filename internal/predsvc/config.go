@@ -81,10 +81,10 @@ type Config struct {
 	// the service's instruments live in its registry and are exported
 	// through /metrics (see registerMetrics for the catalogue; without
 	// Obs the same counters still feed /v1/stats, they are just not
-	// exported), each request records a span,
-	// and the obs endpoints (/metrics, /debug/pprof/, /debug/trace) are
+	// exported), and the obs endpoints (/metrics, /debug/pprof/) are
 	// served from the same listener — routed around the hardening
-	// middleware so load shedding can never shed a scrape.
+	// middleware so load shedding can never shed a scrape. The server
+	// records no spans, so its Obs needs no tracer (obs.NewMetrics).
 	Obs *obs.Obs
 }
 

@@ -59,7 +59,6 @@ type Server struct {
 	mux     *http.ServeMux
 	root    http.Handler
 	sem     chan struct{} // in-flight request semaphore; nil = no shedding
-	tracer  *obs.Tracer   // nil unless Config.Obs is set
 	start   time.Time
 
 	// Lifecycle state behind /healthz and /readyz. notReady is set while a
@@ -93,7 +92,6 @@ func Open(cfg Config) (*Server, error) {
 		mux:   http.NewServeMux(),
 		start: time.Now(),
 	}
-	s.tracer = s.cfg.Obs.T()
 	s.registerMetrics(s.cfg.Obs.M())
 	// The hot endpoints run on the zero-alloc wire codec (wire.go), the
 	// cold ones on encoding/json.
@@ -429,29 +427,12 @@ type apiError struct {
 // handlerFunc processes one request and returns the HTTP status written.
 type handlerFunc func(w http.ResponseWriter, req *http.Request) int
 
-// spanNames precomputes the per-endpoint span names so the request path
-// never concatenates strings for tracing.
-var spanNames = func() (n [epCount]string) {
-	for ep, name := range endpointNames {
-		n[ep] = "predsvc." + name
-	}
-	return
-}()
-
-// instrument wraps a handler with request/error/latency accounting and,
-// when an observability layer is attached, a per-request span whose
-// count carries the HTTP status.
+// instrument wraps a handler with request/error/latency accounting.
 func (r *Server) instrument(ep endpoint, h handlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		var sp *obs.Span
-		if r.tracer != nil {
-			sp = r.tracer.Start(spanNames[ep])
-		}
 		start := time.Now()
 		status := h(w, req)
 		r.metrics.record(ep, status, time.Since(start))
-		sp.AddCount(int64(status))
-		sp.End()
 	})
 }
 

@@ -14,7 +14,6 @@ import (
 // Result summarizes one probing window.
 type Result struct {
 	Sent     int
-	Received int
 	MeanRTT  float64 // seconds; 0 if nothing was received
 	MinRTT   float64
 	MaxRTT   float64
@@ -160,10 +159,9 @@ func (p *Prober) onEcho(pkt *netem.Packet) {
 // the next window.
 func (p *Prober) Window() Result {
 	res := Result{
-		Sent:     p.sent,
-		Received: p.received,
-		MinRTT:   p.rttMin,
-		MaxRTT:   p.rttMax,
+		Sent:   p.sent,
+		MinRTT: p.rttMin,
+		MaxRTT: p.rttMax,
 	}
 	if p.received > 0 {
 		res.MeanRTT = p.rttSum / float64(p.received)

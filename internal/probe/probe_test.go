@@ -82,7 +82,7 @@ func TestProberWindowResets(t *testing.T) {
 	eng.RunUntil(eng.Now() + 5)
 	w2 := p.Window()
 	p.Stop()
-	if w1.Received == 0 || w2.Received == 0 {
+	if w1.MeanRTT == 0 || w2.MeanRTT == 0 {
 		t.Fatal("windows empty")
 	}
 	// Both windows should have roughly 50 probes each, not cumulative.

@@ -20,10 +20,6 @@ type Receiver struct {
 	unacked    int // in-order segments since last ACK (delayed-ACK counter)
 	delayTimer sim.Timer
 	delayFn    func() // r.onDelayTimeout, bound once so arming does not allocate
-
-	// SegmentsReceived counts data segments that arrived (including
-	// duplicates of already-delivered segments).
-	SegmentsReceived int64
 }
 
 // NewReceiver creates a receiver for flow on endpoint ep (the data sink
@@ -52,7 +48,6 @@ func (r *Receiver) onData(pkt *netem.Packet) {
 		r.out.ReleasePacket(pkt)
 		return
 	}
-	r.SegmentsReceived++
 	seq := pkt.Seq
 	// Terminal consumer: everything needed is in seq; recycle the segment
 	// so the ACK (and the sender's next data packet) can reuse it.

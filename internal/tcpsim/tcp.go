@@ -67,12 +67,9 @@ type Stats struct {
 	Timeouts        int64 // RTO expirations
 	LossEvents      int64 // congestion events (recovery episodes + timeouts)
 	BytesAcked      int64 // payload bytes cumulatively acknowledged
-	AcksReceived    int64
-	DupAcks         int64
 
 	RTTSamples int64
 	rttSum     float64
-	rttMin     float64
 }
 
 // MeanRTT returns the average of the connection's RTT samples, in seconds
@@ -413,9 +410,6 @@ func (s *Sender) onTimeout() {
 func (s *Sender) recordRTT(rtt float64) {
 	s.stats.RTTSamples++
 	s.stats.rttSum += rtt
-	if s.stats.rttMin == 0 || rtt < s.stats.rttMin {
-		s.stats.rttMin = rtt
-	}
 	if s.stats.RTTSamples == 1 {
 		s.srtt = rtt
 		s.rttvar = rtt / 2
@@ -439,7 +433,6 @@ func (s *Sender) onAck(pkt *netem.Packet) {
 		s.out.ReleasePacket(pkt)
 		return
 	}
-	s.stats.AcksReceived++
 	s.sackedNow = 0
 	if !s.cfg.noSACK {
 		if blocks, ok := pkt.Meta.([]Block); ok {
@@ -700,7 +693,6 @@ func (s *Sender) onDupAck() {
 	if s.nextSeq == s.highestAck {
 		return
 	}
-	s.stats.DupAcks++
 	s.dupAcks++
 	if s.cfg.noSACK && s.inRecovery {
 		// A dup ACK proves one more post-hole segment was delivered;

@@ -91,11 +91,12 @@ func TestDelayedAckHalvesAckCount(t *testing.T) {
 		eng := sim.NewEngine()
 		path := simplePath(eng, 10e6, 0.04, 64*1500)
 		conn := tcpsim.Dial(eng, path, 1, tcpsim.Config{DelayedAck: delayed, MaxWindowBytes: 64 * 1024})
+		probe := conn.Sender.Probe()
 		conn.Sender.Start()
 		eng.RunUntil(20)
 		st := conn.Sender.Stats()
 		conn.Stop()
-		return st.AcksReceived, st.SegmentsSent
+		return probe.Acks, st.SegmentsSent
 	}
 	acksD, segsD := run(true)
 	acksN, segsN := run(false)
@@ -114,6 +115,7 @@ func TestRTTSamplesSane(t *testing.T) {
 	eng := sim.NewEngine()
 	path := simplePath(eng, 10e6, 0.08, 64*1500)
 	conn := tcpsim.Dial(eng, path, 1, tcpsim.Config{MaxWindowBytes: 32 * 1024})
+	probe := conn.Sender.Probe()
 	conn.Sender.Start()
 	eng.RunUntil(30)
 	st := conn.Sender.Stats()
@@ -122,8 +124,8 @@ func TestRTTSamplesSane(t *testing.T) {
 	if st.RTTSamples == 0 {
 		t.Fatal("no RTT samples")
 	}
-	if st.MinRTT() < base*0.95 {
-		t.Errorf("min RTT %.4f below propagation floor %.4f", st.MinRTT(), base)
+	if probe.MinRTT < base*0.95 {
+		t.Errorf("min RTT %.4f below propagation floor %.4f", probe.MinRTT, base)
 	}
 	// Window-limited flow leaves queues empty: mean should be near base
 	// (delack interplay can add a little).

@@ -55,7 +55,10 @@ type CatalogConfig struct {
 	NumKorea  int     // Korea paths (default 1)
 	MaxCapBps float64 // cap on generated capacities (default 100 Mbps)
 	MinCapBps float64 // floor on non-DSL capacities (default 10 Mbps)
-	Horizon   float64 // trace duration for the load process, seconds
+
+	// horizon is the trace duration for the load process, seconds:
+	// RunConfig.Defaults derives it from the epoch count (default 6 h).
+	horizon float64
 }
 
 func (c CatalogConfig) defaults() CatalogConfig {
@@ -77,8 +80,8 @@ func (c CatalogConfig) defaults() CatalogConfig {
 	if c.MinCapBps == 0 {
 		c.MinCapBps = 10e6
 	}
-	if c.Horizon == 0 {
-		c.Horizon = 6 * 3600
+	if c.horizon == 0 {
+		c.horizon = 6 * 3600
 	}
 	return c
 }
@@ -231,7 +234,7 @@ func generatePath(rng *sim.RNG, name string, class PathClass, cfg CatalogConfig)
 		util = rng.Uniform(0.05, 0.5)
 	}
 
-	loadCfg := netem.DefaultLoadConfig(cfg.Horizon)
+	loadCfg := netem.DefaultLoadConfig(cfg.horizon)
 	// The offered open-loop load must stay bounded near the capacity, or
 	// the path starves everything for minutes at a time — something real
 	// WAN paths do not do. Cap the multiplier so util×level ≤ ~1.05.
@@ -247,8 +250,8 @@ func generatePath(rng *sim.RNG, name string, class PathClass, cfg CatalogConfig)
 	loadCfg.BurstMeanInterval *= rng.Uniform(0.5, 3)
 	if rng.Bool(0.25) {
 		// A quarter of the paths are essentially stationary.
-		loadCfg.ShiftMeanInterval = cfg.Horizon * 10
-		loadCfg.BurstMeanInterval = cfg.Horizon * 10
+		loadCfg.ShiftMeanInterval = cfg.horizon * 10
+		loadCfg.BurstMeanInterval = cfg.horizon * 10
 		loadCfg.TrendProb = 0
 	}
 

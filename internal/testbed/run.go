@@ -123,8 +123,8 @@ func (c RunConfig) Defaults() RunConfig {
 	if c.SmallWindowBytes > 0 {
 		perEpoch += c.SmallTransferSec + 2
 	}
-	if c.Catalog.Horizon == 0 {
-		c.Catalog.Horizon = perEpoch*float64(c.EpochsPerTrace) + 600
+	if c.Catalog.horizon == 0 {
+		c.Catalog.horizon = perEpoch*float64(c.EpochsPerTrace) + 600
 	}
 	if c.Catalog.Seed == 0 {
 		c.Catalog.Seed = sim.DeriveSeed(c.Seed, seedStreamCatalog)

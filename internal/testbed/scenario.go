@@ -55,9 +55,11 @@ func DefaultLinks() []LinkType {
 // ScenarioConfig controls ScenarioCatalog generation.
 type ScenarioConfig struct {
 	Seed             int64
-	PathsPerScenario int     // paths per (sender × link) cell (default 1)
-	Horizon          float64 // trace duration for load/rate trajectories
+	PathsPerScenario int // paths per (sender × link) cell (default 1)
 
+	// horizon is the trace duration for load/rate trajectories:
+	// ScenarioScaled derives it from the epoch count (default 6 h).
+	horizon float64
 	// senders and links narrow the matrix for tests; every program runs
 	// the full one.
 	senders []tcpsim.Congestion // default: reno, cubic, bbr
@@ -74,8 +76,8 @@ func (c ScenarioConfig) defaults() ScenarioConfig {
 	if c.PathsPerScenario == 0 {
 		c.PathsPerScenario = 1
 	}
-	if c.Horizon == 0 {
-		c.Horizon = 6 * 3600
+	if c.horizon == 0 {
+		c.horizon = 6 * 3600
 	}
 	return c
 }
@@ -92,7 +94,7 @@ func ScenarioCatalog(cfg ScenarioConfig) []PathConfig {
 		for i := 0; i < cfg.PathsPerScenario; i++ {
 			// One RNG per (link, instance): identical across senders.
 			stream := seedStreamScenario ^ uint64(li+1)<<8 ^ uint64(i)
-			base := scenarioPath(sim.NewRNG(sim.DeriveSeed(cfg.Seed, stream)), link, i, cfg.Horizon)
+			base := scenarioPath(sim.NewRNG(sim.DeriveSeed(cfg.Seed, stream)), link, i, cfg.horizon)
 			for _, cc := range cfg.senders {
 				pc := base
 				pc.Name = fmt.Sprintf("cc-%s-%s-p%d", cc, link, i)
@@ -238,7 +240,7 @@ func GenerateRateSchedule(rng *sim.RNG, horizon float64) *netem.RateSchedule {
 func ScenarioScaled(seed int64, scfg ScenarioConfig) RunConfig {
 	cfg := DefaultScaled(seed)
 	scfg.Seed = sim.DeriveSeed(seed, seedStreamScenario)
-	if scfg.Horizon == 0 {
+	if scfg.horizon == 0 {
 		// Match the horizon defaults() will compute for the run, so rate
 		// trajectories cover every epoch.
 		perEpoch := 25 + cfg.PingDuration + cfg.TransferSec + cfg.EpochGap
@@ -246,7 +248,7 @@ func ScenarioScaled(seed int64, scfg ScenarioConfig) RunConfig {
 			perEpoch += cfg.SmallTransferSec + 2
 		}
 		epochs := cfg.EpochsPerTrace
-		scfg.Horizon = perEpoch*float64(epochs) + 600
+		scfg.horizon = perEpoch*float64(epochs) + 600
 	}
 	cfg.Paths = ScenarioCatalog(scfg)
 	return cfg

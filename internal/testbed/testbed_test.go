@@ -166,7 +166,7 @@ func TestRunConfigDefaults(t *testing.T) {
 	if cfg.PingDuration != 60 || cfg.TransferSec != 50 {
 		t.Errorf("paper durations wrong: %+v", cfg)
 	}
-	if cfg.Catalog.Horizon <= 0 {
+	if cfg.Catalog.horizon <= 0 {
 		t.Error("horizon not derived")
 	}
 }

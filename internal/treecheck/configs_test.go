@@ -23,7 +23,9 @@ var defaultsMethods = map[string]bool{"Defaults": true, "defaults": true, "withD
 // configFields indexes the exported fields of every Config struct under
 // internal/ and marks the ones non-test code sets: as a composite-literal
 // key or an assignment target, outside a defaults method of the field's
-// own type.
+// own type. A fill-in, a write in the body of an if whose condition reads
+// the same field (if c.X == 0 { c.X = … }), completes a value instead of
+// setting one, so it does not count.
 func (x *index) configFields() []*configField {
 	byVar := map[*types.Var]*configField{}
 	var all []*configField
@@ -50,13 +52,23 @@ func (x *index) configFields() []*configField {
 			}
 		}
 	}
-	mark := func(p *pkg, id *ast.Ident, fn *ast.FuncDecl) {
+	// fillIn reports whether the node path ends inside the body of an if
+	// whose condition reads v.
+	fillIn := func(p *pkg, v *types.Var, path []ast.Node) bool {
+		for i, n := range path[:len(path)-1] {
+			if s, ok := n.(*ast.IfStmt); ok && path[i+1] == s.Body && reads(p, s.Cond, v) {
+				return true
+			}
+		}
+		return false
+	}
+	mark := func(p *pkg, id *ast.Ident, fn *ast.FuncDecl, path []ast.Node) {
 		v, ok := p.info.Uses[id].(*types.Var)
 		if !ok {
 			return
 		}
 		cf := byVar[v.Origin()]
-		if cf == nil || cf.set {
+		if cf == nil || cf.set || fillIn(p, cf.field, path) {
 			return
 		}
 		if fn != nil && fn.Recv != nil && defaultsMethods[fn.Name.Name] {
@@ -77,25 +89,31 @@ func (x *index) configFields() []*configField {
 		for _, f := range p.files {
 			for _, decl := range f.Decls {
 				fn, _ := decl.(*ast.FuncDecl)
+				var path []ast.Node // from decl down to the current node
 				ast.Inspect(decl, func(n ast.Node) bool {
+					if n == nil {
+						path = path[:len(path)-1]
+						return true
+					}
+					path = append(path, n)
 					switch s := n.(type) {
 					case *ast.CompositeLit:
 						for _, el := range s.Elts {
 							if kv, ok := el.(*ast.KeyValueExpr); ok {
 								if id, ok := kv.Key.(*ast.Ident); ok {
-									mark(p, id, fn)
+									mark(p, id, fn, path)
 								}
 							}
 						}
 					case *ast.AssignStmt:
 						for _, lhs := range s.Lhs {
 							if id := target(lhs); id != nil {
-								mark(p, id, fn)
+								mark(p, id, fn, path)
 							}
 						}
 					case *ast.IncDecStmt:
 						if id := target(s.X); id != nil {
-							mark(p, id, fn)
+							mark(p, id, fn, path)
 						}
 					}
 					return true
@@ -104,6 +122,20 @@ func (x *index) configFields() []*configField {
 		}
 	}
 	return all
+}
+
+// reads reports whether expression e uses field v.
+func reads(p *pkg, e ast.Expr, v *types.Var) bool {
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			if u, ok := p.info.Uses[id].(*types.Var); ok && u.Origin() == v {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
 }
 
 // TestEveryConfigFieldIsSet fails on every exported field of a Config

@@ -253,32 +253,39 @@ func (x *index) interfaces(usedAnywhere map[types.Object]bool) map[string][]*typ
 }
 
 // allowEntry is one line of testdata/allowlist.txt: an exported identifier
-// only tests name, kept because it is a test oracle or a test seam.
+// or a struct field only tests name, kept because it is a test oracle or a
+// test seam.
 type allowEntry struct {
 	name string
 	line int
 }
 
-func readAllowlist(x *index) ([]allowEntry, error) {
+// readAllowlist returns the allowlist's exported identifiers and, after
+// its "[fields]" line, its struct fields.
+func readAllowlist(x *index) (exports, fields []allowEntry, err error) {
 	text, err := x.readFile("internal/treecheck/testdata/allowlist.txt")
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var out []allowEntry
+	out := &exports
 	sc := bufio.NewScanner(strings.NewReader(text))
 	for n := 1; sc.Scan(); n++ {
 		line := strings.TrimSpace(sc.Text())
+		if line == "[fields]" {
+			out = &fields
+			continue
+		}
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
 		name, reason, _ := strings.Cut(line, " ")
 		kind, why, _ := strings.Cut(strings.TrimSpace(reason), ":")
 		if (kind != "oracle" && kind != "seam") || strings.TrimSpace(why) == "" {
-			return nil, fmt.Errorf("allowlist.txt:%d: want %q, got %q", n, "<name> oracle|seam: <reason>", line)
+			return nil, nil, fmt.Errorf("allowlist.txt:%d: want %q, got %q", n, "<name> oracle|seam: <reason>", line)
 		}
-		out = append(out, allowEntry{name: name, line: n})
+		*out = append(*out, allowEntry{name: name, line: n})
 	}
-	return out, sc.Err()
+	return exports, fields, sc.Err()
 }
 
 // TestNoUnusedExports fails on every exported identifier under internal/
@@ -287,7 +294,7 @@ func readAllowlist(x *index) ([]allowEntry, error) {
 // entry that no longer names such an identifier.
 func TestNoUnusedExports(t *testing.T) {
 	x := load(t)
-	allow, err := readAllowlist(x)
+	allow, _, err := readAllowlist(x)
 	if err != nil {
 		t.Fatal(err)
 	}

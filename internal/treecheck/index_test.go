@@ -1,15 +1,20 @@
 // Package treecheck holds no program code, only tests that read the whole
 // tree. They type-check the module's non-test Go files together with the
 // benchmark harness in bench/ (its own module, which names the service API
-// it drives) and hold three rules:
+// it drives) and hold four rules:
 //
 //   - every exported identifier under internal/ is named by some non-test
 //     code, or is a test oracle or test seam listed with its reason in
 //     testdata/allowlist.txt;
+//   - every struct field declared outside bench/ is read by some non-test
+//     code (a write, an increment or a composite-literal key is not a
+//     read), or is a test oracle or seam listed under [fields] in the same
+//     allowlist: a field nothing reads is state no result depends on;
 //   - every exported field of a Config (or ...Config) struct under
 //     internal/ is set by some non-test code outside its type's defaults
-//     method: a value every program leaves alone is a constant, and one
-//     only tests set is an unexported field;
+//     method and outside a fill-in (if c.X == 0 { c.X = … }): a value
+//     every program leaves alone is a constant, and one only tests set is
+//     an unexported field;
 //   - every Go identifier and command flag that README.md, DESIGN.md and
 //     EXPERIMENTS.md write in backticks exists.
 //
@@ -167,8 +172,9 @@ func (x *index) check(p *pkg) (*types.Package, error) {
 		p.files = append(p.files, f)
 	}
 	p.info = &types.Info{
-		Defs: map[*ast.Ident]types.Object{},
-		Uses: map[*ast.Ident]types.Object{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
+		Types: map[ast.Expr]types.TypeAndValue{},
 	}
 	conf := types.Config{Importer: x}
 	tp, err := conf.Check(p.path, x.fset, p.files, p.info)
