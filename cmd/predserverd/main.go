@@ -15,12 +15,9 @@
 // 500s instead of crashes, load past -max-inflight is shed with 429 +
 // Retry-After, snapshot writes are checksummed and retried with backoff,
 // and a corrupt snapshot at boot is quarantined (the daemon starts empty)
-// rather than fatal. -chaos enables seeded fault injection against those
-// defenses: snapshot writes fail half the time, X-Chaos-Panic requests
-// panic inside a handler, and ~10% of requests stall 5ms in-handler so a
-// tight -max-inflight genuinely sheds. -chaos-handoff kills the first
-// session handoff (export and import) mid-transfer to prove a retried
-// rebalance converges.
+// rather than fatal. The daemon has no mode that attacks itself: the
+// tests of internal/predsvc inject faults in-process against these
+// defenses (go test -race -run TestEndToEndChaos ./internal/predsvc).
 //
 // For cluster operation the daemon serves /healthz (process up) and
 // /readyz (wants traffic) outside the load-shedding middleware; SIGTERM
@@ -52,7 +49,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/predsvc"
 )
@@ -68,9 +64,6 @@ func main() {
 
 		maxInflight = flag.Int("max-inflight", 0, "concurrent-request cap before shedding with 429 (0 = default 1024, negative = unlimited)")
 		readHdrTO   = flag.Duration("read-header-timeout", 0, "slowloris guard on request headers (0 = default 5s, negative = off)")
-		chaosMode   = flag.Bool("chaos", false, "seeded fault injection: snapshot writes fail ~50% of the time, X-Chaos-Panic requests panic in-handler")
-		chaosSeed   = flag.Int64("chaos-seed", 1, "fault-injection seed for -chaos")
-		chaosHand   = flag.Bool("chaos-handoff", false, "kill the first session handoff mid-transfer: the 6th exported record aborts the stream and the 6th imported record 500s, so only a retried pass can complete")
 		drainDelay  = flag.Duration("drain-delay", 0, "extra time /readyz advertises draining before connections close on shutdown (lets cluster clients re-probe)")
 	)
 	flag.Parse()
@@ -83,31 +76,6 @@ func main() {
 		ReadHeaderTimeout: *readHdrTO,
 		SpillDir:          *spillDir,
 		DrainDelay:        *drainDelay,
-	}
-	var faultRules []faultinject.Rule
-	if *chaosMode {
-		faultRules = append(faultRules,
-			faultinject.Rule{Site: predsvc.SiteSnapshotWrite, Probability: 0.5},
-			faultinject.Rule{Site: predsvc.SiteHandlerPanic, Every: 1},
-			// Pure slowdown (no error): ~10% of requests stall in-handler
-			// for 5ms while holding their in-flight slot, so a tight
-			// -max-inflight actually overflows and sheds under load.
-			faultinject.Rule{Site: predsvc.SiteHandlerDelay, Probability: 0.1, Delay: 5 * time.Millisecond},
-		)
-		log.Printf("predserverd: CHAOS MODE (seed %d): injecting snapshot write failures, handler panics and 5ms handler stalls", *chaosSeed)
-	}
-	if *chaosHand {
-		// Deterministic mid-transfer kill for the resize gate: the first
-		// handoff pass dies partway through both directions, and only an
-		// idempotent retry (import is last-writer-wins) can finish the move.
-		faultRules = append(faultRules,
-			faultinject.Rule{Site: predsvc.SiteHandoffExport, Every: 1, After: 5, Times: 1, Err: fmt.Errorf("chaos: export stream killed mid-transfer")},
-			faultinject.Rule{Site: predsvc.SiteHandoffImport, Every: 1, After: 5, Times: 1, Err: fmt.Errorf("chaos: import killed mid-batch")},
-		)
-		log.Printf("predserverd: CHAOS-HANDOFF (seed %d): first export aborts after 5 records, first import 500s after 5 records", *chaosSeed)
-	}
-	if len(faultRules) > 0 {
-		cfg.Faults = faultinject.New(*chaosSeed, faultRules...)
 	}
 	srv, err := predsvc.Open(cfg)
 	if err != nil {

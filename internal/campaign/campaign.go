@@ -18,7 +18,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 )
@@ -39,10 +41,16 @@ func (j Job) String() string { return fmt.Sprintf("%s#%d", j.Path, j.Trace) }
 
 // PanicError is the error a recovered job panic is converted into.
 type PanicError struct {
-	Value any // the value passed to panic
+	Value any    // the value passed to panic
+	At    string // file:line of the panicking frame, "" when unknown
 }
 
-func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
+func (e *PanicError) Error() string {
+	if e.At == "" {
+		return fmt.Sprintf("panic: %v", e.Value)
+	}
+	return fmt.Sprintf("panic at %s: %v", e.At, e.Value)
+}
 
 // JobError describes one failed job with its identity attached, so a
 // campaign report can say exactly which path/trace/seed to replay.
@@ -274,10 +282,32 @@ func isContextErr(err error) bool {
 func protect[T any](ctx context.Context, job Job, rep *Reporter, fn Func[T]) (val T, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			err = &PanicError{Value: p}
+			err = &PanicError{Value: p, At: panicSite()}
 		}
 	}()
 	return fn(ctx, job, rep)
+}
+
+// panicSite names, as file:line, the first frame below runtime.gopanic
+// that is not in the runtime: the code that panicked, past the runtime's
+// own raisers (panicIndex, sigpanic, ...). Called from a deferred recover,
+// it walks the panicking goroutine's stack, so it costs only on a panic.
+func panicSite() string {
+	var pcs [32]uintptr
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs[:])])
+	inPanic := false
+	for {
+		f, more := frames.Next()
+		switch {
+		case f.Function == "runtime.gopanic":
+			inPanic = true
+		case inPanic && !strings.HasPrefix(f.Function, "runtime."):
+			return fmt.Sprintf("%s:%d", filepath.Base(f.File), f.Line)
+		}
+		if !more {
+			return ""
+		}
+	}
 }
 
 // Reporter is the per-job handle through which a running job reports

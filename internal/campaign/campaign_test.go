@@ -85,6 +85,9 @@ func TestRunnerPanicIsolation(t *testing.T) {
 			if pe.Value != "engine blew up" {
 				t.Errorf("PanicError = %v", pe.Value)
 			}
+			if msg := pe.Error(); !strings.Contains(msg, "panic at campaign_test.go:") {
+				t.Errorf("PanicError %q does not name the panicking line", msg)
+			}
 			continue
 		}
 		if res.Err != nil {

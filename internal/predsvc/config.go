@@ -23,7 +23,6 @@ package predsvc
 import (
 	"time"
 
-	"repro/internal/faultinject"
 	"repro/internal/obs"
 )
 
@@ -73,9 +72,10 @@ type Config struct {
 	snapshotRetryMin time.Duration
 	snapshotRetryMax time.Duration
 
-	// Faults is an optional deterministic fault injector; sites are the
-	// Site* constants in this package. Nil injects nothing.
-	Faults *faultinject.Injector
+	// faults, when set, is consulted at each fault site (the site*
+	// constants in server.go) and fails that operation with the error it
+	// returns; tests arm it, no program can (nil injects nothing).
+	faults func(site string) error
 
 	// Obs, when non-nil, plugs the server into the observability layer:
 	// the service's instruments live in its registry and are exported
@@ -109,6 +109,14 @@ func (c Config) withDefaults() Config {
 		c.snapshotRetryMax = 15 * time.Second
 	}
 	return c
+}
+
+// fault consults the fault hook at site: nil unless a test armed one.
+func (c *Config) fault(site string) error {
+	if c.faults == nil {
+		return nil
+	}
+	return c.faults(site)
 }
 
 // posDur maps the "negative disables" config convention onto http.Server's

@@ -98,7 +98,7 @@ func decodeClusterView(w http.ResponseWriter, req *http.Request) (*cluster.Map, 
 // assigns away from self as a record stream, in sorted path order, so two
 // exports against the same registry state are byte-identical. Cold
 // sessions are copied verbatim from the spill log. An injected fault at
-// SiteHandoffExport aborts the stream mid-way without a trailer — the
+// siteHandoffExport aborts the stream mid-way without a trailer — the
 // importer must treat such a stream as void.
 func (r *Server) handleSessionsExport(w http.ResponseWriter, req *http.Request) int {
 	m, self, ok := decodeClusterView(w, req)
@@ -114,7 +114,7 @@ func (r *Server) handleSessionsExport(w http.ResponseWriter, req *http.Request) 
 		if m.Node(path) == self {
 			continue // still ours under the new map
 		}
-		if err := r.cfg.Faults.Check(SiteHandoffExport); err != nil {
+		if err := r.cfg.fault(siteHandoffExport); err != nil {
 			// Mid-transfer kill: stop without a trailer. The client sees a
 			// truncated stream and retries; nothing was deleted here.
 			bw.Flush()
@@ -147,7 +147,7 @@ func (r *Server) handleSessionsExport(w http.ResponseWriter, req *http.Request) 
 // installs only when it carries strictly more observations than the
 // resident session. Failures may leave a prefix of the stream applied — by
 // LWW that is safe, and the orchestrator simply replays the stream. An
-// injected fault at SiteHandoffImport fails the request mid-batch to
+// injected fault at siteHandoffImport fails the request mid-batch to
 // exercise exactly that path.
 func (r *Server) handleSessionsImport(w http.ResponseWriter, req *http.Request) int {
 	sr, err := store.NewStreamReader(http.MaxBytesReader(w, req.Body, maxHandoffBytes), sessionsFormat)
@@ -163,7 +163,7 @@ func (r *Server) handleSessionsImport(w http.ResponseWriter, req *http.Request) 
 		if err != nil {
 			return writeError(w, http.StatusBadRequest, "bad handoff stream: %v", err)
 		}
-		if err := r.cfg.Faults.Check(SiteHandoffImport); err != nil {
+		if err := r.cfg.fault(siteHandoffImport); err != nil {
 			// Mid-batch failure with a prefix applied: safe, the retry's
 			// already-applied records skip via last-writer-wins.
 			return writeError(w, http.StatusInternalServerError, "injected fault: %v", err)

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/faultinject"
 	"repro/internal/predict"
 	"repro/internal/predsvc/cluster"
 	"repro/internal/predsvc/store"
@@ -97,9 +96,7 @@ func TestRebalanceMovesEverySession(t *testing.T) {
 // stream (no trailer) voids the attempt; the orchestrator's retry
 // completes the move with nothing lost or doubled.
 func TestRebalanceRetriesExportKill(t *testing.T) {
-	srcCfg := Config{Faults: faultinject.New(1, faultinject.Rule{
-		Site: SiteHandoffExport, Every: 1, After: 5, Times: 1,
-	})}
+	srcCfg := Config{faults: failEvery(siteHandoffExport, 1, 5, 1)}
 	src, dst, srcURL, dstURL := handoffPair(t, srcCfg, Config{})
 	const paths = 24
 	seedPaths(t, srcURL, paths, 3)
@@ -130,9 +127,7 @@ func TestRebalanceRetriesExportKill(t *testing.T) {
 // prefix applied; the retried pass skips that prefix via last-writer-wins
 // and lands the rest — idempotence under partial application.
 func TestRebalanceRetriesImportFault(t *testing.T) {
-	dstCfg := Config{Faults: faultinject.New(1, faultinject.Rule{
-		Site: SiteHandoffImport, Every: 1, After: 5, Times: 1,
-	})}
+	dstCfg := Config{faults: failEvery(siteHandoffImport, 1, 5, 1)}
 	src, dst, srcURL, dstURL := handoffPair(t, Config{}, dstCfg)
 	const paths = 24
 	seedPaths(t, srcURL, paths, 3)

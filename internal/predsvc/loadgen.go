@@ -7,16 +7,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
-	"net"
 	"net/http"
 	"net/url"
 	"sort"
 	"sync"
 	"time"
 
-	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/predict"
 	"repro/internal/predsvc/cluster"
@@ -106,63 +103,6 @@ type LoadConfig struct {
 	// replay's wall-clock so external events (rolling restarts) genuinely
 	// overlap the load (default 0: flat out).
 	EpochPause time.Duration
-	// Chaos enables deterministic client-side fault injection: aborted
-	// predict requests, slowloris probes, and forced-panic probes. All
-	// chaos traffic is read-only or rejected by the server, so the predict
-	// digest over the fault-free subset is unchanged by chaos. Nil
-	// disables chaos.
-	Chaos *ChaosConfig
-}
-
-// Fault-injection sites used by the chaos-mode load generator.
-const (
-	siteClientAbort = "client.abort"
-	siteClientSlow  = "client.slowloris"
-)
-
-// ChaosConfig tunes the load generator's chaos mode. All decisions draw
-// from a seeded injector, so a fixed replay sees a fixed number of each
-// fault kind.
-type ChaosConfig struct {
-	// Seed for the fault-injection draws.
-	Seed int64
-
-	// Every program runs the values below at their defaults; the chaos
-	// tests change them.
-
-	// abortProb is the per-epoch probability of an extra predict request
-	// that the client abandons mid-flight — a client disconnect (default
-	// 0.05; negative disables).
-	abortProb float64
-	// slowProb is the per-epoch probability of a slowloris probe: a raw
-	// connection that sends a partial request line and stalls until the
-	// server's ReadHeaderTimeout closes it (default 0.02; negative
-	// disables).
-	slowProb float64
-	// slowHold caps how long a slowloris probe waits for the server to
-	// hang up before giving up (default 2s).
-	slowHold time.Duration
-	// panics is the number of ChaosPanicHeader predict probes sent after
-	// the replay (default 1; negative disables). A daemon running with
-	// fault injection at SiteHandlerPanic panics on each and must convert
-	// it into a 500 via its recovery middleware.
-	panics int
-}
-
-func (c ChaosConfig) withDefaults() ChaosConfig {
-	if c.abortProb == 0 {
-		c.abortProb = 0.05
-	}
-	if c.slowProb == 0 {
-		c.slowProb = 0.02
-	}
-	if c.slowHold <= 0 {
-		c.slowHold = 2 * time.Second
-	}
-	if c.panics == 0 {
-		c.panics = 1
-	}
-	return c
 }
 
 // LoadReport summarizes a Replay run.
@@ -194,9 +134,9 @@ type LoadReport struct {
 	IntervalCoverage float64
 
 	// Digest is a SHA-256 over every 200-OK /v1/predict response body of
-	// the normal (fault-free) replay, chained per path and combined in
-	// sorted path order — identical digests across two runs prove
-	// byte-identical predict responses. Chaos traffic never enters it.
+	// the replay, chained per path and combined in sorted path order —
+	// identical digests across two runs prove byte-identical predict
+	// responses.
 	Digest string
 
 	// ShedRetries counts 429 responses the client absorbed by backing off
@@ -214,11 +154,6 @@ type LoadReport struct {
 	// the per-node load share behind the linear-scaling claim. Single-node
 	// runs carry one entry.
 	PerNode map[string]uint64
-	// ChaosRequests / ChaosFaults count the extra fault-injected requests
-	// sent in chaos mode and how many of them ended in the intended
-	// abnormal way (aborted, hung up on, or answered 500).
-	ChaosRequests uint64
-	ChaosFaults   uint64
 }
 
 func (r LoadReport) String() string {
@@ -234,12 +169,9 @@ func (r LoadReport) String() string {
 			r.IntervalCoverage, r.IntervalsScored)
 	}
 	s += fmt.Sprintf("\ndigest sha256:%s", r.Digest)
-	if r.ShedRetries > 0 || r.ChaosRequests > 0 {
-		s += fmt.Sprintf("\nchaos: %d injected client faults (%d landed), %d shed retries",
-			r.ChaosRequests, r.ChaosFaults, r.ShedRetries)
-	}
 	if r.Retries > 0 || r.Failovers > 0 {
-		s += fmt.Sprintf("\nresilience: %d retries, %d failovers ridden out", r.Retries, r.Failovers)
+		s += fmt.Sprintf("\nresilience: %d retries (%d shed), %d failovers ridden out",
+			r.Retries, r.ShedRetries, r.Failovers)
 	}
 	if len(r.PerNode) > 1 {
 		nodes := make([]string, 0, len(r.PerNode))
@@ -282,7 +214,7 @@ func Replay(ctx context.Context, cfg LoadConfig, series []PathSeries) (*LoadRepo
 	// right after a replay would stall its full timeout waiting on them.
 	defer client.CloseIdleConnections()
 
-	// All normal traffic goes through one shared retrying cluster client:
+	// All traffic goes through one shared retrying cluster client:
 	// rendezvous routing over cfg.Nodes, capped jittered backoff on
 	// 429/5xx, and /readyz probing on connection errors — a node
 	// restarting mid-replay stalls its paths' workers briefly instead of
@@ -293,34 +225,14 @@ func Replay(ctx context.Context, cfg LoadConfig, series []PathSeries) (*LoadRepo
 	cc := cluster.NewClient(cluster.ClientConfig{Nodes: cfg.Nodes, HTTP: client})
 	router := cc.Map()
 
-	// Chaos mode: one shared seeded injector across workers. Each
-	// per-epoch evaluation consumes one draw under the injector's lock, so
-	// the total number of injected faults is fixed by (series, seed) even
-	// though their assignment to epochs depends on worker interleaving.
-	var chaos *faultinject.Injector
-	var chaosCfg ChaosConfig
-	var host string
-	if cfg.Chaos != nil {
-		chaosCfg = cfg.Chaos.withDefaults()
-		chaos = faultinject.New(chaosCfg.Seed,
-			faultinject.Rule{Site: siteClientAbort, Probability: chaosCfg.abortProb},
-			faultinject.Rule{Site: siteClientSlow, Probability: chaosCfg.slowProb},
-		)
-		if u, err := url.Parse(cfg.Nodes[0]); err == nil {
-			host = u.Host
-		}
-	}
-
 	type workerOut struct {
-		requests    uint64
-		errors      uint64
-		chaosReqs   uint64
-		chaosFaults uint64
-		errs        []float64
-		covIn       int
-		covTotal    int
-		digests     map[string]string
-		err         error
+		requests uint64
+		errors   uint64
+		errs     []float64
+		covIn    int
+		covTotal int
+		digests  map[string]string
+		err      error
 	}
 	outs := make([]workerOut, cfg.Workers)
 	// One lock-free latency histogram shared by every worker (detached:
@@ -337,9 +249,8 @@ func Replay(ctx context.Context, cfg LoadConfig, series []PathSeries) (*LoadRepo
 		go func(w int) {
 			defer wg.Done()
 			lw := loadWorker{
-				cfg: cfg, client: client, cc: cc, digests: make(map[string]string),
-				router: router, chaos: chaos, chaosCfg: chaosCfg, host: host,
-				lat: lat,
+				cfg: cfg, cc: cc, digests: make(map[string]string),
+				router: router, lat: lat,
 			}
 			// Epoch-major over this worker's paths so load interleaves
 			// across paths instead of finishing them one by one.
@@ -376,7 +287,6 @@ func Replay(ctx context.Context, cfg LoadConfig, series []PathSeries) (*LoadRepo
 			}
 			outs[w] = workerOut{
 				requests: lw.requests, errors: lw.errors,
-				chaosReqs: lw.chaosRequests, chaosFaults: lw.chaosFaults,
 				errs: lw.scored, covIn: lw.covIn, covTotal: lw.covTotal,
 				digests: lw.digests, err: lw.err,
 			}
@@ -394,8 +304,6 @@ func Replay(ctx context.Context, cfg LoadConfig, series []PathSeries) (*LoadRepo
 		}
 		rep.Requests += o.requests
 		rep.Errors += o.errors
-		rep.ChaosRequests += o.chaosReqs
-		rep.ChaosFaults += o.chaosFaults
 		rep.IntervalsScored += o.covTotal
 		covIn += o.covIn
 		allErrs = append(allErrs, o.errs...)
@@ -404,33 +312,6 @@ func Replay(ctx context.Context, cfg LoadConfig, series []PathSeries) (*LoadRepo
 		}
 	}
 
-	// Forced-panic probes: sent after the replay so a recovering daemon's
-	// 500s cannot interleave with scored traffic. The probe asks for an
-	// existing path with ChaosPanicHeader set; a daemon with chaos
-	// injection panics in-handler and must answer 500 (recovery
-	// middleware), a production daemon just serves the prediction. Either
-	// way the response stays out of the digest.
-	if cfg.Chaos != nil && len(series) > 0 && ctx.Err() == nil {
-		probe := router.Node(series[0].Path) + "/v1/predict?path=" + url.QueryEscape(series[0].Path)
-		for i := 0; i < chaosCfg.panics; i++ {
-			rep.ChaosRequests++
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, probe, nil)
-			if err != nil {
-				break
-			}
-			req.Header.Set(ChaosPanicHeader, "1")
-			resp, err := client.Do(req)
-			if err != nil {
-				rep.ChaosFaults++
-				continue
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusInternalServerError {
-				rep.ChaosFaults++
-			}
-		}
-	}
 	for _, ps := range series {
 		rep.Epochs += max(len(ps.Throughputs)-cfg.StartEpoch, 0)
 	}
@@ -475,8 +356,7 @@ func Replay(ctx context.Context, cfg LoadConfig, series []PathSeries) (*LoadRepo
 // loadWorker is one replay goroutine's state.
 type loadWorker struct {
 	cfg      LoadConfig
-	client   *http.Client    // raw client, for chaos traffic only
-	cc       *cluster.Client // retrying client carrying all normal traffic
+	cc       *cluster.Client // retrying client carrying all traffic
 	router   *cluster.Map    // path → owning node's base URL
 	requests uint64
 	errors   uint64
@@ -490,25 +370,10 @@ type loadWorker struct {
 	// pending buffers this epoch round's observations per node when
 	// BatchObserve is on; flushObserves drains it between epoch indices.
 	pending map[string][]ObserveRequest
-
-	// chaos state (nil injector = chaos off)
-	chaos         *faultinject.Injector
-	chaosCfg      ChaosConfig
-	host          string
-	chaosRequests uint64
-	chaosFaults   uint64
 }
 
 // epoch replays one (path, epoch) cell: measure → predict (scored) → observe.
 func (lw *loadWorker) epoch(ctx context.Context, ps PathSeries, e int) {
-	if lw.chaos != nil {
-		if lw.chaos.Check(siteClientAbort) != nil {
-			lw.chaosAbort(ctx, ps.Path)
-		}
-		if lw.chaos.Check(siteClientSlow) != nil {
-			lw.chaosSlowloris()
-		}
-	}
 	actual := ps.Throughputs[e]
 	base := lw.router.Node(ps.Path)
 	hasInputs := ps.Inputs != nil
@@ -579,52 +444,6 @@ func (lw *loadWorker) flushObserves(ctx context.Context) {
 		}
 	}
 	lw.pending = make(map[string][]ObserveRequest)
-}
-
-// chaosAbort fires an extra predict request and abandons it almost
-// immediately — a client disconnect mid-request. Predict is read-only, so
-// whether the server finished processing or not, session state and the
-// fault-free digest are untouched.
-func (lw *loadWorker) chaosAbort(ctx context.Context, path string) {
-	lw.chaosRequests++
-	base := lw.router.Node(path)
-	actx, cancel := context.WithTimeout(ctx, 500*time.Microsecond)
-	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodGet,
-		base+"/v1/predict?path="+url.QueryEscape(path), nil)
-	if err != nil {
-		return
-	}
-	resp, err := lw.client.Do(req)
-	if err != nil {
-		lw.chaosFaults++ // aborted as intended
-		return
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-}
-
-// chaosSlowloris opens a raw connection, sends a partial request and
-// stalls, waiting for the server's ReadHeaderTimeout to hang up. The
-// request never completes its headers, so no handler runs.
-func (lw *loadWorker) chaosSlowloris() {
-	if lw.host == "" {
-		return
-	}
-	lw.chaosRequests++
-	c, err := net.DialTimeout("tcp", lw.host, time.Second)
-	if err != nil {
-		return
-	}
-	defer c.Close()
-	fmt.Fprintf(c, "GET /v1/predict?path=chaos HTTP/1.1\r\nHost: %s\r\n", lw.host)
-	c.SetReadDeadline(time.Now().Add(lw.chaosCfg.slowHold))
-	buf := make([]byte, 256)
-	_, err = c.Read(buf)
-	var nerr net.Error
-	if err != nil && !(errors.As(err, &nerr) && nerr.Timeout()) {
-		lw.chaosFaults++ // server hung up on us — the defense worked
-	}
 }
 
 func (lw *loadWorker) post(ctx context.Context, base, path string, body, out any) {

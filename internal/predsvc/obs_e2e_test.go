@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/predict"
 )
@@ -51,19 +50,18 @@ func sampleValue(t *testing.T, exposition, name string) float64 {
 }
 
 // TestMetricsEndpointE2E is the observability acceptance test: a real
-// daemon (own TCP listener) under the predload generator, with chaos
-// faults ticking the resilience counters, must serve a /metrics
+// daemon (own TCP listener) under the predload generator, with a handler
+// panic and shed load ticking the resilience counters, must serve a /metrics
 // exposition that (a) is valid Prometheus text format, (b) agrees with
 // /v1/stats on the counters both serve, and (c) keeps being served while
 // the API itself is shedding load.
 func TestMetricsEndpointE2E(t *testing.T) {
-	inj := faultinject.New(3, faultinject.Rule{Site: SiteHandlerPanic, Every: 1})
 	srv := NewServer(Config{
 		Shards: 4, Capacity: 64,
 		MaxInFlight: 64,
-		Faults:      inj,
 		Obs:         obs.NewMetrics(),
 	})
+	mountPanicRoute(srv)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -84,8 +82,8 @@ func TestMetricsEndpointE2E(t *testing.T) {
 		}
 	}()
 
-	// Drive real load, then tick the resilience counters: one chaos
-	// probe panics inside the handler chain, and one request is shed
+	// Drive real load, then tick the resilience counters: one test-route
+	// handler panics inside the hardened chain, and one request is shed
 	// while the in-flight semaphore is saturated by hand.
 	series := SyntheticSeries(4, 20, 5)
 	if _, err := Replay(context.Background(), LoadConfig{Nodes: []string{base}, Workers: 4}, series); err != nil {
@@ -111,14 +109,12 @@ func TestMetricsEndpointE2E(t *testing.T) {
 			t.Fatalf("predict-batch status = %d", resp.StatusCode)
 		}
 	}
-	req, _ := http.NewRequest(http.MethodGet, base+"/v1/stats", nil)
-	req.Header.Set(ChaosPanicHeader, "1")
-	if resp, err := http.DefaultClient.Do(req); err != nil {
+	if resp, err := http.Get(base + panicRoute); err != nil {
 		t.Fatal(err)
 	} else {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusInternalServerError {
-			t.Fatalf("chaos probe status = %d, want 500", resp.StatusCode)
+			t.Fatalf("panicking handler status = %d, want 500", resp.StatusCode)
 		}
 	}
 	for i := 0; i < cap(srv.sem); i++ {

@@ -6,16 +6,19 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
+	"net/url"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/faultinject"
 	"repro/internal/predict"
 )
 
@@ -52,17 +55,90 @@ func startResilientDaemon(t *testing.T, cfg Config, srv *Server, snapPath string
 	}
 }
 
-// TestEndToEndChaos is the chaos acceptance gate: a daemon with injected
-// snapshot write failures, an aggressive in-flight cap, and a short
-// slowloris timeout is driven by a chaos-mode replay (client aborts,
-// slowloris probes, forced panic probes). The daemon must survive with
-// zero fault-free request errors, recover every panic, keep snapshotting
-// through the injected failures, and produce a predict digest identical
-// to a fault-free run of the same series against a default daemon.
+// errInjected is the error a failEvery hook fails its site with.
+var errInjected = errors.New("injected fault")
+
+// failEvery returns a Config.faults hook that fails site on every every-th
+// call past the first after calls, at most times times (0 = no cap); other
+// sites never fail. It is safe for concurrent use.
+func failEvery(site string, every, after, times int) func(string) error {
+	var mu sync.Mutex
+	calls, fires := 0, 0
+	return func(s string) error {
+		if s != site {
+			return nil
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		calls++
+		if calls <= after || (times > 0 && fires >= times) || (calls-after)%every != 0 {
+			return nil
+		}
+		fires++
+		return errInjected
+	}
+}
+
+// panicRoute is served only by servers a test mounts it on: its handler
+// panics, so the hardened chain has a real handler panic to recover.
+const panicRoute = "/test/panic"
+
+func mountPanicRoute(srv *Server) {
+	srv.mux.HandleFunc("GET "+panicRoute, func(http.ResponseWriter, *http.Request) {
+		panic("test handler panic")
+	})
+}
+
+// abortPredict asks base for path's forecast and abandons the request as
+// soon as it is written — a client disconnecting mid-request. It reports
+// whether the abort landed: the client gave up before an answer came.
+func abortPredict(client *http.Client, base, path string) bool {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ctx = httptrace.WithClientTrace(ctx, &httptrace.ClientTrace{
+		WroteRequest: func(httptrace.WroteRequestInfo) { cancel() },
+	})
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/predict?path="+url.QueryEscape(path), nil)
+	if err != nil {
+		return false
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		return true
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return false
+}
+
+// slowloris opens a connection to addr, sends a request line and one
+// header, then stalls. It reports whether the server hung up within hold,
+// as its ReadHeaderTimeout must; the request never reaches a handler.
+func slowloris(addr string, hold time.Duration) bool {
+	c, err := net.DialTimeout("tcp", addr, time.Second)
+	if err != nil {
+		return false
+	}
+	defer c.Close()
+	fmt.Fprintf(c, "GET /v1/predict?path=slow HTTP/1.1\r\nHost: %s\r\n", addr)
+	c.SetReadDeadline(time.Now().Add(hold))
+	_, err = c.Read(make([]byte, 256))
+	var nerr net.Error
+	return err != nil && !(errors.As(err, &nerr) && nerr.Timeout())
+}
+
+// TestEndToEndChaos is the fault acceptance gate: a daemon whose snapshot
+// writes fail on a fixed cadence, with a 2-request in-flight cap and a
+// short slowloris timeout, serves a replay while the test aborts predicts
+// mid-request, stalls connections inside their headers, starts the replay
+// against a saturated in-flight cap and panics a handler. The daemon must
+// survive with zero request errors, shed and recover, keep snapshotting
+// through the failures, and serve a predict digest identical to a
+// fault-free run of the same series against a default daemon.
 func TestEndToEndChaos(t *testing.T) {
 	series := SyntheticSeries(6, 30, 9)
 
-	// Baseline: no chaos, no shedding pressure.
+	// Baseline: no faults, no shedding pressure.
 	baseSrv := NewServer(Config{Shards: 4, Capacity: 64})
 	base, stopBase := startResilientDaemon(t, Config{}, baseSrv, "", 0)
 	baseRep, err := Replay(context.Background(), LoadConfig{Nodes: []string{base}, Workers: 4}, series)
@@ -74,47 +150,107 @@ func TestEndToEndChaos(t *testing.T) {
 		t.Fatalf("baseline run had %d errors", baseRep.Errors)
 	}
 
-	// Chaos daemon: snapshot writes fail on a fixed cadence, panic probes
-	// fire, only 2 requests may be in flight, headers must arrive fast.
-	inj := faultinject.New(7,
-		faultinject.Rule{Site: SiteSnapshotWrite, Every: 2},
-		faultinject.Rule{Site: SiteHandlerPanic, Every: 1},
-	)
+	// Faulted daemon: every 2nd snapshot write fails, only 2 requests may
+	// be in flight, headers must arrive fast, and one route panics.
 	cfg := Config{
 		Shards: 4, Capacity: 64,
 		MaxInFlight:       2,
 		ReadHeaderTimeout: 100 * time.Millisecond,
 		snapshotRetryMin:  time.Millisecond,
 		snapshotRetryMax:  4 * time.Millisecond,
-		Faults:            inj,
+		faults:            failEvery(siteSnapshotWrite, 2, 0, 0),
 	}
 	snapPath := t.TempDir() + "/chaos-snap.json"
 	srv := NewServer(cfg)
+	mountPanicRoute(srv)
 	chaosBase, stop := startResilientDaemon(t, cfg, srv, snapPath, 20*time.Millisecond)
+	addr := strings.TrimPrefix(chaosBase, "http://")
 
-	rep, err := Replay(context.Background(), LoadConfig{
-		Nodes:   []string{chaosBase},
-		Workers: 8,
-		Chaos: &ChaosConfig{
-			Seed:      7,
-			abortProb: 0.15,
-			slowProb:  0.05,
-			slowHold:  time.Second,
-			panics:    2,
-		},
-	}, series)
+	// The replay starts against a full in-flight semaphore, freed ~30ms
+	// in: its first requests are shed with 429 and re-offered.
+	for i := 0; i < cap(srv.sem); i++ {
+		srv.sem <- struct{}{}
+	}
+	released := make(chan struct{})
+	go func() {
+		defer close(released)
+		time.Sleep(30 * time.Millisecond)
+		for i := 0; i < cap(srv.sem); i++ {
+			<-srv.sem
+		}
+	}()
+
+	// Beside the replay, until it ends (and at least once each): aborted
+	// predicts and slowloris connections. Predict is read-only and a
+	// slowloris request never reaches a handler, so neither can touch
+	// the digest.
+	done := make(chan struct{})
+	var aborted, hungUp int
+	var faultWG sync.WaitGroup
+	faultWG.Add(2)
+	go func() {
+		defer faultWG.Done()
+		client := &http.Client{}
+		defer client.CloseIdleConnections()
+		for i := 0; ; i++ {
+			if abortPredict(client, chaosBase, series[i%len(series)].Path) {
+				aborted++
+			}
+			select {
+			case <-done:
+				return
+			case <-time.After(2 * time.Millisecond):
+			}
+		}
+	}()
+	go func() {
+		defer faultWG.Done()
+		for {
+			if slowloris(addr, time.Second) {
+				hungUp++
+			}
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
+
+	rep, err := Replay(context.Background(), LoadConfig{Nodes: []string{chaosBase}, Workers: 8}, series)
+	close(done)
+	faultWG.Wait()
+	<-released
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Errors != 0 {
-		t.Fatalf("chaos run had %d fault-free request errors (of %d)", rep.Errors, rep.Requests)
+		t.Fatalf("faulted run had %d request errors (of %d)", rep.Errors, rep.Requests)
 	}
-	if rep.ChaosRequests == 0 {
-		t.Error("chaos mode injected no faults — seeded plan produced nothing")
+	t.Logf("faulted replay: %d aborted predicts, %d slowloris hang-ups, %d shed retries",
+		aborted, hungUp, rep.ShedRetries)
+	if aborted == 0 || hungUp == 0 {
+		t.Errorf("%d aborted predicts and %d slowloris hang-ups landed, want both >= 1", aborted, hungUp)
 	}
 	if rep.Digest != baseRep.Digest {
-		t.Errorf("chaos broke determinism: fault-free digest differs\nbaseline %s\nchaos    %s",
+		t.Errorf("faults broke determinism: digest differs\nbaseline %s\nfaulted  %s",
 			baseRep.Digest, rep.Digest)
+	}
+	if rep.ShedRetries < 1 {
+		t.Errorf("replay shed retries = %d, want >= 1 (it started against a full in-flight cap)", rep.ShedRetries)
+	}
+
+	// Handler panics after the replay, so their 500s cannot meet scored
+	// traffic.
+	for i := 0; i < 2; i++ {
+		resp, err := http.Get(chaosBase + panicRoute)
+		if err != nil {
+			t.Fatalf("panicking request killed the connection: %v", err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Errorf("panicking handler answered %d, want 500", resp.StatusCode)
+		}
 	}
 
 	// Two explicit snapshot cycles guarantee hitting the every-2nd-write
@@ -126,7 +262,10 @@ func TestEndToEndChaos(t *testing.T) {
 	}
 	m := srv.Metrics().Snapshot()
 	if m.PanicsRecovered < 1 {
-		t.Errorf("panics_recovered = %d, want >= 1 (probes must panic in-handler and be recovered)", m.PanicsRecovered)
+		t.Errorf("panics_recovered = %d, want >= 1 (handler panics must be recovered)", m.PanicsRecovered)
+	}
+	if m.RequestsShed < 1 {
+		t.Errorf("requests_shed = %d, want >= 1", m.RequestsShed)
 	}
 	if m.SnapshotFailures < 1 || m.SnapshotRetries < 1 {
 		t.Errorf("snapshot failures/retries = %d/%d, want both >= 1", m.SnapshotFailures, m.SnapshotRetries)
@@ -138,11 +277,11 @@ func TestEndToEndChaos(t *testing.T) {
 	// The daemon is still fully alive after all that.
 	resp, err := http.Get(chaosBase + "/v1/stats")
 	if err != nil {
-		t.Fatalf("daemon dead after chaos: %v", err)
+		t.Fatalf("daemon dead after faults: %v", err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Errorf("stats after chaos: %d", resp.StatusCode)
+		t.Errorf("stats after faults: %d", resp.StatusCode)
 	}
 	stop()
 
@@ -150,7 +289,7 @@ func TestEndToEndChaos(t *testing.T) {
 	fresh := NewServer(Config{Shards: 4, Capacity: 64})
 	st, err := fresh.RestoreSnapshot(snapPath)
 	if err != nil || st.Quarantined != "" {
-		t.Fatalf("restore of chaos-era snapshot: %+v, %v", st, err)
+		t.Fatalf("restore of a snapshot written under faults: %+v, %v", st, err)
 	}
 	if st.Paths != len(series) {
 		t.Errorf("restored %d paths, want %d", st.Paths, len(series))
@@ -262,11 +401,10 @@ func TestSnapshotChecksumRoundTrip(t *testing.T) {
 // failures must not kill the loop — it backs off, retries, succeeds, and
 // keeps ticking.
 func TestSnapshotLoopRetriesTransientFailures(t *testing.T) {
-	inj := faultinject.New(3, faultinject.Rule{Site: SiteSnapshotWrite, Every: 1, Times: 2})
 	srv := NewServer(Config{
 		snapshotRetryMin: time.Millisecond,
 		snapshotRetryMax: 2 * time.Millisecond,
-		Faults:           inj,
+		faults:           failEvery(siteSnapshotWrite, 1, 0, 2),
 	})
 	srv.Registry().GetOrCreate("p").Observe(1e6)
 	path := t.TempDir() + "/snap.json"
@@ -328,18 +466,15 @@ func TestLoadSheddingReturns429(t *testing.T) {
 	}
 }
 
-// TestPanicRecoveryMiddleware: an injected handler panic becomes a 500 and
-// a panics_recovered tick; the server keeps serving. Without an injector
-// the panic header is inert.
+// TestPanicRecoveryMiddleware: a handler panic becomes a 500 with a JSON
+// error body and a panics_recovered tick; the server keeps serving.
 func TestPanicRecoveryMiddleware(t *testing.T) {
-	inj := faultinject.New(1, faultinject.Rule{Site: SiteHandlerPanic, Every: 1})
-	srv := NewServer(Config{Faults: inj})
+	srv := NewServer(Config{})
+	mountPanicRoute(srv)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/stats", nil)
-	req.Header.Set(ChaosPanicHeader, "1")
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := http.Get(ts.URL + panicRoute)
 	if err != nil {
 		t.Fatalf("panicking request killed the connection: %v", err)
 	}
@@ -347,7 +482,7 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 	json.NewDecoder(resp.Body).Decode(&apiErr)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusInternalServerError {
-		t.Errorf("panic probe returned %d, want 500", resp.StatusCode)
+		t.Errorf("panicking handler returned %d, want 500", resp.StatusCode)
 	}
 	if apiErr.Error == "" {
 		t.Error("panic 500 carried no JSON error body")
@@ -365,21 +500,6 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("post-panic stats: %d, want 200", resp.StatusCode)
 	}
-
-	// No injector → the header is ignored and served normally.
-	plain := NewServer(Config{})
-	ts2 := httptest.NewServer(plain.Handler())
-	defer ts2.Close()
-	req2, _ := http.NewRequest(http.MethodGet, ts2.URL+"/v1/stats", nil)
-	req2.Header.Set(ChaosPanicHeader, "1")
-	resp2, err := http.DefaultClient.Do(req2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK || plain.Metrics().Snapshot().PanicsRecovered != 0 {
-		t.Errorf("production server honored the chaos header: status %d", resp2.StatusCode)
-	}
 }
 
 // TestReadHeaderTimeoutClosesSlowloris: a connection that stalls inside
@@ -390,25 +510,11 @@ func TestReadHeaderTimeoutClosesSlowloris(t *testing.T) {
 	base, stop := startResilientDaemon(t, Config{}, srv, "", 0)
 	defer stop()
 
-	addr := strings.TrimPrefix(base, "http://")
-	c, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	fmt.Fprintf(c, "GET /v1/stats HTTP/1.1\r\nHost: %s\r\n", addr) // headers never finished
-	c.SetReadDeadline(time.Now().Add(5 * time.Second))
 	start := time.Now()
-	_, err = c.Read(make([]byte, 1))
-	elapsed := time.Since(start)
-	if err == nil {
-		t.Fatal("server answered a request whose headers never completed")
+	if !slowloris(strings.TrimPrefix(base, "http://"), 5*time.Second) {
+		t.Fatal("server did not hang up within 5s on a request whose headers never completed")
 	}
-	var nerr net.Error
-	if ok := errAs(err, &nerr); ok && nerr.Timeout() {
-		t.Fatalf("server did not hang up within 5s (slowloris survived)")
-	}
-	if elapsed > 3*time.Second {
+	if elapsed := time.Since(start); elapsed > 3*time.Second {
 		t.Errorf("hang-up took %v, want ~ReadHeaderTimeout (50ms)", elapsed)
 	}
 
@@ -525,21 +631,4 @@ func TestRejectInvalidInputs(t *testing.T) {
 	if n := s.Observe(5e6); n != 1 {
 		t.Errorf("valid observation after rejections: count %d, want 1", n)
 	}
-}
-
-// errAs adapts errors.As for the net.Error interface without importing
-// errors under a clash-prone name in this test file.
-func errAs(err error, target *net.Error) bool {
-	for err != nil {
-		if ne, ok := err.(net.Error); ok {
-			*target = ne
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
 }

@@ -19,25 +19,14 @@ import (
 	"repro/internal/predsvc/store"
 )
 
-// Fault-injection sites understood by the server (see Config.Faults and
-// internal/faultinject). A rule at SiteSnapshotWrite fails WriteSnapshot
-// calls; SiteHandlerPanic makes requests carrying ChaosPanicHeader panic
-// inside the handler chain (exercising the recovery middleware);
-// SiteHandlerDelay delays or fails requests at the front of the handler
-// chain; SiteHandoffExport and SiteHandoffImport cut a handoff stream
-// mid-transfer (see handoff.go).
+// Fault sites the server consults through Config.faults: a failure at
+// siteSnapshotWrite fails a WriteSnapshot call; siteHandoffExport and
+// siteHandoffImport cut a handoff stream mid-transfer (see handoff.go).
 const (
-	SiteSnapshotWrite = "snapshot.write"
-	SiteHandlerPanic  = "handler.panic"
-	SiteHandlerDelay  = "handler.delay"
-	SiteHandoffExport = "handoff.export"
-	SiteHandoffImport = "handoff.import"
+	siteSnapshotWrite = "snapshot.write"
+	siteHandoffExport = "handoff.export"
+	siteHandoffImport = "handoff.import"
 )
-
-// ChaosPanicHeader marks a request as a chaos panic probe. It is honored
-// only when a fault rule is installed at SiteHandlerPanic — a production
-// server without an injector serves such requests normally.
-const ChaosPanicHeader = "X-Chaos-Panic"
 
 // Server wires a Registry and its Metrics behind the HTTP JSON API:
 //
@@ -46,7 +35,7 @@ const ChaosPanicHeader = "X-Chaos-Panic"
 //	GET  /v1/predict?path=P                                       → forecasts + accuracy + best predictor
 //	POST /v1/observe-batch  {"observations":[...]}                → feed many observations in one request
 //	POST /v1/predict-batch  {"paths":[...]}                       → predictions for many paths in one request
-//	GET  /v1/stats[?path=P][&limit=N]                             → service (or per-path) statistics
+//	GET  /v1/stats[?limit=N]                                      → service statistics + the N most recently used paths
 //
 // Handlers are goroutine-safe; /v1/predict responses are byte-identical
 // for a fixed per-path request sequence (see the package comment). The
@@ -141,10 +130,10 @@ func Open(cfg Config) (*Server, error) {
 
 // harden wraps the mux with the resilience middleware, outermost first:
 // semaphore-based load shedding (429 + Retry-After past MaxInFlight
-// in-flight requests), panic recovery (a panicking handler produces a 500
-// and a panics_recovered tick, not a dead daemon) and fault-injection
-// seams. It sets no per-request deadline: no handler reads the request
-// context; Serve's timeouts and the in-flight cap bound a request.
+// in-flight requests) and panic recovery (a panicking handler produces a
+// 500 and a panics_recovered tick, not a dead daemon). It sets no
+// per-request deadline: no handler reads the request context; Serve's
+// timeouts and the in-flight cap bound a request.
 func (r *Server) harden() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if r.sem != nil {
@@ -167,15 +156,6 @@ func (r *Server) harden() http.Handler {
 				}
 			}
 		}()
-		if req.Header.Get(ChaosPanicHeader) != "" {
-			if err := r.cfg.Faults.Check(SiteHandlerPanic); err != nil {
-				panic(fmt.Sprintf("chaos probe: %v", err))
-			}
-		}
-		if err := r.cfg.Faults.Check(SiteHandlerDelay); err != nil {
-			writeError(sw, http.StatusServiceUnavailable, "injected fault: %v", err)
-			return
-		}
 		r.mux.ServeHTTP(sw, req)
 	})
 }
@@ -364,7 +344,7 @@ func (r *Server) WriteSnapshotRetry(ctx context.Context, path string) error {
 // stream (Registry.WriteSnapshot), streamed to a temp file one record at a
 // time.
 func (r *Server) WriteSnapshot(path string) error {
-	if err := r.cfg.Faults.Check(SiteSnapshotWrite); err != nil {
+	if err := r.cfg.fault(siteSnapshotWrite); err != nil {
 		return fmt.Errorf("predsvc: snapshot write: %w", err)
 	}
 	if err := writeFileAtomic(path, r.reg.WriteSnapshot); err != nil {

@@ -10,8 +10,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/faultinject"
 )
 
 // TestStatsRecentLimit: /v1/stats lists at most ?limit=N hot paths (default
@@ -186,9 +184,7 @@ func TestSnapshotWriteAtomic(t *testing.T) {
 	path := filepath.Join(dir, "snap.json")
 	// Second write fails (Every:1 after a 1-call warm-up, once).
 	srv := NewServer(Config{
-		Faults: faultinject.New(1, faultinject.Rule{
-			Site: SiteSnapshotWrite, Every: 1, After: 1, Times: 1,
-		}),
+		faults: failEvery(siteSnapshotWrite, 1, 1, 1),
 	})
 	srv.Registry().GetOrCreate("p1").Observe(5e6)
 	if err := srv.WriteSnapshot(path); err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -51,6 +52,9 @@ func TestPanicFailsOnlyThatTrace(t *testing.T) {
 	var pe *campaign.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("error does not wrap *campaign.PanicError: %v", err)
+	}
+	if msg := pe.Error(); !strings.Contains(msg, "panic at fault_test.go:") {
+		t.Errorf("PanicError %q does not name the panicking line", msg)
 	}
 	if len(ds.Traces) != len(paths)-1 {
 		t.Fatalf("dataset has %d traces, want %d (all but the faulted one)", len(ds.Traces), len(paths)-1)

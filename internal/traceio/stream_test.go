@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/faultinject"
 	"repro/internal/testbed"
 	"repro/internal/traceio"
 )
@@ -164,13 +163,19 @@ func TestSaveAtomicUnderFault(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	traceio.SetFaults(faultinject.New(1, faultinject.Rule{Site: traceio.SiteWrite, Every: 1}))
+	errInjected := errors.New("injected fault")
+	traceio.SetFaults(func(site string) error {
+		if site == traceio.SiteWrite {
+			return errInjected
+		}
+		return nil
+	})
 	defer traceio.SetFaults(nil)
 
 	mutated := sampleDataset()
 	mutated.Label = "must-not-land"
-	if err := saveStream(file, mutated); !errors.Is(err, faultinject.ErrInjected) {
-		t.Fatalf("saveStream under fault err = %v, want ErrInjected", err)
+	if err := saveStream(file, mutated); !errors.Is(err, errInjected) {
+		t.Fatalf("saveStream under fault err = %v, want the injected fault", err)
 	}
 
 	w, err := traceio.NewWriter(file, mutated.Label)
@@ -180,8 +185,8 @@ func TestSaveAtomicUnderFault(t *testing.T) {
 	if err := w.WriteTrace(mutated.Traces[0]); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Close(); !errors.Is(err, faultinject.ErrInjected) {
-		t.Fatalf("Writer.Close under fault err = %v, want ErrInjected", err)
+	if err := w.Close(); !errors.Is(err, errInjected) {
+		t.Fatalf("Writer.Close under fault err = %v, want the injected fault", err)
 	}
 
 	got, err := traceio.Load(file)

@@ -21,7 +21,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/faultinject"
 	"repro/internal/testbed"
 )
 
@@ -30,21 +29,20 @@ import (
 // field; a file whose first record does not carry it is rejected.
 const StreamFormat = "tcppred-epochs/1"
 
-// SiteWrite is the fault-injection site checked before any dataset
-// write reaches disk (tests arm it through faults); a rule here makes
-// Writer.Close fail after the temp file exists, proving the previous
-// file survives.
-const SiteWrite = "traceio.write"
+// siteWrite is the fault site consulted before any dataset write reaches
+// disk; a failure there makes Writer.Close fail after the temp file
+// exists, proving the previous file survives.
+const siteWrite = "traceio.write"
 
-// faults is the package fault-injection seam, nil outside tests (which
-// set it through SetFaults in export_test.go).
-var faults *faultinject.Injector
+// faults is the package fault seam, nil outside tests (which set it
+// through SetFaults in export_test.go).
+var faults func(site string) error
 
 func checkFault(site string) error {
 	if faults == nil {
 		return nil
 	}
-	return faults.Check(site)
+	return faults(site)
 }
 
 // ErrPartial marks a stream whose trailer declares it deliberately
@@ -195,7 +193,7 @@ func (w *Writer) finalize(partial bool) error {
 		os.Remove(w.tmp)
 		return w.err
 	}
-	if err := checkFault(SiteWrite); err != nil {
+	if err := checkFault(siteWrite); err != nil {
 		return fail(err)
 	}
 	t := w.n

@@ -67,12 +67,12 @@ for w in svc-single svc-batch campaign-paper; do
 done
 
 # The short suite above carries the in-process end-to-end gates (daemon
-# under the load generator, chaos, store conformance, cluster digest,
-# handoff/drain lifecycle, wire fastpath vs oracle digest); the sections
-# below run the same properties against the real binaries.
+# under the load generator, injected faults, store conformance, cluster
+# digest, handoff/drain lifecycle, wire fastpath vs oracle digest); the
+# sections below run the cluster and scenario properties against the real
+# binaries.
 # 4-node digest equality over heterogeneous stores, a rolling restart of every node under paced
-# load, and a 2→3 resize whose first handoff is killed mid-transfer and
-# must converge on retry.
+# load, and a 2→3 resize mid-load with phase-split digest equality.
 echo "==> cluster robustness gates (real binaries)"
 ./scripts/cluster.sh
 

@@ -1,6 +1,6 @@
 #!/bin/sh
 # cluster.sh — cluster robustness acceptance gates against the real
-# binaries (predserverd, predload, predctl). Four gates, one invariant:
+# binaries (predserverd, predload, predctl). Three gates, one invariant:
 # deployment shape and membership churn must never change a predict
 # response byte or lose a path.
 #
@@ -22,18 +22,16 @@
 #      single-node run split at the same epoch, and the three nodes must
 #      hold all paths exactly once — zero lost, zero duplicated.
 #
-#   4. handoff under fire: the resize runs with -chaos-handoff on the
-#      exporting and the joining node, killing the first export stream
-#      mid-transfer and failing the first import mid-batch. The
-#      rebalance must retry and converge — retries visible in its
-#      report, state intact per gate 3's checks.
+# A handoff killed mid-transfer and its retried convergence are tested
+# in-process (TestRebalanceRetriesExportKill and ...ImportFault in
+# internal/predsvc): the daemon has no flag that injects faults.
 set -eu
 
 cd "$(dirname "$0")/.."
 
 P0="${CLUSTER_PORT:-18455}"     # single-node reference
 P1=$((P0 + 1)); P2=$((P0 + 2)); P3=$((P0 + 3)); P4=$((P0 + 4))   # gates 1-2
-P5=$((P0 + 5)); P6=$((P0 + 6)); P7=$((P0 + 7))                   # gate 3/4
+P5=$((P0 + 5)); P6=$((P0 + 6)); P7=$((P0 + 7))                   # gate 3
 SEED=7
 PATHS=40
 EPOCHS=40
@@ -260,11 +258,8 @@ done
 pids=""
 
 # --------------------------------------------------------------------
-echo "==> gates 3+4: resize 2 -> 3 mid-load, with the first handoff killed mid-transfer"
-# -chaos-handoff on the exporting node A (first export stream aborts
-# without a trailer) and on the joining node C (first import 500s
-# mid-batch): only predctl's idempotent retry can complete the move.
-"$tmp/predserverd" -addr "127.0.0.1:$P5" -chaos-handoff >"$tmp/rs-a.log" 2>&1 &
+echo "==> gate 3: resize 2 -> 3 mid-load"
+"$tmp/predserverd" -addr "127.0.0.1:$P5" >"$tmp/rs-a.log" 2>&1 &
 ra_pid=$!
 "$tmp/predserverd" -addr "127.0.0.1:$P6" >"$tmp/rs-b.log" 2>&1 &
 rb_pid=$!
@@ -282,7 +277,7 @@ if [ "$p1_digest" != "$ref_p1" ]; then
     exit 1
 fi
 
-"$tmp/predserverd" -addr "127.0.0.1:$P7" -chaos-handoff >"$tmp/rs-c.log" 2>&1 &
+"$tmp/predserverd" -addr "127.0.0.1:$P7" >"$tmp/rs-c.log" 2>&1 &
 rc_pid=$!
 pids="$pids $rc_pid"
 wait_ready "127.0.0.1:$P7"
@@ -295,12 +290,6 @@ wait_ready "127.0.0.1:$P7"
     exit 1
 }
 sed 's/^/    /' "$tmp/rebalance.out" | tail -n 3
-retries=$(grep -o '[0-9]* retries' "$tmp/rebalance.out" | tail -n1 | cut -d' ' -f1)
-if [ "${retries:-0}" -lt 1 ]; then
-    echo "FAIL: rebalance reported no retries — the injected mid-transfer kill never fired" >&2
-    cat "$tmp/rebalance.out" >&2
-    exit 1
-fi
 
 # Zero lost paths: the three nodes hold the series exactly once, and the
 # joiner actually owns some of it.
@@ -327,7 +316,7 @@ p2_digest=$(digest_of "$tmp/resize-p2.out")
 echo "    phase-2 ref    $ref_p2"
 echo "    phase-2 3-node $p2_digest"
 if [ "$p2_digest" != "$ref_p2" ]; then
-    echo "FAIL: phase-2 digest diverged after the killed-and-retried resize" >&2
+    echo "FAIL: phase-2 digest diverged after the resize" >&2
     exit 1
 fi
 
@@ -336,4 +325,4 @@ stop_node "$rb_pid" "$tmp/rs-b.log"
 stop_node "$rc_pid" "$tmp/rs-c.log"
 pids=""
 
-echo "OK: 4-node digest equality, rolling restart ridden out, resize 2->3 with killed handoff converged"
+echo "OK: 4-node digest equality, rolling restart ridden out, resize 2->3 converged"
