@@ -67,17 +67,6 @@ const (
 	TrendNone
 )
 
-func (t Trend) String() string {
-	switch t {
-	case TrendIncreasing:
-		return "increasing"
-	case TrendNone:
-		return "none"
-	default:
-		return "ambiguous"
-	}
-}
-
 // pathload's published PCT/PDT thresholds.
 const (
 	pctIncreasing = 0.66

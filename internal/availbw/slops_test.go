@@ -114,14 +114,6 @@ func TestClassifyOWDsTooShort(t *testing.T) {
 	}
 }
 
-func TestTrendString(t *testing.T) {
-	if availbw.TrendIncreasing.String() != "increasing" ||
-		availbw.TrendNone.String() != "none" ||
-		availbw.TrendAmbiguous.String() != "ambiguous" {
-		t.Error("Trend.String broken")
-	}
-}
-
 func TestConfigDefaults(t *testing.T) {
 	cfg := availbw.Config{}.Defaults()
 	if cfg.StreamLength != 100 || cfg.StreamsPerRate != 2 || cfg.MaxIterations != 14 {

@@ -266,7 +266,7 @@ func TestObserverSeesEpochsAndSummary(t *testing.T) {
 func TestProgressOutput(t *testing.T) {
 	var buf bytes.Buffer
 	jobs := makeJobs(2)
-	r := &Runner[int]{Parallelism: 1, Observer: &Progress{W: &buf, MinInterval: 0}}
+	r := &Runner[int]{Parallelism: 1, Observer: &Progress{W: &buf}}
 	err := r.Run(context.Background(), jobs, func(ctx context.Context, job Job, rep *Reporter) (int, error) {
 		rep.Epoch(0, 5, 42)
 		return 0, nil

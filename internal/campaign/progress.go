@@ -14,8 +14,6 @@ import (
 // prints one full line per failed trace. Safe for concurrent use.
 type Progress struct {
 	W io.Writer
-	// MinInterval throttles repaints (default 200 ms).
-	MinInterval time.Duration
 
 	mu          sync.Mutex
 	start       time.Time
@@ -99,14 +97,13 @@ func (p *Progress) CampaignFinished(sum Summary) {
 	fmt.Fprintln(p.W, msg)
 }
 
+// repaintInterval throttles unforced repaints of the status line.
+const repaintInterval = 200 * time.Millisecond
+
 // draw repaints the status line; force skips the throttle.
 func (p *Progress) draw(force bool) {
-	min := p.MinInterval
-	if min == 0 {
-		min = 200 * time.Millisecond
-	}
 	now := time.Now()
-	if !force && now.Sub(p.lastDraw) < min {
+	if !force && now.Sub(p.lastDraw) < repaintInterval {
 		return
 	}
 	p.lastDraw = now
@@ -154,13 +151,10 @@ func (p *Progress) clearLine() {
 }
 
 // JSONL is a machine-readable Observer: one JSON object per line per
-// event, suitable for piping into analysis tooling or a log collector.
-// Epoch events are sampled via EveryEpoch (default 1 = every epoch).
+// event (every epoch included), suitable for piping into analysis tooling
+// or a log collector.
 type JSONL struct {
 	W io.Writer
-	// EveryEpoch emits only every n-th epoch event per trace (plus the
-	// trace's last epoch implicitly via trace_finished). 0 means 1.
-	EveryEpoch int
 
 	mu    sync.Mutex
 	start time.Time
@@ -212,9 +206,6 @@ func (j *JSONL) TraceStarted(job Job, attempt int) {
 }
 
 func (j *JSONL) EpochDone(job Job, epoch int, vt float64, events uint64) {
-	if every := j.EveryEpoch; every > 1 && epoch%every != 0 {
-		return
-	}
 	j.emit(jsonlEvent{Event: "epoch", Path: job.Path, Trace: job.Trace, Epoch: epoch, Virtual: vt, Events: events})
 }
 

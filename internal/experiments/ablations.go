@@ -77,7 +77,7 @@ func AblationLSOComponents(ds *testbed.Dataset) Result {
 	samples := make([][]float64, len(variants))
 	for i, v := range variants {
 		names[i] = v.name
-		samples[i] = hbPerTraceRMSRE(ds, v.mk, false)
+		samples[i] = hbPerTraceRMSRE(ds, v.mk)
 	}
 	return Result{
 		ID:     "ablation-lso-components",
@@ -120,7 +120,7 @@ func AblationHistoryLength(ds *testbed.Dataset) Result {
 		names = append(names, fmt.Sprintf("%d-MA-LSO", n))
 		samples = append(samples, hbPerTraceRMSRE(ds, func() predict.HB {
 			return predict.NewLSO(predict.NewMA(n), predict.DefaultLSOConfig())
-		}, false))
+		}))
 	}
 	return Result{
 		ID:     "ablation-history-length",
@@ -143,7 +143,7 @@ func SummaryTable(ds *testbed.Dataset) Result {
 	fbTraceRMSRE := hbFBTraceRMSRE(ds)
 	hwlso := hbPerTraceRMSRE(ds, func() predict.HB {
 		return predict.NewLSO(predict.NewHoltWinters(0.8, 0.2), predict.DefaultLSOConfig())
-	}, false)
+	})
 	hbUnder04 := 0
 	for _, r := range hwlso {
 		if r < 0.4 {

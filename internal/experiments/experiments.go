@@ -132,18 +132,15 @@ func EvalFB(ds *testbed.Dataset, model predict.Model, src FBSource, windowBytes 
 	return out
 }
 
-// EvalFBSmoothed runs FB with MA(n)-smoothed RTT and loss inputs per path
-// (paper §4.2.10): the inputs for epoch i are the moving averages of the
-// previous n epochs' pre-flow measurements including epoch i's own.
-func EvalFBSmoothed(ds *testbed.Dataset, model predict.Model, n int, windowBytes int) []FBEval {
-	if windowBytes == 0 {
-		windowBytes = 1 << 20
-	}
-	fb := predict.NewFB(predict.FBConfig{Model: model, MaxWindowBytes: windowBytes})
+// EvalFBSmoothed runs PFTK FB with MA(10)-smoothed RTT and loss inputs per
+// path (paper §4.2.10): the inputs for epoch i are the moving averages of
+// the previous 10 epochs' pre-flow measurements including epoch i's own.
+func EvalFBSmoothed(ds *testbed.Dataset) []FBEval {
+	fb := predict.NewFB(predict.FBConfig{Model: predict.ModelPFTK})
 	var out []FBEval
 	for _, tr := range ds.Traces {
-		rttMA := predict.NewMA(n)
-		lossMA := predict.NewMA(n)
+		rttMA := predict.NewMA(10)
+		lossMA := predict.NewMA(10)
 		for _, rec := range tr.Records {
 			rttMA.Observe(rec.PreRTT)
 			lossMA.Observe(rec.PreLoss)

@@ -190,7 +190,7 @@ func TestSummaryHasAllMetrics(t *testing.T) {
 
 func TestHBPerTraceRMSRESmallSeries(t *testing.T) {
 	ds := &testbed.Dataset{Traces: []testbed.Trace{{Path: "x", Records: nil}}}
-	got := hbPerTraceRMSRE(ds, func() predict.HB { return predict.NewMA(5) }, false)
+	got := hbPerTraceRMSRE(ds, func() predict.HB { return predict.NewMA(5) })
 	if len(got) != 0 {
 		t.Errorf("empty trace should be skipped, got %v", got)
 	}

@@ -53,7 +53,7 @@ func ExtAR(ds *testbed.Dataset) Result {
 	samples := make([][]float64, len(variants))
 	for i, v := range variants {
 		names[i] = v.name
-		samples[i] = hbPerTraceRMSRE(ds, v.mk, false)
+		samples[i] = hbPerTraceRMSRE(ds, v.mk)
 	}
 	return Result{
 		ID:    "ext-ar",
@@ -197,14 +197,12 @@ func ExtShortTransfers(seed int64) Result {
 				actual := rep.ThroughputBps / 8 // bytes/s
 
 				d := (size + 1459) / 1460
-				params := tcpmodel.ShortTransferParams{
-					Params: tcpmodel.Params{
-						MSS: 1460, RTT: pc.rtt, Loss: pc.loss, B: 2,
-						RTO: math.Max(1, 2*pc.rtt), Wmax: float64(1<<20) / 1460,
-					},
+				params := tcpmodel.Params{
+					MSS: 1460, RTT: pc.rtt, Loss: pc.loss, B: 2,
+					RTO: math.Max(1, 2*pc.rtt), Wmax: float64(1<<20) / 1460,
 				}
 				shortPred := tcpmodel.ShortTransferThroughput(params, d)
-				bulkPred := tcpmodel.PFTK(params.Params)
+				bulkPred := tcpmodel.PFTK(params)
 				if math.IsInf(bulkPred, 1) {
 					bulkPred = params.Wmax * 1460 / pc.rtt
 				}

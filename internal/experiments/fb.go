@@ -406,7 +406,7 @@ func Fig13(ds *testbed.Dataset) Result {
 // bottleneck.
 func Fig14(ds *testbed.Dataset) Result {
 	latest := Errors(EvalFB(ds, predict.ModelPFTK, SourcePre, 0))
-	smoothed := Errors(EvalFBSmoothed(ds, predict.ModelPFTK, 10, 0))
+	smoothed := Errors(EvalFBSmoothed(ds))
 	return Result{
 		ID:    "fig14",
 		Title: "FB error with MA(10)-smoothed T̂,p̂ vs latest-sample inputs",
@@ -432,7 +432,7 @@ func Fig19(ds *testbed.Dataset) Result {
 	}
 	hb := hbPerTraceRMSRE(ds, func() predict.HB {
 		return predict.NewLSO(predict.NewHoltWinters(0.8, 0.2), predict.DefaultLSOConfig())
-	}, false)
+	})
 	sort.Float64s(rmsres)
 	return Result{
 		ID:    "fig19",

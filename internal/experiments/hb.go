@@ -10,16 +10,12 @@ import (
 	"repro/internal/testbed"
 )
 
-// hbPerTraceRMSRE evaluates a fresh predictor per trace and returns the
-// per-trace RMSREs. When small is true the window-limited throughput
-// series is used.
-func hbPerTraceRMSRE(ds *testbed.Dataset, mk func() predict.HB, small bool) []float64 {
+// hbPerTraceRMSRE evaluates a fresh predictor per trace on its
+// throughput series and returns the per-trace RMSREs.
+func hbPerTraceRMSRE(ds *testbed.Dataset, mk func() predict.HB) []float64 {
 	var out []float64
 	for _, tr := range ds.Traces {
 		series := tr.Throughputs()
-		if small {
-			series = tr.SmallThroughputs()
-		}
 		if len(series) == 0 {
 			continue
 		}
@@ -147,7 +143,7 @@ func Fig16(ds *testbed.Dataset) Result {
 	samples := make([][]float64, len(variants))
 	for i, v := range variants {
 		names[i] = v.name
-		samples[i] = hbPerTraceRMSRE(ds, v.mk, false)
+		samples[i] = hbPerTraceRMSRE(ds, v.mk)
 	}
 	return Result{
 		ID:    "fig16",
@@ -179,7 +175,7 @@ func Fig17(ds *testbed.Dataset) Result {
 	samples := make([][]float64, len(variants))
 	for i, v := range variants {
 		names[i] = v.name
-		samples[i] = hbPerTraceRMSRE(ds, v.mk, false)
+		samples[i] = hbPerTraceRMSRE(ds, v.mk)
 	}
 	return Result{
 		ID:    "fig17",

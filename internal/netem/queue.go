@@ -34,18 +34,15 @@ type Queue struct {
 	LossProb      float64 // random per-packet loss probability
 	// RED enables random-early-detection dropping, approximating the
 	// smoother per-flow loss seen on highly multiplexed router links: an
-	// EWMA of the queue occupancy drives a drop probability that rises
-	// linearly from 0 at MinTh to MaxP at MaxTh (fractions of the buffer)
-	// and to 1 above MaxTh. Tail drop still applies at the hard limit.
-	RED   bool
-	MinTh float64 // default 0.15
-	MaxTh float64 // default 0.7
-	MaxP  float64 // default 0.04
-	// ReorderProb delays a departing packet by ReorderDelay instead of
-	// handing it straight to Next, so it arrives behind packets
+	// EWMA of the queue occupancy drives a drop probability that is 0 up
+	// to redMinTh of the buffer, rises linearly to redMaxP at redMaxTh,
+	// and from there linearly to 1 at a full buffer (gentle RED). Tail
+	// drop still applies at the hard limit.
+	RED bool
+	// ReorderProb delays a departing packet by one more propagation delay
+	// instead of handing it straight to Next, so it arrives behind packets
 	// transmitted after it — the classic cause of spurious duplicate ACKs.
-	ReorderProb  float64
-	ReorderDelay float64 // default: one propagation delay
+	ReorderProb float64
 	// Rate, when non-nil, scales the link capacity over time (a
 	// cellular-style variable-rate link): each packet serializes at
 	// CapacityBps × Rate.At(t) sampled at its transmission start.
@@ -117,7 +114,7 @@ func (q *Queue) Receive(pkt *Packet) {
 		q.pool.Put(pkt)
 		return
 	}
-	if q.RED && q.redDrop(pkt) {
+	if q.RED && q.redDrop() {
 		q.stats.Drops++
 		q.pool.Put(pkt)
 		return
@@ -129,34 +126,38 @@ func (q *Queue) Receive(pkt *Packet) {
 	}
 }
 
+// The RED drop curve: thresholds as fractions of the buffer, and the drop
+// probability at redMaxTh. Typed, so each operation on them rounds to
+// float64 as it would on a variable.
+const (
+	redMinTh float64 = 0.15
+	redMaxTh float64 = 0.7
+	redMaxP  float64 = 0.04
+)
+
 // redDrop updates the EWMA occupancy and applies the RED drop curve.
-func (q *Queue) redDrop(pkt *Packet) bool {
+func (q *Queue) redDrop() bool {
 	const wq = 0.02
 	q.avgQ = (1-wq)*q.avgQ + wq*float64(q.qBytes)
-	minTh, maxTh, maxP := q.MinTh, q.MaxTh, q.MaxP
-	if minTh == 0 {
-		minTh = 0.15
-	}
-	if maxTh == 0 {
-		maxTh = 0.7
-	}
-	if maxP == 0 {
-		maxP = 0.04
-	}
-	lo := minTh * float64(q.BufferBytes)
-	hi := maxTh * float64(q.BufferBytes)
+	// Below redMinTh the probability is 0 and no random number is drawn.
+	p := redDropProb(q.avgQ, float64(q.BufferBytes))
+	return p > 0 && q.rng != nil && q.rng.Bool(p)
+}
+
+// redDropProb is the RED drop probability at EWMA occupancy avg in a
+// buffer of full bytes.
+func redDropProb(avg, full float64) float64 {
+	lo := redMinTh * full
+	hi := redMaxTh * full
 	switch {
-	case q.avgQ <= lo:
-		return false
-	case q.avgQ >= hi:
-		// Gentle RED: probability rises from maxP to 1 between MaxTh and
-		// the full buffer.
-		full := float64(q.BufferBytes)
-		p := maxP + (1-maxP)*(q.avgQ-hi)/(full-hi)
-		return q.rng != nil && q.rng.Bool(p)
+	case avg <= lo:
+		return 0
+	case avg >= hi:
+		// Gentle RED: probability rises from redMaxP to 1 between
+		// redMaxTh and the full buffer.
+		return redMaxP + (1-redMaxP)*(avg-hi)/(full-hi)
 	default:
-		p := maxP * (q.avgQ - lo) / (hi - lo)
-		return q.rng != nil && q.rng.Bool(p)
+		return redMaxP * (avg - lo) / (hi - lo)
 	}
 }
 
@@ -191,11 +192,7 @@ func (q *Queue) txDone(a any) {
 	q.stats.Departures++
 	delay := q.PropDelay
 	if q.ReorderProb > 0 && q.rng != nil && q.rng.Bool(q.ReorderProb) {
-		extra := q.ReorderDelay
-		if extra == 0 {
-			extra = q.PropDelay
-		}
-		delay += extra
+		delay += q.PropDelay
 	}
 	q.eng.ScheduleArg(delay, q.deliverFn, pkt)
 	q.transmitNext()

@@ -160,6 +160,22 @@ func TestQueueREDDropsRiseWithOccupancy(t *testing.T) {
 	}
 }
 
+// TestREDDropCurve pins the drop probability in each region of the curve:
+// 0 at or below 0.15 of the buffer, linear up to 0.04 at 0.7 of it, and
+// linear from there to 1 at a full buffer.
+func TestREDDropCurve(t *testing.T) {
+	const full = 100 * 1000
+	for _, c := range []struct{ frac, want float64 }{
+		{0, 0}, {0.1, 0}, {0.15, 0},
+		{0.425, 0.02}, {0.7, 0.04},
+		{0.85, 0.52}, {1, 1},
+	} {
+		if got := redDropProb(c.frac*full, full); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("drop probability at %.3g of the buffer = %v, want %v", c.frac, got, c.want)
+		}
+	}
+}
+
 func TestQueueBacklogTracksBytes(t *testing.T) {
 	eng := sim.NewEngine()
 	q := NewQueue(eng, nil, 8e6, 0, 1<<20, drop)
@@ -243,7 +259,6 @@ func TestQueueReordering(t *testing.T) {
 		seqs = append(seqs, p.Seq)
 	}))
 	q.ReorderProb = 0.2
-	q.ReorderDelay = 0.02
 	for i := 0; i < 500; i++ {
 		q.Receive(&Packet{Size: 1000, Seq: int64(i)})
 	}

@@ -38,21 +38,6 @@ const (
 	ModelMathis                   // square-root formula (paper Eq. 1)
 )
 
-func (m Model) String() string {
-	switch m {
-	case ModelPFTK:
-		return "PFTK"
-	case ModelPFTKPaper:
-		return "PFTK(paper)"
-	case ModelRevisedPFTK:
-		return "revised-PFTK"
-	case ModelMathis:
-		return "Mathis"
-	default:
-		return "unknown"
-	}
-}
-
 // FBInputs are the a-priori measurements an FB prediction consumes.
 type FBInputs struct {
 	RTT      float64 `json:"rtt_s"`        // T̂: RTT from periodic probing before the flow, seconds

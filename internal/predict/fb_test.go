@@ -113,18 +113,6 @@ func TestFBWindowCapAlwaysHolds(t *testing.T) {
 	}
 }
 
-func TestModelString(t *testing.T) {
-	names := map[Model]string{
-		ModelPFTK: "PFTK", ModelPFTKPaper: "PFTK(paper)",
-		ModelRevisedPFTK: "revised-PFTK", ModelMathis: "Mathis",
-	}
-	for m, want := range names {
-		if m.String() != want {
-			t.Errorf("%d.String() = %q, want %q", m, m.String(), want)
-		}
-	}
-}
-
 func TestFBDefaultsApplied(t *testing.T) {
 	fb := NewFB(FBConfig{})
 	if fb.cfg.MaxWindowBytes != 1<<20 || fb.cfg.B != 2 {

@@ -151,14 +151,8 @@ func (c *Client) probeOne(ctx context.Context, url string) bool {
 	return resp.StatusCode == http.StatusOK
 }
 
-// WaitReady polls node's /readyz until it answers 200, ctx is done, or
-// the deadline elapses (non-positive: wait on ctx alone).
-func (c *Client) WaitReady(ctx context.Context, node string, deadline time.Duration) error {
-	if deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, deadline)
-		defer cancel()
-	}
+// WaitReady polls node's /readyz until it answers 200 or ctx is done.
+func (c *Client) WaitReady(ctx context.Context, node string) error {
 	for {
 		if c.probeOne(ctx, node+"/readyz") {
 			return nil
@@ -233,7 +227,7 @@ func (c *Client) Do(ctx context.Context, method, node, path string, body []byte)
 			if !sawTransportErr {
 				sawTransportErr = true
 			}
-			if werr := c.WaitReady(retryCtx, node, 0); werr != nil {
+			if werr := c.WaitReady(retryCtx, node); werr != nil {
 				return 0, nil, fmt.Errorf("cluster: %s %s%s: %v (while down: %w)", method, node, path, err, werr)
 			}
 		}

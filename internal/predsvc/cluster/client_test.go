@@ -177,7 +177,7 @@ func TestDoRidesOutNodeRestart(t *testing.T) {
 }
 
 // TestWaitReady: a 503 node (draining, or still restoring) is not ready;
-// WaitReady keeps polling until the flip and honors its deadline.
+// WaitReady keeps polling until the flip and gives up when its context ends.
 func TestWaitReady(t *testing.T) {
 	var ready atomic.Bool
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -194,7 +194,10 @@ func TestWaitReady(t *testing.T) {
 	defer ts.Close()
 
 	c := testClient(t, ts.URL)
-	if err := c.WaitReady(context.Background(), ts.URL, 20*time.Millisecond); err == nil {
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	err := c.WaitReady(ctx, ts.URL)
+	cancel()
+	if err == nil {
 		t.Fatal("WaitReady returned before the node was ready")
 	}
 	if healthy, rdy := c.Probe(context.Background(), ts.URL); healthy || rdy {
@@ -205,7 +208,9 @@ func TestWaitReady(t *testing.T) {
 		time.Sleep(15 * time.Millisecond)
 		ready.Store(true)
 	}()
-	if err := c.WaitReady(context.Background(), ts.URL, 5*time.Second); err != nil {
+	ctx, cancel = context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := c.WaitReady(ctx, ts.URL); err != nil {
 		t.Fatalf("WaitReady after flip: %v", err)
 	}
 }

@@ -11,17 +11,13 @@ import "math"
 //
 //  1. an initial slow-start phase delivering E[d_ss] segments (paper's
 //     §4.2.7 formula) with the window growing by factor γ = 1 + 1/b per
-//     round trip from an initial window w0, capped at Wmax,
-//  2. a steady-state phase delivering the remainder at the PFTK rate,
-//  3. the connection-establishment round trip.
+//     round trip from an initial window of initialWindow segments, capped
+//     at Wmax,
+//  2. a steady-state phase delivering the remainder at the PFTK rate.
 
-// ShortTransferParams extends Params with slow-start specifics.
-type ShortTransferParams struct {
-	Params
-	InitialWindow float64 // w0 in segments (default 2)
-	// Handshake adds one RTT for connection setup when true.
-	Handshake bool
-}
+// initialWindow is w0, the window in segments of slow start's first round
+// trip: 2, the value the paper's §4.2.7 model starts from.
+const initialWindow = 2
 
 // slowStartRounds returns the number of round trips slow start needs to
 // deliver dss segments starting from w0 with growth factor gamma, and the
@@ -55,13 +51,9 @@ func slowStartRounds(dss, w0, gamma, wmax float64) (rounds, wFinal float64) {
 // ShortTransferTime returns the expected time (seconds) to transfer d
 // segments, including the initial slow start. It degrades to d·M/PFTK
 // for large d.
-func ShortTransferTime(p ShortTransferParams, d int64) float64 {
+func ShortTransferTime(p Params, d int64) float64 {
 	if d <= 0 {
 		return 0
-	}
-	w0 := p.InitialWindow
-	if w0 <= 0 {
-		w0 = 2
 	}
 	gamma := 1 + 1/p.b()
 	wmax := p.Wmax
@@ -69,21 +61,16 @@ func ShortTransferTime(p ShortTransferParams, d int64) float64 {
 		wmax = math.Inf(1)
 	}
 
-	t := 0.0
-	if p.Handshake {
-		t += p.RTT
-	}
-
 	dss := SlowStartSegments(p.Loss, d)
 	if dss > float64(d) {
 		dss = float64(d)
 	}
-	rounds, _ := slowStartRounds(dss, w0, gamma, wmax)
-	t += rounds * p.RTT
+	rounds, _ := slowStartRounds(dss, initialWindow, gamma, wmax)
+	t := rounds * p.RTT
 
 	rest := float64(d) - dss
 	if rest > 0 {
-		rate := PFTK(p.Params) // bytes/s
+		rate := PFTK(p) // bytes/s
 		if math.IsInf(rate, 1) {
 			// Lossless and uncapped: stream at one window per RTT.
 			w := wmax
@@ -100,7 +87,7 @@ func ShortTransferTime(p ShortTransferParams, d int64) float64 {
 
 // ShortTransferThroughput returns the expected average throughput in
 // bytes/s of a d-segment transfer.
-func ShortTransferThroughput(p ShortTransferParams, d int64) float64 {
+func ShortTransferThroughput(p Params, d int64) float64 {
 	t := ShortTransferTime(p, d)
 	if t <= 0 {
 		return 0

@@ -5,10 +5,8 @@ import (
 	"testing"
 )
 
-func shortParams(p, rtt float64) ShortTransferParams {
-	return ShortTransferParams{
-		Params: Params{MSS: 1460, RTT: rtt, Loss: p, B: 2, RTO: 1, Wmax: 718},
-	}
+func shortParams(p, rtt float64) Params {
+	return Params{MSS: 1460, RTT: rtt, Loss: p, B: 2, RTO: 1, Wmax: 718}
 }
 
 func TestShortTransferTimeZero(t *testing.T) {
@@ -44,7 +42,7 @@ func TestShortTransferConvergesToPFTK(t *testing.T) {
 	// steady-state rate.
 	p := shortParams(0.01, 0.08)
 	big := ShortTransferThroughput(p, 1e6)
-	pftk := PFTK(p.Params)
+	pftk := PFTK(p)
 	if math.Abs(big-pftk)/pftk > 0.05 {
 		t.Errorf("large-transfer throughput %v, PFTK %v: should converge", big, pftk)
 	}
@@ -55,19 +53,9 @@ func TestShortTransferSlowerThanBulkForSmallD(t *testing.T) {
 	// throughput must be below PFTK.
 	p := shortParams(0.005, 0.08)
 	small := ShortTransferThroughput(p, 20)
-	pftk := PFTK(p.Params)
+	pftk := PFTK(p)
 	if small >= pftk {
 		t.Errorf("20-segment throughput %v not below PFTK %v", small, pftk)
-	}
-}
-
-func TestShortTransferHandshakeAddsRTT(t *testing.T) {
-	p := shortParams(0.01, 0.1)
-	without := ShortTransferTime(p, 50)
-	p.Handshake = true
-	with := ShortTransferTime(p, 50)
-	if math.Abs(with-without-0.1) > 1e-9 {
-		t.Errorf("handshake added %v, want exactly one RTT", with-without)
 	}
 }
 

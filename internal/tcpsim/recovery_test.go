@@ -155,17 +155,22 @@ func TestHandlerInterposition(t *testing.T) {
 func TestTCPSurvivesReordering(t *testing.T) {
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(1)
+	// A reordered packet arrives one propagation delay late, so the
+	// reordering hop has 2 ms of the 30 ms one-way delay: a displacement
+	// of 1-2 packets (2 ms at 10 Mbps) stays below the three-dup-ACK
+	// threshold; larger displacements legitimately trigger spurious
+	// recoveries (the known FACK reordering intolerance).
 	path := netem.NewPath(eng, rng, netem.PathSpec{
 		Name: "reorder",
 		Forward: []netem.Hop{
+			{CapacityBps: 10e6, PropDelay: 0.028, BufferBytes: 1 << 20},
+			{CapacityBps: 1e9, PropDelay: 0.002, BufferBytes: 1 << 20},
+		},
+		Reverse: []netem.Hop{
 			{CapacityBps: 10e6, PropDelay: 0.03, BufferBytes: 1 << 20},
 		},
 	})
-	// A displacement of 1-2 packets (2 ms at 10 Mbps) stays below the
-	// three-dup-ACK threshold; larger displacements legitimately trigger
-	// spurious recoveries (the known FACK reordering intolerance).
-	path.Fwd[0].ReorderProb = 0.02
-	path.Fwd[0].ReorderDelay = 0.002
+	path.Fwd[1].ReorderProb = 0.02
 	conn := tcpsim.Dial(eng, path, 1, tcpsim.Config{})
 	conn.Sender.Start()
 	eng.RunUntil(30)

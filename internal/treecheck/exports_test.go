@@ -144,50 +144,192 @@ func (x *index) exports() []*export {
 		}
 	}
 
-	// Uses through an interface: a method counts when a type whose method
-	// set holds it implements an interface that declares it, and that
-	// interface's method is called somewhere in the tree or the interface
-	// is the standard library's (whose callers this index does not read).
+	// Uses through an interface: a method counts when non-test code
+	// converts a type whose method set holds it to an interface type, and
+	// the type implements an interface that declares the method and whose
+	// method of that name is called somewhere in the tree, or that is the
+	// standard library's (whose callers this index does not read).
 	ifaces := x.interfaces(usedAnywhere)
-	holders := map[types.Object][]types.Type{}
-	for _, p := range x.packages() {
-		for _, name := range p.types.Scope().Names() {
-			tn, ok := p.types.Scope().Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() {
+	for _, t := range x.converted() {
+		ms := types.NewMethodSet(t)
+		for i := 0; i < ms.Len(); i++ {
+			e := byObj[origin(ms.At(i).Obj())]
+			if e == nil || e.used {
 				continue
 			}
-			n, ok := tn.Type().(*types.Named)
-			if !ok || n.TypeParams().Len() > 0 {
-				continue
-			}
-			var t types.Type = n
-			if !types.IsInterface(n) {
-				t = types.NewPointer(n)
-			}
-			ms := types.NewMethodSet(t)
-			for i := 0; i < ms.Len(); i++ {
-				m := origin(ms.At(i).Obj())
-				holders[m] = append(holders[m], t)
-			}
-		}
-	}
-	for _, e := range all {
-		fn, ok := e.obj.(*types.Func)
-		if e.used || !ok || fn.Type().(*types.Signature).Recv() == nil {
-			continue
-		}
-	search:
-		for _, t := range holders[fn] {
-			for _, it := range ifaces[fn.Name()] {
+			for _, it := range ifaces[e.obj.Name()] {
 				if types.Implements(t, it) {
 					e.used = true
-					break search
+					break
 				}
 			}
 		}
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].name < all[j].name })
 	return all
+}
+
+// converted lists the types whose values non-test code converts to an
+// interface type: by an assignment (a send included), an argument, a
+// return, a composite-literal element or an explicit conversion. The
+// element types and exported field types of a converted type count too:
+// fmt and the encoders reach their methods by reflection.
+func (x *index) converted() []types.Type {
+	seen := map[string]bool{}
+	var out []types.Type
+	var reach func(t types.Type)
+	reach = func(t types.Type) {
+		key := types.TypeString(t, nil)
+		if seen[key] {
+			return
+		}
+		seen[key] = true
+		out = append(out, t)
+		switch u := t.Underlying().(type) {
+		case *types.Pointer:
+			reach(u.Elem())
+		case *types.Slice:
+			reach(u.Elem())
+		case *types.Array:
+			reach(u.Elem())
+		case *types.Map:
+			reach(u.Key())
+			reach(u.Elem())
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				if u.Field(i).Exported() {
+					reach(u.Field(i).Type())
+				}
+			}
+		}
+	}
+	add := func(from, to types.Type) {
+		if from != nil && to != nil && types.IsInterface(to) {
+			reach(from)
+		}
+	}
+	for _, p := range x.packages() {
+		// values lists the types of es, spreading a multi-value call.
+		values := func(es []ast.Expr) []types.Type {
+			if len(es) == 1 {
+				if t, ok := p.info.TypeOf(es[0]).(*types.Tuple); ok {
+					out := make([]types.Type, t.Len())
+					for i := range out {
+						out[i] = t.At(i).Type()
+					}
+					return out
+				}
+			}
+			out := make([]types.Type, len(es))
+			for i, e := range es {
+				out[i] = p.info.TypeOf(e)
+			}
+			return out
+		}
+		for _, f := range p.files {
+			var path []ast.Node // from the file down to the current node
+			ast.Inspect(f, func(n ast.Node) bool {
+				if n == nil {
+					path = path[:len(path)-1]
+					return true
+				}
+				path = append(path, n)
+				switch s := n.(type) {
+				case *ast.AssignStmt:
+					if s.Tok == token.ASSIGN || s.Tok == token.DEFINE {
+						for i, t := range values(s.Rhs) {
+							add(t, p.info.TypeOf(s.Lhs[i]))
+						}
+					}
+				case *ast.ValueSpec:
+					if s.Type != nil {
+						for _, t := range values(s.Values) {
+							add(t, p.info.TypeOf(s.Type))
+						}
+					}
+				case *ast.SendStmt:
+					if ch, ok := p.info.TypeOf(s.Chan).Underlying().(*types.Chan); ok {
+						add(p.info.TypeOf(s.Value), ch.Elem())
+					}
+				case *ast.ReturnStmt:
+					var sig *types.Signature
+					for i := len(path) - 1; i >= 0 && sig == nil; i-- {
+						switch fn := path[i].(type) {
+						case *ast.FuncDecl:
+							sig = p.info.Defs[fn.Name].Type().(*types.Signature)
+						case *ast.FuncLit:
+							sig = p.info.TypeOf(fn).(*types.Signature)
+						}
+					}
+					for i, t := range values(s.Results) {
+						if i < sig.Results().Len() {
+							add(t, sig.Results().At(i).Type())
+						}
+					}
+				case *ast.CallExpr:
+					fun := p.info.Types[s.Fun]
+					switch {
+					case fun.IsType():
+						add(p.info.TypeOf(s.Args[0]), fun.Type)
+					case fun.IsBuiltin():
+						if id, ok := ast.Unparen(s.Fun).(*ast.Ident); ok && id.Name == "append" && !s.Ellipsis.IsValid() {
+							if sl, ok := p.info.TypeOf(s.Args[0]).Underlying().(*types.Slice); ok {
+								for _, a := range s.Args[1:] {
+									add(p.info.TypeOf(a), sl.Elem())
+								}
+							}
+						}
+					default:
+						sig, ok := fun.Type.Underlying().(*types.Signature)
+						if !ok {
+							break
+						}
+						params := sig.Params()
+						for i, t := range values(s.Args) {
+							switch {
+							case sig.Variadic() && i >= params.Len()-1 && !s.Ellipsis.IsValid():
+								add(t, params.At(params.Len()-1).Type().(*types.Slice).Elem())
+							case i < params.Len():
+								add(t, params.At(i).Type())
+							}
+						}
+					}
+				case *ast.CompositeLit:
+					switch u := p.info.TypeOf(s).Underlying().(type) {
+					case *types.Struct:
+						for i, el := range s.Elts {
+							if kv, ok := el.(*ast.KeyValueExpr); ok {
+								if v, ok := p.info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+									add(p.info.TypeOf(kv.Value), v.Type())
+								}
+							} else {
+								add(p.info.TypeOf(el), u.Field(i).Type())
+							}
+						}
+					case *types.Slice, *types.Array, *types.Map:
+						var key, elem types.Type
+						switch u := u.(type) {
+						case *types.Slice:
+							elem = u.Elem()
+						case *types.Array:
+							elem = u.Elem()
+						case *types.Map:
+							key, elem = u.Key(), u.Elem()
+						}
+						for _, el := range s.Elts {
+							if kv, ok := el.(*ast.KeyValueExpr); ok {
+								add(p.info.TypeOf(kv.Key), key)
+								el = kv.Value
+							}
+							add(p.info.TypeOf(el), elem)
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	return out
 }
 
 // interfaces maps a method name to the interfaces that can call it: those

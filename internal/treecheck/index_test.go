@@ -5,16 +5,18 @@
 //
 //   - every exported identifier under internal/ is named by some non-test
 //     code, or is a test oracle or test seam listed with its reason in
-//     testdata/allowlist.txt;
+//     testdata/allowlist.txt; a method counts as named through an
+//     interface only if some non-test code converts its type to one;
 //   - every struct field declared outside bench/ is read by some non-test
 //     code (a write, an increment or a composite-literal key is not a
 //     read), or is a test oracle or seam listed under [fields] in the same
 //     allowlist: a field nothing reads is state no result depends on;
-//   - every exported field of a Config (or ...Config) struct under
-//     internal/ is set by some non-test code outside its type's defaults
-//     method and outside a fill-in (if c.X == 0 { c.X = … }): a value
-//     every program leaves alone is a constant, and one only tests set is
-//     an unexported field;
+//   - every exported field of a struct type under internal/ (embedded
+//     and json-tagged fields aside) is set by some non-test code outside
+//     its type's defaults method, outside a fill-in (if c.X == 0 {
+//     c.X = … }) and other than as a constant a Default… function writes:
+//     a value every program leaves alone is a constant, and one only tests
+//     set is an unexported field;
 //   - every Go identifier and command flag that README.md, DESIGN.md and
 //     EXPERIMENTS.md write in backticks exists.
 //

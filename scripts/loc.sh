@@ -19,13 +19,15 @@ fields() {
         in_cfg && /^\t[A-Z]/     { n += gsub(/,/, ",") + 1 }
         END                       { print n + 0 }' "$1"
 }
-# Exported fields of every Config and ...Config struct under internal/,
-# the values a program can set: "A, B int" counts twice.
-config_fields() {
+# Exported fields of every struct type under internal/, the values a
+# program can set: "A, B int" counts twice; embedded fields and fields with
+# a json tag (set by the decoders) are not counted.
+settable_fields() {
     find internal -name '*.go' -not -name '*_test.go' -exec awk '
-        /^type [A-Za-z0-9_]*Config struct \{$/ { in_cfg = 1; next }
-        in_cfg && /^}/                          { in_cfg = 0; next }
-        in_cfg && match($0, /^\t[A-Z][A-Za-z0-9_]*(, *[A-Za-z0-9_]+)*/) {
+        /^type [A-Za-z0-9_]+(\[[^]]*\])? struct \{$/ { in_st = 1; next }
+        in_st && /^}/                                 { in_st = 0; next }
+        in_st && !/json:"/ && /^\t[A-Z][A-Za-z0-9_]*(, *[A-Za-z0-9_]+)* +[^ \/]/ {
+            match($0, /^\t[A-Z][A-Za-z0-9_]*(, *[A-Za-z0-9_]+)*/)
             names = substr($0, RSTART, RLENGTH); n += gsub(/,/, ",", names) + 1
         }
         END { print n + 0 }' {} + | awk '{ s += $1 } END { print s + 0 }'
@@ -51,9 +53,9 @@ echo "predload flags:                   $(flags cmd/predload/main.go)"
 # Everything a predsvc.Config literal can set. The predictor zoo has no
 # settings: every path runs the paper's configuration.
 echo "predsvc.Config settable values:   $(fields internal/predsvc/config.go Config)"
-# go test ./internal/treecheck fails on an exported Config field no program
+# go test ./internal/treecheck fails on an exported struct field no program
 # sets outside its type's defaults: it is a constant, or unexported.
-echo "exported Config fields, internal/: $(config_fields)"
+echo "exported settable fields, internal/: $(settable_fields)"
 # The public facade (tcppred.go at the root) carries what examples/, cmd/
 # and the root tests name, and the types its functions return.
 echo "exported identifiers, tcppred (facade): $(exported .)"

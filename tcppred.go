@@ -92,12 +92,10 @@ func ShortTransferThroughput(n int64, rtt, lossRate float64, maxWindowBytes int)
 		maxWindowBytes = 1 << 20
 	}
 	d := (n + 1459) / 1460
-	p := tcpmodel.ShortTransferParams{
-		Params: tcpmodel.Params{
-			MSS: 1460, RTT: rtt, Loss: lossRate, B: 2,
-			RTO:  predict.RTO(rtt),
-			Wmax: float64(maxWindowBytes) / 1460,
-		},
+	p := tcpmodel.Params{
+		MSS: 1460, RTT: rtt, Loss: lossRate, B: 2,
+		RTO:  predict.RTO(rtt),
+		Wmax: float64(maxWindowBytes) / 1460,
 	}
 	return tcpmodel.ShortTransferThroughput(p, d) * 8
 }
