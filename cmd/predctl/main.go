@@ -14,7 +14,8 @@
 //
 // status probes each node's /healthz, /readyz and /v1/stats and prints
 // one line per node — the operator's view during a rolling restart or
-// resize.
+// resize. A node gets 5 s for all three; one that accepts and never
+// answers reads as unhealthy instead of hanging the command.
 //
 // Examples:
 //
@@ -64,7 +65,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  predctl rebalance -from URL[,URL...] -to URL[,URL...] [-attempts N] [-q]
+  predctl rebalance -from URL[,URL...] -to URL[,URL...]
   predctl status -nodes URL[,URL...]`)
 	os.Exit(2)
 }
@@ -73,22 +74,16 @@ func rebalanceCmd(ctx context.Context, args []string) {
 	fs := flag.NewFlagSet("rebalance", flag.ExitOnError)
 	from := fs.String("from", "", "comma-separated base URLs of the current membership")
 	to := fs.String("to", "", "comma-separated base URLs of the new membership")
-	attempts := fs.Int("attempts", 5, "retry cap per source node's handoff pass")
-	quiet := fs.Bool("q", false, "suppress per-source progress lines")
 	fs.Parse(args)
 	fromNodes, toNodes := splitNodes(*from), splitNodes(*to)
 	if len(fromNodes) == 0 || len(toNodes) == 0 {
 		log.Fatal("rebalance needs both -from and -to")
 	}
-	cfg := predsvc.RebalanceConfig{
-		From:     fromNodes,
-		To:       toNodes,
-		Attempts: *attempts,
-	}
-	if !*quiet {
-		cfg.Logf = log.Printf
-	}
-	rep, err := predsvc.Rebalance(ctx, cfg)
+	rep, err := predsvc.Rebalance(ctx, predsvc.RebalanceConfig{
+		From: fromNodes,
+		To:   toNodes,
+		Logf: log.Printf,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -103,15 +98,10 @@ func statusCmd(ctx context.Context, args []string) {
 	if len(nodes) == 0 {
 		log.Fatal("status needs -nodes")
 	}
-	cc := cluster.NewClient(cluster.ClientConfig{Nodes: nodes, RetryDeadline: -1})
+	cc := cluster.NewClient(cluster.ClientConfig{Nodes: nodes})
 	exit := 0
 	for _, n := range nodes {
-		healthy, ready := cc.Probe(ctx, n)
-		line := fmt.Sprintf("%-28s healthy=%-5v ready=%-5v", n, healthy, ready)
-		if st, err := fetchStats(ctx, n); err == nil {
-			line += fmt.Sprintf(" paths=%-6d draining=%-5v observations=%d",
-				st.Paths, st.Draining, st.Metrics.Observations)
-		}
+		line, healthy := nodeStatus(ctx, cc, n)
 		fmt.Println(line)
 		if !healthy {
 			exit = 1
@@ -120,9 +110,25 @@ func statusCmd(ctx context.Context, args []string) {
 	os.Exit(exit)
 }
 
-func fetchStats(ctx context.Context, node string) (*predsvc.StatsResponse, error) {
-	ctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+// nodeTimeout bounds one node's status: its health probes and its stats
+// fetch together. A variable so the test can lower it.
+var nodeTimeout = 5 * time.Second
+
+// nodeStatus renders one node's status line. healthy is false unless the
+// node's /healthz answered 200 within nodeTimeout.
+func nodeStatus(ctx context.Context, cc *cluster.Client, node string) (line string, healthy bool) {
+	ctx, cancel := context.WithTimeout(ctx, nodeTimeout)
 	defer cancel()
+	healthy, ready := cc.Probe(ctx, node)
+	line = fmt.Sprintf("%-28s healthy=%-5v ready=%-5v", node, healthy, ready)
+	if st, err := fetchStats(ctx, node); err == nil {
+		line += fmt.Sprintf(" paths=%-6d draining=%-5v observations=%d",
+			st.Paths, st.Draining, st.Metrics.Observations)
+	}
+	return line, healthy
+}
+
+func fetchStats(ctx context.Context, node string) (*predsvc.StatsResponse, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, node+"/v1/stats", nil)
 	if err != nil {
 		return nil, err

@@ -10,12 +10,12 @@
 // predictor zoo, the paper's configuration (predict.NewEnsemble), so any
 // node of a cluster can restore any other node's sessions.
 //
-// The serving path is hardened for imperfect conditions: header/read/idle
-// timeouts guard against slow clients, handler panics are converted into
-// 500s instead of crashes, load past -max-inflight is shed with 429 +
-// Retry-After, snapshot writes are checksummed and retried with backoff,
-// and a corrupt snapshot at boot is quarantined (the daemon starts empty)
-// rather than fatal. The daemon has no mode that attacks itself: the
+// The serving path is hardened for imperfect conditions: header (5 s),
+// read and idle timeouts guard against slow clients, handler panics are
+// converted into 500s instead of crashes, load past 1024 in-flight
+// requests is shed with 429 + Retry-After, snapshot writes are
+// checksummed and retried with backoff, and a corrupt snapshot at boot is
+// quarantined (the daemon starts empty) rather than fatal. The daemon has no mode that attacks itself: the
 // tests of internal/predsvc inject faults in-process against these
 // defenses (go test -race -run TestEndToEndChaos ./internal/predsvc).
 //
@@ -61,21 +61,16 @@ func main() {
 		snapshotPath = flag.String("snapshot", "", "snapshot file (restored at startup, written periodically and at shutdown)")
 		snapshotIvl  = flag.Duration("snapshot-interval", time.Minute, "interval between snapshots")
 		spillDir     = flag.String("spill-dir", "", "directory for the two-tier store's spill log; paths evicted from the hot tier spill to disk instead of being dropped")
-
-		maxInflight = flag.Int("max-inflight", 0, "concurrent-request cap before shedding with 429 (0 = default 1024, negative = unlimited)")
-		readHdrTO   = flag.Duration("read-header-timeout", 0, "slowloris guard on request headers (0 = default 5s, negative = off)")
-		drainDelay  = flag.Duration("drain-delay", 0, "extra time /readyz advertises draining before connections close on shutdown (lets cluster clients re-probe)")
+		drainDelay   = flag.Duration("drain-delay", 0, "extra time /readyz advertises draining before connections close on shutdown (lets cluster clients re-probe)")
 	)
 	flag.Parse()
 
 	cfg := predsvc.Config{
-		Obs:               obs.NewMetrics(),
-		Shards:            *shards,
-		Capacity:          *capacity,
-		MaxInFlight:       *maxInflight,
-		ReadHeaderTimeout: *readHdrTO,
-		SpillDir:          *spillDir,
-		DrainDelay:        *drainDelay,
+		Obs:        obs.NewMetrics(),
+		Shards:     *shards,
+		Capacity:   *capacity,
+		SpillDir:   *spillDir,
+		DrainDelay: *drainDelay,
 	}
 	srv, err := predsvc.Open(cfg)
 	if err != nil {

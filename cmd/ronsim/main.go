@@ -5,7 +5,7 @@
 //
 //	ronsim [-out data/d1.json.gz] [-seed 1] [-full] [-second]
 //	       [-scenarios] [-per-scenario N]
-//	       [-workers N] [-progress bar|jsonl|off] [-retries N]
+//	       [-workers N] [-progress bar|jsonl|off]
 //	       [-paths N] [-traces N] [-epochs N]
 //	       [-obs-addr :6060] [-obs-dump dir]
 //
@@ -26,8 +26,9 @@
 //
 // Collection runs on the campaign runner: live progress (trace counts,
 // epoch rate, ETA) goes to stderr, -progress=jsonl emits machine-readable
-// JSON lines instead, and a trace that faults is retried with the same
-// seed rather than aborting the campaign. Interrupting with Ctrl-C stops
+// JSON lines instead, and a trace that faults is reported and left out
+// rather than aborting the campaign (it is not rerun: its seed would
+// replay the same fault). Interrupting with Ctrl-C stops
 // at the next epoch boundaries and saves the completed traces as a
 // partial dataset.
 //
@@ -65,7 +66,6 @@ func main() {
 	perScenario := flag.Int("per-scenario", 0, "scenario mode: paths per (sender × link) cell (0 = 1)")
 	workers := flag.Int("workers", 0, "parallel trace workers (0 = GOMAXPROCS)")
 	progress := flag.String("progress", "bar", "progress reporting: bar | jsonl | off")
-	retries := flag.Int("retries", 1, "retries per faulted trace (same seed); negative disables")
 	paths := flag.Int("paths", 0, "override the catalog's path count (0 = per-scale default)")
 	traces := flag.Int("traces", 0, "override traces per path (0 = per-scale default)")
 	epochs := flag.Int("epochs", 0, "override epochs per trace (0 = per-scale default)")
@@ -88,7 +88,6 @@ func main() {
 		cfg = testbed.DefaultScaled(*seed)
 	}
 	cfg.Parallelism = *workers
-	cfg.Retries = *retries
 	if *paths > 0 && !*scenarios {
 		cfg.Catalog.NumPaths = *paths
 		// Keep the special-class counts inside the shrunken catalog.

@@ -1,8 +1,12 @@
 // Package campaign is the execution layer for measurement campaigns: it
 // schedules independent trace jobs onto a bounded worker pool, plumbs
 // context cancellation through them, isolates per-job faults (a panic in
-// one job's simulation engine fails only that job, optionally retried with
-// the same seed), and surfaces progress through an Observer.
+// one job's simulation engine fails only that job), and surfaces progress
+// through an Observer.
+//
+// Each job runs exactly once. A job is a pure function of its seed, so a
+// retry would fail at the same spot, and one that succeeded would mean
+// the simulation is not deterministic: a fault is reported, not re-run.
 //
 // The package is deliberately generic — it knows about jobs, seeds and
 // epochs, not about datasets — so the testbed layer builds on it without
@@ -27,13 +31,12 @@ import (
 
 // Job identifies one schedulable unit of a campaign — typically one trace
 // on one path. Index is the job's position in delivery order; Seed is the
-// job's private RNG seed (retries reuse it, so a retried job replays the
-// exact same simulation).
+// job's private RNG seed, which fixes its simulation.
 type Job struct {
 	Index  int    // position in the campaign's job list and delivery order
 	Path   string // path name, for labelling and observers
 	Trace  int    // trace index on the path
-	Seed   int64  // private seed; identical across retries
+	Seed   int64  // private seed
 	Epochs int    // expected epochs, for progress/ETA (0 if unknown)
 }
 
@@ -55,25 +58,24 @@ func (e *PanicError) Error() string {
 // JobError describes one failed job with its identity attached, so a
 // campaign report can say exactly which path/trace/seed to replay.
 type JobError struct {
-	Job      Job
-	Attempts int // how many times the job was tried
-	Err      error
+	Job Job
+	Err error
 }
 
 func (e *JobError) Error() string {
-	return fmt.Sprintf("campaign: job %s (seed %d, attempt %d): %v", e.Job, e.Job.Seed, e.Attempts, e.Err)
+	return fmt.Sprintf("campaign: job %s (seed %d): %v", e.Job, e.Job.Seed, e.Err)
 }
 
 func (e *JobError) Unwrap() error { return e.Err }
 
 // Result is the outcome of one job. Value is meaningful only when Err is
 // nil. Skipped jobs (campaign cancelled before they started) carry the
-// context's error and zero Attempts.
+// context's error and Started false.
 type Result[T any] struct {
 	Job      Job
 	Value    T
 	Err      error
-	Attempts int
+	Started  bool    // the job ran; false for a job the campaign skipped
 	Events   uint64  // simulation events reported via Reporter.Epoch
 	VirtualS float64 // virtual seconds reported via Reporter.Epoch
 }
@@ -89,11 +91,6 @@ type Runner[T any] struct {
 	// Parallelism is the number of concurrent workers; <= 0 means
 	// GOMAXPROCS.
 	Parallelism int
-
-	// Retries is how many times a failed job is re-run (with the same
-	// seed) before its error is recorded. Context errors are never
-	// retried.
-	Retries int
 
 	// Observer receives lifecycle and progress callbacks. Nil means no
 	// observation. Callbacks may fire concurrently from worker
@@ -183,15 +180,12 @@ func (r *Runner[T]) Run(ctx context.Context, jobs []Job, fn Func[T]) error {
 	sum := Summary{Jobs: len(jobs)}
 	ro := newReorder(2*workers+1, func(res Result[T]) {
 		switch {
-		case res.Attempts == 0:
+		case !res.Started:
 			sum.Skipped++
 		case res.Err != nil:
 			sum.Failed++
 		default:
 			sum.Completed++
-		}
-		if res.Attempts > 1 {
-			sum.Retried++
 		}
 		sum.Events += res.Events
 		sum.VirtualS += res.VirtualS
@@ -209,7 +203,7 @@ func (r *Runner[T]) Run(ctx context.Context, jobs []Job, fn Func[T]) error {
 		go func() {
 			defer wg.Done()
 			for idx := range feed {
-				ro.deliver(idx, r.runJob(ctx, jobs[idx], fn, obs))
+				ro.deliver(idx, runJob(ctx, jobs[idx], fn, obs))
 			}
 		}()
 	}
@@ -230,8 +224,8 @@ dispatch:
 	// Jobs never dispatched carry the context error so callers can tell
 	// them apart from completed work; they flow through the reorder
 	// buffer too, keeping the exactly-once-in-order contract. Dispatched
-	// jobs that aborted before their first attempt were already delivered
-	// by runJob with Attempts == 0.
+	// jobs that the cancellation caught before they started were already
+	// delivered by runJob with Started false.
 	for i := sent; i < len(jobs); i++ {
 		ro.deliver(i, Result[T]{Job: jobs[i], Err: ctx.Err()})
 	}
@@ -241,34 +235,21 @@ dispatch:
 	return ctx.Err()
 }
 
-// runJob executes one job with panic isolation and retries.
-func (r *Runner[T]) runJob(ctx context.Context, job Job, fn Func[T], obs Observer) Result[T] {
+// runJob executes one job once, with panic isolation.
+func runJob[T any](ctx context.Context, job Job, fn Func[T], obs Observer) Result[T] {
 	res := Result[T]{Job: job}
-	start := time.Now()
-	for attempt := 1; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			// Keep Attempts at the tried count: 0 means "never started".
-			res.Err = err
-			break
-		}
-		res.Attempts = attempt
-		obs.TraceStarted(job, attempt)
-		rep := &Reporter{obs: obs, job: job}
-		val, err := protect(ctx, job, rep, fn)
-		res.Value, res.Err = val, err
-		res.Events += rep.events
-		if rep.virtual > res.VirtualS {
-			res.VirtualS = rep.virtual
-		}
-		obs.TraceFinished(job, err, attempt, time.Since(start))
-		if err == nil || attempt > r.Retries || isContextErr(err) || ctx.Err() != nil {
-			break
-		}
+	if res.Err = ctx.Err(); res.Err != nil {
+		return res
 	}
-	if res.Err != nil && res.Attempts > 0 && !isContextErr(res.Err) {
-		if _, ok := res.Err.(*JobError); !ok {
-			res.Err = &JobError{Job: job, Attempts: res.Attempts, Err: res.Err}
-		}
+	res.Started = true
+	start := time.Now()
+	obs.TraceStarted(job, 1)
+	rep := &Reporter{obs: obs, job: job}
+	res.Value, res.Err = protect(ctx, job, rep, fn)
+	res.Events, res.VirtualS = rep.events, rep.virtual
+	obs.TraceFinished(job, res.Err, 1, time.Since(start))
+	if res.Err != nil && !isContextErr(res.Err) {
+		res.Err = &JobError{Job: job, Err: res.Err}
 	}
 	return res
 }

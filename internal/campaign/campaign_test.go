@@ -96,54 +96,6 @@ func TestRunnerPanicIsolation(t *testing.T) {
 	}
 }
 
-func TestRunnerRetrySameSeed(t *testing.T) {
-	jobs := makeJobs(3)
-	var mu sync.Mutex
-	seen := map[int][]int64{} // job index -> seeds per attempt
-	r := &Runner[int]{Parallelism: 2, Retries: 1}
-	results, err := collect(context.Background(), r, jobs, func(ctx context.Context, job Job, rep *Reporter) (int, error) {
-		mu.Lock()
-		seen[job.Index] = append(seen[job.Index], job.Seed)
-		attempt := len(seen[job.Index])
-		mu.Unlock()
-		if job.Index == 1 && attempt == 1 {
-			panic("transient")
-		}
-		return attempt, nil
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if results[1].Err != nil {
-		t.Fatalf("retried job still failed: %v", results[1].Err)
-	}
-	if results[1].Attempts != 2 || results[1].Value != 2 {
-		t.Errorf("attempts = %d value = %d, want 2/2", results[1].Attempts, results[1].Value)
-	}
-	if s := seen[1]; len(s) != 2 || s[0] != s[1] {
-		t.Errorf("retry did not reuse the seed: %v", s)
-	}
-}
-
-func TestRunnerRetryExhaustion(t *testing.T) {
-	jobs := makeJobs(1)
-	calls := 0
-	r := &Runner[int]{Parallelism: 1, Retries: 2}
-	results, err := collect(context.Background(), r, jobs, func(ctx context.Context, job Job, rep *Reporter) (int, error) {
-		calls++
-		return 0, fmt.Errorf("persistent failure")
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if calls != 3 {
-		t.Errorf("calls = %d, want 3 (1 + 2 retries)", calls)
-	}
-	if results[0].Err == nil || results[0].Attempts != 3 {
-		t.Errorf("result = %+v, want failure after 3 attempts", results[0])
-	}
-}
-
 func TestRunnerCancellation(t *testing.T) {
 	jobs := makeJobs(30)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -169,7 +121,7 @@ func TestRunnerCancellation(t *testing.T) {
 		switch {
 		case res.Err == nil:
 			completed++
-		case res.Attempts == 0:
+		case !res.Started:
 			if !errors.Is(res.Err, context.Canceled) {
 				t.Errorf("skipped job carries %v", res.Err)
 			}
@@ -184,19 +136,6 @@ func TestRunnerCancellation(t *testing.T) {
 	}
 	if completed == len(jobs) {
 		t.Error("all jobs completed despite cancellation")
-	}
-}
-
-func TestRunnerContextErrorNotRetried(t *testing.T) {
-	jobs := makeJobs(1)
-	calls := 0
-	r := &Runner[int]{Parallelism: 1, Retries: 5}
-	_ = r.Run(context.Background(), jobs, func(ctx context.Context, job Job, rep *Reporter) (int, error) {
-		calls++
-		return 0, fmt.Errorf("trace aborted: %w", context.Canceled)
-	})
-	if calls != 1 {
-		t.Errorf("context error was retried %d times", calls-1)
 	}
 }
 

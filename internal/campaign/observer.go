@@ -8,9 +8,8 @@ import (
 type Summary struct {
 	Jobs      int           // jobs submitted
 	Completed int           // jobs that produced a result
-	Failed    int           // jobs that errored after all retries
+	Failed    int           // jobs that started and errored
 	Skipped   int           // jobs never started (campaign cancelled)
-	Retried   int           // jobs that needed more than one attempt
 	Events    uint64        // total simulation events processed
 	VirtualS  float64       // total virtual seconds simulated
 	Wall      time.Duration // wall-clock duration of the campaign
@@ -24,14 +23,15 @@ type Observer interface {
 	// CampaignStarted fires once, before any job runs. totalEpochs is
 	// the sum of the jobs' expected epochs (0 when unknown).
 	CampaignStarted(totalJobs, totalEpochs int)
-	// TraceStarted fires when a job attempt begins (attempt is 1-based;
-	// >1 means a retry after a recovered fault).
+	// TraceStarted fires when a job begins. attempt is always 1: the
+	// runner runs each job once.
 	TraceStarted(job Job, attempt int)
 	// EpochDone fires after each measurement epoch, with the engine's
 	// virtual clock and the events processed by that epoch alone.
 	EpochDone(job Job, epoch int, virtualTime float64, events uint64)
-	// TraceFinished fires when a job attempt ends; err is nil on
-	// success, a *PanicError for a recovered fault, or a context error.
+	// TraceFinished fires when a job ends; err is nil on success, a
+	// *PanicError for a recovered fault, or a context error. attempt is
+	// always 1.
 	TraceFinished(job Job, err error, attempt int, wall time.Duration)
 	// CampaignFinished fires once after all workers drain.
 	CampaignFinished(sum Summary)

@@ -38,14 +38,7 @@ func (p *Progress) CampaignStarted(jobs, epochs int) {
 	p.draw(true)
 }
 
-func (p *Progress) TraceStarted(job Job, attempt int) {
-	if attempt <= 1 {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.println(fmt.Sprintf("retrying trace %s (seed %d, attempt %d)", job, job.Seed, attempt))
-}
+func (p *Progress) TraceStarted(Job, int) {}
 
 func (p *Progress) EpochDone(job Job, epoch int, vt float64, events uint64) {
 	p.mu.Lock()
@@ -55,22 +48,15 @@ func (p *Progress) EpochDone(job Job, epoch int, vt float64, events uint64) {
 	p.draw(false)
 }
 
-func (p *Progress) TraceFinished(job Job, err error, attempt int, wall time.Duration) {
+func (p *Progress) TraceFinished(job Job, err error, _ int, wall time.Duration) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if err != nil {
-		// A retry will follow unless this was the last attempt, but
-		// failures are rare enough that reporting each attempt beats
-		// guessing the runner's retry budget here.
 		p.println(fmt.Sprintf("trace %s failed after %v: %v", job, wall.Round(time.Millisecond), err))
 		p.failedJobs++
 		return
 	}
 	p.doneJobs++
-	if attempt > 1 {
-		// The earlier attempt was counted as failed; the retry redeemed it.
-		p.failedJobs--
-	}
 	p.draw(true)
 }
 
@@ -84,9 +70,6 @@ func (p *Progress) CampaignFinished(sum Summary) {
 	}
 	if sum.Skipped > 0 {
 		msg += fmt.Sprintf(", %d skipped", sum.Skipped)
-	}
-	if sum.Retried > 0 {
-		msg += fmt.Sprintf(", %d retried", sum.Retried)
 	}
 	wall := sum.Wall.Seconds()
 	if wall > 0 && sum.Events > 0 {
@@ -170,7 +153,6 @@ type jsonlEvent struct {
 	Path     string  `json:"path,omitempty"`
 	Trace    int     `json:"trace,omitempty"`
 	Seed     int64   `json:"seed,omitempty"`
-	Attempt  int     `json:"attempt,omitempty"`
 	Epoch    int     `json:"epoch,omitempty"`
 	Virtual  float64 `json:"virtual_s,omitempty"`
 	Events   uint64  `json:"events,omitempty"`
@@ -180,7 +162,6 @@ type jsonlEvent struct {
 	Done     int     `json:"completed,omitempty"`
 	Failed   int     `json:"failed,omitempty"`
 	Skipped  int     `json:"skipped,omitempty"`
-	Retried  int     `json:"retried,omitempty"`
 	VirtualT float64 `json:"virtual_total_s,omitempty"`
 }
 
@@ -201,16 +182,16 @@ func (j *JSONL) CampaignStarted(jobs, epochs int) {
 	j.emit(jsonlEvent{Event: "campaign_started", Jobs: jobs, Epochs: epochs})
 }
 
-func (j *JSONL) TraceStarted(job Job, attempt int) {
-	j.emit(jsonlEvent{Event: "trace_started", Path: job.Path, Trace: job.Trace, Seed: job.Seed, Attempt: attempt})
+func (j *JSONL) TraceStarted(job Job, _ int) {
+	j.emit(jsonlEvent{Event: "trace_started", Path: job.Path, Trace: job.Trace, Seed: job.Seed})
 }
 
 func (j *JSONL) EpochDone(job Job, epoch int, vt float64, events uint64) {
 	j.emit(jsonlEvent{Event: "epoch", Path: job.Path, Trace: job.Trace, Epoch: epoch, Virtual: vt, Events: events})
 }
 
-func (j *JSONL) TraceFinished(job Job, err error, attempt int, wall time.Duration) {
-	ev := jsonlEvent{Event: "trace_finished", Path: job.Path, Trace: job.Trace, Seed: job.Seed, Attempt: attempt}
+func (j *JSONL) TraceFinished(job Job, err error, _ int, _ time.Duration) {
+	ev := jsonlEvent{Event: "trace_finished", Path: job.Path, Trace: job.Trace, Seed: job.Seed}
 	if err != nil {
 		ev.Error = err.Error()
 	}
@@ -220,7 +201,7 @@ func (j *JSONL) TraceFinished(job Job, err error, attempt int, wall time.Duratio
 func (j *JSONL) CampaignFinished(sum Summary) {
 	j.emit(jsonlEvent{
 		Event: "campaign_finished", Jobs: sum.Jobs, Done: sum.Completed,
-		Failed: sum.Failed, Skipped: sum.Skipped, Retried: sum.Retried,
+		Failed: sum.Failed, Skipped: sum.Skipped,
 		Events: sum.Events, VirtualT: sum.VirtualS,
 	})
 }

@@ -33,8 +33,8 @@ func TestRunnerSinkOrdered(t *testing.T) {
 		if res.Job.Index != i {
 			t.Fatalf("sink result %d carries job %d: delivery out of order", i, res.Job.Index)
 		}
-		if res.Value != i*10+1 || res.Err != nil || res.Attempts != 1 {
-			t.Errorf("sink result %d = (%d, %v, %d attempts), want (%d, nil, 1)", i, res.Value, res.Err, res.Attempts, i*10+1)
+		if res.Value != i*10+1 || res.Err != nil || !res.Started {
+			t.Errorf("sink result %d = (%d, %v, started %v), want (%d, nil, true)", i, res.Value, res.Err, res.Started, i*10+1)
 		}
 	}
 }
@@ -79,7 +79,7 @@ func TestRunnerSinkCancelled(t *testing.T) {
 		switch {
 		case res.Err == nil:
 			completed++
-		case res.Attempts == 0 && errors.Is(res.Err, context.Canceled):
+		case !res.Started && errors.Is(res.Err, context.Canceled):
 			skipped++
 		case isContextErr(res.Err):
 			// Dispatched but aborted mid-run: also fine.

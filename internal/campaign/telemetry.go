@@ -9,7 +9,7 @@ import (
 
 // Telemetry is an Observer that feeds campaign progress into the
 // observability layer: one root span per campaign, one child span per
-// job attempt (carrying its simulation-event count), and the campaign_*
+// job (carrying its simulation-event count), and the campaign_*
 // metric family. Attach it with MultiObserver alongside a progress
 // observer; like every Observer its callbacks may fire concurrently and
 // it serializes internally.
@@ -22,7 +22,6 @@ type Telemetry struct {
 	jobsStarted   *obs.Counter
 	jobsCompleted *obs.Counter
 	jobsFailed    *obs.Counter
-	retries       *obs.Counter
 	epochs        *obs.Counter
 	events        *obs.Counter
 	virtualSecs   *obs.Gauge
@@ -30,7 +29,7 @@ type Telemetry struct {
 
 	mu       sync.Mutex
 	campaign *obs.Span
-	jobs     map[int]*obs.Span // job index → open attempt span
+	jobs     map[int]*obs.Span // job index → open job span
 }
 
 // NewTelemetry wires a telemetry observer into o's tracer and registry.
@@ -38,19 +37,18 @@ func NewTelemetry(o *obs.Obs) *Telemetry {
 	m := o.M()
 	return &Telemetry{
 		tr:            o.T(),
-		jobsStarted:   m.Counter("campaign_jobs_started_total", "job attempts started (retries count again)"),
-		jobsCompleted: m.Counter("campaign_jobs_completed_total", "job attempts that finished without error"),
-		jobsFailed:    m.Counter("campaign_jobs_failed_total", "job attempts that ended in an error"),
-		retries:       m.Counter("campaign_retries_total", "job attempts beyond the first"),
+		jobsStarted:   m.Counter("campaign_jobs_started_total", "jobs started"),
+		jobsCompleted: m.Counter("campaign_jobs_completed_total", "jobs that finished without error"),
+		jobsFailed:    m.Counter("campaign_jobs_failed_total", "jobs that ended in an error"),
 		epochs:        m.Counter("campaign_epochs_total", "measurement epochs simulated"),
 		events:        m.Counter("campaign_events_total", "simulation events processed, summed over epochs"),
 		virtualSecs:   m.Gauge("campaign_virtual_seconds", "virtual time reached, summed over jobs"),
-		jobSeconds: m.Histogram("campaign_job_seconds", "wall-clock duration of job attempts",
+		jobSeconds: m.Histogram("campaign_job_seconds", "wall-clock duration of jobs",
 			[]float64{0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120, 300}),
 	}
 }
 
-// JobSpan returns the span of the job's currently running attempt, so
+// JobSpan returns the span of the job while it runs, so
 // the job body can parent its own finer-grained spans (epochs, phases)
 // under the campaign tree. It returns nil when the job is not running or
 // telemetry is off; callers need no nil check because child spans of a
@@ -74,17 +72,13 @@ func (t *Telemetry) CampaignStarted(totalJobs, totalEpochs int) {
 }
 
 // TraceStarted implements Observer.
-func (t *Telemetry) TraceStarted(job Job, attempt int) {
+func (t *Telemetry) TraceStarted(job Job, _ int) {
 	t.jobsStarted.Inc()
-	if attempt > 1 {
-		t.retries.Inc()
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.jobs == nil {
 		t.jobs = make(map[int]*obs.Span)
 	}
-	// A retry reuses the slot; the prior attempt's span already ended.
 	t.jobs[job.Index] = t.campaign.Child("trace " + job.String())
 }
 
@@ -99,7 +93,7 @@ func (t *Telemetry) EpochDone(job Job, epoch int, virtualTime float64, events ui
 }
 
 // TraceFinished implements Observer.
-func (t *Telemetry) TraceFinished(job Job, err error, attempt int, wall time.Duration) {
+func (t *Telemetry) TraceFinished(job Job, err error, _ int, wall time.Duration) {
 	if err == nil {
 		t.jobsCompleted.Inc()
 	} else {

@@ -10,9 +10,9 @@ import (
 	"repro/internal/obs"
 )
 
-// TestTelemetryObserver runs a small campaign (with one job that fails
-// once and is retried) and checks the spans and metrics it leaves in the
-// observability layer.
+// TestTelemetryObserver runs a small campaign (with one job that fails)
+// and checks the spans and metrics it leaves in the observability layer.
+// The failed job runs once: nothing is retried.
 func TestTelemetryObserver(t *testing.T) {
 	o := obs.New(256)
 	tel := NewTelemetry(o)
@@ -21,12 +21,10 @@ func TestTelemetryObserver(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = Job{Index: i, Path: "p", Trace: i, Seed: int64(i + 1), Epochs: 3}
 	}
-	failedOnce := false
-	r := &Runner[int]{Parallelism: 2, Retries: 1, Observer: tel}
+	r := &Runner[int]{Parallelism: 2, Observer: tel}
 	results, err := collect(context.Background(), r, jobs, func(ctx context.Context, job Job, rep *Reporter) (int, error) {
-		if job.Index == 2 && !failedOnce {
-			failedOnce = true
-			return 0, errors.New("transient")
+		if job.Index == 2 {
+			return 0, errors.New("job fault")
 		}
 		for ep := 0; ep < job.Epochs; ep++ {
 			rep.Epoch(ep, float64(ep), 10)
@@ -37,8 +35,8 @@ func TestTelemetryObserver(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, res := range results {
-		if res.Err != nil {
-			t.Fatalf("job %d failed: %v", res.Job.Index, res.Err)
+		if failed := res.Err != nil; failed != (res.Job.Index == 2) {
+			t.Fatalf("job %d: err = %v, want an error only for job 2", res.Job.Index, res.Err)
 		}
 	}
 
@@ -48,16 +46,18 @@ func TestTelemetryObserver(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"campaign_jobs_started_total 5", // 4 jobs + 1 retry
-		"campaign_jobs_completed_total 4",
+		"campaign_jobs_started_total 4",
+		"campaign_jobs_completed_total 3",
 		"campaign_jobs_failed_total 1",
-		"campaign_retries_total 1",
-		"campaign_epochs_total 12",
-		"campaign_events_total 120",
+		"campaign_epochs_total 9",
+		"campaign_events_total 90",
 	} {
 		if !strings.Contains(out, want+"\n") {
 			t.Errorf("metrics missing %q\n---\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, "campaign_retries_total") {
+		t.Errorf("metrics still export campaign_retries_total\n---\n%s", out)
 	}
 	if err := obs.ValidateExposition(buf.Bytes()); err != nil {
 		t.Errorf("campaign metrics invalid: %v", err)
@@ -80,8 +80,8 @@ func TestTelemetryObserver(t *testing.T) {
 			}
 		}
 	}
-	if campaignSpans != 1 || traceSpans != 5 {
-		t.Errorf("got %d campaign / %d trace spans, want 1 / 5", campaignSpans, traceSpans)
+	if campaignSpans != 1 || traceSpans != 4 {
+		t.Errorf("got %d campaign / %d trace spans, want 1 / 4", campaignSpans, traceSpans)
 	}
 	if o.T().Active() != 0 {
 		t.Errorf("%d spans left open", o.T().Active())

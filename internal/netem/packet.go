@@ -6,8 +6,6 @@
 // injects level shifts, outliers, and trends).
 package netem
 
-import "fmt"
-
 // FlowID identifies a flow end-to-end. Endpoint demuxers dispatch received
 // packets to the handler registered for the packet's flow.
 type FlowID int64
@@ -25,25 +23,6 @@ const (
 	KindCross                   // open-loop cross traffic
 	KindChirp                   // avail-bw probing stream packet
 )
-
-func (k PacketKind) String() string {
-	switch k {
-	case KindData:
-		return "data"
-	case KindAck:
-		return "ack"
-	case KindProbe:
-		return "probe"
-	case KindEcho:
-		return "echo"
-	case KindCross:
-		return "cross"
-	case KindChirp:
-		return "chirp"
-	default:
-		return fmt.Sprintf("kind(%d)", uint8(k))
-	}
-}
 
 // Packet is the unit of transmission. Packets are allocated by senders and
 // flow through queues to an endpoint demux; they are not copied in transit.

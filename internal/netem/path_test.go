@@ -35,7 +35,7 @@ func TestPathRoundTrip(t *testing.T) {
 		t.Fatal("reply did not reach A")
 	}
 	if atA.Kind != KindAck {
-		t.Errorf("reply kind %v, want ack", atA.Kind)
+		t.Errorf("reply kind %d, want %d (ack)", atA.Kind, KindAck)
 	}
 }
 

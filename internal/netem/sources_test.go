@@ -153,15 +153,3 @@ func TestLoadAtMonotonicLookup(t *testing.T) {
 		}
 	}
 }
-
-func TestPacketKindString(t *testing.T) {
-	kinds := map[PacketKind]string{
-		KindData: "data", KindAck: "ack", KindProbe: "probe",
-		KindEcho: "echo", KindCross: "cross", KindChirp: "chirp",
-	}
-	for k, want := range kinds {
-		if k.String() != want {
-			t.Errorf("%d.String() = %q, want %q", k, k.String(), want)
-		}
-	}
-}

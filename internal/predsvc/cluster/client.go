@@ -25,11 +25,10 @@ type ClientConfig struct {
 	// 5ms / 500ms; tests shorten them).
 	backoffMin time.Duration
 	backoffMax time.Duration
-	// RetryDeadline bounds how long one request keeps retrying through
+	// retryDeadline bounds how long one request keeps retrying through
 	// 429s, 5xxs and connection errors before giving up — the window a
-	// node restart must fit into (default 30s; negative disables
-	// retrying entirely).
-	RetryDeadline time.Duration
+	// node restart must fit into (default 30s; tests shorten it).
+	retryDeadline time.Duration
 	// probeInterval is the /readyz polling cadence while a node is down
 	// (default 25ms; tests shorten it).
 	probeInterval time.Duration
@@ -47,8 +46,8 @@ func (c ClientConfig) withDefaults() ClientConfig {
 	if c.backoffMax <= 0 {
 		c.backoffMax = 500 * time.Millisecond
 	}
-	if c.RetryDeadline == 0 {
-		c.RetryDeadline = 30 * time.Second
+	if c.retryDeadline <= 0 {
+		c.retryDeadline = 30 * time.Second
 	}
 	if c.probeInterval <= 0 {
 		c.probeInterval = 25 * time.Millisecond
@@ -175,16 +174,12 @@ func retryable(status int) bool {
 
 // Do sends one request to node (a base URL from Nodes, or any reachable
 // base URL), retrying 429/5xx responses and transport errors with
-// capped jittered backoff until RetryDeadline. It returns the final
+// capped jittered backoff for up to 30 s. It returns the final
 // status and body; err is non-nil only when the deadline or ctx expired
 // with the request still failing. body may be nil for GETs.
 func (c *Client) Do(ctx context.Context, method, node, path string, body []byte) (int, []byte, error) {
-	var cancel context.CancelFunc
-	retryCtx := ctx
-	if c.cfg.RetryDeadline > 0 {
-		retryCtx, cancel = context.WithTimeout(ctx, c.cfg.RetryDeadline)
-		defer cancel()
-	}
+	retryCtx, cancel := context.WithTimeout(ctx, c.cfg.retryDeadline)
+	defer cancel()
 	backoff := c.cfg.backoffMin
 	sawTransportErr := false
 	for {
@@ -205,7 +200,7 @@ func (c *Client) Do(ctx context.Context, method, node, path string, body []byte)
 			resp.Body.Close()
 			if rerr != nil {
 				err = rerr
-			} else if !retryable(resp.StatusCode) || c.cfg.RetryDeadline < 0 {
+			} else if !retryable(resp.StatusCode) {
 				if sawTransportErr {
 					c.failovers.Add(1)
 				}
@@ -216,9 +211,6 @@ func (c *Client) Do(ctx context.Context, method, node, path string, body []byte)
 			} else if resp.StatusCode == http.StatusTooManyRequests {
 				c.shed.Add(1)
 			}
-		}
-		if c.cfg.RetryDeadline < 0 {
-			return 0, nil, err
 		}
 		if err != nil {
 			// Connection refused/reset: the node is down or restarting.

@@ -16,7 +16,7 @@ func testClient(t *testing.T, nodes ...string) *Client {
 		Nodes:         nodes,
 		backoffMin:    time.Millisecond,
 		backoffMax:    5 * time.Millisecond,
-		RetryDeadline: 5 * time.Second,
+		retryDeadline: 5 * time.Second,
 		probeInterval: 2 * time.Millisecond,
 	})
 }
@@ -89,7 +89,7 @@ func TestDoRetryDeadline(t *testing.T) {
 		Nodes:         []string{ts.URL},
 		backoffMin:    time.Millisecond,
 		backoffMax:    2 * time.Millisecond,
-		RetryDeadline: 50 * time.Millisecond,
+		retryDeadline: 50 * time.Millisecond,
 	})
 	start := time.Now()
 	_, _, err := c.Do(context.Background(), http.MethodGet, ts.URL, "/x", nil)
@@ -98,26 +98,6 @@ func TestDoRetryDeadline(t *testing.T) {
 	}
 	if d := time.Since(start); d > 3*time.Second {
 		t.Fatalf("deadline took %v to fire", d)
-	}
-}
-
-// TestDoNoRetryWhenDisabled: RetryDeadline < 0 turns the client into a
-// plain transport — the first response, whatever it is, is the answer.
-func TestDoNoRetryWhenDisabled(t *testing.T) {
-	var calls atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		w.WriteHeader(http.StatusServiceUnavailable)
-	}))
-	defer ts.Close()
-
-	c := NewClient(ClientConfig{Nodes: []string{ts.URL}, RetryDeadline: -1})
-	status, _, err := c.Do(context.Background(), http.MethodGet, ts.URL, "/x", nil)
-	if err != nil || status != http.StatusServiceUnavailable {
-		t.Fatalf("Do = %d, %v; want the 503 handed back", status, err)
-	}
-	if calls.Load() != 1 {
-		t.Fatalf("retry-disabled client attempted %d times", calls.Load())
 	}
 }
 

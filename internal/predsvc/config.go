@@ -50,21 +50,21 @@ type Config struct {
 	// cannot be opened).
 	SpillDir string
 
-	// ReadHeaderTimeout bounds how long Serve's http.Server waits for a
-	// client to finish sending request headers — the slowloris guard
-	// (default 5s; negative disables).
-	ReadHeaderTimeout time.Duration
-	// MaxInFlight caps concurrently served requests; past it the server
-	// sheds load with 429 + Retry-After instead of queueing without bound
-	// (default 1024; negative disables shedding).
-	MaxInFlight int
-
 	// DrainDelay is how long Serve keeps the listener accepting after
 	// /readyz flips to 503 on shutdown, giving cluster clients a probe
 	// cycle to stop routing here before connections start closing
 	// (default 0: drain immediately; rolling restarts in scripts use a
 	// short delay).
 	DrainDelay time.Duration
+
+	// readHeaderTimeout bounds how long Serve's http.Server waits for a
+	// client to finish sending request headers — the slowloris guard
+	// (default 5s; tests shorten it).
+	readHeaderTimeout time.Duration
+	// maxInFlight caps concurrently served requests; past it the server
+	// sheds load with 429 + Retry-After instead of queueing without bound
+	// (default 1024; tests lower it).
+	maxInFlight int
 
 	// snapshotRetryMin/Max bound the exponential backoff between retries
 	// of a failed snapshot write (defaults 250ms / 15s; tests shorten
@@ -96,11 +96,11 @@ func (c Config) withDefaults() Config {
 	if c.Capacity <= 0 {
 		c.Capacity = 4096
 	}
-	if c.ReadHeaderTimeout == 0 {
-		c.ReadHeaderTimeout = 5 * time.Second
+	if c.readHeaderTimeout <= 0 {
+		c.readHeaderTimeout = 5 * time.Second
 	}
-	if c.MaxInFlight == 0 {
-		c.MaxInFlight = 1024
+	if c.maxInFlight <= 0 {
+		c.maxInFlight = 1024
 	}
 	if c.snapshotRetryMin <= 0 {
 		c.snapshotRetryMin = 250 * time.Millisecond
@@ -117,15 +117,6 @@ func (c *Config) fault(site string) error {
 		return nil
 	}
 	return c.faults(site)
-}
-
-// posDur maps the "negative disables" config convention onto http.Server's
-// "zero disables" one.
-func posDur(d time.Duration) time.Duration {
-	if d < 0 {
-		return 0
-	}
-	return d
 }
 
 // nextPow2 returns the smallest power of two ≥ n (n ≥ 1).

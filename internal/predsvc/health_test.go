@@ -81,7 +81,7 @@ func TestReadyzWhileRestoring(t *testing.T) {
 // API sheds 429s, but the health endpoints must keep answering — a
 // probe that gets shed reads as a dead node and amplifies the overload.
 func TestHealthBypassesLoadShedding(t *testing.T) {
-	srv := NewServer(Config{MaxInFlight: 1})
+	srv := NewServer(Config{maxInFlight: 1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

@@ -58,7 +58,7 @@ func sampleValue(t *testing.T, exposition, name string) float64 {
 func TestMetricsEndpointE2E(t *testing.T) {
 	srv := NewServer(Config{
 		Shards: 4, Capacity: 64,
-		MaxInFlight: 64,
+		maxInFlight: 64,
 		Obs:         obs.NewMetrics(),
 	})
 	mountPanicRoute(srv)

@@ -22,11 +22,6 @@ type RebalanceConfig struct {
 	From []string
 	// To is the new membership the cluster is resizing to. Required.
 	To []string
-	// Attempts caps how many times one source node's handoff pass
-	// (export → import → drop) is retried before Rebalance fails
-	// (default 5). Retries are idempotent: import is last-writer-wins,
-	// drop runs only after every import succeeded.
-	Attempts int
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
 }
@@ -54,6 +49,12 @@ func (r RebalanceReport) String() string {
 		r.Sources, r.Moved, r.Imported, r.Skipped, r.Dropped, r.Retries)
 }
 
+// rebalanceAttempts caps how many times one source node's handoff pass
+// (export → import → drop) is tried before Rebalance fails. Retries are
+// idempotent: import is last-writer-wins, drop runs only after every
+// import succeeded.
+const rebalanceAttempts = 5
+
 // Rebalance drives an N→M membership change: for every node of the old
 // membership it exports the sessions the new rendezvous map assigns
 // elsewhere, imports each one into its new owner, and only then tells
@@ -68,9 +69,6 @@ func Rebalance(ctx context.Context, cfg RebalanceConfig) (*RebalanceReport, erro
 	if len(cfg.From) == 0 || len(cfg.To) == 0 {
 		return nil, errors.New("predsvc: rebalance needs both the old (From) and new (To) membership")
 	}
-	if cfg.Attempts <= 0 {
-		cfg.Attempts = 5
-	}
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -80,10 +78,10 @@ func Rebalance(ctx context.Context, cfg RebalanceConfig) (*RebalanceReport, erro
 	for _, src := range cfg.From {
 		var lastErr error
 		ok := false
-		for attempt := 1; attempt <= cfg.Attempts; attempt++ {
+		for attempt := 1; attempt <= rebalanceAttempts; attempt++ {
 			if attempt > 1 {
 				rep.Retries++
-				logf("source %s: attempt %d/%d after: %v", src, attempt, cfg.Attempts, lastErr)
+				logf("source %s: attempt %d/%d after: %v", src, attempt, rebalanceAttempts, lastErr)
 				select {
 				case <-ctx.Done():
 					return rep, ctx.Err()
@@ -103,7 +101,7 @@ func Rebalance(ctx context.Context, cfg RebalanceConfig) (*RebalanceReport, erro
 			break
 		}
 		if !ok {
-			return rep, fmt.Errorf("predsvc: rebalance of %s failed after %d attempts: %w", src, cfg.Attempts, lastErr)
+			return rep, fmt.Errorf("predsvc: rebalance of %s failed after %d attempts: %w", src, rebalanceAttempts, lastErr)
 		}
 	}
 	return rep, nil

@@ -154,8 +154,8 @@ func TestEndToEndChaos(t *testing.T) {
 	// be in flight, headers must arrive fast, and one route panics.
 	cfg := Config{
 		Shards: 4, Capacity: 64,
-		MaxInFlight:       2,
-		ReadHeaderTimeout: 100 * time.Millisecond,
+		maxInFlight:       2,
+		readHeaderTimeout: 100 * time.Millisecond,
 		snapshotRetryMin:  time.Millisecond,
 		snapshotRetryMax:  4 * time.Millisecond,
 		faults:            failEvery(siteSnapshotWrite, 2, 0, 0),
@@ -436,7 +436,7 @@ func TestSnapshotLoopRetriesTransientFailures(t *testing.T) {
 // are shed with 429 + Retry-After and counted; freeing the cap restores
 // service.
 func TestLoadSheddingReturns429(t *testing.T) {
-	srv := NewServer(Config{MaxInFlight: 1})
+	srv := NewServer(Config{maxInFlight: 1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -503,10 +503,10 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 }
 
 // TestReadHeaderTimeoutClosesSlowloris: a connection that stalls inside
-// its request headers is closed at ReadHeaderTimeout, and the daemon keeps
+// its request headers is closed at readHeaderTimeout, and the daemon keeps
 // serving everyone else.
 func TestReadHeaderTimeoutClosesSlowloris(t *testing.T) {
-	srv := NewServer(Config{ReadHeaderTimeout: 50 * time.Millisecond})
+	srv := NewServer(Config{readHeaderTimeout: 50 * time.Millisecond})
 	base, stop := startResilientDaemon(t, Config{}, srv, "", 0)
 	defer stop()
 
@@ -515,7 +515,7 @@ func TestReadHeaderTimeoutClosesSlowloris(t *testing.T) {
 		t.Fatal("server did not hang up within 5s on a request whose headers never completed")
 	}
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
-		t.Errorf("hang-up took %v, want ~ReadHeaderTimeout (50ms)", elapsed)
+		t.Errorf("hang-up took %v, want ~readHeaderTimeout (50ms)", elapsed)
 	}
 
 	resp, err := http.Get(base + "/v1/stats")

@@ -93,9 +93,7 @@ func Open(cfg Config) (*Server, error) {
 	s.mux.Handle("POST /v1/sessions/export", s.instrument(epSessionsExport, s.handleSessionsExport))
 	s.mux.Handle("POST /v1/sessions/import", s.instrument(epSessionsImport, s.handleSessionsImport))
 	s.mux.Handle("POST /v1/sessions/drop", s.instrument(epSessionsDrop, s.handleSessionsDrop))
-	if s.cfg.MaxInFlight > 0 {
-		s.sem = make(chan struct{}, s.cfg.MaxInFlight)
-	}
+	s.sem = make(chan struct{}, s.cfg.maxInFlight)
 	s.root = s.harden()
 	// The health probes bypass the hardening middleware like the obs
 	// endpoints: a load-shedding or draining server must still answer
@@ -129,23 +127,21 @@ func Open(cfg Config) (*Server, error) {
 }
 
 // harden wraps the mux with the resilience middleware, outermost first:
-// semaphore-based load shedding (429 + Retry-After past MaxInFlight
-// in-flight requests) and panic recovery (a panicking handler produces a
+// semaphore-based load shedding (429 + Retry-After past 1024 in-flight
+// requests) and panic recovery (a panicking handler produces a
 // 500 and a panics_recovered tick, not a dead daemon). It sets no
 // per-request deadline: no handler reads the request context; Serve's
 // timeouts and the in-flight cap bound a request.
 func (r *Server) harden() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if r.sem != nil {
-			select {
-			case r.sem <- struct{}{}:
-				defer func() { <-r.sem }()
-			default:
-				r.metrics.requestsShed.Add(1)
-				w.Header().Set("Retry-After", "1")
-				writePre(w, http.StatusTooManyRequests, errBodyOverloaded)
-				return
-			}
+		select {
+		case r.sem <- struct{}{}:
+			defer func() { <-r.sem }()
+		default:
+			r.metrics.requestsShed.Add(1)
+			w.Header().Set("Retry-After", "1")
+			writePre(w, http.StatusTooManyRequests, errBodyOverloaded)
+			return
 		}
 		sw := &shieldWriter{ResponseWriter: w}
 		defer func() {
@@ -250,12 +246,12 @@ const (
 // HTTP server down gracefully (in-flight requests get up to 5 s), mirroring
 // the context discipline of internal/campaign: cancellation is the normal
 // way to stop, and a clean shutdown returns nil. The http.Server carries
-// the configured read-header timeout (slowloris guard) and fixed read and
-// idle timeouts.
+// a 5 s read-header timeout (slowloris guard) and fixed read and idle
+// timeouts.
 func (r *Server) Serve(ctx context.Context, ln net.Listener) error {
 	srv := &http.Server{
 		Handler:           r.root,
-		ReadHeaderTimeout: posDur(r.cfg.ReadHeaderTimeout),
+		ReadHeaderTimeout: r.cfg.readHeaderTimeout,
 		ReadTimeout:       readTimeout,
 		IdleTimeout:       idleTimeout,
 	}
@@ -268,7 +264,7 @@ func (r *Server) Serve(ctx context.Context, ln net.Listener) error {
 		// off before connections start closing. DrainDelay gives it a probe
 		// cycle to notice.
 		r.BeginDrain()
-		if d := posDur(r.cfg.DrainDelay); d > 0 {
+		if d := r.cfg.DrainDelay; d > 0 {
 			time.Sleep(d)
 		}
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -23,17 +22,28 @@ func setEpochHook(t *testing.T, hook func(job campaign.Job, epoch int)) {
 	t.Cleanup(func() { testHookPreEpoch = prev })
 }
 
-// TestPanicFailsOnlyThatTrace injects a persistent panic into one trace's
-// engine and checks the rest of the campaign survives with the fault
-// reported as a per-trace error carrying path/trace/seed.
+// TestPanicFailsOnlyThatTrace injects a panic into one trace's engine and
+// checks the rest of the campaign survives with the fault reported as a
+// per-trace error carrying path/trace/seed, and that the faulted trace
+// ran exactly once: a trace is a pure function of its seed, so a rerun
+// would only fail again at the same spot.
 func TestPanicFailsOnlyThatTrace(t *testing.T) {
 	cfg := TinyConfig(11)
-	cfg.Retries = -1 // isolate the fault path; retries are tested below
 	paths := Catalog(cfg.Defaults().Catalog)
 	victim := paths[1].Name
 
+	var mu sync.Mutex
+	victimStarts := 0
 	setEpochHook(t, func(job campaign.Job, epoch int) {
-		if job.Path == victim && epoch == 2 {
+		if job.Path != victim {
+			return
+		}
+		if epoch == 0 {
+			mu.Lock()
+			victimStarts++
+			mu.Unlock()
+		}
+		if epoch == 2 {
 			panic("injected engine fault")
 		}
 	})
@@ -56,6 +66,9 @@ func TestPanicFailsOnlyThatTrace(t *testing.T) {
 	if msg := pe.Error(); !strings.Contains(msg, "panic at fault_test.go:") {
 		t.Errorf("PanicError %q does not name the panicking line", msg)
 	}
+	if victimStarts != 1 {
+		t.Errorf("faulted trace started %d times, want exactly 1", victimStarts)
+	}
 	if len(ds.Traces) != len(paths)-1 {
 		t.Fatalf("dataset has %d traces, want %d (all but the faulted one)", len(ds.Traces), len(paths)-1)
 	}
@@ -66,41 +79,6 @@ func TestPanicFailsOnlyThatTrace(t *testing.T) {
 		if len(tr.Records) != cfg.EpochsPerTrace {
 			t.Errorf("surviving trace %s has %d records, want %d", tr.Path, len(tr.Records), cfg.EpochsPerTrace)
 		}
-	}
-}
-
-// TestPanicRetryReplaysSameTrace makes one trace panic on its first
-// attempt only; the retry must reuse the seed and reproduce exactly the
-// trace an unfaulted campaign collects.
-func TestPanicRetryReplaysSameTrace(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second campaign; skipped in -short mode")
-	}
-	cfg := TinyConfig(13)
-	want := collect(t, cfg) // no hook: the reference campaign
-
-	var mu sync.Mutex
-	tripped := map[string]bool{}
-	paths := Catalog(cfg.Defaults().Catalog)
-	victim := paths[0].Name
-	setEpochHook(t, func(job campaign.Job, epoch int) {
-		if job.Path != victim || epoch != 1 {
-			return
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		if !tripped[job.Path] {
-			tripped[job.Path] = true
-			panic("transient fault")
-		}
-	})
-
-	got, err := CollectContext(context.Background(), cfg)
-	if err != nil {
-		t.Fatalf("campaign with transient fault failed: %v", err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("retried campaign differs from the unfaulted one (seed not replayed?)")
 	}
 }
 

@@ -69,11 +69,6 @@ type RunConfig struct {
 
 	Parallelism int // worker goroutines; 0 = GOMAXPROCS
 
-	// Retries is how many times a faulted trace (recovered panic) is
-	// re-run with the same seed before being reported as failed.
-	// 0 means the default of 1; negative disables retries.
-	Retries int
-
 	// Observer receives campaign progress callbacks (nil: none). It is
 	// execution instrumentation, not part of the campaign's identity:
 	// results are byte-identical whatever observer is attached.
@@ -92,7 +87,7 @@ type RunConfig struct {
 // Defaults returns c with every zero field set to the value a campaign
 // runs with: 7 traces of 150 epochs per path, 60 s of ping, a 50 s
 // transfer and a 20 s gap, the companion small-window transfer as long as
-// the target one, a 1 MiB large window, GOMAXPROCS workers and one retry.
+// the target one, a 1 MiB large window and GOMAXPROCS workers.
 func (c RunConfig) Defaults() RunConfig {
 	if c.TracesPerPath == 0 {
 		c.TracesPerPath = 7
@@ -114,9 +109,6 @@ func (c RunConfig) Defaults() RunConfig {
 	}
 	if c.Parallelism == 0 {
 		c.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if c.Retries == 0 {
-		c.Retries = 1
 	}
 	// Horizon for load processes: a bit beyond the full trace duration.
 	perEpoch := 25 + c.PingDuration + c.TransferSec + c.EpochGap
@@ -210,9 +202,8 @@ var testHookPreEpoch func(job campaign.Job, epoch int)
 // Equal configurations yield byte-identical datasets whatever the
 // Parallelism. Cancelling ctx stops the campaign at the next epoch
 // boundary of each running trace; completed traces are returned as a
-// partial dataset alongside ctx.Err(). Traces that failed after all
-// retries are omitted from the dataset and reported joined into the
-// returned error.
+// partial dataset alongside ctx.Err(). Traces that failed are omitted
+// from the dataset and reported joined into the returned error.
 func CollectContext(ctx context.Context, cfg RunConfig) (*Dataset, error) {
 	ds := &Dataset{Label: cfg.DatasetLabel()}
 	err := CollectStream(ctx, cfg, func(tr Trace) error {
@@ -224,18 +215,18 @@ func CollectContext(ctx context.Context, cfg RunConfig) (*Dataset, error) {
 
 // CollectStream runs the campaign on the campaign runner and streams
 // each completed trace to sink in job order: trace jobs execute in
-// parallel (each owns a private engine), faults in one trace are
-// isolated and retried with the same seed, and progress flows to
-// cfg.Observer. At any moment only the in-flight traces (one per worker,
-// plus the reorder buffer) are in memory, so a 10k-path campaign runs in
-// constant RSS when the sink writes traces straight to a traceio.Writer.
+// parallel (each owns a private engine), a fault in one trace fails only
+// that trace, and progress flows to cfg.Observer. At any moment only the
+// in-flight traces (one per worker, plus the reorder buffer) are in
+// memory, so a 10k-path campaign runs in constant RSS when the sink
+// writes traces straight to a traceio.Writer.
 // The stream is order-deterministic: equal configs feed the sink the
 // identical trace sequence regardless of Parallelism.
 //
 // A sink error cancels the campaign and is returned. Traces that failed
-// after all retries are skipped (never handed to the sink) and reported
-// joined in the returned error; cancelling ctx returns ctx.Err() after
-// the traces already completed have been delivered.
+// are skipped (never handed to the sink) and reported joined in the
+// returned error; cancelling ctx returns ctx.Err() after the traces
+// already completed have been delivered.
 func CollectStream(ctx context.Context, cfg RunConfig, sink func(Trace) error) error {
 	cfg = cfg.Defaults()
 	jobs, pcs := campaignJobs(cfg)
@@ -244,16 +235,15 @@ func CollectStream(ctx context.Context, cfg RunConfig, sink func(Trace) error) e
 	defer cancel()
 
 	// Both are written under the runner's delivery lock and read after Run.
-	var errs []error // traces that failed after all retries
+	var errs []error // traces that failed
 	var sinkErr error
 	runner := &campaign.Runner[Trace]{
 		Parallelism: cfg.Parallelism,
-		Retries:     max(cfg.Retries, 0),
 		Observer:    hooks.observer(cfg.Observer),
 		Sink: func(res campaign.Result[Trace]) {
 			switch {
 			case res.Err != nil:
-				if res.Attempts > 0 && !isContextErr(res.Err) {
+				if !isContextErr(res.Err) {
 					errs = append(errs, res.Err)
 				}
 			case sinkErr == nil:

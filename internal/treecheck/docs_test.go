@@ -222,8 +222,13 @@ func (r *resolver) identifier(s string) (checked, ok bool) {
 	return true, false
 }
 
+// goFlags are the go command's own flags that the documents name in a
+// span of their own, outside a command line.
+var goFlags = []string{"race", "benchtime"}
+
 // commandFlags returns the flags each command defines through the flag
-// package, by name.
+// package, by name. The entry for "" holds every command's flags and
+// goFlags: the flags a span that names no command may open with.
 func commandFlags(t *testing.T, x *index) map[string]map[string]bool {
 	// flag-package function → index of its flag-name argument
 	defining := map[string]int{"Func": 0, "BoolFunc": 0, "Var": 1, "TextVar": 1}
@@ -231,7 +236,11 @@ func commandFlags(t *testing.T, x *index) map[string]map[string]bool {
 		defining[k] = 0
 		defining[k+"Var"] = 1
 	}
-	out := map[string]map[string]bool{}
+	anyCmd := map[string]bool{}
+	for _, f := range goFlags {
+		anyCmd[f] = true
+	}
+	out := map[string]map[string]bool{"": anyCmd}
 	for _, cmd := range commands {
 		p := x.pkgs[modulePath+"/cmd/"+cmd]
 		if p == nil || p.types == nil {
@@ -263,6 +272,7 @@ func commandFlags(t *testing.T, x *index) map[string]map[string]bool {
 				}
 				name, _ := strconv.Unquote(lit.Value)
 				flags[name] = true
+				anyCmd[name] = true
 				return true
 			})
 		}
@@ -283,15 +293,21 @@ func commandOf(tok string) string {
 }
 
 // undefinedFlags returns the -flags in a span that follow a command name
-// and that command does not define. `go run ./cmd/X` invokes X; the other
-// go subcommands take their own flags, as do the other programs a span
-// may pipe to.
+// and that command does not define, and those a span opens with that no
+// command defines (`-max-inflight` on its own). `go run ./cmd/X` invokes
+// X; the other go subcommands take their own flags, as do the other
+// programs a span may pipe to.
 func undefinedFlags(span string, defined map[string]map[string]bool) []string {
 	var bad []string
 	cur, skip := "", false
+	lead := true // no token but flags yet
 	toks := strings.Fields(span)
 	for i := 0; i < len(toks); i++ {
 		tok := toks[i]
+		isFlag := strings.HasPrefix(tok, "-") && !strings.HasPrefix(tok, "--") && len(tok) > 1 && unicode.IsLetter(rune(tok[1]))
+		if !isFlag {
+			lead = false
+		}
 		switch {
 		case tok == "|" || tok == "||" || tok == "&&" || tok == ";" || tok == "&":
 			cur, skip = "", false
@@ -304,11 +320,14 @@ func undefinedFlags(span string, defined map[string]map[string]bool) []string {
 					i += 2
 				}
 			}
-		case strings.HasPrefix(tok, "-") && !strings.HasPrefix(tok, "--") && len(tok) > 1 && unicode.IsLetter(rune(tok[1])):
+		case isFlag:
 			name, _, _ := strings.Cut(tok[1:], "=")
 			name = strings.TrimRight(name, ",.)")
-			if cur != "" && !defined[cur][name] {
-				bad = append(bad, cur+" -"+name)
+			switch {
+			case cur != "" && !defined[cur][name]:
+				bad = append(bad, cur+" -"+name+" is not a flag of that command")
+			case cur == "" && lead && !defined[""][name]:
+				bad = append(bad, "-"+name+" is a flag of no command")
 			}
 		default:
 			if c := commandOf(tok); c != "" {
@@ -342,7 +361,7 @@ func TestDocsNameWhatExists(t *testing.T) {
 				}
 			}
 			for _, f := range undefinedFlags(s.text, flags) {
-				t.Errorf("%s:%d: `%s`: %s is not a flag of that command", doc, s.line, s.text, f)
+				t.Errorf("%s:%d: `%s`: %s", doc, s.line, s.text, f)
 			}
 		}
 	}

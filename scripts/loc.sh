@@ -9,8 +9,9 @@ cd "$(dirname "$0")/.."
 
 # Lines in the Go files find selects (0 when there are none).
 loc() { find . -name '*.go' -not -path './bench/*' "$@" -exec cat {} + | wc -l | tr -d ' '; }
-# Flag definitions (flag.String, flag.Int, ... — not flag.Parse) in a command.
-flags() { grep -cE 'flag\.(Bool|Int|Int64|Uint|Uint64|Float64|String|Duration)\(' "$1"; }
+# Flag definitions (flag.String, flag.Int, ... — not flag.Parse) in a
+# command, on the global set or on a subcommand's FlagSet named fs.
+flags() { grep -cE '(^|[^A-Za-z0-9_])(flag|fs)\.(Bool|Int|Int64|Uint|Uint64|Float64|String|Duration)\(' "$1"; }
 # Exported fields of struct type $2 in file $1: "A, B int" counts twice.
 fields() {
     awk -v t="$2" '
@@ -50,6 +51,7 @@ echo "predserverd flags:                $(flags cmd/predserverd/main.go)"
 echo "ronsim flags:                     $(flags cmd/ronsim/main.go)"
 echo "repro flags:                      $(flags cmd/repro/main.go)"
 echo "predload flags:                   $(flags cmd/predload/main.go)"
+echo "predctl flags:                    $(flags cmd/predctl/main.go)"
 # Everything a predsvc.Config literal can set. The predictor zoo has no
 # settings: every path runs the paper's configuration.
 echo "predsvc.Config settable values:   $(fields internal/predsvc/config.go Config)"

@@ -108,7 +108,7 @@ func WithLSO(inner HBPredictor) HBPredictor {
 
 // RunConfig configures a measurement campaign on the simulated RON-style
 // testbed: path catalog, traces per path, epochs per trace, parallelism,
-// retries, and an optional progress Observer.
+// and an optional progress Observer.
 type RunConfig = testbed.RunConfig
 
 // Dataset is the result of a campaign: one Trace per (path, trace index),
@@ -126,8 +126,8 @@ func DefaultCampaign(seed int64) RunConfig { return testbed.DefaultScaled(seed) 
 // CollectDataset runs the campaign described by cfg under ctx. Cancelling
 // the context aborts cleanly at epoch boundaries: the completed traces are
 // still returned as a partial dataset alongside ctx.Err(). A trace that
-// faults is isolated and retried with the same seed; persistent failures
-// are reported in the returned error while the rest of the campaign
+// faults is isolated, not rerun (its seed would replay the same fault):
+// it is reported in the returned error while the rest of the campaign
 // completes.
 func CollectDataset(ctx context.Context, cfg RunConfig) (*Dataset, error) {
 	return testbed.CollectContext(ctx, cfg)
@@ -154,9 +154,9 @@ type Prediction = predsvc.Prediction
 // wrapper and cmd/predload its load generator.
 //
 // The serving path is hardened: handler panics become 500s, load past
-// ServiceConfig.MaxInFlight is shed with 429 + Retry-After, snapshots are
-// checksummed and retried with backoff, a corrupt snapshot at boot is
-// quarantined rather than fatal, and FB forecasts whose measurements have
+// 1024 in-flight requests is shed with 429 + Retry-After, request headers
+// must arrive within 5 s, snapshots are checksummed and retried with
+// backoff, a corrupt snapshot at boot is quarantined rather than fatal, and FB forecasts whose measurements have
 // aged past 30 observations are flagged stale and excluded from
 // best-predictor selection.
 type PredictionServer = predsvc.Server
